@@ -8,6 +8,14 @@ replacement. Determinism rules: every tree's RNG is derived from
 split ties go to the lower feature index then the lower threshold;
 leaf pluralities and forest votes break ties in sorted-label order,
 which puts the all-zero healthy label first.
+
+A tree is a node table: arrays ``feature``, ``threshold``, ``left``,
+``right`` and ``leaf_code`` with one entry per node in preorder, so an
+internal node's left child is the next entry and its right child
+follows the left subtree. Growth appends to this table, worker
+processes return it, the model stacks every tree's table into one with
+a root offset per tree, inference walks it, and the v1 model file is
+one text line per table entry.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,20 +73,54 @@ class ForestParams:
         return m
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature_index, threshold, children) or leaf (label)."""
+class NodeTable(NamedTuple):
+    """Tree nodes in preorder, one array entry per node.
 
-    feature_index: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    label: FaultLabel | None = None
-    class_counts: dict[FaultLabel, int] | None = None
+    An internal node has feature >= 0 and sends a normalized row left
+    when its value is <= threshold; its leaf_code is -1. A leaf has
+    feature -1, votes for label code leaf_code, and its left and right
+    point at itself. Child indices count from the start of the table.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature_index is None
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_code: np.ndarray
+
+
+class _PreorderBuilder:
+    """Appends nodes in preorder: a new internal node's left child is the
+    next node appended, and its right child is the node appended after
+    the leaf that closes its left subtree."""
+
+    def __init__(self) -> None:
+        self.rows: list[list] = []  # [feature, threshold, left, right, leaf_code]
+        self._open: list[int] = []  # internal nodes still waiting for a right child
+
+    def add_internal(self, feature: int, threshold: float) -> None:
+        k = len(self.rows)
+        self.rows.append([feature, threshold, k + 1, k, -1])
+        self._open.append(k)
+
+    def add_leaf(self, code: int) -> bool:
+        """Append a leaf; True when it completes the tree being built."""
+        k = len(self.rows)
+        self.rows.append([-1, 0.0, k, k, code])
+        if not self._open:
+            return True
+        self.rows[self._open.pop()][3] = k + 1
+        return False
+
+    def table(self) -> NodeTable:
+        feature, threshold, left, right, leaf_code = zip(*self.rows)
+        return NodeTable(
+            np.array(feature, dtype=np.intp),
+            np.array(threshold, dtype=float),
+            np.array(left, dtype=np.intp),
+            np.array(right, dtype=np.intp),
+            np.array(leaf_code, dtype=np.intp),
+        )
 
 
 @dataclass(frozen=True)
@@ -112,16 +155,20 @@ class TrainingSet:
 
 @dataclass
 class RandomForestModel:
-    trees: tuple[TreeNode, ...]
+    """Every tree's node table stacked into one. Tree t occupies the
+    entries from roots[t] up to the next root, with absolute child
+    indices."""
+
+    nodes: NodeTable
+    roots: np.ndarray
     feature_names: tuple[str, ...]
     scaler: np.ndarray
     label_universe: tuple[FaultLabel, ...]
     params: ForestParams
-    _flat: "list[_FlatTree] | None" = field(default=None, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self.roots)
 
     @property
     def n_features(self) -> int:
@@ -169,14 +216,6 @@ def _gini(counts: np.ndarray, total) -> float:
     return 1.0 - float(np.sum(p * p))
 
 
-def _make_leaf(node: TreeNode, counts: np.ndarray, universe) -> None:
-    winner = int(np.argmax(counts))  # first max = sorted-label tie-break
-    node.feature_index = None
-    node.threshold = None
-    node.label = universe[winner]
-    node.class_counts = {universe[k]: int(c) for k, c in enumerate(counts) if c}
-
-
 def _best_split(X, codes, idx, feature_ids, n_classes, min_leaf, parent_counts):
     """Best (gain, feature, threshold) over midpoint candidates, or None.
 
@@ -217,14 +256,14 @@ def _best_split(X, codes, idx, feature_ids, n_classes, min_leaf, parent_counts):
     return best_gain, best[0], best[1]
 
 
-def _grow_tree(X, codes, root_idx, n_classes, m_try, max_depth, min_leaf, rng, universe) -> TreeNode:
+def _grow_tree(X, codes, root_idx, n_classes, m_try, max_depth, min_leaf, rng) -> NodeTable:
     """Greedy CART growth; nodes are expanded in preorder so the RNG
     stream (one feature draw per split attempt) is reproducible."""
     n_features = X.shape[1]
-    root = TreeNode()
-    stack = [(root, root_idx, 0)]
+    nodes = _PreorderBuilder()
+    stack = [(root_idx, 0)]
     while stack:
-        node, idx, depth = stack.pop()
+        idx, depth = stack.pop()
         counts = np.bincount(codes[idx], minlength=n_classes).astype(float)
         n = idx.size
         if (
@@ -233,7 +272,7 @@ def _grow_tree(X, codes, root_idx, n_classes, m_try, max_depth, min_leaf, rng, u
             or n < 2 * min_leaf
             or n < 2
         ):
-            _make_leaf(node, counts, universe)
+            nodes.add_leaf(int(np.argmax(counts)))  # first max = sorted-label tie-break
             continue
         if m_try < n_features:
             feats = np.sort(rng.choice(n_features, size=m_try, replace=False))
@@ -241,18 +280,15 @@ def _grow_tree(X, codes, root_idx, n_classes, m_try, max_depth, min_leaf, rng, u
             feats = np.arange(n_features)
         split = _best_split(X, codes, idx, feats, n_classes, min_leaf, counts)
         if split is None:
-            _make_leaf(node, counts, universe)
+            nodes.add_leaf(int(np.argmax(counts)))
             continue
         _, f, thr = split
         mask = X[idx, f] <= thr
-        node.feature_index = int(f)
-        node.threshold = float(thr)
-        node.left = TreeNode()
-        node.right = TreeNode()
+        nodes.add_internal(int(f), float(thr))
         # push right first so the left subtree is grown first
-        stack.append((node.right, idx[~mask], depth + 1))
-        stack.append((node.left, idx[mask], depth + 1))
-    return root
+        stack.append((idx[~mask], depth + 1))
+        stack.append((idx[mask], depth + 1))
+    return nodes.table()
 
 
 def train_tree(
@@ -262,15 +298,16 @@ def train_tree(
     rng: np.random.Generator,
     max_depth: int | None = None,
     min_samples_leaf: int = 1,
-) -> TreeNode:
-    """Grow one CART tree on the given rows (already normalized)."""
+) -> NodeTable:
+    """Grow one CART tree on the given rows (already normalized); leaf
+    codes index label_universe_of(labels)."""
     X = np.asarray(features, dtype=float)
     universe = label_universe_of(labels)
     codes = _encode_labels(labels, universe)
     if not 1 <= m_try <= X.shape[1]:
         raise ValueError(f"m_try must be in 1..{X.shape[1]}")
     return _grow_tree(
-        X, codes, np.arange(X.shape[0]), len(universe), m_try, max_depth, min_samples_leaf, rng, universe
+        X, codes, np.arange(X.shape[0]), len(universe), m_try, max_depth, min_samples_leaf, rng
     )
 
 
@@ -279,28 +316,34 @@ def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, tree_index])
 
 
-def _train_indexed_tree(X_norm, codes, n_classes, params: ForestParams, index: int, universe) -> TreeNode:
+def _train_indexed_tree(X_norm, codes, n_classes, params: ForestParams, index: int) -> NodeTable:
     rng = tree_rng(params.seed, index)
     boot = bootstrap_sample(X_norm.shape[0], X_norm.shape[0], rng)
     m_try = params.resolved_m_try(X_norm.shape[1])
     return _grow_tree(
-        X_norm, codes, boot, n_classes, m_try, params.max_depth, params.min_samples_leaf, rng, universe
+        X_norm, codes, boot, n_classes, m_try, params.max_depth, params.min_samples_leaf, rng
     )
 
 
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(X_norm, codes, n_classes, params, universe):
-    _WORKER_STATE.update(
-        X=X_norm, codes=codes, n_classes=n_classes, params=params, universe=universe
-    )
+def _worker_init(X_norm, codes, n_classes, params):
+    _WORKER_STATE.update(X=X_norm, codes=codes, n_classes=n_classes, params=params)
 
 
-def _worker_train(index: int) -> list[str]:
+def _worker_train(index: int) -> NodeTable:
     s = _WORKER_STATE
-    tree = _train_indexed_tree(s["X"], s["codes"], s["n_classes"], s["params"], index, s["universe"])
-    return _tree_lines(tree)
+    return _train_indexed_tree(s["X"], s["codes"], s["n_classes"], s["params"], index)
+
+
+def _stack(tables: list[NodeTable]) -> tuple[NodeTable, np.ndarray]:
+    """One table holding every tree, and the index of each tree's root."""
+    sizes = [table.feature.size for table in tables]
+    roots = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(roots, sizes)
+    feature, threshold, left, right, leaf_code = (np.concatenate(col) for col in zip(*tables))
+    return NodeTable(feature, threshold, left + shift, right + shift, leaf_code), roots
 
 
 def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 1) -> RandomForestModel:
@@ -326,74 +369,24 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(X_norm, codes, n_classes, params, universe),
+            initargs=(X_norm, codes, n_classes, params),
         ) as pool:
-            packed = list(pool.map(_worker_train, range(params.n_trees), chunksize=8))
-        trees = tuple(_tree_from_lines(iter(lines)) for lines in packed)
+            tables = list(pool.map(_worker_train, range(params.n_trees), chunksize=8))
     else:
-        trees = tuple(
-            _train_indexed_tree(X_norm, codes, n_classes, params, i, universe)
+        tables = [
+            _train_indexed_tree(X_norm, codes, n_classes, params, i)
             for i in range(params.n_trees)
-        )
+        ]
 
+    nodes, roots = _stack(tables)
     return RandomForestModel(
-        trees=trees,
+        nodes=nodes,
+        roots=roots,
         feature_names=ts.feature_names,
         scaler=np.asarray(scaler, dtype=float),
         label_universe=universe,
         params=params,
     )
-
-
-class _FlatTree:
-    """Array view of one tree for vectorized batch descent."""
-
-    __slots__ = ("feature", "threshold", "left", "right", "leaf_code")
-
-    def __init__(self, root: TreeNode, code_of: dict[FaultLabel, int]):
-        nodes: list[TreeNode] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        index = {id(node): k for k, node in enumerate(nodes)}
-        n = len(nodes)
-        self.feature = np.full(n, -1, dtype=np.int32)
-        self.threshold = np.zeros(n)
-        self.left = np.zeros(n, dtype=np.int32)
-        self.right = np.zeros(n, dtype=np.int32)
-        self.leaf_code = np.zeros(n, dtype=np.int32)
-        for k, node in enumerate(nodes):
-            if node.is_leaf:
-                self.leaf_code[k] = code_of[node.label]
-            else:
-                self.feature[k] = node.feature_index
-                self.threshold[k] = node.threshold
-                self.left[k] = index[id(node.left)]
-                self.right[k] = index[id(node.right)]
-
-    def predict_codes(self, X_norm: np.ndarray) -> np.ndarray:
-        cur = np.zeros(X_norm.shape[0], dtype=np.int32)
-        rows = np.arange(X_norm.shape[0])
-        while True:
-            feat = self.feature[cur]
-            active = feat >= 0
-            if not active.any():
-                return self.leaf_code[cur]
-            r = rows[active]
-            c = cur[active]
-            go_left = X_norm[r, feat[active]] <= self.threshold[c]
-            cur[active] = np.where(go_left, self.left[c], self.right[c])
-
-
-def _flat_trees(model: RandomForestModel) -> "list[_FlatTree]":
-    if model._flat is None:
-        code_of = {lab: k for k, lab in enumerate(model.label_universe)}
-        model._flat = [_FlatTree(t, code_of) for t in model.trees]
-    return model._flat
 
 
 def _vote_codes(model: RandomForestModel, X_raw: np.ndarray) -> np.ndarray:
@@ -402,10 +395,21 @@ def _vote_codes(model: RandomForestModel, X_raw: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (rows, {model.n_features}) features")
     X_norm = normalize_apply(model.scaler, X)
+    feature, threshold, left, right, leaf_code = model.nodes
     votes = np.zeros((X.shape[0], len(model.label_universe)), dtype=np.int32)
     rows = np.arange(X.shape[0])
-    for flat in _flat_trees(model):
-        votes[rows, flat.predict_codes(X_norm)] += 1
+    for root in model.roots:
+        cur = np.full(X.shape[0], root, dtype=np.intp)
+        while True:
+            feat = feature[cur]
+            active = feat >= 0
+            if not active.any():
+                break
+            r = rows[active]
+            c = cur[active]
+            go_left = X_norm[r, feat[active]] <= threshold[c]
+            cur[active] = np.where(go_left, left[c], right[c])
+        votes[rows, leaf_code[cur]] += 1
     return votes
 
 
@@ -489,53 +493,6 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _tree_lines(root: TreeNode) -> list[str]:
-    lines = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            lines.append(f"L {node.label}")
-        else:
-            lines.append(f"I {node.feature_index} {_fmt(node.threshold)}")
-            stack.append(node.right)
-            stack.append(node.left)
-    return lines
-
-
-def _node_from_line(line: str) -> TreeNode:
-    parts = line.split()
-    if parts and parts[0] == "L" and len(parts) == 2:
-        return TreeNode(label=FaultLabel.from_string(parts[1]))
-    if parts and parts[0] == "I" and len(parts) == 3:
-        return TreeNode(feature_index=int(parts[1]), threshold=float(parts[2]))
-    raise ModelFormatError(f"bad tree node line: {line!r}")
-
-
-def _tree_from_lines(line_iter) -> TreeNode:
-    try:
-        root = _node_from_line(next(line_iter))
-    except StopIteration:
-        raise ModelFormatError("truncated tree block") from None
-    if root.is_leaf:
-        return root
-    pending = [root]
-    while pending:
-        try:
-            node = _node_from_line(next(line_iter))
-        except StopIteration:
-            raise ModelFormatError("truncated tree block") from None
-        parent = pending[-1]
-        if parent.left is None:
-            parent.left = node
-        else:
-            parent.right = node
-            pending.pop()
-        if not node.is_leaf:
-            pending.append(node)
-    return root
-
-
 def model_to_lines(model: RandomForestModel) -> list[str]:
     p = model.params
     for name in model.feature_names:
@@ -553,9 +510,16 @@ def model_to_lines(model: RandomForestModel) -> list[str]:
         f"max_depth {'none' if p.max_depth is None else p.max_depth}",
         f"min_samples_leaf {p.min_samples_leaf}",
     ]
-    for k, tree in enumerate(model.trees):
-        lines.append(f"tree {k}")
-        lines.extend(_tree_lines(tree))
+    feature = model.nodes.feature.tolist()
+    threshold = model.nodes.threshold.tolist()
+    leaf_code = model.nodes.leaf_code.tolist()
+    names = [str(lab) for lab in model.label_universe]
+    bounds = model.roots.tolist() + [len(feature)]
+    for t in range(model.n_trees):
+        lines.append(f"tree {t}")
+        for k in range(bounds[t], bounds[t + 1]):
+            f = feature[k]
+            lines.append(f"I {f} {_fmt(threshold[k])}" if f >= 0 else f"L {names[leaf_code[k]]}")
     lines.append("end")
     return lines
 
@@ -567,6 +531,28 @@ def _header_value(lines: list[str], k: int, key: str) -> str:
     if parts[0] != key:
         raise ModelFormatError(f"expected header {key!r}, got {lines[k]!r}")
     return parts[1] if len(parts) > 1 else ""
+
+
+def _add_node_line(nodes: _PreorderBuilder, line: str, n_features: int, code_of: dict[str, int]) -> bool:
+    """Append one `I feature threshold` or `L label` line; True when it
+    completes the tree. Refuses nodes that could not be walked right."""
+    parts = line.split()
+    if len(parts) == 2 and parts[0] == "L":
+        if parts[1] not in code_of:
+            raise ModelFormatError(f"leaf label not in the labels header: {line!r}")
+        return nodes.add_leaf(code_of[parts[1]])
+    if len(parts) == 3 and parts[0] == "I":
+        try:
+            f, thr = int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ModelFormatError(f"bad tree node line: {line!r}") from None
+        if not 0 <= f < n_features:
+            raise ModelFormatError(f"feature index outside 0..{n_features - 1}: {line!r}")
+        if not math.isfinite(thr):
+            raise ModelFormatError(f"non-finite threshold: {line!r}")
+        nodes.add_internal(f, thr)
+        return False
+    raise ModelFormatError(f"bad tree node line: {line!r}")
 
 
 def model_from_lines(lines: list[str]) -> RandomForestModel:
@@ -596,20 +582,26 @@ def model_from_lines(lines: list[str]) -> RandomForestModel:
         seed=seed,
     )
 
+    code_of = {str(lab): k for k, lab in enumerate(labels)}
+    nodes = _PreorderBuilder()
+    roots = []
     it = iter(lines[10:])
-    trees = []
-    for k in range(n_trees):
-        try:
-            marker = next(it)
-        except StopIteration:
-            raise ModelFormatError(f"missing tree {k}") from None
-        if marker != f"tree {k}":
-            raise ModelFormatError(f"expected 'tree {k}', got {marker!r}")
-        trees.append(_tree_from_lines(it))
+    for t in range(n_trees):
+        marker = next(it, None)
+        if marker != f"tree {t}":
+            raise ModelFormatError(f"expected 'tree {t}', got {marker!r}")
+        roots.append(len(nodes.rows))
+        done = False
+        while not done:
+            line = next(it, None)
+            if line is None:
+                raise ModelFormatError("truncated tree block")
+            done = _add_node_line(nodes, line, n_features, code_of)
     if next(it, None) != "end":
         raise ModelFormatError("missing end marker")
     return RandomForestModel(
-        trees=tuple(trees),
+        nodes=nodes.table(),
+        roots=np.array(roots, dtype=np.intp),
         feature_names=feature_names,
         scaler=scaler,
         label_universe=labels,

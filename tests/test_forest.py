@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,9 @@ from trifault.simulate import NO_FAULT, FaultLabel
 L0 = NO_FAULT
 L1 = FaultLabel.from_switches([1])
 L2 = FaultLabel.from_switches([2])
+
+# written by the trainer before trees were held as node tables
+GOLDEN_MODEL = Path(__file__).parent / "data" / "blob_forest_v1.txt"
 
 
 def blob_set(rng, n_per_class=50, spread=0.4):
@@ -86,12 +92,20 @@ class TestTrainingSetValidation:
         assert universe[0].is_normal
 
 
+def leaf_of(table, row):
+    """Index of the leaf a (normalized) row reaches in a node table."""
+    k = 0
+    while table.feature[k] >= 0:
+        k = table.left[k] if row[table.feature[k]] <= table.threshold[k] else table.right[k]
+    return k
+
+
 class TestSingleTree:
     def test_pure_node_becomes_leaf(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         tree = train_tree(X, (L0, L0), m_try=1, rng=np.random.default_rng(0))
-        assert tree.is_leaf
-        assert tree.label == L0
+        assert tree.feature.tolist() == [-1]
+        assert label_universe_of((L0, L0))[tree.leaf_code[0]] == L0
 
     def test_separable_data_fits_exactly(self):
         rng = np.random.default_rng(1)
@@ -99,13 +113,10 @@ class TestSingleTree:
         tree = train_tree(
             np.asarray(ts.features), ts.labels, m_try=3, rng=np.random.default_rng(2)
         )
-        model_like = [(tuple(row), lab) for row, lab in zip(ts.features, ts.labels)]
+        universe = label_universe_of(ts.labels)
         # walk every training row through the tree
-        for row, lab in model_like:
-            node = tree
-            while not node.is_leaf:
-                node = node.left if row[node.feature_index] <= node.threshold else node.right
-            assert node.label == lab
+        for row, lab in zip(ts.features, ts.labels):
+            assert universe[tree.leaf_code[leaf_of(tree, row)]] == lab
 
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(3)
@@ -117,13 +128,11 @@ class TestSingleTree:
             rng=np.random.default_rng(0),
             max_depth=1,
         )
-
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(tree) <= 1
+        # preorder puts every child after its parent
+        depth = np.zeros(tree.feature.size, dtype=int)
+        for k in np.flatnonzero(tree.feature >= 0):
+            depth[tree.left[k]] = depth[tree.right[k]] = depth[k] + 1
+        assert depth.max() <= 1
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(4)
@@ -135,13 +144,9 @@ class TestSingleTree:
             rng=np.random.default_rng(0),
             min_samples_leaf=5,
         )
-
-        def leaf_counts(node):
-            if node.is_leaf:
-                return [sum(node.class_counts.values())]
-            return leaf_counts(node.left) + leaf_counts(node.right)
-
-        assert min(leaf_counts(tree)) >= 5
+        rows_per_leaf = Counter(leaf_of(tree, row) for row in ts.features)
+        assert set(rows_per_leaf) == set(np.flatnonzero(tree.feature < 0).tolist())
+        assert min(rows_per_leaf.values()) >= 5
 
 
 class TestForestParams:
@@ -278,6 +283,25 @@ class TestVoting:
             predict_batch(model, np.zeros((2, 5)))
 
 
+def one_tree_lines(*node_lines):
+    """A one-feature, one-tree model file holding the given node lines."""
+    return [
+        "trifault-forest 1",
+        "n_trees 1",
+        "n_features 1",
+        "feature_names f",
+        "scaler 1",
+        "labels 000000 100000",
+        "seed 0",
+        "m_try none",
+        "max_depth none",
+        "min_samples_leaf 1",
+        "tree 0",
+        *node_lines,
+        "end",
+    ]
+
+
 class TestPersistence:
     def test_round_trip_preserves_predictions_and_bytes(self, tmp_path):
         ts = blob_set(np.random.default_rng(14))
@@ -310,6 +334,32 @@ class TestPersistence:
         bad = [ln if not ln.startswith(("I ", "L ")) else "X nonsense" for ln in lines]
         with pytest.raises(ModelFormatError):
             model_from_lines(bad)
+
+    def test_rejects_negative_feature_index(self):
+        with pytest.raises(ModelFormatError, match="feature index"):
+            model_from_lines(one_tree_lines("I -1 0.5", "L 000000", "L 100000"))
+
+    def test_rejects_feature_index_past_width(self):
+        with pytest.raises(ModelFormatError, match="feature index"):
+            model_from_lines(one_tree_lines("I 5 0.5", "L 000000", "L 100000"))
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(ModelFormatError, match="threshold"):
+            model_from_lines(one_tree_lines("I 0 nan", "L 000000", "L 100000"))
+
+    def test_rejects_leaf_label_outside_header(self):
+        with pytest.raises(ModelFormatError, match="labels header"):
+            model_from_lines(one_tree_lines("I 0 0.5", "L 000000", "L 010000"))
+
+    def test_trainer_reproduces_golden_model(self):
+        ts = blob_set(np.random.default_rng(20), n_per_class=20, spread=1.2)
+        model = train_forest(ts, ForestParams(n_trees=4, seed=5))
+        golden = GOLDEN_MODEL.read_text(encoding="ascii").splitlines()
+        assert model_to_lines(model) == golden
+        loaded = load_model(GOLDEN_MODEL)
+        assert model_to_lines(loaded) == golden
+        rows = np.concatenate([ts.features, np.random.default_rng(21).uniform(-2, 8, (200, 3))])
+        assert predict_batch(loaded, rows) == predict_batch(model, rows)
 
 
 class TestCrossValidation:
