@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .dataset import (
 )
 from .diagnosis import resample, run_diagnosis
 from .forest import (
-    ForestParams,
     ModelFormatError,
     TrainingSet,
     cross_validate,
@@ -162,13 +162,14 @@ def _dataset_training_set(path) -> TrainingSet:
 
 def _accuracy(model, X, labels) -> tuple[float, np.ndarray, tuple[FaultLabel, ...]]:
     predicted = predict_batch(model, X)
-    universe = model.label_universe
+    # true labels the model never saw still get their own row
+    universe = tuple(sorted(set(model.label_universe) | set(labels)))
     code = {lab: k for k, lab in enumerate(universe)}
     confusion = np.zeros((len(universe), len(universe)), dtype=np.int64)
     hits = 0
     for p, t in zip(predicted, labels):
         hits += p == t
-        confusion[code.get(t, -1), code[p]] += 1
+        confusion[code[t], code[p]] += 1
     return hits / len(labels), confusion, universe
 
 
@@ -250,14 +251,7 @@ def cmd_sweep_trees(args) -> int:
     folds = args.folds if args.folds is not None else config.cv_folds
     lines = ["n_trees,accuracy"]
     for n_trees in counts:
-        params = config.forest_params()
-        params = ForestParams(
-            n_trees=n_trees,
-            m_try=params.m_try,
-            max_depth=params.max_depth,
-            min_samples_leaf=params.min_samples_leaf,
-            seed=params.seed,
-        )
+        params = replace(config.forest_params(), n_trees=n_trees)
         result = cross_validate(ts, params, k_folds=folds)
         lines.append(f"{n_trees},{result.mean_accuracy:.4f}")
         print(lines[-1])

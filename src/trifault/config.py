@@ -1,9 +1,12 @@
 """Experiment configuration: one flat key = value text file.
 
 Covers waveform generation, dataset composition, forest training and
-the online diagnosis pipeline. Lines starting with # and blank lines
-are ignored; unknown keys are rejected. Class lists use tokens like
-`normal`, `S2`, or `S1+S3` (a bit string such as `101000` also works).
+the online diagnosis pipeline. Every key is an ExperimentConfig field
+and is parsed by the parser of its declared type. Lines starting with
+# and blank lines are ignored; unknown keys are rejected. Class lists
+use tokens like `normal`, `S2`, or `S1+S3` (a bit string such as
+`101000` also works). The diagnosis window is derived, not set: one
+fundamental period, target_rate / frequency samples.
 """
 
 from __future__ import annotations
@@ -12,11 +15,8 @@ import itertools
 from dataclasses import dataclass, field, fields, replace
 
 from .diagnosis import DiagnosisConfig
-from .features import FeatureConfig
 from .forest import ForestParams
 from .simulate import NO_FAULT, N_SWITCHES, FaultLabel, SimConfig
-
-_FEATURE_FAMILIES = ("time_domain", "vector", "haar")
 
 
 def default_class_labels() -> tuple[FaultLabel, ...]:
@@ -77,15 +77,11 @@ class ExperimentConfig:
     max_depth: int | None = None
     min_samples_leaf: int = 1
     cv_folds: int = 5
-    # diagnosis
+    # diagnosis; a window is one period, target_rate / frequency samples
     target_rate: float = 10000.0
-    window_samples: int = 200
     debounce_min_run: int = 5
     confirm_windows: int = 1
     phase_fallback_deg: float = 0.0
-    # window-level features
-    window_features: tuple[str, ...] = ("time_domain",)
-    haar_levels: int = 2
 
     def __post_init__(self) -> None:
         if self.dataset_samples < len(self.classes):
@@ -98,9 +94,9 @@ class ExperimentConfig:
             raise ValueError("normal_weight must be >= 1")
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("duplicate class labels")
-        unknown = set(self.window_features) - set(_FEATURE_FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown window feature families: {sorted(unknown)}")
+        if self.target_rate > self.sample_rate:
+            raise ValueError("target_rate must not exceed sample_rate")
+        self.diagnosis_config()  # a bad window or latch setting fails at load
 
     def sim_config(self, seed: int | None = None) -> SimConfig:
         return SimConfig(
@@ -126,66 +122,33 @@ class ExperimentConfig:
 
     def diagnosis_config(self) -> DiagnosisConfig:
         return DiagnosisConfig(
-            source_rate=self.sample_rate,
             target_rate=self.target_rate,
-            window_samples=self.window_samples,
+            fundamental=self.frequency,
             debounce_min_run=self.debounce_min_run,
             confirm_windows=self.confirm_windows,
             phase_fallback_deg=self.phase_fallback_deg,
-        )
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            time_domain="time_domain" in self.window_features,
-            vector="vector" in self.window_features,
-            haar_levels=self.haar_levels if "haar" in self.window_features else 0,
         )
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
         return replace(self, seed=seed)
 
 
-_INT_KEYS = {
-    "seed",
-    "dataset_samples",
-    "train_samples",
-    "normal_weight",
-    "n_trees",
-    "min_samples_leaf",
-    "cv_folds",
-    "window_samples",
-    "debounce_min_run",
-    "confirm_windows",
-    "haar_levels",
-}
-_OPT_INT_KEYS = {"m_try", "max_depth"}
-_FLOAT_KEYS = {
-    "amplitude",
-    "frequency",
-    "sample_rate",
-    "noise_sigma",
-    "ripple_amplitude",
-    "ripple_frequency",
-    "amplitude_drift",
-    "leakage",
-    "target_rate",
-    "phase_fallback_deg",
-}
+def _optional_int(text: str) -> int | None:
+    return None if text.lower() == "none" else int(text)
 
 
-def _parse_value(key: str, text: str):
-    text = text.strip()
-    if key in _FLOAT_KEYS:
-        return float(text)
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _OPT_INT_KEYS:
-        return None if text.lower() == "none" else int(text)
-    if key == "classes":
-        return tuple(parse_class_token(tok) for tok in text.split())
-    if key == "window_features":
-        return tuple(text.split())
-    raise KeyError(key)
+def _class_list(text: str) -> tuple[FaultLabel, ...]:
+    return tuple(parse_class_token(tok) for tok in text.split())
+
+
+# one parser per declared field type (annotations are strings here)
+_TYPE_PARSERS = {
+    "float": float,
+    "int": int,
+    "int | None": _optional_int,
+    "tuple[FaultLabel, ...]": _class_list,
+}
+_KEY_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -198,10 +161,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {line_no}: expected key = value, got {raw!r}")
         key, _, value_text = line.partition("=")
         key = key.strip()
+        if key not in _KEY_PARSERS:
+            raise ValueError(f"config line {line_no}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(key, value_text)
-        except KeyError:
-            raise ValueError(f"config line {line_no}: unknown key {key!r}") from None
+            values[key] = _KEY_PARSERS[key](value_text.strip())
         except ValueError as exc:
             raise ValueError(f"config line {line_no}: bad value for {key!r}: {exc}") from None
     return ExperimentConfig(**values)
@@ -218,8 +181,6 @@ def config_text(config: ExperimentConfig) -> str:
         value = getattr(config, f.name)
         if f.name == "classes":
             text = " ".join(class_token(lab) for lab in value)
-        elif f.name == "window_features":
-            text = " ".join(value)
         elif value is None:
             text = "none"
         else:

@@ -14,6 +14,7 @@ truth, not measurements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,8 @@ def _parse_series_comment(line: str, line_no: int) -> tuple[int, float, tuple]:
         rate = float(meta["rate"])
     except ValueError as exc:
         raise DatasetFormatError(f"line {line_no}: bad rate {meta['rate']!r}") from exc
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise DatasetFormatError(f"line {line_no}: rate must be finite and > 0, got {rate!r}")
     return series_id, rate, _parse_timeline(meta["timeline"], line_no)
 
 
@@ -203,6 +206,8 @@ def read_dataset(path) -> list[SeriesBlock]:
             label = FaultLabel.from_string(fields[4])
         except ValueError as exc:
             raise DatasetFormatError(f"line {line_no}: {exc}") from exc
+        if not all(map(math.isfinite, (t_val, *row))):
+            raise DatasetFormatError(f"line {line_no}: time and currents must be finite")
         if current["t"] and t_val <= current["t"][-1]:
             raise DatasetFormatError(f"line {line_no}: row times must increase within a series")
         current["t"].append(t_val)

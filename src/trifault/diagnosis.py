@@ -28,33 +28,34 @@ _CROSSING_QUALITY = 0.3
 class DiagnosisConfig:
     """Online pipeline settings.
 
-    window_samples must equal target_rate divided by the fundamental
-    frequency, so every window covers exactly one period.
+    A window is one fundamental period, window_samples = target_rate /
+    fundamental, a whole number of at least 6 (one per 60-degree region).
     phase_fallback_deg is the assumed electrical angle of phase a at
     the first sample, used when no clean zero crossing exists (for
     example when the series is faulted from t=0).
     """
 
-    source_rate: float = 25600.0
     target_rate: float = 10000.0
-    window_samples: int = 200
+    fundamental: float = 50.0
     debounce_min_run: int = 5
     confirm_windows: int = 1
     phase_fallback_deg: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.source_rate < self.target_rate:
-            raise ValueError("source_rate must be >= target_rate")
+        if not self.fundamental > 0.0:
+            raise ValueError("fundamental must be > 0")
+        if not (self.target_rate / self.fundamental).is_integer():
+            raise ValueError("target_rate must be a whole multiple of the fundamental frequency")
         if self.window_samples < 6:
-            raise ValueError("window_samples must cover the six regions")
+            raise ValueError(f"a {self.window_samples}-sample window cannot cover the six regions")
         if self.debounce_min_run < 1:
             raise ValueError("debounce_min_run must be >= 1")
         if self.confirm_windows < 1:
             raise ValueError("confirm_windows must be >= 1")
 
     @property
-    def fundamental(self) -> float:
-        return self.target_rate / self.window_samples
+    def window_samples(self) -> int:
+        return round(self.target_rate / self.fundamental)
 
 
 @dataclass(frozen=True)
@@ -187,8 +188,8 @@ def run_diagnosis(
 
     Args:
         model: forest over instantaneous (i_a, i_b, i_c) samples.
-        series: acquired currents at config.source_rate (or already at
-            target rate).
+        series: acquired currents at or above config.target_rate; it
+            must hold at least one whole window after the phase reference.
         config: pipeline settings.
 
     Returns:
@@ -208,7 +209,12 @@ def run_diagnosis(
     start = max(0, int(math.ceil((t_zero - float(rs.t[0])) * config.target_rate - 1e-9)))
 
     ws = config.window_samples
-    n_windows = max(0, (rs.n_samples - start) // ws)
+    n_windows = (rs.n_samples - start) // ws
+    if n_windows < 1:
+        raise ValueError(
+            f"series too short: {rs.n_samples} samples at {config.target_rate:g} Hz, one"
+            f" window needs {start + ws} ({ws} after the phase reference at sample {start})"
+        )
     theta = (360.0 * f0 * (rs.t - t_zero)) % 360.0
 
     history: list[WindowRecord] = []

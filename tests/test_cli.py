@@ -107,6 +107,27 @@ class TestTrainEval:
         acc = float(next(ln for ln in out.splitlines() if ln.startswith("accuracy")).split()[-1])
         assert acc > 0.9
 
+    def test_confusion_gives_unseen_true_labels_their_own_row(self, tmp_path, capsys):
+        sizes = "dataset_samples = 300\ntrain_samples = 150\nn_trees = 4\n"
+        seen_cfg, wider_cfg = tmp_path / "seen.cfg", tmp_path / "wider.cfg"
+        seen_cfg.write_text(sizes + "classes = normal S1 S2\n")
+        wider_cfg.write_text(sizes + "classes = normal S1 S2 S3\n")
+        pool, wider, model = tmp_path / "pool.csv", tmp_path / "wider.csv", tmp_path / "m.txt"
+        assert main(["gen", "--config", str(seen_cfg), "--out", str(pool)]) == 0
+        assert main(["train", str(pool), "--config", str(seen_cfg), "--out", str(model)]) == 0
+        assert main(["gen", "--config", str(wider_cfg), "--out", str(wider)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(model), str(wider)]) == 0
+        rows = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  ") and ":" in line:
+                label, counts = line.split(":")
+                rows[label.strip()] = [int(v) for v in counts.split()]
+        true_counts = {str(b.labels[0]): b.n_rows for b in read_dataset(wider)}
+        assert "001000" in rows
+        assert sum(rows["001000"]) == true_counts["001000"]
+        assert sum(rows["100000"]) == true_counts["100000"]
+
     def test_train_rejects_oversized_split(self, small_env, tmp_path, capsys):
         code = main(
             [

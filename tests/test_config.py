@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from trifault.config import (
@@ -89,10 +91,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(dataset_samples=10)
 
-    def test_rejects_unknown_feature_family(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(window_features=("fourier",))
-
     def test_rejects_zero_normal_weight(self):
         with pytest.raises(ValueError):
             ExperimentConfig(normal_weight=0)
@@ -100,7 +98,32 @@ class TestValidation:
 
 class TestRoundTrip:
     def test_text_round_trip(self):
-        cfg = ExperimentConfig(seed=11, n_trees=40, leakage=0.07)
+        cfg = ExperimentConfig(
+            amplitude=12.0,
+            frequency=60.0,
+            sample_rate=24000.0,
+            noise_sigma=0.02,
+            ripple_amplitude=0.1,
+            ripple_frequency=3000.0,
+            amplitude_drift=0.02,
+            leakage=0.07,
+            seed=11,
+            classes=(NO_FAULT, FaultLabel.from_switches([2]), FaultLabel.from_switches([1, 4])),
+            dataset_samples=90,
+            train_samples=40,
+            normal_weight=2,
+            n_trees=40,
+            m_try=2,
+            max_depth=9,
+            min_samples_leaf=3,
+            cv_folds=4,
+            target_rate=12000.0,
+            debounce_min_run=3,
+            confirm_windows=2,
+            phase_fallback_deg=90.0,
+        )
+        default = ExperimentConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
         assert parse_config(config_text(cfg)) == cfg
 
     def test_file_round_trip(self, tmp_path):
@@ -127,19 +150,17 @@ class TestDerivedConfigs:
         assert params.seed == 5
 
     def test_diagnosis_config(self):
-        cfg = ExperimentConfig(window_samples=100, confirm_windows=2)
-        diag = cfg.diagnosis_config()
-        assert diag.window_samples == 100
-        assert diag.confirm_windows == 2
-
-    def test_feature_config_families(self):
-        cfg = ExperimentConfig(window_features=("time_domain", "haar"), haar_levels=3)
-        feats = cfg.feature_config()
-        assert feats.time_domain
-        assert not feats.vector
-        assert feats.haar_levels == 3
-        no_haar = ExperimentConfig(window_features=("vector",))
-        assert no_haar.feature_config().haar_levels == 0
+        for cfg in (
+            ExperimentConfig(frequency=60.0, target_rate=12000.0, confirm_windows=2),
+            parse_config("frequency = 60.0\ntarget_rate = 12000.0\nconfirm_windows = 2\n"),
+        ):
+            diag = cfg.diagnosis_config()
+            assert diag.fundamental == 60.0
+            assert diag.window_samples == 200
+            assert diag.confirm_windows == 2
+        # 10 kHz holds no whole number of 60 Hz periods
+        with pytest.raises(ValueError, match="whole multiple"):
+            ExperimentConfig(frequency=60.0)
 
     def test_with_seed(self):
         assert ExperimentConfig().with_seed(7).seed == 7

@@ -161,6 +161,27 @@ class TestParseErrors:
         with pytest.raises(DatasetFormatError, match="line 3"):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "comment, row, bad_line",
+        [
+            ("# series 0 rate=nan timeline=none", "0.0,1.0,1.0,1.0,000000", 2),
+            ("# series 0 rate=0.0 timeline=none", "0.0,1.0,1.0,1.0,000000", 2),
+            ("# series 0 rate=-100.0 timeline=none", "0.0,1.0,1.0,1.0,000000", 2),
+            ("# series 0 rate=inf timeline=none", "0.0,1.0,1.0,1.0,000000", 2),
+            ("# series 0 rate=100.0 timeline=none", "nan,1.0,1.0,1.0,000000", 4),
+            ("# series 0 rate=100.0 timeline=none", "inf,1.0,1.0,1.0,000000", 4),
+            ("# series 0 rate=100.0 timeline=none", "0.02,nan,1.0,1.0,000000", 4),
+            ("# series 0 rate=100.0 timeline=none", "0.02,1.0,inf,1.0,000000", 4),
+            ("# series 0 rate=100.0 timeline=none", "0.02,1.0,1.0,-inf,000000", 4),
+        ],
+        ids=["rate-nan", "rate-zero", "rate-negative", "rate-inf", "t-nan", "t-inf",
+             "ia-nan", "ib-inf", "ic-neg-inf"],
+    )
+    def test_non_finite_or_non_positive_numbers(self, tmp_path, comment, row, bad_line):
+        lines = [DATASET_HEADER, comment, "0.01,1.0,1.0,1.0,000000", row]
+        with pytest.raises(DatasetFormatError, match=f"line {bad_line}"):
+            read_dataset(self.write(tmp_path, lines))
+
     def test_empty_dataset(self, tmp_path):
         path = self.write(tmp_path, [DATASET_HEADER])
         with pytest.raises(DatasetFormatError):

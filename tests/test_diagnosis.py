@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from trifault.config import ExperimentConfig
 from trifault.diagnosis import (
     DiagnosisConfig,
     debounce,
     estimate_phase_reference,
     fuse_window,
     resample,
+    run_diagnosis,
 )
+from trifault.forest import ForestParams, TrainingSet, train_forest
 from trifault.simulate import (
     NO_FAULT,
     FaultLabel,
@@ -30,14 +33,26 @@ class TestConfig:
     def test_fundamental_frequency(self):
         cfg = DiagnosisConfig()
         assert cfg.fundamental == pytest.approx(50.0)
+        assert cfg.window_samples == 200
 
     def test_rejects_upsampling_config(self):
-        with pytest.raises(ValueError):
-            DiagnosisConfig(source_rate=10000.0, target_rate=25600.0)
+        # the default acquisition rate is 25.6 kHz
+        with pytest.raises(ValueError, match="must not exceed sample_rate"):
+            ExperimentConfig(target_rate=30000.0)
 
     def test_rejects_tiny_window(self):
-        with pytest.raises(ValueError):
-            DiagnosisConfig(window_samples=3)
+        with pytest.raises(ValueError, match="5-sample window"):
+            DiagnosisConfig(target_rate=10000.0, fundamental=2000.0)
+
+
+class TestRunDiagnosis:
+    def test_refuses_stream_shorter_than_one_window(self):
+        X = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
+        train = TrainingSet(X, (NO_FAULT, L1, NO_FAULT, L1), ("i_a", "i_b", "i_c"))
+        model = train_forest(train, ForestParams(n_trees=2, seed=1))
+        short = simulate(SimConfig(amplitude=16.5), ((0.0, L1),), 0.015)
+        with pytest.raises(ValueError, match="one window needs"):
+            run_diagnosis(model, short, DiagnosisConfig())
 
 
 class TestResample:
