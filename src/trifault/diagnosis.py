@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import RandomForestModel, predict_batch
-from .simulate import FaultLabel, TriPhaseSeries, detectable_faults, region_of
+from .simulate import REGIONS, FaultLabel, TriPhaseSeries, detectable_faults, region_indices
 
 # fraction of the observed peak a zero crossing must swing through on
 # both sides to count as a clean phase reference
@@ -215,7 +215,7 @@ def run_diagnosis(
             f"series too short: {rs.n_samples} samples at {config.target_rate:g} Hz, one"
             f" window needs {start + ws} ({ws} after the phase reference at sample {start})"
         )
-    theta = (360.0 * f0 * (rs.t - t_zero)) % 360.0
+    regions = np.array(REGIONS, dtype=object)[region_indices(360.0 * f0 * (rs.t - t_zero))]
 
     history: list[WindowRecord] = []
     fault_set: frozenset[int] = frozenset()
@@ -228,8 +228,7 @@ def run_diagnosis(
     for w in range(n_windows):
         lo = start + w * ws
         window_labels = tuple(labels[lo : lo + ws])
-        regions = [region_of(theta[k]) for k in range(lo, lo + ws)]
-        fused = fuse_window(window_labels, regions)
+        fused = fuse_window(window_labels, regions[lo : lo + ws])
         history.append(
             WindowRecord(index=w, start_time=float(rs.t[lo]), labels=window_labels, fused=fused)
         )

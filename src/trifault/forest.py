@@ -16,6 +16,18 @@ follows the left subtree. Growth appends to this table, worker
 processes return it, the model stacks every tree's table into one with
 a root offset per tree, inference walks it, and the v1 model file is
 one text line per table entry.
+
+Inference walks the trees in blocks of 16. Within a block, every
+(row, tree) pair steps down together, ordered tree by tree so that one
+step reads only that block's nodes; a pair leaves the walk at its leaf,
+and the block's votes are added with one bincount. Rows go through in
+chunks that keep at most 2**17 pairs alive. When only labels are
+wanted, a row stops after any block where its leading vote beats the
+runner-up by more than the number of trees not yet walked: even if
+every remaining tree voted for one other label, that label would end
+below the leader, so the argmax cannot change. A margin equal to the
+trees left keeps the row walking, because a tie would go to the label
+that sorts first, which may be the runner-up.
 """
 
 from __future__ import annotations
@@ -34,6 +46,10 @@ MODEL_FORMAT_NAME = "trifault-forest"
 MODEL_FORMAT_VERSION = 1
 # gains below this are treated as float jitter, not a real improvement
 _MIN_GAIN = 1e-12
+# inference walks the trees this many at a time ...
+_TREE_BLOCK = 16
+# ... over row chunks holding at most this many (row, tree) pairs
+_MAX_PAIRS = 1 << 17
 
 
 class ModelFormatError(ValueError):
@@ -389,33 +405,74 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     )
 
 
-def _vote_codes(model: RandomForestModel, X_raw: np.ndarray) -> np.ndarray:
-    """(rows, classes) vote counts for raw (unnormalized) feature rows."""
+def _walk_block(X_norm, nodes: NodeTable, child, rows, roots):
+    """Walk every (row, tree) pair of one tree block to its leaf.
+
+    Pairs are tree-major, so each step only reads that block's nodes; a
+    pair is dropped once it reaches a leaf. Returns the row and the leaf
+    label code of every pair.
+    """
+    feature, threshold, _, _, leaf_code = nodes
+    n_features = X_norm.shape[1]
+    X_flat = X_norm.ravel()
+    row = np.tile(rows, roots.size)
+    cur = np.repeat(roots, rows.size)
+    done_rows, done_codes = [], []
+    while row.size:
+        feat = feature[cur]
+        leaf = feat < 0
+        if leaf.any():
+            done_rows.append(row[leaf])
+            done_codes.append(leaf_code[cur[leaf]])
+            walking = ~leaf
+            row, cur, feat = row[walking], cur[walking], feat[walking]
+        go_left = X_flat[row * n_features + feat] <= threshold[cur]
+        cur = child[2 * cur + go_left]
+    return np.concatenate(done_rows), np.concatenate(done_codes)
+
+
+def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -> np.ndarray:
+    """(rows, classes) vote counts for raw (unnormalized) feature rows.
+
+    With _until_decided, a row stops being walked once its label can no
+    longer change, so its counts may be partial but their argmax is the
+    full forest's.
+    """
     X = np.asarray(X_raw, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (rows, {model.n_features}) features")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"feature row {bad[0]} is not finite: {X[bad[0]].tolist()}")
     X_norm = normalize_apply(model.scaler, X)
-    feature, threshold, left, right, leaf_code = model.nodes
-    votes = np.zeros((X.shape[0], len(model.label_universe)), dtype=np.int32)
-    rows = np.arange(X.shape[0])
-    for root in model.roots:
-        cur = np.full(X.shape[0], root, dtype=np.intp)
-        while True:
-            feat = feature[cur]
-            active = feat >= 0
-            if not active.any():
-                break
-            r = rows[active]
-            c = cur[active]
-            go_left = X_norm[r, feat[active]] <= threshold[c]
-            cur[active] = np.where(go_left, left[c], right[c])
-        votes[rows, leaf_code[cur]] += 1
+    # child[2 * node + went_left]
+    child = np.stack([model.nodes.right, model.nodes.left], axis=1).ravel()
+    n_rows, n_classes, n_trees = X.shape[0], len(model.label_universe), model.n_trees
+    votes = np.zeros((n_rows, n_classes), dtype=np.int32)
+    chunk_rows = _MAX_PAIRS // _TREE_BLOCK
+    for lo in range(0, n_rows, chunk_rows):
+        hi = min(lo + chunk_rows, n_rows)
+        chunk_votes = votes[lo:hi]
+        live = np.arange(lo, hi)
+        for b in range(0, n_trees, _TREE_BLOCK):
+            roots = model.roots[b : b + _TREE_BLOCK]
+            rows, codes = _walk_block(X_norm, model.nodes, child, live, roots)
+            chunk_votes += np.bincount(
+                (rows - lo) * n_classes + codes, minlength=chunk_votes.size
+            ).reshape(chunk_votes.shape)
+            if _until_decided:
+                # a row whose leader beats the runner-up by more than the
+                # trees left is decided; a one-class model never is
+                top = np.sort(votes[live], axis=1)[:, -2:]
+                live = live[top[:, -1] - top[:, 0] <= n_trees - b - roots.size]
+                if not live.size:
+                    break
     return votes
 
 
 def predict_batch(model: RandomForestModel, features) -> list[FaultLabel]:
     """Majority-vote label per row; ties go to the sorted-label order."""
-    votes = _vote_codes(model, features)
+    votes = _vote_codes(model, features, _until_decided=True)
     return [model.label_universe[k] for k in np.argmax(votes, axis=1)]
 
 

@@ -210,6 +210,14 @@ def region_of(theta_deg: float) -> Region:
     return REGIONS[int(th // 60.0) % 6]
 
 
+def region_indices(theta_deg) -> np.ndarray:
+    """Index into REGIONS of each angle: the array form of region_of."""
+    theta = np.asarray(theta_deg, dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
+    return (np.mod(theta, 360.0) // 60.0).astype(np.intp) % 6
+
+
 def detectable_faults(region: Region) -> frozenset[int]:
     """Switches whose open-circuit signature can show inside the region.
 

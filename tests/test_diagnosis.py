@@ -46,13 +46,22 @@ class TestConfig:
 
 
 class TestRunDiagnosis:
-    def test_refuses_stream_shorter_than_one_window(self):
+    @staticmethod
+    def tiny_model():
         X = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
         train = TrainingSet(X, (NO_FAULT, L1, NO_FAULT, L1), ("i_a", "i_b", "i_c"))
-        model = train_forest(train, ForestParams(n_trees=2, seed=1))
+        return train_forest(train, ForestParams(n_trees=2, seed=1))
+
+    def test_refuses_stream_shorter_than_one_window(self):
         short = simulate(SimConfig(amplitude=16.5), ((0.0, L1),), 0.015)
         with pytest.raises(ValueError, match="one window needs"):
-            run_diagnosis(model, short, DiagnosisConfig())
+            run_diagnosis(self.tiny_model(), short, DiagnosisConfig())
+
+    def test_refuses_non_finite_current(self):
+        series = simulate(SimConfig(amplitude=16.5), (), 0.1)
+        series.i_b[1000] = np.nan
+        with pytest.raises(ValueError, match="is not finite"):
+            run_diagnosis(self.tiny_model(), series, DiagnosisConfig())
 
 
 class TestResample:

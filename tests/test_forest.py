@@ -12,6 +12,7 @@ from trifault.forest import (
     ForestParams,
     ModelFormatError,
     TrainingSet,
+    _vote_codes,
     bootstrap_sample,
     cross_validate,
     label_universe_of,
@@ -92,9 +93,9 @@ class TestTrainingSetValidation:
         assert universe[0].is_normal
 
 
-def leaf_of(table, row):
-    """Index of the leaf a (normalized) row reaches in a node table."""
-    k = 0
+def leaf_of(table, row, root=0):
+    """Index of the leaf a (normalized) row reaches from a root of a node table."""
+    k = root
     while table.feature[k] >= 0:
         k = table.left[k] if row[table.feature[k]] <= table.threshold[k] else table.right[k]
     return k
@@ -219,6 +220,25 @@ class TestForestTraining:
         assert list(predict_batch(a, test)) == list(predict_batch(b, test_scaled))
 
 
+def single_leaf_forest(*leaf_labels):
+    """A one-feature model whose tree t is a single leaf voting leaf_labels[t]."""
+    lines = [
+        "trifault-forest 1",
+        f"n_trees {len(leaf_labels)}",
+        "n_features 1",
+        "feature_names f",
+        "scaler 1",
+        "labels 000000 100000",
+        "seed 0",
+        "m_try none",
+        "max_depth none",
+        "min_samples_leaf 1",
+    ]
+    for t, label in enumerate(leaf_labels):
+        lines += [f"tree {t}", f"L {label}"]
+    return model_from_lines(lines + ["end"])
+
+
 class TestVoting:
     def test_predict_returns_vote_counts(self):
         ts = blob_set(np.random.default_rng(11))
@@ -242,28 +262,7 @@ class TestVoting:
     def test_even_vote_tie_prefers_normal(self):
         # four single-leaf trees voting 2-2 between the all-zero label
         # and a fault label: the all-zero label sorts first and wins
-        lines = [
-            "trifault-forest 1",
-            "n_trees 4",
-            "n_features 1",
-            "feature_names f",
-            "scaler 1",
-            "labels 000000 100000",
-            "seed 0",
-            "m_try none",
-            "max_depth none",
-            "min_samples_leaf 1",
-            "tree 0",
-            "L 000000",
-            "tree 1",
-            "L 100000",
-            "tree 2",
-            "L 000000",
-            "tree 3",
-            "L 100000",
-            "end",
-        ]
-        model = model_from_lines(lines)
+        model = single_leaf_forest("000000", "100000", "000000", "100000")
         label, votes = predict(model, np.array([0.5]))
         assert votes == {L0: 2, L1: 2}
         assert label == L0
@@ -281,6 +280,61 @@ class TestVoting:
         model = train_forest(ts, ForestParams(n_trees=2, seed=1))
         with pytest.raises(ValueError):
             predict_batch(model, np.zeros((2, 5)))
+
+
+class TestBlockedWalk:
+    """The tree-block walk against a per-row, per-tree reference walk."""
+
+    @pytest.fixture(scope="class")
+    def walked(self):
+        # 37 trees: two full blocks and a partial one; 9000 rows: more
+        # than one chunk of (row, tree) pairs
+        ts = blob_set(np.random.default_rng(21), spread=1.2)
+        model = train_forest(ts, ForestParams(n_trees=37, seed=4))
+        X = np.random.default_rng(22).uniform(-2.0, 8.0, size=(9000, 3))
+        X_norm = normalize_apply(model.scaler, X)
+        counts = np.zeros((len(X), len(model.label_universe)), dtype=int)
+        for root in model.roots:
+            for i, row in enumerate(X_norm):
+                counts[i, model.nodes.leaf_code[leaf_of(model.nodes, row, root)]] += 1
+        return model, X, counts
+
+    def test_full_counts_match_reference(self, walked):
+        model, X, counts = walked
+        assert np.array_equal(_vote_codes(model, X), counts)
+
+    def test_labels_match_reference_majority(self, walked):
+        model, X, counts = walked
+        # argmax takes the first maximum: the sorted-label tie-break
+        expected = [model.label_universe[k] for k in np.argmax(counts, axis=1)]
+        assert predict_batch(model, X) == expected
+
+    def test_predict_counts_sum_to_tree_count(self, walked):
+        model, X, _ = walked
+        for row in X[::1000]:
+            assert sum(predict(model, row)[1].values()) == 37
+
+    def test_empty_input_gives_no_labels(self, walked):
+        model, _, _ = walked
+        assert predict_batch(model, np.empty((0, 3))) == []
+
+    def test_margin_equal_to_trees_left_is_not_decided(self):
+        # after the first 16-tree block the fault label leads by 16 with
+        # 16 trees left; those all vote healthy, and the 16-16 tie goes
+        # to the healthy label, which sorts first
+        model = single_leaf_forest(*["100000"] * 16, *["000000"] * 16)
+        assert predict_batch(model, np.zeros((1, 1))) == [L0]
+        assert predict(model, np.zeros(1)) == (L0, {L0: 16, L1: 16})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_rows(self, walked, bad):
+        model, _, _ = walked
+        rows = np.zeros((3, 3))
+        rows[1, 0] = bad
+        with pytest.raises(ValueError, match="feature row 1 is not finite"):
+            predict_batch(model, rows)
+        with pytest.raises(ValueError, match="feature row 0 is not finite"):
+            predict(model, rows[1])
 
 
 def one_tree_lines(*node_lines):

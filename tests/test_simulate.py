@@ -10,10 +10,12 @@ import pytest
 from trifault.simulate import (
     N_SWITCHES,
     NO_FAULT,
+    REGIONS,
     FaultLabel,
     SimConfig,
     detectable_faults,
     label_at_time,
+    region_indices,
     region_of,
     simulate,
     switch_is_upper,
@@ -74,6 +76,19 @@ class TestRegions:
     def test_wraps_angles(self):
         assert region_of(390.0).name == region_of(30.0).name
         assert region_of(-30.0).name == "SVI"
+
+    def test_array_form_matches_region_of(self):
+        edges = [60.0 * k for k in range(6)]
+        thetas = [*edges, 360.0, -30.0, 390.0]
+        thetas += [np.nextafter(e, -np.inf) for e in edges + [360.0]]
+        thetas += [np.nextafter(e, np.inf) for e in edges]
+        thetas += list(np.random.default_rng(5).uniform(-720.0, 720.0, size=2000))
+        expected = [region_of(float(th)) for th in thetas]
+        assert [REGIONS[k] for k in region_indices(thetas)] == expected
+
+    def test_array_form_refuses_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            region_indices([0.0, np.nan])
 
     def test_detectable_sets(self):
         by_name = {region_of(30 + 60 * k).name: region_of(30 + 60 * k) for k in range(6)}
