@@ -26,6 +26,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config, parse_class_token
 from .dataset import (
+    FEATURE_COLUMNS,
     DatasetFormatError,
     SeriesBlock,
     block_from_series,
@@ -157,7 +158,7 @@ def generate_series_block(
 
 def _dataset_training_set(path) -> TrainingSet:
     X, labels = training_rows(read_dataset(path))
-    return TrainingSet(features=X, labels=labels, feature_names=("i_a", "i_b", "i_c"))
+    return TrainingSet(features=X, labels=labels, feature_names=FEATURE_COLUMNS)
 
 
 def _accuracy(model, X, labels) -> tuple[float, np.ndarray, tuple[FaultLabel, ...]]:

@@ -85,12 +85,21 @@ def resample(series: TriPhaseSeries, target_rate: float) -> TriPhaseSeries:
 
     The output spans the same time range, starting at the input's first
     timestamp. Equal input and output rates return the samples as they
-    are. Upsampling is refused.
+    are. Upsampling is refused, and so is a non-finite current, which
+    interpolation would smear over its neighbours.
     """
     if series.n_samples < 2:
         raise ValueError("resample needs at least 2 samples")
     if target_rate > series.sample_rate:
         raise ValueError("resample does not upsample")
+    phases = (series.i_a, series.i_b, series.i_c)
+    bad = np.flatnonzero(~np.logical_and.reduce([np.isfinite(i) for i in phases]))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"acquired sample {k} at t = {float(series.t[k]):.9g} s is not finite: "
+            f"{[float(i[k]) for i in phases]}"
+        )
     t0 = float(series.t[0])
     span = float(series.t[-1]) - t0
     n_out = int(math.floor(span * target_rate)) + 1

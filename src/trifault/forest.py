@@ -10,12 +10,11 @@ leaf pluralities and forest votes break ties in sorted-label order,
 which puts the all-zero healthy label first.
 
 A tree is a node table: arrays ``feature``, ``threshold``, ``left``,
-``right`` and ``leaf_code`` with one entry per node in preorder, so an
-internal node's left child is the next entry and its right child
-follows the left subtree. Growth appends to this table, worker
-processes return it, the model stacks every tree's table into one with
-a root offset per tree, inference walks it, and the v1 model file is
-one text line per table entry.
+``right`` and ``leaf_code`` with one entry per node in preorder. The
+child links are derived from the preorder, not built: growth, the
+stacked forest (every tree end to end, a root offset per tree) and the
+loader all take them from ``feature`` alone. The v1 model file is one
+text line per table entry, and loading parses it in bulk.
 
 Inference walks the trees in blocks of 16. Within a block, every
 (row, tree) pair steps down together, ordered tree by tree so that one
@@ -105,38 +104,24 @@ class NodeTable(NamedTuple):
     leaf_code: np.ndarray
 
 
-class _PreorderBuilder:
-    """Appends nodes in preorder: a new internal node's left child is the
-    next node appended, and its right child is the node appended after
-    the leaf that closes its left subtree."""
+def _preorder_children(feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Child links of whole trees laid out in preorder, one after another.
 
-    def __init__(self) -> None:
-        self.rows: list[list] = []  # [feature, threshold, left, right, leaf_code]
-        self._open: list[int] = []  # internal nodes still waiting for a right child
-
-    def add_internal(self, feature: int, threshold: float) -> None:
-        k = len(self.rows)
-        self.rows.append([feature, threshold, k + 1, k, -1])
-        self._open.append(k)
-
-    def add_leaf(self, code: int) -> bool:
-        """Append a leaf; True when it completes the tree being built."""
-        k = len(self.rows)
-        self.rows.append([-1, 0.0, k, k, code])
-        if not self._open:
-            return True
-        self.rows[self._open.pop()][3] = k + 1
-        return False
-
-    def table(self) -> NodeTable:
-        feature, threshold, left, right, leaf_code = zip(*self.rows)
-        return NodeTable(
-            np.array(feature, dtype=np.intp),
-            np.array(threshold, dtype=float),
-            np.array(left, dtype=np.intp),
-            np.array(right, dtype=np.intp),
-            np.array(leaf_code, dtype=np.intp),
-        )
+    Count the subtrees still owed before each node: +1 per internal node,
+    -1 per leaf. Inside a node's left subtree the count stays above its
+    value at the node and returns to it right after, so the right child
+    is the next node with the same count; the left child is the next
+    node, and a leaf points at itself. Each tree lowers the count by one.
+    """
+    internal = feature >= 0
+    step = np.where(internal, 1, -1)
+    order = np.argsort(np.cumsum(step) - step, kind="stable")
+    node = np.arange(feature.size)
+    right = node.copy()
+    before = order[:-1]
+    opens = internal[before]
+    right[before[opens]] = order[1:][opens]
+    return np.where(internal, node + 1, node), right
 
 
 @dataclass(frozen=True)
@@ -146,7 +131,6 @@ class TrainingSet:
     features: np.ndarray
     labels: tuple[FaultLabel, ...]
     feature_names: tuple[str, ...]
-    scaler: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         X = np.asarray(self.features, dtype=float)
@@ -156,8 +140,6 @@ class TrainingSet:
             raise ValueError("labels must match the number of feature rows")
         if len(self.feature_names) != X.shape[1]:
             raise ValueError("feature_names must match the feature width")
-        if self.scaler is not None and len(self.scaler) != X.shape[1]:
-            raise ValueError("scaler width must match the feature width")
         object.__setattr__(self, "features", X)
 
     @property
@@ -276,7 +258,7 @@ def _grow_tree(X, codes, root_idx, n_classes, m_try, max_depth, min_leaf, rng) -
     """Greedy CART growth; nodes are expanded in preorder so the RNG
     stream (one feature draw per split attempt) is reproducible."""
     n_features = X.shape[1]
-    nodes = _PreorderBuilder()
+    nodes = []  # (feature, threshold, leaf_code) in preorder
     stack = [(root_idx, 0)]
     while stack:
         idx, depth = stack.pop()
@@ -288,7 +270,7 @@ def _grow_tree(X, codes, root_idx, n_classes, m_try, max_depth, min_leaf, rng) -
             or n < 2 * min_leaf
             or n < 2
         ):
-            nodes.add_leaf(int(np.argmax(counts)))  # first max = sorted-label tie-break
+            nodes.append((-1, 0.0, int(np.argmax(counts))))  # first max = sorted-label tie-break
             continue
         if m_try < n_features:
             feats = np.sort(rng.choice(n_features, size=m_try, replace=False))
@@ -296,15 +278,16 @@ def _grow_tree(X, codes, root_idx, n_classes, m_try, max_depth, min_leaf, rng) -
             feats = np.arange(n_features)
         split = _best_split(X, codes, idx, feats, n_classes, min_leaf, counts)
         if split is None:
-            nodes.add_leaf(int(np.argmax(counts)))
+            nodes.append((-1, 0.0, int(np.argmax(counts))))
             continue
         _, f, thr = split
         mask = X[idx, f] <= thr
-        nodes.add_internal(int(f), float(thr))
+        nodes.append((int(f), float(thr), -1))
         # push right first so the left subtree is grown first
         stack.append((idx[~mask], depth + 1))
         stack.append((idx[mask], depth + 1))
-    return nodes.table()
+    feature, threshold, leaf_code = map(np.array, zip(*nodes))
+    return NodeTable(feature, threshold, *_preorder_children(feature), leaf_code)
 
 
 def train_tree(
@@ -353,21 +336,11 @@ def _worker_train(index: int) -> NodeTable:
     return _train_indexed_tree(s["X"], s["codes"], s["n_classes"], s["params"], index)
 
 
-def _stack(tables: list[NodeTable]) -> tuple[NodeTable, np.ndarray]:
-    """One table holding every tree, and the index of each tree's root."""
-    sizes = [table.feature.size for table in tables]
-    roots = np.cumsum([0] + sizes[:-1])
-    shift = np.repeat(roots, sizes)
-    feature, threshold, left, right, leaf_code = (np.concatenate(col) for col in zip(*tables))
-    return NodeTable(feature, threshold, left + shift, right + shift, leaf_code), roots
-
-
 def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 1) -> RandomForestModel:
     """Train a bagged forest; results are identical for any n_jobs.
 
     Args:
-        training_set: rows to fit; the stored scaler is reused when
-            present, otherwise fit from these rows.
+        training_set: rows to fit; the max-abs scaler is fit from them.
         params: tree counts and stopping controls.
         n_jobs: worker processes; 1 trains in-process.
     """
@@ -375,7 +348,7 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     universe = label_universe_of(ts.labels)
     if len(universe) < 2:
         raise ValueError("training needs at least 2 distinct labels")
-    scaler = ts.scaler if ts.scaler is not None else normalize_fit(ts.features)
+    scaler = normalize_fit(ts.features)
     X_norm = normalize_apply(scaler, ts.features)
     codes = _encode_labels(ts.labels, universe)
     n_classes = len(universe)
@@ -394,12 +367,12 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
             for i in range(params.n_trees)
         ]
 
-    nodes, roots = _stack(tables)
+    feature, threshold, _, _, leaf_code = (np.concatenate(col) for col in zip(*tables))
     return RandomForestModel(
-        nodes=nodes,
-        roots=roots,
+        nodes=NodeTable(feature, threshold, *_preorder_children(feature), leaf_code),
+        roots=np.cumsum([0] + [table.feature.size for table in tables[:-1]]),
         feature_names=ts.feature_names,
-        scaler=np.asarray(scaler, dtype=float),
+        scaler=scaler,
         label_universe=universe,
         params=params,
     )
@@ -567,18 +540,16 @@ def model_to_lines(model: RandomForestModel) -> list[str]:
         f"max_depth {'none' if p.max_depth is None else p.max_depth}",
         f"min_samples_leaf {p.min_samples_leaf}",
     ]
-    feature = model.nodes.feature.tolist()
-    threshold = model.nodes.threshold.tolist()
-    leaf_code = model.nodes.leaf_code.tolist()
     names = [str(lab) for lab in model.label_universe]
-    bounds = model.roots.tolist() + [len(feature)]
+    columns = (model.nodes.feature, model.nodes.threshold, model.nodes.leaf_code)
+    nodes = [
+        f"I {f} {_fmt(thr)}" if f >= 0 else f"L {names[code]}"
+        for f, thr, code in zip(*(col.tolist() for col in columns))
+    ]
+    bounds = model.roots.tolist() + [len(nodes)]
     for t in range(model.n_trees):
-        lines.append(f"tree {t}")
-        for k in range(bounds[t], bounds[t + 1]):
-            f = feature[k]
-            lines.append(f"I {f} {_fmt(threshold[k])}" if f >= 0 else f"L {names[leaf_code[k]]}")
-    lines.append("end")
-    return lines
+        lines += [f"tree {t}", *nodes[bounds[t] : bounds[t + 1]]]
+    return lines + ["end"]
 
 
 def _header_value(lines: list[str], k: int, key: str) -> str:
@@ -590,26 +561,68 @@ def _header_value(lines: list[str], k: int, key: str) -> str:
     return parts[1] if len(parts) > 1 else ""
 
 
-def _add_node_line(nodes: _PreorderBuilder, line: str, n_features: int, code_of: dict[str, int]) -> bool:
-    """Append one `I feature threshold` or `L label` line; True when it
-    completes the tree. Refuses nodes that could not be walked right."""
-    parts = line.split()
-    if len(parts) == 2 and parts[0] == "L":
-        if parts[1] not in code_of:
-            raise ModelFormatError(f"leaf label not in the labels header: {line!r}")
-        return nodes.add_leaf(code_of[parts[1]])
-    if len(parts) == 3 and parts[0] == "I":
-        try:
-            f, thr = int(parts[1]), float(parts[2])
-        except ValueError:
-            raise ModelFormatError(f"bad tree node line: {line!r}") from None
-        if not 0 <= f < n_features:
-            raise ModelFormatError(f"feature index outside 0..{n_features - 1}: {line!r}")
-        if not math.isfinite(thr):
-            raise ModelFormatError(f"non-finite threshold: {line!r}")
-        nodes.add_internal(f, thr)
-        return False
-    raise ModelFormatError(f"bad tree node line: {line!r}")
+def _refuse_internal(line: str, n_features: int) -> None:
+    """Raise for an `I feature threshold` line that cannot be walked."""
+    _, f, thr = line.split()
+    try:
+        f, thr = int(f), float(thr)
+    except ValueError:
+        raise ModelFormatError(f"bad tree node line: {line!r}") from None
+    if not 0 <= f < n_features:
+        raise ModelFormatError(f"feature index outside 0..{n_features - 1}: {line!r}")
+    if not math.isfinite(thr):
+        raise ModelFormatError(f"non-finite threshold: {line!r}")
+
+
+def _parse_trees(body: list[str], n_trees: int, n_features: int, labels) -> tuple[NodeTable, np.ndarray]:
+    """The node table and tree roots held by the lines after the header;
+    a line is a node when it reads `I feature threshold` or `L label`."""
+    n_fields = np.fromiter(map(len, map(str.split, body)), np.intp, len(body))
+    tokens = np.array(" ".join(body).split() + [""], dtype=object)  # "" closes the last line
+    first = np.cumsum(n_fields) - n_fields  # each line's first token
+    head = tokens[first]
+    # +1 for an internal node, -1 for a leaf, 0 for any other line
+    step = ((n_fields == 3) & (head == "I")).astype(np.intp) - ((n_fields == 2) & (head == "L"))
+    # a tree ends at its first node where the subtrees still owed drop below zero
+    owed = np.cumsum(step)
+    others = np.append(np.flatnonzero(step == 0), len(body))
+    roots, pos = [], 0
+    for t in range(n_trees):
+        marker = body[pos] if pos < len(body) else None
+        if marker != f"tree {t}":
+            raise ModelFormatError(f"expected 'tree {t}', got {marker!r}")
+        roots.append(pos - t)
+        stop = others[np.searchsorted(others, pos, side="right")]
+        done = np.flatnonzero(owed[pos + 1 : stop] == owed[pos] - 1)
+        if not done.size:
+            at = repr(body[stop]) if stop < len(body) else "the end of the file"
+            raise ModelFormatError(f"tree {t} is cut short at {at}")
+        pos += int(done[0]) + 2
+    if body[pos : pos + 1] != ["end"]:
+        raise ModelFormatError("missing end marker")
+
+    internal, leaves = np.flatnonzero(step[:pos] > 0), np.flatnonzero(step[:pos] < 0)
+    try:
+        f = tokens[first[internal] + 1].astype(np.intp)  # int() and float() of each token
+        thr = tokens[first[internal] + 2].astype(float)
+    except (ValueError, OverflowError):
+        walkable = np.zeros(internal.size, dtype=bool)
+    else:
+        walkable = (f >= 0) & (f < n_features) & np.isfinite(thr)
+    for k in internal[~walkable]:
+        _refuse_internal(body[k], n_features)
+    code_of = {str(lab): k for k, lab in enumerate(labels)}
+    codes = np.array([code_of.get(tok, -1) for tok in tokens[first[leaves] + 1].tolist()])
+    unknown = leaves[codes < 0]
+    if unknown.size:
+        raise ModelFormatError(f"leaf label not in the labels header: {body[unknown[0]]!r}")
+
+    feature = np.full(pos, -1, dtype=np.intp)
+    threshold = np.zeros(pos)
+    leaf_code = np.full(pos, -1, dtype=np.intp)
+    feature[internal], threshold[internal], leaf_code[leaves] = f, thr, codes
+    feature, threshold, leaf_code = (col[step[:pos] != 0] for col in (feature, threshold, leaf_code))
+    return NodeTable(feature, threshold, *_preorder_children(feature), leaf_code), np.array(roots)
 
 
 def model_from_lines(lines: list[str]) -> RandomForestModel:
@@ -631,6 +644,8 @@ def model_from_lines(lines: list[str]) -> RandomForestModel:
     min_leaf = int(_header_value(lines, 9, "min_samples_leaf"))
     if len(feature_names) != n_features or len(scaler) != n_features:
         raise ModelFormatError("feature_names/scaler width disagrees with n_features")
+    if not np.all(np.isfinite(scaler) & (scaler > 0)):
+        raise ModelFormatError(f"scaler entries must be finite and > 0: {lines[4]!r}")
     params = ForestParams(
         n_trees=n_trees,
         m_try=None if m_try_text == "none" else int(m_try_text),
@@ -638,27 +653,10 @@ def model_from_lines(lines: list[str]) -> RandomForestModel:
         min_samples_leaf=min_leaf,
         seed=seed,
     )
-
-    code_of = {str(lab): k for k, lab in enumerate(labels)}
-    nodes = _PreorderBuilder()
-    roots = []
-    it = iter(lines[10:])
-    for t in range(n_trees):
-        marker = next(it, None)
-        if marker != f"tree {t}":
-            raise ModelFormatError(f"expected 'tree {t}', got {marker!r}")
-        roots.append(len(nodes.rows))
-        done = False
-        while not done:
-            line = next(it, None)
-            if line is None:
-                raise ModelFormatError("truncated tree block")
-            done = _add_node_line(nodes, line, n_features, code_of)
-    if next(it, None) != "end":
-        raise ModelFormatError("missing end marker")
+    nodes, roots = _parse_trees(lines[10:], n_trees, n_features, labels)
     return RandomForestModel(
-        nodes=nodes.table(),
-        roots=np.array(roots, dtype=np.intp),
+        nodes=nodes,
+        roots=roots,
         feature_names=feature_names,
         scaler=scaler,
         label_universe=labels,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 N_SWITCHES = 6
-PHASE_NAMES = ("a", "b", "c")
 # electrical angle offsets of phases a, b, c in degrees
 PHASE_OFFSETS_DEG = (0.0, -120.0, 120.0)
 

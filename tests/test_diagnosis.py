@@ -60,7 +60,8 @@ class TestRunDiagnosis:
     def test_refuses_non_finite_current(self):
         series = simulate(SimConfig(amplitude=16.5), (), 0.1)
         series.i_b[1000] = np.nan
-        with pytest.raises(ValueError, match="is not finite"):
+        # the acquired sample is named, not the row of the resampled stream
+        with pytest.raises(ValueError, match=r"sample 1000 at t = 0\.0390625 s"):
             run_diagnosis(self.tiny_model(), series, DiagnosisConfig())
 
 
@@ -94,6 +95,13 @@ class TestResample:
         s = simulate(SimConfig(amplitude=1.0), ((0.01, L1),), 0.04)
         rs = resample(s, 10000.0)
         assert rs.fault_timeline == s.fault_timeline
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_current(self, bad):
+        s = simulate(SimConfig(amplitude=1.0), (), 0.02)
+        s.i_c[7] = bad
+        with pytest.raises(ValueError, match="acquired sample 7 at t = 0.0002734375 s"):
+            resample(s, 10000.0)
 
     def test_rejects_too_short_series(self):
         one = np.zeros(1)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trifault import forest
 from trifault.forest import (
     ForestParams,
     ModelFormatError,
@@ -150,6 +151,63 @@ class TestSingleTree:
         assert min(rows_per_leaf.values()) >= 5
 
 
+def reference_children(feature):
+    """Child links by recursive descent over whole preorder trees laid end to end."""
+    left, right = list(range(len(feature))), list(range(len(feature)))
+
+    def past_subtree(k):
+        if feature[k] < 0:
+            return k + 1
+        left[k] = k + 1
+        right[k] = past_subtree(k + 1)
+        return past_subtree(right[k])
+
+    k = 0
+    while k < len(feature):
+        k = past_subtree(k)
+    return left, right
+
+
+def random_preorder_tree(rng, depth=0):
+    """Feature column of a random full binary tree in preorder."""
+    if depth == 8 or rng.random() < 0.35:
+        return [-1]
+    left, right = random_preorder_tree(rng, depth + 1), random_preorder_tree(rng, depth + 1)
+    return [int(rng.integers(0, 3)), *left, *right]
+
+
+class TestPreorderChildren:
+    """Child links derived from the feature column against recursive descent."""
+
+    @pytest.mark.parametrize(
+        "feature",
+        [
+            [-1],  # a single leaf
+            [0, 1, 2, -1, -1, -1, -1],  # left-deep
+            [0, -1, 1, -1, 2, -1, -1],  # right-deep
+            [-1, 0, -1, -1, 2, 1, -1, -1, -1, -1],  # stacked: leaf, stump, left-deep, leaf
+        ],
+    )
+    def test_small_tables_match_reference(self, feature):
+        left, right = forest._preorder_children(np.array(feature))
+        assert (left.tolist(), right.tolist()) == reference_children(feature)
+
+    def test_stacked_random_trees_match_reference(self):
+        rng = np.random.default_rng(9)
+        feature = [f for _ in range(40) for f in random_preorder_tree(rng)]
+        left, right = forest._preorder_children(np.array(feature))
+        assert (left.tolist(), right.tolist()) == reference_children(feature)
+
+    def test_trained_forest_links_match_reference(self):
+        model = train_forest(blob_set(np.random.default_rng(10)), ForestParams(n_trees=5, seed=3))
+        left, right = reference_children(model.nodes.feature.tolist())
+        assert model.nodes.left.tolist() == left
+        assert model.nodes.right.tolist() == right
+        loaded = model_from_lines(model_to_lines(model))
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.nodes, model.nodes))
+        assert np.array_equal(loaded.roots, model.roots)
+
+
 class TestForestParams:
     def test_default_m_try_is_sqrt_floor(self):
         assert ForestParams(n_trees=1).resolved_m_try(3) == 1
@@ -220,11 +278,11 @@ class TestForestTraining:
         assert list(predict_batch(a, test)) == list(predict_batch(b, test_scaled))
 
 
-def single_leaf_forest(*leaf_labels):
-    """A one-feature model whose tree t is a single leaf voting leaf_labels[t]."""
+def forest_lines(*trees):
+    """A one-feature model file whose tree t holds the node lines trees[t]."""
     lines = [
         "trifault-forest 1",
-        f"n_trees {len(leaf_labels)}",
+        f"n_trees {len(trees)}",
         "n_features 1",
         "feature_names f",
         "scaler 1",
@@ -234,9 +292,14 @@ def single_leaf_forest(*leaf_labels):
         "max_depth none",
         "min_samples_leaf 1",
     ]
-    for t, label in enumerate(leaf_labels):
-        lines += [f"tree {t}", f"L {label}"]
-    return model_from_lines(lines + ["end"])
+    for t, nodes in enumerate(trees):
+        lines += [f"tree {t}", *nodes]
+    return lines + ["end"]
+
+
+def single_leaf_forest(*leaf_labels):
+    """A one-feature model whose tree t is a single leaf voting leaf_labels[t]."""
+    return model_from_lines(forest_lines(*([f"L {label}"] for label in leaf_labels)))
 
 
 class TestVoting:
@@ -339,21 +402,7 @@ class TestBlockedWalk:
 
 def one_tree_lines(*node_lines):
     """A one-feature, one-tree model file holding the given node lines."""
-    return [
-        "trifault-forest 1",
-        "n_trees 1",
-        "n_features 1",
-        "feature_names f",
-        "scaler 1",
-        "labels 000000 100000",
-        "seed 0",
-        "m_try none",
-        "max_depth none",
-        "min_samples_leaf 1",
-        "tree 0",
-        *node_lines,
-        "end",
-    ]
+    return forest_lines(node_lines)
 
 
 class TestPersistence:
@@ -404,6 +453,47 @@ class TestPersistence:
     def test_rejects_leaf_label_outside_header(self):
         with pytest.raises(ModelFormatError, match="labels header"):
             model_from_lines(one_tree_lines("I 0 0.5", "L 000000", "L 010000"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
+    def test_rejects_scaler_that_is_not_finite_and_positive(self, value):
+        lines = one_tree_lines("L 000000")
+        lines[4] = f"scaler {value}"
+        with pytest.raises(ModelFormatError, match="scaler"):
+            model_from_lines(lines)
+
+    def test_rejects_tree_cut_short_before_next_marker(self):
+        with pytest.raises(ModelFormatError, match="'tree 1'"):
+            model_from_lines(forest_lines(["I 0 0.5", "L 000000"], ["L 100000"]))
+
+    def test_rejects_node_after_complete_tree(self):
+        lines = forest_lines(["L 000000", "L 100000"], ["L 000000"])
+        with pytest.raises(ModelFormatError, match="expected 'tree 1', got 'L 100000'"):
+            model_from_lines(lines)
+        with pytest.raises(ModelFormatError, match="missing end marker"):
+            model_from_lines(one_tree_lines("L 000000", "L 100000"))
+
+    def test_rejects_wrong_tree_index(self):
+        lines = forest_lines(["L 000000"], ["L 100000"])
+        lines[lines.index("tree 1")] = "tree 2"
+        with pytest.raises(ModelFormatError, match="expected 'tree 1', got 'tree 2'"):
+            model_from_lines(lines)
+
+    @pytest.mark.parametrize("bad", ["I 0", "I 0 0.5 9", "L", "L 000000 100000"])
+    def test_rejects_node_line_with_wrong_field_count(self, bad):
+        with pytest.raises(ModelFormatError, match=repr(bad)):
+            model_from_lines(one_tree_lines("I 0 0.5", bad, "L 100000"))
+
+    @pytest.mark.parametrize("bad", ["I x 0.5", "I 1.0 0.5", "I 0 x"])
+    def test_rejects_non_number_in_internal_node(self, bad):
+        with pytest.raises(ModelFormatError, match=f"bad tree node line: {bad!r}"):
+            model_from_lines(one_tree_lines(bad, "L 000000", "L 100000"))
+
+    def test_rejects_missing_end(self):
+        lines = one_tree_lines("I 0 0.5", "L 000000", "L 100000")
+        with pytest.raises(ModelFormatError, match="missing end marker"):
+            model_from_lines(lines[:-1])
+        with pytest.raises(ModelFormatError, match="missing end marker"):
+            model_from_lines(lines[:-1] + ["tree 1"])
 
     def test_trainer_reproduces_golden_model(self):
         ts = blob_set(np.random.default_rng(20), n_per_class=20, spread=1.2)
