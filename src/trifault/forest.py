@@ -16,6 +16,22 @@ stacked forest (every tree end to end, a root offset per tree) and the
 loader all take them from ``feature`` alone. The v1 model file is one
 text line per table entry, and loading parses it in bulk.
 
+Training grows the trees in blocks, in lockstep: step s expands the
+s-th preorder node of every tree in the block not yet finished. Each
+tree keeps its own stack and its own RNG, and draws its features once
+per split attempt in its own preorder, so its draws are those of a tree
+grown alone. Rows are sorted once per tree and feature (the presort of
+SLIQ, Mehta et al. 1996): a node owns one range of positions in every
+feature's row list, and a split reorders each range stably into its
+left rows and then its right rows, so no node sorts. The nodes of a
+step are scored together in a few array passes, in batches capped at a
+fixed row count. The class counts left of each cut are exact integers,
+counted only at cuts, and the gains come from the same float operations
+on the same (cuts x classes) rows as when each node was scored alone:
+division, square, a row sum over every class, the same gain expression,
+and the first maximum per node. So the model bytes do not depend on the
+block size, and match those of growing one node at a time.
+
 Inference walks the trees in blocks of 16. Within a block, every
 (row, tree) pair steps down together, ordered tree by tree so that one
 step reads only that block's nodes; a pair leaves the walk at its leaf,
@@ -49,6 +65,11 @@ _MIN_GAIN = 1e-12
 _TREE_BLOCK = 16
 # ... over row chunks holding at most this many (row, tree) pairs
 _MAX_PAIRS = 1 << 17
+# training grows as many trees at a time as keep their presorted row lists
+# within this many entries ...
+_GROW_ENTRIES = 1 << 22
+# ... and scores split nodes in batches of at most this many presorted rows
+_SPLIT_ROWS = 8192
 
 
 class ModelFormatError(ValueError):
@@ -209,85 +230,248 @@ def _encode_labels(labels, universe) -> np.ndarray:
     return np.fromiter((code[lab] for lab in labels), dtype=np.int64, count=len(labels))
 
 
-def _gini(counts: np.ndarray, total) -> float:
-    p = counts / total
-    return 1.0 - float(np.sum(p * p))
+def _ranges(starts, lengths) -> np.ndarray:
+    """The index ranges [start, start + length), laid end to end."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
 
 
-def _best_split(X, codes, idx, feature_ids, n_classes, min_leaf, parent_counts):
-    """Best (gain, feature, threshold) over midpoint candidates, or None.
+def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
+    """(found, feature, threshold) of the best split of each node.
 
-    feature_ids must be ascending; with strictly-greater gain comparison
-    that realizes the (lower feature, lower threshold) tie-break.
+    Node k owns the positions lo[k] .. lo[k] + n_node[k] - 1 of every
+    row list order[f]; counts[k] are its class counts and feats[k] its
+    ascending feature draw. A run is one node's rows in one drawn
+    feature's order. The runs lie end to end, node by node and features
+    ascending within a node, so the first maximum of a node's gains is
+    its lowest feature's lowest threshold. found marks the nodes whose
+    best gain clears _MIN_GAIN.
     """
-    n = idx.size
-    parent_gini = _gini(parent_counts, n)
-    node_codes = codes[idx]
-    best_gain = 0.0
-    best = None
-    for f in feature_ids:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        ys = node_codes[order]
-        change = np.nonzero(vs[1:] != vs[:-1])[0]
-        if min_leaf > 1:
-            change = change[(change + 1 >= min_leaf) & (n - change - 1 >= min_leaf)]
-        if change.size == 0:
-            continue
-        cum = np.zeros((n, n_classes))
-        cum[np.arange(n), ys] = 1.0
-        np.cumsum(cum, axis=0, out=cum)
-        left_counts = cum[change]
-        left_n = (change + 1).astype(float)
-        right_counts = parent_counts - left_counts
-        right_n = n - left_n
-        gini_left = 1.0 - np.sum(np.square(left_counts / left_n[:, None]), axis=1)
-        gini_right = 1.0 - np.sum(np.square(right_counts / right_n[:, None]), axis=1)
-        gains = parent_gini - (left_n * gini_left + right_n * gini_right) / n
-        j = int(np.argmax(gains))  # first max = lowest threshold
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            best = (f, (vs[change[j]] + vs[change[j] + 1]) / 2.0)
-    if best is None or best_gain <= _MIN_GAIN:
-        return None
-    return best_gain, best[0], best[1]
+    n_nodes, m_try = feats.shape
+    n_classes = counts.shape[1]
+    run_node = np.repeat(np.arange(n_nodes), m_try)
+    run_feature = feats.ravel()
+    run_len = n_node[run_node]
+    run_end = np.cumsum(run_len) - 1
+    rows = order.ravel()[_ranges(run_feature * order.shape[1] + lo[run_node], run_len)]
+    feature = np.repeat(run_feature, run_len)
+    value = X.ravel()[rows * X.shape[1] + feature]
+    # a cut falls between two different values of one run
+    differs = value[1:] != value[:-1]
+    differs[run_end[:-1]] = False
+    cut = np.flatnonzero(differs)
+    run = np.searchsorted(run_end, cut)
+    left_n = cut - (run_end - run_len)[run]
+    node_n = run_len[run]
+    if min_leaf > 1:
+        keep = (left_n >= min_leaf) & (node_n - left_n >= min_leaf)
+        cut, run, left_n, node_n = cut[keep], run[keep], left_n[keep], node_n[keep]
+    found = np.zeros(n_nodes, dtype=bool)
+    best_feature = np.zeros(n_nodes, dtype=np.intp)
+    best_threshold = np.zeros(n_nodes)
+    if not cut.size:
+        return found, best_feature, best_threshold
+
+    # Exact class counts left of each cut. Count the rows after the
+    # previous cut, take away the rows of earlier runs at each run's first
+    # cut, and add up; the sums are whole numbers, exact in floats.
+    gap = np.zeros(value.size, dtype=np.intp)
+    gap[cut + 1] = 1
+    np.cumsum(gap, out=gap)  # cuts before each row
+    left = np.bincount(gap * n_classes + codes[rows], minlength=(cut.size + 1) * n_classes)
+    left = left.reshape(-1, n_classes)
+    run_cuts = np.searchsorted(run, np.arange(run_len.size + 1))
+    cut_runs = np.flatnonzero(run_cuts[:-1] < run_cuts[1:])
+    run_counts = counts[run_node]
+    earlier = (np.cumsum(run_counts, axis=0) - run_counts)[cut_runs]  # rows before each run
+    left[run_cuts[cut_runs]] -= np.diff(earlier, axis=0, prepend=0)
+    left = left.astype(np.int32)  # int32 sums run faster than int64 or float ones
+    np.cumsum(left, axis=0, out=left)
+    left = left[:-1].astype(float)
+
+    # the float operations of the per-node Gini search, one row per cut,
+    # done in place
+    node = run_node[run]
+    p = counts / n_node[:, None]
+    parent_gini = 1.0 - np.sum(p * p, axis=1)
+    right = counts.astype(float)[node]
+    right -= left
+    left_n = left_n.astype(float)
+    right_n = node_n - left_n
+    np.square(np.divide(left, left_n[:, None], out=left), out=left)
+    np.square(np.divide(right, right_n[:, None], out=right), out=right)
+    gini_left = 1.0 - np.sum(left, axis=1)
+    gini_right = 1.0 - np.sum(right, axis=1)
+    gains = parent_gini[node] - (left_n * gini_left + right_n * gini_right) / node_n
+
+    node_cuts = np.searchsorted(node, np.arange(n_nodes + 1))
+    nodes = np.flatnonzero(node_cuts[:-1] < node_cuts[1:])
+    first = node_cuts[nodes]
+    best = np.maximum.reduceat(gains, first)
+    at_best = np.flatnonzero(gains == np.repeat(best, node_cuts[nodes + 1] - first))
+    winner = cut[at_best[np.searchsorted(at_best, first)]]  # first maximum per node
+    found[nodes] = best > _MIN_GAIN
+    best_feature[nodes] = feature[winner]
+    best_threshold[nodes] = (value[winner] + value[winner + 1]) / 2.0
+    return found, best_feature, best_threshold
 
 
-def _grow_tree(X, codes, root_idx, n_classes, m_try, max_depth, min_leaf, rng) -> NodeTable:
-    """Greedy CART growth; nodes are expanded in preorder so the RNG
-    stream (one feature draw per split attempt) is reproducible."""
+def _partition(X, codes, n_classes, order, lo, n_node, feature, threshold):
+    """Split each node's positions, in every row list, into the rows that
+    go left and then those that go right, each in their sorted order.
+    Returns how many rows of each node go left, and the (left, right)
+    class counts of each node."""
+    node = np.repeat(np.arange(lo.size), n_node)
+    pos = _ranges(lo, n_node)
+    go_feature, go_threshold = feature[node], threshold[node]
+    for f in range(order.shape[0]):
+        rows = order[f, pos]
+        left = X.ravel()[rows * X.shape[1] + go_feature] <= go_threshold
+        if f == 0:
+            side = 2 * node + ~left
+            child = np.bincount(side * n_classes + codes[rows], minlength=2 * lo.size * n_classes)
+            n_left = np.add.reduceat(left, np.cumsum(n_node) - n_node, dtype=np.intp)
+            n_right = n_node - n_left
+            # a node's k-th left row goes to lo + k, its k-th right row to lo + n_left + k
+            to_left = _ranges(lo, n_left)
+            to_right = _ranges(lo + n_left, n_right)
+        order[f, to_left] = rows[left]
+        order[f, to_right] = rows[~left]
+    return n_left, child.reshape(lo.size, 2, -1)
+
+
+def _expand(X, codes, order, lo, n_node, depth, counts, rngs, m_try, max_depth, min_leaf):
+    """Expand one node of each tree. Returns each node's feature,
+    threshold and leaf code, and for a split node how many rows go left
+    and the (left, right) class counts."""
     n_features = X.shape[1]
-    nodes = []  # (feature, threshold, leaf_code) in preorder
-    stack = [(root_idx, 0)]
-    while stack:
-        idx, depth = stack.pop()
-        counts = np.bincount(codes[idx], minlength=n_classes).astype(float)
-        n = idx.size
-        if (
-            counts.max() == n
-            or (max_depth is not None and depth >= max_depth)
-            or n < 2 * min_leaf
-            or n < 2
-        ):
-            nodes.append((-1, 0.0, int(np.argmax(counts))))  # first max = sorted-label tie-break
+    feature = np.full(lo.size, -1, dtype=np.intp)
+    threshold = np.zeros(lo.size)
+    leaf_code = np.argmax(counts, axis=1)  # first max = sorted-label tie-break
+    n_left = np.zeros(lo.size, dtype=np.intp)
+    child = np.zeros((lo.size, 2, counts.shape[1]), dtype=counts.dtype)
+    tried = (counts.max(axis=1) < n_node) & (n_node >= 2 * min_leaf) & (n_node >= 2)
+    if max_depth is not None:
+        tried &= depth < max_depth
+    tried = np.flatnonzero(tried)
+    if not tried.size:
+        return feature, threshold, leaf_code, n_left, child
+    if m_try < n_features:
+        feats = np.sort([rngs[k].choice(n_features, m_try, replace=False) for k in tried.tolist()])
+    else:
+        feats = np.broadcast_to(np.arange(n_features), (tried.size, n_features))
+    found, best_feature, best_threshold = _best_splits(
+        X, codes, order, lo[tried], n_node[tried], counts[tried], feats, min_leaf
+    )
+    split = tried[found]
+    if split.size:
+        feature[split], threshold[split] = best_feature[found], best_threshold[found]
+        leaf_code[split] = -1
+        n_left[split], child[split] = _partition(
+            X, codes, counts.shape[1], order, lo[split], n_node[split],
+            feature[split], threshold[split],
+        )
+    return feature, threshold, leaf_code, n_left, child
+
+
+def _batches(rows) -> list[tuple[int, int]]:
+    """Consecutive (start, stop) groups holding at most _SPLIT_ROWS rows,
+    or one item when it holds more."""
+    bounds, held = [0], 0
+    for k, r in enumerate(rows.tolist()):
+        if held and held + r > _SPLIT_ROWS:
+            bounds.append(k)
+            held = 0
+        held += r
+    bounds.append(len(rows))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
+    """Grow one tree per rng, all in lockstep, tree t on the rows
+    samples[t] (X.shape[0] of them, repeats allowed).
+
+    Step s expands the s-th node, in preorder, of every tree not yet
+    finished. Each tree draws its features from its own rng, once per
+    split attempt, in its own preorder. samples may be a generator; it is
+    read once, before the first step. Returns the node columns (feature,
+    threshold, leaf_code), tree after tree, and the node count of each
+    tree.
+    """
+    X = np.ascontiguousarray(X)
+    n, n_features = X.shape
+    n_trees = len(rngs)
+    # order[f] holds every tree's sample rows, tree t at t*n .. (t+1)*n - 1,
+    # sorted by feature f; a node owns the same positions in every list.
+    # Row ids times the feature count must fit the dtype.
+    order = np.empty((n_features, n_trees * n), dtype=np.int32 if X.size < 2**31 else np.intp)
+    by_feature = np.argsort(X, axis=0, kind="stable").T
+    # Each tree's pending nodes lie end to end: the next one starts at
+    # start[t]; entry k < height[t] of the stack holds where a pending
+    # node ends, its depth and its class counts, the next node's on top.
+    start = np.arange(n_trees) * n
+    height = np.ones(n_trees, dtype=np.intp)
+    stack_end = np.zeros((n_trees, 8), dtype=np.intp)
+    stack_depth = np.zeros_like(stack_end)
+    stack_counts = np.zeros((n_trees, 8, n_classes), dtype=np.intp)
+    stack_end[:, 0] = start + n
+    for t, sample in enumerate(samples):
+        copies = np.bincount(sample, minlength=n)
+        for f, rows in enumerate(by_feature):
+            order[f, t * n : (t + 1) * n] = np.repeat(rows, copies[rows])
+        stack_counts[t, 0] = np.bincount(codes[sample], minlength=n_classes)
+    # row s, column t: the s-th node of tree t in preorder
+    grown_feature = np.zeros((64, n_trees), dtype=np.intp)
+    grown_threshold = np.zeros((64, n_trees))
+    grown_leaf_code = np.zeros((64, n_trees), dtype=np.intp)
+    sizes = np.zeros(n_trees, dtype=np.intp)
+    step = 0
+    while height.any():
+        tree = np.flatnonzero(height)
+        top = height[tree] - 1
+        lo, hi = start[tree], stack_end[tree, top]
+        depth, counts = stack_depth[tree, top], stack_counts[tree, top]
+        n_node = hi - lo
+        sizes[tree] += 1
+        expanded = [
+            _expand(
+                X, codes, order, lo[a:b], n_node[a:b], depth[a:b], counts[a:b],
+                [rngs[t] for t in tree[a:b].tolist()], m_try, max_depth, min_leaf,
+            )
+            for a, b in _batches(m_try * n_node)
+        ]
+        feature, threshold, leaf_code, n_left, child = map(np.concatenate, zip(*expanded))
+        if step == grown_feature.shape[0]:
+            grown_feature, grown_threshold, grown_leaf_code = (
+                np.concatenate([g, np.zeros_like(g)])
+                for g in (grown_feature, grown_threshold, grown_leaf_code)
+            )
+        grown_feature[step, tree] = feature
+        grown_threshold[step, tree] = threshold
+        grown_leaf_code[step, tree] = leaf_code
+        step += 1
+        # a leaf is done: its tree moves on to the next pending node
+        leaf = feature < 0
+        height[tree[leaf]] -= 1
+        start[tree[leaf]] = hi[leaf]
+        split = np.flatnonzero(~leaf)
+        if not split.size:
             continue
-        if m_try < n_features:
-            feats = np.sort(rng.choice(n_features, size=m_try, replace=False))
-        else:
-            feats = np.arange(n_features)
-        split = _best_split(X, codes, idx, feats, n_classes, min_leaf, counts)
-        if split is None:
-            nodes.append((-1, 0.0, int(np.argmax(counts))))
-            continue
-        _, f, thr = split
-        mask = X[idx, f] <= thr
-        nodes.append((int(f), float(thr), -1))
-        # push right first so the left subtree is grown first
-        stack.append((idx[~mask], depth + 1))
-        stack.append((idx[mask], depth + 1))
-    feature, threshold, leaf_code = map(np.array, zip(*nodes))
-    return NodeTable(feature, threshold, *_preorder_children(feature), leaf_code)
+        if height.max() == stack_end.shape[1]:
+            stack_end, stack_depth, stack_counts = (
+                np.concatenate([s, np.zeros_like(s)], axis=1)
+                for s in (stack_end, stack_depth, stack_counts)
+            )
+        # the right child keeps the node's end; the left child comes next
+        t, k = tree[split], top[split]
+        stack_end[t, k + 1] = lo[split] + n_left[split]
+        stack_depth[t, k] = stack_depth[t, k + 1] = depth[split] + 1
+        stack_counts[t, k] = child[split, 1]
+        stack_counts[t, k + 1] = child[split, 0]
+        height[t] += 1
+    # tree t takes part in steps 0 .. sizes[t] - 1
+    mine = (np.arange(step)[:, None] < sizes).T
+    return (*(g[:step].T[mine] for g in (grown_feature, grown_threshold, grown_leaf_code)), sizes)
 
 
 def train_tree(
@@ -305,9 +489,10 @@ def train_tree(
     codes = _encode_labels(labels, universe)
     if not 1 <= m_try <= X.shape[1]:
         raise ValueError(f"m_try must be in 1..{X.shape[1]}")
-    return _grow_tree(
-        X, codes, np.arange(X.shape[0]), len(universe), m_try, max_depth, min_samples_leaf, rng
+    feature, threshold, leaf_code, _ = _grow_block(
+        X, codes, len(universe), [rng], [np.arange(X.shape[0])], m_try, max_depth, min_samples_leaf
     )
+    return NodeTable(feature, threshold, *_preorder_children(feature), leaf_code)
 
 
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -315,12 +500,15 @@ def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, tree_index])
 
 
-def _train_indexed_tree(X_norm, codes, n_classes, params: ForestParams, index: int) -> NodeTable:
-    rng = tree_rng(params.seed, index)
-    boot = bootstrap_sample(X_norm.shape[0], X_norm.shape[0], rng)
+def _grow_indexed_block(X_norm, codes, n_classes, params: ForestParams, trees: range):
+    """Grow the forest's trees with the given indices as one block: each
+    tree draws its bootstrap, then its features, from tree_rng."""
+    n = X_norm.shape[0]
+    rngs = [tree_rng(params.seed, index) for index in trees]
+    samples = (bootstrap_sample(n, n, rng) for rng in rngs)
     m_try = params.resolved_m_try(X_norm.shape[1])
-    return _grow_tree(
-        X_norm, codes, boot, n_classes, m_try, params.max_depth, params.min_samples_leaf, rng
+    return _grow_block(
+        X_norm, codes, n_classes, rngs, samples, m_try, params.max_depth, params.min_samples_leaf
     )
 
 
@@ -331,9 +519,9 @@ def _worker_init(X_norm, codes, n_classes, params):
     _WORKER_STATE.update(X=X_norm, codes=codes, n_classes=n_classes, params=params)
 
 
-def _worker_train(index: int) -> NodeTable:
+def _worker_grow(trees: range):
     s = _WORKER_STATE
-    return _train_indexed_tree(s["X"], s["codes"], s["n_classes"], s["params"], index)
+    return _grow_indexed_block(s["X"], s["codes"], s["n_classes"], s["params"], trees)
 
 
 def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 1) -> RandomForestModel:
@@ -353,24 +541,23 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     codes = _encode_labels(ts.labels, universe)
     n_classes = len(universe)
 
-    if n_jobs > 1 and params.n_trees > 1:
-        workers = min(n_jobs, params.n_trees, os.cpu_count() or 1)
+    workers = min(n_jobs, params.n_trees, os.cpu_count() or 1)
+    block = min(max(1, _GROW_ENTRIES // X_norm.size), -(-params.n_trees // max(workers, 1)))
+    blocks = [range(b, min(b + block, params.n_trees)) for b in range(0, params.n_trees, block)]
+    if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
             initargs=(X_norm, codes, n_classes, params),
         ) as pool:
-            tables = list(pool.map(_worker_train, range(params.n_trees), chunksize=8))
+            grown = list(pool.map(_worker_grow, blocks))
     else:
-        tables = [
-            _train_indexed_tree(X_norm, codes, n_classes, params, i)
-            for i in range(params.n_trees)
-        ]
+        grown = [_grow_indexed_block(X_norm, codes, n_classes, params, trees) for trees in blocks]
 
-    feature, threshold, _, _, leaf_code = (np.concatenate(col) for col in zip(*tables))
+    feature, threshold, leaf_code, sizes = map(np.concatenate, zip(*grown))
     return RandomForestModel(
         nodes=NodeTable(feature, threshold, *_preorder_children(feature), leaf_code),
-        roots=np.cumsum([0] + [table.feature.size for table in tables[:-1]]),
+        roots=np.cumsum(sizes) - sizes,
         feature_names=ts.feature_names,
         scaler=scaler,
         label_universe=universe,
@@ -552,13 +739,44 @@ def model_to_lines(model: RandomForestModel) -> list[str]:
     return lines + ["end"]
 
 
-def _header_value(lines: list[str], k: int, key: str) -> str:
-    if k >= len(lines):
-        raise ModelFormatError(f"missing header line {key!r}")
-    parts = lines[k].split(None, 1)
-    if parts[0] != key:
-        raise ModelFormatError(f"expected header {key!r}, got {lines[k]!r}")
-    return parts[1] if len(parts) > 1 else ""
+def _int_or_none(text: str) -> int | None:
+    return None if text == "none" else int(text)
+
+
+# each header line after the format line: its key and how its value is read
+_HEADER = {
+    "n_trees": int,
+    "n_features": int,
+    "feature_names": lambda text: tuple(text.split()),
+    "scaler": lambda text: np.array([float(v) for v in text.split()]),
+    "labels": lambda text: tuple(FaultLabel.from_string(v) for v in text.split()),
+    "seed": int,
+    "m_try": _int_or_none,
+    "max_depth": _int_or_none,
+    "min_samples_leaf": int,
+}
+
+
+def _read_header(lines: list[str]) -> dict:
+    """The header values by key. A header line that is missing, holds
+    the wrong key, or holds a value that cannot be read or that
+    ForestParams refuses raises ModelFormatError quoting it."""
+    header = {}
+    for k, (key, read) in enumerate(_HEADER.items(), 1):
+        if k >= len(lines):
+            raise ModelFormatError(f"missing header line {key!r}")
+        parts = lines[k].split(None, 1)
+        if not parts or parts[0] != key:
+            raise ModelFormatError(f"expected header {key!r}, got {lines[k]!r}")
+        try:
+            header[key] = read(parts[1] if len(parts) > 1 else "")
+            if key in ForestParams.__dataclass_fields__:
+                ForestParams(**{key: header[key]})
+            elif key == "n_features" and header[key] < 1:
+                raise ValueError("n_features must be >= 1")
+        except ValueError as exc:
+            raise ModelFormatError(f"bad header line {lines[k]!r}: {exc}") from None
+    return header
 
 
 def _refuse_internal(line: str, n_features: int) -> None:
@@ -633,33 +851,20 @@ def model_from_lines(lines: list[str]) -> RandomForestModel:
         raise ModelFormatError(f"not a {MODEL_FORMAT_NAME} file: {lines[0]!r}")
     if head[1] != str(MODEL_FORMAT_VERSION):
         raise ModelFormatError(f"unsupported format version {head[1]!r}")
-    n_trees = int(_header_value(lines, 1, "n_trees"))
-    n_features = int(_header_value(lines, 2, "n_features"))
-    feature_names = tuple(_header_value(lines, 3, "feature_names").split())
-    scaler = np.array([float(v) for v in _header_value(lines, 4, "scaler").split()])
-    labels = tuple(FaultLabel.from_string(v) for v in _header_value(lines, 5, "labels").split())
-    seed = int(_header_value(lines, 6, "seed"))
-    m_try_text = _header_value(lines, 7, "m_try")
-    max_depth_text = _header_value(lines, 8, "max_depth")
-    min_leaf = int(_header_value(lines, 9, "min_samples_leaf"))
-    if len(feature_names) != n_features or len(scaler) != n_features:
+    header = _read_header(lines)
+    n_trees, n_features, scaler = header["n_trees"], header["n_features"], header["scaler"]
+    if len(header["feature_names"]) != n_features or len(scaler) != n_features:
         raise ModelFormatError("feature_names/scaler width disagrees with n_features")
     if not np.all(np.isfinite(scaler) & (scaler > 0)):
         raise ModelFormatError(f"scaler entries must be finite and > 0: {lines[4]!r}")
-    params = ForestParams(
-        n_trees=n_trees,
-        m_try=None if m_try_text == "none" else int(m_try_text),
-        max_depth=None if max_depth_text == "none" else int(max_depth_text),
-        min_samples_leaf=min_leaf,
-        seed=seed,
-    )
-    nodes, roots = _parse_trees(lines[10:], n_trees, n_features, labels)
+    params = ForestParams(**{key: header[key] for key in ForestParams.__dataclass_fields__})
+    nodes, roots = _parse_trees(lines[10:], n_trees, n_features, header["labels"])
     return RandomForestModel(
         nodes=nodes,
         roots=roots,
-        feature_names=feature_names,
+        feature_names=header["feature_names"],
         scaler=scaler,
-        label_universe=labels,
+        label_universe=header["labels"],
         params=params,
     )
 

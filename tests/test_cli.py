@@ -237,3 +237,18 @@ class TestErrorPaths:
         cfg.write_text("nope = 1\n")
         code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("k, line", [(2, ""), (1, "n_trees 0"), (4, "scaler abc")])
+    def test_diagnose_refuses_model_with_bad_header_line(
+        self, small_env, tmp_path, capsys, k, line
+    ):
+        lines = small_env["model"].read_text(encoding="ascii").splitlines()
+        lines[k] = line
+        model = tmp_path / "bad_model.txt"
+        model.write_text("\n".join(lines) + "\n", encoding="ascii")
+        series = tmp_path / "h.csv"
+        assert main(["gen", "--series", "normal", "--duration", "0.2", "--out", str(series)]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", str(model), str(series)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(line) in err

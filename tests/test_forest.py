@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from trifault import forest
+from trifault.config import default_class_labels
 from trifault.forest import (
     ForestParams,
     ModelFormatError,
@@ -36,8 +38,7 @@ L0 = NO_FAULT
 L1 = FaultLabel.from_switches([1])
 L2 = FaultLabel.from_switches([2])
 
-# written by the trainer before trees were held as node tables
-GOLDEN_MODEL = Path(__file__).parent / "data" / "blob_forest_v1.txt"
+DATA = Path(__file__).parent / "data"
 
 
 def blob_set(rng, n_per_class=50, spread=0.4):
@@ -46,6 +47,33 @@ def blob_set(rng, n_per_class=50, spread=0.4):
     )
     y = tuple(lab for lab in (L0, L1, L2) for _ in range(n_per_class))
     return TrainingSet(features=X, labels=y, feature_names=("i_a", "i_b", "i_c"))
+
+
+def tie_set(rng):
+    """Overlapping blobs on a 0.25 grid: many equal values, many equal gains."""
+    ts = blob_set(rng, n_per_class=40, spread=1.5)
+    return TrainingSet(np.round(ts.features * 4) / 4, ts.labels, ts.feature_names)
+
+
+# Model files written by trainers that grew one tree at a time, node by
+# node: blob_forest_v1.txt before trees were held as node tables, the
+# other two just before trees were grown in lockstep blocks. Together they
+# pin the feature and threshold tie-breaks, the depth and leaf limits and
+# duplicate values.
+GOLDEN_MODELS = {
+    "blob_forest_v1.txt": (
+        lambda: blob_set(np.random.default_rng(20), n_per_class=20, spread=1.2),
+        ForestParams(n_trees=4, seed=5),
+    ),
+    "blob_limits_forest_v1.txt": (
+        lambda: blob_set(np.random.default_rng(22), n_per_class=40, spread=1.5),
+        ForestParams(n_trees=4, m_try=2, max_depth=5, min_samples_leaf=3, seed=6),
+    ),
+    "tie_forest_v1.txt": (
+        lambda: tie_set(np.random.default_rng(23)),
+        ForestParams(n_trees=4, m_try=3, seed=7),
+    ),
+}
 
 
 class TestNormalization:
@@ -150,6 +178,116 @@ class TestSingleTree:
         assert set(rows_per_leaf) == set(np.flatnonzero(tree.feature < 0).tolist())
         assert min(rows_per_leaf.values()) >= 5
 
+    def test_node_without_gain_becomes_leaf(self):
+        # XOR: every cut leaves both sides as mixed as the node
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]] * 3)
+        tree = train_tree(X, (L0, L0, L1, L1) * 3, m_try=2, rng=np.random.default_rng(0))
+        assert tree.feature.tolist() == [-1]
+
+
+def reference_tree(X, codes, sample, n_classes, m_try, max_depth, min_leaf, rng):
+    """(feature, threshold, leaf_code) of each node of one tree, grown one
+    node at a time in preorder: the grower that lockstep growth replaced,
+    kept as its reference."""
+    n_features = X.shape[1]
+    nodes = []
+    stack = [(sample, 0)]
+    while stack:
+        idx, depth = stack.pop()
+        counts = np.bincount(codes[idx], minlength=n_classes).astype(float)
+        n = idx.size
+        limited = max_depth is not None and depth >= max_depth
+        if counts.max() == n or limited or n < 2 * min_leaf or n < 2:
+            nodes.append((-1, 0.0, int(np.argmax(counts))))
+            continue
+        feats = range(n_features)
+        if m_try < n_features:
+            feats = np.sort(rng.choice(n_features, size=m_try, replace=False))
+        p = counts / n
+        parent_gini = 1.0 - float(np.sum(p * p))
+        best_gain, best = 0.0, None
+        for f in feats:
+            v = X[idx, f]
+            order = np.argsort(v, kind="stable")
+            vs, ys = v[order], codes[idx][order]
+            change = np.nonzero(vs[1:] != vs[:-1])[0]
+            change = change[(change + 1 >= min_leaf) & (n - change - 1 >= min_leaf)]
+            if change.size == 0:
+                continue
+            cum = np.zeros((n, n_classes))
+            cum[np.arange(n), ys] = 1.0
+            np.cumsum(cum, axis=0, out=cum)
+            left_counts = cum[change]
+            left_n = (change + 1).astype(float)
+            right_counts = counts - left_counts
+            right_n = n - left_n
+            gini_left = 1.0 - np.sum(np.square(left_counts / left_n[:, None]), axis=1)
+            gini_right = 1.0 - np.sum(np.square(right_counts / right_n[:, None]), axis=1)
+            gains = parent_gini - (left_n * gini_left + right_n * gini_right) / n
+            j = int(np.argmax(gains))
+            if gains[j] > best_gain:
+                best_gain, best = float(gains[j]), (f, (vs[change[j]] + vs[change[j] + 1]) / 2.0)
+        if best is None or best_gain <= forest._MIN_GAIN:
+            nodes.append((-1, 0.0, int(np.argmax(counts))))
+            continue
+        f, thr = best
+        go_left = X[idx, f] <= thr
+        nodes.append((int(f), float(thr), -1))
+        stack += [(idx[~go_left], depth + 1), (idx[go_left], depth + 1)]
+    return nodes
+
+
+def many_class_set(rng, n_classes=12, n_per_class=25):
+    """Overlapping clusters of many fault classes, some features on a grid."""
+    labels = default_class_labels()[:n_classes]
+    X = np.concatenate(
+        [rng.normal(loc=rng.uniform(0, 3, 3), size=(n_per_class, 3)) for _ in labels]
+    )
+    X[:, 2] = np.round(X[:, 2] * 2) / 2
+    y = tuple(lab for lab in labels for _ in range(n_per_class))
+    return TrainingSet(features=X, labels=y, feature_names=("i_a", "i_b", "i_c"))
+
+
+class TestLockstepGrowth:
+    @pytest.mark.parametrize(
+        "make_set, params",
+        [
+            (
+                lambda: blob_set(np.random.default_rng(30), spread=1.5),
+                ForestParams(n_trees=6, seed=1),
+            ),
+            (lambda: tie_set(np.random.default_rng(31)), ForestParams(n_trees=6, m_try=2, seed=2)),
+            (
+                lambda: tie_set(np.random.default_rng(32)),
+                ForestParams(n_trees=6, m_try=1, max_depth=3, min_samples_leaf=4, seed=3),
+            ),
+            (lambda: many_class_set(np.random.default_rng(33)), ForestParams(n_trees=6, seed=4)),
+            (
+                lambda: many_class_set(np.random.default_rng(34)),
+                ForestParams(n_trees=6, m_try=2, max_depth=4, seed=5),
+            ),
+        ],
+        ids=["blobs", "ties", "ties-limits", "many-classes", "many-classes-limits"],
+    )
+    def test_forest_equals_trees_grown_one_node_at_a_time(self, make_set, params):
+        ts = make_set()
+        model = train_forest(ts, params)
+        X = normalize_apply(model.scaler, ts.features)
+        codes = np.array([model.label_universe.index(lab) for lab in ts.labels])
+        m_try = params.resolved_m_try(X.shape[1])
+        nodes = []
+        for t in range(params.n_trees):
+            rng = tree_rng(params.seed, t)
+            sample = bootstrap_sample(len(X), len(X), rng)
+            nodes += reference_tree(
+                X, codes, sample, len(model.label_universe), m_try,
+                params.max_depth, params.min_samples_leaf, rng,
+            )
+        feature, threshold, leaf_code = map(np.array, zip(*nodes))
+        assert np.array_equal(model.nodes.feature, feature)
+        assert np.array_equal(model.nodes.threshold, threshold)
+        assert np.array_equal(model.nodes.leaf_code, leaf_code)
+
 
 def reference_children(feature):
     """Child links by recursive descent over whole preorder trees laid end to end."""
@@ -247,6 +385,15 @@ class TestForestTraining:
         seq = train_forest(ts, ForestParams(n_trees=12, seed=3), n_jobs=1)
         par = train_forest(ts, ForestParams(n_trees=12, seed=3), n_jobs=2)
         assert model_to_lines(seq) == model_to_lines(par)
+
+    def test_parallel_equals_sequential_across_blocks(self, monkeypatch):
+        ts = blob_set(np.random.default_rng(7), spread=1.2)
+        one_block = model_to_lines(train_forest(ts, ForestParams(n_trees=25, seed=3)))
+        # blocks of 10, 10 and 5 trees, in-process and over two workers
+        monkeypatch.setattr(forest, "_GROW_ENTRIES", 10 * ts.features.size)
+        seq = train_forest(ts, ForestParams(n_trees=25, seed=3), n_jobs=1)
+        par = train_forest(ts, ForestParams(n_trees=25, seed=3), n_jobs=2)
+        assert model_to_lines(seq) == model_to_lines(par) == one_block
 
     def test_per_tree_rng_isolated_by_index(self):
         a = tree_rng(5, 0).integers(0, 1000, 4)
@@ -495,12 +642,46 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="missing end marker"):
             model_from_lines(lines[:-1] + ["tree 1"])
 
-    def test_trainer_reproduces_golden_model(self):
-        ts = blob_set(np.random.default_rng(20), n_per_class=20, spread=1.2)
-        model = train_forest(ts, ForestParams(n_trees=4, seed=5))
-        golden = GOLDEN_MODEL.read_text(encoding="ascii").splitlines()
+    @pytest.mark.parametrize(
+        "k, line",
+        [
+            (1, ""),
+            (2, ""),
+            (1, "n_trees x"),
+            (1, "n_trees 0"),
+            (2, "n_features x"),
+            (4, "scaler abc"),
+            (5, "labels 00000x"),
+            (6, "seed x"),
+            (6, "seed -1"),
+            (7, "m_try x"),
+            (7, "m_try 0"),
+            (8, "max_depth 2.5"),
+            (8, "max_depth 0"),
+            (9, "min_samples_leaf x"),
+            (9, "min_samples_leaf 0"),
+        ],
+    )
+    def test_rejects_bad_header_line(self, k, line):
+        lines = one_tree_lines("L 000000")
+        lines[k] = line
+        with pytest.raises(ModelFormatError, match=re.escape(repr(line))):
+            model_from_lines(lines)
+
+    def test_rejects_forest_without_features(self):
+        lines = one_tree_lines("L 000000")
+        lines[2:5] = ["n_features 0", "feature_names", "scaler"]
+        with pytest.raises(ModelFormatError, match="'n_features 0'"):
+            model_from_lines(lines)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+    def test_trainer_reproduces_golden_model(self, name):
+        make_set, params = GOLDEN_MODELS[name]
+        ts = make_set()
+        model = train_forest(ts, params)
+        golden = (DATA / name).read_text(encoding="ascii").splitlines()
         assert model_to_lines(model) == golden
-        loaded = load_model(GOLDEN_MODEL)
+        loaded = load_model(DATA / name)
         assert model_to_lines(loaded) == golden
         rows = np.concatenate([ts.features, np.random.default_rng(21).uniform(-2, 8, (200, 3))])
         assert predict_batch(loaded, rows) == predict_batch(model, rows)
