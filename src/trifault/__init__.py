@@ -4,9 +4,10 @@ The package covers the full desk-scale pipeline:
 
 - :mod:`trifault.simulate` — behavioral waveform model of a three-phase
   converter with open-switch faults injected on a timeline.
-- :mod:`trifault.haar`, :mod:`trifault.vectors`, :mod:`trifault.timestats`,
-  :mod:`trifault.features` — transient feature families (Haar filter bank,
-  current-vector geometry, time-domain statistics) over sample windows.
+- :mod:`trifault.haar`, :mod:`trifault.vectors`, :mod:`trifault.timestats` —
+  transient feature families (Haar filter bank, current-vector geometry,
+  time-domain statistics) over sample windows, kept as a feature library;
+  the forest reads instantaneous samples, not these.
 - :mod:`trifault.forest` — a deterministic random-forest classifier over
   instantaneous current samples, with a text model format and
   cross-validation helpers.
@@ -20,7 +21,6 @@ The package covers the full desk-scale pipeline:
 
 from .config import ExperimentConfig, default_class_labels, load_config, parse_class_token
 from .diagnosis import DiagnosisConfig, FaultReport, resample, run_diagnosis
-from .features import FeatureConfig, FeatureVector, assemble_window_features
 from .forest import (
     ForestParams,
     RandomForestModel,
@@ -49,15 +49,12 @@ __all__ = [
     "ExperimentConfig",
     "FaultLabel",
     "FaultReport",
-    "FeatureConfig",
-    "FeatureVector",
     "ForestParams",
     "NO_FAULT",
     "RandomForestModel",
     "SimConfig",
     "TrainingSet",
     "TriPhaseSeries",
-    "assemble_window_features",
     "cross_validate",
     "default_class_labels",
     "detectable_faults",

@@ -206,14 +206,14 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = _load_experiment_config(args)
     ts = _dataset_training_set(args.dataset)
-    train_count = args.train_count if args.train_count is not None else config.train_samples
-    if not 0 < train_count < ts.n_rows:
-        raise ValueError(f"train count {train_count} must be within 1..{ts.n_rows - 1}")
+    n_train = config.train_samples
+    if n_train >= ts.n_rows:
+        raise ValueError(f"train_samples = {n_train} must be below the {ts.n_rows} dataset rows")
 
     rng = np.random.default_rng([config.seed, _SPLIT_STREAM])
     perm = rng.permutation(ts.n_rows)
-    train_idx = np.sort(perm[:train_count])
-    test_idx = np.sort(perm[train_count:])
+    train_idx = np.sort(perm[:n_train])
+    test_idx = np.sort(perm[n_train:])
 
     sub = TrainingSet(
         features=ts.features[train_idx],
@@ -226,7 +226,7 @@ def cmd_train(args) -> int:
     acc, confusion, universe = _accuracy(
         model, ts.features[test_idx], [ts.labels[i] for i in test_idx]
     )
-    print(f"trained {model.n_trees} trees on {train_count} rows, model saved to {args.out}")
+    print(f"trained {model.n_trees} trees on {n_train} rows, model saved to {args.out}")
     print(f"held-out rows: {len(test_idx)}")
     print(f"held-out accuracy: {acc:.4f}")
     _print_confusion(confusion, universe)
@@ -249,11 +249,10 @@ def cmd_sweep_trees(args) -> int:
     counts = [int(tok) for tok in args.counts.split(",") if tok.strip()]
     if not counts:
         raise ValueError("no tree counts given")
-    folds = args.folds if args.folds is not None else config.cv_folds
     lines = ["n_trees,accuracy"]
     for n_trees in counts:
         params = replace(config.forest_params(), n_trees=n_trees)
-        result = cross_validate(ts, params, k_folds=folds)
+        result = cross_validate(ts, params, k_folds=config.cv_folds)
         lines.append(f"{n_trees},{result.mean_accuracy:.4f}")
         print(lines[-1])
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
@@ -318,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_train)
     p_train.add_argument("dataset", help="dataset CSV from gen")
     p_train.add_argument("--out", required=True, help="output model file")
-    p_train.add_argument("--train-count", type=int, default=None, help="training rows")
     p_train.add_argument("--jobs", type=int, default=1, help="parallel tree workers")
     p_train.set_defaults(func=cmd_train)
 
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("dataset", help="dataset CSV")
     p_sweep.add_argument("--out", required=True, help="output CSV (n_trees,accuracy)")
     p_sweep.add_argument("--counts", default="1,8,64,264", help="comma-separated tree counts")
-    p_sweep.add_argument("--folds", type=int, default=None, help="cross-validation folds")
     p_sweep.set_defaults(func=cmd_sweep_trees)
 
     p_diag = sub.add_parser("diagnose", help="run online diagnosis over recorded series")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .diagnosis import DiagnosisConfig
 from .forest import ForestParams
-from .simulate import NO_FAULT, N_SWITCHES, FaultLabel, SimConfig
+from .simulate import NO_FAULT, N_SWITCHES, FaultLabel, SimConfig, refuse_non_finite
 
 
 def default_class_labels() -> tuple[FaultLabel, ...]:
@@ -84,6 +84,7 @@ class ExperimentConfig:
     phase_fallback_deg: float = 0.0
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if self.dataset_samples < len(self.classes):
             raise ValueError("dataset_samples must cover every class at least once")
         if not 0 < self.train_samples:

@@ -19,10 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import FaultLabel, TriPhaseSeries
+from .simulate import FaultLabel, TriPhaseSeries, label_at_time
 
 DATASET_HEADER = "t,i_a,i_b,i_c,label"
 FEATURE_COLUMNS = ("i_a", "i_b", "i_c")
+# a series row may sit this far off its uniform grid, in absolute seconds
+# plus this fraction of the sample spacing (times are written with 9 decimals)
+_SPACING_TOL = 1e-6
 
 
 class DatasetFormatError(ValueError):
@@ -52,12 +55,8 @@ class SeriesBlock:
         return len(self.t)
 
 
-def block_from_series(series: TriPhaseSeries, series_id: int, labels=None) -> SeriesBlock:
+def block_from_series(series: TriPhaseSeries, series_id: int) -> SeriesBlock:
     """Wrap a simulated series, labeling rows from its own timeline."""
-    from .simulate import label_at_time
-
-    if labels is None:
-        labels = tuple(label_at_time(series.fault_timeline, float(t)) for t in series.t)
     return SeriesBlock(
         series_id=series_id,
         sample_rate=series.sample_rate,
@@ -66,16 +65,16 @@ def block_from_series(series: TriPhaseSeries, series_id: int, labels=None) -> Se
         i_a=np.asarray(series.i_a, dtype=float),
         i_b=np.asarray(series.i_b, dtype=float),
         i_c=np.asarray(series.i_c, dtype=float),
-        labels=tuple(labels),
+        labels=tuple(label_at_time(series.fault_timeline, float(t)) for t in series.t),
     )
 
 
-def block_to_series(block: SeriesBlock, spacing_tol: float = 1e-6) -> TriPhaseSeries:
+def block_to_series(block: SeriesBlock) -> TriPhaseSeries:
     """Back to a TriPhaseSeries; refuses blocks with a gapped time grid."""
     if block.n_rows < 2:
         raise DatasetFormatError(f"series {block.series_id} has fewer than 2 rows")
     expected = block.t[0] + np.arange(block.n_rows) / block.sample_rate
-    if np.max(np.abs(block.t - expected)) > spacing_tol / block.sample_rate + spacing_tol:
+    if np.max(np.abs(block.t - expected)) > _SPACING_TOL / block.sample_rate + _SPACING_TOL:
         raise DatasetFormatError(
             f"series {block.series_id} is not uniformly sampled at {block.sample_rate} Hz"
         )

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forest import RandomForestModel, predict_batch
-from .simulate import REGIONS, FaultLabel, TriPhaseSeries, detectable_faults, region_indices
+from .simulate import (
+    REGIONS,
+    FaultLabel,
+    TriPhaseSeries,
+    detectable_faults,
+    refuse_non_finite,
+    region_indices,
+)
 
 # fraction of the observed peak a zero crossing must swing through on
 # both sides to count as a clean phase reference
@@ -42,6 +49,7 @@ class DiagnosisConfig:
     phase_fallback_deg: float = 0.0
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if not self.fundamental > 0.0:
             raise ValueError("fundamental must be > 0")
         if not (self.target_rate / self.fundamental).is_integer():

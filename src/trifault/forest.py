@@ -211,9 +211,8 @@ def normalize_apply(scaler, features) -> np.ndarray:
     return np.asarray(features, dtype=float) / scaler
 
 
-def bootstrap_sample(rows, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n row indices drawn uniformly with replacement from rows."""
-    n_rows = rows if isinstance(rows, (int, np.integer)) else len(rows)
+def bootstrap_sample(n_rows: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n row indices drawn uniformly with replacement from range(n_rows)."""
     if n_rows < 1:
         raise ValueError("cannot bootstrap from an empty row set")
     if n < 1:
@@ -312,7 +311,11 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     winner = cut[at_best[np.searchsorted(at_best, first)]]  # first maximum per node
     found[nodes] = best > _MIN_GAIN
     best_feature[nodes] = feature[winner]
-    best_threshold[nodes] = (value[winner] + value[winner + 1]) / 2.0
+    # the midpoint of adjacent floats a < b can round up to b, and then
+    # `<= threshold` would send every row left; a is the threshold then
+    below, above = value[winner], value[winner + 1]
+    mid = (below + above) / 2.0
+    best_threshold[nodes] = np.where(mid < above, mid, below)
     return found, best_feature, best_threshold
 
 
@@ -532,6 +535,8 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
         params: tree counts and stopping controls.
         n_jobs: worker processes; 1 trains in-process.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     ts = training_set
     universe = label_universe_of(ts.labels)
     if len(universe) < 2:
@@ -542,7 +547,7 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     n_classes = len(universe)
 
     workers = min(n_jobs, params.n_trees, os.cpu_count() or 1)
-    block = min(max(1, _GROW_ENTRIES // X_norm.size), -(-params.n_trees // max(workers, 1)))
+    block = min(max(1, _GROW_ENTRIES // X_norm.size), -(-params.n_trees // workers))
     blocks = [range(b, min(b + block, params.n_trees)) for b in range(0, params.n_trees, block)]
     if workers > 1:
         with ProcessPoolExecutor(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,6 +48,15 @@ def switch_name(switch: int) -> str:
 def _check_switch(switch: int) -> None:
     if not isinstance(switch, (int, np.integer)) or not 1 <= switch <= N_SWITCHES:
         raise ValueError(f"switch id must be an integer in 1..{N_SWITCHES}, got {switch!r}")
+
+
+def refuse_non_finite(settings) -> None:
+    """Raise ValueError naming the first float field of a settings
+    dataclass that holds NaN or an infinity."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.type in ("float", float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -125,6 +134,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if self.amplitude <= 0:
             raise ValueError("amplitude must be > 0")
         if self.frequency <= 0:
@@ -230,14 +240,13 @@ def detectable_faults(region: Region) -> frozenset[int]:
     return frozenset(ids)
 
 
-def label_at_time(
-    fault_timeline, t: float, default: FaultLabel = NO_FAULT
-) -> FaultLabel:
-    """Label active at time t: the last timeline entry with t_fault <= t."""
+def label_at_time(fault_timeline, t: float) -> FaultLabel:
+    """Label active at time t: the last timeline entry with t_fault <= t,
+    or NO_FAULT before the first entry."""
     times = [entry[0] for entry in fault_timeline]
     k = bisect.bisect_right(times, t)
     if k == 0:
-        return default
+        return NO_FAULT
     return fault_timeline[k - 1][1]
 
 

@@ -129,6 +129,16 @@ class TestTrainEval:
         assert sum(rows["100000"]) == true_counts["100000"]
 
     def test_train_rejects_oversized_split(self, small_env, tmp_path, capsys):
+        cfg = tmp_path / "oversized.cfg"
+        cfg.write_text(SMALL_CFG.replace("train_samples = 1100", "train_samples = 99999"))
+        code = main(
+            ["train", str(small_env["pool"]), "--config", str(cfg), "--out", str(tmp_path / "m.txt")]
+        )
+        assert code == 2
+        assert "error: train_samples = 99999" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_train_rejects_jobs_below_one(self, small_env, tmp_path, capsys, jobs):
         code = main(
             [
                 "train",
@@ -137,12 +147,13 @@ class TestTrainEval:
                 str(small_env["cfg"]),
                 "--out",
                 str(tmp_path / "m.txt"),
-                "--train-count",
-                "99999",
+                "--jobs",
+                jobs,
             ]
         )
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert "error: n_jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestSweep:
@@ -223,6 +234,19 @@ class TestDiagnose:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--train-count", "5"], ["sweep-trees", "--folds", "3"]],
+        ids=["train-count", "folds"],
+    )
+    def test_config_values_have_no_flag(self, argv, capsys):
+        # train_samples and cv_folds come from the config file only
+        command, *flag = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, "pool.csv", "--out", "out.txt", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_dataset_file(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.txt")])
         assert code == 2

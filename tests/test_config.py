@@ -16,7 +16,20 @@ from trifault.config import (
     parse_config,
     save_config,
 )
-from trifault.simulate import NO_FAULT, FaultLabel
+from trifault.diagnosis import DiagnosisConfig
+from trifault.simulate import NO_FAULT, FaultLabel, SimConfig
+
+
+def float_fields(cls):
+    return [(cls, f.name) for f in fields(cls) if f.type == "float"]
+
+
+def make_settings(cls, name, value):
+    if cls is ExperimentConfig:  # through the config file parser
+        return parse_config(f"{name} = {value!r}")
+    if cls is SimConfig:
+        return SimConfig(**{"amplitude": 1.0, name: value})
+    return cls(**{name: value})
 
 
 class TestClassTokens:
@@ -94,6 +107,16 @@ class TestValidation:
     def test_rejects_zero_normal_weight(self):
         with pytest.raises(ValueError):
             ExperimentConfig(normal_weight=0)
+
+    @pytest.mark.parametrize(
+        "cls, name",
+        float_fields(ExperimentConfig) + float_fields(SimConfig) + float_fields(DiagnosisConfig),
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_rejects_non_finite_float(self, cls, name):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                make_settings(cls, name, value)
 
 
 class TestRoundTrip:

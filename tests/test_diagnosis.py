@@ -57,6 +57,23 @@ class TestRunDiagnosis:
         with pytest.raises(ValueError, match="one window needs"):
             run_diagnosis(self.tiny_model(), short, DiagnosisConfig())
 
+    @pytest.mark.parametrize(
+        "fallback_deg, n_windows, first_start", [(0.0, 5, 0.0), (90.0, 4, 0.015)]
+    )
+    def test_phase_fallback_places_windows_without_a_crossing(
+        self, fallback_deg, n_windows, first_start
+    ):
+        # both switches of phase a open from t = 0 leave it flat: no zero
+        # crossing, so phase a is taken to be at fallback_deg at t = 0
+        s12 = FaultLabel.from_switches([1, 2])
+        series = simulate(SimConfig(amplitude=16.5, leakage=0.0), ((0.0, s12),), 0.1)
+        rs = resample(series, 10000.0)
+        assert estimate_phase_reference(rs, 50.0) is None
+        config = DiagnosisConfig(phase_fallback_deg=fallback_deg)
+        history = run_diagnosis(self.tiny_model(), series, config).per_window_history
+        assert len(history) == n_windows
+        assert history[0].start_time == pytest.approx(first_start, abs=1e-12)
+
     def test_refuses_non_finite_current(self):
         series = simulate(SimConfig(amplitude=16.5), (), 0.1)
         series.i_b[1000] = np.nan

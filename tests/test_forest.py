@@ -178,6 +178,18 @@ class TestSingleTree:
         assert set(rows_per_leaf) == set(np.flatnonzero(tree.feature < 0).tolist())
         assert min(rows_per_leaf.values()) >= 5
 
+    def test_split_between_adjacent_floats_sends_the_upper_row_right(self):
+        # the midpoint of a value and the next float up rounds to the upper
+        # value, which would send both rows left again and again
+        below = np.nextafter(1.0, 0.0)
+        tree = train_tree(
+            np.array([[below], [1.0]]), (L0, L1), m_try=1, rng=np.random.default_rng(0),
+            max_depth=5,
+        )
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.threshold[0] == below
+        assert tree.leaf_code.tolist() == [-1, 0, 1]
+
     def test_node_without_gain_becomes_leaf(self):
         # XOR: every cut leaves both sides as mixed as the node
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]] * 3)
@@ -226,7 +238,9 @@ def reference_tree(X, codes, sample, n_classes, m_try, max_depth, min_leaf, rng)
             gains = parent_gini - (left_n * gini_left + right_n * gini_right) / n
             j = int(np.argmax(gains))
             if gains[j] > best_gain:
-                best_gain, best = float(gains[j]), (f, (vs[change[j]] + vs[change[j] + 1]) / 2.0)
+                a, b = vs[change[j]], vs[change[j] + 1]
+                mid = (a + b) / 2.0  # rounds up to b only when b is the float after a
+                best_gain, best = float(gains[j]), (f, mid if mid < b else a)
         if best is None or best_gain <= forest._MIN_GAIN:
             nodes.append((-1, 0.0, int(np.argmax(counts))))
             continue
