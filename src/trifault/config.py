@@ -97,7 +97,10 @@ class ExperimentConfig:
             raise ValueError("duplicate class labels")
         if self.target_rate > self.sample_rate:
             raise ValueError("target_rate must not exceed sample_rate")
-        self.diagnosis_config()  # a bad window or latch setting fails at load
+        # a bad waveform, forest, window or latch setting fails at load
+        self.sim_config()
+        self.forest_params()
+        self.diagnosis_config()
 
     def sim_config(self, seed: int | None = None) -> SimConfig:
         return SimConfig(

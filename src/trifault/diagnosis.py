@@ -2,11 +2,13 @@
 
 Pipeline: resample the acquired series down to the classifier rate,
 classify every sample, debounce the label stream, then fuse each
-period-aligned window. Fusion only accepts a reported switch when the
-sample's 60-degree region can physically expose that switch, and ORs
-the accepted bits over the window. A protection signal latches after
+period-aligned window. Inside the pipeline a label is a 6-bit mask, its
+bit string read as a binary number (S1 is bit 5, S6 bit 0), so a stream
+of labels is one uint8 array. Fusion keeps the bits that the sample's
+60-degree region can physically expose, from a six-entry mask table,
+and ORs them over the window. A protection signal latches after
 confirm_windows consecutive windows agree on the same non-empty fused
-fault set.
+mask. FaultLabel objects are built only for the report.
 """
 
 from __future__ import annotations
@@ -29,6 +31,18 @@ from .simulate import (
 # fraction of the observed peak a zero crossing must swing through on
 # both sides to count as a clean phase reference
 _CROSSING_QUALITY = 0.3
+
+
+def _mask(label: FaultLabel) -> int:
+    return int(str(label), 2)
+
+
+# the label of each of the 64 masks, and the switches each region exposes
+_LABELS = tuple(FaultLabel.from_string(f"{m:06b}") for m in range(64))
+_EXPOSED = np.array(
+    [_mask(FaultLabel.from_switches(detectable_faults(region))) for region in REGIONS],
+    dtype=np.uint8,
+)
 
 
 @dataclass(frozen=True)
@@ -122,55 +136,42 @@ def resample(series: TriPhaseSeries, target_rate: float) -> TriPhaseSeries:
     )
 
 
-def classify_stream(model: RandomForestModel, series: TriPhaseSeries) -> list[FaultLabel]:
-    """Per-sample forest labels for an already-resampled series."""
+def classify_stream(model: RandomForestModel, series: TriPhaseSeries) -> np.ndarray:
+    """Per-sample forest label masks (uint8) for an already-resampled series."""
     if model.n_features != 3:
         raise ValueError("streaming classification expects a 3-feature model")
-    return predict_batch(model, series.currents())
+    mask = {label: _mask(label) for label in model.label_universe}
+    return np.array([mask[lab] for lab in predict_batch(model, series.currents())], dtype=np.uint8)
 
 
 def debounce(labels, min_run: int):
     """Suppress runs shorter than min_run.
 
     A short run is replaced by the most recent accepted label; the first
-    run is always accepted. Output length equals input length and the
-    filter is idempotent.
+    run is always accepted. Takes any 1-D sequence (label masks or
+    FaultLabels) and returns a list of its items, of the same length.
+    The filter is idempotent.
     """
     if min_run < 1:
         raise ValueError("min_run must be >= 1")
-    labels = list(labels)
-    if not labels:
-        return []
-    runs: list[tuple[object, int]] = []
-    for lab in labels:
-        if runs and runs[-1][0] == lab:
-            runs[-1] = (lab, runs[-1][1] + 1)
-        else:
-            runs.append((lab, 1))
-    out: list = []
-    accepted = runs[0][0]
-    for k, (lab, length) in enumerate(runs):
-        if k == 0 or length >= min_run:
-            accepted = lab
-        out.extend([accepted] * length)
-    return out
+    items = np.asarray(labels)
+    if items.ndim != 1:
+        raise ValueError(f"debounce expects a 1-D label sequence, got shape {items.shape}")
+    starts = np.flatnonzero(np.concatenate(([True], items[1:] != items[:-1])))
+    lengths = np.diff(starts, append=items.size)
+    # each run copies the start of the last run long enough to be accepted;
+    # a short run maps to 0, the first run's start, so the first run is kept
+    accepted = np.maximum.accumulate(np.where(lengths >= min_run, starts, 0))
+    return items[np.repeat(accepted, lengths)].tolist()
 
 
-def fuse_window(labels, regions) -> FaultLabel:
-    """OR of the reported switch bits that their sample's region can expose."""
-    labels = list(labels)
-    regions = list(regions)
-    if len(labels) != len(regions):
+def fuse_window(labels, regions) -> int:
+    """OR of one window's label masks, each gated by its REGIONS index."""
+    masks = np.asarray(labels, dtype=np.uint8)
+    regions = np.asarray(regions, dtype=np.intp)
+    if masks.shape != regions.shape:
         raise ValueError("labels and regions are misaligned")
-    bits = [0] * 6
-    for lab, region in zip(labels, regions):
-        if lab.is_normal:
-            continue
-        allowed = detectable_faults(region)
-        for s in lab.switches:
-            if s in allowed:
-                bits[s - 1] = 1
-    return FaultLabel(tuple(bits))
+    return int(np.bitwise_or.reduce(masks & _EXPOSED[regions]))
 
 
 def estimate_phase_reference(series: TriPhaseSeries, fundamental: float) -> float | None:
@@ -215,7 +216,7 @@ def run_diagnosis(
         label history, and the protection flag.
     """
     rs = resample(series, config.target_rate)
-    labels = debounce(classify_stream(model, rs), config.debounce_min_run)
+    masks = np.array(debounce(classify_stream(model, rs), config.debounce_min_run), dtype=np.uint8)
 
     f0 = config.fundamental
     t_zero = estimate_phase_reference(rs, f0)
@@ -232,38 +233,30 @@ def run_diagnosis(
             f"series too short: {rs.n_samples} samples at {config.target_rate:g} Hz, one"
             f" window needs {start + ws} ({ws} after the phase reference at sample {start})"
         )
-    regions = np.array(REGIONS, dtype=object)[region_indices(360.0 * f0 * (rs.t - t_zero))]
+    regions = region_indices(360.0 * f0 * (rs.t - t_zero))
 
     history: list[WindowRecord] = []
     fault_set: frozenset[int] = frozenset()
     first_detect: float | None = None
     latched = False
-    run_fused: FaultLabel | None = None
-    run_len = 0
+    run_fused = run_len = 0
     run_start_time = 0.0
 
     for w in range(n_windows):
         lo = start + w * ws
-        window_labels = tuple(labels[lo : lo + ws])
-        fused = fuse_window(window_labels, regions[lo : lo + ws])
-        history.append(
-            WindowRecord(index=w, start_time=float(rs.t[lo]), labels=window_labels, fused=fused)
-        )
+        window, t_lo = masks[lo : lo + ws], float(rs.t[lo])
+        fused = fuse_window(window, regions[lo : lo + ws])
+        labels = tuple(_LABELS[m] for m in window.tolist())
+        history.append(WindowRecord(w, t_lo, labels, _LABELS[fused]))
         if latched:
             continue
-        if fused.is_normal:
-            run_fused = None
-            run_len = 0
-            continue
-        if run_fused is not None and fused == run_fused:
-            run_len += 1
-        else:
-            run_fused = fused
-            run_len = 1
-            run_start_time = float(rs.t[lo])
-        if run_len >= config.confirm_windows:
+        # a run of equal fused masks; a healthy run (mask 0) never latches
+        if fused != run_fused:
+            run_fused, run_len, run_start_time = fused, 0, t_lo
+        run_len += 1
+        if run_fused and run_len >= config.confirm_windows:
             latched = True
-            fault_set = run_fused.switches
+            fault_set = _LABELS[run_fused].switches
             first_detect = run_start_time
 
     return FaultReport(

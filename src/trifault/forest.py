@@ -748,13 +748,21 @@ def _int_or_none(text: str) -> int | None:
     return None if text == "none" else int(text)
 
 
+def _label_list(text: str) -> tuple[FaultLabel, ...]:
+    """Labels in strictly increasing order, which vote ties rely on."""
+    labels = tuple(FaultLabel.from_string(v) for v in text.split())
+    if any(a >= b for a, b in zip(labels, labels[1:])):
+        raise ValueError("labels must be sorted and distinct")
+    return labels
+
+
 # each header line after the format line: its key and how its value is read
 _HEADER = {
     "n_trees": int,
     "n_features": int,
     "feature_names": lambda text: tuple(text.split()),
     "scaler": lambda text: np.array([float(v) for v in text.split()]),
-    "labels": lambda text: tuple(FaultLabel.from_string(v) for v in text.split()),
+    "labels": _label_list,
     "seed": int,
     "m_try": _int_or_none,
     "max_depth": _int_or_none,

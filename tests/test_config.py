@@ -109,6 +109,21 @@ class TestValidation:
             ExperimentConfig(normal_weight=0)
 
     @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seed = -1", "seed must be >= 0"),
+            ("amplitude = -2", "amplitude must be > 0"),
+            ("n_trees = 0", "n_trees must be >= 1"),
+            ("leakage = 1.5", r"leakage must be in \[0, 1\)"),
+            ("m_try = 0", "m_try must be >= 1"),
+            ("max_depth = 0", "max_depth must be >= 1"),
+        ],
+    )
+    def test_rejects_out_of_range_value_at_load(self, line, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_config(line + "\n")
+
+    @pytest.mark.parametrize(
         "cls, name",
         float_fields(ExperimentConfig) + float_fields(SimConfig) + float_fields(DiagnosisConfig),
         ids=lambda v: getattr(v, "__name__", v),

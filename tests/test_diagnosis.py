@@ -17,16 +17,58 @@ from trifault.diagnosis import (
 from trifault.forest import ForestParams, TrainingSet, train_forest
 from trifault.simulate import (
     NO_FAULT,
+    REGIONS,
     FaultLabel,
     SimConfig,
     TriPhaseSeries,
-    region_of,
+    detectable_faults,
+    region_indices,
     simulate,
 )
 
 L1 = FaultLabel.from_switches([1])
 L3 = FaultLabel.from_switches([3])
 L13 = FaultLabel.from_switches([1, 3])
+# a label mask is the label's bit string read as a binary number
+M1, M3, M13 = 0b100000, 0b001000, 0b101000
+LABEL_OF_MASK = [FaultLabel.from_string(f"{m:06b}") for m in range(64)]
+
+
+def region_at(theta_deg: float) -> int:
+    return int(region_indices(theta_deg))
+
+
+def reference_debounce(labels, min_run):
+    """Debounce over a list of runs, one sample at a time: the filter that
+    run-length debounce replaced, kept as its reference."""
+    labels = list(labels)
+    if not labels:
+        return []
+    runs: list[tuple[object, int]] = []
+    for lab in labels:
+        if runs and runs[-1][0] == lab:
+            runs[-1] = (lab, runs[-1][1] + 1)
+        else:
+            runs.append((lab, 1))
+    out: list = []
+    accepted = runs[0][0]
+    for k, (lab, length) in enumerate(runs):
+        if k == 0 or length >= min_run:
+            accepted = lab
+        out.extend([accepted] * length)
+    return out
+
+
+def reference_fuse_window(labels, regions) -> FaultLabel:
+    """Per-sample fusion of FaultLabels gated by detectable_faults of each
+    Region: the fusion that the region mask table replaced."""
+    bits = [0] * 6
+    for lab, region in zip(labels, regions):
+        allowed = detectable_faults(region)
+        for s in lab.switches:
+            if s in allowed:
+                bits[s - 1] = 1
+    return FaultLabel(tuple(bits))
 
 
 class TestConfig:
@@ -169,30 +211,62 @@ class TestDebounce:
 class TestFuseWindow:
     def test_gates_by_region_membership(self):
         # S1 is undetectable where phase a is positive, detectable where negative
-        region_pos = region_of(30.0)  # phase a positive here
-        region_neg = region_of(210.0)  # phase a negative here
-        fused = fuse_window([L1, L1], [region_pos, region_neg])
-        assert fused == L1
-        fused_blocked = fuse_window([L1], [region_pos])
-        assert fused_blocked == NO_FAULT
+        region_pos = region_at(30.0)  # phase a positive here
+        region_neg = region_at(210.0)  # phase a negative here
+        assert fuse_window([M1, M1], [region_pos, region_neg]) == M1
+        assert fuse_window([M1], [region_pos]) == 0
 
     def test_multi_switch_label_contributes_per_switch(self):
-        region = region_of(330.0)  # S1 and S3 both detectable here
-        assert fuse_window([L13], [region]) == L13
-        region_s3_only = region_of(30.0)
-        assert fuse_window([L13], [region_s3_only]) == L3
+        region = region_at(330.0)  # S1 and S3 both detectable here
+        assert fuse_window([M13], [region]) == M13
+        region_s3_only = region_at(30.0)
+        assert fuse_window([M13], [region_s3_only]) == M3
 
     def test_normal_labels_skipped(self):
-        region = region_of(210.0)
-        assert fuse_window([NO_FAULT, NO_FAULT], [region, region]) == NO_FAULT
+        region = region_at(210.0)
+        assert fuse_window([0, 0], [region, region]) == 0
 
     def test_accumulates_across_samples(self):
-        regions = [region_of(30.0), region_of(210.0)]
-        assert fuse_window([L3, L1], regions) == L13
+        regions = [region_at(30.0), region_at(210.0)]
+        assert fuse_window([M3, M1], regions) == M13
 
     def test_rejects_misaligned_inputs(self):
-        with pytest.raises(ValueError):
-            fuse_window([L1], [])
+        with pytest.raises(ValueError, match="misaligned"):
+            fuse_window([M1], [])
+
+
+class TestMaskPipelineMatchesReference:
+    def test_mask_order_is_sorted_label_order(self):
+        assert sorted(LABEL_OF_MASK) == LABEL_OF_MASK
+        assert [int(str(lab), 2) for lab in LABEL_OF_MASK] == list(range(64))
+
+    def test_random_streams(self):
+        rng = np.random.default_rng(20261018)
+        seen = set()
+        for _ in range(1500):
+            # a few distinct masks per stream, so that runs of every length
+            # occur; over the trials every one of the 64 masks is drawn
+            alphabet = rng.choice(64, size=int(rng.integers(1, 9)), replace=False)
+            masks = alphabet[rng.integers(0, alphabet.size, size=int(rng.integers(0, 81)))]
+            masks = masks.astype(np.uint8)
+            labels = [LABEL_OF_MASK[m] for m in masks]
+            seen.update(masks.tolist())
+            min_run = int(rng.integers(1, 9))
+
+            expected = reference_debounce(labels, min_run)
+            assert debounce(labels, min_run) == expected
+            assert [LABEL_OF_MASK[m] for m in debounce(masks, min_run)] == expected
+
+            regions = rng.integers(0, 6, size=masks.size)
+            fused = reference_fuse_window(labels, [REGIONS[k] for k in regions])
+            assert LABEL_OF_MASK[fuse_window(masks, regions)] == fused
+        assert len(seen) == 64
+
+    def test_debounce_refuses_non_1d_input(self):
+        with pytest.raises(ValueError, match="1-D"):
+            debounce(np.zeros((2, 3), dtype=np.uint8), 2)
+        with pytest.raises(ValueError, match="1-D"):
+            debounce(M1, 2)
 
 
 class TestPhaseReference:

@@ -666,6 +666,8 @@ class TestPersistence:
             (2, "n_features x"),
             (4, "scaler abc"),
             (5, "labels 00000x"),
+            (5, "labels 100000 000000"),
+            (5, "labels 000000 100000 100000"),
             (6, "seed x"),
             (6, "seed -1"),
             (7, "m_try x"),
