@@ -85,6 +85,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)
+        if not self.classes:
+            raise ValueError("classes must name at least one class")
         if self.dataset_samples < len(self.classes):
             raise ValueError("dataset_samples must cover every class at least once")
         if not 0 < self.train_samples:

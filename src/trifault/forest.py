@@ -14,7 +14,8 @@ A tree is a node table: arrays ``feature``, ``threshold``, ``left``,
 child links are derived from the preorder, not built: growth, the
 stacked forest (every tree end to end, a root offset per tree) and the
 loader all take them from ``feature`` alone. The v1 model file is one
-text line per table entry, and loading parses it in bulk.
+text line per table entry; saving formats and writes it one tree at a
+time, and loading parses it in bulk.
 
 Training grows the trees in blocks, in lockstep: step s expands the
 s-th preorder node of every tree in the block not yet finished. Each
@@ -23,14 +24,17 @@ per split attempt in its own preorder, so its draws are those of a tree
 grown alone. Rows are sorted once per tree and feature (the presort of
 SLIQ, Mehta et al. 1996): a node owns one range of positions in every
 feature's row list, and a split reorders each range stably into its
-left rows and then its right rows, so no node sorts. The nodes of a
-step are scored together in a few array passes, in batches capped at a
-fixed row count. The class counts left of each cut are exact integers,
-counted only at cuts, and the gains come from the same float operations
-on the same (cuts x classes) rows as when each node was scored alone:
-division, square, a row sum over every class, the same gain expression,
-and the first maximum per node. So the model bytes do not depend on the
-block size, and match those of growing one node at a time.
+left rows and then its right rows, so no node sorts. A step is one loop
+body: it picks the nodes to try, draws their features, scores them in a
+few array passes per batch (the nodes whose rows start in one span of a
+fixed row count), partitions each batch's split nodes, and appends its
+nodes to a list that is put in tree order at the end. The class counts
+left of each cut are exact integers, counted only at cuts, and the
+gains come from the same float operations on the same (cuts x classes)
+rows as when each node was scored alone: division, square, a row sum
+over every class, the same gain expression, and the first maximum per
+node. So the model bytes depend neither on the block size nor on the
+batches, and match those of growing one node at a time.
 
 Inference walks the trees in blocks of 16. Within a block, every
 (row, tree) pair steps down together, ordered tree by tree so that one
@@ -51,6 +55,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -236,15 +241,15 @@ def _ranges(starts, lengths) -> np.ndarray:
 
 
 def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
-    """(found, feature, threshold) of the best split of each node.
+    """(feature, threshold) of the best split of each node, or (-1, 0.0)
+    for a node whose best gain does not clear _MIN_GAIN.
 
     Node k owns the positions lo[k] .. lo[k] + n_node[k] - 1 of every
     row list order[f]; counts[k] are its class counts and feats[k] its
     ascending feature draw. A run is one node's rows in one drawn
     feature's order. The runs lie end to end, node by node and features
     ascending within a node, so the first maximum of a node's gains is
-    its lowest feature's lowest threshold. found marks the nodes whose
-    best gain clears _MIN_GAIN.
+    its lowest feature's lowest threshold.
     """
     n_nodes, m_try = feats.shape
     n_classes = counts.shape[1]
@@ -265,11 +270,10 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     if min_leaf > 1:
         keep = (left_n >= min_leaf) & (node_n - left_n >= min_leaf)
         cut, run, left_n, node_n = cut[keep], run[keep], left_n[keep], node_n[keep]
-    found = np.zeros(n_nodes, dtype=bool)
-    best_feature = np.zeros(n_nodes, dtype=np.intp)
+    best_feature = np.full(n_nodes, -1, dtype=np.intp)
     best_threshold = np.zeros(n_nodes)
     if not cut.size:
-        return found, best_feature, best_threshold
+        return best_feature, best_threshold
 
     # Exact class counts left of each cut. Count the rows after the
     # previous cut, take away the rows of earlier runs at each run's first
@@ -309,14 +313,15 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     best = np.maximum.reduceat(gains, first)
     at_best = np.flatnonzero(gains == np.repeat(best, node_cuts[nodes + 1] - first))
     winner = cut[at_best[np.searchsorted(at_best, first)]]  # first maximum per node
-    found[nodes] = best > _MIN_GAIN
+    found = best > _MIN_GAIN
+    nodes, winner = nodes[found], winner[found]
     best_feature[nodes] = feature[winner]
     # the midpoint of adjacent floats a < b can round up to b, and then
     # `<= threshold` would send every row left; a is the threshold then
     below, above = value[winner], value[winner + 1]
     mid = (below + above) / 2.0
     best_threshold[nodes] = np.where(mid < above, mid, below)
-    return found, best_feature, best_threshold
+    return best_feature, best_threshold
 
 
 def _partition(X, codes, n_classes, order, lo, n_node, feature, threshold):
@@ -341,53 +346,6 @@ def _partition(X, codes, n_classes, order, lo, n_node, feature, threshold):
         order[f, to_left] = rows[left]
         order[f, to_right] = rows[~left]
     return n_left, child.reshape(lo.size, 2, -1)
-
-
-def _expand(X, codes, order, lo, n_node, depth, counts, rngs, m_try, max_depth, min_leaf):
-    """Expand one node of each tree. Returns each node's feature,
-    threshold and leaf code, and for a split node how many rows go left
-    and the (left, right) class counts."""
-    n_features = X.shape[1]
-    feature = np.full(lo.size, -1, dtype=np.intp)
-    threshold = np.zeros(lo.size)
-    leaf_code = np.argmax(counts, axis=1)  # first max = sorted-label tie-break
-    n_left = np.zeros(lo.size, dtype=np.intp)
-    child = np.zeros((lo.size, 2, counts.shape[1]), dtype=counts.dtype)
-    tried = (counts.max(axis=1) < n_node) & (n_node >= 2 * min_leaf) & (n_node >= 2)
-    if max_depth is not None:
-        tried &= depth < max_depth
-    tried = np.flatnonzero(tried)
-    if not tried.size:
-        return feature, threshold, leaf_code, n_left, child
-    if m_try < n_features:
-        feats = np.sort([rngs[k].choice(n_features, m_try, replace=False) for k in tried.tolist()])
-    else:
-        feats = np.broadcast_to(np.arange(n_features), (tried.size, n_features))
-    found, best_feature, best_threshold = _best_splits(
-        X, codes, order, lo[tried], n_node[tried], counts[tried], feats, min_leaf
-    )
-    split = tried[found]
-    if split.size:
-        feature[split], threshold[split] = best_feature[found], best_threshold[found]
-        leaf_code[split] = -1
-        n_left[split], child[split] = _partition(
-            X, codes, counts.shape[1], order, lo[split], n_node[split],
-            feature[split], threshold[split],
-        )
-    return feature, threshold, leaf_code, n_left, child
-
-
-def _batches(rows) -> list[tuple[int, int]]:
-    """Consecutive (start, stop) groups holding at most _SPLIT_ROWS rows,
-    or one item when it holds more."""
-    bounds, held = [0], 0
-    for k, r in enumerate(rows.tolist()):
-        if held and held + r > _SPLIT_ROWS:
-            bounds.append(k)
-            held = 0
-        held += r
-    bounds.append(len(rows))
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
@@ -423,38 +381,47 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
         for f, rows in enumerate(by_feature):
             order[f, t * n : (t + 1) * n] = np.repeat(rows, copies[rows])
         stack_counts[t, 0] = np.bincount(codes[sample], minlength=n_classes)
-    # row s, column t: the s-th node of tree t in preorder
-    grown_feature = np.zeros((64, n_trees), dtype=np.intp)
-    grown_threshold = np.zeros((64, n_trees))
-    grown_leaf_code = np.zeros((64, n_trees), dtype=np.intp)
-    sizes = np.zeros(n_trees, dtype=np.intp)
-    step = 0
+    grown = []  # (tree, feature, threshold, leaf_code) of each step's nodes
     while height.any():
         tree = np.flatnonzero(height)
         top = height[tree] - 1
         lo, hi = start[tree], stack_end[tree, top]
         depth, counts = stack_depth[tree, top], stack_counts[tree, top]
         n_node = hi - lo
-        sizes[tree] += 1
-        expanded = [
-            _expand(
-                X, codes, order, lo[a:b], n_node[a:b], depth[a:b], counts[a:b],
-                [rngs[t] for t in tree[a:b].tolist()], m_try, max_depth, min_leaf,
+        feature = np.full(tree.size, -1, dtype=np.intp)
+        threshold = np.zeros(tree.size)
+        n_left = np.zeros(tree.size, dtype=np.intp)
+        child = np.zeros((tree.size, 2, n_classes), dtype=np.intp)
+        tried = (counts.max(axis=1) < n_node) & (n_node >= 2 * min_leaf) & (n_node >= 2)
+        if max_depth is not None:
+            tried &= depth < max_depth
+        tried = np.flatnonzero(tried)
+        if m_try < n_features:
+            draws = (rngs[t].choice(n_features, m_try, replace=False) for t in tree[tried].tolist())
+            feats = np.sort(list(draws))
+        else:
+            feats = np.broadcast_to(np.arange(n_features), (tried.size, n_features))
+        # A batch holds the nodes whose first run starts in one span of
+        # _SPLIT_ROWS presorted rows, so at most that many rows plus one
+        # node's. Its split nodes are partitioned right away, which keeps the
+        # partition's temporaries as small as the batch.
+        runs = m_try * n_node[tried]
+        span = (np.cumsum(runs) - runs) // _SPLIT_ROWS
+        edges = [*np.unique(span, return_index=True)[1].tolist(), tried.size]
+        for a, b in zip(edges, edges[1:]):
+            k = tried[a:b]
+            feature[k], threshold[k] = _best_splits(
+                X, codes, order, lo[k], n_node[k], counts[k], feats[a:b], min_leaf
             )
-            for a, b in _batches(m_try * n_node)
-        ]
-        feature, threshold, leaf_code, n_left, child = map(np.concatenate, zip(*expanded))
-        if step == grown_feature.shape[0]:
-            grown_feature, grown_threshold, grown_leaf_code = (
-                np.concatenate([g, np.zeros_like(g)])
-                for g in (grown_feature, grown_threshold, grown_leaf_code)
-            )
-        grown_feature[step, tree] = feature
-        grown_threshold[step, tree] = threshold
-        grown_leaf_code[step, tree] = leaf_code
-        step += 1
-        # a leaf is done: its tree moves on to the next pending node
+            k = k[feature[k] >= 0]
+            if k.size:
+                n_left[k], child[k] = _partition(
+                    X, codes, n_classes, order, lo[k], n_node[k], feature[k], threshold[k]
+                )
         leaf = feature < 0
+        # a leaf votes for its first plurality: the sorted-label tie-break
+        grown.append((tree, feature, threshold, np.where(leaf, np.argmax(counts, axis=1), -1)))
+        # a leaf is done: its tree moves on to the next pending node
         height[tree[leaf]] -= 1
         start[tree[leaf]] = hi[leaf]
         split = np.flatnonzero(~leaf)
@@ -472,9 +439,10 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
         stack_counts[t, k] = child[split, 1]
         stack_counts[t, k + 1] = child[split, 0]
         height[t] += 1
-    # tree t takes part in steps 0 .. sizes[t] - 1
-    mine = (np.arange(step)[:, None] < sizes).T
-    return (*(g[:step].T[mine] for g in (grown_feature, grown_threshold, grown_leaf_code)), sizes)
+    tree, feature, threshold, leaf_code = map(np.concatenate, zip(*grown))
+    by_tree = np.argsort(tree, kind="stable")  # steps run in preorder
+    sizes = np.bincount(tree, minlength=n_trees)
+    return feature[by_tree], threshold[by_tree], leaf_code[by_tree], sizes
 
 
 def train_tree(
@@ -515,18 +483,6 @@ def _grow_indexed_block(X_norm, codes, n_classes, params: ForestParams, trees: r
     )
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(X_norm, codes, n_classes, params):
-    _WORKER_STATE.update(X=X_norm, codes=codes, n_classes=n_classes, params=params)
-
-
-def _worker_grow(trees: range):
-    s = _WORKER_STATE
-    return _grow_indexed_block(s["X"], s["codes"], s["n_classes"], s["params"], trees)
-
-
 def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 1) -> RandomForestModel:
     """Train a bagged forest; results are identical for any n_jobs.
 
@@ -549,15 +505,12 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     workers = min(n_jobs, params.n_trees, os.cpu_count() or 1)
     block = min(max(1, _GROW_ENTRIES // X_norm.size), -(-params.n_trees // workers))
     blocks = [range(b, min(b + block, params.n_trees)) for b in range(0, params.n_trees, block)]
+    grow = partial(_grow_indexed_block, X_norm, codes, n_classes, params)
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(X_norm, codes, n_classes, params),
-        ) as pool:
-            grown = list(pool.map(_worker_grow, blocks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            grown = list(pool.map(grow, blocks))
     else:
-        grown = [_grow_indexed_block(X_norm, codes, n_classes, params, trees) for trees in blocks]
+        grown = list(map(grow, blocks))
 
     feature, threshold, leaf_code, sizes = map(np.concatenate, zip(*grown))
     return RandomForestModel(
@@ -715,12 +668,15 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def model_to_lines(model: RandomForestModel) -> list[str]:
+def _model_chunks(model: RandomForestModel):
+    """The lines of the v1 model file in chunks: the header, one chunk
+    per tree, then the end marker, so a writer never holds the whole
+    text."""
     p = model.params
     for name in model.feature_names:
         if any(ch.isspace() for ch in name):
             raise ModelFormatError(f"feature name with whitespace: {name!r}")
-    lines = [
+    yield [
         f"{MODEL_FORMAT_NAME} {MODEL_FORMAT_VERSION}",
         f"n_trees {model.n_trees}",
         f"n_features {model.n_features}",
@@ -734,14 +690,17 @@ def model_to_lines(model: RandomForestModel) -> list[str]:
     ]
     names = [str(lab) for lab in model.label_universe]
     columns = (model.nodes.feature, model.nodes.threshold, model.nodes.leaf_code)
-    nodes = [
-        f"I {f} {_fmt(thr)}" if f >= 0 else f"L {names[code]}"
-        for f, thr, code in zip(*(col.tolist() for col in columns))
-    ]
-    bounds = model.roots.tolist() + [len(nodes)]
+    bounds = model.roots.tolist() + [model.nodes.feature.size]
     for t in range(model.n_trees):
-        lines += [f"tree {t}", *nodes[bounds[t] : bounds[t + 1]]]
-    return lines + ["end"]
+        tree = (col[bounds[t] : bounds[t + 1]].tolist() for col in columns)
+        yield [f"tree {t}"] + [
+            f"I {f} {_fmt(thr)}" if f >= 0 else f"L {names[code]}" for f, thr, code in zip(*tree)
+        ]
+    yield ["end"]
+
+
+def model_to_lines(model: RandomForestModel) -> list[str]:
+    return [line for chunk in _model_chunks(model) for line in chunk]
 
 
 def _int_or_none(text: str) -> int | None:
@@ -884,8 +843,9 @@ def model_from_lines(lines: list[str]) -> RandomForestModel:
 
 def save_model(model: RandomForestModel, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(model_to_lines(model)))
-        fh.write("\n")
+        for chunk in _model_chunks(model):
+            fh.write("\n".join(chunk))
+            fh.write("\n")
 
 
 def load_model(path) -> RandomForestModel:

@@ -299,7 +299,7 @@ def simulate(config: SimConfig, fault_timeline, duration: float) -> TriPhaseSeri
         fault_timeline: iterable of (t_fault, FaultLabel) sorted by time;
             each label takes effect at the first sample with t >= t_fault
             and stays active until the next entry.
-        duration: span in seconds, > 0.
+        duration: span in seconds, finite and > 0.
 
     Returns:
         TriPhaseSeries sampled at config.sample_rate.
@@ -312,8 +312,8 @@ def simulate(config: SimConfig, fault_timeline, duration: float) -> TriPhaseSeri
     with the same config and timeline are bit-identical and a timeline
     of all-zero labels equals the no-fault waveform sample for sample.
     """
-    if duration <= 0:
-        raise ValueError("duration must be > 0")
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError("duration must be finite and > 0")
     timeline = _validated_timeline(fault_timeline, duration)
     n = int(round(duration * config.sample_rate))
     if n < 2:

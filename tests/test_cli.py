@@ -252,6 +252,13 @@ class TestErrorPaths:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    def test_gen_refuses_non_finite_duration(self, tmp_path, capsys, duration):
+        out = tmp_path / "x.csv"
+        code = main(["gen", "--series", "S1", "--duration", duration, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: duration")
+
     def test_bad_class_token(self, tmp_path, capsys):
         code = main(["gen", "--series", "Q9", "--out", str(tmp_path / "x.csv")])
         assert code == 2

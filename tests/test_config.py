@@ -117,6 +117,7 @@ class TestValidation:
             ("leakage = 1.5", r"leakage must be in \[0, 1\)"),
             ("m_try = 0", "m_try must be >= 1"),
             ("max_depth = 0", "max_depth must be >= 1"),
+            ("classes =", "classes must name at least one class"),
         ],
     )
     def test_rejects_out_of_range_value_at_load(self, line, message):

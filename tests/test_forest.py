@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from trifault import forest
+from trifault.cli import generate_training_pool
 from trifault.config import default_class_labels
+from trifault.dataset import training_rows
 from trifault.forest import (
     ForestParams,
     ModelFormatError,
@@ -74,6 +77,11 @@ GOLDEN_MODELS = {
         ForestParams(n_trees=4, m_try=3, seed=7),
     ),
 }
+
+
+# sha256 of the desk pool's feature bytes and of the desk model file
+DESK_POOL_SHA256 = "bc09d8c141881d4f26bd1f48611f4ef39a3cdb07bb65bd52e0decb7636e1f41b"
+DESK_MODEL_SHA256 = "4e523a33293daca7d32c808a1498663a07481d41e6626e48a2825f774ea2ded6"
 
 
 class TestNormalization:
@@ -301,6 +309,23 @@ class TestLockstepGrowth:
         assert np.array_equal(model.nodes.feature, feature)
         assert np.array_equal(model.nodes.threshold, threshold)
         assert np.array_equal(model.nodes.leaf_code, leaf_code)
+
+    @pytest.mark.parametrize(
+        "make_set",
+        [
+            lambda: blob_set(np.random.default_rng(35), spread=1.5),
+            lambda: tie_set(np.random.default_rng(36)),
+        ],
+        ids=["blobs", "ties"],
+    )
+    def test_split_batches_do_not_change_bytes(self, make_set, monkeypatch):
+        # one node per batch, a few nodes per batch, and every node of a step in one batch
+        ts = make_set()
+        params = ForestParams(n_trees=6, m_try=2, seed=8)
+        default = model_to_lines(train_forest(ts, params))
+        for split_rows in (1, 64, 10**9):
+            monkeypatch.setattr(forest, "_SPLIT_ROWS", split_rows)
+            assert model_to_lines(train_forest(ts, params)) == default
 
 
 def reference_children(feature):
@@ -689,6 +714,18 @@ class TestPersistence:
         lines[2:5] = ["n_features 0", "feature_names", "scaler"]
         with pytest.raises(ModelFormatError, match="'n_features 0'"):
             model_from_lines(lines)
+
+    def test_desk_model_bytes_are_pinned(self, desk_experiment, tmp_path):
+        # The digest was recorded before each lockstep step became one loop
+        # body. The pool comes from NumPy's sin, whose last bit may differ
+        # with the NumPy build and the CPU, so the model digest is compared
+        # on the recorded pool only.
+        X, _ = training_rows(generate_training_pool(desk_experiment.config))
+        if hashlib.sha256(X.tobytes()).hexdigest() != DESK_POOL_SHA256:
+            pytest.skip("this platform simulates a different desk pool")
+        save_model(desk_experiment.model, tmp_path / "desk.txt")
+        digest = hashlib.sha256((tmp_path / "desk.txt").read_bytes()).hexdigest()
+        assert digest == DESK_MODEL_SHA256
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
     def test_trainer_reproduces_golden_model(self, name):
