@@ -38,9 +38,15 @@ batches, and match those of growing one node at a time.
 
 Inference walks the trees in blocks of 16. Within a block, every
 (row, tree) pair steps down together, ordered tree by tree so that one
-step reads only that block's nodes; a pair leaves the walk at its leaf,
-and the block's votes are added with one bincount. Rows go through in
-chunks that keep at most 2**17 pairs alive. When only labels are
+step reads only that block's nodes, and the block's votes are added
+with one bincount. A leaf is its own child, so pairs take 3 steps
+between leaf checks; a check drops the pairs at a leaf and compacts the
+rest. Rows go through in spans of 2048, and the calling thread and one
+helper thread per further core take spans from one iterator: NumPy
+releases the interpreter lock inside the gathers and compares, so the
+spans walk at the same time. A span writes only its own rows' votes, so
+the counts depend neither on the spans nor on the number of cores. The
+helpers are joined before the call returns. When only labels are
 wanted, a row stops after any block where its leading vote beats the
 runner-up by more than the number of trees not yet walked: even if
 every remaining tree voted for one other label, that label would end
@@ -53,7 +59,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -68,8 +75,10 @@ MODEL_FORMAT_VERSION = 1
 _MIN_GAIN = 1e-12
 # inference walks the trees this many at a time ...
 _TREE_BLOCK = 16
-# ... over row chunks holding at most this many (row, tree) pairs
-_MAX_PAIRS = 1 << 17
+# ... over spans of this many rows, shared out among the cores ...
+_SPAN_ROWS = 2048
+# ... and lets each pair take this many steps between leaf checks
+_LEAF_CHECK_STEPS = 3
 # training grows as many trees at a time as keep their presorted row lists
 # within this many entries ...
 _GROW_ENTRIES = 1 << 22
@@ -523,30 +532,69 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     )
 
 
-def _walk_block(X_norm, nodes: NodeTable, child, rows, roots):
+def _walk_block(X_flat, n_features, nodes: NodeTable, child, rows, roots):
     """Walk every (row, tree) pair of one tree block to its leaf.
 
-    Pairs are tree-major, so each step only reads that block's nodes; a
-    pair is dropped once it reaches a leaf. Returns the row and the leaf
-    label code of every pair.
+    Pairs are tree-major, so each step only reads that block's nodes. A
+    leaf is its own child, so a pair that reaches one stays there; pairs
+    take _LEAF_CHECK_STEPS steps between checks, and the pairs at a leaf
+    are dropped only at a check. Returns the row and the leaf label code
+    of every pair.
     """
     feature, threshold, _, _, leaf_code = nodes
-    n_features = X_norm.shape[1]
-    X_flat = X_norm.ravel()
     row = np.tile(rows, roots.size)
     cur = np.repeat(roots, rows.size)
     done_rows, done_codes = [], []
     while row.size:
-        feat = feature[cur]
-        leaf = feat < 0
-        if leaf.any():
-            done_rows.append(row[leaf])
-            done_codes.append(leaf_code[cur[leaf]])
-            walking = ~leaf
-            row, cur, feat = row[walking], cur[walking], feat[walking]
-        go_left = X_flat[row * n_features + feat] <= threshold[cur]
-        cur = child[2 * cur + go_left]
+        # a leaf's feature is -1, so its read lands on some other value of
+        # X_flat; either comparison result keeps the pair where it is
+        base = row * n_features
+        for _ in range(_LEAF_CHECK_STEPS):
+            cur = child[2 * cur + (X_flat[base + feature[cur]] <= threshold[cur])]
+        leaf = feature[cur] < 0
+        done_rows.append(row[leaf])
+        done_codes.append(leaf_code[cur[leaf]])
+        walking = ~leaf
+        row, cur = row[walking], cur[walking]
     return np.concatenate(done_rows), np.concatenate(done_codes)
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_all_cores(work, n_rows: int) -> None:
+    """Call work(lo, hi) once for each span of _SPAN_ROWS rows.
+
+    The calling thread and up to _cores() - 1 helper threads take spans
+    from one shared iterator; NumPy releases the interpreter lock inside
+    its gathers and compares, so the walks overlap. The helpers start
+    here and are joined before this returns, so no thread outlives the
+    call (``train --jobs`` forks its workers later).
+    """
+    spans = iter(range(0, n_rows, _SPAN_ROWS))
+    lock = threading.Lock()
+
+    def pull() -> None:
+        while True:
+            with lock:
+                lo = next(spans, None)
+            if lo is None:
+                return
+            work(lo, min(lo + _SPAN_ROWS, n_rows))
+
+    n_helpers = min(_cores(), -(-n_rows // _SPAN_ROWS)) - 1
+    if n_helpers < 1:
+        pull()
+        return
+    with ThreadPoolExecutor(max_workers=n_helpers) as pool:
+        helpers = [pool.submit(pull) for _ in range(n_helpers)]
+        pull()
+        for helper in helpers:
+            helper.result()
 
 
 def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -> np.ndarray:
@@ -554,7 +602,9 @@ def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -
 
     With _until_decided, a row stops being walked once its label can no
     longer change, so its counts may be partial but their argmax is the
-    full forest's.
+    full forest's. The counts depend neither on the row spans nor on the
+    number of threads: each span writes only its own rows, and the early
+    stop is decided row by row.
     """
     X = np.asarray(X_raw, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
@@ -562,22 +612,21 @@ def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise ValueError(f"feature row {bad[0]} is not finite: {X[bad[0]].tolist()}")
-    X_norm = normalize_apply(model.scaler, X)
+    X_flat = normalize_apply(model.scaler, X).ravel()
     # child[2 * node + went_left]
     child = np.stack([model.nodes.right, model.nodes.left], axis=1).ravel()
     n_rows, n_classes, n_trees = X.shape[0], len(model.label_universe), model.n_trees
     votes = np.zeros((n_rows, n_classes), dtype=np.int32)
-    chunk_rows = _MAX_PAIRS // _TREE_BLOCK
-    for lo in range(0, n_rows, chunk_rows):
-        hi = min(lo + chunk_rows, n_rows)
-        chunk_votes = votes[lo:hi]
+
+    def walk_span(lo: int, hi: int) -> None:
+        span_votes = votes[lo:hi]
         live = np.arange(lo, hi)
         for b in range(0, n_trees, _TREE_BLOCK):
             roots = model.roots[b : b + _TREE_BLOCK]
-            rows, codes = _walk_block(X_norm, model.nodes, child, live, roots)
-            chunk_votes += np.bincount(
-                (rows - lo) * n_classes + codes, minlength=chunk_votes.size
-            ).reshape(chunk_votes.shape)
+            rows, codes = _walk_block(X_flat, model.n_features, model.nodes, child, live, roots)
+            span_votes += np.bincount(
+                (rows - lo) * n_classes + codes, minlength=span_votes.size
+            ).reshape(span_votes.shape)
             if _until_decided:
                 # a row whose leader beats the runner-up by more than the
                 # trees left is decided; a one-class model never is
@@ -585,6 +634,8 @@ def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -
                 live = live[top[:, -1] - top[:, 0] <= n_trees - b - roots.size]
                 if not live.size:
                     break
+
+    _on_all_cores(walk_span, n_rows)
     return votes
 
 
@@ -596,7 +647,14 @@ def predict_batch(model: RandomForestModel, features) -> list[FaultLabel]:
 
 def predict(model: RandomForestModel, features) -> tuple[FaultLabel, dict[FaultLabel, int]]:
     """Label plus per-label vote counts for one feature row."""
-    votes = _vote_codes(model, np.asarray(features, dtype=float).reshape(1, -1))[0]
+    row = np.asarray(features, dtype=float)
+    n = model.n_features
+    if row.shape not in ((n,), (1, n)):
+        raise ValueError(
+            f"predict takes one row of {n} features, got shape {row.shape}; "
+            "use predict_batch for several rows"
+        )
+    votes = _vote_codes(model, row.reshape(1, n))[0]
     counts = {model.label_universe[k]: int(v) for k, v in enumerate(votes) if v}
     return model.label_universe[int(np.argmax(votes))], counts
 

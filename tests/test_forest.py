@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
+import threading
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -530,6 +533,13 @@ class TestVoting:
         with pytest.raises(ValueError):
             predict_batch(model, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (6,), (1, 1, 3)])
+    def test_predict_refuses_anything_but_one_row(self, shape):
+        model = train_forest(blob_set(np.random.default_rng(14)), ForestParams(n_trees=2, seed=1))
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}; use predict_batch")):
+            predict(model, np.ones(shape))
+        assert predict(model, np.ones((1, 3))) == predict(model, np.ones(3))
+
 
 class TestBlockedWalk:
     """The tree-block walk against a per-row, per-tree reference walk."""
@@ -537,7 +547,7 @@ class TestBlockedWalk:
     @pytest.fixture(scope="class")
     def walked(self):
         # 37 trees: two full blocks and a partial one; 9000 rows: more
-        # than one chunk of (row, tree) pairs
+        # than one span, with a partial span at the end
         ts = blob_set(np.random.default_rng(21), spread=1.2)
         model = train_forest(ts, ForestParams(n_trees=37, seed=4))
         X = np.random.default_rng(22).uniform(-2.0, 8.0, size=(9000, 3))
@@ -557,6 +567,48 @@ class TestBlockedWalk:
         # argmax takes the first maximum: the sorted-label tie-break
         expected = [model.label_universe[k] for k in np.argmax(counts, axis=1)]
         assert predict_batch(model, X) == expected
+
+    @pytest.mark.parametrize("span_rows", [1, 7, 20000])
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_votes_do_not_depend_on_spans_or_threads(self, walked, monkeypatch, span_rows, cores):
+        model, X, counts = walked
+        # one-row spans walk slowly, so they take a prefix
+        n = 900 if span_rows == 1 else len(X)
+        monkeypatch.setattr(forest, "_SPAN_ROWS", span_rows)
+        monkeypatch.setattr(forest, "_cores", lambda: cores)
+        # frequent thread switches make a span taken twice or a lost vote
+        # update likelier to show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert np.array_equal(_vote_codes(model, X[:n]), counts[:n])
+            labels = predict_batch(model, X[:n])
+        finally:
+            sys.setswitchinterval(interval)
+        assert labels == [model.label_universe[k] for k in np.argmax(counts[:n], axis=1)]
+
+    def test_no_thread_outlives_a_call(self, walked, monkeypatch):
+        model, X, _ = walked
+        walkers = set()
+        walk = forest._walk_block
+
+        def traced_walk(*args):
+            walkers.add(threading.get_ident())
+            return walk(*args)
+
+        monkeypatch.setattr(forest, "_walk_block", traced_walk)
+        monkeypatch.setattr(forest, "_cores", lambda: 3)
+        before = threading.active_count()
+        predict_batch(model, X)
+        assert len(walkers) > 1
+        assert threading.active_count() == before
+        # the --jobs workers are forked after inference ran in this process
+        ts = blob_set(np.random.default_rng(23))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sequential = model_to_lines(train_forest(ts, ForestParams(n_trees=4, seed=2)))
+            parallel = model_to_lines(train_forest(ts, ForestParams(n_trees=4, seed=2), n_jobs=2))
+        assert parallel == sequential
 
     def test_predict_counts_sum_to_tree_count(self, walked):
         model, X, _ = walked
