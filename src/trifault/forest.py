@@ -36,33 +36,41 @@ over every class, the same gain expression, and the first maximum per
 node. So the model bytes depend neither on the block size nor on the
 batches, and match those of growing one node at a time.
 
-Inference walks the trees in blocks of 16. Within a block, every
-(row, tree) pair steps down together, ordered tree by tree so that one
-step reads only that block's nodes, and the block's votes are added
-with one bincount. A leaf is its own child, so pairs take 3 steps
-between leaf checks; a check drops the pairs at a leaf and compacts the
-rest. Rows go through in spans of 2048, and the calling thread and one
-helper thread per further core take spans from one iterator: NumPy
-releases the interpreter lock inside the gathers and compares, so the
-spans walk at the same time. A span writes only its own rows' votes, so
-the counts depend neither on the spans nor on the number of cores. The
-helpers are joined before the call returns. When only labels are
-wanted, a row stops after any block where its leading vote beats the
-runner-up by more than the number of trees not yet walked: even if
-every remaining tree voted for one other label, that label would end
-below the leader, so the argmax cannot change. A margin equal to the
-trees left keeps the row walking, because a tie would go to the label
-that sorts first, which may be the runner-up.
+Inference walks a second layout of the nodes, built once per model on
+its first use and kept on it: each tree keeps its entries, but the two
+children of a split sit side by side, so a step is first + (value >
+threshold), read with ndarray.take gathers (cheaper than fancy
+indexing). A leaf points at itself with an infinite threshold, so a step
+leaves a pair at a leaf where it is. The trees are walked in blocks of
+16. Within a block, every (row, tree) pair steps down together, ordered
+tree by tree so that one step reads only that block's nodes, and the
+block's votes are added with one bincount. Pairs take 3 steps between
+leaf checks; a check drops the pairs at a leaf and compacts the rest.
+The rows are cut into equal spans of at most 4096 rows, and into at
+least one per core while each span keeps 1000 rows, and the calling
+thread and one helper thread per further core take spans from one
+iterator: NumPy releases the interpreter lock inside the gathers and
+compares, so the spans walk at the same time. A span writes only its own rows' votes, so the counts
+depend neither on the spans nor on the number of cores. The helpers are
+joined before the call returns. When only labels are wanted, a row
+stops after any block where its leading vote beats the runner-up by
+more than the number of trees not yet walked: even if every remaining
+tree voted for one other label, that label would end below the leader,
+so the argmax cannot change. A margin equal to the trees left keeps the
+row walking, because a tie would go to the label that sorts first,
+which may be the runner-up. A lead is at most the trees walked, so no
+row is checked before more than half the trees are walked.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -75,8 +83,12 @@ MODEL_FORMAT_VERSION = 1
 _MIN_GAIN = 1e-12
 # inference walks the trees this many at a time ...
 _TREE_BLOCK = 16
-# ... over spans of this many rows, shared out among the cores ...
-_SPAN_ROWS = 2048
+# ... over equal spans of at most this many rows, shared out among the cores,
+# one per core or more as long as each holds the second count: shorter
+# spans walk slower on two threads than on one, which hand the interpreter
+# lock back and forth between short NumPy calls ...
+_SPAN_ROWS = 4096
+_MIN_SPAN_ROWS = 1000
 # ... and lets each pair take this many steps between leaf checks
 _LEAF_CHECK_STEPS = 3
 # training grows as many trees at a time as keep their presorted row lists
@@ -186,6 +198,47 @@ class TrainingSet:
         return self.features.shape[1]
 
 
+class _WalkTable(NamedTuple):
+    """The stacked trees relabelled for walking, tree t still at the
+    entries from roots[t] up to the next root.
+
+    An internal node's children sit side by side, left at first and
+    right at first + 1, so a step is first + (value > threshold). A leaf
+    has threshold +inf, feature 0 and first pointing at itself, so a
+    step leaves it where it is. leaf_code is -1 at an internal node.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    first: np.ndarray
+    leaf_code: np.ndarray
+
+
+def _build_walk_table(nodes: NodeTable, roots: np.ndarray) -> _WalkTable:
+    """The walk table of a stacked forest. A root keeps its entry; the
+    k-th internal node of a tree, in preorder, gets its children at
+    entries 2k + 1 and 2k + 2 after the root."""
+    feature, threshold, left, right, leaf_code = nodes
+    n = feature.size
+    internal = feature >= 0
+    root = np.repeat(roots, np.diff(roots, append=n))  # each node's tree root
+    before = np.cumsum(internal) - internal  # internal nodes before each node
+    split = np.flatnonzero(internal)
+    pair = root[split] + 1 + 2 * (before[split] - before[root[split]])
+    new = np.empty(n, dtype=np.intp)
+    new[roots] = roots
+    new[left[split]], new[right[split]] = pair, pair + 1
+    # int8 codes make the gathers read less; label codes are below 64 (one
+    # per 6-bit mask), but a model file may index more than 128 features
+    code = np.int8 if feature.max(initial=0) <= np.iinfo(np.int8).max else np.intp
+    table = _WalkTable(np.empty(n, code), np.empty(n), np.empty(n, np.intp), np.empty(n, code))
+    table.feature[new] = np.maximum(feature, 0)
+    table.threshold[new] = np.where(internal, threshold, np.inf)
+    table.first[new] = new[left]  # a leaf's left is itself
+    table.leaf_code[new] = leaf_code
+    return table
+
+
 @dataclass
 class RandomForestModel:
     """Every tree's node table stacked into one. Tree t occupies the
@@ -206,6 +259,11 @@ class RandomForestModel:
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
+
+    @cached_property
+    def _walk_table(self) -> _WalkTable:
+        """The nodes laid out for inference, built on first use."""
+        return _build_walk_table(self.nodes, self.roots)
 
 
 def normalize_fit(features) -> np.ndarray:
@@ -516,7 +574,11 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     blocks = [range(b, min(b + block, params.n_trees)) for b in range(0, params.n_trees, block)]
     grow = partial(_grow_indexed_block, X_norm, codes, n_classes, params)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # NumPy's OpenBLAS threads already run in this process, and a fork
+        # copies only the thread that forks, so the workers start afresh
+        method = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             grown = list(pool.map(grow, blocks))
     else:
         grown = list(map(grow, blocks))
@@ -532,30 +594,29 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     )
 
 
-def _walk_block(X_flat, n_features, nodes: NodeTable, child, rows, roots):
+def _walk_block(X_flat, n_features, table: _WalkTable, rows, roots):
     """Walk every (row, tree) pair of one tree block to its leaf.
 
-    Pairs are tree-major, so each step only reads that block's nodes. A
-    leaf is its own child, so a pair that reaches one stays there; pairs
-    take _LEAF_CHECK_STEPS steps between checks, and the pairs at a leaf
-    are dropped only at a check. Returns the row and the leaf label code
-    of every pair.
+    Pairs are tree-major, so each step only reads that block's nodes, and
+    a pair carries only where its row starts in X_flat. A leaf keeps a
+    pair where it is, so pairs take _LEAF_CHECK_STEPS steps between
+    checks, and the pairs at a leaf are dropped only at a check. Returns
+    the row and the leaf label code of every pair.
     """
-    feature, threshold, _, _, leaf_code = nodes
-    row = np.tile(rows, roots.size)
+    feature, threshold, first, leaf_code = table
+    base = np.tile(rows * n_features, roots.size)
     cur = np.repeat(roots, rows.size)
     done_rows, done_codes = [], []
-    while row.size:
-        # a leaf's feature is -1, so its read lands on some other value of
-        # X_flat; either comparison result keeps the pair where it is
-        base = row * n_features
+    while base.size:
         for _ in range(_LEAF_CHECK_STEPS):
-            cur = child[2 * cur + (X_flat[base + feature[cur]] <= threshold[cur])]
-        leaf = feature[cur] < 0
-        done_rows.append(row[leaf])
-        done_codes.append(leaf_code[cur[leaf]])
+            right = X_flat.take(base + feature.take(cur)) > threshold.take(cur)
+            cur = first.take(cur) + right
+        code = leaf_code.take(cur)
+        leaf = code >= 0
+        done_rows.append(base[leaf] // n_features)
+        done_codes.append(code[leaf])
         walking = ~leaf
-        row, cur = row[walking], cur[walking]
+        base, cur = base[walking], cur[walking]
     return np.concatenate(done_rows), np.concatenate(done_codes)
 
 
@@ -567,26 +628,30 @@ def _cores() -> int:
 
 
 def _on_all_cores(work, n_rows: int) -> None:
-    """Call work(lo, hi) once for each span of _SPAN_ROWS rows.
+    """Cut the rows into equal spans, none longer than _SPAN_ROWS and at
+    least one per core while each keeps _MIN_SPAN_ROWS, and call
+    work(lo, hi) once for each.
 
     The calling thread and up to _cores() - 1 helper threads take spans
     from one shared iterator; NumPy releases the interpreter lock inside
     its gathers and compares, so the walks overlap. The helpers start
     here and are joined before this returns, so no thread outlives the
-    call (``train --jobs`` forks its workers later).
+    call.
     """
-    spans = iter(range(0, n_rows, _SPAN_ROWS))
+    cores = _cores()
+    n_spans = max(min(cores, n_rows // _MIN_SPAN_ROWS), -(-n_rows // _SPAN_ROWS))
+    spans = iter(range(n_spans))
     lock = threading.Lock()
 
     def pull() -> None:
         while True:
             with lock:
-                lo = next(spans, None)
-            if lo is None:
+                k = next(spans, None)
+            if k is None:
                 return
-            work(lo, min(lo + _SPAN_ROWS, n_rows))
+            work(k * n_rows // n_spans, (k + 1) * n_rows // n_spans)
 
-    n_helpers = min(_cores(), -(-n_rows // _SPAN_ROWS)) - 1
+    n_helpers = min(cores, n_spans) - 1
     if n_helpers < 1:
         pull()
         return
@@ -613,8 +678,7 @@ def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -
     if bad.size:
         raise ValueError(f"feature row {bad[0]} is not finite: {X[bad[0]].tolist()}")
     X_flat = normalize_apply(model.scaler, X).ravel()
-    # child[2 * node + went_left]
-    child = np.stack([model.nodes.right, model.nodes.left], axis=1).ravel()
+    table = model._walk_table
     n_rows, n_classes, n_trees = X.shape[0], len(model.label_universe), model.n_trees
     votes = np.zeros((n_rows, n_classes), dtype=np.int32)
 
@@ -623,15 +687,17 @@ def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -
         live = np.arange(lo, hi)
         for b in range(0, n_trees, _TREE_BLOCK):
             roots = model.roots[b : b + _TREE_BLOCK]
-            rows, codes = _walk_block(X_flat, model.n_features, model.nodes, child, live, roots)
+            rows, codes = _walk_block(X_flat, model.n_features, table, live, roots)
             span_votes += np.bincount(
                 (rows - lo) * n_classes + codes, minlength=span_votes.size
             ).reshape(span_votes.shape)
-            if _until_decided:
-                # a row whose leader beats the runner-up by more than the
-                # trees left is decided; a one-class model never is
+            walked = b + roots.size
+            # a row whose leader beats the runner-up by more than the trees
+            # left is decided; a one-class model never is. A lead is at
+            # most the trees walked, so no row is decided before half.
+            if _until_decided and 2 * walked > n_trees:
                 top = np.sort(votes[live], axis=1)[:, -2:]
-                live = live[top[:, -1] - top[:, 0] <= n_trees - b - roots.size]
+                live = live[top[:, -1] - top[:, 0] <= n_trees - walked]
                 if not live.size:
                     break
 

@@ -8,6 +8,7 @@ import sys
 import threading
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from trifault.forest import (
     train_tree,
     tree_rng,
 )
-from trifault.simulate import NO_FAULT, FaultLabel
+from trifault.simulate import NO_FAULT, FaultLabel, simulate
 
 L0 = NO_FAULT
 L1 = FaultLabel.from_switches([1])
@@ -636,6 +637,227 @@ class TestBlockedWalk:
             predict_batch(model, rows)
         with pytest.raises(ValueError, match="feature row 0 is not finite"):
             predict(model, rows[1])
+
+    def test_call_of_2001_rows_walks_on_two_cores(self, walked, monkeypatch):
+        model, X, counts = walked
+        # each thread's first walk waits here until the other thread's has
+        # started, so a call that walks on one thread only times out
+        both_walking = threading.Barrier(2, timeout=10)
+        walkers = set()
+        walk = forest._walk_block
+
+        def traced_walk(*args):
+            if threading.get_ident() not in walkers:
+                walkers.add(threading.get_ident())
+                both_walking.wait()
+            return walk(*args)
+
+        monkeypatch.setattr(forest, "_walk_block", traced_walk)
+        monkeypatch.setattr(forest, "_cores", lambda: 2)
+        assert np.array_equal(_vote_codes(model, X[:2001]), counts[:2001])
+        assert len(walkers) == 2
+
+    @pytest.mark.parametrize(
+        "n_rows, cores, span_rows, n_spans",
+        [(0, 2, 4096, 0), (1, 3, 4096, 1), (200, 2, 4096, 1), (1999, 2, 4096, 1),
+         (2000, 2, 4096, 2), (2001, 1, 4096, 1), (9000, 3, 4096, 3), (9000, 1, 4096, 3),
+         (120000, 2, 4096, 30), (9000, 2, 7, 1286), (5, 3, 1, 5)],
+    )
+    def test_spans_are_equal_and_shared_by_the_cores(self, monkeypatch, n_rows, cores, span_rows, n_spans):
+        monkeypatch.setattr(forest, "_SPAN_ROWS", span_rows)
+        monkeypatch.setattr(forest, "_cores", lambda: cores)
+        spans = []
+        lock = threading.Lock()
+
+        def work(lo, hi):
+            with lock:
+                spans.append((lo, hi))
+
+        forest._on_all_cores(work, n_rows)
+        spans.sort()
+        assert len(spans) == n_spans
+        assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+        if spans:
+            assert spans[0][0] == 0 and spans[-1][1] == n_rows
+            sizes = [hi - lo for lo, hi in spans]
+            assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= span_rows
+
+
+def tree_codes(model, X):
+    """(rows, trees) leaf label codes, each tree walked alone over the
+    model's node table, all rows at once."""
+    X_norm = normalize_apply(model.scaler, X)
+    nodes = model.nodes
+    at = np.arange(len(X))
+    codes = np.empty((len(X), model.n_trees), dtype=np.intp)
+    for t, root in enumerate(model.roots):
+        k = np.full(len(X), root)
+        while (nodes.feature[k] >= 0).any():
+            go_left = X_norm[at, np.maximum(nodes.feature[k], 0)] <= nodes.threshold[k]
+            k = np.where(go_left, nodes.left[k], nodes.right[k])  # a leaf's children are itself
+        codes[:, t] = nodes.leaf_code[k]
+    return codes
+
+
+def early_stop_reference(codes, n_classes, block=16):
+    """Partial vote counts of a walk over blocks of trees that checks,
+    after every block from the first, whether a row's leader beats the
+    runner-up by more than the trees left, and stops walking it then."""
+    n_rows, n_trees = codes.shape
+    votes = np.zeros((n_rows, n_classes), dtype=np.intp)
+    live = np.arange(n_rows)
+    for b in range(0, n_trees, block):
+        for t in range(b, min(b + block, n_trees)):
+            votes[live, codes[live, t]] += 1
+        top = np.sort(votes[live], axis=1)
+        lead = top[:, -1] - (top[:, -2] if n_classes > 1 else 0)
+        live = live[lead <= n_trees - min(b + block, n_trees)]
+    return votes
+
+
+class TestEarlyStop:
+    """Partial counts of the early stop against a check after every block."""
+
+    def test_desk_counts_match_a_check_after_every_block(self, desk_experiment):
+        config = desk_experiment.config
+        model = desk_experiment.model
+        s13 = FaultLabel.from_switches([1, 3])
+        rows = []
+        # contested votes off the trained amplitude, clear ones at it
+        for k, share in enumerate((0.7, 1.0, 1.3)):
+            sim = config.sim_config(seed=40 + k)
+            sim = replace(sim, amplitude=sim.amplitude * share)
+            rows.append(simulate(sim, ((0.05, s13),), 0.1).currents()[::4])
+        X = np.concatenate(rows)
+        codes = tree_codes(model, X)
+        n_classes = len(model.label_universe)
+        full = np.stack([np.bincount(c, minlength=n_classes) for c in codes])
+        assert np.array_equal(_vote_codes(model, X), full)
+        partial = _vote_codes(model, X, _until_decided=True)
+        assert np.array_equal(partial, early_stop_reference(codes, n_classes))
+        walked = partial.sum(axis=1)
+        # rows stop at several blocks, and some are walked to the end
+        assert len(np.unique(walked)) > 3 and (walked == model.n_trees).any()
+        assert np.array_equal(np.argmax(partial, axis=1), np.argmax(full, axis=1))
+
+    @pytest.mark.parametrize("n_trees, walked", [(31, 16), (32, 32), (33, 32), (47, 32), (64, 48)])
+    def test_row_is_decided_at_the_first_block_past_half(self, n_trees, walked):
+        # every tree votes the fault label: the lead equals the trees walked
+        model = single_leaf_forest(*["100000"] * n_trees)
+        X = np.zeros((3, 1))
+        partial = _vote_codes(model, X, _until_decided=True)
+        assert np.array_equal(partial, early_stop_reference(tree_codes(model, X), 2))
+        assert partial.tolist() == [[0, walked]] * 3
+
+
+def table_preorder(table, root):
+    """Entries of one tree of a walk table in preorder, taking an
+    internal entry's children at first (left) and first + 1 (right)."""
+    order, stack = [], [root]
+    while stack:
+        k = stack.pop()
+        order.append(k)
+        if table.leaf_code[k] < 0:
+            stack += [table.first[k] + 1, table.first[k]]
+    return order
+
+
+# two deep one-feature trees, one leaning each way
+DEEP_TREES = (
+    ["I 0 0.5", "I 0 0.25", "L 000000", "I 0 0.375", "L 100000", "L 000000",
+     "I 0 0.75", "L 100000", "L 000000"],
+    ["I 0 0.1", "L 000000", "I 0 0.2", "L 100000", "I 0 0.3", "L 000000", "L 100000"],
+)
+
+
+class TestWalkTable:
+    """The sibling-adjacent node layout that inference walks."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return train_forest(tie_set(np.random.default_rng(24)), ForestParams(n_trees=5, seed=8))
+
+    def test_children_sit_side_by_side(self, model):
+        table, nodes = model._walk_table, model.nodes
+        ends = [*model.roots[1:].tolist(), nodes.feature.size]
+        for root, end in zip(model.roots.tolist(), ends):
+            order = table_preorder(table, root)
+            # the tree keeps its own entries, each used once ...
+            assert sorted(order) == list(range(root, end))
+            # ... and read in preorder they are the tree's nodes
+            internal = nodes.feature[root:end] >= 0
+            assert table.leaf_code[order].tolist() == nodes.leaf_code[root:end].tolist()
+            assert table.feature[order][internal].tolist() == nodes.feature[root:end][internal].tolist()
+            assert table.threshold[order][internal].tolist() == nodes.threshold[root:end][internal].tolist()
+
+    def test_leaves_point_at_themselves_with_infinite_thresholds(self, model):
+        table = model._walk_table
+        leaf = table.leaf_code >= 0
+        entry = np.arange(leaf.size)
+        assert leaf.sum() == (model.nodes.feature < 0).sum()
+        assert np.array_equal(table.first[leaf], entry[leaf])
+        assert np.all(table.threshold[leaf] == np.inf) and np.all(table.feature[leaf] == 0)
+        assert np.all(np.isfinite(table.threshold[~leaf])) and np.all(table.first[~leaf] > entry[~leaf])
+        assert table.feature.dtype == table.leaf_code.dtype == np.int8
+
+    def test_row_equal_to_a_threshold_goes_left(self):
+        model = model_from_lines(one_tree_lines("I 0 0.5", "L 000000", "L 100000"))
+        rows = np.array([[0.5], [np.nextafter(0.5, 1.0)], [np.nextafter(0.5, 0.0)]])
+        expected = [model.nodes.leaf_code[leaf_of(model.nodes, row)] for row in rows]
+        assert expected == [0, 1, 0]
+        assert np.argmax(_vote_codes(model, rows), axis=1).tolist() == expected
+        assert predict_batch(model, rows) == [L0, L1, L0]
+
+    @pytest.mark.parametrize(
+        "trees",
+        [
+            [["L 000000"], ["L 100000"], ["L 100000"]],
+            # 20 trees, so a second block: one-leaf trees between deep ones
+            [["L 100000"], DEEP_TREES[0], ["L 000000"], DEEP_TREES[1], ["L 100000"]] * 4,
+        ],
+    )
+    def test_one_leaf_trees_match_the_reference(self, trees):
+        model = model_from_lines(forest_lines(*trees))
+        X = np.concatenate([
+            np.random.default_rng(25).uniform(-0.5, 1.5, size=(200, 1)),
+            np.array([[0.1], [0.2], [0.25], [0.3], [0.375], [0.5], [0.75]]),
+        ])
+        counts = np.zeros((len(X), 2), dtype=int)
+        for root in model.roots:
+            for i, row in enumerate(X):
+                counts[i, model.nodes.leaf_code[leaf_of(model.nodes, row, root)]] += 1
+        assert np.array_equal(_vote_codes(model, X), counts)
+        assert predict_batch(model, X) == [model.label_universe[k] for k in np.argmax(counts, axis=1)]
+
+    def test_wide_models_keep_wide_codes(self):
+        # feature 150 does not fit an int8 feature column
+        n = 200
+        lines = forest_lines(["I 150 0.5", "L 000000", "L 100000"])
+        lines[2:5] = [f"n_features {n}", "feature_names " + " ".join(f"f{k}" for k in range(n)),
+                      "scaler " + " ".join(["1"] * n)]
+        model = model_from_lines(lines)
+        X = np.zeros((2, n))
+        X[1, 150] = 1.0
+        assert predict_batch(model, X) == [L0, L1]
+        assert model._walk_table.feature.dtype == np.intp
+
+    def test_table_is_built_once_per_model(self, model, monkeypatch):
+        builds = []
+        build = forest._build_walk_table
+
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(forest, "_build_walk_table", counted_build)
+        fresh = model_from_lines(model_to_lines(model))
+        X = np.asarray(tie_set(np.random.default_rng(26)).features)
+        labels = predict_batch(fresh, X)
+        table = fresh._walk_table
+        assert predict_batch(fresh, X) == labels
+        assert np.array_equal(_vote_codes(fresh, X), _vote_codes(fresh, X))
+        assert fresh._walk_table is table
+        assert len(builds) == 1
 
 
 def one_tree_lines(*node_lines):
