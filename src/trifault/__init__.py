@@ -3,14 +3,16 @@
 The package covers the full desk-scale pipeline:
 
 - :mod:`trifault.simulate` — behavioral waveform model of a three-phase
-  converter with open-switch faults injected on a timeline.
+  converter with open-switch faults injected on a timeline, and the six
+  60-degree regions of the fundamental period.
 - :mod:`trifault.haar`, :mod:`trifault.vectors`, :mod:`trifault.timestats` —
   transient feature families (Haar filter bank, current-vector geometry,
   time-domain statistics) over sample windows, kept as a feature library;
   the forest reads instantaneous samples, not these.
 - :mod:`trifault.forest` — a deterministic random-forest classifier over
   instantaneous current samples, with a text model format and
-  cross-validation helpers.
+  cross-validation helpers; ``predict_batch`` labels any number of rows,
+  one row included.
 - :mod:`trifault.diagnosis` — the online stage: resampling, per-sample
   classification, debouncing, region-gated vote fusion, and the latched
   protection signal.
@@ -27,7 +29,6 @@ from .forest import (
     TrainingSet,
     cross_validate,
     load_model,
-    predict,
     predict_batch,
     save_model,
     train_forest,
@@ -38,7 +39,6 @@ from .simulate import (
     SimConfig,
     TriPhaseSeries,
     detectable_faults,
-    region_of,
     simulate,
 )
 
@@ -61,9 +61,7 @@ __all__ = [
     "load_config",
     "load_model",
     "parse_class_token",
-    "predict",
     "predict_batch",
-    "region_of",
     "resample",
     "run_diagnosis",
     "save_model",

@@ -184,7 +184,7 @@ def _print_confusion(confusion: np.ndarray, universe) -> None:
 def _load_experiment_config(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
-        config = config.with_seed(args.seed)
+        config = replace(config, seed=args.seed)
     return config
 
 

@@ -3,16 +3,16 @@
 Covers waveform generation, dataset composition, forest training and
 the online diagnosis pipeline. Every key is an ExperimentConfig field
 and is parsed by the parser of its declared type. Lines starting with
-# and blank lines are ignored; unknown keys are rejected. Class lists
-use tokens like `normal`, `S2`, or `S1+S3` (a bit string such as
-`101000` also works). The diagnosis window is derived, not set: one
-fundamental period, target_rate / frequency samples.
+# and blank lines are ignored; an unknown key, or a key given twice, is
+rejected. Class lists use tokens like `normal`, `S2`, or `S1+S3` (a bit
+string such as `101000` also works). The diagnosis window is derived,
+not set: one fundamental period, target_rate / frequency samples.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .diagnosis import DiagnosisConfig
 from .forest import ForestParams
@@ -117,13 +117,13 @@ class ExperimentConfig:
             seed=self.seed if seed is None else seed,
         )
 
-    def forest_params(self, seed: int | None = None) -> ForestParams:
+    def forest_params(self) -> ForestParams:
         return ForestParams(
             n_trees=self.n_trees,
             m_try=self.m_try,
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
         )
 
     def diagnosis_config(self) -> DiagnosisConfig:
@@ -134,9 +134,6 @@ class ExperimentConfig:
             confirm_windows=self.confirm_windows,
             phase_fallback_deg=self.phase_fallback_deg,
         )
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, seed=seed)
 
 
 def _optional_int(text: str) -> int | None:
@@ -159,6 +156,7 @@ _KEY_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 def parse_config(text: str) -> ExperimentConfig:
     values: dict = {}
+    seen_on: dict[str, int] = {}  # the line each key was given on
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -169,6 +167,11 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _KEY_PARSERS:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
+        if key in seen_on:
+            raise ValueError(
+                f"config line {line_no}: key {key!r} already given on line {seen_on[key]}"
+            )
+        seen_on[key] = line_no
         try:
             values[key] = _KEY_PARSERS[key](value_text.strip())
         except ValueError as exc:

@@ -95,6 +95,7 @@ def _timeline_text(timeline) -> str:
 
 
 def _parse_timeline(text: str, line_no: int):
+    """Timeline entries; their times must be finite, >= 0 and in order."""
     if text == "none":
         return ()
     out = []
@@ -104,6 +105,13 @@ def _parse_timeline(text: str, line_no: int):
             out.append((float(t_text), FaultLabel.from_string(label_text)))
         except ValueError as exc:
             raise DatasetFormatError(f"line {line_no}: bad timeline entry {part!r}") from exc
+        t_fault = out[-1][0]
+        if not (math.isfinite(t_fault) and t_fault >= 0.0):
+            raise DatasetFormatError(
+                f"line {line_no}: timeline time must be finite and >= 0, got {part!r}"
+            )
+        if len(out) > 1 and t_fault < out[-2][0]:
+            raise DatasetFormatError(f"line {line_no}: timeline times decrease at {part!r}")
     return tuple(out)
 
 

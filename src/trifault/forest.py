@@ -9,13 +9,13 @@ split ties go to the lower feature index then the lower threshold;
 leaf pluralities and forest votes break ties in sorted-label order,
 which puts the all-zero healthy label first.
 
-A tree is a node table: arrays ``feature``, ``threshold``, ``left``,
-``right`` and ``leaf_code`` with one entry per node in preorder. The
-child links are derived from the preorder, not built: growth, the
-stacked forest (every tree end to end, a root offset per tree) and the
-loader all take them from ``feature`` alone. The v1 model file is one
-text line per table entry; saving formats and writes it one tree at a
-time, and loading parses it in bulk.
+A tree is a node table: arrays ``feature``, ``threshold`` and
+``leaf_code`` with one entry per node in preorder. The forest stacks
+the trees end to end, with a root offset per tree. No child links are
+stored: a left child is the next entry, and the walk table below
+derives each right child from ``feature`` alone. The v1 model file is
+one text line per table entry; saving formats and writes it one tree at
+a time, and loading parses it in bulk.
 
 Training grows the trees in blocks, in lockstep: step s expands the
 s-th preorder node of every tree in the block not yet finished. Each
@@ -139,36 +139,33 @@ class NodeTable(NamedTuple):
     """Tree nodes in preorder, one array entry per node.
 
     An internal node has feature >= 0 and sends a normalized row left
-    when its value is <= threshold; its leaf_code is -1. A leaf has
-    feature -1, votes for label code leaf_code, and its left and right
-    point at itself. Child indices count from the start of the table.
+    when its value is <= threshold, to the next entry; its leaf_code is
+    -1. A leaf has feature -1 and votes for label code leaf_code.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
     leaf_code: np.ndarray
 
 
-def _preorder_children(feature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Child links of whole trees laid out in preorder, one after another.
+def _preorder_children(feature: np.ndarray) -> np.ndarray:
+    """Right-child links of whole trees laid out in preorder, one after
+    another; a leaf points at itself. A left child is the next node.
 
     Count the subtrees still owed before each node: +1 per internal node,
     -1 per leaf. Inside a node's left subtree the count stays above its
     value at the node and returns to it right after, so the right child
-    is the next node with the same count; the left child is the next
-    node, and a leaf points at itself. Each tree lowers the count by one.
+    is the next node with the same count. Each tree lowers the count by
+    one.
     """
     internal = feature >= 0
     step = np.where(internal, 1, -1)
     order = np.argsort(np.cumsum(step) - step, kind="stable")
-    node = np.arange(feature.size)
-    right = node.copy()
+    right = np.arange(feature.size)
     before = order[:-1]
     opens = internal[before]
     right[before[opens]] = order[1:][opens]
-    return np.where(internal, node + 1, node), right
+    return right
 
 
 @dataclass(frozen=True)
@@ -218,7 +215,7 @@ def _build_walk_table(nodes: NodeTable, roots: np.ndarray) -> _WalkTable:
     """The walk table of a stacked forest. A root keeps its entry; the
     k-th internal node of a tree, in preorder, gets its children at
     entries 2k + 1 and 2k + 2 after the root."""
-    feature, threshold, left, right, leaf_code = nodes
+    feature, threshold, leaf_code = nodes
     n = feature.size
     internal = feature >= 0
     root = np.repeat(roots, np.diff(roots, append=n))  # each node's tree root
@@ -227,14 +224,15 @@ def _build_walk_table(nodes: NodeTable, roots: np.ndarray) -> _WalkTable:
     pair = root[split] + 1 + 2 * (before[split] - before[root[split]])
     new = np.empty(n, dtype=np.intp)
     new[roots] = roots
-    new[left[split]], new[right[split]] = pair, pair + 1
+    new[split + 1], new[_preorder_children(feature)[split]] = pair, pair + 1  # left, right
     # int8 codes make the gathers read less; label codes are below 64 (one
     # per 6-bit mask), but a model file may index more than 128 features
     code = np.int8 if feature.max(initial=0) <= np.iinfo(np.int8).max else np.intp
     table = _WalkTable(np.empty(n, code), np.empty(n), np.empty(n, np.intp), np.empty(n, code))
     table.feature[new] = np.maximum(feature, 0)
     table.threshold[new] = np.where(internal, threshold, np.inf)
-    table.first[new] = new[left]  # a leaf's left is itself
+    table.first[new] = new  # a leaf points at itself
+    table.first[new[split]] = pair
     table.leaf_code[new] = leaf_code
     return table
 
@@ -242,8 +240,7 @@ def _build_walk_table(nodes: NodeTable, roots: np.ndarray) -> _WalkTable:
 @dataclass
 class RandomForestModel:
     """Every tree's node table stacked into one. Tree t occupies the
-    entries from roots[t] up to the next root, with absolute child
-    indices."""
+    entries from roots[t] up to the next root."""
 
     nodes: NodeTable
     roots: np.ndarray
@@ -512,27 +509,6 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
     return feature[by_tree], threshold[by_tree], leaf_code[by_tree], sizes
 
 
-def train_tree(
-    features,
-    labels,
-    m_try: int,
-    rng: np.random.Generator,
-    max_depth: int | None = None,
-    min_samples_leaf: int = 1,
-) -> NodeTable:
-    """Grow one CART tree on the given rows (already normalized); leaf
-    codes index label_universe_of(labels)."""
-    X = np.asarray(features, dtype=float)
-    universe = label_universe_of(labels)
-    codes = _encode_labels(labels, universe)
-    if not 1 <= m_try <= X.shape[1]:
-        raise ValueError(f"m_try must be in 1..{X.shape[1]}")
-    feature, threshold, leaf_code, _ = _grow_block(
-        X, codes, len(universe), [rng], [np.arange(X.shape[0])], m_try, max_depth, min_samples_leaf
-    )
-    return NodeTable(feature, threshold, *_preorder_children(feature), leaf_code)
-
-
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     """The RNG stream owned by one tree; depends only on (seed, index)."""
     return np.random.default_rng([seed, tree_index])
@@ -585,7 +561,7 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
 
     feature, threshold, leaf_code, sizes = map(np.concatenate, zip(*grown))
     return RandomForestModel(
-        nodes=NodeTable(feature, threshold, *_preorder_children(feature), leaf_code),
+        nodes=NodeTable(feature, threshold, leaf_code),
         roots=np.cumsum(sizes) - sizes,
         feature_names=ts.feature_names,
         scaler=scaler,
@@ -709,20 +685,6 @@ def predict_batch(model: RandomForestModel, features) -> list[FaultLabel]:
     """Majority-vote label per row; ties go to the sorted-label order."""
     votes = _vote_codes(model, features, _until_decided=True)
     return [model.label_universe[k] for k in np.argmax(votes, axis=1)]
-
-
-def predict(model: RandomForestModel, features) -> tuple[FaultLabel, dict[FaultLabel, int]]:
-    """Label plus per-label vote counts for one feature row."""
-    row = np.asarray(features, dtype=float)
-    n = model.n_features
-    if row.shape not in ((n,), (1, n)):
-        raise ValueError(
-            f"predict takes one row of {n} features, got shape {row.shape}; "
-            "use predict_batch for several rows"
-        )
-    votes = _vote_codes(model, row.reshape(1, n))[0]
-    counts = {model.label_universe[k]: int(v) for k, v in enumerate(votes) if v}
-    return model.label_universe[int(np.argmax(votes))], counts
 
 
 @dataclass(frozen=True)
@@ -936,7 +898,7 @@ def _parse_trees(body: list[str], n_trees: int, n_features: int, labels) -> tupl
     leaf_code = np.full(pos, -1, dtype=np.intp)
     feature[internal], threshold[internal], leaf_code[leaves] = f, thr, codes
     feature, threshold, leaf_code = (col[step[:pos] != 0] for col in (feature, threshold, leaf_code))
-    return NodeTable(feature, threshold, *_preorder_children(feature), leaf_code), np.array(roots)
+    return NodeTable(feature, threshold, leaf_code), np.array(roots)
 
 
 def model_from_lines(lines: list[str]) -> RandomForestModel:

@@ -28,18 +28,6 @@ _LABEL_WIDTH = N_SWITCHES
 _MIN_DRIFT_GAIN = 0.05
 
 
-def switch_phase_index(switch: int) -> int:
-    """Phase index (0=a, 1=b, 2=c) carrying the given switch (1..6)."""
-    _check_switch(switch)
-    return (switch - 1) // 2
-
-
-def switch_is_upper(switch: int) -> bool:
-    """True for the odd-numbered (upper) switch of a leg."""
-    _check_switch(switch)
-    return switch % 2 == 1
-
-
 def switch_name(switch: int) -> str:
     _check_switch(switch)
     return f"S{switch}"
@@ -174,10 +162,6 @@ class TriPhaseSeries:
     def n_samples(self) -> int:
         return len(self.t)
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
-
     def currents(self) -> np.ndarray:
         """Samples stacked as an (n, 3) array in phase order a, b, c."""
         return np.column_stack([self.i_a, self.i_b, self.i_c])
@@ -211,16 +195,9 @@ def _build_regions() -> tuple[Region, ...]:
 REGIONS = _build_regions()
 
 
-def region_of(theta_deg: float) -> Region:
-    """Region containing the electrical angle theta (degrees, any range)."""
-    if not math.isfinite(theta_deg):
-        raise ValueError(f"theta must be finite, got {theta_deg!r}")
-    th = theta_deg % 360.0
-    return REGIONS[int(th // 60.0) % 6]
-
-
 def region_indices(theta_deg) -> np.ndarray:
-    """Index into REGIONS of each angle: the array form of region_of."""
+    """Index into REGIONS of the sextant holding each electrical angle
+    (degrees, any range)."""
     theta = np.asarray(theta_deg, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
@@ -248,16 +225,6 @@ def label_at_time(fault_timeline, t: float) -> FaultLabel:
     if k == 0:
         return NO_FAULT
     return fault_timeline[k - 1][1]
-
-
-def true_label_at(series: TriPhaseSeries, t: float) -> FaultLabel:
-    """Ground-truth fault label of a series at time t."""
-    if series.n_samples == 0:
-        raise ValueError("series is empty")
-    lo, hi = float(series.t[0]), float(series.t[-1])
-    if not lo - 1e-9 <= t <= hi + 1e-9:
-        raise ValueError(f"t={t} outside series span [{lo}, {hi}]")
-    return label_at_time(series.fault_timeline, t)
 
 
 def _validated_timeline(fault_timeline, duration: float):

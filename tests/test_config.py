@@ -86,6 +86,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 2"):
             parse_config("seed = 1\nbogus = 3\n")
 
+    def test_repeated_key_reports_both_lines(self):
+        with pytest.raises(ValueError, match="line 3: key 'n_trees' already given on line 1"):
+            parse_config("n_trees = 10\nseed = 1\nn_trees = 20\n")
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config("n_trees = many\n")
@@ -200,6 +204,3 @@ class TestDerivedConfigs:
         # 10 kHz holds no whole number of 60 Hz periods
         with pytest.raises(ValueError, match="whole multiple"):
             ExperimentConfig(frequency=60.0)
-
-    def test_with_seed(self):
-        assert ExperimentConfig().with_seed(7).seed == 7

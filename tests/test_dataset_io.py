@@ -15,7 +15,7 @@ from trifault.dataset import (
     training_rows,
     write_dataset,
 )
-from trifault.simulate import NO_FAULT, FaultLabel, SimConfig, simulate, true_label_at
+from trifault.simulate import NO_FAULT, FaultLabel, SimConfig, label_at_time, simulate
 
 L2 = FaultLabel.from_switches([2])
 
@@ -53,7 +53,7 @@ class TestBlockConstruction:
         assert series.sample_rate == block.sample_rate
         assert np.array_equal(series.i_a, block.i_a)
         assert series.fault_timeline == block.fault_timeline
-        assert true_label_at(series, float(series.t[-1])) == L2
+        assert label_at_time(series.fault_timeline, float(series.t[-1])) == L2
 
     def test_block_to_series_refuses_gapped_rows(self):
         block = sample_block()
@@ -173,9 +173,18 @@ class TestParseErrors:
             ("# series 0 rate=100.0 timeline=none", "0.02,nan,1.0,1.0,000000", 4),
             ("# series 0 rate=100.0 timeline=none", "0.02,1.0,inf,1.0,000000", 4),
             ("# series 0 rate=100.0 timeline=none", "0.02,1.0,1.0,-inf,000000", 4),
+            ("# series 0 rate=100.0 timeline=nan:100000", "0.02,1.0,1.0,1.0,000000", 2),
+            ("# series 0 rate=100.0 timeline=inf:100000", "0.02,1.0,1.0,1.0,000000", 2),
+            ("# series 0 rate=100.0 timeline=-1.0:100000", "0.02,1.0,1.0,1.0,000000", 2),
+            (
+                "# series 0 rate=100.0 timeline=0.5:100000;0.1:010000",
+                "0.02,1.0,1.0,1.0,000000",
+                2,
+            ),
         ],
         ids=["rate-nan", "rate-zero", "rate-negative", "rate-inf", "t-nan", "t-inf",
-             "ia-nan", "ib-inf", "ic-neg-inf"],
+             "ia-nan", "ib-inf", "ic-neg-inf", "timeline-nan", "timeline-inf",
+             "timeline-negative", "timeline-decreasing"],
     )
     def test_non_finite_or_non_positive_numbers(self, tmp_path, comment, row, bad_line):
         lines = [DATASET_HEADER, comment, "0.01,1.0,1.0,1.0,000000", row]

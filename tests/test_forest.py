@@ -21,6 +21,7 @@ from trifault.dataset import training_rows
 from trifault.forest import (
     ForestParams,
     ModelFormatError,
+    NodeTable,
     TrainingSet,
     _vote_codes,
     bootstrap_sample,
@@ -31,12 +32,10 @@ from trifault.forest import (
     model_to_lines,
     normalize_apply,
     normalize_fit,
-    predict,
     predict_batch,
     save_model,
     stratified_folds,
     train_forest,
-    train_tree,
     tree_rng,
 )
 from trifault.simulate import NO_FAULT, FaultLabel, simulate
@@ -134,59 +133,81 @@ class TestTrainingSetValidation:
         assert universe[0].is_normal
 
 
-def leaf_of(table, row, root=0):
-    """Index of the leaf a (normalized) row reaches from a root of a node table."""
+def reference_children(feature):
+    """Right-child links by recursive descent over whole preorder trees
+    laid end to end; a leaf points at itself, and a left child is the
+    next entry."""
+    right = list(range(len(feature)))
+
+    def past_subtree(k):
+        if feature[k] < 0:
+            return k + 1
+        right[k] = past_subtree(k + 1)
+        return past_subtree(right[k])
+
+    k = 0
+    while k < len(feature):
+        k = past_subtree(k)
+    return right
+
+
+def leaf_of(nodes, right, row, root=0):
+    """Index of the leaf a (normalized) row reaches from a root of a node
+    table whose right-child links are right."""
     k = root
-    while table.feature[k] >= 0:
-        k = table.left[k] if row[table.feature[k]] <= table.threshold[k] else table.right[k]
+    while nodes.feature[k] >= 0:
+        k = k + 1 if row[nodes.feature[k]] <= nodes.threshold[k] else right[k]
     return k
+
+
+def grow_tree(X, labels, m_try, rng, max_depth=None, min_samples_leaf=1):
+    """One tree grown by the lockstep grower on all the given rows (already
+    normalized); its leaf codes index label_universe_of(labels)."""
+    universe = label_universe_of(labels)
+    codes = forest._encode_labels(labels, universe)
+    X = np.asarray(X, dtype=float)
+    feature, threshold, leaf_code, _ = forest._grow_block(
+        X, codes, len(universe), [rng], [np.arange(len(X))], m_try, max_depth, min_samples_leaf
+    )
+    return NodeTable(feature, threshold, leaf_code)
 
 
 class TestSingleTree:
     def test_pure_node_becomes_leaf(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        tree = train_tree(X, (L0, L0), m_try=1, rng=np.random.default_rng(0))
+        tree = grow_tree(X, (L0, L0), m_try=1, rng=np.random.default_rng(0))
         assert tree.feature.tolist() == [-1]
         assert label_universe_of((L0, L0))[tree.leaf_code[0]] == L0
 
     def test_separable_data_fits_exactly(self):
         rng = np.random.default_rng(1)
         ts = blob_set(rng)
-        tree = train_tree(
-            np.asarray(ts.features), ts.labels, m_try=3, rng=np.random.default_rng(2)
-        )
+        tree = grow_tree(ts.features, ts.labels, m_try=3, rng=np.random.default_rng(2))
         universe = label_universe_of(ts.labels)
+        right = reference_children(tree.feature.tolist())
         # walk every training row through the tree
         for row, lab in zip(ts.features, ts.labels):
-            assert universe[tree.leaf_code[leaf_of(tree, row)]] == lab
+            assert universe[tree.leaf_code[leaf_of(tree, right, row)]] == lab
 
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(3)
         ts = blob_set(rng)
-        tree = train_tree(
-            np.asarray(ts.features),
-            ts.labels,
-            m_try=3,
-            rng=np.random.default_rng(0),
-            max_depth=1,
-        )
+        tree = grow_tree(ts.features, ts.labels, m_try=3, rng=np.random.default_rng(0), max_depth=1)
         # preorder puts every child after its parent
+        right = reference_children(tree.feature.tolist())
         depth = np.zeros(tree.feature.size, dtype=int)
         for k in np.flatnonzero(tree.feature >= 0):
-            depth[tree.left[k]] = depth[tree.right[k]] = depth[k] + 1
+            depth[k + 1] = depth[right[k]] = depth[k] + 1
         assert depth.max() <= 1
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(4)
         ts = blob_set(rng, n_per_class=20)
-        tree = train_tree(
-            np.asarray(ts.features),
-            ts.labels,
-            m_try=3,
-            rng=np.random.default_rng(0),
-            min_samples_leaf=5,
+        tree = grow_tree(
+            ts.features, ts.labels, m_try=3, rng=np.random.default_rng(0), min_samples_leaf=5
         )
-        rows_per_leaf = Counter(leaf_of(tree, row) for row in ts.features)
+        right = reference_children(tree.feature.tolist())
+        rows_per_leaf = Counter(leaf_of(tree, right, row) for row in ts.features)
         assert set(rows_per_leaf) == set(np.flatnonzero(tree.feature < 0).tolist())
         assert min(rows_per_leaf.values()) >= 5
 
@@ -194,7 +215,7 @@ class TestSingleTree:
         # the midpoint of a value and the next float up rounds to the upper
         # value, which would send both rows left again and again
         below = np.nextafter(1.0, 0.0)
-        tree = train_tree(
+        tree = grow_tree(
             np.array([[below], [1.0]]), (L0, L1), m_try=1, rng=np.random.default_rng(0),
             max_depth=5,
         )
@@ -205,7 +226,7 @@ class TestSingleTree:
     def test_node_without_gain_becomes_leaf(self):
         # XOR: every cut leaves both sides as mixed as the node
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]] * 3)
-        tree = train_tree(X, (L0, L0, L1, L1) * 3, m_try=2, rng=np.random.default_rng(0))
+        tree = grow_tree(X, (L0, L0, L1, L1) * 3, m_try=2, rng=np.random.default_rng(0))
         assert tree.feature.tolist() == [-1]
 
 
@@ -332,23 +353,6 @@ class TestLockstepGrowth:
             assert model_to_lines(train_forest(ts, params)) == default
 
 
-def reference_children(feature):
-    """Child links by recursive descent over whole preorder trees laid end to end."""
-    left, right = list(range(len(feature))), list(range(len(feature)))
-
-    def past_subtree(k):
-        if feature[k] < 0:
-            return k + 1
-        left[k] = k + 1
-        right[k] = past_subtree(k + 1)
-        return past_subtree(right[k])
-
-    k = 0
-    while k < len(feature):
-        k = past_subtree(k)
-    return left, right
-
-
 def random_preorder_tree(rng, depth=0):
     """Feature column of a random full binary tree in preorder."""
     if depth == 8 or rng.random() < 0.35:
@@ -358,7 +362,7 @@ def random_preorder_tree(rng, depth=0):
 
 
 class TestPreorderChildren:
-    """Child links derived from the feature column against recursive descent."""
+    """Right-child links derived from the feature column against recursive descent."""
 
     @pytest.mark.parametrize(
         "feature",
@@ -370,20 +374,21 @@ class TestPreorderChildren:
         ],
     )
     def test_small_tables_match_reference(self, feature):
-        left, right = forest._preorder_children(np.array(feature))
-        assert (left.tolist(), right.tolist()) == reference_children(feature)
+        right = forest._preorder_children(np.array(feature))
+        assert right.tolist() == reference_children(feature)
 
     def test_stacked_random_trees_match_reference(self):
         rng = np.random.default_rng(9)
         feature = [f for _ in range(40) for f in random_preorder_tree(rng)]
-        left, right = forest._preorder_children(np.array(feature))
-        assert (left.tolist(), right.tolist()) == reference_children(feature)
+        right = forest._preorder_children(np.array(feature))
+        assert right.tolist() == reference_children(feature)
 
     def test_trained_forest_links_match_reference(self):
         model = train_forest(blob_set(np.random.default_rng(10)), ForestParams(n_trees=5, seed=3))
-        left, right = reference_children(model.nodes.feature.tolist())
-        assert model.nodes.left.tolist() == left
-        assert model.nodes.right.tolist() == right
+        # the model stores no links; the walk table derives them
+        assert model.nodes._fields == ("feature", "threshold", "leaf_code")
+        right = forest._preorder_children(model.nodes.feature)
+        assert right.tolist() == reference_children(model.nodes.feature.tolist())
         loaded = model_from_lines(model_to_lines(model))
         assert all(np.array_equal(a, b) for a, b in zip(loaded.nodes, model.nodes))
         assert np.array_equal(loaded.roots, model.roots)
@@ -496,9 +501,10 @@ class TestVoting:
     def test_predict_returns_vote_counts(self):
         ts = blob_set(np.random.default_rng(11))
         model = train_forest(ts, ForestParams(n_trees=10, seed=0))
-        label, votes = predict(model, np.asarray(ts.features)[0])
-        assert sum(votes.values()) == 10
-        assert votes[label] == max(votes.values())
+        votes = _vote_codes(model, ts.features[:1])[0]
+        label = predict_batch(model, ts.features[:1])[0]
+        assert votes.sum() == 10
+        assert votes[model.label_universe.index(label)] == votes.max()
 
     def test_tie_breaks_by_sorted_label_order(self):
         # two rows of each class at the same point force split-free leaves;
@@ -506,40 +512,32 @@ class TestVoting:
         X = np.array([[0.0], [0.0]])
         ts = TrainingSet(features=X, labels=(L0, L1), feature_names=("f",))
         model = train_forest(ts, ForestParams(n_trees=2, seed=0))
-        label, votes = predict(model, np.array([0.0]))
+        votes = _vote_codes(model, np.array([[0.0]]))[0]
         # identical feature values leave no split; every tree's leaf holds
         # a bootstrap mix and ties inside a leaf resolve to the first
         # label in sorted order
-        assert label == min(votes, key=lambda lab: (-votes[lab], lab))
+        best = min(range(votes.size), key=lambda k: (-votes[k], model.label_universe[k]))
+        assert predict_batch(model, np.array([[0.0]])) == [model.label_universe[best]]
 
     def test_even_vote_tie_prefers_normal(self):
         # four single-leaf trees voting 2-2 between the all-zero label
         # and a fault label: the all-zero label sorts first and wins
         model = single_leaf_forest("000000", "100000", "000000", "100000")
-        label, votes = predict(model, np.array([0.5]))
-        assert votes == {L0: 2, L1: 2}
-        assert label == L0
+        assert _vote_codes(model, np.array([[0.5]])).tolist() == [[2, 2]]
+        assert predict_batch(model, np.array([[0.5]])) == [L0]
 
     def test_batch_matches_single(self):
         ts = blob_set(np.random.default_rng(12))
         model = train_forest(ts, ForestParams(n_trees=8, seed=1))
         rows = np.asarray(ts.features)[::11]
         batch = predict_batch(model, rows)
-        for k, row in enumerate(rows):
-            assert predict(model, row)[0] == batch[k]
+        assert [predict_batch(model, row[None])[0] for row in rows] == batch
 
     def test_rejects_wrong_width(self):
         ts = blob_set(np.random.default_rng(13))
         model = train_forest(ts, ForestParams(n_trees=2, seed=1))
         with pytest.raises(ValueError):
             predict_batch(model, np.zeros((2, 5)))
-
-    @pytest.mark.parametrize("shape", [(2, 3), (6,), (1, 1, 3)])
-    def test_predict_refuses_anything_but_one_row(self, shape):
-        model = train_forest(blob_set(np.random.default_rng(14)), ForestParams(n_trees=2, seed=1))
-        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}; use predict_batch")):
-            predict(model, np.ones(shape))
-        assert predict(model, np.ones((1, 3))) == predict(model, np.ones(3))
 
 
 class TestBlockedWalk:
@@ -554,9 +552,10 @@ class TestBlockedWalk:
         X = np.random.default_rng(22).uniform(-2.0, 8.0, size=(9000, 3))
         X_norm = normalize_apply(model.scaler, X)
         counts = np.zeros((len(X), len(model.label_universe)), dtype=int)
+        right = reference_children(model.nodes.feature.tolist())
         for root in model.roots:
             for i, row in enumerate(X_norm):
-                counts[i, model.nodes.leaf_code[leaf_of(model.nodes, row, root)]] += 1
+                counts[i, model.nodes.leaf_code[leaf_of(model.nodes, right, row, root)]] += 1
         return model, X, counts
 
     def test_full_counts_match_reference(self, walked):
@@ -613,8 +612,7 @@ class TestBlockedWalk:
 
     def test_predict_counts_sum_to_tree_count(self, walked):
         model, X, _ = walked
-        for row in X[::1000]:
-            assert sum(predict(model, row)[1].values()) == 37
+        assert _vote_codes(model, X[::1000]).sum(axis=1).tolist() == [37] * 9
 
     def test_empty_input_gives_no_labels(self, walked):
         model, _, _ = walked
@@ -626,7 +624,7 @@ class TestBlockedWalk:
         # to the healthy label, which sorts first
         model = single_leaf_forest(*["100000"] * 16, *["000000"] * 16)
         assert predict_batch(model, np.zeros((1, 1))) == [L0]
-        assert predict(model, np.zeros(1)) == (L0, {L0: 16, L1: 16})
+        assert _vote_codes(model, np.zeros((1, 1))).tolist() == [[16, 16]]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_refuses_non_finite_rows(self, walked, bad):
@@ -636,7 +634,7 @@ class TestBlockedWalk:
         with pytest.raises(ValueError, match="feature row 1 is not finite"):
             predict_batch(model, rows)
         with pytest.raises(ValueError, match="feature row 0 is not finite"):
-            predict(model, rows[1])
+            _vote_codes(model, rows[1:2])
 
     def test_call_of_2001_rows_walks_on_two_cores(self, walked, monkeypatch):
         model, X, counts = walked
@@ -688,13 +686,15 @@ def tree_codes(model, X):
     model's node table, all rows at once."""
     X_norm = normalize_apply(model.scaler, X)
     nodes = model.nodes
+    right = np.array(reference_children(nodes.feature.tolist()))
     at = np.arange(len(X))
     codes = np.empty((len(X), model.n_trees), dtype=np.intp)
     for t, root in enumerate(model.roots):
         k = np.full(len(X), root)
         while (nodes.feature[k] >= 0).any():
+            internal = nodes.feature[k] >= 0
             go_left = X_norm[at, np.maximum(nodes.feature[k], 0)] <= nodes.threshold[k]
-            k = np.where(go_left, nodes.left[k], nodes.right[k])  # a leaf's children are itself
+            k = np.where(internal & go_left, k + 1, right[k])  # a leaf's right link is itself
         codes[:, t] = nodes.leaf_code[k]
     return codes
 
@@ -803,7 +803,8 @@ class TestWalkTable:
     def test_row_equal_to_a_threshold_goes_left(self):
         model = model_from_lines(one_tree_lines("I 0 0.5", "L 000000", "L 100000"))
         rows = np.array([[0.5], [np.nextafter(0.5, 1.0)], [np.nextafter(0.5, 0.0)]])
-        expected = [model.nodes.leaf_code[leaf_of(model.nodes, row)] for row in rows]
+        right = reference_children(model.nodes.feature.tolist())
+        expected = [model.nodes.leaf_code[leaf_of(model.nodes, right, row)] for row in rows]
         assert expected == [0, 1, 0]
         assert np.argmax(_vote_codes(model, rows), axis=1).tolist() == expected
         assert predict_batch(model, rows) == [L0, L1, L0]
@@ -823,9 +824,10 @@ class TestWalkTable:
             np.array([[0.1], [0.2], [0.25], [0.3], [0.375], [0.5], [0.75]]),
         ])
         counts = np.zeros((len(X), 2), dtype=int)
+        right = reference_children(model.nodes.feature.tolist())
         for root in model.roots:
             for i, row in enumerate(X):
-                counts[i, model.nodes.leaf_code[leaf_of(model.nodes, row, root)]] += 1
+                counts[i, model.nodes.leaf_code[leaf_of(model.nodes, right, row, root)]] += 1
         assert np.array_equal(_vote_codes(model, X), counts)
         assert predict_batch(model, X) == [model.label_universe[k] for k in np.argmax(counts, axis=1)]
 

@@ -16,13 +16,25 @@ from trifault.simulate import (
     detectable_faults,
     label_at_time,
     region_indices,
-    region_of,
     simulate,
-    switch_is_upper,
     switch_name,
-    switch_phase_index,
-    true_label_at,
 )
+
+
+def region_of(theta_deg):
+    """The region holding one angle in degrees, one sextant per 60
+    degrees: the scalar reference for region_indices."""
+    return REGIONS[int((theta_deg % 360.0) // 60.0) % 6]
+
+
+def one_switch_faults(cfg, duration):
+    """Currents of a healthy series and of each single-switch fault from t = 0."""
+    healthy = simulate(cfg, (), duration).currents()
+    faulted = [
+        simulate(cfg, ((0.0, FaultLabel.from_switches([s])),), duration).currents()
+        for s in range(1, N_SWITCHES + 1)
+    ]
+    return healthy, faulted
 
 
 class TestFaultLabel:
@@ -59,10 +71,20 @@ class TestFaultLabel:
 
 class TestSwitchNaming:
     def test_phase_assignment(self):
-        assert [switch_phase_index(s) for s in range(1, 7)] == [0, 0, 1, 1, 2, 2]
+        # an open switch changes only the current of its own leg's phase
+        healthy, faulted = one_switch_faults(SimConfig(amplitude=10.0), 0.02)
+        changed = [np.flatnonzero((f != healthy).any(axis=0)).tolist() for f in faulted]
+        assert changed == [[0], [0], [1], [1], [2], [2]]
 
     def test_upper_lower_alternation(self):
-        assert [switch_is_upper(s) for s in range(1, 7)] == [True, False] * 3
+        # the odd (upper) switch of a leg carries its negative half-cycle
+        healthy, faulted = one_switch_faults(SimConfig(amplitude=10.0), 0.02)
+        upper = []
+        for s, f in enumerate(faulted, start=1):
+            phase = (s - 1) // 2
+            lost = f[:, phase] != healthy[:, phase]
+            upper.append(bool(lost.any() and np.all(healthy[lost, phase] < 0)))
+        assert upper == [True, False] * 3
 
     def test_names(self):
         assert [switch_name(s) for s in range(1, 7)] == ["S1", "S2", "S3", "S4", "S5", "S6"]
@@ -70,12 +92,12 @@ class TestSwitchNaming:
 
 class TestRegions:
     def test_sextant_boundaries(self):
-        names = [region_of(theta).name for theta in (30, 90, 150, 210, 270, 330)]
+        names = [REGIONS[k].name for k in region_indices([30, 90, 150, 210, 270, 330])]
         assert names == ["SI", "SII", "SIII", "SIV", "SV", "SVI"]
 
     def test_wraps_angles(self):
-        assert region_of(390.0).name == region_of(30.0).name
-        assert region_of(-30.0).name == "SVI"
+        assert region_indices([390.0, 30.0, -30.0]).tolist() == [0, 0, 5]
+        assert REGIONS[5].name == "SVI"
 
     def test_array_form_matches_region_of(self):
         edges = [60.0 * k for k in range(6)]
@@ -91,7 +113,7 @@ class TestRegions:
             region_indices([0.0, np.nan])
 
     def test_detectable_sets(self):
-        by_name = {region_of(30 + 60 * k).name: region_of(30 + 60 * k) for k in range(6)}
+        by_name = {region.name: region for region in REGIONS}
         assert detectable_faults(by_name["SI"]) == frozenset({2, 3, 6})
         assert detectable_faults(by_name["SII"]) == frozenset({2, 3, 5})
         assert detectable_faults(by_name["SIII"]) == frozenset({2, 4, 5})
@@ -106,8 +128,8 @@ class TestRegions:
             region = region_of(float(theta) + 2.5)
             dets = detectable_faults(region)
             for s in range(1, N_SWITCHES + 1):
-                sign = region.sign_pattern[switch_phase_index(s)]
-                expected = sign < 0 if switch_is_upper(s) else sign > 0
+                sign = region.sign_pattern[(s - 1) // 2]
+                expected = sign < 0 if s % 2 == 1 else sign > 0  # odd: upper switch
                 assert (s in dets) == expected
 
 
@@ -230,11 +252,6 @@ class TestTimeline:
         assert label_at_time(timeline, 0.03) == lab2
         assert label_at_time(timeline, 1.0) == lab2
 
-    def test_true_label_at_checks_range(self):
-        s = simulate(SimConfig(amplitude=1.0), (), 0.02)
-        with pytest.raises(ValueError):
-            true_label_at(s, 0.05)
-
     def test_rejects_unsorted_timeline(self):
         lab = FaultLabel.from_switches([1])
         with pytest.raises(ValueError):
@@ -249,5 +266,5 @@ class TestTimeline:
         lab = FaultLabel.from_switches([3])
         s = simulate(SimConfig(amplitude=1.0), ((0.01, lab),), 0.04)
         assert s.fault_timeline == ((0.01, lab),)
-        assert true_label_at(s, 0.005) is NO_FAULT
-        assert true_label_at(s, 0.02) == lab
+        assert label_at_time(s.fault_timeline, 0.005) is NO_FAULT
+        assert label_at_time(s.fault_timeline, 0.02) == lab
