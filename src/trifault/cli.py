@@ -46,9 +46,9 @@ from .forest import (
     train_forest,
 )
 from .simulate import (
-    NO_FAULT,
     PHASE_OFFSETS_DEG,
     FaultLabel,
+    leg_switches,
     simulate,
     switch_name,
 )
@@ -90,7 +90,7 @@ def _expressed_mask(label: FaultLabel, t: np.ndarray, frequency: float) -> np.nd
     out = np.ones(len(t), dtype=bool)
     theta = 2.0 * np.pi * frequency * t
     for p, off in enumerate(PHASE_OFFSETS_DEG):
-        upper, lower = label.bits[2 * p], label.bits[2 * p + 1]
+        upper, lower = leg_switches(label.mask, p)
         if not (upper or lower) or (upper and lower):
             continue
         s = np.sin(theta + math.radians(off))
@@ -161,6 +161,16 @@ def _dataset_training_set(path) -> TrainingSet:
     return TrainingSet(features=X, labels=labels, feature_names=FEATURE_COLUMNS)
 
 
+def train_split(config: ExperimentConfig, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted train and held-out row indices: the first train_samples rows
+    of a permutation drawn from (seed, _SPLIT_STREAM), and the rest."""
+    n_train = config.train_samples
+    if n_train >= n_rows:
+        raise ValueError(f"train_samples = {n_train} must be below the {n_rows} dataset rows")
+    perm = np.random.default_rng([config.seed, _SPLIT_STREAM]).permutation(n_rows)
+    return np.sort(perm[:n_train]), np.sort(perm[n_train:])
+
+
 def _accuracy(model, X, labels) -> tuple[float, np.ndarray, tuple[FaultLabel, ...]]:
     predicted = predict_batch(model, X)
     # true labels the model never saw still get their own row
@@ -206,15 +216,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = _load_experiment_config(args)
     ts = _dataset_training_set(args.dataset)
-    n_train = config.train_samples
-    if n_train >= ts.n_rows:
-        raise ValueError(f"train_samples = {n_train} must be below the {ts.n_rows} dataset rows")
-
-    rng = np.random.default_rng([config.seed, _SPLIT_STREAM])
-    perm = rng.permutation(ts.n_rows)
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-
+    train_idx, test_idx = train_split(config, ts.n_rows)
     sub = TrainingSet(
         features=ts.features[train_idx],
         labels=tuple(ts.labels[i] for i in train_idx),
@@ -226,7 +228,7 @@ def cmd_train(args) -> int:
     acc, confusion, universe = _accuracy(
         model, ts.features[test_idx], [ts.labels[i] for i in test_idx]
     )
-    print(f"trained {model.n_trees} trees on {n_train} rows, model saved to {args.out}")
+    print(f"trained {model.n_trees} trees on {len(train_idx)} rows, model saved to {args.out}")
     print(f"held-out rows: {len(test_idx)}")
     print(f"held-out accuracy: {acc:.4f}")
     _print_confusion(confusion, universe)

@@ -54,14 +54,14 @@ def parse_class_token(token: str) -> FaultLabel:
 class ExperimentConfig:
     # waveform
     amplitude: float = 16.5
-    frequency: float = 50.0
-    sample_rate: float = 25600.0
+    frequency: float = SimConfig.frequency
+    sample_rate: float = SimConfig.sample_rate
     noise_sigma: float = 0.04
     ripple_amplitude: float = 0.12
-    ripple_frequency: float = 3200.0
+    ripple_frequency: float = SimConfig.ripple_frequency
     amplitude_drift: float = 0.01
     leakage: float = 0.12
-    seed: int = 0
+    seed: int = SimConfig.seed
     # dataset
     classes: tuple[FaultLabel, ...] = field(default_factory=default_class_labels)
     dataset_samples: int = 24000
@@ -72,16 +72,16 @@ class ExperimentConfig:
     # proportionally larger share of training rows
     normal_weight: int = 4
     # forest
-    n_trees: int = 264
-    m_try: int | None = None
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
+    n_trees: int = ForestParams.n_trees
+    m_try: int | None = ForestParams.m_try
+    max_depth: int | None = ForestParams.max_depth
+    min_samples_leaf: int = ForestParams.min_samples_leaf
     cv_folds: int = 5
     # diagnosis; a window is one period, target_rate / frequency samples
-    target_rate: float = 10000.0
-    debounce_min_run: int = 5
-    confirm_windows: int = 1
-    phase_fallback_deg: float = 0.0
+    target_rate: float = DiagnosisConfig.target_rate
+    debounce_min_run: int = DiagnosisConfig.debounce_min_run
+    confirm_windows: int = DiagnosisConfig.confirm_windows
+    phase_fallback_deg: float = DiagnosisConfig.phase_fallback_deg
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)

@@ -9,7 +9,8 @@ followed by data rows `t,i_a,i_b,i_c,label` under the single file
 header. Times are printed with 9 decimals, currents with 6, labels as
 six-character bit strings, so writing is reproducible byte for byte.
 Timeline times keep full precision (repr) because they are ground
-truth, not measurements.
+truth, not measurements. Reading refuses a row whose label is not the
+timeline's label at its time, 1e-9 s either side.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import FaultLabel, TriPhaseSeries, label_at_time
+from .simulate import LABELS, FaultLabel, TriPhaseSeries, timeline_masks
 
 DATASET_HEADER = "t,i_a,i_b,i_c,label"
 FEATURE_COLUMNS = ("i_a", "i_b", "i_c")
 # a series row may sit this far off its uniform grid, in absolute seconds
 # plus this fraction of the sample spacing (times are written with 9 decimals)
 _SPACING_TOL = 1e-6
+# a row's written time may be this far, in seconds, from the instant it
+# was labelled at, since times are rounded to 9 decimals
+_LABEL_TIME_TOL = 1e-9
 
 
 class DatasetFormatError(ValueError):
@@ -65,7 +69,7 @@ def block_from_series(series: TriPhaseSeries, series_id: int) -> SeriesBlock:
         i_a=np.asarray(series.i_a, dtype=float),
         i_b=np.asarray(series.i_b, dtype=float),
         i_c=np.asarray(series.i_c, dtype=float),
-        labels=tuple(label_at_time(series.fault_timeline, float(t)) for t in series.t),
+        labels=tuple(LABELS[m] for m in timeline_masks(series.fault_timeline, series.t).tolist()),
     )
 
 
@@ -173,16 +177,29 @@ def read_dataset(path) -> list[SeriesBlock]:
             raise DatasetFormatError(
                 f"line {block_info['line']}: series {block_info['id']} has no rows"
             )
+        t, labels = np.array(block_info["t"]), block_info["labels"]
+        timeline = block_info["timeline"]
+        masks = np.array([lab.mask for lab in labels], dtype=np.uint8)
+        wrong = np.flatnonzero(
+            (masks != timeline_masks(timeline, t - _LABEL_TIME_TOL))
+            & (masks != timeline_masks(timeline, t + _LABEL_TIME_TOL))
+        )
+        if wrong.size:
+            k = int(wrong[0])
+            raise DatasetFormatError(
+                f"line {block_info['line'] + 1 + k}: label {labels[k]} at t = {float(t[k])!r} s"
+                " disagrees with the series timeline"
+            )
         blocks.append(
             SeriesBlock(
                 series_id=block_info["id"],
                 sample_rate=block_info["rate"],
-                fault_timeline=block_info["timeline"],
-                t=np.array(block_info["t"]),
+                fault_timeline=timeline,
+                t=t,
                 i_a=np.array(block_info["ia"]),
                 i_b=np.array(block_info["ib"]),
                 i_c=np.array(block_info["ic"]),
-                labels=tuple(block_info["labels"]),
+                labels=tuple(labels),
             )
         )
 

@@ -2,13 +2,13 @@
 
 Pipeline: resample the acquired series down to the classifier rate,
 classify every sample, debounce the label stream, then fuse each
-period-aligned window. Inside the pipeline a label is a 6-bit mask, its
-bit string read as a binary number (S1 is bit 5, S6 bit 0), so a stream
-of labels is one uint8 array. Fusion keeps the bits that the sample's
-60-degree region can physically expose, from a six-entry mask table,
-and ORs them over the window. A protection signal latches after
-confirm_windows consecutive windows agree on the same non-empty fused
-mask. FaultLabel objects are built only for the report.
+period-aligned window. Inside the pipeline a label is its 6-bit
+FaultLabel.mask (S1 is bit 5, S6 bit 0), so a stream of labels is one
+uint8 array. Fusion keeps the bits that the sample's 60-degree region
+can physically expose, from a six-entry mask table, and ORs them over
+the window. A protection signal latches after confirm_windows
+consecutive windows agree on the same non-empty fused mask. Only the
+report looks masks up in LABELS.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .forest import RandomForestModel, predict_batch
 from .simulate import (
+    LABELS,
     REGIONS,
     FaultLabel,
     TriPhaseSeries,
@@ -33,14 +34,9 @@ from .simulate import (
 _CROSSING_QUALITY = 0.3
 
 
-def _mask(label: FaultLabel) -> int:
-    return int(str(label), 2)
-
-
-# the label of each of the 64 masks, and the switches each region exposes
-_LABELS = tuple(FaultLabel.from_string(f"{m:06b}") for m in range(64))
+# the switches each region exposes
 _EXPOSED = np.array(
-    [_mask(FaultLabel.from_switches(detectable_faults(region))) for region in REGIONS],
+    [FaultLabel.from_switches(detectable_faults(region)).mask for region in REGIONS],
     dtype=np.uint8,
 )
 
@@ -140,8 +136,7 @@ def classify_stream(model: RandomForestModel, series: TriPhaseSeries) -> np.ndar
     """Per-sample forest label masks (uint8) for an already-resampled series."""
     if model.n_features != 3:
         raise ValueError("streaming classification expects a 3-feature model")
-    mask = {label: _mask(label) for label in model.label_universe}
-    return np.array([mask[lab] for lab in predict_batch(model, series.currents())], dtype=np.uint8)
+    return np.array([lab.mask for lab in predict_batch(model, series.currents())], dtype=np.uint8)
 
 
 def debounce(labels, min_run: int):
@@ -246,8 +241,8 @@ def run_diagnosis(
         lo = start + w * ws
         window, t_lo = masks[lo : lo + ws], float(rs.t[lo])
         fused = fuse_window(window, regions[lo : lo + ws])
-        labels = tuple(_LABELS[m] for m in window.tolist())
-        history.append(WindowRecord(w, t_lo, labels, _LABELS[fused]))
+        labels = tuple(LABELS[m] for m in window.tolist())
+        history.append(WindowRecord(w, t_lo, labels, LABELS[fused]))
         if latched:
             continue
         # a run of equal fused masks; a healthy run (mask 0) never latches
@@ -256,7 +251,7 @@ def run_diagnosis(
         run_len += 1
         if run_fused and run_len >= config.confirm_windows:
             latched = True
-            fault_set = _LABELS[run_fused].switches
+            fault_set = LABELS[run_fused].switches
             first_detect = run_start_time
 
     return FaultReport(

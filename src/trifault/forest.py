@@ -47,19 +47,20 @@ tree by tree so that one step reads only that block's nodes, and the
 block's votes are added with one bincount. Pairs take 3 steps between
 leaf checks; a check drops the pairs at a leaf and compacts the rest.
 The rows are cut into equal spans of at most 4096 rows, and into at
-least one per core while each span keeps 1000 rows, and the calling
-thread and one helper thread per further core take spans from one
-iterator: NumPy releases the interpreter lock inside the gathers and
-compares, so the spans walk at the same time. A span writes only its own rows' votes, so the counts
-depend neither on the spans nor on the number of cores. The helpers are
-joined before the call returns. When only labels are wanted, a row
-stops after any block where its leading vote beats the runner-up by
-more than the number of trees not yet walked: even if every remaining
-tree voted for one other label, that label would end below the leader,
-so the argmax cannot change. A margin equal to the trees left keeps the
-row walking, because a tie would go to the label that sorts first,
-which may be the runner-up. A lead is at most the trees walked, so no
-row is checked before more than half the trees are walked.
+least one per core while each span keeps 1000 rows, and a thread pool
+of one thread per core (or per span, if fewer) maps the walk over the
+spans: NumPy releases the interpreter lock inside the gathers and
+compares, so the spans walk at the same time. A span writes only its
+own rows' votes, so the counts depend neither on the spans nor on the
+number of cores. The pool is shut down before the call returns. When
+only labels are wanted, a row stops after any block where its leading
+vote beats the runner-up by more than the number of trees not yet
+walked: even if every remaining tree voted for one other label, that
+label would end below the leader, so the argmax cannot change. A margin
+equal to the trees left keeps the row walking, because a tie would go to
+the label that sorts first, which may be the runner-up. A lead is at
+most the trees walked, so no row is checked before more than half the
+trees are walked.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -608,34 +608,18 @@ def _on_all_cores(work, n_rows: int) -> None:
     least one per core while each keeps _MIN_SPAN_ROWS, and call
     work(lo, hi) once for each.
 
-    The calling thread and up to _cores() - 1 helper threads take spans
-    from one shared iterator; NumPy releases the interpreter lock inside
-    its gathers and compares, so the walks overlap. The helpers start
-    here and are joined before this returns, so no thread outlives the
-    call.
+    The spans go to a pool of one thread per core, or per span if there
+    are fewer; NumPy releases the interpreter lock inside its gathers and
+    compares, so the walks overlap. The pool starts here and is shut down
+    before this returns, so no thread outlives the call.
     """
+    if n_rows == 0:
+        return
     cores = _cores()
     n_spans = max(min(cores, n_rows // _MIN_SPAN_ROWS), -(-n_rows // _SPAN_ROWS))
-    spans = iter(range(n_spans))
-    lock = threading.Lock()
-
-    def pull() -> None:
-        while True:
-            with lock:
-                k = next(spans, None)
-            if k is None:
-                return
-            work(k * n_rows // n_spans, (k + 1) * n_rows // n_spans)
-
-    n_helpers = min(cores, n_spans) - 1
-    if n_helpers < 1:
-        pull()
-        return
-    with ThreadPoolExecutor(max_workers=n_helpers) as pool:
-        helpers = [pool.submit(pull) for _ in range(n_helpers)]
-        pull()
-        for helper in helpers:
-            helper.result()
+    bounds = [k * n_rows // n_spans for k in range(n_spans + 1)]
+    with ThreadPoolExecutor(max_workers=min(cores, n_spans)) as pool:
+        list(pool.map(work, bounds[:-1], bounds[1:]))
 
 
 def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -> np.ndarray:

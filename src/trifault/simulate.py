@@ -13,7 +13,6 @@ per-period load drift are optional.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, fields
 
@@ -23,7 +22,6 @@ N_SWITCHES = 6
 # electrical angle offsets of phases a, b, c in degrees
 PHASE_OFFSETS_DEG = (0.0, -120.0, 120.0)
 
-_LABEL_WIDTH = N_SWITCHES
 # drift knots are clipped so the load never collapses or reverses
 _MIN_DRIFT_GAIN = 0.05
 
@@ -49,49 +47,56 @@ def refuse_non_finite(settings) -> None:
 
 @dataclass(frozen=True, order=True)
 class FaultLabel:
-    """Six-bit open-switch indicator; bit k set means switch S(k+1) is open.
+    """Open-switch indicator held as a 6-bit mask: switch Sk is open when
+    bit 6 - k is set, so the mask is the number its bit string spells
+    ("101000", S1 and S3 open, is mask 40).
 
-    Labels compare lexicographically on their bit tuple, so the all-zero
-    healthy label sorts first. That ordering is used to break ties in
-    tree leaves and forest votes.
+    Labels compare by mask, so the healthy label (mask 0) sorts first.
+    That ordering is used to break ties in tree leaves and forest votes.
     """
 
-    bits: tuple[int, int, int, int, int, int]
+    mask: int
 
     def __post_init__(self) -> None:
-        if len(self.bits) != _LABEL_WIDTH:
-            raise ValueError(f"fault label needs {_LABEL_WIDTH} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"fault label bits must be 0 or 1, got {self.bits!r}")
+        if type(self.mask) is not int or not 0 <= self.mask < 1 << N_SWITCHES:
+            raise ValueError(f"fault label mask must be an int in 0..63, got {self.mask!r}")
 
     @classmethod
     def from_string(cls, text: str) -> "FaultLabel":
         text = text.strip()
-        if len(text) != _LABEL_WIDTH or any(ch not in "01" for ch in text):
-            raise ValueError(f"fault label must be {_LABEL_WIDTH} chars of 0/1, got {text!r}")
-        return cls(tuple(int(ch) for ch in text))  # type: ignore[arg-type]
+        if len(text) != N_SWITCHES or any(ch not in "01" for ch in text):
+            raise ValueError(f"fault label must be {N_SWITCHES} chars of 0/1, got {text!r}")
+        return cls(int(text, 2))
 
     @classmethod
     def from_switches(cls, switches) -> "FaultLabel":
-        bits = [0] * _LABEL_WIDTH
+        mask = 0
         for s in switches:
             _check_switch(s)
-            bits[s - 1] = 1
-        return cls(tuple(bits))  # type: ignore[arg-type]
+            mask |= 1 << (N_SWITCHES - int(s))
+        return cls(mask)
 
     @property
     def switches(self) -> frozenset[int]:
-        return frozenset(k + 1 for k, b in enumerate(self.bits) if b)
+        return frozenset(s for s in range(1, N_SWITCHES + 1) if self.mask >> (N_SWITCHES - s) & 1)
 
     @property
     def is_normal(self) -> bool:
-        return not any(self.bits)
+        return self.mask == 0
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return f"{self.mask:06b}"
 
 
-NO_FAULT = FaultLabel((0, 0, 0, 0, 0, 0))
+# the label of each mask
+LABELS = tuple(FaultLabel(mask) for mask in range(1 << N_SWITCHES))
+NO_FAULT = LABELS[0]
+
+
+def leg_switches(mask, phase: int):
+    """Whether the upper and the lower switch of a phase (0, 1, 2 for
+    a, b, c) are open under a mask, an int or an array of masks."""
+    return mask & (32 >> 2 * phase) != 0, mask & (16 >> 2 * phase) != 0
 
 
 @dataclass(frozen=True)
@@ -217,14 +222,12 @@ def detectable_faults(region: Region) -> frozenset[int]:
     return frozenset(ids)
 
 
-def label_at_time(fault_timeline, t: float) -> FaultLabel:
-    """Label active at time t: the last timeline entry with t_fault <= t,
-    or NO_FAULT before the first entry."""
-    times = [entry[0] for entry in fault_timeline]
-    k = bisect.bisect_right(times, t)
-    if k == 0:
-        return NO_FAULT
-    return fault_timeline[k - 1][1]
+def timeline_masks(fault_timeline, t) -> np.ndarray:
+    """Mask of the label active at each time t: the last timeline entry
+    with t_fault <= t, or 0 before the first entry."""
+    times = np.array([entry[0] for entry in fault_timeline], dtype=float)
+    masks = np.array([0, *(entry[1].mask for entry in fault_timeline)], dtype=np.uint8)
+    return masks[np.searchsorted(times, t, side="right")]
 
 
 def _validated_timeline(fault_timeline, duration: float):
@@ -242,20 +245,6 @@ def _validated_timeline(fault_timeline, duration: float):
         prev = t_fault
         timeline.append((t_fault, label))
     return tuple(timeline)
-
-
-def _switch_state(timeline, t: np.ndarray, phase: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample open/closed state of the phase's upper and lower switch."""
-    n = len(t)
-    upper = np.zeros(n, dtype=bool)
-    lower = np.zeros(n, dtype=bool)
-    starts = [np.searchsorted(t, tf, side="left") for tf, _ in timeline]
-    starts.append(n)
-    for k, (_, label) in enumerate(timeline):
-        seg = slice(starts[k], starts[k + 1])
-        upper[seg] = label.bits[2 * phase]
-        lower[seg] = label.bits[2 * phase + 1]
-    return upper, lower
 
 
 def simulate(config: SimConfig, fault_timeline, duration: float) -> TriPhaseSeries:
@@ -305,11 +294,12 @@ def simulate(config: SimConfig, fault_timeline, duration: float) -> TriPhaseSeri
         ripple = np.zeros(n)
 
     theta = 2.0 * np.pi * config.frequency * t
+    masks = timeline_masks(timeline, t)
     channels = []
     for p, off in enumerate(PHASE_OFFSETS_DEG):
         s = np.sin(theta + math.radians(off))
         pre = gain * config.amplitude * s + ripple
-        upper, lower = _switch_state(timeline, t, p)
+        upper, lower = leg_switches(masks, p)
         suppressed = (upper & (s < 0)) | (lower & (s > 0))
         out = np.where(suppressed, config.leakage * pre, pre)
         out = np.where(upper & lower, 0.0, out)

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from trifault.cli import generate_training_pool
+from trifault.cli import generate_training_pool, train_split
 from trifault.config import ExperimentConfig
 from trifault.dataset import training_rows
 from trifault.forest import RandomForestModel, TrainingSet, predict_batch, train_forest
-
-TRAIN_SPLIT_STREAM = 0x5B
 
 
 @dataclass(frozen=True)
@@ -45,10 +43,7 @@ def desk_experiment() -> DeskExperiment:
     X, labels = training_rows(blocks)
     assert len(labels) == config.dataset_samples
 
-    rng = np.random.default_rng([config.seed, TRAIN_SPLIT_STREAM])
-    perm = rng.permutation(len(labels))
-    train_idx = np.sort(perm[: config.train_samples])
-    test_idx = np.sort(perm[config.train_samples :])
+    train_idx, test_idx = train_split(config, len(labels))
     train_set = TrainingSet(
         features=X[train_idx],
         labels=tuple(labels[i] for i in train_idx),

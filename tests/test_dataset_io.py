@@ -15,7 +15,7 @@ from trifault.dataset import (
     training_rows,
     write_dataset,
 )
-from trifault.simulate import NO_FAULT, FaultLabel, SimConfig, label_at_time, simulate
+from trifault.simulate import NO_FAULT, FaultLabel, SimConfig, simulate, timeline_masks
 
 L2 = FaultLabel.from_switches([2])
 
@@ -53,7 +53,7 @@ class TestBlockConstruction:
         assert series.sample_rate == block.sample_rate
         assert np.array_equal(series.i_a, block.i_a)
         assert series.fault_timeline == block.fault_timeline
-        assert label_at_time(series.fault_timeline, float(series.t[-1])) == L2
+        assert timeline_masks(series.fault_timeline, series.t[-1]) == L2.mask
 
     def test_block_to_series_refuses_gapped_rows(self):
         block = sample_block()
@@ -103,6 +103,17 @@ class TestFileRoundTrip:
         # written at 9 / 6 decimal places: half-ulp of the last digit
         assert np.max(np.abs(loaded.t - block.t)) <= 6e-10
         assert np.max(np.abs(loaded.i_a - block.i_a)) <= 6e-7
+
+    def test_row_written_just_below_its_fault_instant_reads_back(self, tmp_path):
+        # k / 25600 s with k = 1025 is 0.0400390625 exactly, the fault
+        # instant, and is written rounded down to 0.040039062
+        series = simulate(SimConfig(amplitude=5.0), ((0.0400390625, L2),), 0.05)
+        path, again = tmp_path / "d.csv", tmp_path / "e.csv"
+        write_dataset(path, [block_from_series(series, series_id=0)])
+        assert "0.040039062," in path.read_text().splitlines()[1027]
+        assert path.read_text().splitlines()[1027].endswith(f",{L2}")
+        write_dataset(again, read_dataset(path))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -159,6 +170,21 @@ class TestParseErrors:
             ],
         )
         with pytest.raises(DatasetFormatError, match="line 3"):
+            read_dataset(path)
+
+    def test_label_that_contradicts_the_timeline(self, tmp_path):
+        # rows before t_fault + 1e-9 may carry the label before the fault
+        path = self.write(
+            tmp_path,
+            [
+                DATASET_HEADER,
+                "# series 0 rate=100.0 timeline=0.0:100000",
+                "0.000000000,1.0,1.0,1.0,000000",
+                "0.010000000,1.0,1.0,1.0,010000",
+                "0.020000000,1.0,1.0,1.0,000000",
+            ],
+        )
+        with pytest.raises(DatasetFormatError, match=r"line 4: label 010000 at t = 0\.01 s"):
             read_dataset(path)
 
     @pytest.mark.parametrize(

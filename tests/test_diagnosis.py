@@ -62,13 +62,10 @@ def reference_debounce(labels, min_run):
 def reference_fuse_window(labels, regions) -> FaultLabel:
     """Per-sample fusion of FaultLabels gated by detectable_faults of each
     Region: the fusion that the region mask table replaced."""
-    bits = [0] * 6
+    kept = set()
     for lab, region in zip(labels, regions):
-        allowed = detectable_faults(region)
-        for s in lab.switches:
-            if s in allowed:
-                bits[s - 1] = 1
-    return FaultLabel(tuple(bits))
+        kept |= lab.switches & detectable_faults(region)
+    return FaultLabel.from_switches(kept)
 
 
 class TestConfig:

@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from trifault.simulate import (
+    LABELS,
     N_SWITCHES,
     NO_FAULT,
     REGIONS,
     FaultLabel,
     SimConfig,
     detectable_faults,
-    label_at_time,
+    leg_switches,
     region_indices,
     simulate,
     switch_name,
+    timeline_masks,
 )
 
 
@@ -67,6 +70,29 @@ class TestFaultLabel:
             FaultLabel.from_switches([0])
         with pytest.raises(ValueError):
             FaultLabel.from_switches([7])
+
+    def test_mask_is_the_number_its_bit_string_spells(self):
+        assert [str(lab) for lab in LABELS] == [f"{m:06b}" for m in range(64)]
+        assert [lab.mask for lab in LABELS] == list(range(64))
+        assert FaultLabel.from_switches([1, 3]).mask == 0b101000
+        assert FaultLabel.from_switches(np.array([6])).mask == 1
+        assert sorted(LABELS, key=lambda lab: [int(ch) for ch in str(lab)]) == list(LABELS)
+
+    @pytest.mark.parametrize("bad", [True, np.uint8(3), np.int64(3), (0, 0, 0, 0, 0, 1), -1, 64])
+    def test_refuses_a_mask_that_is_not_an_int_in_range(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            FaultLabel(bad)
+
+    def test_leg_switches_of_an_int_and_of_an_array(self):
+        for lab in LABELS:
+            for p in range(3):
+                expected = (2 * p + 1 in lab.switches, 2 * p + 2 in lab.switches)
+                assert leg_switches(lab.mask, p) == expected
+        masks = np.arange(64, dtype=np.uint8)
+        for p in range(3):
+            upper, lower = leg_switches(masks, p)
+            assert upper.tolist() == [leg_switches(m, p)[0] for m in range(64)]
+            assert lower.tolist() == [leg_switches(m, p)[1] for m in range(64)]
 
 
 class TestSwitchNaming:
@@ -246,11 +272,14 @@ class TestTimeline:
         lab1 = FaultLabel.from_switches([2])
         lab2 = FaultLabel.from_switches([2, 5])
         timeline = ((0.01, lab1), (0.03, lab2))
-        assert label_at_time(timeline, 0.0) is NO_FAULT
-        assert label_at_time(timeline, 0.01) == lab1
-        assert label_at_time(timeline, 0.0299) == lab1
-        assert label_at_time(timeline, 0.03) == lab2
-        assert label_at_time(timeline, 1.0) == lab2
+        times = [0.0, 0.01, 0.0299, 0.03, 1.0]
+        expected = [NO_FAULT, lab1, lab1, lab2, lab2]
+        assert timeline_masks(timeline, times).tolist() == [lab.mask for lab in expected]
+        assert [int(timeline_masks(timeline, t)) for t in times] == [lab.mask for lab in expected]
+        assert timeline_masks((), times).tolist() == [0] * 5
+        # of two entries at one instant the later one holds from there on
+        same = ((0.01, lab1), (0.01, lab2))
+        assert timeline_masks(same, [0.0, 0.01]).tolist() == [0, lab2.mask]
 
     def test_rejects_unsorted_timeline(self):
         lab = FaultLabel.from_switches([1])
@@ -266,5 +295,4 @@ class TestTimeline:
         lab = FaultLabel.from_switches([3])
         s = simulate(SimConfig(amplitude=1.0), ((0.01, lab),), 0.04)
         assert s.fault_timeline == ((0.01, lab),)
-        assert label_at_time(s.fault_timeline, 0.005) is NO_FAULT
-        assert label_at_time(s.fault_timeline, 0.02) == lab
+        assert timeline_masks(s.fault_timeline, [0.005, 0.02]).tolist() == [0, lab.mask]
