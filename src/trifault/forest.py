@@ -45,14 +45,32 @@ leaves a pair at a leaf where it is. The trees are walked in blocks of
 16. Within a block, every (row, tree) pair steps down together, ordered
 tree by tree so that one step reads only that block's nodes, and the
 block's votes are added with one bincount. Pairs take 3 steps between
-leaf checks; a check drops the pairs at a leaf and compacts the rest.
+leaf checks; a check drops the pairs at a leaf and compacts the rest
+with take() on index lists, since boolean-mask indexing holds the
+interpreter lock.
+
+A pair does not walk its tree's top levels: a second table, also built
+once per model, takes it there with one lookup (the idea of QuickScorer,
+Lucchese et al. 2015). A top test's outcome depends only on where the
+row's value falls among that feature's sorted top thresholds, so one
+searchsorted per feature gives each row a column, and per tree one
+rank-table read per feature, summed, gives the pair's cell. The cell
+names the node below the top levels where the pair goes on, or the leaf
+where it stopped above them. A value equal to a threshold takes that
+threshold's column and goes left there, as in the walk, so the counts
+are those of walking from the roots. A tree has prod(count + 1) cells,
+count being its own top thresholds per feature, so the table covers the
+deepest top levels, at most 5, that keep it within 8 entries (cells and
+rank columns) per node; a tree whose top tests read many features gets
+fewer levels.
+
 The rows are cut into equal spans of at most 4096 rows, and into at
-least one per core while each span keeps 1000 rows, and a thread pool
-of one thread per core (or per span, if fewer) maps the walk over the
-spans: NumPy releases the interpreter lock inside the gathers and
-compares, so the spans walk at the same time. A span writes only its
+least one per core while each span keeps 1000 rows. The calling thread
+and one helper thread per further core (or per further span, if fewer)
+walk the spans: NumPy releases the interpreter lock inside the gathers
+and compares, so the spans walk at the same time. A span writes only its
 own rows' votes, so the counts depend neither on the spans nor on the
-number of cores. The pool is shut down before the call returns. When
+number of cores. The helpers are shut down before the call returns. When
 only labels are wanted, a row stops after any block where its leading
 vote beats the runner-up by more than the number of trees not yet
 walked: even if every remaining tree voted for one other label, that
@@ -89,8 +107,12 @@ _TREE_BLOCK = 16
 # lock back and forth between short NumPy calls ...
 _SPAN_ROWS = 4096
 _MIN_SPAN_ROWS = 1000
-# ... and lets each pair take this many steps between leaf checks
+# ... and lets each pair take this many steps between leaf checks, after a
+# table lookup took it past at most this many top levels of its tree: as
+# many as keep the table within this many entries per node
 _LEAF_CHECK_STEPS = 3
+_TOP_LEVELS = 5
+_TOP_ENTRIES = 8
 # training grows as many trees at a time as keep their presorted row lists
 # within this many entries ...
 _GROW_ENTRIES = 1 << 22
@@ -237,6 +259,128 @@ def _build_walk_table(nodes: NodeTable, roots: np.ndarray) -> _WalkTable:
     return table
 
 
+class _TopTable(NamedTuple):
+    """Where a (row, tree) pair stands after its tree's top levels, read
+    from where the row's values fall among the top thresholds.
+
+    features[u] is a feature that some tree tests in its top levels and
+    cuts[u] the sorted distinct thresholds of those tests (with no top
+    test at all, feature 0 with no cuts stands in). A row whose
+    value on it has column g = searchsorted(cuts[u], value) lies above
+    exactly the thresholds cuts[u][:g], so it goes the same way at every
+    top test of that feature as any other row with that column. Row t of
+    rank[u] maps g to tree t's stride on the feature times the count of
+    its own top thresholds below the value; rank[0] adds tree t's first
+    cell. The sum over u is the pair's cell, and entry[cell] is the walk
+    table entry where the pair goes on: a node below the top levels, or
+    the leaf where it stopped above them.
+    """
+
+    features: tuple[int, ...]
+    cuts: tuple[np.ndarray, ...]
+    rank: tuple[np.ndarray, ...]
+    entry: np.ndarray
+
+
+def _top_nodes(table: _WalkTable, roots: np.ndarray):
+    """The nodes of every tree's top _TOP_LEVELS + 1 levels, level after
+    level from the roots; a level lists the left children of the splits
+    on the level above, then their right children. Returns their
+    walk-table entries, their trees, and where each level starts."""
+    node, tree = [roots], [np.arange(roots.size)]
+    for _ in range(_TOP_LEVELS):
+        split = np.flatnonzero(table.leaf_code.take(node[-1]) < 0)
+        left = table.first.take(node[-1][split])
+        node.append(np.concatenate([left, left + 1]))
+        tree.append(np.tile(tree[-1][split], 2))
+    starts = np.cumsum([0] + [n.size for n in node])
+    return np.concatenate(node), np.concatenate(tree), starts
+
+
+def _build_top_table(table: _WalkTable, roots: np.ndarray) -> _TopTable:
+    """The top table of the deepest top levels, at most _TOP_LEVELS, whose
+    cells and rank columns number at most _TOP_ENTRIES per node.
+
+    A tree's cells are the combinations of one count per feature: the
+    count of its top thresholds on that feature below a row's value. So a
+    tree has prod(count + 1) cells, numbered with the last feature's count
+    varying fastest. Each cell's entry comes from a walk over the top
+    levels, tree block by tree block, that goes right at a test when the
+    cell's count on the test's feature is above the rank of the test's
+    threshold among the tree's thresholds on that feature.
+    """
+    n_trees = roots.size
+    node, tree_of, starts = _top_nodes(table, roots)
+    for depth in range(_TOP_LEVELS, -1, -1):
+        # the tests: the splits on the levels above `depth`
+        test = np.flatnonzero(table.leaf_code.take(node[: starts[depth]]) < 0)
+        tree, threshold = tree_of[test], table.threshold.take(node[test])
+        features, feature = np.unique(table.feature.take(node[test]), return_inverse=True)
+        if not features.size:
+            features = np.zeros(1, dtype=np.intp)  # its rank table carries the offsets
+        # each test's rank among its tree's distinct thresholds on its feature
+        order = np.lexsort((threshold, feature, tree))
+        t, f, h = tree[order], feature[order], threshold[order]
+        new_group = np.ones(order.size, dtype=bool)
+        new_group[1:] = (t[1:] != t[:-1]) | (f[1:] != f[:-1])
+        new_value = new_group.copy()
+        new_value[1:] |= h[1:] != h[:-1]
+        distinct = np.cumsum(new_value) - 1
+        rank_of = np.empty(order.size, dtype=np.intp)
+        rank_of[order] = distinct - distinct[new_group][np.cumsum(new_group) - 1]
+        kept = np.flatnonzero(new_value)
+        count = np.bincount(t[kept] * features.size + f[kept], minlength=n_trees * features.size)
+        count = count.reshape(n_trees, features.size)
+        cuts = [np.unique(h[f == u]) for u in range(features.size)]
+        cells = np.prod(count + 1, axis=1)
+        if cells.sum() + n_trees * sum(cut.size + 1 for cut in cuts) <= _TOP_ENTRIES * table.feature.size:
+            break
+    stride = np.ones_like(count)
+    stride[:, :-1] = np.cumprod((count + 1)[:, :0:-1], axis=1)[:, ::-1]
+    offset = np.cumsum(cells) - cells
+    n_cells = int(cells.sum())
+
+    rank = []
+    for u, cut in enumerate(cuts):
+        # a tree's rank steps up by its stride at each of its own thresholds;
+        # rank[0] is wide enough for any cell, so the sums fit it
+        step = stride[:, u] * (count[:, u] > 0)
+        dtype = np.min_scalar_type(n_cells - 1 if u == 0 else (step * count[:, u]).max())
+        at = kept[f[kept] == u]
+        table_u = np.zeros((n_trees, cut.size + 1), dtype=dtype)
+        table_u[t[at], np.searchsorted(cut, h[at]) + 1] = 1
+        np.cumsum(table_u, axis=1, dtype=dtype, out=table_u)
+        table_u *= step.astype(dtype)[:, None]
+        if u == 0:
+            table_u += offset.astype(dtype)[:, None]
+        rank.append(table_u)
+
+    # A test sends a cell right when its count on the feature is above the
+    # rank, that is when cell % (stride * (count + 1)) >= stride * (rank + 1);
+    # a slot that is not a test keeps the cell where it is.
+    n_slots = starts[depth + 1]
+    period = np.ones(n_slots, dtype=np.intp)
+    above = np.ones(n_slots, dtype=np.intp)
+    test_stride = stride[tree, feature]
+    period[test] = test_stride * (count[tree, feature] + 1)
+    above[test] = test_stride * (rank_of + 1)
+    child = np.repeat(np.arange(n_slots), 2)  # (left, right) slot of each slot
+    sorter = np.argsort(node[:n_slots])
+    left = table.first.take(node[test])
+    child[2 * test] = sorter[np.searchsorted(node[:n_slots], left, sorter=sorter)]
+    child[2 * test + 1] = sorter[np.searchsorted(node[:n_slots], left + 1, sorter=sorter)]
+    entry = np.empty(n_cells, dtype=np.int32 if table.feature.size <= np.iinfo(np.int32).max else np.intp)
+    for b in range(0, n_trees, _TREE_BLOCK):
+        block_cells = cells[b : b + _TREE_BLOCK]
+        lo = offset[b]
+        cell = np.arange(block_cells.sum()) - np.repeat(offset[b : b + _TREE_BLOCK] - lo, block_cells)
+        slot = np.repeat(np.arange(b, b + block_cells.size), block_cells)  # the roots come first
+        for _ in range(depth):
+            slot = child.take(2 * slot + (cell % period.take(slot) >= above.take(slot)))
+        entry[lo : lo + cell.size] = node.take(slot)
+    return _TopTable(tuple(features.tolist()), tuple(cuts), tuple(rank), entry)
+
+
 @dataclass
 class RandomForestModel:
     """Every tree's node table stacked into one. Tree t occupies the
@@ -261,6 +405,12 @@ class RandomForestModel:
     def _walk_table(self) -> _WalkTable:
         """The nodes laid out for inference, built on first use."""
         return _build_walk_table(self.nodes, self.roots)
+
+    @cached_property
+    def _top_table(self) -> _TopTable:
+        """Where each (row, tree) pair stands below the top levels, built on
+        first use."""
+        return _build_top_table(self._walk_table, self.roots)
 
 
 def normalize_fit(features) -> np.ndarray:
@@ -570,30 +720,33 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     )
 
 
-def _walk_block(X_flat, n_features, table: _WalkTable, rows, roots):
-    """Walk every (row, tree) pair of one tree block to its leaf.
+def _walk_block(X_flat, n_features, table: _WalkTable, rows, start):
+    """Walk every (row, tree) pair of one tree block to its leaf, tree j
+    of the block starting row rows[i] at entry start[j, i].
 
     Pairs are tree-major, so each step only reads that block's nodes, and
     a pair carries only where its row starts in X_flat. A leaf keeps a
     pair where it is, so pairs take _LEAF_CHECK_STEPS steps between
-    checks, and the pairs at a leaf are dropped only at a check. Returns
-    the row and the leaf label code of every pair.
+    checks, and the pairs at a leaf are dropped only at a check; the first
+    check comes before the first step. Returns the row and the leaf label
+    code of every pair.
     """
     feature, threshold, first, leaf_code = table
-    base = np.tile(rows * n_features, roots.size)
-    cur = np.repeat(roots, rows.size)
+    base = np.tile(rows * n_features, start.shape[0])
+    cur = start.ravel()
     done_rows, done_codes = [], []
-    while base.size:
+    while True:
+        # take() on index lists, unlike boolean masks, lets other threads run
+        code = leaf_code.take(cur)
+        done, walking = np.flatnonzero(code >= 0), np.flatnonzero(code < 0)
+        done_rows.append(base.take(done) // n_features)
+        done_codes.append(code.take(done))
+        if not walking.size:
+            return np.concatenate(done_rows), np.concatenate(done_codes)
+        base, cur = base.take(walking), cur.take(walking)
         for _ in range(_LEAF_CHECK_STEPS):
             right = X_flat.take(base + feature.take(cur)) > threshold.take(cur)
             cur = first.take(cur) + right
-        code = leaf_code.take(cur)
-        leaf = code >= 0
-        done_rows.append(base[leaf] // n_features)
-        done_codes.append(code[leaf])
-        walking = ~leaf
-        base, cur = base[walking], cur[walking]
-    return np.concatenate(done_rows), np.concatenate(done_codes)
 
 
 def _cores() -> int:
@@ -608,8 +761,9 @@ def _on_all_cores(work, n_rows: int) -> None:
     least one per core while each keeps _MIN_SPAN_ROWS, and call
     work(lo, hi) once for each.
 
-    The spans go to a pool of one thread per core, or per span if there
-    are fewer; NumPy releases the interpreter lock inside its gathers and
+    With w = min(cores, spans), share k holds the spans k, k + w, ...; the
+    calling thread walks share 0 and a pool of w - 1 helper threads the
+    others. NumPy releases the interpreter lock inside its gathers and
     compares, so the walks overlap. The pool starts here and is shut down
     before this returns, so no thread outlives the call.
     """
@@ -618,8 +772,20 @@ def _on_all_cores(work, n_rows: int) -> None:
     cores = _cores()
     n_spans = max(min(cores, n_rows // _MIN_SPAN_ROWS), -(-n_rows // _SPAN_ROWS))
     bounds = [k * n_rows // n_spans for k in range(n_spans + 1)]
-    with ThreadPoolExecutor(max_workers=min(cores, n_spans)) as pool:
-        list(pool.map(work, bounds[:-1], bounds[1:]))
+    workers = min(cores, n_spans)
+
+    def share(k: int) -> None:
+        for s in range(k, n_spans, workers):
+            work(bounds[s], bounds[s + 1])
+
+    if workers == 1:
+        share(0)
+        return
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(share, k) for k in range(1, workers)]
+        share(0)
+        for helper in helpers:
+            helper.result()
 
 
 def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -> np.ndarray:
@@ -637,29 +803,37 @@ def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise ValueError(f"feature row {bad[0]} is not finite: {X[bad[0]].tolist()}")
-    X_flat = normalize_apply(model.scaler, X).ravel()
-    table = model._walk_table
+    X = normalize_apply(model.scaler, X)
+    X_flat = X.ravel()
+    table, top = model._walk_table, model._top_table
     n_rows, n_classes, n_trees = X.shape[0], len(model.label_universe), model.n_trees
     votes = np.zeros((n_rows, n_classes), dtype=np.int32)
 
     def walk_span(lo: int, hi: int) -> None:
         span_votes = votes[lo:hi]
         live = np.arange(lo, hi)
+        # a value equal to a cut takes that cut's column: it goes left there
+        cols = [np.searchsorted(cut, X[lo:hi, f], side="left") for f, cut in zip(top.features, top.cuts)]
         for b in range(0, n_trees, _TREE_BLOCK):
-            roots = model.roots[b : b + _TREE_BLOCK]
-            rows, codes = _walk_block(X_flat, model.n_features, table, live, roots)
+            trees = slice(b, b + _TREE_BLOCK)
+            cell = top.rank[0][trees].take(cols[0], axis=1)
+            for rank, col in zip(top.rank[1:], cols[1:]):
+                cell += rank[trees].take(col, axis=1)
+            rows, codes = _walk_block(X_flat, model.n_features, table, live, top.entry.take(cell))
             span_votes += np.bincount(
                 (rows - lo) * n_classes + codes, minlength=span_votes.size
             ).reshape(span_votes.shape)
-            walked = b + roots.size
+            walked = min(b + _TREE_BLOCK, n_trees)
             # a row whose leader beats the runner-up by more than the trees
             # left is decided; a one-class model never is. A lead is at
             # most the trees walked, so no row is decided before half.
             if _until_decided and 2 * walked > n_trees:
-                top = np.sort(votes[live], axis=1)[:, -2:]
-                live = live[top[:, -1] - top[:, 0] <= n_trees - walked]
-                if not live.size:
+                lead = np.sort(votes[live], axis=1)[:, -2:]
+                keep = np.flatnonzero(lead[:, -1] - lead[:, 0] <= n_trees - walked)
+                if not keep.size:
                     break
+                live = live.take(keep)
+                cols = [col.take(keep) for col in cols]
 
     _on_all_cores(walk_span, n_rows)
     return votes

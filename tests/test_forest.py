@@ -492,6 +492,15 @@ def forest_lines(*trees):
     return lines + ["end"]
 
 
+def forest_lines_of_width(n_features, *trees):
+    """A model file of n_features features, all scaled by 1, whose tree t
+    holds the node lines trees[t]."""
+    lines = forest_lines(*trees)
+    lines[2:5] = [f"n_features {n_features}", "feature_names " + " ".join(f"f{k}" for k in range(n_features)),
+                  "scaler " + " ".join(["1"] * n_features)]
+    return lines
+
+
 def single_leaf_forest(*leaf_labels):
     """A one-feature model whose tree t is a single leaf voting leaf_labels[t]."""
     return model_from_lines(forest_lines(*([f"L {label}"] for label in leaf_labels)))
@@ -833,33 +842,119 @@ class TestWalkTable:
 
     def test_wide_models_keep_wide_codes(self):
         # feature 150 does not fit an int8 feature column
-        n = 200
-        lines = forest_lines(["I 150 0.5", "L 000000", "L 100000"])
-        lines[2:5] = [f"n_features {n}", "feature_names " + " ".join(f"f{k}" for k in range(n)),
-                      "scaler " + " ".join(["1"] * n)]
-        model = model_from_lines(lines)
-        X = np.zeros((2, n))
+        model = model_from_lines(forest_lines_of_width(200, ["I 150 0.5", "L 000000", "L 100000"]))
+        X = np.zeros((2, 200))
         X[1, 150] = 1.0
         assert predict_batch(model, X) == [L0, L1]
         assert model._walk_table.feature.dtype == np.intp
 
     def test_table_is_built_once_per_model(self, model, monkeypatch):
-        builds = []
-        build = forest._build_walk_table
+        # the walk table and the top table alike
+        builds = Counter()
 
-        def counted_build(*args):
-            builds.append(args)
-            return build(*args)
+        def counted(name):
+            build = getattr(forest, name)
 
-        monkeypatch.setattr(forest, "_build_walk_table", counted_build)
+            def counted_build(*args):
+                builds[name] += 1
+                return build(*args)
+
+            return counted_build
+
+        for name in ("_build_walk_table", "_build_top_table"):
+            monkeypatch.setattr(forest, name, counted(name))
         fresh = model_from_lines(model_to_lines(model))
         X = np.asarray(tie_set(np.random.default_rng(26)).features)
         labels = predict_batch(fresh, X)
-        table = fresh._walk_table
+        table, top = fresh._walk_table, fresh._top_table
         assert predict_batch(fresh, X) == labels
         assert np.array_equal(_vote_codes(fresh, X), _vote_codes(fresh, X))
-        assert fresh._walk_table is table
-        assert len(builds) == 1
+        assert fresh._walk_table is table and fresh._top_table is top
+        assert builds == {"_build_walk_table": 1, "_build_top_table": 1}
+
+
+def random_tree_lines(rng):
+    """Node lines of a random tree over 3 features, 1 to 9 levels deep."""
+    features = random_preorder_tree(rng)
+    return [f"I {f} {rng.uniform(-1.0, 1.0)!r}" if f >= 0 else f"L {'100000' if rng.random() < 0.5 else '000000'}"
+            for f in features]
+
+
+def assert_counts_match_reference(model, X):
+    """Full and early-stop counts equal those of walking each tree alone."""
+    codes = tree_codes(model, X)
+    n_classes = len(model.label_universe)
+    full = np.stack([np.bincount(c, minlength=n_classes) for c in codes])
+    assert np.array_equal(_vote_codes(model, X), full)
+    assert np.array_equal(_vote_codes(model, X, _until_decided=True), early_stop_reference(codes, n_classes))
+
+
+class TestTopTable:
+    """The lookup that takes each (row, tree) pair past the top levels."""
+
+    @pytest.mark.parametrize("share", [0.5, 0.7, 1.0, 1.3, 1.5])
+    def test_desk_counts_match_reference_at_every_amplitude(self, desk_experiment, share):
+        config = desk_experiment.config
+        sim = config.sim_config(seed=50)
+        sim = replace(sim, amplitude=sim.amplitude * share)
+        X = simulate(sim, ((0.05, FaultLabel.from_switches([1, 3])),), 0.1).currents()[::4]
+        assert_counts_match_reference(desk_experiment.model, X)
+
+    def test_desk_rows_on_a_top_threshold_go_left(self, desk_experiment):
+        # with a unit scaler a row holds the thresholds themselves
+        model = replace(desk_experiment.model, scaler=np.ones(3))
+        top = model._top_table
+        assert top.features == (0, 1, 2)
+        rng = np.random.default_rng(51)
+        rows = []
+        for f, cut in zip(top.features, top.cuts):
+            values = rng.choice(cut, 60, replace=False)
+            for value in (values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)):
+                row = rng.choice(np.concatenate(top.cuts), (values.size, 3))
+                row[:, f] = value
+                rows.append(row)
+        assert_counts_match_reference(model, np.concatenate(rows))
+
+    @pytest.mark.parametrize(
+        "trees",
+        [
+            [DEEP_TREES[0], DEEP_TREES[1], ["I 2 0.0", "L 100000", "L 000000"]] * 6,
+            # 40 trees, some deeper than the top levels, some shallower, and leaves
+            [["L 100000"], *DEEP_TREES, ["L 000000"]] * 5
+            + [random_tree_lines(np.random.default_rng(52 + k)) for k in range(20)],
+        ],
+        ids=["shallow", "mixed"],
+    )
+    def test_shallow_and_one_leaf_trees_match_reference(self, trees):
+        model = model_from_lines(forest_lines_of_width(3, *trees))
+        rng = np.random.default_rng(53)
+        X = np.concatenate([
+            rng.uniform(-1.0, 1.0, size=(300, 3)),
+            # every threshold of DEEP_TREES, on every feature
+            np.repeat([[0.1], [0.2], [0.25], [0.3], [0.375], [0.5], [0.75], [0.0]], 3, axis=1),
+        ])
+        assert_counts_match_reference(model, X)
+
+    def test_wide_model_keeps_the_table_small(self):
+        # two complete trees 6 levels deep whose top 31 tests each read a
+        # different one of 40 features: a table over all 5 top levels would
+        # need 2**31 cells per tree, so the bound stops it at 3 levels
+        rng = np.random.default_rng(54)
+
+        def tree_lines(top, depth=0):
+            if depth == 6:
+                return [f"L {'100000' if rng.random() < 0.5 else '000000'}"]
+            f = next(top) if depth < 5 else rng.integers(0, 40)
+            return [f"I {f} {rng.uniform(-1.0, 1.0)!r}", *tree_lines(top, depth + 1), *tree_lines(top, depth + 1)]
+
+        trees = [tree_lines(iter(rng.permutation(40)[:31])) for _ in range(2)]
+        model = model_from_lines(forest_lines_of_width(40, *trees))
+        X = rng.uniform(-1.0, 1.0, size=(500, 40))
+        assert_counts_match_reference(model, X)
+        top = model._top_table
+        assert top.entry.size == 2 * 2**7  # 7 tests on 7 features in each tree's top 3 levels
+        entries = top.entry.size + sum(rank.size for rank in top.rank)
+        assert entries <= forest._TOP_ENTRIES * model.nodes.feature.size
 
 
 def one_tree_lines(*node_lines):
