@@ -10,9 +10,10 @@ The package covers the full desk-scale pipeline:
   time-domain statistics) over sample windows, kept as a feature library;
   the forest reads instantaneous samples, not these.
 - :mod:`trifault.forest` — a deterministic random-forest classifier over
-  instantaneous current samples, with a text model format and
-  cross-validation helpers; ``predict_batch`` labels any number of rows,
-  one row included.
+  instantaneous current samples, with a text model format and stratified
+  k-fold accuracies; ``predict_batch`` gives any number of rows, one row
+  included, one uint8 label mask each, as training sets and dataset
+  blocks hold them.
 - :mod:`trifault.diagnosis` — the online stage: resampling, per-sample
   classification, debouncing, region-gated vote fusion, and the latched
   protection signal.

@@ -141,7 +141,7 @@ def generate_training_pool(config: ExperimentConfig) -> list[SeriesBlock]:
                 i_a=rs.i_a[rows],
                 i_b=rs.i_b[rows],
                 i_c=rs.i_c[rows],
-                labels=(label,) * n_c,
+                labels=np.full(n_c, label.mask, dtype=np.uint8),
             )
         )
     return blocks
@@ -171,24 +171,23 @@ def train_split(config: ExperimentConfig, n_rows: int) -> tuple[np.ndarray, np.n
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
-def _accuracy(model, X, labels) -> tuple[float, np.ndarray, tuple[FaultLabel, ...]]:
+def _accuracy(model, X, labels) -> tuple[float, np.ndarray, np.ndarray]:
+    """Share of rows labelled right, the confusion matrix and its sorted
+    label masks."""
     predicted = predict_batch(model, X)
     # true labels the model never saw still get their own row
-    universe = tuple(sorted(set(model.label_universe) | set(labels)))
-    code = {lab: k for k, lab in enumerate(universe)}
-    confusion = np.zeros((len(universe), len(universe)), dtype=np.int64)
-    hits = 0
-    for p, t in zip(predicted, labels):
-        hits += p == t
-        confusion[code[t], code[p]] += 1
-    return hits / len(labels), confusion, universe
+    universe = np.union1d([lab.mask for lab in model.label_universe], labels)
+    n = universe.size
+    cells = np.searchsorted(universe, labels) * n + np.searchsorted(universe, predicted)
+    confusion = np.bincount(cells, minlength=n * n).reshape(n, n)
+    return np.count_nonzero(predicted == labels) / labels.size, confusion, universe
 
 
 def _print_confusion(confusion: np.ndarray, universe) -> None:
     print("confusion matrix (rows true, cols predicted; labels sorted):")
-    print("  " + " ".join(str(lab) for lab in universe))
-    for k, lab in enumerate(universe):
-        print(f"  {lab}: " + " ".join(str(v) for v in confusion[k]))
+    print("  " + " ".join(f"{m:06b}" for m in universe))
+    for m, row in zip(universe, confusion):
+        print(f"  {m:06b}: " + " ".join(str(v) for v in row))
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
@@ -217,17 +216,11 @@ def cmd_train(args) -> int:
     config = _load_experiment_config(args)
     ts = _dataset_training_set(args.dataset)
     train_idx, test_idx = train_split(config, ts.n_rows)
-    sub = TrainingSet(
-        features=ts.features[train_idx],
-        labels=tuple(ts.labels[i] for i in train_idx),
-        feature_names=ts.feature_names,
-    )
+    sub = TrainingSet(ts.features[train_idx], ts.labels[train_idx], ts.feature_names)
     model = train_forest(sub, config.forest_params(), n_jobs=args.jobs)
     save_model(model, args.out)
 
-    acc, confusion, universe = _accuracy(
-        model, ts.features[test_idx], [ts.labels[i] for i in test_idx]
-    )
+    acc, confusion, universe = _accuracy(model, ts.features[test_idx], ts.labels[test_idx])
     print(f"trained {model.n_trees} trees on {len(train_idx)} rows, model saved to {args.out}")
     print(f"held-out rows: {len(test_idx)}")
     print(f"held-out accuracy: {acc:.4f}")
@@ -254,8 +247,8 @@ def cmd_sweep_trees(args) -> int:
     lines = ["n_trees,accuracy"]
     for n_trees in counts:
         params = replace(config.forest_params(), n_trees=n_trees)
-        result = cross_validate(ts, params, k_folds=config.cv_folds)
-        lines.append(f"{n_trees},{result.mean_accuracy:.4f}")
+        accuracy = np.mean(cross_validate(ts, params, k_folds=config.cv_folds))
+        lines.append(f"{n_trees},{accuracy:.4f}")
         print(lines[-1])
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import LABELS, FaultLabel, TriPhaseSeries, timeline_masks
+from .simulate import FaultLabel, TriPhaseSeries, check_label_masks, timeline_masks
 
 DATASET_HEADER = "t,i_a,i_b,i_c,label"
 FEATURE_COLUMNS = ("i_a", "i_b", "i_c")
@@ -38,7 +38,8 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class SeriesBlock:
-    """One recorded series: samples, labels and fault ground truth."""
+    """One recorded series: samples, label masks (uint8) and fault ground
+    truth."""
 
     series_id: int
     sample_rate: float
@@ -47,9 +48,10 @@ class SeriesBlock:
     i_a: np.ndarray
     i_b: np.ndarray
     i_c: np.ndarray
-    labels: tuple[FaultLabel, ...]
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
+        check_label_masks(self.labels)
         n = len(self.t)
         if any(len(getattr(self, f)) != n for f in ("i_a", "i_b", "i_c")) or len(self.labels) != n:
             raise ValueError("block channels, labels and t must share one length")
@@ -69,7 +71,7 @@ def block_from_series(series: TriPhaseSeries, series_id: int) -> SeriesBlock:
         i_a=np.asarray(series.i_a, dtype=float),
         i_b=np.asarray(series.i_b, dtype=float),
         i_c=np.asarray(series.i_c, dtype=float),
-        labels=tuple(LABELS[m] for m in timeline_masks(series.fault_timeline, series.t).tolist()),
+        labels=timeline_masks(series.fault_timeline, series.t),
     )
 
 
@@ -126,10 +128,10 @@ def write_dataset(path, blocks) -> None:
             f"# series {block.series_id} rate={repr(float(block.sample_rate))}"
             f" timeline={_timeline_text(block.fault_timeline)}"
         )
-        for k in range(block.n_rows):
+        for k, mask in enumerate(block.labels.tolist()):
             lines.append(
                 f"{block.t[k]:.9f},{block.i_a[k]:.6f},{block.i_b[k]:.6f},"
-                f"{block.i_c[k]:.6f},{block.labels[k]}"
+                f"{block.i_c[k]:.6f},{mask:06b}"
             )
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines))
@@ -177,9 +179,8 @@ def read_dataset(path) -> list[SeriesBlock]:
             raise DatasetFormatError(
                 f"line {block_info['line']}: series {block_info['id']} has no rows"
             )
-        t, labels = np.array(block_info["t"]), block_info["labels"]
+        t, masks = np.array(block_info["t"]), np.array(block_info["labels"], dtype=np.uint8)
         timeline = block_info["timeline"]
-        masks = np.array([lab.mask for lab in labels], dtype=np.uint8)
         wrong = np.flatnonzero(
             (masks != timeline_masks(timeline, t - _LABEL_TIME_TOL))
             & (masks != timeline_masks(timeline, t + _LABEL_TIME_TOL))
@@ -187,7 +188,7 @@ def read_dataset(path) -> list[SeriesBlock]:
         if wrong.size:
             k = int(wrong[0])
             raise DatasetFormatError(
-                f"line {block_info['line'] + 1 + k}: label {labels[k]} at t = {float(t[k])!r} s"
+                f"line {block_info['line'] + 1 + k}: label {masks[k]:06b} at t = {float(t[k])!r} s"
                 " disagrees with the series timeline"
             )
         blocks.append(
@@ -199,7 +200,7 @@ def read_dataset(path) -> list[SeriesBlock]:
                 i_a=np.array(block_info["ia"]),
                 i_b=np.array(block_info["ib"]),
                 i_c=np.array(block_info["ic"]),
-                labels=tuple(labels),
+                labels=masks,
             )
         )
 
@@ -227,7 +228,7 @@ def read_dataset(path) -> list[SeriesBlock]:
         try:
             t_val = float(fields[0])
             row = [float(fields[1]), float(fields[2]), float(fields[3])]
-            label = FaultLabel.from_string(fields[4])
+            mask = FaultLabel.from_string(fields[4]).mask
         except ValueError as exc:
             raise DatasetFormatError(f"line {line_no}: {exc}") from exc
         if not all(map(math.isfinite, (t_val, *row))):
@@ -238,15 +239,14 @@ def read_dataset(path) -> list[SeriesBlock]:
         current["ia"].append(row[0])
         current["ib"].append(row[1])
         current["ic"].append(row[2])
-        current["labels"].append(label)
+        current["labels"].append(mask)
     finish(current)
     if not blocks:
         raise DatasetFormatError("line 1: dataset holds no series")
     return blocks
 
 
-def training_rows(blocks) -> tuple[np.ndarray, tuple[FaultLabel, ...]]:
-    """All rows of all blocks as one (n, 3) matrix plus labels."""
+def training_rows(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """All rows of all blocks as one (n, 3) matrix plus their label masks."""
     X = np.concatenate([np.column_stack([b.i_a, b.i_b, b.i_c]) for b in blocks])
-    labels = tuple(lab for b in blocks for lab in b.labels)
-    return X, labels
+    return X, np.concatenate([b.labels for b in blocks])

@@ -136,7 +136,7 @@ def classify_stream(model: RandomForestModel, series: TriPhaseSeries) -> np.ndar
     """Per-sample forest label masks (uint8) for an already-resampled series."""
     if model.n_features != 3:
         raise ValueError("streaming classification expects a 3-feature model")
-    return np.array([lab.mask for lab in predict_batch(model, series.currents())], dtype=np.uint8)
+    return predict_batch(model, series.currents())
 
 
 def debounce(labels, min_run: int):

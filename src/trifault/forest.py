@@ -3,7 +3,10 @@
 Bagged CART trees with Gini splits. Rows are normalized per feature by
 the training maximum absolute value, each tree trains on a bootstrap
 resample, and each split considers m_try features drawn without
-replacement. Determinism rules: every tree's RNG is derived from
+replacement. A row's label is its 6-bit fault mask, held in a uint8
+array from the training set to predict_batch's result; inside the forest
+a label is its code, the rank of its mask among the model's sorted
+label universe. Determinism rules: every tree's RNG is derived from
 (seed, tree index) only, so parallel and sequential training coincide;
 split ties go to the lower feature index then the lower threshold;
 leaf pluralities and forest votes break ties in sorted-label order,
@@ -64,8 +67,9 @@ deepest top levels, at most 5, that keep it within 8 entries (cells and
 rank columns) per node; a tree whose top tests read many features gets
 fewer levels.
 
-The rows are cut into equal spans of at most 4096 rows, and into at
-least one per core while each span keeps 1000 rows. The calling thread
+The rows are cut into the fewest equal spans of at most 4096 rows, so
+a call of up to 4096 rows walks on the calling thread alone: shorter
+spans walk no faster on two threads than on one. The calling thread
 and one helper thread per further core (or per further span, if fewer)
 walk the spans: NumPy releases the interpreter lock inside the gathers
 and compares, so the spans walk at the same time. A span writes only its
@@ -93,7 +97,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .simulate import FaultLabel
+from .simulate import LABELS, FaultLabel, check_label_masks
 
 MODEL_FORMAT_NAME = "trifault-forest"
 MODEL_FORMAT_VERSION = 1
@@ -101,12 +105,10 @@ MODEL_FORMAT_VERSION = 1
 _MIN_GAIN = 1e-12
 # inference walks the trees this many at a time ...
 _TREE_BLOCK = 16
-# ... over equal spans of at most this many rows, shared out among the cores,
-# one per core or more as long as each holds the second count: shorter
-# spans walk slower on two threads than on one, which hand the interpreter
-# lock back and forth between short NumPy calls ...
+# ... over the fewest equal spans of at most this many rows, shared out among
+# the cores: shorter spans walk slower on two threads than on one, which hand
+# the interpreter lock back and forth between short NumPy calls ...
 _SPAN_ROWS = 4096
-_MIN_SPAN_ROWS = 1000
 # ... and lets each pair take this many steps between leaf checks, after a
 # table lookup took it past at most this many top levels of its tree: as
 # many as keep the table within this many entries per node
@@ -190,18 +192,26 @@ def _preorder_children(feature: np.ndarray) -> np.ndarray:
     return right
 
 
+def _refuse_non_finite_rows(X: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"feature row {bad[0]} is not finite: {X[bad[0]].tolist()}")
+
+
 @dataclass(frozen=True)
 class TrainingSet:
-    """Feature rows plus their fault labels."""
+    """Finite feature rows plus their label masks (uint8)."""
 
     features: np.ndarray
-    labels: tuple[FaultLabel, ...]
+    labels: np.ndarray
     feature_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         X = np.asarray(self.features, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("features must be a non-empty (rows, n_features) array")
+        _refuse_non_finite_rows(X)
+        check_label_masks(self.labels)
         if len(self.labels) != X.shape[0]:
             raise ValueError("labels must match the number of feature rows")
         if len(self.feature_names) != X.shape[1]:
@@ -440,12 +450,8 @@ def bootstrap_sample(n_rows: int, n: int, rng: np.random.Generator) -> np.ndarra
 
 
 def label_universe_of(labels) -> tuple[FaultLabel, ...]:
-    return tuple(sorted(set(labels)))
-
-
-def _encode_labels(labels, universe) -> np.ndarray:
-    code = {lab: k for k, lab in enumerate(universe)}
-    return np.fromiter((code[lab] for lab in labels), dtype=np.int64, count=len(labels))
+    """The distinct labels of an array of label masks, sorted."""
+    return tuple(LABELS[m] for m in np.unique(labels).tolist())
 
 
 def _ranges(starts, lengths) -> np.ndarray:
@@ -687,13 +693,13 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     ts = training_set
-    universe = label_universe_of(ts.labels)
-    if len(universe) < 2:
+    masks = np.unique(ts.labels)
+    if masks.size < 2:
         raise ValueError("training needs at least 2 distinct labels")
     scaler = normalize_fit(ts.features)
     X_norm = normalize_apply(scaler, ts.features)
-    codes = _encode_labels(ts.labels, universe)
-    n_classes = len(universe)
+    codes = np.searchsorted(masks, ts.labels)
+    n_classes = masks.size
 
     workers = min(n_jobs, params.n_trees, os.cpu_count() or 1)
     block = min(max(1, _GROW_ENTRIES // X_norm.size), -(-params.n_trees // workers))
@@ -715,7 +721,7 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
         roots=np.cumsum(sizes) - sizes,
         feature_names=ts.feature_names,
         scaler=scaler,
-        label_universe=universe,
+        label_universe=label_universe_of(masks),
         params=params,
     )
 
@@ -757,9 +763,9 @@ def _cores() -> int:
 
 
 def _on_all_cores(work, n_rows: int) -> None:
-    """Cut the rows into equal spans, none longer than _SPAN_ROWS and at
-    least one per core while each keeps _MIN_SPAN_ROWS, and call
-    work(lo, hi) once for each.
+    """Cut the rows into the fewest equal spans of at most _SPAN_ROWS rows
+    and call work(lo, hi) once for each, so a call of up to _SPAN_ROWS
+    rows walks on the calling thread alone.
 
     With w = min(cores, spans), share k holds the spans k, k + w, ...; the
     calling thread walks share 0 and a pool of w - 1 helper threads the
@@ -769,10 +775,9 @@ def _on_all_cores(work, n_rows: int) -> None:
     """
     if n_rows == 0:
         return
-    cores = _cores()
-    n_spans = max(min(cores, n_rows // _MIN_SPAN_ROWS), -(-n_rows // _SPAN_ROWS))
+    n_spans = -(-n_rows // _SPAN_ROWS)
     bounds = [k * n_rows // n_spans for k in range(n_spans + 1)]
-    workers = min(cores, n_spans)
+    workers = min(_cores(), n_spans)
 
     def share(k: int) -> None:
         for s in range(k, n_spans, workers):
@@ -800,9 +805,7 @@ def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -
     X = np.asarray(X_raw, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (rows, {model.n_features}) features")
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise ValueError(f"feature row {bad[0]} is not finite: {X[bad[0]].tolist()}")
+    _refuse_non_finite_rows(X)
     X = normalize_apply(model.scaler, X)
     X_flat = X.ravel()
     table, top = model._walk_table, model._top_table
@@ -839,73 +842,43 @@ def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -
     return votes
 
 
-def predict_batch(model: RandomForestModel, features) -> list[FaultLabel]:
-    """Majority-vote label per row; ties go to the sorted-label order."""
+def predict_batch(model: RandomForestModel, features) -> np.ndarray:
+    """Majority-vote label mask (uint8) per row; ties go to the sorted-label
+    order."""
     votes = _vote_codes(model, features, _until_decided=True)
-    return [model.label_universe[k] for k in np.argmax(votes, axis=1)]
-
-
-@dataclass(frozen=True)
-class CrossValResult:
-    fold_accuracies: tuple[float, ...]
-    mean_accuracy: float
-    confusion: np.ndarray
-    label_universe: tuple[FaultLabel, ...]
+    masks = np.array([lab.mask for lab in model.label_universe], dtype=np.uint8)
+    return masks.take(np.argmax(votes, axis=1))
 
 
 def stratified_folds(labels, k_folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Shuffled per-class round-robin assignment into k folds."""
-    by_label: dict[FaultLabel, list[int]] = {}
-    for i, lab in enumerate(labels):
-        by_label.setdefault(lab, []).append(i)
-    folds: list[list[int]] = [[] for _ in range(k_folds)]
+    """Sorted row indices of k folds: each label's rows, shuffled, are dealt
+    round-robin, one label after another in mask order."""
+    fold_of = np.empty(len(labels), dtype=np.intp)
     offset = 0
-    for lab in sorted(by_label):
-        idx = np.array(by_label[lab])
+    for mask in np.unique(labels):
+        idx = np.flatnonzero(labels == mask)
         rng.shuffle(idx)
-        for j, row in enumerate(idx):
-            folds[(offset + j) % k_folds].append(int(row))
-        offset += len(idx)
-    return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
+        fold_of[idx] = (offset + np.arange(idx.size)) % k_folds
+        offset += idx.size
+    return [np.flatnonzero(fold_of == k) for k in range(k_folds)]
 
 
-def cross_validate(training_set: TrainingSet, params: ForestParams, k_folds: int = 5) -> CrossValResult:
-    """Stratified k-fold accuracy and pooled confusion matrix."""
+def cross_validate(training_set: TrainingSet, params: ForestParams, k_folds: int = 5) -> tuple[float, ...]:
+    """Stratified k-fold accuracies, one per fold."""
     ts = training_set
     if k_folds < 2:
         raise ValueError("k_folds must be >= 2")
     if ts.n_rows < k_folds:
         raise ValueError(f"{ts.n_rows} rows cannot fill {k_folds} folds")
-    universe = label_universe_of(ts.labels)
-    code_of = {lab: k for k, lab in enumerate(universe)}
     rng = np.random.default_rng([params.seed, 0xF01D])
-    folds = stratified_folds(ts.labels, k_folds, rng)
-
-    confusion = np.zeros((len(universe), len(universe)), dtype=np.int64)
     accuracies = []
-    all_rows = np.arange(ts.n_rows)
-    for fold in folds:
-        test_mask = np.zeros(ts.n_rows, dtype=bool)
-        test_mask[fold] = True
-        train_idx = all_rows[~test_mask]
-        sub = TrainingSet(
-            features=ts.features[train_idx],
-            labels=tuple(ts.labels[i] for i in train_idx),
-            feature_names=ts.feature_names,
-        )
+    for fold in stratified_folds(ts.labels, k_folds, rng):
+        train_idx = np.setdiff1d(np.arange(ts.n_rows), fold)
+        sub = TrainingSet(ts.features[train_idx], ts.labels[train_idx], ts.feature_names)
         model = train_forest(sub, params)
-        predicted = predict_batch(model, ts.features[fold])
-        truth = [ts.labels[i] for i in fold]
-        hits = sum(p == t for p, t in zip(predicted, truth))
-        accuracies.append(hits / len(fold))
-        for p, t in zip(predicted, truth):
-            confusion[code_of[t], code_of[p]] += 1
-    return CrossValResult(
-        fold_accuracies=tuple(accuracies),
-        mean_accuracy=float(np.mean(accuracies)),
-        confusion=confusion,
-        label_universe=universe,
-    )
+        hits = np.count_nonzero(predict_batch(model, ts.features[fold]) == ts.labels[fold])
+        accuracies.append(hits / fold.size)
+    return tuple(accuracies)
 
 
 def _fmt(value: float) -> str:

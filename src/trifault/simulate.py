@@ -93,6 +93,16 @@ LABELS = tuple(FaultLabel(mask) for mask in range(1 << N_SWITCHES))
 NO_FAULT = LABELS[0]
 
 
+def check_label_masks(labels) -> None:
+    """Refuse row labels that are not a 1-D uint8 array of 6-bit masks.
+    Nothing is converted: a tuple of FaultLabels is refused too."""
+    if not isinstance(labels, np.ndarray) or labels.dtype != np.uint8 or labels.ndim != 1:
+        got = f"{labels.ndim}-D {labels.dtype}" if isinstance(labels, np.ndarray) else type(labels).__name__
+        raise ValueError(f"labels must be a 1-D uint8 array of label masks, got {got}")
+    if labels.size and labels.max() >= 1 << N_SWITCHES:
+        raise ValueError(f"label masks must be below {1 << N_SWITCHES}, got {labels.max()}")
+
+
 def leg_switches(mask, phase: int):
     """Whether the upper and the lower switch of a phase (0, 1, 2 for
     a, b, c) are open under a mask, an int or an array of masks."""

@@ -45,9 +45,7 @@ def desk_experiment() -> DeskExperiment:
 
     train_idx, test_idx = train_split(config, len(labels))
     train_set = TrainingSet(
-        features=X[train_idx],
-        labels=tuple(labels[i] for i in train_idx),
-        feature_names=("i_a", "i_b", "i_c"),
+        features=X[train_idx], labels=labels[train_idx], feature_names=("i_a", "i_b", "i_c")
     )
 
     t0 = time.perf_counter()
@@ -57,7 +55,7 @@ def desk_experiment() -> DeskExperiment:
     t0 = time.perf_counter()
     predicted = predict_batch(model, X[test_idx])
     eval_seconds = time.perf_counter() - t0
-    accuracy = float(np.mean([predicted[k] == labels[i] for k, i in enumerate(test_idx)]))
+    accuracy = float(np.mean(predicted == labels[test_idx]))
 
     return DeskExperiment(
         config=config,

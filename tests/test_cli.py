@@ -52,11 +52,11 @@ class TestGen:
         blocks = read_dataset(small_env["pool"])
         assert len(blocks) == 22
         assert sum(b.n_rows for b in blocks) == 2200
-        normal_rows = [b for b in blocks if b.labels[0].is_normal][0].n_rows
-        fault_rows = max(b.n_rows for b in blocks if not b.labels[0].is_normal)
+        normal_rows = [b for b in blocks if b.labels[0] == 0][0].n_rows
+        fault_rows = max(b.n_rows for b in blocks if b.labels[0] != 0)
         assert normal_rows > fault_rows
         for b in blocks:
-            assert len(set(b.labels)) == 1  # one class per block
+            assert np.unique(b.labels).size == 1  # one class per block
 
     def test_deterministic_output(self, small_env, tmp_path):
         out = tmp_path / "pool2.csv"
@@ -85,8 +85,7 @@ class TestGen:
         assert main(args) == 0
         block = read_dataset(out)[0]
         assert block.n_rows == round(0.05 * 25600)
-        labels = set(block.labels)
-        assert len(labels) == 2  # healthy prefix then the fault
+        assert np.unique(block.labels).size == 2  # healthy prefix then the fault
 
 
 class TestTrainEval:
@@ -123,7 +122,7 @@ class TestTrainEval:
             if line.startswith("  ") and ":" in line:
                 label, counts = line.split(":")
                 rows[label.strip()] = [int(v) for v in counts.split()]
-        true_counts = {str(b.labels[0]): b.n_rows for b in read_dataset(wider)}
+        true_counts = {f"{b.labels[0]:06b}": b.n_rows for b in read_dataset(wider)}
         assert "001000" in rows
         assert sum(rows["001000"]) == true_counts["001000"]
         assert sum(rows["100000"]) == true_counts["100000"]

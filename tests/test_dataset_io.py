@@ -31,8 +31,9 @@ def sample_block(with_fault=True, n=64):
 class TestBlockConstruction:
     def test_labels_follow_timeline(self):
         block = sample_block()
-        for t, lab in zip(block.t, block.labels):
-            assert lab == (L2 if t >= 0.001 else NO_FAULT)
+        assert block.labels.dtype == np.uint8
+        for t, mask in zip(block.t, block.labels):
+            assert mask == (L2 if t >= 0.001 else NO_FAULT).mask
 
     def test_rejects_mismatched_columns(self):
         with pytest.raises(ValueError):
@@ -44,7 +45,30 @@ class TestBlockConstruction:
                 i_a=np.array([1.0]),
                 i_b=np.array([1.0, 2.0]),
                 i_c=np.array([1.0, 2.0]),
-                labels=(NO_FAULT, NO_FAULT),
+                labels=np.zeros(2, dtype=np.uint8),
+            )
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            (NO_FAULT, NO_FAULT),
+            np.zeros(2, dtype=np.int64),
+            np.zeros((2, 1), dtype=np.uint8),
+            np.array([0, 64], dtype=np.uint8),
+        ],
+        ids=["label-tuple", "int64", "2-d", "mask-64"],
+    )
+    def test_refuses_labels_that_are_not_a_mask_array(self, labels):
+        with pytest.raises(ValueError, match="label mask"):
+            SeriesBlock(
+                series_id=0,
+                sample_rate=100.0,
+                fault_timeline=(),
+                t=np.array([0.0, 0.01]),
+                i_a=np.array([1.0, 2.0]),
+                i_b=np.array([1.0, 2.0]),
+                i_c=np.array([1.0, 2.0]),
+                labels=labels,
             )
 
     def test_block_to_series_round_trip(self):
@@ -65,7 +89,7 @@ class TestBlockConstruction:
             i_a=np.concatenate([block.i_a[:10], block.i_a[20:]]),
             i_b=np.concatenate([block.i_b[:10], block.i_b[20:]]),
             i_c=np.concatenate([block.i_c[:10], block.i_c[20:]]),
-            labels=block.labels[:10] + block.labels[20:],
+            labels=np.concatenate([block.labels[:10], block.labels[20:]]),
         )
         with pytest.raises(ValueError):
             block_to_series(gapped)
@@ -99,7 +123,8 @@ class TestFileRoundTrip:
         assert loaded.series_id == block.series_id
         assert loaded.sample_rate == block.sample_rate
         assert loaded.fault_timeline == block.fault_timeline
-        assert loaded.labels == block.labels
+        assert loaded.labels.dtype == np.uint8
+        assert np.array_equal(loaded.labels, block.labels)
         # written at 9 / 6 decimal places: half-ulp of the last digit
         assert np.max(np.abs(loaded.t - block.t)) <= 6e-10
         assert np.max(np.abs(loaded.i_a - block.i_a)) <= 6e-7
@@ -235,6 +260,7 @@ class TestTrainingRows:
         blocks = [sample_block(with_fault=False, n=32), sample_block(n=48)]
         X, labels = training_rows(blocks)
         assert X.shape == (80, 3)
-        assert len(labels) == 80
+        assert labels.shape == (80,)
         assert X.dtype == np.float64
-        assert labels[0] is NO_FAULT
+        assert labels.dtype == np.uint8
+        assert labels[0] == NO_FAULT.mask

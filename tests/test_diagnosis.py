@@ -88,7 +88,8 @@ class TestRunDiagnosis:
     @staticmethod
     def tiny_model():
         X = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
-        train = TrainingSet(X, (NO_FAULT, L1, NO_FAULT, L1), ("i_a", "i_b", "i_c"))
+        masks = np.array([NO_FAULT.mask, L1.mask, NO_FAULT.mask, L1.mask], dtype=np.uint8)
+        train = TrainingSet(X, masks, ("i_a", "i_b", "i_c"))
         return train_forest(train, ForestParams(n_trees=2, seed=1))
 
     def test_refuses_stream_shorter_than_one_window(self):

@@ -38,11 +38,17 @@ from trifault.forest import (
     train_forest,
     tree_rng,
 )
-from trifault.simulate import NO_FAULT, FaultLabel, simulate
+from trifault.simulate import LABELS, NO_FAULT, FaultLabel, simulate
 
 L0 = NO_FAULT
 L1 = FaultLabel.from_switches([1])
 L2 = FaultLabel.from_switches([2])
+
+
+def masks(*labels):
+    """The uint8 masks of labels, as training sets and predict_batch hold them."""
+    return np.array([lab.mask for lab in labels], dtype=np.uint8)
+
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,7 +57,7 @@ def blob_set(rng, n_per_class=50, spread=0.4):
     X = np.concatenate(
         [rng.normal(loc=3.0 * k, scale=spread, size=(n_per_class, 3)) for k in range(3)]
     )
-    y = tuple(lab for lab in (L0, L1, L2) for _ in range(n_per_class))
+    y = np.repeat(masks(L0, L1, L2), n_per_class)
     return TrainingSet(features=X, labels=y, feature_names=("i_a", "i_b", "i_c"))
 
 
@@ -119,16 +125,38 @@ class TestTrainingSetValidation:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             TrainingSet(
-                features=np.zeros((3, 2)), labels=(L0, L1), feature_names=("a", "b")
+                features=np.zeros((3, 2)), labels=masks(L0, L1), feature_names=("a", "b")
             )
 
     def test_rejects_wrong_name_count(self):
         with pytest.raises(ValueError):
-            TrainingSet(features=np.zeros((2, 2)), labels=(L0, L1), feature_names=("a",))
+            TrainingSet(features=np.zeros((2, 2)), labels=masks(L0, L1), feature_names=("a",))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            (L0, L1),
+            np.zeros(2, dtype=np.int64),
+            np.zeros((2, 1), dtype=np.uint8),
+            np.array([0, 64], dtype=np.uint8),
+        ],
+        ids=["label-tuple", "int64", "2-d", "mask-64"],
+    )
+    def test_refuses_labels_that_are_not_a_mask_array(self, labels):
+        with pytest.raises(ValueError, match="label mask"):
+            TrainingSet(features=np.zeros((2, 2)), labels=labels, feature_names=("a", "b"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_features_and_names_the_row(self, bad):
+        ts = blob_set(np.random.default_rng(9), n_per_class=4)
+        X = ts.features.copy()
+        X[3, 1] = bad
+        with pytest.raises(ValueError, match="feature row 3 is not finite"):
+            TrainingSet(features=X, labels=ts.labels, feature_names=ts.feature_names)
 
     def test_label_universe_sorted_normal_first(self):
         # bit-string order: 000000 < 010000 < 100000
-        universe = label_universe_of((L2, L1, L0, L2))
+        universe = label_universe_of(masks(L2, L1, L0, L2))
         assert universe == (L0, L2, L1)
         assert universe[0].is_normal
 
@@ -163,11 +191,10 @@ def leaf_of(nodes, right, row, root=0):
 def grow_tree(X, labels, m_try, rng, max_depth=None, min_samples_leaf=1):
     """One tree grown by the lockstep grower on all the given rows (already
     normalized); its leaf codes index label_universe_of(labels)."""
-    universe = label_universe_of(labels)
-    codes = forest._encode_labels(labels, universe)
+    classes, codes = np.unique(labels, return_inverse=True)
     X = np.asarray(X, dtype=float)
     feature, threshold, leaf_code, _ = forest._grow_block(
-        X, codes, len(universe), [rng], [np.arange(len(X))], m_try, max_depth, min_samples_leaf
+        X, codes, classes.size, [rng], [np.arange(len(X))], m_try, max_depth, min_samples_leaf
     )
     return NodeTable(feature, threshold, leaf_code)
 
@@ -175,9 +202,9 @@ def grow_tree(X, labels, m_try, rng, max_depth=None, min_samples_leaf=1):
 class TestSingleTree:
     def test_pure_node_becomes_leaf(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        tree = grow_tree(X, (L0, L0), m_try=1, rng=np.random.default_rng(0))
+        tree = grow_tree(X, masks(L0, L0), m_try=1, rng=np.random.default_rng(0))
         assert tree.feature.tolist() == [-1]
-        assert label_universe_of((L0, L0))[tree.leaf_code[0]] == L0
+        assert label_universe_of(masks(L0, L0))[tree.leaf_code[0]] == L0
 
     def test_separable_data_fits_exactly(self):
         rng = np.random.default_rng(1)
@@ -186,8 +213,8 @@ class TestSingleTree:
         universe = label_universe_of(ts.labels)
         right = reference_children(tree.feature.tolist())
         # walk every training row through the tree
-        for row, lab in zip(ts.features, ts.labels):
-            assert universe[tree.leaf_code[leaf_of(tree, right, row)]] == lab
+        for row, mask in zip(ts.features, ts.labels):
+            assert universe[tree.leaf_code[leaf_of(tree, right, row)]].mask == mask
 
     def test_max_depth_limits_tree(self):
         rng = np.random.default_rng(3)
@@ -216,7 +243,7 @@ class TestSingleTree:
         # value, which would send both rows left again and again
         below = np.nextafter(1.0, 0.0)
         tree = grow_tree(
-            np.array([[below], [1.0]]), (L0, L1), m_try=1, rng=np.random.default_rng(0),
+            np.array([[below], [1.0]]), masks(L0, L1), m_try=1, rng=np.random.default_rng(0),
             max_depth=5,
         )
         assert tree.feature.tolist() == [0, -1, -1]
@@ -226,7 +253,7 @@ class TestSingleTree:
     def test_node_without_gain_becomes_leaf(self):
         # XOR: every cut leaves both sides as mixed as the node
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]] * 3)
-        tree = grow_tree(X, (L0, L0, L1, L1) * 3, m_try=2, rng=np.random.default_rng(0))
+        tree = grow_tree(X, np.tile(masks(L0, L0, L1, L1), 3), m_try=2, rng=np.random.default_rng(0))
         assert tree.feature.tolist() == [-1]
 
 
@@ -291,7 +318,7 @@ def many_class_set(rng, n_classes=12, n_per_class=25):
         [rng.normal(loc=rng.uniform(0, 3, 3), size=(n_per_class, 3)) for _ in labels]
     )
     X[:, 2] = np.round(X[:, 2] * 2) / 2
-    y = tuple(lab for lab in labels for _ in range(n_per_class))
+    y = np.repeat(masks(*labels), n_per_class)
     return TrainingSet(features=X, labels=y, feature_names=("i_a", "i_b", "i_c"))
 
 
@@ -320,7 +347,7 @@ class TestLockstepGrowth:
         ts = make_set()
         model = train_forest(ts, params)
         X = normalize_apply(model.scaler, ts.features)
-        codes = np.array([model.label_universe.index(lab) for lab in ts.labels])
+        codes = np.array([model.label_universe.index(LABELS[m]) for m in ts.labels])
         m_try = params.resolved_m_try(X.shape[1])
         nodes = []
         for t in range(params.n_trees):
@@ -414,7 +441,7 @@ class TestForestTraining:
         ts = blob_set(np.random.default_rng(5))
         model = train_forest(ts, ForestParams(n_trees=16, seed=1))
         pred = predict_batch(model, np.asarray(ts.features))
-        assert np.mean([p == t for p, t in zip(pred, ts.labels)]) == 1.0
+        assert np.mean(pred == ts.labels) == 1.0
 
     def test_seeded_training_is_reproducible(self):
         ts = blob_set(np.random.default_rng(6))
@@ -450,9 +477,9 @@ class TestForestTraining:
 
     def test_rejects_single_class(self):
         X = np.zeros((4, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2 distinct labels"):
             train_forest(
-                TrainingSet(features=X, labels=(L0,) * 4, feature_names=("a", "b")),
+                TrainingSet(features=X, labels=np.zeros(4, dtype=np.uint8), feature_names=("a", "b")),
                 ForestParams(n_trees=2),
             )
 
@@ -511,7 +538,7 @@ class TestVoting:
         ts = blob_set(np.random.default_rng(11))
         model = train_forest(ts, ForestParams(n_trees=10, seed=0))
         votes = _vote_codes(model, ts.features[:1])[0]
-        label = predict_batch(model, ts.features[:1])[0]
+        label = LABELS[predict_batch(model, ts.features[:1])[0]]
         assert votes.sum() == 10
         assert votes[model.label_universe.index(label)] == votes.max()
 
@@ -519,28 +546,28 @@ class TestVoting:
         # two rows of each class at the same point force split-free leaves;
         # a 1-vs-1 forest of stumps trained on conflicting data lands ties
         X = np.array([[0.0], [0.0]])
-        ts = TrainingSet(features=X, labels=(L0, L1), feature_names=("f",))
+        ts = TrainingSet(features=X, labels=masks(L0, L1), feature_names=("f",))
         model = train_forest(ts, ForestParams(n_trees=2, seed=0))
         votes = _vote_codes(model, np.array([[0.0]]))[0]
         # identical feature values leave no split; every tree's leaf holds
         # a bootstrap mix and ties inside a leaf resolve to the first
         # label in sorted order
         best = min(range(votes.size), key=lambda k: (-votes[k], model.label_universe[k]))
-        assert predict_batch(model, np.array([[0.0]])) == [model.label_universe[best]]
+        assert predict_batch(model, np.array([[0.0]])).tolist() == [model.label_universe[best].mask]
 
     def test_even_vote_tie_prefers_normal(self):
         # four single-leaf trees voting 2-2 between the all-zero label
         # and a fault label: the all-zero label sorts first and wins
         model = single_leaf_forest("000000", "100000", "000000", "100000")
         assert _vote_codes(model, np.array([[0.5]])).tolist() == [[2, 2]]
-        assert predict_batch(model, np.array([[0.5]])) == [L0]
+        assert predict_batch(model, np.array([[0.5]])).tolist() == [L0.mask]
 
     def test_batch_matches_single(self):
         ts = blob_set(np.random.default_rng(12))
         model = train_forest(ts, ForestParams(n_trees=8, seed=1))
         rows = np.asarray(ts.features)[::11]
         batch = predict_batch(model, rows)
-        assert [predict_batch(model, row[None])[0] for row in rows] == batch
+        assert [predict_batch(model, row[None])[0] for row in rows] == batch.tolist()
 
     def test_rejects_wrong_width(self):
         ts = blob_set(np.random.default_rng(13))
@@ -574,8 +601,8 @@ class TestBlockedWalk:
     def test_labels_match_reference_majority(self, walked):
         model, X, counts = walked
         # argmax takes the first maximum: the sorted-label tie-break
-        expected = [model.label_universe[k] for k in np.argmax(counts, axis=1)]
-        assert predict_batch(model, X) == expected
+        expected = [model.label_universe[k].mask for k in np.argmax(counts, axis=1)]
+        assert predict_batch(model, X).tolist() == expected
 
     @pytest.mark.parametrize("span_rows", [1, 7, 20000])
     @pytest.mark.parametrize("cores", [1, 3])
@@ -594,7 +621,7 @@ class TestBlockedWalk:
             labels = predict_batch(model, X[:n])
         finally:
             sys.setswitchinterval(interval)
-        assert labels == [model.label_universe[k] for k in np.argmax(counts[:n], axis=1)]
+        assert labels.tolist() == [model.label_universe[k].mask for k in np.argmax(counts[:n], axis=1)]
 
     def test_no_thread_outlives_a_call(self, walked, monkeypatch):
         model, X, _ = walked
@@ -625,14 +652,21 @@ class TestBlockedWalk:
 
     def test_empty_input_gives_no_labels(self, walked):
         model, _, _ = walked
-        assert predict_batch(model, np.empty((0, 3))) == []
+        labels = predict_batch(model, np.empty((0, 3)))
+        assert labels.dtype == np.uint8 and labels.shape == (0,)
+
+    def test_labels_are_uint8_masks(self, walked):
+        model, X, _ = walked
+        labels = predict_batch(model, X[:50])
+        assert labels.dtype == np.uint8 and labels.shape == (50,)
+        assert set(labels.tolist()) <= {lab.mask for lab in model.label_universe}
 
     def test_margin_equal_to_trees_left_is_not_decided(self):
         # after the first 16-tree block the fault label leads by 16 with
         # 16 trees left; those all vote healthy, and the 16-16 tie goes
         # to the healthy label, which sorts first
         model = single_leaf_forest(*["100000"] * 16, *["000000"] * 16)
-        assert predict_batch(model, np.zeros((1, 1))) == [L0]
+        assert predict_batch(model, np.zeros((1, 1))).tolist() == [L0.mask]
         assert _vote_codes(model, np.zeros((1, 1))).tolist() == [[16, 16]]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -645,8 +679,9 @@ class TestBlockedWalk:
         with pytest.raises(ValueError, match="feature row 0 is not finite"):
             _vote_codes(model, rows[1:2])
 
-    def test_call_of_2001_rows_walks_on_two_cores(self, walked, monkeypatch):
+    def test_call_of_span_rows_plus_one_walks_on_two_threads(self, walked, monkeypatch):
         model, X, counts = walked
+        n = forest._SPAN_ROWS + 1
         # each thread's first walk waits here until the other thread's has
         # started, so a call that walks on one thread only times out
         both_walking = threading.Barrier(2, timeout=10)
@@ -661,13 +696,28 @@ class TestBlockedWalk:
 
         monkeypatch.setattr(forest, "_walk_block", traced_walk)
         monkeypatch.setattr(forest, "_cores", lambda: 2)
-        assert np.array_equal(_vote_codes(model, X[:2001]), counts[:2001])
+        assert np.array_equal(_vote_codes(model, X[:n]), counts[:n])
         assert len(walkers) == 2
+
+    def test_call_of_span_rows_walks_on_the_calling_thread(self, walked, monkeypatch):
+        model, X, counts = walked
+        n = forest._SPAN_ROWS
+        walkers = set()
+        walk = forest._walk_block
+
+        def traced_walk(*args):
+            walkers.add(threading.get_ident())
+            return walk(*args)
+
+        monkeypatch.setattr(forest, "_walk_block", traced_walk)
+        monkeypatch.setattr(forest, "_cores", lambda: 2)
+        assert np.array_equal(_vote_codes(model, X[:n]), counts[:n])
+        assert walkers == {threading.get_ident()}
 
     @pytest.mark.parametrize(
         "n_rows, cores, span_rows, n_spans",
         [(0, 2, 4096, 0), (1, 3, 4096, 1), (200, 2, 4096, 1), (1999, 2, 4096, 1),
-         (2000, 2, 4096, 2), (2001, 1, 4096, 1), (9000, 3, 4096, 3), (9000, 1, 4096, 3),
+         (2000, 2, 4096, 1), (2001, 1, 4096, 1), (4096, 2, 4096, 1), (4097, 2, 4096, 2), (9000, 3, 4096, 3), (9000, 1, 4096, 3),
          (120000, 2, 4096, 30), (9000, 2, 7, 1286), (5, 3, 1, 5)],
     )
     def test_spans_are_equal_and_shared_by_the_cores(self, monkeypatch, n_rows, cores, span_rows, n_spans):
@@ -816,7 +866,7 @@ class TestWalkTable:
         expected = [model.nodes.leaf_code[leaf_of(model.nodes, right, row)] for row in rows]
         assert expected == [0, 1, 0]
         assert np.argmax(_vote_codes(model, rows), axis=1).tolist() == expected
-        assert predict_batch(model, rows) == [L0, L1, L0]
+        assert predict_batch(model, rows).tolist() == [L0.mask, L1.mask, L0.mask]
 
     @pytest.mark.parametrize(
         "trees",
@@ -838,14 +888,14 @@ class TestWalkTable:
             for i, row in enumerate(X):
                 counts[i, model.nodes.leaf_code[leaf_of(model.nodes, right, row, root)]] += 1
         assert np.array_equal(_vote_codes(model, X), counts)
-        assert predict_batch(model, X) == [model.label_universe[k] for k in np.argmax(counts, axis=1)]
+        assert predict_batch(model, X).tolist() == [model.label_universe[k].mask for k in np.argmax(counts, axis=1)]
 
     def test_wide_models_keep_wide_codes(self):
         # feature 150 does not fit an int8 feature column
         model = model_from_lines(forest_lines_of_width(200, ["I 150 0.5", "L 000000", "L 100000"]))
         X = np.zeros((2, 200))
         X[1, 150] = 1.0
-        assert predict_batch(model, X) == [L0, L1]
+        assert predict_batch(model, X).tolist() == [L0.mask, L1.mask]
         assert model._walk_table.feature.dtype == np.intp
 
     def test_table_is_built_once_per_model(self, model, monkeypatch):
@@ -867,7 +917,7 @@ class TestWalkTable:
         X = np.asarray(tie_set(np.random.default_rng(26)).features)
         labels = predict_batch(fresh, X)
         table, top = fresh._walk_table, fresh._top_table
-        assert predict_batch(fresh, X) == labels
+        assert np.array_equal(predict_batch(fresh, X), labels)
         assert np.array_equal(_vote_codes(fresh, X), _vote_codes(fresh, X))
         assert fresh._walk_table is table and fresh._top_table is top
         assert builds == {"_build_walk_table": 1, "_build_top_table": 1}
@@ -1108,12 +1158,12 @@ class TestPersistence:
         loaded = load_model(DATA / name)
         assert model_to_lines(loaded) == golden
         rows = np.concatenate([ts.features, np.random.default_rng(21).uniform(-2, 8, (200, 3))])
-        assert predict_batch(loaded, rows) == predict_batch(model, rows)
+        assert np.array_equal(predict_batch(loaded, rows), predict_batch(model, rows))
 
 
 class TestCrossValidation:
     def test_stratified_folds_partition_all_rows(self):
-        labels = (L0,) * 10 + (L1,) * 7 + (L2,) * 8
+        labels = np.repeat(masks(L0, L1, L2), [10, 7, 8])
         folds = stratified_folds(labels, 5, np.random.default_rng(0))
         seen = np.concatenate(folds)
         assert sorted(seen) == list(range(25))
@@ -1121,22 +1171,17 @@ class TestCrossValidation:
         assert max(sizes) - min(sizes) <= 3
 
     def test_fold_class_balance(self):
-        labels = (L0,) * 20 + (L1,) * 20
+        labels = np.repeat(masks(L0, L1), 20)
         folds = stratified_folds(labels, 4, np.random.default_rng(1))
         for fold in folds:
-            n0 = sum(1 for i in fold if labels[i] == L0)
+            n0 = sum(1 for i in fold if labels[i] == L0.mask)
             assert n0 == 5
 
     def test_cross_validate_result_shape(self):
         ts = blob_set(np.random.default_rng(17), n_per_class=30)
-        result = cross_validate(ts, ForestParams(n_trees=6, seed=0), k_folds=5)
-        assert len(result.fold_accuracies) == 5
-        assert result.mean_accuracy == pytest.approx(
-            float(np.mean(result.fold_accuracies))
-        )
-        assert result.confusion.shape == (3, 3)
-        assert result.confusion.sum() == 90
-        assert result.mean_accuracy > 0.9
+        accuracies = cross_validate(ts, ForestParams(n_trees=6, seed=0), k_folds=5)
+        assert len(accuracies) == 5
+        assert np.mean(accuracies) > 0.9
 
     def test_rejects_bad_fold_count(self):
         ts = blob_set(np.random.default_rng(18), n_per_class=2)
@@ -1147,5 +1192,4 @@ class TestCrossValidation:
         ts = blob_set(np.random.default_rng(19))
         a = cross_validate(ts, ForestParams(n_trees=4, seed=2), k_folds=3)
         b = cross_validate(ts, ForestParams(n_trees=4, seed=2), k_folds=3)
-        assert a.fold_accuracies == b.fold_accuracies
-        assert np.array_equal(a.confusion, b.confusion)
+        assert a == b
