@@ -24,20 +24,36 @@ Training grows the trees in blocks, in lockstep: step s expands the
 s-th preorder node of every tree in the block not yet finished. Each
 tree keeps its own stack and its own RNG, and draws its features once
 per split attempt in its own preorder, so its draws are those of a tree
-grown alone. Rows are sorted once per tree and feature (the presort of
+grown alone. With m_try = 1 a tree draws them in bulk: for one feature
+of k, Generator.choice(k, 1, replace=False) makes the one bounded draw
+that integers(0, k) makes and has nothing to shuffle, and
+integers(0, k, size=c) continues that stream exactly. So each tree
+draws chunks of c features from its own RNG, which draws nothing else
+after the bootstrap, and gets the features of one choice call per
+attempt. Rows are sorted once per tree and feature (the presort of
 SLIQ, Mehta et al. 1996): a node owns one range of positions in every
 feature's row list, and a split reorders each range stably into its
 left rows and then its right rows, so no node sorts. A step is one loop
 body: it picks the nodes to try, draws their features, scores them in a
 few array passes per batch (the nodes whose rows start in one span of a
 fixed row count), partitions each batch's split nodes, and appends its
-nodes to a list that is put in tree order at the end. The class counts
-left of each cut are exact integers, counted only at cuts, and the
-gains come from the same float operations on the same (cuts x classes)
-rows as when each node was scored alone: division, square, a row sum
-over every class, the same gain expression, and the first maximum per
-node. So the model bytes depend neither on the block size nor on the
-batches, and match those of growing one node at a time.
+nodes to a list that is put in tree order at the end.
+
+Only the cuts at class boundary points are scored (Fayyad & Irani 1992;
+Elomaa & Rousu 1999): a cut is skipped when the values on both sides of
+it are held by rows of one and the same class. Between two boundary
+points, each cut moves rows of that one class from the right child to
+the left, and along such a stretch the children's weighted Gini
+impurity is strictly concave, so the gain is strictly convex and peaks
+only at an end of the stretch: the first maximum of a node never lies
+inside one. A leaf limit can clip a stretch, so the first and last cut
+it allows in each run are scored too. The class counts left of each
+scored cut are exact integers, and the gains come from the same float
+operations on the same (cuts x classes) rows as when each node scored
+every cut alone: division, square, a row sum over every class, the same
+gain expression, and the first maximum per node. So the model bytes
+depend neither on the block size, the batches nor the draw chunk, and
+match those of growing one node at a time and scoring every cut.
 
 Inference walks a second layout of the nodes, built once per model on
 its first use and kept on it: each tree keeps its entries, but the two
@@ -118,8 +134,10 @@ _TOP_ENTRIES = 8
 # training grows as many trees at a time as keep their presorted row lists
 # within this many entries ...
 _GROW_ENTRIES = 1 << 22
-# ... and scores split nodes in batches of at most this many presorted rows
+# ... and scores split nodes in batches of at most this many presorted rows;
+# with m_try == 1 a tree draws its features this many at a time
 _SPLIT_ROWS = 8192
+_DRAW_CHUNK = 256
 
 
 class ModelFormatError(ValueError):
@@ -470,6 +488,11 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     feature's order. The runs lie end to end, node by node and features
     ascending within a node, so the first maximum of a node's gains is
     its lowest feature's lowest threshold.
+
+    Only boundary points are scored, plus the first and last cut of a run
+    that the leaf limit allows: a cut inside a stretch of one class has a
+    strictly convex gain along the stretch, so it is never the first
+    maximum, and dropping it changes no result.
     """
     n_nodes, m_try = feats.shape
     n_classes = counts.shape[1]
@@ -477,7 +500,9 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     run_feature = feats.ravel()
     run_len = n_node[run_node]
     run_end = np.cumsum(run_len) - 1
+    run_first = run_end - run_len + 1
     rows = order.ravel()[_ranges(run_feature * order.shape[1] + lo[run_node], run_len)]
+    row_codes = codes[rows]
     feature = np.repeat(run_feature, run_len)
     value = X.ravel()[rows * X.shape[1] + feature]
     # a cut falls between two different values of one run
@@ -485,11 +510,24 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     differs[run_end[:-1]] = False
     cut = np.flatnonzero(differs)
     run = np.searchsorted(run_end, cut)
-    left_n = cut - (run_end - run_len)[run]
+    # a cut is a boundary point when the class changes somewhere from the
+    # first row of the value before it to the last row of the value after it
+    class_changes = np.zeros(value.size, dtype=np.intp)  # before each row
+    np.cumsum(row_codes[1:] != row_codes[:-1], out=class_changes[1:])
+    group_first = np.maximum(np.append(0, cut[:-1] + 1), run_first[run])
+    group_last = np.minimum(np.append(cut[1:], value.size), run_end[run])
+    keep = class_changes[group_last] > class_changes[group_first]
+    left_n = cut + 1 - run_first[run]
     node_n = run_len[run]
     if min_leaf > 1:
-        keep = (left_n >= min_leaf) & (node_n - left_n >= min_leaf)
-        cut, run, left_n, node_n = cut[keep], run[keep], left_n[keep], node_n[keep]
+        # the leaf limit clips a run's cuts to one stretch, whose ends may
+        # lie between boundary points: keep them too
+        first = np.searchsorted(cut, run_first + min_leaf - 1)
+        last = np.searchsorted(cut, run_end - min_leaf, side="right") - 1
+        some = first <= last
+        keep[first[some]] = keep[last[some]] = True
+        keep &= (left_n >= min_leaf) & (node_n - left_n >= min_leaf)
+    cut, run, left_n, node_n = cut[keep], run[keep], left_n[keep], node_n[keep]
     best_feature = np.full(n_nodes, -1, dtype=np.intp)
     best_threshold = np.zeros(n_nodes)
     if not cut.size:
@@ -501,7 +539,7 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     gap = np.zeros(value.size, dtype=np.intp)
     gap[cut + 1] = 1
     np.cumsum(gap, out=gap)  # cuts before each row
-    left = np.bincount(gap * n_classes + codes[rows], minlength=(cut.size + 1) * n_classes)
+    left = np.bincount(gap * n_classes + row_codes, minlength=(cut.size + 1) * n_classes)
     left = left.reshape(-1, n_classes)
     run_cuts = np.searchsorted(run, np.arange(run_len.size + 1))
     cut_runs = np.flatnonzero(run_cuts[:-1] < run_cuts[1:])
@@ -574,10 +612,13 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
 
     Step s expands the s-th node, in preorder, of every tree not yet
     finished. Each tree draws its features from its own rng, once per
-    split attempt, in its own preorder. samples may be a generator; it is
-    read once, before the first step. Returns the node columns (feature,
-    threshold, leaf_code), tree after tree, and the node count of each
-    tree.
+    split attempt, in its own preorder. With m_try == 1 a tree takes its
+    draw from a pool of _DRAW_CHUNK integers(0, n_features) drawn ahead
+    from its rng and refilled when used up, which yields the same
+    features as a choice() call per attempt. samples may be a generator;
+    it is read once, before the first step, so every bootstrap is drawn
+    before any feature. Returns the node columns (feature, threshold,
+    leaf_code), tree after tree, and the node count of each tree.
     """
     X = np.ascontiguousarray(X)
     n, n_features = X.shape
@@ -601,6 +642,10 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
         for f, rows in enumerate(by_feature):
             order[f, t * n : (t + 1) * n] = np.repeat(rows, copies[rows])
         stack_counts[t, 0] = np.bincount(codes[sample], minlength=n_classes)
+    # with m_try == 1, tree t's next draws are pool[t, drawn[t]:]; the pool
+    # is filled on first use, after every bootstrap
+    pool = np.empty((n_trees, _DRAW_CHUNK), dtype=np.int64)
+    drawn = np.full(n_trees, _DRAW_CHUNK)
     grown = []  # (tree, feature, threshold, leaf_code) of each step's nodes
     while height.any():
         tree = np.flatnonzero(height)
@@ -616,7 +661,14 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
         if max_depth is not None:
             tried &= depth < max_depth
         tried = np.flatnonzero(tried)
-        if m_try < n_features:
+        if m_try == 1 < n_features:
+            drawing = tree[tried]
+            for t in drawing[drawn[drawing] == _DRAW_CHUNK].tolist():
+                pool[t] = rngs[t].integers(0, n_features, size=_DRAW_CHUNK)
+                drawn[t] = 0
+            feats = pool[drawing, drawn[drawing]][:, None]
+            drawn[drawing] += 1
+        elif m_try < n_features:
             draws = (rngs[t].choice(n_features, m_try, replace=False) for t in tree[tried].tolist())
             feats = np.sort(list(draws))
         else:

@@ -322,6 +322,13 @@ def many_class_set(rng, n_classes=12, n_per_class=25):
     return TrainingSet(features=X, labels=y, feature_names=("i_a", "i_b", "i_c"))
 
 
+def grid_many_class_set(rng):
+    """many_class_set with every feature on a 0.5 grid, so that most
+    equal-value groups mix classes and some hold one class only."""
+    ts = many_class_set(rng)
+    return TrainingSet(np.round(ts.features * 2) / 2, ts.labels, ts.feature_names)
+
+
 class TestLockstepGrowth:
     @pytest.mark.parametrize(
         "make_set, params",
@@ -340,8 +347,18 @@ class TestLockstepGrowth:
                 lambda: many_class_set(np.random.default_rng(34)),
                 ForestParams(n_trees=6, m_try=2, max_depth=4, seed=5),
             ),
+            *(
+                (
+                    lambda: grid_many_class_set(np.random.default_rng(37)),
+                    ForestParams(n_trees=6, m_try=1, min_samples_leaf=leaf, seed=leaf),
+                )
+                for leaf in (1, 2, 3)
+            ),
         ],
-        ids=["blobs", "ties", "ties-limits", "many-classes", "many-classes-limits"],
+        ids=[
+            "blobs", "ties", "ties-limits", "many-classes", "many-classes-limits",
+            "grid-leaf-1", "grid-leaf-2", "grid-leaf-3",
+        ],
     )
     def test_forest_equals_trees_grown_one_node_at_a_time(self, make_set, params):
         ts = make_set()
@@ -378,6 +395,28 @@ class TestLockstepGrowth:
         for split_rows in (1, 64, 10**9):
             monkeypatch.setattr(forest, "_SPLIT_ROWS", split_rows)
             assert model_to_lines(train_forest(ts, params)) == default
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_one_feature_choices_continue_as_bulk_integers(self, k):
+        # With m_try = 1 a tree draws its features in bulk: after the
+        # bootstrap, one choice(k, 1, replace=False) per split attempt is
+        # the same stream as integers(0, k), in chunks of any size.
+        one_at_a_time, in_chunks = tree_rng(k, 0), tree_rng(k, 0)
+        for rng in (one_at_a_time, in_chunks):
+            bootstrap_sample(301, 301, rng)
+        draws = [int(one_at_a_time.choice(k, 1, replace=False)[0]) for _ in range(50)]
+        chunks = [in_chunks.integers(0, k, size=size) for size in (17, 33)]
+        assert draws == np.concatenate(chunks).tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_draw_chunk_does_not_change_bytes(self, chunk, monkeypatch):
+        # these trees have fewer than 150 nodes, so they draw fewer features
+        # than the default chunk holds: only small chunks refill a pool
+        ts = grid_many_class_set(np.random.default_rng(38))
+        params = ForestParams(n_trees=6, m_try=1, min_samples_leaf=2, seed=9)
+        default = model_to_lines(train_forest(ts, params))
+        monkeypatch.setattr(forest, "_DRAW_CHUNK", chunk)
+        assert model_to_lines(train_forest(ts, params)) == default
 
 
 def random_preorder_tree(rng, depth=0):
