@@ -15,8 +15,8 @@ The package covers the full desk-scale pipeline:
   included, one uint8 label mask each, as training sets and dataset
   blocks hold them.
 - :mod:`trifault.diagnosis` — the online stage: resampling, per-sample
-  classification, debouncing, region-gated vote fusion, and the latched
-  protection signal.
+  classification, debouncing, region-gated vote fusion, and the latch
+  that confirms a fault set over agreeing windows.
 - :mod:`trifault.dataset`, :mod:`trifault.config`, :mod:`trifault.cli` —
   dataset file I/O, experiment configuration, and the command line front
   end (``trifault gen | train | eval | sweep-trees | diagnose``).

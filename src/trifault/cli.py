@@ -262,11 +262,9 @@ def cmd_diagnose(args) -> int:
     blocks = read_dataset(args.series_file)
     diag = config.diagnosis_config()
     records = []
-    any_protection = False
     for block in blocks:
         series = block_to_series(block)
         report = run_diagnosis(model, series, diag)
-        any_protection = any_protection or report.protection_signal
         records.append(
             {
                 "series": block.series_id,
@@ -282,7 +280,7 @@ def cmd_diagnose(args) -> int:
             for record in records:
                 fh.write(json.dumps(record))
                 fh.write("\n")
-    return 1 if any_protection else 0
+    return 1 if any(record["protection_signal"] for record in records) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

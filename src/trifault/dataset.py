@@ -151,6 +151,10 @@ def _parse_series_comment(line: str, line_no: int) -> tuple[int, float, tuple]:
         if "=" not in token:
             raise DatasetFormatError(f"line {line_no}: bad metadata token {token!r}")
         key, value = token.split("=", 1)
+        if key not in ("rate", "timeline"):
+            raise DatasetFormatError(f"line {line_no}: unknown series key {key!r}")
+        if key in meta:
+            raise DatasetFormatError(f"line {line_no}: series key {key!r} given twice")
         meta[key] = value
     if "rate" not in meta or "timeline" not in meta:
         raise DatasetFormatError(f"line {line_no}: series comment needs rate= and timeline=")

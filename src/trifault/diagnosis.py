@@ -1,14 +1,14 @@
 """Multi-time-scale online diagnosis over a trained forest.
 
 Pipeline: resample the acquired series down to the classifier rate,
-classify every sample, debounce the label stream, then fuse each
-period-aligned window. Inside the pipeline a label is its 6-bit
-FaultLabel.mask (S1 is bit 5, S6 bit 0), so a stream of labels is one
-uint8 array. Fusion keeps the bits that the sample's 60-degree region
-can physically expose, from a six-entry mask table, and ORs them over
-the window. A protection signal latches after confirm_windows
-consecutive windows agree on the same non-empty fused mask. Only the
-report looks masks up in LABELS.
+classify every sample, debounce the label stream, then fuse all
+period-aligned windows at once. Inside the pipeline a label is its
+6-bit FaultLabel.mask (S1 is bit 5, S6 bit 0), so the windowed stream
+is one (windows x samples) uint8 array. Fusion keeps the bits that each
+sample's 60-degree region can expose, from a six-entry mask table, and
+ORs them along each window. The first run of confirm_windows equal
+non-empty fused masks latches the fault set. Only the report looks
+masks up in LABELS.
 """
 
 from __future__ import annotations
@@ -91,11 +91,10 @@ class FaultReport:
     fault_set: frozenset[int]
     first_detect_time: float | None
     per_window_history: tuple[WindowRecord, ...]
-    protection_signal: bool
 
-    def __post_init__(self) -> None:
-        if bool(self.fault_set) != self.protection_signal:
-            raise ValueError("fault_set must be non-empty exactly when protection fires")
+    @property
+    def protection_signal(self) -> bool:
+        return bool(self.fault_set)
 
 
 def resample(series: TriPhaseSeries, target_rate: float) -> TriPhaseSeries:
@@ -139,6 +138,12 @@ def classify_stream(model: RandomForestModel, series: TriPhaseSeries) -> np.ndar
     return predict_batch(model, series.currents())
 
 
+def _runs(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run of equal items of a 1-D array."""
+    starts = np.flatnonzero(np.concatenate(([True], items[1:] != items[:-1])))
+    return starts, np.diff(starts, append=items.size)
+
+
 def debounce(labels, min_run: int):
     """Suppress runs shorter than min_run.
 
@@ -152,21 +157,29 @@ def debounce(labels, min_run: int):
     items = np.asarray(labels)
     if items.ndim != 1:
         raise ValueError(f"debounce expects a 1-D label sequence, got shape {items.shape}")
-    starts = np.flatnonzero(np.concatenate(([True], items[1:] != items[:-1])))
-    lengths = np.diff(starts, append=items.size)
+    starts, lengths = _runs(items)
     # each run copies the start of the last run long enough to be accepted;
     # a short run maps to 0, the first run's start, so the first run is kept
     accepted = np.maximum.accumulate(np.where(lengths >= min_run, starts, 0))
     return items[np.repeat(accepted, lengths)].tolist()
 
 
-def fuse_window(labels, regions) -> int:
-    """OR of one window's label masks, each gated by its REGIONS index."""
+def fuse_window(labels, regions) -> np.uint8 | np.ndarray:
+    """OR of label masks, each gated by its REGIONS index, along the last
+    axis: one window fuses to one mask, (windows x samples) to one each."""
     masks = np.asarray(labels, dtype=np.uint8)
     regions = np.asarray(regions, dtype=np.intp)
     if masks.shape != regions.shape:
         raise ValueError("labels and regions are misaligned")
-    return int(np.bitwise_or.reduce(masks & _EXPOSED[regions]))
+    return np.bitwise_or.reduce(masks & _EXPOSED[regions], axis=-1)
+
+
+def _latch(fused: np.ndarray, confirm_windows: int) -> int | None:
+    """First window of the first run of confirm_windows equal non-zero
+    fused masks, or None; a healthy run (mask 0) never latches."""
+    starts, lengths = _runs(fused)
+    hits = starts[(lengths >= confirm_windows) & (fused[starts] != 0)]
+    return int(hits[0]) if hits.size else None
 
 
 def estimate_phase_reference(series: TriPhaseSeries, fundamental: float) -> float | None:
@@ -183,7 +196,7 @@ def estimate_phase_reference(series: TriPhaseSeries, fundamental: float) -> floa
     peak = float(np.max(np.abs(ia))) if scan else 0.0
     if peak <= 0.0:
         return None
-    swing = per // 8
+    swing = max(1, per // 8)
     for i in np.nonzero((ia[:-1] < 0.0) & (ia[1:] >= 0.0))[0]:
         j1, j2 = i - swing, i + swing
         if j1 < 0 or j2 >= scan:
@@ -206,9 +219,9 @@ def run_diagnosis(
         config: pipeline settings.
 
     Returns:
-        FaultReport with the latched fault set, detection time (start of
-        the first window of the agreeing run), the per-window debounced
-        label history, and the protection flag.
+        FaultReport with the confirmed fault set, detection time (start of
+        the first window of the agreeing run) and the per-window
+        debounced label history.
     """
     rs = resample(series, config.target_rate)
     masks = np.array(debounce(classify_stream(model, rs), config.debounce_min_run), dtype=np.uint8)
@@ -228,35 +241,19 @@ def run_diagnosis(
             f"series too short: {rs.n_samples} samples at {config.target_rate:g} Hz, one"
             f" window needs {start + ws} ({ws} after the phase reference at sample {start})"
         )
-    regions = region_indices(360.0 * f0 * (rs.t - t_zero))
-
-    history: list[WindowRecord] = []
-    fault_set: frozenset[int] = frozenset()
-    first_detect: float | None = None
-    latched = False
-    run_fused = run_len = 0
-    run_start_time = 0.0
-
-    for w in range(n_windows):
-        lo = start + w * ws
-        window, t_lo = masks[lo : lo + ws], float(rs.t[lo])
-        fused = fuse_window(window, regions[lo : lo + ws])
-        labels = tuple(LABELS[m] for m in window.tolist())
-        history.append(WindowRecord(w, t_lo, labels, LABELS[fused]))
-        if latched:
-            continue
-        # a run of equal fused masks; a healthy run (mask 0) never latches
-        if fused != run_fused:
-            run_fused, run_len, run_start_time = fused, 0, t_lo
-        run_len += 1
-        if run_fused and run_len >= config.confirm_windows:
-            latched = True
-            fault_set = LABELS[run_fused].switches
-            first_detect = run_start_time
-
+    span = slice(start, start + n_windows * ws)
+    windows = masks[span].reshape(n_windows, ws)
+    regions = region_indices(360.0 * f0 * (rs.t[span] - t_zero)).reshape(n_windows, ws)
+    fused = fuse_window(windows, regions)
+    history = tuple(
+        WindowRecord(w, t_lo, tuple(LABELS[m] for m in window), LABELS[f])
+        for w, (t_lo, window, f) in enumerate(
+            zip(rs.t[span][::ws].tolist(), windows.tolist(), fused.tolist())
+        )
+    )
+    hit = _latch(fused, config.confirm_windows)
     return FaultReport(
-        fault_set=fault_set,
-        first_detect_time=first_detect,
-        per_window_history=tuple(history),
-        protection_signal=latched,
+        fault_set=frozenset() if hit is None else history[hit].fused.switches,
+        first_detect_time=None if hit is None else history[hit].start_time,
+        per_window_history=history,
     )

@@ -498,12 +498,12 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     n_classes = counts.shape[1]
     run_node = np.repeat(np.arange(n_nodes), m_try)
     run_feature = feats.ravel()
-    run_len = n_node[run_node]
-    run_end = np.cumsum(run_len) - 1
-    run_first = run_end - run_len + 1
-    rows = order.ravel()[_ranges(run_feature * order.shape[1] + lo[run_node], run_len)]
+    run_size = n_node[run_node]
+    run_end = np.cumsum(run_size) - 1
+    run_first = run_end - run_size + 1
+    rows = order.ravel()[_ranges(run_feature * order.shape[1] + lo[run_node], run_size)]
     row_codes = codes[rows]
-    feature = np.repeat(run_feature, run_len)
+    feature = np.repeat(run_feature, run_size)
     value = X.ravel()[rows * X.shape[1] + feature]
     # a cut falls between two different values of one run
     differs = value[1:] != value[:-1]
@@ -518,7 +518,7 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     group_last = np.minimum(np.append(cut[1:], value.size), run_end[run])
     keep = class_changes[group_last] > class_changes[group_first]
     left_n = cut + 1 - run_first[run]
-    node_n = run_len[run]
+    node_n = run_size[run]
     if min_leaf > 1:
         # the leaf limit clips a run's cuts to one stretch, whose ends may
         # lie between boundary points: keep them too
@@ -541,7 +541,7 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     np.cumsum(gap, out=gap)  # cuts before each row
     left = np.bincount(gap * n_classes + row_codes, minlength=(cut.size + 1) * n_classes)
     left = left.reshape(-1, n_classes)
-    run_cuts = np.searchsorted(run, np.arange(run_len.size + 1))
+    run_cuts = np.searchsorted(run, np.arange(run_size.size + 1))
     cut_runs = np.flatnonzero(run_cuts[:-1] < run_cuts[1:])
     run_counts = counts[run_node]
     earlier = (np.cumsum(run_counts, axis=0) - run_counts)[cut_runs]  # rows before each run
@@ -937,25 +937,53 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _write_optional(value: int | None) -> str:
+    return "none" if value is None else str(value)
+
+
+def _int_or_none(text: str) -> int | None:
+    return None if text == "none" else int(text)
+
+
+def _label_list(text: str) -> tuple[FaultLabel, ...]:
+    """Labels in strictly increasing order, which vote ties rely on."""
+    labels = tuple(FaultLabel.from_string(v) for v in text.split())
+    if any(a >= b for a, b in zip(labels, labels[1:])):
+        raise ValueError("labels must be sorted and distinct")
+    return labels
+
+
+def _scaler(text: str) -> np.ndarray:
+    scaler = np.array([float(v) for v in text.split()])
+    if not np.all(np.isfinite(scaler) & (scaler > 0)):
+        raise ValueError("scaler entries must be finite and > 0")
+    return scaler
+
+
+# each header line after the format line, in file order: its key, how
+# the value is written from a model, and how it is read back
+_HEADER = {
+    "n_trees": (lambda m: str(m.n_trees), int),
+    "n_features": (lambda m: str(m.n_features), int),
+    "feature_names": (lambda m: " ".join(m.feature_names), lambda text: tuple(text.split())),
+    "scaler": (lambda m: " ".join(_fmt(s) for s in m.scaler), _scaler),
+    "labels": (lambda m: " ".join(str(lab) for lab in m.label_universe), _label_list),
+    "seed": (lambda m: str(m.params.seed), int),
+    "m_try": (lambda m: _write_optional(m.params.m_try), _int_or_none),
+    "max_depth": (lambda m: _write_optional(m.params.max_depth), _int_or_none),
+    "min_samples_leaf": (lambda m: str(m.params.min_samples_leaf), int),
+}
+
+
 def _model_chunks(model: RandomForestModel):
     """The lines of the v1 model file in chunks: the header, one chunk
     per tree, then the end marker, so a writer never holds the whole
     text."""
-    p = model.params
     for name in model.feature_names:
         if any(ch.isspace() for ch in name):
             raise ModelFormatError(f"feature name with whitespace: {name!r}")
-    yield [
-        f"{MODEL_FORMAT_NAME} {MODEL_FORMAT_VERSION}",
-        f"n_trees {model.n_trees}",
-        f"n_features {model.n_features}",
-        "feature_names " + " ".join(model.feature_names),
-        "scaler " + " ".join(_fmt(s) for s in model.scaler),
-        "labels " + " ".join(str(lab) for lab in model.label_universe),
-        f"seed {p.seed}",
-        f"m_try {'none' if p.m_try is None else p.m_try}",
-        f"max_depth {'none' if p.max_depth is None else p.max_depth}",
-        f"min_samples_leaf {p.min_samples_leaf}",
+    yield [f"{MODEL_FORMAT_NAME} {MODEL_FORMAT_VERSION}"] + [
+        f"{key} {write(model)}" for key, (write, _) in _HEADER.items()
     ]
     names = [str(lab) for lab in model.label_universe]
     columns = (model.nodes.feature, model.nodes.threshold, model.nodes.leaf_code)
@@ -972,38 +1000,12 @@ def model_to_lines(model: RandomForestModel) -> list[str]:
     return [line for chunk in _model_chunks(model) for line in chunk]
 
 
-def _int_or_none(text: str) -> int | None:
-    return None if text == "none" else int(text)
-
-
-def _label_list(text: str) -> tuple[FaultLabel, ...]:
-    """Labels in strictly increasing order, which vote ties rely on."""
-    labels = tuple(FaultLabel.from_string(v) for v in text.split())
-    if any(a >= b for a, b in zip(labels, labels[1:])):
-        raise ValueError("labels must be sorted and distinct")
-    return labels
-
-
-# each header line after the format line: its key and how its value is read
-_HEADER = {
-    "n_trees": int,
-    "n_features": int,
-    "feature_names": lambda text: tuple(text.split()),
-    "scaler": lambda text: np.array([float(v) for v in text.split()]),
-    "labels": _label_list,
-    "seed": int,
-    "m_try": _int_or_none,
-    "max_depth": _int_or_none,
-    "min_samples_leaf": int,
-}
-
-
 def _read_header(lines: list[str]) -> dict:
     """The header values by key. A header line that is missing, holds
     the wrong key, or holds a value that cannot be read or that
     ForestParams refuses raises ModelFormatError quoting it."""
     header = {}
-    for k, (key, read) in enumerate(_HEADER.items(), 1):
+    for k, (key, (_, read)) in enumerate(_HEADER.items(), 1):
         if k >= len(lines):
             raise ModelFormatError(f"missing header line {key!r}")
         parts = lines[k].split(None, 1)
@@ -1096,10 +1098,8 @@ def model_from_lines(lines: list[str]) -> RandomForestModel:
     n_trees, n_features, scaler = header["n_trees"], header["n_features"], header["scaler"]
     if len(header["feature_names"]) != n_features or len(scaler) != n_features:
         raise ModelFormatError("feature_names/scaler width disagrees with n_features")
-    if not np.all(np.isfinite(scaler) & (scaler > 0)):
-        raise ModelFormatError(f"scaler entries must be finite and > 0: {lines[4]!r}")
     params = ForestParams(**{key: header[key] for key in ForestParams.__dataclass_fields__})
-    nodes, roots = _parse_trees(lines[10:], n_trees, n_features, header["labels"])
+    nodes, roots = _parse_trees(lines[1 + len(_HEADER) :], n_trees, n_features, header["labels"])
     return RandomForestModel(
         nodes=nodes,
         roots=roots,

@@ -232,10 +232,15 @@ class TestParseErrors:
                 "0.02,1.0,1.0,1.0,000000",
                 2,
             ),
+            # a series comment names each of its two keys once
+            ("# series 0 rate=100.0 rate=200.0 timeline=none", "0.02,1.0,1.0,1.0,000000", 2),
+            ("# series 0 rate=100.0 timeline=none timeline=none", "0.02,1.0,1.0,1.0,000000", 2),
+            ("# series 0 rate=100.0 timeline=none colour=blue", "0.02,1.0,1.0,1.0,000000", 2),
         ],
         ids=["rate-nan", "rate-zero", "rate-negative", "rate-inf", "t-nan", "t-inf",
              "ia-nan", "ib-inf", "ic-neg-inf", "timeline-nan", "timeline-inf",
-             "timeline-negative", "timeline-decreasing"],
+             "timeline-negative", "timeline-decreasing", "rate-twice", "timeline-twice",
+             "unknown-key"],
     )
     def test_non_finite_or_non_positive_numbers(self, tmp_path, comment, row, bad_line):
         lines = [DATASET_HEADER, comment, "0.01,1.0,1.0,1.0,000000", row]

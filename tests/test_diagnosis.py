@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from trifault.config import ExperimentConfig
+from trifault.config import ExperimentConfig, default_class_labels
 from trifault.diagnosis import (
     DiagnosisConfig,
+    WindowRecord,
+    _latch,
+    classify_stream,
     debounce,
     estimate_phase_reference,
     fuse_window,
@@ -16,6 +24,7 @@ from trifault.diagnosis import (
 )
 from trifault.forest import ForestParams, TrainingSet, train_forest
 from trifault.simulate import (
+    LABELS,
     NO_FAULT,
     REGIONS,
     FaultLabel,
@@ -66,6 +75,48 @@ def reference_fuse_window(labels, regions) -> FaultLabel:
     for lab, region in zip(labels, regions):
         kept |= lab.switches & detectable_faults(region)
     return FaultLabel.from_switches(kept)
+
+
+def reference_latch(fused, confirm_windows):
+    """The latch state machine of the per-window loop, kept as its
+    reference: the index of the window that starts the latching run, or
+    None."""
+    run_fused = run_len = run_start = 0
+    for w, f in enumerate(fused):
+        # a run of equal fused masks; a healthy run (mask 0) never latches
+        if f != run_fused:
+            run_fused, run_len, run_start = f, 0, w
+        run_len += 1
+        if run_fused and run_len >= confirm_windows:
+            return run_start
+    return None
+
+
+def reference_run_diagnosis(model, series, config):
+    """The per-window loop that whole-stream window arrays replaced, kept
+    as its reference: (fault_set, first_detect_time, protection_signal,
+    per_window_history)."""
+    rs = resample(series, config.target_rate)
+    masks = np.array(debounce(classify_stream(model, rs), config.debounce_min_run), dtype=np.uint8)
+    f0 = config.fundamental
+    t_zero = estimate_phase_reference(rs, f0)
+    if t_zero is None:
+        offset_deg = (360.0 - config.phase_fallback_deg % 360.0) % 360.0
+        t_zero = float(rs.t[0]) + offset_deg / 360.0 / f0
+    start = max(0, int(math.ceil((t_zero - float(rs.t[0])) * config.target_rate - 1e-9)))
+    ws = config.window_samples
+    regions = region_indices(360.0 * f0 * (rs.t - t_zero))
+    history, fused = [], []
+    for w in range((rs.n_samples - start) // ws):
+        lo = start + w * ws
+        window = masks[lo : lo + ws]
+        fused.append(int(fuse_window(window, regions[lo : lo + ws])))
+        labels = tuple(LABELS[m] for m in window.tolist())
+        history.append(WindowRecord(w, float(rs.t[lo]), labels, LABELS[fused[-1]]))
+    latched = reference_latch(fused, config.confirm_windows)
+    if latched is None:
+        return frozenset(), None, False, tuple(history)
+    return LABELS[fused[latched]].switches, history[latched].start_time, True, tuple(history)
 
 
 class TestConfig:
@@ -120,6 +171,27 @@ class TestRunDiagnosis:
         # the acquired sample is named, not the row of the resampled stream
         with pytest.raises(ValueError, match=r"sample 1000 at t = 0\.0390625 s"):
             run_diagnosis(self.tiny_model(), series, DiagnosisConfig())
+
+
+class TestRunDiagnosisMatchesReference:
+    @pytest.mark.parametrize("confirm_windows", [1, 2])
+    def test_every_class_at_varied_load_and_fault_instant(self, desk_experiment, confirm_windows):
+        exp = desk_experiment
+        config = replace(exp.config.diagnosis_config(), confirm_windows=confirm_windows)
+        for k, label in enumerate(default_class_labels()):
+            # fault instants spread over the period, load from 0.5x to 1.5x
+            sim = exp.config.sim_config(seed=k)
+            sim = replace(sim, amplitude=sim.amplitude * (0.5 + k / 21))
+            timeline = () if label.is_normal else ((0.021 + 0.0017 * k, label),)
+            series = simulate(sim, timeline, 0.1)
+            report = run_diagnosis(exp.model, series, config)
+            got = (
+                report.fault_set,
+                report.first_detect_time,
+                report.protection_signal,
+                report.per_window_history,
+            )
+            assert got == reference_run_diagnosis(exp.model, series, config), str(label)
 
 
 class TestResample:
@@ -232,6 +304,28 @@ class TestFuseWindow:
         with pytest.raises(ValueError, match="misaligned"):
             fuse_window([M1], [])
 
+    def test_fuses_every_row_of_a_window_array(self):
+        rng = np.random.default_rng(17)
+        masks = rng.integers(0, 64, size=(9, 12)).astype(np.uint8)
+        regions = rng.integers(0, 6, size=(9, 12))
+        per_row = [fuse_window(m, r) for m, r in zip(masks, regions)]
+        assert fuse_window(masks, regions).tolist() == per_row
+
+
+class TestLatch:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0, M1, M3, M13]), min_size=1, max_size=24),
+        st.integers(min_value=1, max_value=4),
+    )
+    @example([0, 0, 0, 0], 1)  # all healthy
+    @example([M1, M1, 0, 0, M3, M3], 3)  # the run that would latch is cut off at the end
+    @example([M1, M1, 0, M1, M1], 3)  # a healthy run between equal faulted runs
+    @example([M1, M1, 0, M1, M1, M1], 3)
+    def test_matches_window_loop(self, fused, confirm_windows):
+        got = _latch(np.array(fused, dtype=np.uint8), confirm_windows)
+        assert got == reference_latch(fused, confirm_windows)
+
 
 class TestMaskPipelineMatchesReference:
     def test_mask_order_is_sorted_label_order(self):
@@ -280,6 +374,12 @@ class TestPhaseReference:
         t_zero = estimate_phase_reference(s, 50.0)
         assert t_zero is not None
         assert t_zero == pytest.approx(0.02, abs=5e-4)
+
+    @pytest.mark.parametrize("rate", [300.0, 350.0])
+    def test_six_or_seven_samples_per_period(self, rate):
+        # a period of 6 or 7 samples still swings one sample either side
+        s = resample(simulate(SimConfig(amplitude=16.5), (), 0.1), rate)
+        assert estimate_phase_reference(s, 50.0) == pytest.approx(0.02, abs=1e-9)
 
     def test_flat_signal_returns_none(self):
         s = simulate(SimConfig(amplitude=1.0, leakage=0.0), ((0.0, FaultLabel.from_switches([1, 2])),), 0.1)
