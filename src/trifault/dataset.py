@@ -9,8 +9,16 @@ followed by data rows `t,i_a,i_b,i_c,label` under the single file
 header. Times are printed with 9 decimals, currents with 6, labels as
 six-character bit strings, so writing is reproducible byte for byte.
 Timeline times keep full precision (repr) because they are ground
-truth, not measurements. Reading refuses a row whose label is not the
-timeline's label at its time, 1e-9 s either side.
+truth, not measurements.
+
+Reading takes one block at a time, from its comment line up to the next
+one, and checks each row by one rule, in this order: 5 fields, four
+floats, a label, all finite, and a time above the row before. Then it
+refuses a row whose label is not the timeline's label at its time,
+1e-9 s either side, and a block whose series id an earlier block holds.
+Turning a block back into a series refuses any row more than a quarter
+sample spacing off the grid t0 + k / rate, so a missing sample is seen
+at any rate.
 """
 
 from __future__ import annotations
@@ -20,13 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import FaultLabel, TriPhaseSeries, check_label_masks, timeline_masks
+from .simulate import FaultLabel, TriPhaseSeries, check_label_masks, label_mask, timeline_masks
 
 DATASET_HEADER = "t,i_a,i_b,i_c,label"
 FEATURE_COLUMNS = ("i_a", "i_b", "i_c")
-# a series row may sit this far off its uniform grid, in absolute seconds
-# plus this fraction of the sample spacing (times are written with 9 decimals)
-_SPACING_TOL = 1e-6
 # a row's written time may be this far, in seconds, from the instant it
 # was labelled at, since times are rounded to 9 decimals
 _LABEL_TIME_TOL = 1e-9
@@ -80,17 +85,12 @@ def block_to_series(block: SeriesBlock) -> TriPhaseSeries:
     if block.n_rows < 2:
         raise DatasetFormatError(f"series {block.series_id} has fewer than 2 rows")
     expected = block.t[0] + np.arange(block.n_rows) / block.sample_rate
-    if np.max(np.abs(block.t - expected)) > _SPACING_TOL / block.sample_rate + _SPACING_TOL:
+    if np.max(np.abs(block.t - expected)) * block.sample_rate > 0.25:
         raise DatasetFormatError(
             f"series {block.series_id} is not uniformly sampled at {block.sample_rate} Hz"
         )
     return TriPhaseSeries(
-        t=block.t,
-        i_a=block.i_a,
-        i_b=block.i_b,
-        i_c=block.i_c,
-        sample_rate=block.sample_rate,
-        fault_timeline=block.fault_timeline,
+        block.t, block.i_a, block.i_b, block.i_c, block.sample_rate, block.fault_timeline
     )
 
 
@@ -121,6 +121,9 @@ def _parse_timeline(text: str, line_no: int):
     return tuple(out)
 
 
+_ROW = "{:.9f},{:.6f},{:.6f},{:.6f},{:06b}".format
+
+
 def write_dataset(path, blocks) -> None:
     lines = [DATASET_HEADER]
     for block in blocks:
@@ -128,11 +131,8 @@ def write_dataset(path, blocks) -> None:
             f"# series {block.series_id} rate={repr(float(block.sample_rate))}"
             f" timeline={_timeline_text(block.fault_timeline)}"
         )
-        for k, mask in enumerate(block.labels.tolist()):
-            lines.append(
-                f"{block.t[k]:.9f},{block.i_a[k]:.6f},{block.i_b[k]:.6f},"
-                f"{block.i_c[k]:.6f},{mask:06b}"
-            )
+        columns = (block.t, block.i_a, block.i_b, block.i_c, block.labels)
+        lines.extend(map(_ROW, *(column.tolist() for column in columns)))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines))
         fh.write("\n")
@@ -167,86 +167,59 @@ def _parse_series_comment(line: str, line_no: int) -> tuple[int, float, tuple]:
     return series_id, rate, _parse_timeline(meta["timeline"], line_no)
 
 
+def _read_block(lines, first: int, end: int) -> SeriesBlock:
+    """The block whose comment is lines[first] and whose rows are
+    lines[first + 1 : end]; line numbers in errors are 1-based."""
+    series_id, rate, timeline = _parse_series_comment(lines[first], first + 1)
+    rows, t_prev = [], -math.inf
+    for line_no, line in enumerate(lines[first + 1 : end], start=first + 2):
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise DatasetFormatError(f"line {line_no}: expected 5 fields, got {len(fields)}")
+        try:
+            row = (*map(float, fields[:4]), label_mask(fields[4]))
+        except ValueError as exc:
+            raise DatasetFormatError(f"line {line_no}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise DatasetFormatError(f"line {line_no}: time and currents must be finite")
+        if row[0] <= t_prev:
+            raise DatasetFormatError(f"line {line_no}: row times must increase within a series")
+        rows.append(row)
+        t_prev = row[0]
+    if not rows:
+        raise DatasetFormatError(f"line {first + 1}: series {series_id} has no rows")
+    t, i_a, i_b, i_c, masks = np.array(rows, order="F").T
+    masks = masks.astype(np.uint8)
+    wrong = np.flatnonzero(
+        (masks != timeline_masks(timeline, t - _LABEL_TIME_TOL))
+        & (masks != timeline_masks(timeline, t + _LABEL_TIME_TOL))
+    )
+    if wrong.size:
+        k = int(wrong[0])
+        raise DatasetFormatError(
+            f"line {first + 2 + k}: label {masks[k]:06b} at t = {float(t[k])!r} s"
+            " disagrees with the series timeline"
+        )
+    return SeriesBlock(series_id, rate, timeline, t, i_a, i_b, i_c, masks)
+
+
 def read_dataset(path) -> list[SeriesBlock]:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != DATASET_HEADER:
         raise DatasetFormatError(f"line 1: expected header {DATASET_HEADER!r}")
-
-    blocks: list[SeriesBlock] = []
-    current: dict | None = None
-
-    def finish(block_info) -> None:
-        if block_info is None:
-            return
-        if not block_info["t"]:
-            raise DatasetFormatError(
-                f"line {block_info['line']}: series {block_info['id']} has no rows"
-            )
-        t, masks = np.array(block_info["t"]), np.array(block_info["labels"], dtype=np.uint8)
-        timeline = block_info["timeline"]
-        wrong = np.flatnonzero(
-            (masks != timeline_masks(timeline, t - _LABEL_TIME_TOL))
-            & (masks != timeline_masks(timeline, t + _LABEL_TIME_TOL))
-        )
-        if wrong.size:
-            k = int(wrong[0])
-            raise DatasetFormatError(
-                f"line {block_info['line'] + 1 + k}: label {masks[k]:06b} at t = {float(t[k])!r} s"
-                " disagrees with the series timeline"
-            )
-        blocks.append(
-            SeriesBlock(
-                series_id=block_info["id"],
-                sample_rate=block_info["rate"],
-                fault_timeline=timeline,
-                t=t,
-                i_a=np.array(block_info["ia"]),
-                i_b=np.array(block_info["ib"]),
-                i_c=np.array(block_info["ic"]),
-                labels=masks,
-            )
-        )
-
-    for line_no, line in enumerate(lines[1:], start=2):
-        if line.startswith("#"):
-            series_id, rate, timeline = _parse_series_comment(line, line_no)
-            finish(current)
-            current = {
-                "id": series_id,
-                "rate": rate,
-                "timeline": timeline,
-                "line": line_no,
-                "t": [],
-                "ia": [],
-                "ib": [],
-                "ic": [],
-                "labels": [],
-            }
-            continue
-        if current is None:
-            raise DatasetFormatError(f"line {line_no}: data row before any series comment")
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise DatasetFormatError(f"line {line_no}: expected 5 fields, got {len(fields)}")
-        try:
-            t_val = float(fields[0])
-            row = [float(fields[1]), float(fields[2]), float(fields[3])]
-            mask = FaultLabel.from_string(fields[4]).mask
-        except ValueError as exc:
-            raise DatasetFormatError(f"line {line_no}: {exc}") from exc
-        if not all(map(math.isfinite, (t_val, *row))):
-            raise DatasetFormatError(f"line {line_no}: time and currents must be finite")
-        if current["t"] and t_val <= current["t"][-1]:
-            raise DatasetFormatError(f"line {line_no}: row times must increase within a series")
-        current["t"].append(t_val)
-        current["ia"].append(row[0])
-        current["ib"].append(row[1])
-        current["ic"].append(row[2])
-        current["labels"].append(mask)
-    finish(current)
-    if not blocks:
+    if len(lines) == 1:
         raise DatasetFormatError("line 1: dataset holds no series")
+    if not lines[1].startswith("#"):
+        raise DatasetFormatError("line 2: data row before any series comment")
+    firsts = [k for k, line in enumerate(lines) if line.startswith("#")]
+    blocks, line_of_id = [], {}
+    for first, end in zip(firsts, firsts[1:] + [len(lines)]):
+        block = _read_block(lines, first, end)
+        seen = line_of_id.setdefault(block.series_id, first + 1)
+        if seen != first + 1:
+            raise DatasetFormatError(f"line {first + 1}: series id {block.series_id} repeats line {seen}")
+        blocks.append(block)
     return blocks
 
 

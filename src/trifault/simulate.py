@@ -45,6 +45,19 @@ def refuse_non_finite(settings) -> None:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
+# the mask of each label's bit string
+_MASK_OF_TEXT = {f"{mask:06b}": mask for mask in range(1 << N_SWITCHES)}
+
+
+def label_mask(text: str) -> int:
+    """The mask a label's bit string spells, surrounding whitespace
+    ignored: the one label-text rule of labels and dataset rows."""
+    mask = _MASK_OF_TEXT.get(text.strip())
+    if mask is None:
+        raise ValueError(f"fault label must be {N_SWITCHES} chars of 0/1, got {text.strip()!r}")
+    return mask
+
+
 @dataclass(frozen=True, order=True)
 class FaultLabel:
     """Open-switch indicator held as a 6-bit mask: switch Sk is open when
@@ -63,10 +76,7 @@ class FaultLabel:
 
     @classmethod
     def from_string(cls, text: str) -> "FaultLabel":
-        text = text.strip()
-        if len(text) != N_SWITCHES or any(ch not in "01" for ch in text):
-            raise ValueError(f"fault label must be {N_SWITCHES} chars of 0/1, got {text!r}")
-        return cls(int(text, 2))
+        return cls(label_mask(text))
 
     @classmethod
     def from_switches(cls, switches) -> "FaultLabel":

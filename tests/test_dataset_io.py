@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import math
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trifault.dataset import (
+    _LABEL_TIME_TOL,
     DATASET_HEADER,
     DatasetFormatError,
     SeriesBlock,
+    _parse_series_comment,
     block_from_series,
     block_to_series,
     read_dataset,
@@ -18,6 +27,92 @@ from trifault.dataset import (
 from trifault.simulate import NO_FAULT, FaultLabel, SimConfig, simulate, timeline_masks
 
 L2 = FaultLabel.from_switches([2])
+
+
+def reference_read_dataset(path) -> list[SeriesBlock]:
+    """Line-by-line reader with a block state dict: the reader that
+    block-at-a-time reading replaced, kept as its reference. It accepts
+    a file whose blocks repeat a series id."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != DATASET_HEADER:
+        raise DatasetFormatError(f"line 1: expected header {DATASET_HEADER!r}")
+
+    blocks: list[SeriesBlock] = []
+    current: dict | None = None
+
+    def finish(block_info) -> None:
+        if block_info is None:
+            return
+        if not block_info["t"]:
+            raise DatasetFormatError(
+                f"line {block_info['line']}: series {block_info['id']} has no rows"
+            )
+        t, masks = np.array(block_info["t"]), np.array(block_info["labels"], dtype=np.uint8)
+        timeline = block_info["timeline"]
+        wrong = np.flatnonzero(
+            (masks != timeline_masks(timeline, t - _LABEL_TIME_TOL))
+            & (masks != timeline_masks(timeline, t + _LABEL_TIME_TOL))
+        )
+        if wrong.size:
+            k = int(wrong[0])
+            raise DatasetFormatError(
+                f"line {block_info['line'] + 1 + k}: label {masks[k]:06b} at t = {float(t[k])!r} s"
+                " disagrees with the series timeline"
+            )
+        blocks.append(
+            SeriesBlock(
+                series_id=block_info["id"],
+                sample_rate=block_info["rate"],
+                fault_timeline=timeline,
+                t=t,
+                i_a=np.array(block_info["ia"]),
+                i_b=np.array(block_info["ib"]),
+                i_c=np.array(block_info["ic"]),
+                labels=masks,
+            )
+        )
+
+    for line_no, line in enumerate(lines[1:], start=2):
+        if line.startswith("#"):
+            series_id, rate, timeline = _parse_series_comment(line, line_no)
+            finish(current)
+            current = {
+                "id": series_id,
+                "rate": rate,
+                "timeline": timeline,
+                "line": line_no,
+                "t": [],
+                "ia": [],
+                "ib": [],
+                "ic": [],
+                "labels": [],
+            }
+            continue
+        if current is None:
+            raise DatasetFormatError(f"line {line_no}: data row before any series comment")
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise DatasetFormatError(f"line {line_no}: expected 5 fields, got {len(fields)}")
+        try:
+            t_val = float(fields[0])
+            row = [float(fields[1]), float(fields[2]), float(fields[3])]
+            mask = FaultLabel.from_string(fields[4]).mask
+        except ValueError as exc:
+            raise DatasetFormatError(f"line {line_no}: {exc}") from exc
+        if not all(map(math.isfinite, (t_val, *row))):
+            raise DatasetFormatError(f"line {line_no}: time and currents must be finite")
+        if current["t"] and t_val <= current["t"][-1]:
+            raise DatasetFormatError(f"line {line_no}: row times must increase within a series")
+        current["t"].append(t_val)
+        current["ia"].append(row[0])
+        current["ib"].append(row[1])
+        current["ic"].append(row[2])
+        current["labels"].append(mask)
+    finish(current)
+    if not blocks:
+        raise DatasetFormatError("line 1: dataset holds no series")
+    return blocks
 
 
 def sample_block(with_fault=True, n=64):
@@ -80,19 +175,31 @@ class TestBlockConstruction:
         assert timeline_masks(series.fault_timeline, series.t[-1]) == L2.mask
 
     def test_block_to_series_refuses_gapped_rows(self):
-        block = sample_block()
-        gapped = SeriesBlock(
-            series_id=0,
-            sample_rate=block.sample_rate,
-            fault_timeline=block.fault_timeline,
-            t=np.concatenate([block.t[:10], block.t[20:]]),
-            i_a=np.concatenate([block.i_a[:10], block.i_a[20:]]),
-            i_b=np.concatenate([block.i_b[:10], block.i_b[20:]]),
-            i_c=np.concatenate([block.i_c[:10], block.i_c[20:]]),
-            labels=np.concatenate([block.labels[:10], block.labels[20:]]),
-        )
-        with pytest.raises(ValueError):
-            block_to_series(gapped)
+        # ten samples missing at 25.6 kHz; one at 1 MHz, where a gap moves
+        # the later rows by one sample spacing, 1e-6 s
+        series_1mhz = simulate(SimConfig(amplitude=5.0, sample_rate=1e6), ((32e-6, L2),), 64e-6)
+        for block, gap in ((sample_block(), 10), (block_from_series(series_1mhz, series_id=3), 1)):
+            keep = np.r_[0:10, 10 + gap : block.n_rows]
+            gapped = SeriesBlock(
+                series_id=0,
+                sample_rate=block.sample_rate,
+                fault_timeline=block.fault_timeline,
+                t=block.t[keep],
+                i_a=block.i_a[keep],
+                i_b=block.i_b[keep],
+                i_c=block.i_c[keep],
+                labels=block.labels[keep],
+            )
+            block_to_series(block)
+            with pytest.raises(ValueError):
+                block_to_series(gapped)
+
+    @pytest.mark.parametrize("rate", [25600.0, 1e6, 2e6, 1e8])
+    def test_written_series_reads_back_onto_its_grid(self, tmp_path, rate):
+        series = simulate(SimConfig(amplitude=5.0, sample_rate=rate), (), 4096 / rate)
+        path = tmp_path / "d.csv"
+        write_dataset(path, [block_from_series(series, series_id=0)])
+        assert block_to_series(read_dataset(path)[0]).n_samples == 4096
 
 
 class TestFileRoundTrip:
@@ -252,12 +359,134 @@ class TestParseErrors:
         with pytest.raises(DatasetFormatError):
             read_dataset(path)
 
+    def test_repeated_series_id(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            [
+                DATASET_HEADER,
+                "# series 0 rate=100.0 timeline=none",
+                "0.0,1.0,1.0,1.0,000000",
+                "# series 0 rate=100.0 timeline=none",
+                "0.0,1.0,1.0,1.0,000000",
+            ],
+        )
+        with pytest.raises(DatasetFormatError, match="line 4: series id 0 repeats line 2"):
+            read_dataset(path)
+
     def test_block_without_rows(self, tmp_path):
         path = self.write(
             tmp_path, [DATASET_HEADER, "# series 0 rate=100.0 timeline=none"]
         )
         with pytest.raises(DatasetFormatError):
             read_dataset(path)
+
+
+def mutation_base_lines() -> list[str]:
+    """A valid two-block file: series 0 healthy, series 10 with a fault
+    timeline. Deleting a character of "10" gives a repeated id."""
+    rate = 25600.0
+    healthy = simulate(SimConfig(amplitude=5.0, noise_sigma=0.02, seed=7), (), 6 / rate)
+    faulted = simulate(SimConfig(amplitude=5.0, noise_sigma=0.02, seed=8), ((2.5 / rate, L2),), 6 / rate)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "base.csv"
+        write_dataset(path, [block_from_series(healthy, 0), block_from_series(faulted, 10)])
+        return path.read_text().splitlines()
+
+
+MUTATION_BASE = mutation_base_lines()
+FIELD_VALUES = ["nan", "inf", "x", "", " 1.0", "1_0", "00000", "0000000", "111111"]
+MUTATIONS = st.tuples(
+    st.sampled_from(["drop", "duplicate", "swap", "delete-char", "append-comma", "replace-field"]),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(FIELD_VALUES),
+)
+
+
+def mutate(lines: list[str], kind: str, a: int, b: int, value: str) -> list[str]:
+    lines = list(lines)
+    i, j = a % len(lines), b % len(lines)
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "delete-char" and lines[i]:
+        k = b % len(lines[i])
+        lines[i] = lines[i][:k] + lines[i][k + 1 :]
+    elif kind == "append-comma":
+        lines[i] += ","
+    elif kind == "replace-field":
+        fields = lines[i].split(",")
+        fields[b % len(fields)] = value
+        lines[i] = ",".join(fields)
+    return lines
+
+
+def read_outcome(reader, path):
+    try:
+        return reader(path), None
+    except DatasetFormatError as exc:
+        return None, str(exc)
+
+
+def error_line(message: str) -> int:
+    return int(re.match(r"line (\d+):", message).group(1))
+
+
+class TestReaderMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(MUTATIONS, min_size=1, max_size=2))
+    # "# series 10" on line 9 loses its "1": the reference reads two series 0
+    @example([("delete-char", 8, 9, "x")])
+    # series 10's comment doubled, the copy made unreadable: the first
+    # copy has no rows, which the reference finds only after the second
+    @example([("duplicate", 8, 0, "x"), ("append-comma", 9, 0, "x")])
+    def test_mutated_files(self, mutations):
+        lines = MUTATION_BASE
+        for mutation in mutations:
+            lines = mutate(lines, *mutation)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_text("\n".join(lines) + "\n")
+            expected, expected_error = read_outcome(reference_read_dataset, path)
+            got, error = read_outcome(read_dataset, path)
+        if error is not None and "repeats line" in error:
+            # a repeated id is refused where the reference accepted it or
+            # was still to find a later defect
+            series_id = int(re.search(r"series id (-?\d+)", error).group(1))
+            ids = [block.series_id for block in expected] if expected else None
+            assert ids is None or ids.count(series_id) > 1
+            repeat_line, first_line = map(int, re.findall(r"line (\d+)", error))
+            assert first_line < repeat_line
+            for line_no in (first_line, repeat_line):
+                assert _parse_series_comment(lines[line_no - 1], line_no)[0] == series_id
+        elif expected_error is not None and error != expected_error:
+            # the reference parsed block k + 1's comment before checking
+            # block k's rows against its timeline; the reader checks block
+            # k whole first, as the reference does on the file cut there
+            cut = error_line(expected_error)
+            assert lines[cut - 1].startswith("#") and error_line(error) < cut
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "cut.csv"
+                path.write_text("\n".join(lines[: cut - 1]) + "\n")
+                assert read_outcome(reference_read_dataset, path)[1] == error
+        else:
+            assert error == expected_error
+            assert got is None or len(got) == len(expected)
+            # a repeated id the reference accepted must have been refused
+            assert got is None or len({block.series_id for block in got}) == len(got)
+            for block, ref in zip(got or (), expected or ()):
+                assert (block.series_id, block.sample_rate, block.fault_timeline) == (
+                    ref.series_id,
+                    ref.sample_rate,
+                    ref.fault_timeline,
+                )
+                for name in ("t", "i_a", "i_b", "i_c", "labels"):
+                    column, ref_column = getattr(block, name), getattr(ref, name)
+                    assert column.dtype == ref_column.dtype
+                    assert column.tobytes() == ref_column.tobytes()
 
 
 class TestTrainingRows:
