@@ -11,11 +11,13 @@ six-character bit strings, so writing is reproducible byte for byte.
 Timeline times keep full precision (repr) because they are ground
 truth, not measurements.
 
-Reading takes one block at a time, from its comment line up to the next
-one, and checks each row by one rule, in this order: 5 fields, four
-floats, a label, all finite, and a time above the row before. Then it
-refuses a row whose label is not the timeline's label at its time,
-1e-9 s either side, and a block whose series id an earlier block holds.
+Reading takes one block at a time straight from the open file, from its
+comment line up to the next one, so it holds no more than one block's
+rows, as one float buffer. It checks each row by one rule, in this
+order: 5 fields, four floats, a label, all finite, and a time above the
+row before. Then it refuses a row whose label is not the timeline's
+label at its time, 1e-9 s either side, and a block whose series id an
+earlier block holds.
 Turning a block back into a series refuses any row more than a quarter
 sample spacing off the grid t0 + k / rate, so a missing sample is seen
 at any rate.
@@ -24,7 +26,9 @@ at any rate.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -167,28 +171,47 @@ def _parse_series_comment(line: str, line_no: int) -> tuple[int, float, tuple]:
     return series_id, rate, _parse_timeline(meta["timeline"], line_no)
 
 
-def _read_block(lines, first: int, end: int) -> SeriesBlock:
-    """The block whose comment is lines[first] and whose rows are
-    lines[first + 1 : end]; line numbers in errors are 1-based."""
-    series_id, rate, timeline = _parse_series_comment(lines[first], first + 1)
-    rows, t_prev = [], -math.inf
-    for line_no, line in enumerate(lines[first + 1 : end], start=first + 2):
+def _line_chunks(fh):
+    """The lines of an open text file, 1 MB of text at a time, as lists
+    that together hold what str.splitlines gives on the whole text: each
+    list ends at the last newline its text holds."""
+    tail = ""
+    while chunk := fh.read(1 << 20):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        yield text[:cut].splitlines()
+        tail = text[cut:]
+    yield tail.splitlines()
+
+
+def _read_block(comment, lines):
+    """The block whose comment is the numbered line comment = (line
+    number, text) and whose rows are the numbered lines after it, up to
+    the next comment; returns the block and that next numbered comment
+    line, or None at the end of the file."""
+    first, text = comment
+    series_id, rate, timeline = _parse_series_comment(text, first)
+    values, t_prev, after = array("d"), -math.inf, None
+    for line_no, line in lines:
+        if line.startswith("#"):
+            after = (line_no, line)
+            break
         fields = line.split(",")
         if len(fields) != 5:
             raise DatasetFormatError(f"line {line_no}: expected 5 fields, got {len(fields)}")
         try:
-            row = (*map(float, fields[:4]), label_mask(fields[4]))
+            row = [*map(float, fields[:4]), label_mask(fields[4])]
         except ValueError as exc:
             raise DatasetFormatError(f"line {line_no}: {exc}") from exc
         if not all(map(math.isfinite, row)):
             raise DatasetFormatError(f"line {line_no}: time and currents must be finite")
         if row[0] <= t_prev:
             raise DatasetFormatError(f"line {line_no}: row times must increase within a series")
-        rows.append(row)
+        values.fromlist(row)
         t_prev = row[0]
-    if not rows:
-        raise DatasetFormatError(f"line {first + 1}: series {series_id} has no rows")
-    t, i_a, i_b, i_c, masks = np.array(rows, order="F").T
+    if not values:
+        raise DatasetFormatError(f"line {first}: series {series_id} has no rows")
+    t, i_a, i_b, i_c, masks = np.array(np.frombuffer(values).reshape(-1, 5), order="F").T
     masks = masks.astype(np.uint8)
     wrong = np.flatnonzero(
         (masks != timeline_masks(timeline, t - _LABEL_TIME_TOL))
@@ -197,29 +220,30 @@ def _read_block(lines, first: int, end: int) -> SeriesBlock:
     if wrong.size:
         k = int(wrong[0])
         raise DatasetFormatError(
-            f"line {first + 2 + k}: label {masks[k]:06b} at t = {float(t[k])!r} s"
+            f"line {first + 1 + k}: label {masks[k]:06b} at t = {float(t[k])!r} s"
             " disagrees with the series timeline"
         )
-    return SeriesBlock(series_id, rate, timeline, t, i_a, i_b, i_c, masks)
+    return SeriesBlock(series_id, rate, timeline, t, i_a, i_b, i_c, masks), after
 
 
 def read_dataset(path) -> list[SeriesBlock]:
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != DATASET_HEADER:
-        raise DatasetFormatError(f"line 1: expected header {DATASET_HEADER!r}")
-    if len(lines) == 1:
-        raise DatasetFormatError("line 1: dataset holds no series")
-    if not lines[1].startswith("#"):
-        raise DatasetFormatError("line 2: data row before any series comment")
-    firsts = [k for k, line in enumerate(lines) if line.startswith("#")]
-    blocks, line_of_id = [], {}
-    for first, end in zip(firsts, firsts[1:] + [len(lines)]):
-        block = _read_block(lines, first, end)
-        seen = line_of_id.setdefault(block.series_id, first + 1)
-        if seen != first + 1:
-            raise DatasetFormatError(f"line {first + 1}: series id {block.series_id} repeats line {seen}")
-        blocks.append(block)
+        lines = enumerate(chain.from_iterable(_line_chunks(fh)), start=1)
+        if next(lines, (1, None))[1] != DATASET_HEADER:
+            raise DatasetFormatError(f"line 1: expected header {DATASET_HEADER!r}")
+        comment = next(lines, None)
+        if comment is None:
+            raise DatasetFormatError("line 1: dataset holds no series")
+        if not comment[1].startswith("#"):
+            raise DatasetFormatError("line 2: data row before any series comment")
+        blocks, line_of_id = [], {}
+        while comment is not None:
+            block, after = _read_block(comment, lines)
+            seen = line_of_id.setdefault(block.series_id, comment[0])
+            if seen != comment[0]:
+                raise DatasetFormatError(f"line {comment[0]}: series id {block.series_id} repeats line {seen}")
+            blocks.append(block)
+            comment = after
     return blocks
 
 

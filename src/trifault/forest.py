@@ -30,14 +30,16 @@ that integers(0, k) makes and has nothing to shuffle, and
 integers(0, k, size=c) continues that stream exactly. So each tree
 draws chunks of c features from its own RNG, which draws nothing else
 after the bootstrap, and gets the features of one choice call per
-attempt. Rows are sorted once per tree and feature (the presort of
-SLIQ, Mehta et al. 1996): a node owns one range of positions in every
-feature's row list, and a split reorders each range stably into its
-left rows and then its right rows, so no node sorts. A step is one loop
-body: it picks the nodes to try, draws their features, scores them in a
-few array passes per batch (the nodes whose rows start in one span of a
-fixed row count), partitions each batch's split nodes, and appends its
-nodes to a list that is put in tree order at the end.
+attempt. Each feature's rows are sorted once per block (the presort of
+SLIQ, Mehta et al. 1996), which ranks every row on every feature. The
+block's bag holds each tree's bootstrap rows end to end, a node owning
+one range of it in any order: a node sorts its rows by rank, and rows
+of equal rank are copies of one row. A split writes its rows back in
+its feature's order, so its left child owns the front of its range and
+its right child the rest. A step is one loop body: it picks the nodes to
+try, draws their features, sorts and scores them in a few array passes
+per batch (the nodes whose rows start in one span of a fixed row
+count), and appends its nodes to a list put in tree order at the end.
 
 Only the cuts at class boundary points are scored (Fayyad & Irani 1992;
 Elomaa & Rousu 1999): a cut is skipped when the values on both sides of
@@ -131,11 +133,12 @@ _SPAN_ROWS = 4096
 _LEAF_CHECK_STEPS = 3
 _TOP_LEVELS = 5
 _TOP_ENTRIES = 8
-# training grows as many trees at a time as keep their presorted row lists
-# within this many entries ...
+# training grows as many trees at a time as keep trees x rows x features,
+# the most rows one step of the block scores, within this many entries ...
 _GROW_ENTRIES = 1 << 22
-# ... and scores split nodes in batches of at most this many presorted rows;
-# with m_try == 1 a tree draws its features this many at a time
+# ... and scores split nodes in batches of about this many rows, summed over
+# their runs, each batch sorting its keys in one call; with m_try == 1 a
+# tree draws its features this many at a time
 _SPLIT_ROWS = 8192
 _DRAW_CHUNK = 256
 
@@ -478,16 +481,29 @@ def _ranges(starts, lengths) -> np.ndarray:
     return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
 
 
-def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
-    """(feature, threshold) of the best split of each node, or (-1, 0.0)
-    for a node whose best gain does not clear _MIN_GAIN.
+def _presort(X, codes):
+    """Each feature's rows in stable sorted order, as (row, value, code,
+    rank), each n_features x n: feature f's r-th row is row[f, r], with
+    value value[f, r] and class code[f, r], and rank[f, i] is row i's r."""
+    row = np.argsort(X.T, axis=1, kind="stable")
+    rank = np.empty_like(row)
+    np.put_along_axis(rank, row, np.arange(X.shape[0]), axis=1)
+    return row, np.take_along_axis(X.T, row, axis=1), codes[row], rank
 
-    Node k owns the positions lo[k] .. lo[k] + n_node[k] - 1 of every
-    row list order[f]; counts[k] are its class counts and feats[k] its
-    ascending feature draw. A run is one node's rows in one drawn
-    feature's order. The runs lie end to end, node by node and features
-    ascending within a node, so the first maximum of a node's gains is
-    its lowest feature's lowest threshold.
+
+def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
+    """(feature, threshold) of the best split of each node, or (-1, 0.0)
+    for a node whose best gain does not clear _MIN_GAIN, and how many of
+    its rows go left with their class counts (0 for such a node).
+
+    Node k owns the rows bag[lo[k] : lo[k] + n_node[k]], in any order;
+    counts[k] are its class counts and feats[k] its ascending feature
+    draw. A run is one node's rows sorted by one drawn feature: one sort
+    of the keys run * n + rank orders every run. The runs lie end to end,
+    node by node and features ascending within a node, so the first
+    maximum of a node's gains is its lowest feature's lowest threshold.
+    A split node's range of the bag is rewritten in its winning run's
+    order, so the rows that go left come first.
 
     Only boundary points are scored, plus the first and last cut of a run
     that the leaf limit allows: a cut inside a stretch of one class has a
@@ -496,15 +512,22 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     """
     n_nodes, m_try = feats.shape
     n_classes = counts.shape[1]
+    n = presort[0].shape[1]
+    sorted_row, sorted_value, sorted_code, rank = (a.ravel() for a in presort)
     run_node = np.repeat(np.arange(n_nodes), m_try)
     run_feature = feats.ravel()
     run_size = n_node[run_node]
     run_end = np.cumsum(run_size) - 1
     run_first = run_end - run_size + 1
-    rows = order.ravel()[_ranges(run_feature * order.shape[1] + lo[run_node], run_size)]
-    row_codes = codes[rows]
-    feature = np.repeat(run_feature, run_size)
-    value = X.ravel()[rows * X.shape[1] + feature]
+    feature_base = np.repeat(run_feature * n, run_size)
+    run_base = np.repeat(np.arange(run_size.size) * n, run_size)
+    place = rank[feature_base + bag[_ranges(lo[run_node], run_size)]]
+    place += run_base
+    place.sort()
+    # a key less run * n is the row's rank r on f, at f * n + r in the presort
+    place += feature_base - run_base
+    value = sorted_value[place]
+    row_codes = sorted_code[place]
     # a cut falls between two different values of one run
     differs = value[1:] != value[:-1]
     differs[run_end[:-1]] = False
@@ -530,8 +553,10 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     cut, run, left_n, node_n = cut[keep], run[keep], left_n[keep], node_n[keep]
     best_feature = np.full(n_nodes, -1, dtype=np.intp)
     best_threshold = np.zeros(n_nodes)
+    best_left_n = np.zeros(n_nodes, dtype=np.intp)
+    best_left = np.zeros((n_nodes, n_classes), dtype=np.intp)
     if not cut.size:
-        return best_feature, best_threshold
+        return best_feature, best_threshold, best_left_n, best_left
 
     # Exact class counts left of each cut. Count the rows after the
     # previous cut, take away the rows of earlier runs at each run's first
@@ -539,76 +564,59 @@ def _best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf):
     gap = np.zeros(value.size, dtype=np.intp)
     gap[cut + 1] = 1
     np.cumsum(gap, out=gap)  # cuts before each row
-    left = np.bincount(gap * n_classes + row_codes, minlength=(cut.size + 1) * n_classes)
-    left = left.reshape(-1, n_classes)
+    left_counts = np.bincount(gap * n_classes + row_codes, minlength=(cut.size + 1) * n_classes)
+    left_counts = left_counts.reshape(-1, n_classes)
     run_cuts = np.searchsorted(run, np.arange(run_size.size + 1))
     cut_runs = np.flatnonzero(run_cuts[:-1] < run_cuts[1:])
     run_counts = counts[run_node]
     earlier = (np.cumsum(run_counts, axis=0) - run_counts)[cut_runs]  # rows before each run
-    left[run_cuts[cut_runs]] -= np.diff(earlier, axis=0, prepend=0)
-    left = left.astype(np.int32)  # int32 sums run faster than int64 or float ones
-    np.cumsum(left, axis=0, out=left)
-    left = left[:-1].astype(float)
+    left_counts[run_cuts[cut_runs]] -= np.diff(earlier, axis=0, prepend=0)
+    left_counts = left_counts.astype(np.int32)  # int32 sums run faster than int64 or float ones
+    np.cumsum(left_counts, axis=0, out=left_counts)
+    left_counts = left_counts[:-1]
 
     # the float operations of the per-node Gini search, one row per cut,
     # done in place
     node = run_node[run]
     p = counts / n_node[:, None]
     parent_gini = 1.0 - np.sum(p * p, axis=1)
+    left = left_counts.astype(float)
     right = counts.astype(float)[node]
     right -= left
-    left_n = left_n.astype(float)
-    right_n = node_n - left_n
-    np.square(np.divide(left, left_n[:, None], out=left), out=left)
-    np.square(np.divide(right, right_n[:, None], out=right), out=right)
+    left_size = left_n.astype(float)
+    right_size = node_n - left_size
+    np.square(np.divide(left, left_size[:, None], out=left), out=left)
+    np.square(np.divide(right, right_size[:, None], out=right), out=right)
     gini_left = 1.0 - np.sum(left, axis=1)
     gini_right = 1.0 - np.sum(right, axis=1)
-    gains = parent_gini[node] - (left_n * gini_left + right_n * gini_right) / node_n
+    gains = parent_gini[node] - (left_size * gini_left + right_size * gini_right) / node_n
 
     node_cuts = np.searchsorted(node, np.arange(n_nodes + 1))
     nodes = np.flatnonzero(node_cuts[:-1] < node_cuts[1:])
     first = node_cuts[nodes]
     best = np.maximum.reduceat(gains, first)
     at_best = np.flatnonzero(gains == np.repeat(best, node_cuts[nodes + 1] - first))
-    winner = cut[at_best[np.searchsorted(at_best, first)]]  # first maximum per node
+    win = at_best[np.searchsorted(at_best, first)]  # first maximum per node
     found = best > _MIN_GAIN
-    nodes, winner = nodes[found], winner[found]
-    best_feature[nodes] = feature[winner]
+    nodes, win = nodes[found], win[found]
+    winner, win_run = cut[win], run[win]
+    best_feature[nodes] = run_feature[win_run]
     # the midpoint of adjacent floats a < b can round up to b, and then
     # `<= threshold` would send every row left; a is the threshold then
     below, above = value[winner], value[winner + 1]
     mid = (below + above) / 2.0
     best_threshold[nodes] = np.where(mid < above, mid, below)
-    return best_feature, best_threshold
-
-
-def _partition(X, codes, n_classes, order, lo, n_node, feature, threshold):
-    """Split each node's positions, in every row list, into the rows that
-    go left and then those that go right, each in their sorted order.
-    Returns how many rows of each node go left, and the (left, right)
-    class counts of each node."""
-    node = np.repeat(np.arange(lo.size), n_node)
-    pos = _ranges(lo, n_node)
-    go_feature, go_threshold = feature[node], threshold[node]
-    for f in range(order.shape[0]):
-        rows = order[f, pos]
-        left = X.ravel()[rows * X.shape[1] + go_feature] <= go_threshold
-        if f == 0:
-            side = 2 * node + ~left
-            child = np.bincount(side * n_classes + codes[rows], minlength=2 * lo.size * n_classes)
-            n_left = np.add.reduceat(left, np.cumsum(n_node) - n_node, dtype=np.intp)
-            n_right = n_node - n_left
-            # a node's k-th left row goes to lo + k, its k-th right row to lo + n_left + k
-            to_left = _ranges(lo, n_left)
-            to_right = _ranges(lo + n_left, n_right)
-        order[f, to_left] = rows[left]
-        order[f, to_right] = rows[~left]
-    return n_left, child.reshape(lo.size, 2, -1)
+    best_left_n[nodes] = left_n[win]
+    best_left[nodes] = left_counts[win]
+    if nodes.size:
+        winning_runs = place[_ranges(run_first[win_run], n_node[nodes])]
+        bag[_ranges(lo[nodes], n_node[nodes])] = sorted_row[winning_runs]
+    return best_feature, best_threshold, best_left_n, best_left
 
 
 def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
     """Grow one tree per rng, all in lockstep, tree t on the rows
-    samples[t] (X.shape[0] of them, repeats allowed).
+    samples[t] (X.shape[0] of them, repeats allowed, in any order).
 
     Step s expands the s-th node, in preorder, of every tree not yet
     finished. Each tree draws its features from its own rng, once per
@@ -620,14 +628,12 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
     before any feature. Returns the node columns (feature, threshold,
     leaf_code), tree after tree, and the node count of each tree.
     """
-    X = np.ascontiguousarray(X)
     n, n_features = X.shape
     n_trees = len(rngs)
-    # order[f] holds every tree's sample rows, tree t at t*n .. (t+1)*n - 1,
-    # sorted by feature f; a node owns the same positions in every list.
-    # Row ids times the feature count must fit the dtype.
-    order = np.empty((n_features, n_trees * n), dtype=np.int32 if X.size < 2**31 else np.intp)
-    by_feature = np.argsort(X, axis=0, kind="stable").T
+    presort = _presort(X, codes)
+    # the bag holds every tree's sample rows, tree t at t*n .. (t+1)*n - 1,
+    # and a node owns one range of it
+    bag = np.empty(n_trees * n, dtype=np.int32 if n < 2**31 else np.intp)
     # Each tree's pending nodes lie end to end: the next one starts at
     # start[t]; entry k < height[t] of the stack holds where a pending
     # node ends, its depth and its class counts, the next node's on top.
@@ -638,9 +644,7 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
     stack_counts = np.zeros((n_trees, 8, n_classes), dtype=np.intp)
     stack_end[:, 0] = start + n
     for t, sample in enumerate(samples):
-        copies = np.bincount(sample, minlength=n)
-        for f, rows in enumerate(by_feature):
-            order[f, t * n : (t + 1) * n] = np.repeat(rows, copies[rows])
+        bag[t * n : (t + 1) * n] = sample
         stack_counts[t, 0] = np.bincount(codes[sample], minlength=n_classes)
     # with m_try == 1, tree t's next draws are pool[t, drawn[t]:]; the pool
     # is filled on first use, after every bootstrap
@@ -656,7 +660,7 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
         feature = np.full(tree.size, -1, dtype=np.intp)
         threshold = np.zeros(tree.size)
         n_left = np.zeros(tree.size, dtype=np.intp)
-        child = np.zeros((tree.size, 2, n_classes), dtype=np.intp)
+        left = np.zeros((tree.size, n_classes), dtype=np.intp)
         tried = (counts.max(axis=1) < n_node) & (n_node >= 2 * min_leaf) & (n_node >= 2)
         if max_depth is not None:
             tried &= depth < max_depth
@@ -674,22 +678,16 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
         else:
             feats = np.broadcast_to(np.arange(n_features), (tried.size, n_features))
         # A batch holds the nodes whose first run starts in one span of
-        # _SPLIT_ROWS presorted rows, so at most that many rows plus one
-        # node's. Its split nodes are partitioned right away, which keeps the
-        # partition's temporaries as small as the batch.
+        # _SPLIT_ROWS rows, so at most that many rows plus one node's runs,
+        # and sorts them in one call.
         runs = m_try * n_node[tried]
         span = (np.cumsum(runs) - runs) // _SPLIT_ROWS
         edges = [*np.unique(span, return_index=True)[1].tolist(), tried.size]
         for a, b in zip(edges, edges[1:]):
             k = tried[a:b]
-            feature[k], threshold[k] = _best_splits(
-                X, codes, order, lo[k], n_node[k], counts[k], feats[a:b], min_leaf
+            feature[k], threshold[k], n_left[k], left[k] = _best_splits(
+                presort, bag, lo[k], n_node[k], counts[k], feats[a:b], min_leaf
             )
-            k = k[feature[k] >= 0]
-            if k.size:
-                n_left[k], child[k] = _partition(
-                    X, codes, n_classes, order, lo[k], n_node[k], feature[k], threshold[k]
-                )
         leaf = feature < 0
         # a leaf votes for its first plurality: the sorted-label tie-break
         grown.append((tree, feature, threshold, np.where(leaf, np.argmax(counts, axis=1), -1)))
@@ -708,8 +706,8 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
         t, k = tree[split], top[split]
         stack_end[t, k + 1] = lo[split] + n_left[split]
         stack_depth[t, k] = stack_depth[t, k + 1] = depth[split] + 1
-        stack_counts[t, k] = child[split, 1]
-        stack_counts[t, k + 1] = child[split, 0]
+        stack_counts[t, k] = counts[split] - left[split]
+        stack_counts[t, k + 1] = left[split]
         height[t] += 1
     tree, feature, threshold, leaf_code = map(np.concatenate, zip(*grown))
     by_tree = np.argsort(tree, kind="stable")  # steps run in preorder

@@ -247,6 +247,21 @@ class TestFileRoundTrip:
         write_dataset(again, read_dataset(path))
         assert again.read_bytes() == path.read_bytes()
 
+    def test_long_file_reads_across_text_chunks(self, tmp_path):
+        # two 1 s series are over 2 MB of text, read a chunk at a time: the
+        # bytes come back, and a defect past the first chunks names its line
+        series = simulate(SimConfig(amplitude=5.0), ((0.5, L2),), 1.0)
+        path, again = tmp_path / "d.csv", tmp_path / "e.csv"
+        write_dataset(path, [block_from_series(series, 0), block_from_series(series, 1)])
+        assert path.stat().st_size > 2 << 20
+        write_dataset(again, read_dataset(path))
+        assert again.read_bytes() == path.read_bytes()
+        lines = path.read_text().splitlines()
+        lines[45000] = lines[45000].replace(",", ";", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match="^line 45001: expected 5 fields, got 4$"):
+            read_dataset(path)
+
     def test_header_line(self, tmp_path):
         path = tmp_path / "d.csv"
         write_dataset(path, [sample_block()])
@@ -371,6 +386,14 @@ class TestParseErrors:
             ],
         )
         with pytest.raises(DatasetFormatError, match="line 4: series id 0 repeats line 2"):
+            read_dataset(path)
+
+    def test_lines_split_as_splitlines_splits_them(self, tmp_path):
+        # a form feed ends a line, so the row after it is empty
+        path = tmp_path / "ff.csv"
+        rows = ["# series 0 rate=100.0 timeline=none", "0.0,1.0,2.0,3.0,000000\x0c"]
+        path.write_text("\n".join([DATASET_HEADER, *rows]) + "\n")
+        with pytest.raises(DatasetFormatError, match="^line 4: expected 5 fields, got 1$"):
             read_dataset(path)
 
     def test_block_without_rows(self, tmp_path):

@@ -396,6 +396,32 @@ class TestLockstepGrowth:
             monkeypatch.setattr(forest, "_SPLIT_ROWS", split_rows)
             assert model_to_lines(train_forest(ts, params)) == default
 
+    @pytest.mark.parametrize("m_try", [1, 2])
+    @pytest.mark.parametrize(
+        "make_set",
+        [
+            lambda: tie_set(np.random.default_rng(39)),
+            lambda: grid_many_class_set(np.random.default_rng(40)),
+        ],
+        ids=["ties", "grid"],
+    )
+    def test_row_order_in_the_bag_does_not_change_nodes(self, make_set, m_try):
+        # each node sorts its own rows, so the order its bag range holds
+        # them in is never read
+        ts = make_set()
+        X = normalize_apply(normalize_fit(ts.features), ts.features)
+        classes, codes = np.unique(ts.labels, return_inverse=True)
+
+        def grow(shuffle):
+            rngs = [tree_rng(10, t) for t in range(6)]
+            samples = [bootstrap_sample(len(X), len(X), rng) for rng in rngs]
+            if shuffle:
+                samples = [np.random.default_rng(t).permutation(s) for t, s in enumerate(samples)]
+            return forest._grow_block(X, codes, classes.size, rngs, samples, m_try, None, 1)
+
+        for kept, shuffled in zip(grow(False), grow(True)):
+            assert np.array_equal(kept, shuffled)
+
     @pytest.mark.parametrize("k", range(2, 9))
     def test_one_feature_choices_continue_as_bulk_integers(self, k):
         # With m_try = 1 a tree draws its features in bulk: after the

@@ -1,5 +1,6 @@
 """The split search scores only the cuts at class boundaries; on any node
-it must pick the split that scoring every cut picks."""
+it must pick the split that scoring every cut picks, count the rows that
+go left, and write the node's rows back with those rows first."""
 
 from __future__ import annotations
 
@@ -47,21 +48,39 @@ def test_best_splits_match_scoring_every_cut(batch):
     codes = np.concatenate([codes for _, codes, _ in nodes])
     n_node = np.array([len(c) for _, c, _ in nodes])
     lo = np.cumsum(n_node) - n_node
-    # a node owns the same positions in every feature's row list
-    order = np.concatenate(
-        [start + np.argsort(X, axis=0, kind="stable") for (X, _, _), start in zip(nodes, lo)]
-    ).T.copy()
-    counts = np.array([np.bincount(c, minlength=n_classes) for _, c, _ in nodes])
+    # node k owns the bag range lo[k] .. lo[k] + n_node[k] - 1: a draw with
+    # replacement from its own rows, in no particular order
+    samples = [
+        np.random.default_rng([seed, 1]).integers(0, len(c), len(c)) for _, c, seed in nodes
+    ]
+    bag = np.concatenate([start + sample for start, sample in zip(lo, samples)])
+    counts = np.array([
+        np.bincount(codes[start + sample], minlength=n_classes) for start, sample in zip(lo, samples)
+    ])
     feats = np.array([
         np.sort(np.random.default_rng(seed).choice(n_features, m_try, replace=False))
         if m_try < n_features else np.arange(n_features)
         for _, _, seed in nodes
     ])
-    feature, threshold = forest._best_splits(X, codes, order, lo, n_node, counts, feats, min_leaf)
+    presort = forest._presort(X, codes)
+    written = bag.copy()
+    feature, threshold, n_left, left = forest._best_splits(
+        presort, written, lo, n_node, counts, feats, min_leaf
+    )
     for k, (X_k, codes_k, seed) in enumerate(nodes):
         # the reference scores the root over every cut; max_depth 1 stops there
         root = reference_tree(
-            X_k, codes_k, np.arange(len(codes_k)), n_classes, m_try, 1, min_leaf,
-            np.random.default_rng(seed),
+            X_k, codes_k, samples[k], n_classes, m_try, 1, min_leaf, np.random.default_rng(seed),
         )[0]
         assert (feature[k], threshold[k]) == root[:2]
+        rows = written[lo[k] : lo[k] + n_node[k]]
+        assert np.array_equal(np.sort(rows), np.sort(bag[lo[k] : lo[k] + n_node[k]]))
+        if feature[k] < 0:
+            assert n_left[k] == 0 and not left[k].any()
+            continue
+        # the node's rows that go left, their class counts, and the bag
+        # range written back with them first
+        goes_left = X[rows, feature[k]] <= threshold[k]
+        assert n_left[k] == np.count_nonzero(goes_left)
+        assert np.array_equal(left[k], np.bincount(codes[rows[goes_left]], minlength=n_classes))
+        assert goes_left[: n_left[k]].all() and not goes_left[n_left[k] :].any()
