@@ -45,13 +45,7 @@ from .forest import (
     save_model,
     train_forest,
 )
-from .simulate import (
-    PHASE_OFFSETS_DEG,
-    FaultLabel,
-    leg_switches,
-    simulate,
-    switch_name,
-)
+from .simulate import FaultLabel, exposed_switches, phase_sines, simulate, switch_name
 
 _GEN_STREAM = 0xD5
 _SPLIT_STREAM = 0x5B
@@ -82,20 +76,13 @@ def _expressed_mask(label: FaultLabel, t: np.ndarray, frequency: float) -> np.nd
     other half is indistinguishable from the healthy waveform, and a
     sample where only one switch of a two-phase pair is suppressing is
     indistinguishable from that single-switch fault. Training rows are
-    therefore restricted to the intersection of the per-phase
-    suppression windows (phases with both switches open are clamped to
-    zero throughout, so they do not constrain the window)."""
-    if label.is_normal:
-        return np.ones(len(t), dtype=bool)
-    out = np.ones(len(t), dtype=bool)
-    theta = 2.0 * np.pi * frequency * t
-    for p, off in enumerate(PHASE_OFFSETS_DEG):
-        upper, lower = leg_switches(label.mask, p)
-        if not (upper or lower) or (upper and lower):
-            continue
-        s = np.sin(theta + math.radians(off))
-        out &= (s < 0) if upper else (s > 0)
-    return out
+    therefore restricted to the samples that expose every open switch
+    (phases with both switches open are clamped to zero throughout, so
+    they do not constrain the window)."""
+    whole = label.mask & label.mask >> 1 & 0b010101  # lower bit of each leg with both open
+    need = label.mask & ~(whole | whole << 1)
+    exposed = exposed_switches(phase_sines(2.0 * np.pi * frequency * t))
+    return (exposed & need) == need
 
 
 def generate_training_pool(config: ExperimentConfig) -> list[SeriesBlock]:

@@ -81,7 +81,6 @@ class ExperimentConfig:
     target_rate: float = DiagnosisConfig.target_rate
     debounce_min_run: int = DiagnosisConfig.debounce_min_run
     confirm_windows: int = DiagnosisConfig.confirm_windows
-    phase_fallback_deg: float = DiagnosisConfig.phase_fallback_deg
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)
@@ -132,7 +131,6 @@ class ExperimentConfig:
             fundamental=self.frequency,
             debounce_min_run=self.debounce_min_run,
             confirm_windows=self.confirm_windows,
-            phase_fallback_deg=self.phase_fallback_deg,
         )
 
 

@@ -2,13 +2,15 @@
 
 Pipeline: resample the acquired series down to the classifier rate,
 classify every sample, debounce the label stream, then fuse all
-period-aligned windows at once. Inside the pipeline a label is its
-6-bit FaultLabel.mask (S1 is bit 5, S6 bit 0), so the windowed stream
-is one (windows x samples) uint8 array. Fusion keeps the bits that each
-sample's 60-degree region can expose, from a six-entry mask table, and
-ORs them along each window. The first run of confirm_windows equal
-non-empty fused masks latches the fault set. Only the report looks
-masks up in LABELS.
+period-aligned windows at once. Windows and regions sit on phase a's
+angle, measured from the first clean zero crossing of phase a, b or c;
+a series with none, such as an all-zero one, is refused. Inside the
+pipeline a label is its 6-bit FaultLabel.mask (S1 is bit 5, S6 bit 0),
+so the windowed stream is one (windows x samples) uint8 array. Fusion
+keeps the bits that each sample's 60-degree region can expose, from a
+six-entry mask table, and ORs them along each window. The first run of
+confirm_windows equal non-empty fused masks latches the fault set. Only
+the report looks masks up in LABELS.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import numpy as np
 from .forest import RandomForestModel, predict_batch
 from .simulate import (
     LABELS,
-    REGIONS,
+    PHASE_OFFSETS_DEG,
     FaultLabel,
     TriPhaseSeries,
-    detectable_faults,
+    exposed_switches,
+    phase_sines,
     refuse_non_finite,
     region_indices,
 )
@@ -34,11 +37,8 @@ from .simulate import (
 _CROSSING_QUALITY = 0.3
 
 
-# the switches each region exposes
-_EXPOSED = np.array(
-    [FaultLabel.from_switches(detectable_faults(region)).mask for region in REGIONS],
-    dtype=np.uint8,
-)
+# the switches each region exposes, at its mid-angle
+_EXPOSED = exposed_switches(phase_sines(np.radians(60.0 * np.arange(6) + 30.0)))
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,13 @@ class DiagnosisConfig:
 
     A window is one fundamental period, window_samples = target_rate /
     fundamental, a whole number of at least 6 (one per 60-degree region).
-    phase_fallback_deg is the assumed electrical angle of phase a at
-    the first sample, used when no clean zero crossing exists (for
-    example when the series is faulted from t=0).
+    The phase reference is measured from the series, never configured.
     """
 
     target_rate: float = 10000.0
     fundamental: float = 50.0
     debounce_min_run: int = 5
     confirm_windows: int = 1
-    phase_fallback_deg: float = 0.0
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)
@@ -149,8 +146,8 @@ def debounce(labels, min_run: int):
 
     A short run is replaced by the most recent accepted label; the first
     run is always accepted. Takes any 1-D sequence (label masks or
-    FaultLabels) and returns a list of its items, of the same length.
-    The filter is idempotent.
+    FaultLabels) and returns its items, of the same length: a uint8 array
+    for a uint8 array, a list for anything else. The filter is idempotent.
     """
     if min_run < 1:
         raise ValueError("min_run must be >= 1")
@@ -161,7 +158,8 @@ def debounce(labels, min_run: int):
     # each run copies the start of the last run long enough to be accepted;
     # a short run maps to 0, the first run's start, so the first run is kept
     accepted = np.maximum.accumulate(np.where(lengths >= min_run, starts, 0))
-    return items[np.repeat(accepted, lengths)].tolist()
+    out = items[np.repeat(accepted, lengths)]
+    return out if isinstance(labels, np.ndarray) and labels.dtype == np.uint8 else out.tolist()
 
 
 def fuse_window(labels, regions) -> np.uint8 | np.ndarray:
@@ -183,27 +181,30 @@ def _latch(fused: np.ndarray, confirm_windows: int) -> int | None:
 
 
 def estimate_phase_reference(series: TriPhaseSeries, fundamental: float) -> float | None:
-    """Time of the first clean upward i_a zero crossing, or None.
+    """Time at which phase a is at 0 degrees, or None if no phase shows it.
 
-    Scans the first two fundamental periods. A crossing counts as clean
-    when the current swings well below zero before it and well above
-    zero after it, which rejects series whose positive or negative
-    half-cycle is already faulted away.
+    The first clean upward zero crossing of i_a in the first two periods,
+    else of i_b, else of i_c, shifted by its phase's offset. A crossing is
+    clean when the current swings well below zero before it and well above
+    zero after it, which rejects a phase whose positive or negative
+    half-cycle is faulted away. Two open switches leave at least one leg
+    whole in this four-wire model, so only a flat or idle series has none.
     """
     per = int(round(series.sample_rate / fundamental))
     scan = min(series.n_samples, 2 * per + 1)
-    ia = series.i_a[:scan]
-    peak = float(np.max(np.abs(ia))) if scan else 0.0
-    if peak <= 0.0:
-        return None
     swing = max(1, per // 8)
-    for i in np.nonzero((ia[:-1] < 0.0) & (ia[1:] >= 0.0))[0]:
-        j1, j2 = i - swing, i + swing
-        if j1 < 0 or j2 >= scan:
+    for current, off in zip((series.i_a, series.i_b, series.i_c), PHASE_OFFSETS_DEG):
+        x = current[:scan]
+        peak = float(np.max(np.abs(x))) if scan else 0.0
+        if peak <= 0.0:
             continue
-        if ia[j1] < -_CROSSING_QUALITY * peak and ia[j2] > _CROSSING_QUALITY * peak:
-            frac = -ia[i] / (ia[i + 1] - ia[i])
-            return float(series.t[i]) + frac / series.sample_rate
+        for k in np.nonzero((x[:-1] < 0.0) & (x[1:] >= 0.0))[0]:
+            j1, j2 = k - swing, k + swing
+            if j1 < 0 or j2 >= scan:
+                continue
+            if x[j1] < -_CROSSING_QUALITY * peak and x[j2] > _CROSSING_QUALITY * peak:
+                frac = -x[k] / (x[k + 1] - x[k])
+                return float(series.t[k]) + frac / series.sample_rate + off / 360.0 / fundamental
     return None
 
 
@@ -215,7 +216,8 @@ def run_diagnosis(
     Args:
         model: forest over instantaneous (i_a, i_b, i_c) samples.
         series: acquired currents at or above config.target_rate; it
-            must hold at least one whole window after the phase reference.
+            must hold a phase reference (see estimate_phase_reference)
+            and at least one whole window after it.
         config: pipeline settings.
 
     Returns:
@@ -224,13 +226,15 @@ def run_diagnosis(
         debounced label history.
     """
     rs = resample(series, config.target_rate)
-    masks = np.array(debounce(classify_stream(model, rs), config.debounce_min_run), dtype=np.uint8)
+    masks = debounce(classify_stream(model, rs), config.debounce_min_run)
 
     f0 = config.fundamental
     t_zero = estimate_phase_reference(rs, f0)
     if t_zero is None:
-        offset_deg = (360.0 - config.phase_fallback_deg % 360.0) % 360.0
-        t_zero = float(rs.t[0]) + offset_deg / 360.0 / f0
+        raise ValueError(
+            "no phase current crosses zero cleanly in the first two periods"
+            f" ({2.0 / f0:g} s): a flat or idle series has no phase reference"
+        )
     # first sample at or after the theta=0 reference
     start = max(0, int(math.ceil((t_zero - float(rs.t[0])) * config.target_rate - 1e-9)))
 

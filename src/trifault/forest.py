@@ -738,7 +738,9 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     Args:
         training_set: rows to fit; the max-abs scaler is fit from them.
         params: tree counts and stopping controls.
-        n_jobs: worker processes; 1 trains in-process.
+        n_jobs: worker processes; 1 trains in-process. Each worker imports
+            the caller's main module, so a script passing n_jobs > 1 without
+            an `if __name__ == "__main__":` guard ends in BrokenProcessPool.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")

@@ -113,10 +113,23 @@ def check_label_masks(labels) -> None:
         raise ValueError(f"label masks must be below {1 << N_SWITCHES}, got {labels.max()}")
 
 
-def leg_switches(mask, phase: int):
-    """Whether the upper and the lower switch of a phase (0, 1, 2 for
-    a, b, c) are open under a mask, an int or an array of masks."""
-    return mask & (32 >> 2 * phase) != 0, mask & (16 >> 2 * phase) != 0
+def phase_sines(theta) -> np.ndarray:
+    """sin(theta + offset) of phases a, b, c, stacked along a new first
+    axis, for each electrical angle theta of phase a in radians."""
+    return np.stack([np.sin(theta + math.radians(off)) for off in PHASE_OFFSETS_DEG])
+
+
+def exposed_switches(sines) -> np.ndarray:
+    """Mask of the switches whose open circuit shows at each angle, from
+    its phase_sines: phase p's upper switch S(2p+1) where its sine is
+    negative, its lower switch S(2p+2) where it is positive. The one
+    half-cycle rule of simulate, the training pool and the region gate.
+    """
+    exposed = np.zeros(np.shape(sines)[1:], dtype=np.uint8)
+    for p, s in enumerate(sines):
+        upper, lower = np.uint8(32 >> 2 * p), np.uint8(16 >> 2 * p)
+        exposed |= (s < 0) * upper | (s > 0) * lower
+    return exposed
 
 
 @dataclass(frozen=True)
@@ -210,9 +223,7 @@ def _build_regions() -> tuple[Region, ...]:
     regions = []
     for k, name in enumerate(names):
         mid = 60.0 * k + 30.0
-        pattern = tuple(
-            1 if math.sin(math.radians(mid + off)) > 0 else -1 for off in PHASE_OFFSETS_DEG
-        )
+        pattern = tuple(1 if s > 0 else -1 for s in phase_sines(math.radians(mid)).tolist())
         regions.append(Region(index=k + 1, name=name, sign_pattern=pattern))
     return tuple(regions)
 
@@ -230,16 +241,10 @@ def region_indices(theta_deg) -> np.ndarray:
 
 
 def detectable_faults(region: Region) -> frozenset[int]:
-    """Switches whose open-circuit signature can show inside the region.
-
-    A phase that is healthy-positive in the region can only reveal its
-    lower switch (which should be conducting); a healthy-negative phase
-    can only reveal its upper switch.
-    """
-    ids = set()
-    for p, sign in enumerate(region.sign_pattern):
-        ids.add(2 * p + 1 if sign < 0 else 2 * p + 2)
-    return frozenset(ids)
+    """Switches whose open-circuit signature can show inside the region:
+    exposed_switches at its mid-angle."""
+    mid = math.radians(60.0 * region.index - 30.0)
+    return LABELS[int(exposed_switches(phase_sines(mid)))].switches
 
 
 def timeline_masks(fault_timeline, t) -> np.ndarray:
@@ -253,11 +258,11 @@ def timeline_masks(fault_timeline, t) -> np.ndarray:
 def _validated_timeline(fault_timeline, duration: float):
     timeline = []
     prev = None
-    for entry in fault_timeline:
+    for k, entry in enumerate(fault_timeline):
         t_fault, label = entry
         t_fault = float(t_fault)
         if not isinstance(label, FaultLabel):
-            label = FaultLabel.from_string(str(label))
+            raise ValueError(f"fault_timeline entry {k}: label must be a FaultLabel, got {label!r}")
         if not 0.0 <= t_fault < duration:
             raise ValueError(f"fault time {t_fault} outside [0, {duration})")
         if prev is not None and t_fault < prev:
@@ -274,16 +279,18 @@ def simulate(config: SimConfig, fault_timeline, duration: float) -> TriPhaseSeri
         config: waveform settings.
         fault_timeline: iterable of (t_fault, FaultLabel) sorted by time;
             each label takes effect at the first sample with t >= t_fault
-            and stays active until the next entry.
+            and stays active until the next entry. A label of any other
+            type is refused, not converted.
         duration: span in seconds, finite and > 0.
 
     Returns:
         TriPhaseSeries sampled at config.sample_rate.
 
-    The suppression decision uses the sign of the ideal fundamental, so
-    half-cycle boundaries fall exactly on the 60-degree region grid. A
-    suppressed sample keeps leakage * (fundamental + ripple) plus noise;
-    a leg with both switches open is forced to zero plus noise. Noise
+    An open switch suppresses where exposed_switches of the ideal
+    fundamental exposes it, so half-cycle boundaries fall exactly on the
+    60-degree region grid. A suppressed sample keeps leakage *
+    (fundamental + ripple) plus noise; a leg with both switches open is
+    forced to zero plus noise. Noise
     and drift are drawn from config.seed in a fixed order, so two runs
     with the same config and timeline are bit-identical and a timeline
     of all-zero labels equals the no-fault waveform sample for sample.
@@ -313,16 +320,15 @@ def simulate(config: SimConfig, fault_timeline, duration: float) -> TriPhaseSeri
     else:
         ripple = np.zeros(n)
 
-    theta = 2.0 * np.pi * config.frequency * t
+    sines = phase_sines(2.0 * np.pi * config.frequency * t)
     masks = timeline_masks(timeline, t)
+    suppressed = masks & exposed_switches(sines)
     channels = []
-    for p, off in enumerate(PHASE_OFFSETS_DEG):
-        s = np.sin(theta + math.radians(off))
+    for p, s in enumerate(sines):
+        leg = 48 >> 2 * p  # the bits of phase p's two switches
         pre = gain * config.amplitude * s + ripple
-        upper, lower = leg_switches(masks, p)
-        suppressed = (upper & (s < 0)) | (lower & (s > 0))
-        out = np.where(suppressed, config.leakage * pre, pre)
-        out = np.where(upper & lower, 0.0, out)
+        out = np.where(suppressed & leg, config.leakage * pre, pre)
+        out = np.where((masks & leg) == leg, 0.0, out)
         channels.append(out + noise[p])
 
     return TriPhaseSeries(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trifault.cli import main, split_class_counts
-from trifault.dataset import read_dataset
+from trifault.dataset import SeriesBlock, read_dataset, write_dataset
 from trifault.simulate import NO_FAULT
 
 SMALL_CFG = "dataset_samples = 2200\ntrain_samples = 1100\nn_trees = 24\ncv_folds = 3\n"
@@ -230,6 +230,18 @@ class TestDiagnose:
         assert record["fault_set"] == []
         assert record["first_detect_time"] is None
         assert record["protection_signal"] is False
+
+    def test_all_zero_series_is_refused(self, small_env, tmp_path, capsys):
+        t = np.arange(5120) / 25600.0
+        zero = np.zeros(t.size)
+        labels = np.zeros(t.size, dtype=np.uint8)
+        block = SeriesBlock(0, 25600.0, (), t, zero, zero, zero, labels)
+        series = tmp_path / "zero.csv"
+        write_dataset(series, [block])
+        assert main(["diagnose", str(small_env["model"]), str(series)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no phase current crosses zero cleanly")
 
 
 class TestErrorPaths:

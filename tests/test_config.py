@@ -86,6 +86,11 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 2"):
             parse_config("seed = 1\nbogus = 3\n")
 
+    @pytest.mark.parametrize("key", ["window_samples", "phase_fallback_deg"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ValueError, match=f"line 1: unknown key '{key}'"):
+            parse_config(f"{key} = 200\n")
+
     def test_repeated_key_reports_both_lines(self):
         with pytest.raises(ValueError, match="line 3: key 'n_trees' already given on line 1"):
             parse_config("n_trees = 10\nseed = 1\nn_trees = 20\n")
@@ -163,7 +168,6 @@ class TestRoundTrip:
             target_rate=12000.0,
             debounce_min_run=3,
             confirm_windows=2,
-            phase_fallback_deg=90.0,
         )
         default = ExperimentConfig()
         assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))

@@ -100,9 +100,6 @@ def reference_run_diagnosis(model, series, config):
     masks = np.array(debounce(classify_stream(model, rs), config.debounce_min_run), dtype=np.uint8)
     f0 = config.fundamental
     t_zero = estimate_phase_reference(rs, f0)
-    if t_zero is None:
-        offset_deg = (360.0 - config.phase_fallback_deg % 360.0) % 360.0
-        t_zero = float(rs.t[0]) + offset_deg / 360.0 / f0
     start = max(0, int(math.ceil((t_zero - float(rs.t[0])) * config.target_rate - 1e-9)))
     ws = config.window_samples
     regions = region_indices(360.0 * f0 * (rs.t - t_zero))
@@ -148,22 +145,38 @@ class TestRunDiagnosis:
         with pytest.raises(ValueError, match="one window needs"):
             run_diagnosis(self.tiny_model(), short, DiagnosisConfig())
 
-    @pytest.mark.parametrize(
-        "fallback_deg, n_windows, first_start", [(0.0, 5, 0.0), (90.0, 4, 0.015)]
-    )
-    def test_phase_fallback_places_windows_without_a_crossing(
-        self, fallback_deg, n_windows, first_start
-    ):
-        # both switches of phase a open from t = 0 leave it flat: no zero
-        # crossing, so phase a is taken to be at fallback_deg at t = 0
+    def test_flat_phase_a_takes_its_reference_from_phase_b(self):
+        # both switches of phase a open from t = 0 leave it flat, so the
+        # first upward crossing of phase b, at 120 degrees, places phase
+        # a's 0 degrees at t = 0
         s12 = FaultLabel.from_switches([1, 2])
         series = simulate(SimConfig(amplitude=16.5, leakage=0.0), ((0.0, s12),), 0.1)
         rs = resample(series, 10000.0)
-        assert estimate_phase_reference(rs, 50.0) is None
-        config = DiagnosisConfig(phase_fallback_deg=fallback_deg)
-        history = run_diagnosis(self.tiny_model(), series, config).per_window_history
-        assert len(history) == n_windows
-        assert history[0].start_time == pytest.approx(first_start, abs=1e-12)
+        assert estimate_phase_reference(rs, 50.0) == pytest.approx(0.0, abs=1e-6)
+        history = run_diagnosis(self.tiny_model(), series, DiagnosisConfig()).per_window_history
+        assert len(history) == 5
+        assert history[0].start_time == 0.0
+
+    def test_refuses_an_all_zero_stream(self):
+        t = np.arange(2560) / 25600.0
+        zero = np.zeros(t.size)
+        series = TriPhaseSeries(t=t, i_a=zero, i_b=zero, i_c=zero, sample_rate=25600.0)
+        with pytest.raises(ValueError, match="no phase current crosses zero cleanly"):
+            run_diagnosis(self.tiny_model(), series, DiagnosisConfig())
+
+    def test_s1_s3_from_t0_takes_its_reference_from_phase_c(self, desk_experiment):
+        # phase a and b each lose their negative half-cycle from t = 0;
+        # phase c's first upward crossing, at 240 degrees, places phase
+        # a's 0 degrees one period in
+        exp = desk_experiment
+        config = exp.config.diagnosis_config()
+        series = simulate(exp.config.sim_config(seed=3), ((0.0, L13),), 0.2)
+        rs = resample(series, config.target_rate)
+        one_sample = 1.0 / config.target_rate
+        assert estimate_phase_reference(rs, config.fundamental) == pytest.approx(0.02, abs=one_sample)
+        report = run_diagnosis(exp.model, series, config)
+        assert report.per_window_history[0].start_time == pytest.approx(0.02, abs=one_sample)
+        assert report.fault_set == frozenset({1, 3})
 
     def test_refuses_non_finite_current(self):
         series = simulate(SimConfig(amplitude=16.5), (), 0.1)
@@ -277,6 +290,13 @@ class TestDebounce:
     def test_empty_input(self):
         assert debounce([], 5) == []
 
+    def test_a_uint8_array_comes_back_as_one(self):
+        masks = np.array([0, 0, 0, M1, 0, 0, 0, M3, M3, M3], dtype=np.uint8)
+        out = debounce(masks, 3)
+        assert isinstance(out, np.ndarray) and out.dtype == np.uint8
+        assert out.tolist() == [0] * 7 + [M3] * 3
+        assert isinstance(debounce(masks.astype(np.int64), 3), list)
+
 
 class TestFuseWindow:
     def test_gates_by_region_membership(self):
@@ -382,5 +402,7 @@ class TestPhaseReference:
         assert estimate_phase_reference(s, 50.0) == pytest.approx(0.02, abs=1e-9)
 
     def test_flat_signal_returns_none(self):
-        s = simulate(SimConfig(amplitude=1.0, leakage=0.0), ((0.0, FaultLabel.from_switches([1, 2])),), 0.1)
+        t = np.arange(1000) / 10000.0
+        flat = np.zeros(t.size)
+        s = TriPhaseSeries(t=t, i_a=flat, i_b=flat + 1.0, i_c=flat - 1.0, sample_rate=10000.0)
         assert estimate_phase_reference(s, 50.0) is None

@@ -12,11 +12,13 @@ from trifault.simulate import (
     LABELS,
     N_SWITCHES,
     NO_FAULT,
+    PHASE_OFFSETS_DEG,
     REGIONS,
     FaultLabel,
     SimConfig,
     detectable_faults,
-    leg_switches,
+    exposed_switches,
+    phase_sines,
     region_indices,
     simulate,
     switch_name,
@@ -38,6 +40,32 @@ def one_switch_faults(cfg, duration):
         for s in range(1, N_SWITCHES + 1)
     ]
     return healthy, faulted
+
+
+def reference_simulate(config, fault_timeline, duration):
+    """simulate with the per-leg suppression rule that exposed_switches
+    replaced, kept as its reference: the (3, n) phase currents."""
+    n = int(round(duration * config.sample_rate))
+    t = np.arange(n) / config.sample_rate
+    rng = np.random.default_rng(config.seed)
+    n_periods = max(1, math.ceil(duration * config.frequency))
+    knot_t = np.arange(n_periods + 1) / config.frequency
+    knots = 1.0 + rng.uniform(-config.amplitude_drift, config.amplitude_drift, n_periods + 1)
+    gain = np.interp(t, knot_t, np.clip(knots, 0.05, None))
+    noise = rng.normal(0.0, config.noise_sigma, (3, n))
+    ripple = config.ripple_amplitude * np.sin(2.0 * np.pi * config.ripple_frequency * t)
+    theta = 2.0 * np.pi * config.frequency * t
+    masks = timeline_masks(fault_timeline, t)
+    channels = []
+    for p, off in enumerate(PHASE_OFFSETS_DEG):
+        s = np.sin(theta + math.radians(off))
+        pre = gain * config.amplitude * s + ripple
+        upper, lower = masks & (32 >> 2 * p) != 0, masks & (16 >> 2 * p) != 0
+        suppressed = (upper & (s < 0)) | (lower & (s > 0))
+        out = np.where(suppressed, config.leakage * pre, pre)
+        out = np.where(upper & lower, 0.0, out)
+        channels.append(out + noise[p])
+    return np.stack(channels)
 
 
 class TestFaultLabel:
@@ -82,17 +110,6 @@ class TestFaultLabel:
     def test_refuses_a_mask_that_is_not_an_int_in_range(self, bad):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             FaultLabel(bad)
-
-    def test_leg_switches_of_an_int_and_of_an_array(self):
-        for lab in LABELS:
-            for p in range(3):
-                expected = (2 * p + 1 in lab.switches, 2 * p + 2 in lab.switches)
-                assert leg_switches(lab.mask, p) == expected
-        masks = np.arange(64, dtype=np.uint8)
-        for p in range(3):
-            upper, lower = leg_switches(masks, p)
-            assert upper.tolist() == [leg_switches(m, p)[0] for m in range(64)]
-            assert lower.tolist() == [leg_switches(m, p)[1] for m in range(64)]
 
 
 class TestSwitchNaming:
@@ -157,6 +174,38 @@ class TestRegions:
                 sign = region.sign_pattern[(s - 1) // 2]
                 expected = sign < 0 if s % 2 == 1 else sign > 0  # odd: upper switch
                 assert (s in dets) == expected
+
+
+class TestExposedSwitches:
+    def test_matches_each_phase_sign_on_a_fine_grid(self):
+        # 0.01-degree steps over two turns, every zero crossing included
+        theta_deg = np.arange(-36000, 36001) / 100.0
+        exposed = exposed_switches(phase_sines(np.radians(theta_deg)))
+        assert exposed.dtype == np.uint8 and exposed.shape == theta_deg.shape
+        for k in range(0, theta_deg.size, 7):
+            th = math.radians(float(theta_deg[k]))
+            expected = set()
+            for p, off in enumerate(PHASE_OFFSETS_DEG):
+                sine = math.sin(th + math.radians(off))
+                if sine < 0:
+                    expected.add(2 * p + 1)  # upper switch: the negative half-cycle
+                elif sine > 0:
+                    expected.add(2 * p + 2)  # lower switch: the positive half-cycle
+            assert LABELS[int(exposed[k])].switches == expected, theta_deg[k]
+
+    def test_simulate_matches_the_per_leg_rule_for_every_mask(self):
+        cfg = SimConfig(
+            amplitude=16.5,
+            noise_sigma=0.04,
+            ripple_amplitude=0.12,
+            amplitude_drift=0.01,
+            leakage=0.12,
+            seed=4,
+        )
+        for mask in range(64):
+            timeline = ((0.0073, LABELS[mask]),)
+            got = simulate(cfg, timeline, 0.045).currents().T
+            assert got.tobytes() == reference_simulate(cfg, timeline, 0.045).tobytes(), mask
 
 
 class TestSimConfigValidation:
@@ -285,6 +334,12 @@ class TestTimeline:
         lab = FaultLabel.from_switches([1])
         with pytest.raises(ValueError):
             simulate(SimConfig(amplitude=1.0), ((0.02, lab), (0.01, lab)), 0.04)
+
+    @pytest.mark.parametrize("label", ["100000", 32, (0.0, 1)])
+    def test_refuses_a_label_that_is_not_a_fault_label(self, label):
+        timeline = ((0.0, FaultLabel.from_switches([2])), (0.01, label))
+        with pytest.raises(ValueError, match=f"fault_timeline entry 1: .*{re.escape(repr(label))}"):
+            simulate(SimConfig(amplitude=1.0), timeline, 0.04)
 
     def test_rejects_negative_fault_time(self):
         lab = FaultLabel.from_switches([1])
