@@ -145,17 +145,31 @@ class TestRunDiagnosis:
         with pytest.raises(ValueError, match="one window needs"):
             run_diagnosis(self.tiny_model(), short, DiagnosisConfig())
 
-    def test_flat_phase_a_takes_its_reference_from_phase_b(self):
-        # both switches of phase a open from t = 0 leave it flat, so the
-        # first upward crossing of phase b, at 120 degrees, places phase
-        # a's 0 degrees at t = 0
+    @pytest.mark.parametrize(
+        "start_deg, n_windows, first_start", [(0.0, 5, 0.0), (90.0, 4, 0.015)]
+    )
+    def test_phase_fallback_places_windows_without_a_crossing(
+        self, start_deg, n_windows, first_start
+    ):
+        # both switches of phase a open from t = 0 leave it flat: no zero
+        # crossing, so the reference falls back to phase b's first clean
+        # upward crossing, at 120 degrees. The stream starts with phase a
+        # at start_deg; at 90 degrees phase b's first crossing lies too
+        # near the start to be clean, and its next one places phase a's
+        # 0 degrees 270 degrees (15 ms) into the stream
         s12 = FaultLabel.from_switches([1, 2])
         series = simulate(SimConfig(amplitude=16.5, leakage=0.0), ((0.0, s12),), 0.1)
+        k = round(start_deg / 360.0 * 0.02 * series.sample_rate)
+        series = TriPhaseSeries(
+            t=series.t[k:], i_a=series.i_a[k:], i_b=series.i_b[k:], i_c=series.i_c[k:],
+            sample_rate=series.sample_rate,
+        )
+        t0 = float(series.t[0])
         rs = resample(series, 10000.0)
-        assert estimate_phase_reference(rs, 50.0) == pytest.approx(0.0, abs=1e-6)
+        assert estimate_phase_reference(rs, 50.0) == pytest.approx(t0 + first_start, abs=1e-6)
         history = run_diagnosis(self.tiny_model(), series, DiagnosisConfig()).per_window_history
-        assert len(history) == 5
-        assert history[0].start_time == 0.0
+        assert len(history) == n_windows
+        assert history[0].start_time - t0 == pytest.approx(first_start, abs=1e-12)
 
     def test_refuses_an_all_zero_stream(self):
         t = np.arange(2560) / 25600.0
