@@ -7,8 +7,9 @@ The package covers the full desk-scale pipeline:
   60-degree regions of the fundamental period.
 - :mod:`trifault.haar`, :mod:`trifault.vectors`, :mod:`trifault.timestats` —
   transient feature families (Haar filter bank, current-vector geometry,
-  time-domain statistics) over sample windows, kept as a feature library;
-  the forest reads instantaneous samples, not these.
+  time-domain statistics) over sample windows, pinned by acceptance
+  criteria 1-3; no pipeline reads them yet, and the forest reads
+  instantaneous samples.
 - :mod:`trifault.forest` — a deterministic random-forest classifier over
   instantaneous current samples, with a text model format and stratified
   k-fold accuracies; ``predict_batch`` gives any number of rows, one row
@@ -39,7 +40,6 @@ from .simulate import (
     FaultLabel,
     SimConfig,
     TriPhaseSeries,
-    detectable_faults,
     simulate,
 )
 
@@ -58,7 +58,6 @@ __all__ = [
     "TriPhaseSeries",
     "cross_validate",
     "default_class_labels",
-    "detectable_faults",
     "load_config",
     "load_model",
     "parse_class_token",

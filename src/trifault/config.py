@@ -80,7 +80,6 @@ class ExperimentConfig:
     # diagnosis; a window is one period, target_rate / frequency samples
     target_rate: float = DiagnosisConfig.target_rate
     debounce_min_run: int = DiagnosisConfig.debounce_min_run
-    confirm_windows: int = DiagnosisConfig.confirm_windows
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)
@@ -98,7 +97,7 @@ class ExperimentConfig:
             raise ValueError("duplicate class labels")
         if self.target_rate > self.sample_rate:
             raise ValueError("target_rate must not exceed sample_rate")
-        # a bad waveform, forest, window or latch setting fails at load
+        # a bad waveform, forest, window or debounce setting fails at load
         self.sim_config()
         self.forest_params()
         self.diagnosis_config()
@@ -130,7 +129,6 @@ class ExperimentConfig:
             target_rate=self.target_rate,
             fundamental=self.frequency,
             debounce_min_run=self.debounce_min_run,
-            confirm_windows=self.confirm_windows,
         )
 
 

@@ -9,7 +9,7 @@ pipeline a label is its 6-bit FaultLabel.mask (S1 is bit 5, S6 bit 0),
 so the windowed stream is one (windows x samples) uint8 array. Fusion
 keeps the bits that each sample's 60-degree region can expose, from a
 six-entry mask table, and ORs them along each window. The first run of
-confirm_windows equal non-empty fused masks latches the fault set. Only
+_CONFIRM_WINDOWS equal non-empty fused masks latches the fault set. Only
 the report looks masks up in LABELS.
 """
 
@@ -36,8 +36,11 @@ from .simulate import (
 # both sides to count as a clean phase reference
 _CROSSING_QUALITY = 0.3
 
+# equal non-empty fused windows in a row that latch a fault set
+_CONFIRM_WINDOWS = 1
 
-# the switches each region exposes, at its mid-angle
+# the switches each region exposes, at its mid-angle; by region_indices
+# index SI..SVI: {2,3,6} {2,3,5} {2,4,5} {1,4,5} {1,4,6} {1,3,6}
 _EXPOSED = exposed_switches(phase_sines(np.radians(60.0 * np.arange(6) + 30.0)))
 
 
@@ -53,7 +56,6 @@ class DiagnosisConfig:
     target_rate: float = 10000.0
     fundamental: float = 50.0
     debounce_min_run: int = 5
-    confirm_windows: int = 1
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)
@@ -65,8 +67,6 @@ class DiagnosisConfig:
             raise ValueError(f"a {self.window_samples}-sample window cannot cover the six regions")
         if self.debounce_min_run < 1:
             raise ValueError("debounce_min_run must be >= 1")
-        if self.confirm_windows < 1:
-            raise ValueError("confirm_windows must be >= 1")
 
     @property
     def window_samples(self) -> int:
@@ -163,8 +163,9 @@ def debounce(labels, min_run: int):
 
 
 def fuse_window(labels, regions) -> np.uint8 | np.ndarray:
-    """OR of label masks, each gated by its REGIONS index, along the last
-    axis: one window fuses to one mask, (windows x samples) to one each."""
+    """OR of label masks, each gated by the switches its region index
+    exposes (_EXPOSED), along the last axis: one window fuses to one mask,
+    (windows x samples) to one each."""
     masks = np.asarray(labels, dtype=np.uint8)
     regions = np.asarray(regions, dtype=np.intp)
     if masks.shape != regions.shape:
@@ -172,11 +173,11 @@ def fuse_window(labels, regions) -> np.uint8 | np.ndarray:
     return np.bitwise_or.reduce(masks & _EXPOSED[regions], axis=-1)
 
 
-def _latch(fused: np.ndarray, confirm_windows: int) -> int | None:
-    """First window of the first run of confirm_windows equal non-zero
+def _latch(fused: np.ndarray, min_run: int) -> int | None:
+    """First window of the first run of at least min_run equal non-zero
     fused masks, or None; a healthy run (mask 0) never latches."""
     starts, lengths = _runs(fused)
-    hits = starts[(lengths >= confirm_windows) & (fused[starts] != 0)]
+    hits = starts[(lengths >= min_run) & (fused[starts] != 0)]
     return int(hits[0]) if hits.size else None
 
 
@@ -235,10 +236,12 @@ def run_diagnosis(
             "no phase current crosses zero cleanly in the first two periods"
             f" ({2.0 / f0:g} s): a flat or idle series has no phase reference"
         )
-    # first sample at or after the theta=0 reference
-    start = max(0, int(math.ceil((t_zero - float(rs.t[0])) * config.target_rate - 1e-9)))
-
     ws = config.window_samples
+    # first sample at or after phase a's 0 degrees; a reference before the
+    # first sample moves on by whole windows, each one period
+    start = int(math.ceil((t_zero - float(rs.t[0])) * config.target_rate - 1e-9))
+    if start < 0:
+        start %= ws
     n_windows = (rs.n_samples - start) // ws
     if n_windows < 1:
         raise ValueError(
@@ -255,7 +258,7 @@ def run_diagnosis(
             zip(rs.t[span][::ws].tolist(), windows.tolist(), fused.tolist())
         )
     )
-    hit = _latch(fused, config.confirm_windows)
+    hit = _latch(fused, _CONFIRM_WINDOWS)
     return FaultReport(
         fault_set=frozenset() if hit is None else history[hit].fused.switches,
         first_detect_time=None if hit is None else history[hit].start_time,

@@ -109,6 +109,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -738,9 +739,11 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     Args:
         training_set: rows to fit; the max-abs scaler is fit from them.
         params: tree counts and stopping controls.
-        n_jobs: worker processes; 1 trains in-process. Each worker imports
-            the caller's main module, so a script passing n_jobs > 1 without
-            an `if __name__ == "__main__":` guard ends in BrokenProcessPool.
+        n_jobs: worker processes, at most one per core this process may
+            run on; 1 trains in-process. Each worker imports the caller's
+            main module, so a script passing n_jobs > 1 needs an
+            `if __name__ == "__main__":` guard; without one the workers
+            die, and this raises RuntimeError.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -753,7 +756,7 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     codes = np.searchsorted(masks, ts.labels)
     n_classes = masks.size
 
-    workers = min(n_jobs, params.n_trees, os.cpu_count() or 1)
+    workers = min(n_jobs, params.n_trees, _cores())
     block = min(max(1, _GROW_ENTRIES // X_norm.size), -(-params.n_trees // workers))
     blocks = [range(b, min(b + block, params.n_trees)) for b in range(0, params.n_trees, block)]
     grow = partial(_grow_indexed_block, X_norm, codes, n_classes, params)
@@ -762,8 +765,15 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
         # copies only the thread that forks, so the workers start afresh
         method = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
         context = multiprocessing.get_context(method)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            grown = list(pool.map(grow, blocks))
+        try:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                grown = list(pool.map(grow, blocks))
+        except BrokenProcessPool as exc:
+            raise RuntimeError(
+                f"a training worker process died ({exc}); the usual cause is a script that"
+                " calls train_forest with n_jobs > 1 outside an"
+                ' `if __name__ == "__main__":` guard, so each worker re-runs it on import'
+            ) from exc
     else:
         grown = list(map(grow, blocks))
 

@@ -2,8 +2,7 @@
 
 One step maps a length-2m signal onto m averages (a[2k] + a[2k+1]) / sqrt(2)
 and m details (a[2k] - a[2k+1]) / sqrt(2). The orthonormal scaling keeps
-the squared-sample energy of every level equal to the input energy, and
-the step is exactly invertible.
+the squared-sample energy of every level equal to the input energy.
 """
 
 from __future__ import annotations
@@ -63,28 +62,3 @@ def haar_decompose(values, levels: int) -> list[HaarLevel]:
         out.append(step)
         a = step.averages
     return out
-
-
-def haar_inverse_step(level: HaarLevel) -> np.ndarray:
-    """Exact inverse of haar_step."""
-    avg = np.asarray(level.averages, dtype=float)
-    det = np.asarray(level.details, dtype=float)
-    out = np.empty(2 * avg.size)
-    out[0::2] = (avg + det) / _SQRT2
-    out[1::2] = (avg - det) / _SQRT2
-    return out
-
-
-def haar_reconstruct(levels: list[HaarLevel]) -> np.ndarray:
-    """Rebuild the original signal from a finest-first decomposition list."""
-    if not levels:
-        raise ValueError("need at least one level")
-    a = np.asarray(levels[-1].averages, dtype=float)
-    for level in reversed(levels):
-        a = haar_inverse_step(HaarLevel(averages=a, details=level.details))
-    return a
-
-
-def detail_energy(level: HaarLevel) -> float:
-    """Sum of squared detail coefficients of one level."""
-    return float(np.sum(np.square(level.details)))

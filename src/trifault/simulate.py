@@ -205,46 +205,14 @@ class TriPhaseSeries:
         return np.column_stack([self.i_a, self.i_b, self.i_c])
 
 
-@dataclass(frozen=True)
-class Region:
-    """One 60-degree sextant of the fundamental period.
-
-    sign_pattern holds the healthy polarity of (i_a, i_b, i_c) inside
-    the sextant as +1 / -1.
-    """
-
-    index: int
-    name: str
-    sign_pattern: tuple[int, int, int]
-
-
-def _build_regions() -> tuple[Region, ...]:
-    names = ("SI", "SII", "SIII", "SIV", "SV", "SVI")
-    regions = []
-    for k, name in enumerate(names):
-        mid = 60.0 * k + 30.0
-        pattern = tuple(1 if s > 0 else -1 for s in phase_sines(math.radians(mid)).tolist())
-        regions.append(Region(index=k + 1, name=name, sign_pattern=pattern))
-    return tuple(regions)
-
-
-REGIONS = _build_regions()
-
-
 def region_indices(theta_deg) -> np.ndarray:
-    """Index into REGIONS of the sextant holding each electrical angle
-    (degrees, any range)."""
+    """Index 0..5 (SI..SVI) of the 60-degree sextant holding each
+    electrical angle of phase a (degrees, any range): sextant k spans
+    60k to 60(k + 1) degrees."""
     theta = np.asarray(theta_deg, dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
     return (np.mod(theta, 360.0) // 60.0).astype(np.intp) % 6
-
-
-def detectable_faults(region: Region) -> frozenset[int]:
-    """Switches whose open-circuit signature can show inside the region:
-    exposed_switches at its mid-angle."""
-    mid = math.radians(60.0 * region.index - 30.0)
-    return LABELS[int(exposed_switches(phase_sines(mid)))].switches
 
 
 def timeline_masks(fault_timeline, t) -> np.ndarray:

@@ -4,10 +4,10 @@ The two-axis transform used here is
     i_d = (2*i_a - i_b - i_c) / 3
     i_q = (i_b - i_c) / sqrt(3)
 which maps balanced sinusoids of amplitude A onto a circle of radius A.
-Trajectory features (swept surface, angular spread) are normally taken
-on unit vectors so they respond to shape, not load level. Faulted
-trajectories pass through the origin, so trajectory functions skip
-degenerate samples instead of failing the whole window.
+The trajectory feature, the swept surface, is normally taken on unit
+vectors so it responds to shape, not load level. Faulted trajectories
+pass through the origin, so it skips degenerate samples instead of
+failing the whole window.
 """
 
 from __future__ import annotations
@@ -94,27 +94,3 @@ def vector_surface_area(trajectory, closed: bool = False, eps: float = DEGENERAT
         radii_lead = radii[:-1]
     rho = np.minimum(d, 360.0 - d)
     return float(np.sum(np.pi * np.square(radii_lead) * rho / 360.0))
-
-
-def distribution_angle(trajectory, eps: float = DEGENERATE_EPS) -> float:
-    """Circular extent of the trajectory's angles, in degrees.
-
-    Computed as 360 minus the largest gap between the sorted sample
-    angles. A spread whose largest gap is no wider than one nominal
-    sampling step (360 / sample count) is reported as exactly 360.
-    """
-    pts = list(trajectory)
-    if not pts:
-        raise ValueError("trajectory must not be empty")
-    radii, angles = _trajectory_polar(pts, eps)
-    if angles.size == 0:
-        raise DegenerateVectorError("trajectory has no non-degenerate samples")
-    if angles.size == 1:
-        return 0.0
-    ordered = np.sort(angles)
-    gaps = np.diff(ordered)
-    wrap = 360.0 - ordered[-1] + ordered[0]
-    largest = max(float(np.max(gaps)) if gaps.size else 0.0, wrap)
-    if angles.size >= 3 and largest <= 360.0 / angles.size + 1e-9:
-        return 360.0
-    return 360.0 - largest

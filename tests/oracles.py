@@ -86,3 +86,8 @@ def sector_area_oracle(radii, angles_deg, closed=False) -> float:
         rho = min(d, 360.0 - d)
         total += math.pi * r * r * rho / 360.0
     return total
+
+
+# the switches whose open circuit shows in region SI..SVI (region index
+# 0..5): each phase's upper switch where it is negative, lower where positive
+REGION_SWITCHES = ({2, 3, 6}, {2, 3, 5}, {2, 4, 5}, {1, 4, 5}, {1, 4, 6}, {1, 3, 6})

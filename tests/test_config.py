@@ -86,10 +86,12 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 2"):
             parse_config("seed = 1\nbogus = 3\n")
 
-    @pytest.mark.parametrize("key", ["window_samples", "phase_fallback_deg"])
+    @pytest.mark.parametrize("key", ["window_samples", "phase_fallback_deg", "confirm_windows"])
     def test_removed_keys_are_unknown(self, key):
         with pytest.raises(ValueError, match=f"line 1: unknown key '{key}'"):
-            parse_config(f"{key} = 200\n")
+            parse_config(f"{key} = 2\n")
+        with pytest.raises(TypeError, match=key):
+            ExperimentConfig(**{key: 2})
 
     def test_repeated_key_reports_both_lines(self):
         with pytest.raises(ValueError, match="line 3: key 'n_trees' already given on line 1"):
@@ -167,7 +169,6 @@ class TestRoundTrip:
             cv_folds=4,
             target_rate=12000.0,
             debounce_min_run=3,
-            confirm_windows=2,
         )
         default = ExperimentConfig()
         assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
@@ -198,13 +199,13 @@ class TestDerivedConfigs:
 
     def test_diagnosis_config(self):
         for cfg in (
-            ExperimentConfig(frequency=60.0, target_rate=12000.0, confirm_windows=2),
-            parse_config("frequency = 60.0\ntarget_rate = 12000.0\nconfirm_windows = 2\n"),
+            ExperimentConfig(frequency=60.0, target_rate=12000.0, debounce_min_run=3),
+            parse_config("frequency = 60.0\ntarget_rate = 12000.0\ndebounce_min_run = 3\n"),
         ):
             diag = cfg.diagnosis_config()
             assert diag.fundamental == 60.0
             assert diag.window_samples == 200
-            assert diag.confirm_windows == 2
+            assert diag.debounce_min_run == 3
         # 10 kHz holds no whole number of 60 Hz periods
         with pytest.raises(ValueError, match="whole multiple"):
             ExperimentConfig(frequency=60.0)

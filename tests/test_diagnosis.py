@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import REGION_SWITCHES
 from trifault.config import ExperimentConfig, default_class_labels
 from trifault.diagnosis import (
     DiagnosisConfig,
@@ -26,11 +27,9 @@ from trifault.forest import ForestParams, TrainingSet, train_forest
 from trifault.simulate import (
     LABELS,
     NO_FAULT,
-    REGIONS,
     FaultLabel,
     SimConfig,
     TriPhaseSeries,
-    detectable_faults,
     region_indices,
     simulate,
 )
@@ -69,15 +68,15 @@ def reference_debounce(labels, min_run):
 
 
 def reference_fuse_window(labels, regions) -> FaultLabel:
-    """Per-sample fusion of FaultLabels gated by detectable_faults of each
-    Region: the fusion that the region mask table replaced."""
+    """Per-sample fusion of FaultLabels gated by the detectable switches of
+    each region index: the fusion that the region mask table replaced."""
     kept = set()
     for lab, region in zip(labels, regions):
-        kept |= lab.switches & detectable_faults(region)
+        kept |= lab.switches & REGION_SWITCHES[region]
     return FaultLabel.from_switches(kept)
 
 
-def reference_latch(fused, confirm_windows):
+def reference_latch(fused, min_run):
     """The latch state machine of the per-window loop, kept as its
     reference: the index of the window that starts the latching run, or
     None."""
@@ -87,7 +86,7 @@ def reference_latch(fused, confirm_windows):
         if f != run_fused:
             run_fused, run_len, run_start = f, 0, w
         run_len += 1
-        if run_fused and run_len >= confirm_windows:
+        if run_fused and run_len >= min_run:
             return run_start
     return None
 
@@ -100,8 +99,11 @@ def reference_run_diagnosis(model, series, config):
     masks = np.array(debounce(classify_stream(model, rs), config.debounce_min_run), dtype=np.uint8)
     f0 = config.fundamental
     t_zero = estimate_phase_reference(rs, f0)
-    start = max(0, int(math.ceil((t_zero - float(rs.t[0])) * config.target_rate - 1e-9)))
     ws = config.window_samples
+    # a reference before the first sample moves on by whole periods
+    start = int(math.ceil((t_zero - float(rs.t[0])) * config.target_rate - 1e-9))
+    while start < 0:
+        start += ws
     regions = region_indices(360.0 * f0 * (rs.t - t_zero))
     history, fused = [], []
     for w in range((rs.n_samples - start) // ws):
@@ -110,7 +112,7 @@ def reference_run_diagnosis(model, series, config):
         fused.append(int(fuse_window(window, regions[lo : lo + ws])))
         labels = tuple(LABELS[m] for m in window.tolist())
         history.append(WindowRecord(w, float(rs.t[lo]), labels, LABELS[fused[-1]]))
-    latched = reference_latch(fused, config.confirm_windows)
+    latched = reference_latch(fused, 1)
     if latched is None:
         return frozenset(), None, False, tuple(history)
     return LABELS[fused[latched]].switches, history[latched].start_time, True, tuple(history)
@@ -146,17 +148,20 @@ class TestRunDiagnosis:
             run_diagnosis(self.tiny_model(), short, DiagnosisConfig())
 
     @pytest.mark.parametrize(
-        "start_deg, n_windows, first_start", [(0.0, 5, 0.0), (90.0, 4, 0.015)]
+        "start_deg, n_windows, first_start, reference",
+        [(0.0, 5, 0.0, 0.0), (90.0, 4, 0.015, 0.015), (30.0, 3, 0.0184, -43 / 25600)],
     )
     def test_phase_fallback_places_windows_without_a_crossing(
-        self, start_deg, n_windows, first_start
+        self, start_deg, n_windows, first_start, reference
     ):
         # both switches of phase a open from t = 0 leave it flat: no zero
         # crossing, so the reference falls back to phase b's first clean
         # upward crossing, at 120 degrees. The stream starts with phase a
         # at start_deg; at 90 degrees phase b's first crossing lies too
         # near the start to be clean, and its next one places phase a's
-        # 0 degrees 270 degrees (15 ms) into the stream
+        # 0 degrees 270 degrees (15 ms) into the stream. At 30 degrees (43
+        # samples in) phase a's 0 degrees lies before the first sample, so
+        # the windows start one period after it, at the next 10 kHz sample
         s12 = FaultLabel.from_switches([1, 2])
         series = simulate(SimConfig(amplitude=16.5, leakage=0.0), ((0.0, s12),), 0.1)
         k = round(start_deg / 360.0 * 0.02 * series.sample_rate)
@@ -166,7 +171,7 @@ class TestRunDiagnosis:
         )
         t0 = float(series.t[0])
         rs = resample(series, 10000.0)
-        assert estimate_phase_reference(rs, 50.0) == pytest.approx(t0 + first_start, abs=1e-6)
+        assert estimate_phase_reference(rs, 50.0) == pytest.approx(t0 + reference, abs=1e-6)
         history = run_diagnosis(self.tiny_model(), series, DiagnosisConfig()).per_window_history
         assert len(history) == n_windows
         assert history[0].start_time - t0 == pytest.approx(first_start, abs=1e-12)
@@ -201,10 +206,9 @@ class TestRunDiagnosis:
 
 
 class TestRunDiagnosisMatchesReference:
-    @pytest.mark.parametrize("confirm_windows", [1, 2])
-    def test_every_class_at_varied_load_and_fault_instant(self, desk_experiment, confirm_windows):
+    def test_every_class_at_varied_load_and_fault_instant(self, desk_experiment):
         exp = desk_experiment
-        config = replace(exp.config.diagnosis_config(), confirm_windows=confirm_windows)
+        config = exp.config.diagnosis_config()
         for k, label in enumerate(default_class_labels()):
             # fault instants spread over the period, load from 0.5x to 1.5x
             sim = exp.config.sim_config(seed=k)
@@ -356,9 +360,9 @@ class TestLatch:
     @example([M1, M1, 0, 0, M3, M3], 3)  # the run that would latch is cut off at the end
     @example([M1, M1, 0, M1, M1], 3)  # a healthy run between equal faulted runs
     @example([M1, M1, 0, M1, M1, M1], 3)
-    def test_matches_window_loop(self, fused, confirm_windows):
-        got = _latch(np.array(fused, dtype=np.uint8), confirm_windows)
-        assert got == reference_latch(fused, confirm_windows)
+    def test_matches_window_loop(self, fused, min_run):
+        got = _latch(np.array(fused, dtype=np.uint8), min_run)
+        assert got == reference_latch(fused, min_run)
 
 
 class TestMaskPipelineMatchesReference:
@@ -384,7 +388,7 @@ class TestMaskPipelineMatchesReference:
             assert [LABEL_OF_MASK[m] for m in debounce(masks, min_run)] == expected
 
             regions = rng.integers(0, 6, size=masks.size)
-            fused = reference_fuse_window(labels, [REGIONS[k] for k in regions])
+            fused = reference_fuse_window(labels, regions)
             assert LABEL_OF_MASK[fuse_window(masks, regions)] == fused
         assert len(seen) == 64
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import subprocess
 import sys
 import threading
 import warnings
@@ -534,6 +536,41 @@ class TestForestTraining:
         seq = train_forest(ts, ForestParams(n_trees=25, seed=3), n_jobs=1)
         par = train_forest(ts, ForestParams(n_trees=25, seed=3), n_jobs=2)
         assert model_to_lines(seq) == model_to_lines(par) == one_block
+
+    def test_jobs_are_capped_by_the_cores_this_process_may_use(self, monkeypatch):
+        ts = blob_set(np.random.default_rng(7))
+        sequential = model_to_lines(train_forest(ts, ForestParams(n_trees=12, seed=3)))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool started on one core")
+
+        monkeypatch.setattr(forest, "_cores", lambda: 1)
+        monkeypatch.setattr(forest, "ProcessPoolExecutor", no_pool)
+        capped = train_forest(ts, ForestParams(n_trees=12, seed=3), n_jobs=2)
+        assert model_to_lines(capped) == sequential
+
+    def test_dead_workers_name_the_missing_main_guard(self, tmp_path):
+        # each worker re-runs a script without the guard, which starts the
+        # pool again while the worker is still starting, so every one dies
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from trifault.forest import ForestParams, TrainingSet, train_forest\n"
+            "X = np.random.default_rng(0).normal(size=(60, 3))\n"
+            "labels = (X[:, 0] > 0).astype(np.uint8)\n"
+            "ts = TrainingSet(X, labels, ('a', 'b', 'c'))\n"
+            "train_forest(ts, ForestParams(n_trees=4, seed=1), n_jobs=2)\n",
+            encoding="utf-8",
+        )
+        src = str(Path(forest.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert re.search(r'^RuntimeError: .*`if __name__ == "__main__":` guard', done.stderr, re.M)
 
     def test_per_tree_rng_isolated_by_index(self):
         a = tree_rng(5, 0).integers(0, 1000, 4)

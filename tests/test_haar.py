@@ -1,4 +1,4 @@
-"""Two-tap orthonormal filter bank: decomposition, inversion, energy."""
+"""Two-tap orthonormal filter bank: decomposition and energy."""
 
 from __future__ import annotations
 
@@ -8,14 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import haar_pair_oracle
-from trifault.haar import (
-    HaarLevel,
-    detail_energy,
-    haar_decompose,
-    haar_inverse_step,
-    haar_reconstruct,
-    haar_step,
-)
+from trifault.haar import haar_decompose, haar_step
 
 WORKED_INPUT = [48.0, 34.0, 24.0, 60.0, 72.0, 28.0, 55.0, 121.0]
 
@@ -41,10 +34,6 @@ class TestSingleStep:
             haar_step([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             haar_step([1.0])
-
-    def test_inverse_step_restores_input(self):
-        vals = np.array([5.0, -3.0, 2.0, 9.0])
-        assert np.allclose(haar_inverse_step(haar_step(vals)), vals, atol=1e-12)
 
 
 class TestDecompose:
@@ -92,14 +81,3 @@ class TestEnergyAndReconstruction:
                 )
                 assert abs(e_in - e_out) <= 1e-9 * max(1.0, e_in)
                 current = level.averages
-
-    def test_reconstruct_inverts_all_levels(self):
-        rng = np.random.default_rng(4)
-        for levels_n in (1, 2, 3, 5):
-            vals = rng.normal(scale=10.0, size=2**levels_n)
-            levels = haar_decompose(vals, levels_n)
-            assert np.max(np.abs(haar_reconstruct(levels) - vals)) <= 1e-9
-
-    def test_detail_energy(self):
-        level = HaarLevel(averages=np.array([1.0]), details=np.array([3.0]))
-        assert detail_energy(level) == 9.0

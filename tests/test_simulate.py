@@ -8,15 +8,15 @@ import re
 import numpy as np
 import pytest
 
+from oracles import REGION_SWITCHES
+from trifault.diagnosis import fuse_window
 from trifault.simulate import (
     LABELS,
     N_SWITCHES,
     NO_FAULT,
     PHASE_OFFSETS_DEG,
-    REGIONS,
     FaultLabel,
     SimConfig,
-    detectable_faults,
     exposed_switches,
     phase_sines,
     region_indices,
@@ -27,9 +27,9 @@ from trifault.simulate import (
 
 
 def region_of(theta_deg):
-    """The region holding one angle in degrees, one sextant per 60
-    degrees: the scalar reference for region_indices."""
-    return REGIONS[int((theta_deg % 360.0) // 60.0) % 6]
+    """Index of the region holding one angle in degrees, one sextant per
+    60 degrees: the scalar reference for region_indices."""
+    return int((theta_deg % 360.0) // 60.0) % 6
 
 
 def one_switch_faults(cfg, duration):
@@ -135,12 +135,10 @@ class TestSwitchNaming:
 
 class TestRegions:
     def test_sextant_boundaries(self):
-        names = [REGIONS[k].name for k in region_indices([30, 90, 150, 210, 270, 330])]
-        assert names == ["SI", "SII", "SIII", "SIV", "SV", "SVI"]
+        assert region_indices([30, 90, 150, 210, 270, 330]).tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_wraps_angles(self):
         assert region_indices([390.0, 30.0, -30.0]).tolist() == [0, 0, 5]
-        assert REGIONS[5].name == "SVI"
 
     def test_array_form_matches_region_of(self):
         edges = [60.0 * k for k in range(6)]
@@ -149,31 +147,17 @@ class TestRegions:
         thetas += [np.nextafter(e, np.inf) for e in edges]
         thetas += list(np.random.default_rng(5).uniform(-720.0, 720.0, size=2000))
         expected = [region_of(float(th)) for th in thetas]
-        assert [REGIONS[k] for k in region_indices(thetas)] == expected
+        assert region_indices(thetas).tolist() == expected
 
     def test_array_form_refuses_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             region_indices([0.0, np.nan])
 
     def test_detectable_sets(self):
-        by_name = {region.name: region for region in REGIONS}
-        assert detectable_faults(by_name["SI"]) == frozenset({2, 3, 6})
-        assert detectable_faults(by_name["SII"]) == frozenset({2, 3, 5})
-        assert detectable_faults(by_name["SIII"]) == frozenset({2, 4, 5})
-        assert detectable_faults(by_name["SIV"]) == frozenset({1, 4, 5})
-        assert detectable_faults(by_name["SV"]) == frozenset({1, 4, 6})
-        assert detectable_faults(by_name["SVI"]) == frozenset({1, 3, 6})
-
-    def test_switch_is_detectable_where_its_half_cycle_lives(self):
-        # an upper switch suppresses its phase's negative half, so it is
-        # detectable exactly in regions where that phase is negative
-        for theta in range(0, 360, 5):
-            region = region_of(float(theta) + 2.5)
-            dets = detectable_faults(region)
-            for s in range(1, N_SWITCHES + 1):
-                sign = region.sign_pattern[(s - 1) // 2]
-                expected = sign < 0 if s % 2 == 1 else sign > 0  # odd: upper switch
-                assert (s in dets) == expected
+        # every switch open in every sample: the region gate keeps the
+        # switches that region SI..SVI exposes
+        detectable = [LABELS[int(fuse_window([0b111111], [k]))].switches for k in range(6)]
+        assert detectable == list(REGION_SWITCHES)
 
 
 class TestExposedSwitches:

@@ -8,7 +8,6 @@ import pytest
 from oracles import dq_oracle, sector_area_oracle
 from trifault.vectors import (
     DegenerateVectorError,
-    distribution_angle,
     dq_transform,
     unit_vector,
     vector_angle,
@@ -128,30 +127,3 @@ class TestSurfaceArea:
             np.pi * 16.0, rel=1e-3
         )
 
-
-class TestDistributionAngle:
-    def test_full_circle_reports_360(self):
-        traj = balanced_trajectory(2.0, 360)
-        assert distribution_angle(traj) == 360.0
-
-    def test_half_arc(self):
-        th = np.deg2rad(np.linspace(10.0, 130.0, 60))
-        traj = np.stack([np.cos(th), np.sin(th)], axis=1)
-        assert distribution_angle(traj) == pytest.approx(120.0, abs=1e-9)
-
-    def test_arc_crossing_zero(self):
-        angles = np.array([350.0, 355.0, 0.0, 5.0, 10.0])
-        th = np.deg2rad(angles)
-        traj = np.stack([np.cos(th), np.sin(th)], axis=1)
-        assert distribution_angle(traj) == pytest.approx(20.0, abs=1e-9)
-
-    def test_single_sample_is_zero(self):
-        assert distribution_angle(np.array([[1.0, 0.0]])) == 0.0
-
-    def test_skips_near_origin_samples(self):
-        traj = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        assert distribution_angle(traj) == pytest.approx(90.0, abs=1e-9)
-
-    def test_all_degenerate_raises(self):
-        with pytest.raises(DegenerateVectorError):
-            distribution_angle(np.zeros((4, 2)))
