@@ -31,6 +31,7 @@ from .forest import (
     TrainingSet,
     cross_validate,
     load_model,
+    model_from_lines,
     predict_batch,
     save_model,
     train_forest,
@@ -60,6 +61,7 @@ __all__ = [
     "default_class_labels",
     "load_config",
     "load_model",
+    "model_from_lines",
     "parse_class_token",
     "predict_batch",
     "resample",

@@ -171,12 +171,16 @@ def _parse_series_comment(line: str, line_no: int) -> tuple[int, float, tuple]:
     return series_id, rate, _parse_timeline(meta["timeline"], line_no)
 
 
+# characters that _line_chunks reads at a time
+_CHUNK_CHARS = 1 << 20
+
+
 def _line_chunks(fh):
     """The lines of an open text file, 1 MB of text at a time, as lists
     that together hold what str.splitlines gives on the whole text: each
     list ends at the last newline its text holds."""
     tail = ""
-    while chunk := fh.read(1 << 20):
+    while chunk := fh.read(_CHUNK_CHARS):
         text = tail + chunk
         cut = text.rfind("\n") + 1
         yield text[:cut].splitlines()

@@ -18,7 +18,8 @@ the trees end to end, with a root offset per tree. No child links are
 stored: a left child is the next entry, and the walk table below
 derives each right child from ``feature`` alone. The v1 model file is
 one text line per table entry; saving formats and writes it one tree at
-a time, and loading parses it in bulk.
+a time, and loading reads it 1 MB of text at a time, parsing each
+chunk's node lines in bulk and refusing any text after the end marker.
 
 Training grows the trees in blocks, in lockstep: step s expands the
 s-th preorder node of every tree in the block not yet finished. Each
@@ -112,10 +113,12 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
+from .dataset import _line_chunks
 from .simulate import LABELS, FaultLabel, check_label_masks
 
 MODEL_FORMAT_NAME = "trifault-forest"
@@ -1032,71 +1035,135 @@ def _read_header(lines: list[str]) -> dict:
     return header
 
 
-def _refuse_internal(line: str, n_features: int) -> None:
-    """Raise for an `I feature threshold` line that cannot be walked."""
+def _internal_refusal(line: str, n_features: int) -> str | None:
+    """Why an `I feature threshold` line cannot be walked, or None."""
     _, f, thr = line.split()
     try:
         f, thr = int(f), float(thr)
     except ValueError:
-        raise ModelFormatError(f"bad tree node line: {line!r}") from None
+        return f"bad tree node line: {line!r}"
     if not 0 <= f < n_features:
-        raise ModelFormatError(f"feature index outside 0..{n_features - 1}: {line!r}")
+        return f"feature index outside 0..{n_features - 1}: {line!r}"
     if not math.isfinite(thr):
-        raise ModelFormatError(f"non-finite threshold: {line!r}")
+        return f"non-finite threshold: {line!r}"
+    return None
 
 
-def _parse_trees(body: list[str], n_trees: int, n_features: int, labels) -> tuple[NodeTable, np.ndarray]:
-    """The node table and tree roots held by the lines after the header;
-    a line is a node when it reads `I feature threshold` or `L label`."""
-    n_fields = np.fromiter(map(len, map(str.split, body)), np.intp, len(body))
-    tokens = np.array(" ".join(body).split() + [""], dtype=object)  # "" closes the last line
-    first = np.cumsum(n_fields) - n_fields  # each line's first token
-    head = tokens[first]
-    # +1 for an internal node, -1 for a leaf, 0 for any other line
-    step = ((n_fields == 3) & (head == "I")).astype(np.intp) - ((n_fields == 2) & (head == "L"))
-    # a tree ends at its first node where the subtrees still owed drop below zero
-    owed = np.cumsum(step)
-    others = np.append(np.flatnonzero(step == 0), len(body))
-    roots, pos = [], 0
-    for t in range(n_trees):
-        marker = body[pos] if pos < len(body) else None
-        if marker != f"tree {t}":
-            raise ModelFormatError(f"expected 'tree {t}', got {marker!r}")
-        roots.append(pos - t)
-        stop = others[np.searchsorted(others, pos, side="right")]
-        done = np.flatnonzero(owed[pos + 1 : stop] == owed[pos] - 1)
-        if not done.size:
-            at = repr(body[stop]) if stop < len(body) else "the end of the file"
-            raise ModelFormatError(f"tree {t} is cut short at {at}")
-        pos += int(done[0]) + 2
-    if body[pos : pos + 1] != ["end"]:
-        raise ModelFormatError("missing end marker")
+class _BodyReader:
+    """The trees of a model file, from the lines after its header, fed
+    in chunks.
 
-    internal, leaves = np.flatnonzero(step[:pos] > 0), np.flatnonzero(step[:pos] < 0)
-    try:
-        f = tokens[first[internal] + 1].astype(np.intp)  # int() and float() of each token
-        thr = tokens[first[internal] + 2].astype(float)
-    except (ValueError, OverflowError):
-        walkable = np.zeros(internal.size, dtype=bool)
-    else:
-        walkable = (f >= 0) & (f < n_features) & np.isfinite(thr)
-    for k in internal[~walkable]:
-        _refuse_internal(body[k], n_features)
-    code_of = {str(lab): k for k, lab in enumerate(labels)}
-    codes = np.array([code_of.get(tok, -1) for tok in tokens[first[leaves] + 1].tolist()])
-    unknown = leaves[codes < 0]
-    if unknown.size:
-        raise ModelFormatError(f"leaf label not in the labels header: {body[unknown[0]]!r}")
+    A line is a node when it reads `I feature threshold` or `L label`.
+    Each chunk's nodes become numeric columns at once. Of its other
+    lines (tree markers, `end` and any bad line) only the place and the
+    text are kept, and so is the text of each node line where a marker
+    may belong: one that reads a tree's last owed subtree, or that comes
+    after the tree is whole. Once the last chunk is in, trees() finds
+    the tree boundaries and raises the first error in file order of the
+    first kind found: structure, internal-node values, leaf labels.
+    """
 
-    feature = np.full(pos, -1, dtype=np.intp)
-    threshold = np.zeros(pos)
-    leaf_code = np.full(pos, -1, dtype=np.intp)
-    feature[internal], threshold[internal], leaf_code[leaves] = f, thr, codes
-    feature, threshold, leaf_code = (col[step[:pos] != 0] for col in (feature, threshold, leaf_code))
-    return NodeTable(feature, threshold, leaf_code), np.array(roots)
+    def __init__(self, n_features: int, labels):
+        self.n_features = n_features
+        self.code_of = {str(lab): k for k, lab in enumerate(labels)}
+        # per chunk: its nodes' feature, threshold and leaf_code columns,
+        # and each line's step (see feed)
+        self.columns, self.steps = [], [np.zeros(0, dtype=np.int8)]
+        self.text = {}  # the kept lines by place
+        self.n_lines = 0
+        # the subtrees owed after the last line fed, and at the last line
+        # that is not a node; the body's start counts as such a line, so
+        # its first line is kept
+        self.n_owed = self.base = 0
+        self.bad_internal = self.bad_leaf = None
+
+    def feed(self, lines: list[str]) -> None:
+        """Parse the next chunk of lines."""
+        if not lines:
+            return
+        n_fields = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+        tokens = np.array(" ".join(lines).split() + [""], dtype=object)  # "" closes the last line
+        first = np.cumsum(n_fields) - n_fields  # each line's first token
+        head = tokens[first]
+        # +1 for an internal node, -1 for a leaf, 0 for any other line
+        step = ((n_fields == 3) & (head == "I")).astype(np.int8) - ((n_fields == 2) & (head == "L"))
+
+        self.steps.append(step)
+        owed = self.n_owed + np.cumsum(step, dtype=np.intp)
+        # base: the subtrees owed at the last line, at or before each line,
+        # that is not a node. A node line with no more owed before it reads
+        # the last subtree of the tree begun there, or comes after that
+        # tree is whole: a marker may belong there.
+        last = np.maximum.accumulate(np.where(step == 0, np.arange(len(lines)), -1))
+        base = np.where(last >= 0, owed[last], self.base)
+        for k in np.flatnonzero((step == 0) | (owed - step <= base)).tolist():
+            self.text[self.n_lines + k] = lines[k]
+        self.n_owed, self.base = int(owed[-1]), int(base[-1])
+        self.n_lines += len(lines)
+
+        internal, leaves = np.flatnonzero(step > 0), np.flatnonzero(step < 0)
+        try:
+            f = tokens[first[internal] + 1].astype(np.intp)  # int() of each token
+            thr = np.fromiter(map(float, tokens[first[internal] + 2].tolist()), float, internal.size)
+        except (ValueError, OverflowError):
+            f, thr, walkable = 0, 0.0, np.zeros(internal.size, dtype=bool)
+        else:
+            walkable = (f >= 0) & (f < self.n_features) & np.isfinite(thr)
+        if self.bad_internal is None:
+            refusals = (_internal_refusal(lines[k], self.n_features) for k in internal[~walkable].tolist())
+            self.bad_internal = next(filter(None, refusals), None)
+        labels = tokens[first[leaves] + 1].tolist()
+        codes = np.fromiter(map(self.code_of.get, labels, repeat(-1)), np.intp, leaves.size)
+        unknown = leaves[codes < 0]
+        if unknown.size and self.bad_leaf is None:
+            self.bad_leaf = f"leaf label not in the labels header: {lines[unknown[0]]!r}"
+
+        feature = np.full(len(lines), -1, dtype=np.intp)
+        threshold = np.zeros(len(lines))
+        leaf_code = np.full(len(lines), -1, dtype=np.intp)
+        feature[internal], threshold[internal], leaf_code[leaves] = f, thr, codes
+        self.columns.append(tuple(col[step != 0] for col in (feature, threshold, leaf_code)))
+
+    def trees(self, n_trees: int) -> tuple[NodeTable, np.ndarray]:
+        """The node table and the tree roots."""
+        step, text = np.concatenate(self.steps), self.text
+        # a tree ends at its first node where the subtrees still owed drop below zero
+        owed = np.cumsum(step, dtype=np.intp)
+        others = np.append(np.flatnonzero(step == 0), self.n_lines)
+        roots, pos = [], 0
+        for t in range(n_trees):
+            marker = text.get(pos)
+            if marker != f"tree {t}":
+                raise ModelFormatError(f"expected 'tree {t}', got {marker!r}")
+            roots.append(pos - t)
+            stop = others[np.searchsorted(others, pos, side="right")]
+            done = np.flatnonzero(owed[pos + 1 : stop] == owed[pos] - 1)
+            if not done.size:
+                at = repr(text[stop]) if stop < self.n_lines else "the end of the file"
+                raise ModelFormatError(f"tree {t} is cut short at {at}")
+            pos += int(done[0]) + 2
+        if text.get(pos) != "end":
+            raise ModelFormatError("missing end marker")
+        if pos + 1 < self.n_lines:
+            raise ModelFormatError(f"text after the end marker: {text[pos + 1]!r}")
+        for refusal in (self.bad_internal, self.bad_leaf):
+            if refusal is not None:
+                raise ModelFormatError(refusal)
+        feature, threshold, leaf_code = map(np.concatenate, zip(*self.columns))
+        return NodeTable(feature, threshold, leaf_code), np.array(roots)
 
 
-def model_from_lines(lines: list[str]) -> RandomForestModel:
+def _model_from_chunks(chunks) -> RandomForestModel:
+    """The model held by the lines of a v1 model file, given as lists
+    that together hold them in order. Of the text, only the header lines
+    and the chunk being parsed are held. The model, or the error raised,
+    does not depend on where the chunks split the lines."""
+    chunks = iter(chunks)
+    lines = []
+    for chunk in chunks:  # the header may span chunks
+        lines += chunk
+        if len(lines) > len(_HEADER):
+            break
     if not lines:
         raise ModelFormatError("empty model text")
     head = lines[0].split()
@@ -1105,11 +1172,15 @@ def model_from_lines(lines: list[str]) -> RandomForestModel:
     if head[1] != str(MODEL_FORMAT_VERSION):
         raise ModelFormatError(f"unsupported format version {head[1]!r}")
     header = _read_header(lines)
-    n_trees, n_features, scaler = header["n_trees"], header["n_features"], header["scaler"]
+    n_features, scaler = header["n_features"], header["scaler"]
     if len(header["feature_names"]) != n_features or len(scaler) != n_features:
         raise ModelFormatError("feature_names/scaler width disagrees with n_features")
     params = ForestParams(**{key: header[key] for key in ForestParams.__dataclass_fields__})
-    nodes, roots = _parse_trees(lines[1 + len(_HEADER) :], n_trees, n_features, header["labels"])
+    body = _BodyReader(n_features, header["labels"])
+    body.feed(lines[1 + len(_HEADER) :])
+    for lines in chunks:
+        body.feed(lines)
+    nodes, roots = body.trees(header["n_trees"])
     return RandomForestModel(
         nodes=nodes,
         roots=roots,
@@ -1120,6 +1191,11 @@ def model_from_lines(lines: list[str]) -> RandomForestModel:
     )
 
 
+def model_from_lines(lines: list[str]) -> RandomForestModel:
+    """The model held by the lines of a v1 model file, parsed as one chunk."""
+    return _model_from_chunks([lines])
+
+
 def save_model(model: RandomForestModel, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for chunk in _model_chunks(model):
@@ -1128,5 +1204,8 @@ def save_model(model: RandomForestModel, path) -> None:
 
 
 def load_model(path) -> RandomForestModel:
+    """The model in a v1 model file, read 1 MB of text at a time and
+    parsed as model_from_lines parses a list of lines: a file with a bad
+    line, or with any line after the end marker, raises ModelFormatError."""
     with open(path, "r", encoding="ascii") as fh:
-        return model_from_lines(fh.read().splitlines())
+        return _model_from_chunks(_line_chunks(fh))

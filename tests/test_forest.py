@@ -7,16 +7,22 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import reference_model_from_lines
 
-from trifault import forest
+from trifault import dataset, forest
 from trifault.cli import generate_training_pool
 from trifault.config import default_class_labels
 from trifault.dataset import training_rows
@@ -1204,6 +1210,18 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="missing end marker"):
             model_from_lines(lines[:-1] + ["tree 1"])
 
+    @pytest.mark.parametrize("after", [["I x y"], [""], ["end"], "doubled"])
+    def test_rejects_text_after_end(self, after, tmp_path):
+        lines = one_tree_lines("I 0 0.5", "L 000000", "L 100000")
+        after = lines if after == "doubled" else after
+        message = re.escape(f"text after the end marker: {after[0]!r}")
+        with pytest.raises(ModelFormatError, match=message):
+            model_from_lines(lines + after)
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines + after) + "\n")
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
     @pytest.mark.parametrize(
         "k, line",
         [
@@ -1250,6 +1268,21 @@ class TestPersistence:
         digest = hashlib.sha256((tmp_path / "desk.txt").read_bytes()).hexdigest()
         assert digest == DESK_MODEL_SHA256
 
+    def test_loading_holds_one_chunk_of_text(self, desk_experiment, tmp_path):
+        # The 5 MB desk file peaked at 79-83 MB traced when it was parsed
+        # whole, and peaks at 29 MB read 1 MB at a time: the model's 7 MB
+        # of arrays, twice while its chunks are joined, plus one chunk's
+        # lines and tokens.
+        path = tmp_path / "desk.txt"
+        save_model(desk_experiment.model, path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
     def test_trainer_reproduces_golden_model(self, name):
         make_set, params = GOLDEN_MODELS[name]
@@ -1261,6 +1294,106 @@ class TestPersistence:
         assert model_to_lines(loaded) == golden
         rows = np.concatenate([ts.features, np.random.default_rng(21).uniform(-2, 8, (200, 3))])
         assert np.array_equal(predict_batch(loaded, rows), predict_batch(model, rows))
+
+
+def small_model_lines() -> list[str]:
+    """The file of a 3-tree, depth-2 forest on the blobs: every kind of
+    line, in few characters."""
+    ts = blob_set(np.random.default_rng(24), n_per_class=10)
+    return model_to_lines(train_forest(ts, ForestParams(n_trees=3, max_depth=2, seed=1)))
+
+
+SMALL_MODEL = small_model_lines()
+NODE_FIELD_VALUES = ["nan", "inf", "x", "", "1_0"]
+MODEL_MUTATIONS = st.tuples(
+    st.sampled_from(
+        ["drop", "duplicate", "swap", "delete-char", "tab", "double-space", "replace-field", "append-tail"]
+    ),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.sampled_from(NODE_FIELD_VALUES),
+)
+
+
+def mutate_model(lines: list[str], kind: str, a: int, b: int, value: str) -> list[str]:
+    lines = list(lines)
+    i, j = a % len(lines), b % len(lines)
+    spaces = [k for k, ch in enumerate(lines[i]) if ch == " "]
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "delete-char" and lines[i]:
+        k = b % len(lines[i])
+        lines[i] = lines[i][:k] + lines[i][k + 1 :]
+    elif kind in ("tab", "double-space") and spaces:
+        k = spaces[b % len(spaces)]
+        lines[i] = lines[i][:k] + ("\t" if kind == "tab" else "  ") + lines[i][k + 1 :]
+    elif kind == "replace-field":
+        fields = lines[i].split(" ")
+        fields[b % len(fields)] = value
+        lines[i] = " ".join(fields)
+    elif kind == "append-tail":
+        lines += lines[i:]
+    return lines
+
+
+def model_outcome(load, source):
+    """The loaded model's fields, each column as its dtype and bytes, or
+    the refusal's message."""
+    try:
+        model = load(source)
+    except ModelFormatError as exc:
+        return str(exc)
+    columns = (*model.nodes, model.roots, model.scaler)
+    return (
+        [(col.dtype.str, col.tobytes()) for col in columns],
+        model.feature_names,
+        model.label_universe,
+        model.params,
+    )
+
+
+STRUCTURE_ERRORS = ("expected 'tree", "is cut short", "missing end marker")
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(MODEL_MUTATIONS, max_size=3),
+        st.booleans(),
+        st.sampled_from([1, 5, 16, 64, dataset._CHUNK_CHARS]),
+    )
+    # the file doubled: the reference read its first half alone
+    @example([("append-tail", 0, 0, "")], False, 16)
+    # two refusals in different chunks: a structure error beats a value
+    # error before it, an internal node beats a leaf before it, and the
+    # first of two of a kind is quoted
+    @example([("replace-field", 11, 2, "x"), ("drop", 22, 0, "")], False, 16)
+    @example([("replace-field", 12, 1, "x"), ("replace-field", 25, 2, "x")], False, 16)
+    @example([("replace-field", 12, 1, "x"), ("replace-field", 26, 1, "nan")], False, 64)
+    @example([("replace-field", 13, 2, "nan"), ("replace-field", 19, 1, "x")], True, 16)
+    def test_mutated_files(self, mutations, crlf, chunk_chars):
+        lines = SMALL_MODEL
+        for mutation in mutations:
+            lines = mutate_model(lines, *mutation)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.txt"
+            path.write_bytes(("\r\n" if crlf else "\n").join(lines + [""]).encode("ascii"))
+            with mock.patch.object(dataset, "_CHUNK_CHARS", chunk_chars):
+                got = model_outcome(load_model, path)
+            expected = model_outcome(reference_model_from_lines, path.read_text(encoding="ascii").splitlines())
+        if isinstance(got, str) and got.startswith("text after the end marker: "):
+            # refused where the reference stopped reading at `end`: the
+            # trees end at an `end` line that the quoted line follows
+            after = got.removeprefix("text after the end marker: ")
+            cuts = [k + 1 for k in range(len(lines) - 1) if lines[k] == "end" and repr(lines[k + 1]) == after]
+            outcomes = [model_outcome(reference_model_from_lines, lines[:cut]) for cut in cuts]
+            assert any(not (isinstance(o, str) and o.startswith(STRUCTURE_ERRORS)) for o in outcomes)
+        else:
+            assert got == expected
 
 
 class TestCrossValidation:
