@@ -17,7 +17,8 @@ rows, as one float buffer. It checks each row by one rule, in this
 order: 5 fields, four floats, a label, all finite, and a time above the
 row before. Then it refuses a row whose label is not the timeline's
 label at its time, 1e-9 s either side, and a block whose series id an
-earlier block holds.
+earlier block holds. A byte that is not ASCII is refused once the rows
+before it are read, naming its line.
 Turning a block back into a series refuses any row more than a quarter
 sample spacing off the grid t0 + k / rate, so a missing sample is seen
 at any rate.
@@ -26,9 +27,10 @@ at any rate.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -173,6 +175,8 @@ def _parse_series_comment(line: str, line_no: int) -> tuple[int, float, tuple]:
 
 # characters that _line_chunks reads at a time
 _CHUNK_CHARS = 1 << 20
+# what surrogateescape decodes a byte of 0x80 or above to
+_NOT_ASCII = re.compile("[\udc80-\udcff]")
 
 
 def _line_chunks(fh):
@@ -186,6 +190,35 @@ def _line_chunks(fh):
         yield text[:cut].splitlines()
         tail = text[cut:]
     yield tail.splitlines()
+
+
+def _ascii_line_chunks(path, error):
+    """_line_chunks of the ASCII text file at path, which it opens and
+    closes. A byte that is not ASCII raises error naming its line, its
+    column and its value, after the lines before it: an error that a
+    reader finds in those lines comes first, wherever the chunks fall.
+    Only then is the file read a second time, each such byte decoded as a
+    lone surrogate that splits no line, to find that line."""
+    done = 0  # lines handed out
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            for lines in _line_chunks(fh):
+                done += len(lines)
+                yield lines
+                del lines  # so that the next read does not hold these lines too
+            return
+        except UnicodeDecodeError as exc:
+            decode_error = exc
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        before = []
+        for line in islice(chain.from_iterable(_line_chunks(fh)), done, None):
+            bad = _NOT_ASCII.search(line)
+            if bad:
+                yield before
+                line_no, byte = done + len(before) + 1, ord(bad.group()) - 0xDC00
+                raise error(f"line {line_no}: byte 0x{byte:02x} at column {bad.start() + 1} is not ASCII")
+            before.append(line)
+    raise error(f"not ASCII text: {decode_error}")  # the file changed between the reads
 
 
 def _read_block(comment, lines):
@@ -231,23 +264,22 @@ def _read_block(comment, lines):
 
 
 def read_dataset(path) -> list[SeriesBlock]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = enumerate(chain.from_iterable(_line_chunks(fh)), start=1)
-        if next(lines, (1, None))[1] != DATASET_HEADER:
-            raise DatasetFormatError(f"line 1: expected header {DATASET_HEADER!r}")
-        comment = next(lines, None)
-        if comment is None:
-            raise DatasetFormatError("line 1: dataset holds no series")
-        if not comment[1].startswith("#"):
-            raise DatasetFormatError("line 2: data row before any series comment")
-        blocks, line_of_id = [], {}
-        while comment is not None:
-            block, after = _read_block(comment, lines)
-            seen = line_of_id.setdefault(block.series_id, comment[0])
-            if seen != comment[0]:
-                raise DatasetFormatError(f"line {comment[0]}: series id {block.series_id} repeats line {seen}")
-            blocks.append(block)
-            comment = after
+    lines = enumerate(chain.from_iterable(_ascii_line_chunks(path, DatasetFormatError)), start=1)
+    if next(lines, (1, None))[1] != DATASET_HEADER:
+        raise DatasetFormatError(f"line 1: expected header {DATASET_HEADER!r}")
+    comment = next(lines, None)
+    if comment is None:
+        raise DatasetFormatError("line 1: dataset holds no series")
+    if not comment[1].startswith("#"):
+        raise DatasetFormatError("line 2: data row before any series comment")
+    blocks, line_of_id = [], {}
+    while comment is not None:
+        block, after = _read_block(comment, lines)
+        seen = line_of_id.setdefault(block.series_id, comment[0])
+        if seen != comment[0]:
+            raise DatasetFormatError(f"line {comment[0]}: series id {block.series_id} repeats line {seen}")
+        blocks.append(block)
+        comment = after
     return blocks
 
 

@@ -10,7 +10,8 @@ so the windowed stream is one (windows x samples) uint8 array. Fusion
 keeps the bits that each sample's 60-degree region can expose, from a
 six-entry mask table, and ORs them along each window. The first run of
 _CONFIRM_WINDOWS equal non-empty fused masks latches the fault set. Only
-the report looks masks up in LABELS.
+the report looks masks up in LABELS, and windows with equal masks share
+one labels tuple there.
 """
 
 from __future__ import annotations
@@ -224,7 +225,12 @@ def run_diagnosis(
     Returns:
         FaultReport with the confirmed fault set, detection time (start of
         the first window of the agreeing run) and the per-window
-        debounced label history.
+        debounced label history, in which windows with equal masks share
+        one labels tuple.
+
+    Working memory grows by about 57 bytes per classified sample: the
+    resampled series, the stacked currents the forest reads and a byte of
+    labels; predict_batch walks them in spans of bounded size.
     """
     rs = resample(series, config.target_rate)
     masks = debounce(classify_stream(model, rs), config.debounce_min_run)
@@ -252,12 +258,15 @@ def run_diagnosis(
     windows = masks[span].reshape(n_windows, ws)
     regions = region_indices(360.0 * f0 * (rs.t[span] - t_zero)).reshape(n_windows, ws)
     fused = fuse_window(windows, regions)
-    history = tuple(
-        WindowRecord(w, t_lo, tuple(LABELS[m] for m in window), LABELS[f])
-        for w, (t_lo, window, f) in enumerate(
-            zip(rs.t[span][::ws].tolist(), windows.tolist(), fused.tolist())
-        )
-    )
+    # windows with equal masks share one labels tuple, keyed by their bytes
+    shared: dict[bytes, tuple[FaultLabel, ...]] = {}
+    records = []
+    for w, (t_lo, row, f) in enumerate(zip(rs.t[span][::ws].tolist(), map(bytes, windows), fused.tolist())):
+        labels = shared.get(row)
+        if labels is None:
+            labels = shared[row] = tuple(LABELS[m] for m in row)
+        records.append(WindowRecord(w, t_lo, labels, LABELS[f]))
+    history = tuple(records)
     hit = _latch(fused, _CONFIRM_WINDOWS)
     return FaultReport(
         fault_set=frozenset() if hit is None else history[hit].fused.switches,

@@ -91,9 +91,12 @@ a call of up to 4096 rows walks on the calling thread alone: shorter
 spans walk no faster on two threads than on one. The calling thread
 and one helper thread per further core (or per further span, if fewer)
 walk the spans: NumPy releases the interpreter lock inside the gathers
-and compares, so the spans walk at the same time. A span writes only its
-own rows' votes, so the counts depend neither on the spans nor on the
-number of cores. The helpers are shut down before the call returns. When
+and compares, so the spans walk at the same time. A span scales, walks
+and counts only its own rows, so the counts depend neither on the spans
+nor on the number of cores, and it hands them to a reducer of its own
+rows: predict_batch keeps only their label masks, so it holds no array
+over the whole batch but its one-byte-per-row result. The helpers are
+shut down before the call returns. When
 only labels are wanted, a row stops after any block where its leading
 vote beats the runner-up by more than the number of trees not yet
 walked: even if every remaining tree voted for one other label, that
@@ -118,7 +121,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import _line_chunks
+from .dataset import _ascii_line_chunks
 from .simulate import LABELS, FaultLabel, check_label_masks
 
 MODEL_FORMAT_NAME = "trifault-forest"
@@ -858,61 +861,92 @@ def _on_all_cores(work, n_rows: int) -> None:
             helper.result()
 
 
-def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -> np.ndarray:
-    """(rows, classes) vote counts for raw (unnormalized) feature rows.
-
-    With _until_decided, a row stops being walked once its label can no
-    longer change, so its counts may be partial but their argmax is the
-    full forest's. The counts depend neither on the row spans nor on the
-    number of threads: each span writes only its own rows, and the early
-    stop is decided row by row.
-    """
+def _checked_rows(model: RandomForestModel, X_raw) -> np.ndarray:
+    """Raw feature rows as a float array of the model's width, all finite."""
     X = np.asarray(X_raw, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (rows, {model.n_features}) features")
     _refuse_non_finite_rows(X)
-    X = normalize_apply(model.scaler, X)
-    X_flat = X.ravel()
+    return X
+
+
+def _walk_spans(model: RandomForestModel, X: np.ndarray, keep, until_decided: bool) -> None:
+    """Vote on checked raw rows span by span (see _on_all_cores), calling
+    keep(lo, hi, votes) with each span's (hi - lo, classes) int32 counts.
+
+    Each span scales its own rows, walks them and counts their votes, so
+    no array spans the whole batch here. With until_decided, a row stops
+    being walked once its label can no longer change, so its counts may
+    be partial but their argmax is the full forest's. The counts depend
+    neither on the row spans nor on the number of threads: each span
+    walks only its own rows, and the early stop is decided row by row.
+    """
     table, top = model._walk_table, model._top_table
-    n_rows, n_classes, n_trees = X.shape[0], len(model.label_universe), model.n_trees
-    votes = np.zeros((n_rows, n_classes), dtype=np.int32)
+    n_classes, n_trees = len(model.label_universe), model.n_trees
 
     def walk_span(lo: int, hi: int) -> None:
-        span_votes = votes[lo:hi]
-        live = np.arange(lo, hi)
+        X_span = normalize_apply(model.scaler, X[lo:hi])
+        X_flat = X_span.ravel()
+        votes = np.zeros((hi - lo, n_classes), dtype=np.int32)
+        live = np.arange(hi - lo)
         # a value equal to a cut takes that cut's column: it goes left there
-        cols = [np.searchsorted(cut, X[lo:hi, f], side="left") for f, cut in zip(top.features, top.cuts)]
+        cols = [np.searchsorted(cut, X_span[:, f], side="left") for f, cut in zip(top.features, top.cuts)]
         for b in range(0, n_trees, _TREE_BLOCK):
             trees = slice(b, b + _TREE_BLOCK)
             cell = top.rank[0][trees].take(cols[0], axis=1)
             for rank, col in zip(top.rank[1:], cols[1:]):
                 cell += rank[trees].take(col, axis=1)
             rows, codes = _walk_block(X_flat, model.n_features, table, live, top.entry.take(cell))
-            span_votes += np.bincount(
-                (rows - lo) * n_classes + codes, minlength=span_votes.size
-            ).reshape(span_votes.shape)
+            votes += np.bincount(rows * n_classes + codes, minlength=votes.size).reshape(votes.shape)
             walked = min(b + _TREE_BLOCK, n_trees)
             # a row whose leader beats the runner-up by more than the trees
             # left is decided; a one-class model never is. A lead is at
             # most the trees walked, so no row is decided before half.
-            if _until_decided and 2 * walked > n_trees:
+            if until_decided and 2 * walked > n_trees:
                 lead = np.sort(votes[live], axis=1)[:, -2:]
-                keep = np.flatnonzero(lead[:, -1] - lead[:, 0] <= n_trees - walked)
-                if not keep.size:
+                stay = np.flatnonzero(lead[:, -1] - lead[:, 0] <= n_trees - walked)
+                if not stay.size:
                     break
-                live = live.take(keep)
-                cols = [col.take(keep) for col in cols]
+                live = live.take(stay)
+                cols = [col.take(stay) for col in cols]
+        keep(lo, hi, votes)
 
-    _on_all_cores(walk_span, n_rows)
-    return votes
+    _on_all_cores(walk_span, X.shape[0])
+
+
+def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -> np.ndarray:
+    """(rows, classes) int32 vote counts for raw (unnormalized) feature
+    rows: full counts, or with _until_decided the early-stop counts of
+    predict_batch, whose argmax is the full forest's. Each span's counts
+    are copied into the result as the span finishes."""
+    X = _checked_rows(model, X_raw)
+    out = np.empty((X.shape[0], len(model.label_universe)), dtype=np.int32)
+
+    def keep(lo: int, hi: int, votes: np.ndarray) -> None:
+        out[lo:hi] = votes
+
+    _walk_spans(model, X, keep, _until_decided)
+    return out
 
 
 def predict_batch(model: RandomForestModel, features) -> np.ndarray:
     """Majority-vote label mask (uint8) per row; ties go to the sorted-label
-    order."""
-    votes = _vote_codes(model, features, _until_decided=True)
+    order.
+
+    Each span of rows (see _on_all_cores) is scaled, walked with the early
+    stop and reduced to its masks on its own, so the working memory is a
+    few arrays per span in flight plus one byte per row for the result;
+    the labels equal the argmax of the full counts of _vote_codes.
+    """
+    X = _checked_rows(model, features)
     masks = np.array([lab.mask for lab in model.label_universe], dtype=np.uint8)
-    return masks.take(np.argmax(votes, axis=1))
+    out = np.empty(X.shape[0], dtype=np.uint8)
+
+    def keep(lo: int, hi: int, votes: np.ndarray) -> None:
+        out[lo:hi] = masks.take(np.argmax(votes, axis=1))
+
+    _walk_spans(model, X, keep, until_decided=True)
+    return out
 
 
 def stratified_folds(labels, k_folds: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -1206,6 +1240,6 @@ def save_model(model: RandomForestModel, path) -> None:
 def load_model(path) -> RandomForestModel:
     """The model in a v1 model file, read 1 MB of text at a time and
     parsed as model_from_lines parses a list of lines: a file with a bad
-    line, or with any line after the end marker, raises ModelFormatError."""
-    with open(path, "r", encoding="ascii") as fh:
-        return _model_from_chunks(_line_chunks(fh))
+    line, with any line after the end marker or with a byte that is not
+    ASCII raises ModelFormatError."""
+    return _model_from_chunks(_ascii_line_chunks(path, ModelFormatError))

@@ -9,6 +9,7 @@ import pytest
 
 from trifault.cli import main, split_class_counts
 from trifault.dataset import SeriesBlock, read_dataset, write_dataset
+from trifault.forest import load_model
 from trifault.simulate import NO_FAULT
 
 SMALL_CFG = "dataset_samples = 2200\ntrain_samples = 1100\nn_trees = 24\ncv_folds = 3\n"
@@ -279,6 +280,21 @@ class TestErrorPaths:
         cfg.write_text("nope = 1\n")
         code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("amplitude", [8.0, 25.0])
+    def test_diagnose_refuses_config_off_the_model_amplitude(self, small_env, tmp_path, capsys, amplitude):
+        # the model trained at 16.5 has a mean scaler entry of about 16.8
+        cfg = tmp_path / "off.cfg"
+        cfg.write_text(SMALL_CFG + f"amplitude = {amplitude!r}\n")
+        series = tmp_path / "h.csv"
+        assert main(["gen", "--series", "normal", "--duration", "0.2", "--out", str(series)]) == 0
+        capsys.readouterr()
+        assert main(["diagnose", str(small_env["model"]), str(series), "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        trained = np.mean(load_model(small_env["model"]).scaler)
+        assert captured.out == ""
+        expected = f"error: config amplitude {amplitude:g} is far from the model's training peak {trained:g}"
+        assert captured.err.startswith(expected)
 
     @pytest.mark.parametrize("k, line", [(2, ""), (1, "n_trees 0"), (4, "scaler abc")])
     def test_diagnose_refuses_model_with_bad_header_line(

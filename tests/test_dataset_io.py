@@ -6,12 +6,14 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trifault import dataset
 from trifault.dataset import (
     _LABEL_TIME_TOL,
     DATASET_HEADER,
@@ -262,6 +264,19 @@ class TestFileRoundTrip:
         with pytest.raises(DatasetFormatError, match="^line 45001: expected 5 fields, got 4$"):
             read_dataset(path)
 
+    def test_non_ascii_byte_past_the_first_chunk_names_its_line(self, tmp_path):
+        series = simulate(SimConfig(amplitude=5.0), (), 1.0)
+        path = tmp_path / "d.csv"
+        write_dataset(path, [block_from_series(series, 0)])
+        data = bytearray(path.read_bytes())
+        at = (1 << 20) + 5000
+        assert len(data) > at
+        data[at] = 0xE9
+        path.write_bytes(data)
+        line, column = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+        with pytest.raises(DatasetFormatError, match=f"^line {line}: byte 0xe9 at column {column} is not ASCII$"):
+            read_dataset(path)
+
     def test_header_line(self, tmp_path):
         path = tmp_path / "d.csv"
         write_dataset(path, [sample_block()])
@@ -402,6 +417,24 @@ class TestParseErrors:
         )
         with pytest.raises(DatasetFormatError):
             read_dataset(path)
+
+    @pytest.mark.parametrize("chunk_chars", [1, 64, 1 << 20])
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [(False, "line 9: byte 0xe9 at column 1 is not ASCII"), (True, "line 6: expected 5 fields, got 4")],
+    )
+    def test_non_ascii_byte_is_refused_in_line_order(self, tmp_path, chunk_chars, bad_row, message):
+        # a bad row before the byte is refused first, wherever the chunks fall
+        path = tmp_path / "d.csv"
+        write_dataset(path, [sample_block()])
+        lines = path.read_bytes().split(b"\n")
+        lines[8] = b"\xe9" + lines[8]
+        if bad_row:
+            lines[5] = lines[5].replace(b",", b";", 1)
+        path.write_bytes(b"\n".join(lines))
+        with mock.patch.object(dataset, "_CHUNK_CHARS", chunk_chars):
+            with pytest.raises(DatasetFormatError, match=f"^{message}$"):
+                read_dataset(path)
 
 
 def mutation_base_lines() -> list[str]:

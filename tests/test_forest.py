@@ -731,6 +731,21 @@ class TestBlockedWalk:
             sys.setswitchinterval(interval)
         assert labels.tolist() == [model.label_universe[k].mask for k in np.argmax(counts[:n], axis=1)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 7, 64, 4096]), st.sampled_from([1, 2]), st.data())
+    def test_labels_are_the_argmax_of_full_counts(self, walked, span_rows, cores, data):
+        # predict_batch reduces each span to its labels on its own, from
+        # early-stop counts; up to 40 spans keep one-row spans quick
+        model, X, _ = walked
+        n = data.draw(st.integers(0, min(len(X), 40 * span_rows + 1)), label="rows")
+        lo = data.draw(st.integers(0, len(X) - n), label="first row")
+        rows = X[lo : lo + n]
+        with mock.patch.object(forest, "_SPAN_ROWS", span_rows), mock.patch.object(forest, "_cores", lambda: cores):
+            labels = predict_batch(model, rows)
+            full = _vote_codes(model, rows)
+        assert labels.dtype == np.uint8 and labels.shape == (n,)
+        assert labels.tolist() == [model.label_universe[k].mask for k in np.argmax(full, axis=1)]
+
     def test_no_thread_outlives_a_call(self, walked, monkeypatch):
         model, X, _ = walked
         walkers = set()
@@ -1282,6 +1297,19 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         assert peak < 50e6
+
+    def test_non_ascii_byte_names_its_line(self, desk_experiment, tmp_path):
+        # the byte lies in the third 1 MB read, and its line is counted
+        # from the start of the file
+        path = tmp_path / "desk.txt"
+        save_model(desk_experiment.model, path)
+        data = bytearray(path.read_bytes())
+        at = 2_500_000
+        data[at] = 0xE9
+        path.write_bytes(data)
+        line, column = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+        with pytest.raises(ModelFormatError, match=f"^line {line}: byte 0xe9 at column {column} is not ASCII$"):
+            load_model(path)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
     def test_trainer_reproduces_golden_model(self, name):
