@@ -174,21 +174,23 @@ def _parse_series_comment(line: str, line_no: int) -> tuple[int, float, tuple]:
 
 
 # characters that _line_chunks reads at a time
-_CHUNK_CHARS = 1 << 20
+_CHUNK_CHARS = 1 << 18
 # what surrogateescape decodes a byte of 0x80 or above to
 _NOT_ASCII = re.compile("[\udc80-\udcff]")
 
 
 def _line_chunks(fh):
-    """The lines of an open text file, 1 MB of text at a time, as lists
+    """The lines of an open text file, 256 KB of text at a time, as lists
     that together hold what str.splitlines gives on the whole text: each
     list ends at the last newline its text holds."""
     tail = ""
     while chunk := fh.read(_CHUNK_CHARS):
         text = tail + chunk
         cut = text.rfind("\n") + 1
-        yield text[:cut].splitlines()
-        tail = text[cut:]
+        lines, tail = text[:cut].splitlines(), text[cut:]
+        del chunk, text  # the reader holds only the lines while it parses them
+        yield lines
+        del lines
     yield tail.splitlines()
 
 

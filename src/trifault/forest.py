@@ -18,8 +18,9 @@ the trees end to end, with a root offset per tree. No child links are
 stored: a left child is the next entry, and the walk table below
 derives each right child from ``feature`` alone. The v1 model file is
 one text line per table entry; saving formats and writes it one tree at
-a time, and loading reads it 1 MB of text at a time, parsing each
-chunk's node lines in bulk and refusing any text after the end marker.
+a time, and loading reads it 256 KB of text at a time, parsing each
+chunk's node lines in bulk into columns of the table's own dtypes and
+refusing any text after the end marker.
 
 Training grows the trees in blocks, in lockstep: step s expands the
 s-th preorder node of every tree in the block not yet finished. Each
@@ -40,7 +41,8 @@ its feature's order, so its left child owns the front of its range and
 its right child the rest. A step is one loop body: it picks the nodes to
 try, draws their features, sorts and scores them in a few array passes
 per batch (the nodes whose rows start in one span of a fixed row
-count), and appends its nodes to a list put in tree order at the end.
+count), and writes its nodes into row s of (step x tree) columns, read
+out tree by tree at the end.
 
 Only the cuts at class boundary points are scored (Fayyad & Irani 1992;
 Elomaa & Rousu 1999): a cut is skipped when the values on both sides of
@@ -116,7 +118,6 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -193,11 +194,23 @@ class NodeTable(NamedTuple):
     An internal node has feature >= 0 and sends a normalized row left
     when its value is <= threshold, to the next entry; its leaf_code is
     -1. A leaf has feature -1 and votes for label code leaf_code.
+
+    threshold is float64 and leaf_code int8 (a label code is below 64,
+    one per 6-bit mask); feature is int8 when the model has at most 128
+    features, else intp.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     leaf_code: np.ndarray
+
+
+def _node_columns(n_nodes: int, n_features: int) -> NodeTable:
+    """Node columns for n_nodes nodes over n_features features, in the
+    dtypes above; feature and leaf_code hold -1 and threshold 0 until
+    written."""
+    code = np.int8 if n_features <= np.iinfo(np.int8).max + 1 else np.intp
+    return NodeTable(np.full(n_nodes, -1, dtype=code), np.zeros(n_nodes), np.full(n_nodes, -1, dtype=np.int8))
 
 
 def _preorder_children(feature: np.ndarray) -> np.ndarray:
@@ -274,26 +287,33 @@ class _WalkTable(NamedTuple):
 def _build_walk_table(nodes: NodeTable, roots: np.ndarray) -> _WalkTable:
     """The walk table of a stacked forest. A root keeps its entry; the
     k-th internal node of a tree, in preorder, gets its children at
-    entries 2k + 1 and 2k + 2 after the root."""
-    feature, threshold, leaf_code = nodes
-    n = feature.size
-    internal = feature >= 0
-    root = np.repeat(roots, np.diff(roots, append=n))  # each node's tree root
-    before = np.cumsum(internal) - internal  # internal nodes before each node
-    split = np.flatnonzero(internal)
-    pair = root[split] + 1 + 2 * (before[split] - before[root[split]])
-    new = np.empty(n, dtype=np.intp)
-    new[roots] = roots
-    new[split + 1], new[_preorder_children(feature)[split]] = pair, pair + 1  # left, right
+    entries 2k + 1 and 2k + 2 after the root. A tree keeps its own
+    entries, so the table is written _TREE_BLOCK trees at a time into
+    arrays allocated once, and no working array spans the whole forest."""
+    n = nodes.feature.size
     # int8 codes make the gathers read less; label codes are below 64 (one
     # per 6-bit mask), but a model file may index more than 128 features
-    code = np.int8 if feature.max(initial=0) <= np.iinfo(np.int8).max else np.intp
+    code = np.int8 if nodes.feature.max(initial=0) <= np.iinfo(np.int8).max else np.intp
     table = _WalkTable(np.empty(n, code), np.empty(n), np.empty(n, np.intp), np.empty(n, code))
-    table.feature[new] = np.maximum(feature, 0)
-    table.threshold[new] = np.where(internal, threshold, np.inf)
-    table.first[new] = new  # a leaf points at itself
-    table.first[new[split]] = pair
-    table.leaf_code[new] = leaf_code
+    bounds = np.append(roots, n)
+    for b in range(0, roots.size, _TREE_BLOCK):
+        lo, hi = bounds[b], bounds[min(b + _TREE_BLOCK, roots.size)]
+        feature, threshold, leaf_code = (col[lo:hi] for col in nodes)
+        block_roots = roots[b : b + _TREE_BLOCK] - lo
+        internal = feature >= 0
+        root = np.repeat(block_roots, np.diff(bounds[b : b + _TREE_BLOCK + 1]))  # each node's tree root
+        before = np.cumsum(internal) - internal  # internal nodes before each node
+        split = np.flatnonzero(internal)
+        pair = root[split] + 1 + 2 * (before[split] - before[root[split]])
+        new = np.empty(hi - lo, dtype=np.intp)
+        new[block_roots] = block_roots
+        new[split + 1], new[_preorder_children(feature)[split]] = pair, pair + 1  # left, right
+        block = _WalkTable(*(col[lo:hi] for col in table))
+        block.feature[new] = np.maximum(feature, 0)
+        block.threshold[new] = np.where(internal, threshold, np.inf)
+        block.first[new] = lo + new  # a leaf points at itself
+        block.first[new[split]] = lo + pair
+        block.leaf_code[new] = leaf_code
     return table
 
 
@@ -657,7 +677,11 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
     # is filled on first use, after every bootstrap
     pool = np.empty((n_trees, _DRAW_CHUNK), dtype=np.int64)
     drawn = np.full(n_trees, _DRAW_CHUNK)
-    grown = []  # (tree, feature, threshold, leaf_code) of each step's nodes
+    # row s, column t: the s-th node of tree t in preorder, written in
+    # place, so the steps leave no small arrays behind
+    grown = NodeTable(*(col.reshape(-1, n_trees) for col in _node_columns(64 * n_trees, n_features)))
+    sizes = np.zeros(n_trees, dtype=np.intp)
+    step = 0
     while height.any():
         tree = np.flatnonzero(height)
         top = height[tree] - 1
@@ -696,8 +720,13 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
                 presort, bag, lo[k], n_node[k], counts[k], feats[a:b], min_leaf
             )
         leaf = feature < 0
+        if step == grown.feature.shape[0]:  # twice the rows; the new ones are overwritten
+            grown = NodeTable(*(np.concatenate([col, col]) for col in grown))
+        grown.feature[step, tree], grown.threshold[step, tree] = feature, threshold
         # a leaf votes for its first plurality: the sorted-label tie-break
-        grown.append((tree, feature, threshold, np.where(leaf, np.argmax(counts, axis=1), -1)))
+        grown.leaf_code[step, tree] = np.where(leaf, np.argmax(counts, axis=1), -1)
+        sizes[tree] += 1
+        step += 1
         # a leaf is done: its tree moves on to the next pending node
         height[tree[leaf]] -= 1
         start[tree[leaf]] = hi[leaf]
@@ -716,10 +745,9 @@ def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
         stack_counts[t, k] = counts[split] - left[split]
         stack_counts[t, k + 1] = left[split]
         height[t] += 1
-    tree, feature, threshold, leaf_code = map(np.concatenate, zip(*grown))
-    by_tree = np.argsort(tree, kind="stable")  # steps run in preorder
-    sizes = np.bincount(tree, minlength=n_trees)
-    return feature[by_tree], threshold[by_tree], leaf_code[by_tree], sizes
+    # tree t takes part in steps 0 .. sizes[t] - 1
+    mine = np.arange(step) < sizes[:, None]
+    return (*(col[:step].T[mine] for col in grown), sizes)
 
 
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -1083,6 +1111,26 @@ def _internal_refusal(line: str, n_features: int) -> str | None:
     return None
 
 
+# the ASCII characters that str.split() splits at
+_SPACE = np.zeros(128, dtype=np.int8)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = 1
+
+
+class _StandIn(dict):
+    """A str.translate table that keeps each ASCII character and turns
+    any other into a space where str.split() splits at it, else DEL, so
+    the tokens of the text keep their places."""
+
+    def __missing__(self, c: int) -> int:
+        self[c] = c if c < 128 else 32 if chr(c).isspace() else 127
+        return self[c]
+
+
+def _substrings(text: str, start: np.ndarray, size: np.ndarray):
+    """The substrings of text at start, of the given sizes."""
+    return map(text.__getitem__, map(slice, start.tolist(), (start + size).tolist()))
+
+
 class _BodyReader:
     """The trees of a model file, from the lines after its header, fed
     in chunks.
@@ -1099,7 +1147,9 @@ class _BodyReader:
 
     def __init__(self, n_features: int, labels):
         self.n_features = n_features
-        self.code_of = {str(lab): k for k, lab in enumerate(labels)}
+        # a label's code by its mask, which its six 0/1 characters spell
+        self.code_of = np.full(64, -1, dtype=np.int8)
+        self.code_of[[lab.mask for lab in labels]] = np.arange(len(labels))
         # per chunk: its nodes' feature, threshold and leaf_code columns,
         # and each line's step (see feed)
         self.columns, self.steps = [], [np.zeros(0, dtype=np.int8)]
@@ -1112,15 +1162,35 @@ class _BodyReader:
         self.bad_internal = self.bad_leaf = None
 
     def feed(self, lines: list[str]) -> None:
-        """Parse the next chunk of lines."""
+        """Parse the next chunk of lines.
+
+        The tokens, the runs that str.split() gives, are found as byte
+        ranges of the chunk's text, so each line's field count, its first
+        token, a one-digit feature and a label are read as arrays. Only a
+        threshold, or a feature of more than one digit, becomes a string,
+        for float() or int() to read.
+        """
         if not lines:
             return
-        n_fields = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
-        tokens = np.array(" ".join(lines).split() + [""], dtype=object)  # "" closes the last line
+        text = "\n".join(lines)
+        code = np.frombuffer((text if text.isascii() else text.translate(_StandIn())).encode("ascii"), np.uint8)
+        edge = np.diff(_SPACE.take(code), prepend=1, append=1)
+        start, end = np.flatnonzero(edge < 0), np.flatnonzero(edge > 0)  # each token's first byte and the one after
+        line_end = np.cumsum(np.fromiter(map(len, lines), np.intp, len(lines)) + 1) - 1  # where each newline goes
+        n_fields = np.bincount(np.searchsorted(line_end, start), minlength=len(lines))
         first = np.cumsum(n_fields) - n_fields  # each line's first token
-        head = tokens[first]
+
+        def field(k: int, at: np.ndarray):
+            """Where field k of the lines at starts, and its length."""
+            token = first[at] + k
+            return start[token], end[token] - start[token]
+
         # +1 for an internal node, -1 for a leaf, 0 for any other line
-        step = ((n_fields == 3) & (head == "I")).astype(np.int8) - ((n_fields == 2) & (head == "L"))
+        at = np.flatnonzero((n_fields == 2) | (n_fields == 3))
+        pos, size = field(0, at)
+        head, three = np.where(size == 1, code.take(pos), 0), n_fields[at] == 3
+        step = np.zeros(len(lines), dtype=np.int8)
+        step[at] = ((head == ord("I")) & three).astype(np.int8) - ((head == ord("L")) & ~three)
 
         self.steps.append(step)
         owed = self.n_owed + np.cumsum(step, dtype=np.intp)
@@ -1136,9 +1206,12 @@ class _BodyReader:
         self.n_lines += len(lines)
 
         internal, leaves = np.flatnonzero(step > 0), np.flatnonzero(step < 0)
+        pos, size = field(1, internal)
+        f = code.take(pos).astype(np.intp) - ord("0")
+        odd = np.flatnonzero((size > 1) | (f < 0) | (f > 9))  # not one digit
         try:
-            f = tokens[first[internal] + 1].astype(np.intp)  # int() of each token
-            thr = np.fromiter(map(float, tokens[first[internal] + 2].tolist()), float, internal.size)
+            f[odd] = np.fromiter(map(int, _substrings(text, pos[odd], size[odd])), np.intp, odd.size)
+            thr = np.fromiter(map(float, _substrings(text, *field(2, internal))), float, internal.size)
         except (ValueError, OverflowError):
             f, thr, walkable = 0, 0.0, np.zeros(internal.size, dtype=bool)
         else:
@@ -1146,17 +1219,21 @@ class _BodyReader:
         if self.bad_internal is None:
             refusals = (_internal_refusal(lines[k], self.n_features) for k in internal[~walkable].tolist())
             self.bad_internal = next(filter(None, refusals), None)
-        labels = tokens[first[leaves] + 1].tolist()
-        codes = np.fromiter(map(self.code_of.get, labels, repeat(-1)), np.intp, leaves.size)
+        # a label is six characters of 0 and 1, its mask in binary; a
+        # shorter token at the end of the text reads clipped bytes, and is no label
+        pos, size = field(1, leaves)
+        chars = code.take(pos[:, None] + np.arange(6), mode="clip")
+        six = (size == 6) & ((chars == ord("0")) | (chars == ord("1"))).all(axis=1)
+        codes = np.where(six, self.code_of.take(np.packbits(chars == ord("1"), axis=1)[:, 0] >> 2), -1)
         unknown = leaves[codes < 0]
         if unknown.size and self.bad_leaf is None:
             self.bad_leaf = f"leaf label not in the labels header: {lines[unknown[0]]!r}"
 
-        feature = np.full(len(lines), -1, dtype=np.intp)
-        threshold = np.zeros(len(lines))
-        leaf_code = np.full(len(lines), -1, dtype=np.intp)
-        feature[internal], threshold[internal], leaf_code[leaves] = f, thr, codes
-        self.columns.append(tuple(col[step != 0] for col in (feature, threshold, leaf_code)))
+        # a line that is not walkable refuses the model, whatever its column holds
+        kind = step[step != 0]
+        nodes = _node_columns(kind.size, self.n_features)
+        nodes.feature[kind > 0], nodes.threshold[kind > 0], nodes.leaf_code[kind < 0] = f, thr, codes
+        self.columns.append(nodes)
 
     def trees(self, n_trees: int) -> tuple[NodeTable, np.ndarray]:
         """The node table and the tree roots."""
@@ -1183,8 +1260,7 @@ class _BodyReader:
         for refusal in (self.bad_internal, self.bad_leaf):
             if refusal is not None:
                 raise ModelFormatError(refusal)
-        feature, threshold, leaf_code = map(np.concatenate, zip(*self.columns))
-        return NodeTable(feature, threshold, leaf_code), np.array(roots)
+        return NodeTable(*map(np.concatenate, zip(*self.columns))), np.array(roots)
 
 
 def _model_from_chunks(chunks) -> RandomForestModel:
@@ -1196,6 +1272,7 @@ def _model_from_chunks(chunks) -> RandomForestModel:
     lines = []
     for chunk in chunks:  # the header may span chunks
         lines += chunk
+        del chunk
         if len(lines) > len(_HEADER):
             break
     if not lines:
@@ -1212,8 +1289,10 @@ def _model_from_chunks(chunks) -> RandomForestModel:
     params = ForestParams(**{key: header[key] for key in ForestParams.__dataclass_fields__})
     body = _BodyReader(n_features, header["labels"])
     body.feed(lines[1 + len(_HEADER) :])
+    del lines  # so that reading the next chunk does not hold these lines too
     for lines in chunks:
         body.feed(lines)
+        del lines
     nodes, roots = body.trees(header["n_trees"])
     return RandomForestModel(
         nodes=nodes,
@@ -1238,7 +1317,7 @@ def save_model(model: RandomForestModel, path) -> None:
 
 
 def load_model(path) -> RandomForestModel:
-    """The model in a v1 model file, read 1 MB of text at a time and
+    """The model in a v1 model file, read 256 KB of text at a time and
     parsed as model_from_lines parses a list of lines: a file with a bad
     line, with any line after the end marker or with a byte that is not
     ASCII raises ModelFormatError."""

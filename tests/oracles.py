@@ -3,7 +3,9 @@
 The feature oracles are written with plain Python loops and the math
 module, deliberately avoiding numpy so that agreement with the library
 is evidence of correctness rather than shared code paths. The model-file
-reference is the whole-text parser that chunked loading replaced.
+reference is the whole-text parser that chunked loading replaced, and
+the walk-table reference is the whole-forest build that the build tree
+block by tree block replaced.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from trifault.forest import (
     ModelFormatError,
     NodeTable,
     RandomForestModel,
+    _preorder_children,
     _read_header,
+    _WalkTable,
 )
 
 
@@ -168,7 +172,9 @@ def _reference_parse_trees(body: list[str], n_trees: int, n_features: int, label
     leaf_code = np.full(pos, -1, dtype=np.intp)
     feature[internal], threshold[internal], leaf_code[leaves] = f, thr, codes
     feature, threshold, leaf_code = (col[step[:pos] != 0] for col in (feature, threshold, leaf_code))
-    return NodeTable(feature, threshold, leaf_code), np.array(roots)
+    # a model holds int8 leaf codes, and int8 feature codes up to 128 features
+    code = np.int8 if n_features <= 128 else np.intp
+    return NodeTable(feature.astype(code), threshold, leaf_code.astype(np.int8)), np.array(roots)
 
 
 def reference_model_from_lines(lines: list[str]) -> RandomForestModel:
@@ -195,3 +201,28 @@ def reference_model_from_lines(lines: list[str]) -> RandomForestModel:
         label_universe=header["labels"],
         params=params,
     )
+
+
+def reference_walk_table(nodes: NodeTable, roots: np.ndarray) -> _WalkTable:
+    """The walk table of a stacked forest, built over every tree at once:
+    a root keeps its entry, and the k-th internal node of a tree, in
+    preorder, gets its children at entries 2k + 1 and 2k + 2 after the
+    root."""
+    feature, threshold, leaf_code = nodes
+    n = feature.size
+    internal = feature >= 0
+    root = np.repeat(roots, np.diff(roots, append=n))  # each node's tree root
+    before = np.cumsum(internal) - internal  # internal nodes before each node
+    split = np.flatnonzero(internal)
+    pair = root[split] + 1 + 2 * (before[split] - before[root[split]])
+    new = np.empty(n, dtype=np.intp)
+    new[roots] = roots
+    new[split + 1], new[_preorder_children(feature)[split]] = pair, pair + 1  # left, right
+    code = np.int8 if feature.max(initial=0) <= np.iinfo(np.int8).max else np.intp
+    table = _WalkTable(np.empty(n, code), np.empty(n), np.empty(n, np.intp), np.empty(n, code))
+    table.feature[new] = np.maximum(feature, 0)
+    table.threshold[new] = np.where(internal, threshold, np.inf)
+    table.first[new] = new  # a leaf points at itself
+    table.first[new[split]] = pair
+    table.leaf_code[new] = leaf_code
+    return table

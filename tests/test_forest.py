@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_model_from_lines
+from oracles import reference_model_from_lines, reference_walk_table
 
 from trifault import dataset, forest
 from trifault.cli import generate_training_pool
@@ -1045,6 +1045,28 @@ class TestWalkTable:
         assert fresh._walk_table is table and fresh._top_table is top
         assert builds == {"_build_walk_table": 1, "_build_top_table": 1}
 
+    @pytest.mark.parametrize("name", ["desk", "one tree", "wide"])
+    def test_blocks_match_the_whole_forest_reference(self, name, request):
+        # the desk forest's 264 trees end in a part block; a feature past
+        # 127 keeps intp codes
+        rng = np.random.default_rng(27)
+
+        def wide_tree_lines(depth=0):
+            if depth == 4 or (depth and rng.random() < 0.2):
+                return [f"L {'100000' if rng.random() < 0.5 else '000000'}"]
+            node = f"I {rng.integers(0, 200)} {rng.uniform(-1.0, 1.0)!r}"
+            return [node, *wide_tree_lines(depth + 1), *wide_tree_lines(depth + 1)]
+
+        if name == "desk":
+            model = request.getfixturevalue("desk_experiment").model
+        elif name == "one tree":
+            model = model_from_lines(forest_lines(DEEP_TREES[0]))
+        else:
+            model = model_from_lines(forest_lines_of_width(200, *(wide_tree_lines() for _ in range(17))))
+        got, expected = model._walk_table, reference_walk_table(model.nodes, model.roots)
+        assert [(col.dtype, col.tobytes()) for col in got] == [(col.dtype, col.tobytes()) for col in expected]
+        assert got.feature.dtype == (np.intp if name == "wide" else np.int8)
+
 
 def random_tree_lines(rng):
     """Node lines of a random tree over 3 features, 1 to 9 levels deep."""
@@ -1285,9 +1307,11 @@ class TestPersistence:
 
     def test_loading_holds_one_chunk_of_text(self, desk_experiment, tmp_path):
         # The 5 MB desk file peaked at 79-83 MB traced when it was parsed
-        # whole, and peaks at 29 MB read 1 MB at a time: the model's 7 MB
-        # of arrays, twice while its chunks are joined, plus one chunk's
-        # lines and tokens.
+        # whole, and at 29.7 MB read 1 MB at a time into 24 bytes of
+        # columns per node, tokens as strings. Read 256 KB at a time, its
+        # tokens as byte ranges, into 10 bytes per node, it peaks at
+        # 10.3-10.4 MB: the model's 3 MB of columns, one chunk's lines and
+        # text, and the arrays that parse them.
         path = tmp_path / "desk.txt"
         save_model(desk_experiment.model, path)
         tracemalloc.start()
@@ -1296,10 +1320,27 @@ class TestPersistence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 50e6
+        assert peak < 13e6
+
+    def test_first_prediction_holds_the_tables_it_builds(self, desk_experiment, tmp_path):
+        # The first call builds the walk table (5.5 MB) and the top table
+        # (3.8 MB) and keeps them. It peaked at 21.5 MB traced while the
+        # walk table was built over the whole forest at once, and peaks at
+        # 11.9-13.0 MB building it 16 trees at a time.
+        path = tmp_path / "desk.txt"
+        save_model(desk_experiment.model, path)
+        model = load_model(path)
+        X = np.random.default_rng(28).normal(size=(200, 3))
+        tracemalloc.start()
+        try:
+            predict_batch(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15e6
 
     def test_non_ascii_byte_names_its_line(self, desk_experiment, tmp_path):
-        # the byte lies in the third 1 MB read, and its line is counted
+        # the byte lies in the tenth 256 KB read, and its line is counted
         # from the start of the file
         path = tmp_path / "desk.txt"
         save_model(desk_experiment.model, path)
@@ -1422,6 +1463,23 @@ class TestLoaderMatchesReference:
             assert any(not (isinstance(o, str) and o.startswith(STRUCTURE_ERRORS)) for o in outcomes)
         else:
             assert got == expected
+
+    @pytest.mark.parametrize(
+        "node_lines",
+        [
+            # whitespace past ASCII splits fields, as str.split() splits them
+            ["I\u20030 0.5", "L 000000", "L\xa0100000"],
+            ["I 0 0.5\x85", "L 000000", "L 100000"],
+            # int() and float() read digits past ASCII
+            ["I \u0661 0.5", "L 000000", "L 100000"],
+            ["I 0 \u0660.\u0665", "L 000000", "L 100000"],
+            ["I 0 0.5", "L 00000\u0661", "L 100000"],
+            ["I 0 0.5\u00e9", "L 000000", "L 100000"],
+        ],
+    )
+    def test_lines_past_ascii(self, node_lines):
+        lines = forest_lines_of_width(2, node_lines)
+        assert model_outcome(model_from_lines, lines) == model_outcome(reference_model_from_lines, lines)
 
 
 class TestCrossValidation:
