@@ -17,14 +17,15 @@ The package covers the full desk-scale pipeline:
   blocks hold them.
 - :mod:`trifault.diagnosis` — the online stage: resampling, per-sample
   classification, debouncing, region-gated vote fusion, and the latch
-  that confirms a fault set over agreeing windows.
+  that confirms a fault set over agreeing windows; a ``Diagnoser`` runs
+  it on a stream pushed chunk by chunk.
 - :mod:`trifault.dataset`, :mod:`trifault.config`, :mod:`trifault.cli` —
   dataset file I/O, experiment configuration, and the command line front
   end (``trifault gen | train | eval | sweep-trees | diagnose``).
 """
 
 from .config import ExperimentConfig, default_class_labels, load_config, parse_class_token
-from .diagnosis import DiagnosisConfig, FaultReport, resample, run_diagnosis
+from .diagnosis import Diagnoser, DiagnosisConfig, FaultReport, resample, run_diagnosis
 from .forest import (
     ForestParams,
     RandomForestModel,
@@ -47,6 +48,7 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Diagnoser",
     "DiagnosisConfig",
     "ExperimentConfig",
     "FaultLabel",

@@ -1,27 +1,30 @@
 """Multi-time-scale online diagnosis over a trained forest.
 
 Pipeline: resample the acquired series down to the classifier rate,
-classify every sample, debounce the label stream, then fuse all
-period-aligned windows at once. Windows and regions sit on phase a's
-angle, measured from the first clean zero crossing of phase a, b or c;
-a series with none, such as an all-zero one, is refused. Inside the
-pipeline a label is its 6-bit FaultLabel.mask (S1 is bit 5, S6 bit 0),
-so the windowed stream is one (windows x samples) uint8 array. Fusion
-keeps the bits that each sample's 60-degree region can expose, from a
-six-entry mask table, and ORs them along each window. The first run of
-_CONFIRM_WINDOWS equal non-empty fused masks latches the fault set. Only
-the report looks masks up in LABELS, and windows with equal masks share
-one labels tuple there.
+classify every sample, debounce the label stream, then fuse
+period-aligned windows. A Diagnoser takes the stream chunk by chunk and
+works through the classifier grid _BLOCK_ROWS rows at a time, so it
+holds no per-sample array of the whole stream; run_diagnosis pushes one
+series as one chunk. Windows and regions sit on phase a's angle,
+measured from the first clean zero crossing of phase a, b or c; a series
+with none, such as an all-zero one, is refused. Inside the pipeline a
+label is its 6-bit FaultLabel.mask (S1 is bit 5, S6 bit 0), so the
+whole windows of a block are one (windows x samples) uint8 array.
+Fusion keeps the bits that each sample's 60-degree region can expose,
+from a six-entry mask table, and ORs them along each window. The first
+run of _CONFIRM_WINDOWS equal non-empty fused masks latches the fault
+set. Only the window records look masks up in LABELS, and windows with
+equal masks share one labels tuple there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forest import RandomForestModel, predict_batch
+from .forest import _SPAN_ROWS, RandomForestModel, predict_batch
 from .simulate import (
     LABELS,
     PHASE_OFFSETS_DEG,
@@ -39,6 +42,10 @@ _CROSSING_QUALITY = 0.3
 
 # equal non-empty fused windows in a row that latch a fault set
 _CONFIRM_WINDOWS = 1
+
+# classifier grid rows a Diagnoser resamples, classifies and windows at a
+# time: whole forest spans, which share out evenly over 1, 2 or 4 cores
+_BLOCK_ROWS = 4 * _SPAN_ROWS
 
 # the switches each region exposes, at its mid-angle; by region_indices
 # index SI..SVI: {2,3,6} {2,3,5} {2,4,5} {1,4,5} {1,4,6} {1,3,6}
@@ -95,38 +102,65 @@ class FaultReport:
         return bool(self.fault_set)
 
 
+def _grid_count(t0: float, t_last: float, rate: float) -> int:
+    """Number of grid points t0 + k / rate, k = 0, 1, ..., at or before t_last."""
+    n = int(math.floor((t_last - t0) * rate)) + 1
+    # the floor of the span in grid steps can round one step either way
+    while t0 + n / rate <= t_last:
+        n += 1
+    while n > 0 and t0 + (n - 1) / rate > t_last:
+        n -= 1
+    return n
+
+
+def _refuse_non_finite_samples(series: TriPhaseSeries, first: int) -> None:
+    """Raise ValueError naming the first sample with a non-finite current,
+    counted from first, the index of the series' first acquired sample:
+    interpolation would smear it over its neighbours."""
+    phases = (series.i_a, series.i_b, series.i_c)
+    # a sum is finite only if every term is, and it needs no per-sample array
+    with np.errstate(over="ignore", invalid="ignore"):
+        if all(np.isfinite(np.sum(i)) for i in phases):
+            return
+    bad = np.flatnonzero(~np.logical_and.reduce([np.isfinite(i) for i in phases]))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"acquired sample {first + k} at t = {float(series.t[k]):.9g} s is not finite: "
+            f"{[float(i[k]) for i in phases]}"
+        )
+
+
+def _interpolated(series: TriPhaseSeries, t_grid: np.ndarray, rate: float) -> TriPhaseSeries:
+    """The series linearly interpolated at the grid times, which must lie
+    within its time range."""
+    return TriPhaseSeries(
+        t=t_grid,
+        i_a=np.interp(t_grid, series.t, series.i_a),
+        i_b=np.interp(t_grid, series.t, series.i_b),
+        i_c=np.interp(t_grid, series.t, series.i_c),
+        sample_rate=rate,
+        fault_timeline=series.fault_timeline,
+    )
+
+
 def resample(series: TriPhaseSeries, target_rate: float) -> TriPhaseSeries:
     """Linear-interpolation resample onto a uniform grid at target_rate.
 
-    The output spans the same time range, starting at the input's first
-    timestamp. Equal input and output rates return the samples as they
-    are. Upsampling is refused, and so is a non-finite current, which
-    interpolation would smear over its neighbours.
+    The grid is t0 + k / target_rate, from the input's first timestamp t0
+    up to and including its last one. Equal input and output rates return
+    the samples as they are. Upsampling is refused, and so is a
+    non-finite current, which interpolation would smear over its
+    neighbours.
     """
     if series.n_samples < 2:
         raise ValueError("resample needs at least 2 samples")
     if target_rate > series.sample_rate:
         raise ValueError("resample does not upsample")
-    phases = (series.i_a, series.i_b, series.i_c)
-    bad = np.flatnonzero(~np.logical_and.reduce([np.isfinite(i) for i in phases]))
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(
-            f"acquired sample {k} at t = {float(series.t[k]):.9g} s is not finite: "
-            f"{[float(i[k]) for i in phases]}"
-        )
+    _refuse_non_finite_samples(series, 0)
     t0 = float(series.t[0])
-    span = float(series.t[-1]) - t0
-    n_out = int(math.floor(span * target_rate)) + 1
-    t_out = t0 + np.arange(n_out) / target_rate
-    return TriPhaseSeries(
-        t=t_out,
-        i_a=np.interp(t_out, series.t, series.i_a),
-        i_b=np.interp(t_out, series.t, series.i_b),
-        i_c=np.interp(t_out, series.t, series.i_c),
-        sample_rate=target_rate,
-        fault_timeline=series.fault_timeline,
-    )
+    k = np.arange(_grid_count(t0, float(series.t[-1]), target_rate))
+    return _interpolated(series, t0 + k / target_rate, target_rate)
 
 
 def classify_stream(model: RandomForestModel, series: TriPhaseSeries) -> np.ndarray:
@@ -140,6 +174,12 @@ def _runs(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start index and length of each run of equal items of a 1-D array."""
     starts = np.flatnonzero(np.concatenate(([True], items[1:] != items[:-1])))
     return starts, np.diff(starts, append=items.size)
+
+
+def _last_run_start(items: np.ndarray) -> int:
+    """Index where the last run of equal items of a non-empty 1-D array starts."""
+    other = np.flatnonzero(items != items[-1])
+    return int(other[-1]) + 1 if other.size else 0
 
 
 def debounce(labels, min_run: int):
@@ -210,10 +250,211 @@ def estimate_phase_reference(series: TriPhaseSeries, fundamental: float) -> floa
     return None
 
 
+def _columns(series: TriPhaseSeries) -> tuple[np.ndarray, ...]:
+    return series.t, series.i_a, series.i_b, series.i_c
+
+
+class Diagnoser:
+    """The online pipeline over a stream that arrives chunk by chunk.
+
+    push(chunk) takes the next acquired samples, a TriPhaseSeries whose
+    first time follows the last one pushed, and returns the WindowRecords
+    that became final with them. finish() ends the stream and returns the
+    FaultReport; its per_window_history holds only the windows that became
+    final at the end, since push gave out the others. Any cut of a series
+    into chunks gives the windows and the report of pushing it whole, and
+    the refusals of resample and run_diagnosis, raised by the push or the
+    finish() that can first tell.
+
+    Between chunks it carries no more than a few periods of samples: the
+    last acquired sample, which the next grid points interpolate from; the
+    grid's first 2 periods + 1 sample until they fix the phase reference;
+    the open label run that debounce cannot decide yet, shorter than
+    debounce_min_run; and the debounced masks of the window not yet whole.
+    Besides those it keeps the run towards the latch and one labels tuple
+    per distinct window.
+    """
+
+    def __init__(self, model: RandomForestModel, config: DiagnosisConfig):
+        self.model = model
+        self.config = config
+        self._acquired = 0  # samples pushed
+        self._t0 = 0.0  # time of the first, where the grid starts
+        self._last: tuple[np.ndarray, ...] = ()  # columns of the last one
+        self._grid = 0  # grid points classified
+        self._scan: list[tuple[np.ndarray, ...]] = []  # the grid until the reference
+        self._t_zero: float | None = None  # phase a's 0 degrees
+        self._start = 0  # grid index of the first window
+        # debounce_min_run copies of the last debounced mask given out
+        self._accepted = np.empty(0, dtype=np.uint8)
+        self._held = np.empty(0, dtype=np.uint8)  # the undecided run, raw
+        self._masks = np.empty(0, dtype=np.uint8)  # debounced, not yet windowed
+        self._masks_at = 0  # grid index of _masks[0]
+        self._windows = 0  # windows given out
+        self._shared: dict[bytes, tuple[FaultLabel, ...]] = {}
+        # the last run of equal fused masks: mask, windows, its first window
+        self._run: tuple[int, int, WindowRecord | None] = (0, 0, None)
+        self._latched: WindowRecord | None = None
+
+    def push(self, chunk: TriPhaseSeries) -> tuple[WindowRecord, ...]:
+        """Diagnose the next acquired samples; returns the windows they finished."""
+        if chunk.n_samples == 0:
+            return ()
+        rate = self.config.target_rate
+        if rate > chunk.sample_rate:
+            raise ValueError("resample does not upsample")
+        _refuse_non_finite_samples(chunk, self._acquired)
+        if not self._acquired:
+            self._t0 = float(chunk.t[0])
+        elif not chunk.t[0] > self._last[0][0]:
+            raise ValueError(
+                f"a chunk starting at t = {float(chunk.t[0]):.9g} s does not follow"
+                f" the last sample pushed, at t = {float(self._last[0][0]):.9g} s"
+            )
+        # a grid point waits for a sample at or after it: np.interp would
+        # hold the last sample's value past it
+        n_grid = _grid_count(self._t0, float(chunk.t[-1]), rate)
+        records: list[WindowRecord] = []
+        for lo in range(self._grid, n_grid, _BLOCK_ROWS):
+            t_grid = self._t0 + np.arange(lo, min(lo + _BLOCK_ROWS, n_grid)) / rate
+            # the acquired samples around the block, from the last one at or
+            # before its first point, which may be the last one pushed before
+            j_lo = int(np.searchsorted(chunk.t, t_grid[0], side="right")) - 1
+            j_hi = int(np.searchsorted(chunk.t, t_grid[-1], side="left")) + 1
+            around = [x[max(j_lo, 0) : j_hi] for x in _columns(chunk)]
+            if j_lo < 0:
+                around = [np.concatenate(pair) for pair in zip(self._last, around)]
+            raw = TriPhaseSeries(*around, sample_rate=chunk.sample_rate)
+            records += self._classify(_interpolated(raw, t_grid, rate))
+        self._acquired += chunk.n_samples
+        self._last = tuple(x[-1:].copy() for x in _columns(chunk))
+        return tuple(records)
+
+    def finish(self) -> FaultReport:
+        """End the stream: the verdict, with the windows only the end made final."""
+        if self._acquired < 2:
+            raise ValueError("resample needs at least 2 samples")
+        if self._t_zero is None:
+            self._find_reference()
+        records = self._window(self._debounce(np.empty(0, dtype=np.uint8), final=True))
+        if not self._windows:
+            ws, start = self.config.window_samples, self._start
+            raise ValueError(
+                f"series too short: {self._grid} samples at {self.config.target_rate:g} Hz, one"
+                f" window needs {start + ws} ({ws} after the phase reference at sample {start})"
+            )
+        hit = self._latched
+        return FaultReport(
+            fault_set=frozenset() if hit is None else hit.fused.switches,
+            first_detect_time=None if hit is None else hit.start_time,
+            per_window_history=tuple(records),
+        )
+
+    def _classify(self, rs: TriPhaseSeries) -> list[WindowRecord]:
+        """Classify the next grid block and window what that made final."""
+        masks = classify_stream(self.model, rs)
+        if self._t_zero is None:
+            wanted = 2 * self.config.window_samples + 1 - self._grid
+            self._scan.append(tuple(x[:wanted].copy() for x in _columns(rs)))
+            if rs.n_samples >= wanted:
+                self._find_reference()
+        self._grid += rs.n_samples
+        return self._window(self._debounce(masks, final=False))
+
+    def _find_reference(self) -> None:
+        """Fix the phase reference, from the grid scanned so far, and the first window."""
+        rate, f0 = self.config.target_rate, self.config.fundamental
+        scanned = TriPhaseSeries(*map(np.concatenate, zip(*self._scan)), sample_rate=rate)
+        t_zero = estimate_phase_reference(scanned, f0)
+        if t_zero is None:
+            raise ValueError(
+                "no phase current crosses zero cleanly in the first two periods"
+                f" ({2.0 / f0:g} s): a flat or idle series has no phase reference"
+            )
+        # first sample at or after phase a's 0 degrees; a reference before the
+        # first sample moves on by whole windows, each one period
+        start = int(math.ceil((t_zero - self._t0) * rate - 1e-9))
+        if start < 0:
+            start %= self.config.window_samples
+        self._t_zero, self._start, self._scan = t_zero, start, []
+
+    def _debounce(self, masks: np.ndarray, final: bool) -> np.ndarray:
+        """The debounced masks that the next raw masks make final.
+
+        The held run and the masks follow debounce_min_run copies of the
+        last mask given out. Those copies form an accepted run, so the rest
+        debounces as it would in the whole stream. Unless final, the last
+        run stays held while it is shorter than debounce_min_run and not
+        the stream's first: the next chunk may make it long enough.
+        """
+        min_run, lead = self.config.debounce_min_run, self._accepted.size
+        seq = np.concatenate((self._accepted, self._held, masks))
+        if seq.size == lead:
+            return masks
+        out = debounce(seq, min_run)
+        end = seq.size
+        if not final:
+            last = _last_run_start(seq)
+            if last and seq.size - last < min_run:
+                end = last
+        self._held = seq[end:].copy()
+        self._accepted = np.full(min_run, out[end - 1], dtype=np.uint8)
+        return out[lead:end]
+
+    def _window(self, masks: np.ndarray) -> list[WindowRecord]:
+        """Records of the windows that the next debounced masks complete."""
+        self._masks = np.concatenate((self._masks, masks))
+        if self._t_zero is None:
+            return []
+        ws, rate, f0 = self.config.window_samples, self.config.target_rate, self.config.fundamental
+        skip = min(max(self._start - self._masks_at, 0), self._masks.size)
+        n = (self._masks.size - skip) // ws
+        windows = self._masks[skip : skip + n * ws].reshape(n, ws)
+        at = self._masks_at + skip
+        self._masks = self._masks[skip + n * ws :].copy()
+        self._masks_at = at + n * ws
+        if not n:
+            return []
+        t = self._t0 + np.arange(at, at + n * ws) / rate
+        regions = region_indices(360.0 * f0 * (t - self._t_zero)).reshape(n, ws)
+        fused = fuse_window(windows, regions)
+        # windows with equal masks share one labels tuple, keyed by their bytes
+        records = []
+        for w, (t_lo, row, f) in enumerate(zip(t[::ws].tolist(), map(bytes, windows), fused.tolist())):
+            labels = self._shared.get(row)
+            if labels is None:
+                labels = self._shared[row] = tuple(LABELS[m] for m in row)
+            records.append(WindowRecord(self._windows + w, t_lo, labels, LABELS[f]))
+        self._windows += n
+        if self._latched is None:
+            self._carry_latch(fused, records)
+        return records
+
+    def _carry_latch(self, fused: np.ndarray, records: list[WindowRecord]) -> None:
+        """Carry the run towards the latch over the next fused windows.
+
+        The run so far enters as at most _CONFIRM_WINDOWS - 1 copies of its
+        mask: any longer and it would have latched, unless healthy.
+        """
+        mask, length, first = self._run
+        carried = min(length, _CONFIRM_WINDOWS - 1)
+        seq = np.concatenate((np.full(carried, mask, dtype=np.uint8), fused))
+        hit = _latch(seq, _CONFIRM_WINDOWS)
+        if hit is not None:
+            self._latched = first if hit < carried else records[hit - carried]
+            return
+        last = _last_run_start(seq)
+        if carried and not last:
+            self._run = (mask, length + fused.size, first)
+        else:
+            self._run = (int(seq[-1]), seq.size - last, records[last - carried])
+
+
 def run_diagnosis(
     model: RandomForestModel, series: TriPhaseSeries, config: DiagnosisConfig
 ) -> FaultReport:
-    """Full online pipeline over one acquired series.
+    """Full online pipeline over one acquired series: one Diagnoser, one
+    push of the whole series and finish().
 
     Args:
         model: forest over instantaneous (i_a, i_b, i_c) samples.
@@ -228,48 +469,11 @@ def run_diagnosis(
         debounced label history, in which windows with equal masks share
         one labels tuple.
 
-    Working memory grows by about 57 bytes per classified sample: the
-    resampled series, the stacked currents the forest reads and a byte of
-    labels; predict_batch walks them in spans of bounded size.
+    The working memory does not grow with the series: the Diagnoser
+    resamples, classifies and windows _BLOCK_ROWS grid rows at a time.
+    What grows is the history, one WindowRecord per window.
     """
-    rs = resample(series, config.target_rate)
-    masks = debounce(classify_stream(model, rs), config.debounce_min_run)
-
-    f0 = config.fundamental
-    t_zero = estimate_phase_reference(rs, f0)
-    if t_zero is None:
-        raise ValueError(
-            "no phase current crosses zero cleanly in the first two periods"
-            f" ({2.0 / f0:g} s): a flat or idle series has no phase reference"
-        )
-    ws = config.window_samples
-    # first sample at or after phase a's 0 degrees; a reference before the
-    # first sample moves on by whole windows, each one period
-    start = int(math.ceil((t_zero - float(rs.t[0])) * config.target_rate - 1e-9))
-    if start < 0:
-        start %= ws
-    n_windows = (rs.n_samples - start) // ws
-    if n_windows < 1:
-        raise ValueError(
-            f"series too short: {rs.n_samples} samples at {config.target_rate:g} Hz, one"
-            f" window needs {start + ws} ({ws} after the phase reference at sample {start})"
-        )
-    span = slice(start, start + n_windows * ws)
-    windows = masks[span].reshape(n_windows, ws)
-    regions = region_indices(360.0 * f0 * (rs.t[span] - t_zero)).reshape(n_windows, ws)
-    fused = fuse_window(windows, regions)
-    # windows with equal masks share one labels tuple, keyed by their bytes
-    shared: dict[bytes, tuple[FaultLabel, ...]] = {}
-    records = []
-    for w, (t_lo, row, f) in enumerate(zip(rs.t[span][::ws].tolist(), map(bytes, windows), fused.tolist())):
-        labels = shared.get(row)
-        if labels is None:
-            labels = shared[row] = tuple(LABELS[m] for m in row)
-        records.append(WindowRecord(w, t_lo, labels, LABELS[f]))
-    history = tuple(records)
-    hit = _latch(fused, _CONFIRM_WINDOWS)
-    return FaultReport(
-        fault_set=frozenset() if hit is None else history[hit].fused.switches,
-        first_detect_time=None if hit is None else history[hit].start_time,
-        per_window_history=history,
-    )
+    diagnoser = Diagnoser(model, config)
+    history = diagnoser.push(series)
+    report = diagnoser.finish()
+    return replace(report, per_window_history=history + report.per_window_history)

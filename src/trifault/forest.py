@@ -92,11 +92,11 @@ The rows are cut into the fewest equal spans of at most 4096 rows, so
 a call of up to 4096 rows walks on the calling thread alone: shorter
 spans walk no faster on two threads than on one. The calling thread
 and one helper thread per further core (or per further span, if fewer)
-walk the spans: NumPy releases the interpreter lock inside the gathers
-and compares, so the spans walk at the same time. A span scales, walks
-and counts only its own rows, so the counts depend neither on the spans
-nor on the number of cores, and it hands them to a reducer of its own
-rows: predict_batch keeps only their label masks, so it holds no array
+each take the next span not yet taken: NumPy releases the interpreter
+lock inside the gathers and compares, so the spans walk at the same
+time. A span scales, walks and counts only its own rows, so the counts
+depend neither on the spans nor on the number of cores, and it hands
+them to a reducer of its own rows: predict_batch keeps only their label masks, so it holds no array
 over the whole batch but its one-byte-per-row result. The helpers are
 shut down before the call returns. When
 only labels are wanted, a row stops after any block where its leading
@@ -114,6 +114,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -863,28 +864,36 @@ def _on_all_cores(work, n_rows: int) -> None:
     and call work(lo, hi) once for each, so a call of up to _SPAN_ROWS
     rows walks on the calling thread alone.
 
-    With w = min(cores, spans), share k holds the spans k, k + w, ...; the
-    calling thread walks share 0 and a pool of w - 1 helper threads the
-    others. NumPy releases the interpreter lock inside its gathers and
-    compares, so the walks overlap. The pool starts here and is shut down
-    before this returns, so no thread outlives the call.
+    With w = min(cores, spans), the calling thread and a pool of w - 1
+    helper threads each take the next span not yet taken until none is
+    left, so a faster thread takes more spans and the threads finish
+    closer together than with fixed shares. NumPy releases the interpreter lock
+    inside its gathers and compares, so the walks overlap. The pool starts
+    here and is shut down before this returns, so no thread outlives the
+    call.
     """
     if n_rows == 0:
         return
     n_spans = -(-n_rows // _SPAN_ROWS)
     bounds = [k * n_rows // n_spans for k in range(n_spans + 1)]
     workers = min(_cores(), n_spans)
+    spans = iter(range(n_spans))
+    taking = threading.Lock()
 
-    def share(k: int) -> None:
-        for s in range(k, n_spans, workers):
+    def walk() -> None:
+        while True:
+            with taking:
+                s = next(spans, None)
+            if s is None:
+                return
             work(bounds[s], bounds[s + 1])
 
     if workers == 1:
-        share(0)
+        walk()
         return
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        helpers = [pool.submit(share, k) for k in range(1, workers)]
-        share(0)
+        helpers = [pool.submit(walk) for _ in range(1, workers)]
+        walk()
         for helper in helpers:
             helper.result()
 

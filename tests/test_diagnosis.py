@@ -5,7 +5,10 @@ from __future__ import annotations
 import gc
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +17,10 @@ from hypothesis import strategies as st
 
 from oracles import REGION_SWITCHES
 from trifault.config import ExperimentConfig, default_class_labels
+from trifault import diagnosis
 from trifault.diagnosis import (
     DiagnosisConfig,
+    Diagnoser,
     WindowRecord,
     _latch,
     classify_stream,
@@ -209,26 +214,41 @@ class TestRunDiagnosis:
         # the healthy windows before the fault are equal
         assert all(shared) and len(first_of) < len(history)
 
-    def test_memory_of_a_six_second_healthy_stream(self, desk_experiment, monkeypatch):
+    @staticmethod
+    def traced_peak(exp, seconds):
+        """Traced peak and retained bytes of one run_diagnosis of a healthy
+        stream with two walking threads, and its report."""
+        series = simulate(exp.config.sim_config(seed=5), (), seconds)
+        predict_batch(exp.model, series.currents()[:10])  # builds the walk tables
+        with mock.patch.object(forest, "_cores", lambda: 2):
+            tracemalloc.start()
+            try:
+                report = run_diagnosis(exp.model, series, exp.config.diagnosis_config())
+                gc.collect()
+                retained, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        return peak, retained, report
+
+    def test_memory_of_a_six_second_healthy_stream(self, desk_experiment):
         # Traced on the desk model with two walking threads: the peak was
         # 17.7 MB while the forest held a (rows x classes) vote matrix and a
-        # scaled copy of the stream, and is 12.0-12.1 MB voting span by span;
-        # the report kept 0.54 MB with a labels tuple per window, and keeps
-        # 0.05 MB with equal windows sharing one.
-        exp = desk_experiment
-        series = simulate(exp.config.sim_config(seed=5), (), 6.0)
-        monkeypatch.setattr(forest, "_cores", lambda: 2)
-        predict_batch(exp.model, series.currents()[:10])  # builds the walk tables
-        tracemalloc.start()
-        try:
-            report = run_diagnosis(exp.model, series, exp.config.diagnosis_config())
-            gc.collect()
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # scaled copy of the stream, 12.0-12.1 MB voting span by span over
+        # the whole resampled stream, and is 9.8 MB diagnosing it block by
+        # block; the report kept 0.54 MB with a labels tuple per window, and
+        # keeps 0.05 MB with equal windows sharing one.
+        peak, retained, report = self.traced_peak(desk_experiment, 6.0)
         assert len(report.per_window_history) == 299 and not report.protection_signal
-        assert peak < 14.5e6
+        assert peak < 11.5e6
         assert retained < 0.2e6
+
+    def test_peak_does_not_grow_with_the_stream(self, desk_experiment):
+        # whole-stream arrays put 12 s at 15.5 MB and 3 s at 9.6 MB; block
+        # by block they peak at 9.9 and 9.7 MB
+        long_peak, _, long_report = self.traced_peak(desk_experiment, 12.0)
+        short_peak, _, short_report = self.traced_peak(desk_experiment, 3.0)
+        assert len(long_report.per_window_history) == 598 and len(short_report.per_window_history) == 148
+        assert long_peak - short_peak < 1e6
 
     def test_refuses_non_finite_current(self):
         series = simulate(SimConfig(amplitude=16.5), (), 0.1)
@@ -236,6 +256,102 @@ class TestRunDiagnosis:
         # the acquired sample is named, not the row of the resampled stream
         with pytest.raises(ValueError, match=r"sample 1000 at t = 0\.0390625 s"):
             run_diagnosis(self.tiny_model(), series, DiagnosisConfig())
+
+
+def piece(series, lo, hi):
+    """Samples lo..hi - 1 of a series, copied."""
+    return TriPhaseSeries(
+        t=series.t[lo:hi].copy(), i_a=series.i_a[lo:hi].copy(), i_b=series.i_b[lo:hi].copy(),
+        i_c=series.i_c[lo:hi].copy(), sample_rate=series.sample_rate,
+    )
+
+
+# samples of faulted_stream, at 25.6 kHz
+N_RAW = 2560
+
+
+def faulted_stream(exp):
+    """0.1 s that fault S1+S3 in the third period; on the desk model the
+    classifier's labels there change in runs shorter than debounce keeps."""
+    return simulate(exp.config.sim_config(seed=7), ((0.047, L13),), 0.1)
+
+
+def pushed(model, series, config, cuts):
+    """The windows that push returned and the finish() report, by repr, of
+    the series pushed in chunks that end before each cut."""
+    diagnoser = Diagnoser(model, config)
+    bounds = [0, *cuts, series.n_samples]
+    windows = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        windows += diagnoser.push(piece(series, lo, hi))
+    return repr(tuple(windows)), repr(diagnoser.finish())
+
+
+class TestDiagnoser:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(1, N_RAW - 1), max_size=12, unique=True).map(sorted),
+        block_rows=st.sampled_from([61, 997, diagnosis._BLOCK_ROWS]),
+        confirm=st.sampled_from([1, 2, 3]),
+    )
+    @example(cuts=list(range(1, N_RAW)), block_rows=diagnosis._BLOCK_ROWS, confirm=2)  # one sample each
+    @example(cuts=list(range(300, N_RAW, 300)), block_rows=997, confirm=2)  # shorter than a window
+    @example(cuts=[500], block_rows=diagnosis._BLOCK_ROWS, confirm=1)  # inside the phase-reference scan
+    @example(cuts=[1281], block_rows=diagnosis._BLOCK_ROWS, confirm=1)  # inside a short label run
+    @example(cuts=[64, 67, 1792, 1795], block_rows=61, confirm=1)  # one sample before a grid point
+    def test_any_chunks_give_the_windows_and_report_of_one_push(self, desk_experiment, cuts, block_rows, confirm):
+        # the cuts of the examples are pinned by test_the_examples_cut_where_they_say
+        exp = desk_experiment
+        series = faulted_stream(exp)
+        config = exp.config.diagnosis_config()
+        with mock.patch.object(diagnosis, "_CONFIRM_WINDOWS", confirm):
+            whole = pushed(exp.model, series, config, [])
+            with mock.patch.object(diagnosis, "_BLOCK_ROWS", block_rows):
+                assert pushed(exp.model, series, config, cuts) == whole
+
+    def test_the_examples_cut_where_they_say(self, desk_experiment):
+        exp = desk_experiment
+        series = faulted_stream(exp)
+        config = exp.config.diagnosis_config()
+        rs = resample(series, config.target_rate)
+        masks = classify_stream(exp.model, rs)
+        assert series.n_samples == N_RAW and config.window_samples == 200
+        # sample 500 comes before the last grid point the reference scans
+        assert series.t[500] < rs.t[2 * 200]
+        # the cut at 1281 puts grid point 500 before it and 501 after: the
+        # two points of a run the debounce suppresses
+        assert rs.t[500] <= series.t[1280] < rs.t[501]
+        assert masks[499] != masks[500] == masks[501] != masks[502]
+        assert 2 < config.debounce_min_run
+        # each cut leaves a grid point one sample ahead, on a sample or
+        # between two
+        for cut, k in [(64, 25), (67, 26), (1792, 700), (1795, 701)]:
+            assert series.t[cut - 1] < rs.t[k] <= series.t[cut]
+        assert rs.t[25] == series.t[64] and rs.t[700] == series.t[1792]
+        # confirm 2 latches across a cut between windows, confirm 3 never
+        report = run_diagnosis(exp.model, series, config)
+        assert [w.fused for w in report.per_window_history] == [NO_FAULT, L13, L13]
+
+    def test_refusals_of_a_stream(self, desk_experiment):
+        exp = desk_experiment
+        series = faulted_stream(exp)
+        config = exp.config.diagnosis_config()
+        diagnoser = Diagnoser(exp.model, config)
+        diagnoser.push(piece(series, 0, 1000))
+        with pytest.raises(ValueError, match=r"starting at t = 0\.0390234375 s does not follow"):
+            diagnoser.push(piece(series, 999, 2000))
+        # the acquired sample is counted from the start of the stream
+        bad = piece(series, 1000, 2000)
+        bad.i_a[500] = np.nan
+        with pytest.raises(ValueError, match=r"acquired sample 1500 at t = 0\.05859375 s"):
+            diagnoser.push(bad)
+        one = Diagnoser(exp.model, config)
+        one.push(piece(series, 0, 1))
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            one.finish()
+        slow = replace(piece(series, 0, 100), sample_rate=5000.0)
+        with pytest.raises(ValueError, match="does not upsample"):
+            Diagnoser(exp.model, config).push(slow)
 
 
 class TestRunDiagnosisMatchesReference:
@@ -284,6 +400,20 @@ class TestResample:
         assert np.allclose(rs.t, np.arange(rs.n_samples) / 5000.0, atol=1e-12)
         assert np.allclose(rs.i_a, np.interp(rs.t, s.t, s.i_a), atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "n, rate", [(30, 25600.0), (58, 25600.0), (59, 12800.0), (115, 12800.0), (117, 6400.0)]
+    )
+    def test_the_grid_runs_up_to_the_last_sample(self, n, rate):
+        # (n - 1) / 25600 * rate, the span in grid steps, is a whole number
+        # that floating point can round just below it
+        t = np.arange(n) / 25600.0
+        s = TriPhaseSeries(t=t, i_a=np.sin(t), i_b=np.cos(t), i_c=-np.sin(t), sample_rate=25600.0)
+        rs = resample(s, rate)
+        assert rs.n_samples == math.floor(Fraction(n - 1, 25600) * Fraction(rate)) + 1
+        assert rs.t[-1] <= t[-1] < rs.t[-1] + 1.0 / rate
+        if rate == s.sample_rate:
+            assert np.array_equal(rs.t, t) and np.array_equal(rs.i_b, s.i_b)
+
     def test_keeps_fault_timeline(self):
         s = simulate(SimConfig(amplitude=1.0), ((0.01, L1),), 0.04)
         rs = resample(s, 10000.0)
@@ -295,6 +425,15 @@ class TestResample:
         s.i_c[7] = bad
         with pytest.raises(ValueError, match="acquired sample 7 at t = 0.0002734375 s"):
             resample(s, 10000.0)
+
+    def test_huge_finite_currents_are_kept(self):
+        # their sums overflow, which alone does not make a sample non-finite
+        t = np.arange(64) / 25600.0
+        big = np.full(t.size, 1.7e308)
+        s = TriPhaseSeries(t=t, i_a=big, i_b=-big, i_c=big, sample_rate=25600.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resample(s, 25600.0).i_b.tolist() == (-big).tolist()
 
     def test_rejects_too_short_series(self):
         one = np.zeros(1)

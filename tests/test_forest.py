@@ -862,6 +862,27 @@ class TestBlockedWalk:
             sizes = [hi - lo for lo, hi in spans]
             assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= span_rows
 
+    def test_each_span_is_taken_once_by_threads_that_race_for_them(self, monkeypatch):
+        # eight threads on any number of cores race for one-row spans; a span
+        # taken twice or skipped shows in the list of span starts
+        monkeypatch.setattr(forest, "_SPAN_ROWS", 1)
+        monkeypatch.setattr(forest, "_cores", lambda: 8)
+        taken = []
+        walkers = set()
+
+        def work(lo, hi):
+            walkers.add(threading.get_ident())
+            taken.append(lo)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            forest._on_all_cores(work, 4000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(4000))
+        assert len(walkers) > 1
+
 
 def tree_codes(model, X):
     """(rows, trees) leaf label codes, each tree walked alone over the
