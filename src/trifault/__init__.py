@@ -32,7 +32,6 @@ from .forest import (
     TrainingSet,
     cross_validate,
     load_model,
-    model_from_lines,
     predict_batch,
     save_model,
     train_forest,
@@ -63,7 +62,6 @@ __all__ = [
     "default_class_labels",
     "load_config",
     "load_model",
-    "model_from_lines",
     "parse_class_token",
     "predict_batch",
     "resample",

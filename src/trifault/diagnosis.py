@@ -11,10 +11,12 @@ with none, such as an all-zero one, is refused. Inside the pipeline a
 label is its 6-bit FaultLabel.mask (S1 is bit 5, S6 bit 0), so the
 whole windows of a block are one (windows x samples) uint8 array.
 Fusion keeps the bits that each sample's 60-degree region can expose,
-from a six-entry mask table, and ORs them along each window. The first
-run of _CONFIRM_WINDOWS equal non-empty fused masks latches the fault
-set. Only the window records look masks up in LABELS, and windows with
-equal masks share one labels tuple there.
+from a six-entry mask table, and ORs them along each window. One loop
+then builds each window's record: it carries the run of equal fused
+masks from window to window and from push to push, and the first run of
+_CONFIRM_WINDOWS equal non-empty fused masks latches the fault set. Only
+that loop looks masks up in LABELS, and a window with the masks of the
+one before shares its labels tuple.
 """
 
 from __future__ import annotations
@@ -113,6 +115,23 @@ def _grid_count(t0: float, t_last: float, rate: float) -> int:
     return n
 
 
+def _refuse_bad_times(t: np.ndarray, first: int) -> None:
+    """Raise ValueError naming the first acquired sample, counted from
+    first, whose time is not finite or not after the time before it. The
+    times are checked _BLOCK_ROWS at a time, so no temporary spans a long
+    series."""
+    for lo in range(0, t.size, _BLOCK_ROWS):
+        span = t[lo : lo + _BLOCK_ROWS + 1]  # and the first of the next slice
+        bad = ~np.isfinite(span)
+        bad[1:] |= ~(span[1:] > span[:-1])
+        if bad.any():
+            k = lo + int(np.argmax(bad))
+            why = "not finite"
+            if np.isfinite(t[k]):
+                why = f"not after sample {first + k - 1} at t = {float(t[k - 1]):.9g} s"
+            raise ValueError(f"acquired sample {first + k} has the time t = {float(t[k]):.9g} s, {why}")
+
+
 def _refuse_non_finite_samples(series: TriPhaseSeries, first: int) -> None:
     """Raise ValueError naming the first sample with a non-finite current,
     counted from first, the index of the series' first acquired sample:
@@ -149,14 +168,15 @@ def resample(series: TriPhaseSeries, target_rate: float) -> TriPhaseSeries:
 
     The grid is t0 + k / target_rate, from the input's first timestamp t0
     up to and including its last one. Equal input and output rates return
-    the samples as they are. Upsampling is refused, and so is a
-    non-finite current, which interpolation would smear over its
-    neighbours.
+    the samples as they are. Upsampling is refused, and so are a time
+    that is not finite or not after the one before it and a non-finite
+    current, which interpolation would smear over its neighbours.
     """
     if series.n_samples < 2:
         raise ValueError("resample needs at least 2 samples")
     if target_rate > series.sample_rate:
         raise ValueError("resample does not upsample")
+    _refuse_bad_times(series.t, 0)
     _refuse_non_finite_samples(series, 0)
     t0 = float(series.t[0])
     k = np.arange(_grid_count(t0, float(series.t[-1]), target_rate))
@@ -214,14 +234,6 @@ def fuse_window(labels, regions) -> np.uint8 | np.ndarray:
     return np.bitwise_or.reduce(masks & _EXPOSED[regions], axis=-1)
 
 
-def _latch(fused: np.ndarray, min_run: int) -> int | None:
-    """First window of the first run of at least min_run equal non-zero
-    fused masks, or None; a healthy run (mask 0) never latches."""
-    starts, lengths = _runs(fused)
-    hits = starts[(lengths >= min_run) & (fused[starts] != 0)]
-    return int(hits[0]) if hits.size else None
-
-
 def estimate_phase_reference(series: TriPhaseSeries, fundamental: float) -> float | None:
     """Time at which phase a is at 0 degrees, or None if no phase shows it.
 
@@ -271,8 +283,9 @@ class Diagnoser:
     grid's first 2 periods + 1 sample until they fix the phase reference;
     the open label run that debounce cannot decide yet, shorter than
     debounce_min_run; and the debounced masks of the window not yet whole.
-    Besides those it keeps the run towards the latch and one labels tuple
-    per distinct window.
+    Besides those it keeps the run towards the latch, as its mask, length
+    and start time, and the last window's masks with its labels tuple:
+    nothing it keeps grows with the stream.
     """
 
     def __init__(self, model: RandomForestModel, config: DiagnosisConfig):
@@ -291,10 +304,12 @@ class Diagnoser:
         self._masks = np.empty(0, dtype=np.uint8)  # debounced, not yet windowed
         self._masks_at = 0  # grid index of _masks[0]
         self._windows = 0  # windows given out
-        self._shared: dict[bytes, tuple[FaultLabel, ...]] = {}
-        # the last run of equal fused masks: mask, windows, its first window
-        self._run: tuple[int, int, WindowRecord | None] = (0, 0, None)
-        self._latched: WindowRecord | None = None
+        # the last window's masks, as bytes, and its labels tuple
+        self._labels: tuple[bytes, tuple[FaultLabel, ...]] = (b"", ())
+        # the last run of equal fused masks: mask, windows, its start time;
+        # frozen once it latches
+        self._run: tuple[int, int, float] = (0, 0, 0.0)
+        self._latched = False
 
     def push(self, chunk: TriPhaseSeries) -> tuple[WindowRecord, ...]:
         """Diagnose the next acquired samples; returns the windows they finished."""
@@ -303,6 +318,7 @@ class Diagnoser:
         rate = self.config.target_rate
         if rate > chunk.sample_rate:
             raise ValueError("resample does not upsample")
+        _refuse_bad_times(chunk.t, self._acquired)
         _refuse_non_finite_samples(chunk, self._acquired)
         if not self._acquired:
             self._t0 = float(chunk.t[0])
@@ -343,10 +359,10 @@ class Diagnoser:
                 f"series too short: {self._grid} samples at {self.config.target_rate:g} Hz, one"
                 f" window needs {start + ws} ({ws} after the phase reference at sample {start})"
             )
-        hit = self._latched
+        mask, _, start = self._run
         return FaultReport(
-            fault_set=frozenset() if hit is None else hit.fused.switches,
-            first_detect_time=None if hit is None else hit.start_time,
+            fault_set=LABELS[mask].switches if self._latched else frozenset(),
+            first_detect_time=start if self._latched else None,
             per_window_history=tuple(records),
         )
 
@@ -418,36 +434,18 @@ class Diagnoser:
         t = self._t0 + np.arange(at, at + n * ws) / rate
         regions = region_indices(360.0 * f0 * (t - self._t_zero)).reshape(n, ws)
         fused = fuse_window(windows, regions)
-        # windows with equal masks share one labels tuple, keyed by their bytes
         records = []
-        for w, (t_lo, row, f) in enumerate(zip(t[::ws].tolist(), map(bytes, windows), fused.tolist())):
-            labels = self._shared.get(row)
-            if labels is None:
-                labels = self._shared[row] = tuple(LABELS[m] for m in row)
-            records.append(WindowRecord(self._windows + w, t_lo, labels, LABELS[f]))
-        self._windows += n
-        if self._latched is None:
-            self._carry_latch(fused, records)
+        for t_lo, row, f in zip(t[::ws].tolist(), map(bytes, windows), fused.tolist()):
+            # a window with the masks of the one before shares its labels tuple
+            if row != self._labels[0]:
+                self._labels = (row, tuple(LABELS[m] for m in row))
+            records.append(WindowRecord(self._windows, t_lo, self._labels[1], LABELS[f]))
+            self._windows += 1
+            if not self._latched:
+                mask, length, start = self._run
+                self._run = (f, length + 1, start) if f == mask else (f, 1, t_lo)
+                self._latched = f != 0 and self._run[1] >= _CONFIRM_WINDOWS
         return records
-
-    def _carry_latch(self, fused: np.ndarray, records: list[WindowRecord]) -> None:
-        """Carry the run towards the latch over the next fused windows.
-
-        The run so far enters as at most _CONFIRM_WINDOWS - 1 copies of its
-        mask: any longer and it would have latched, unless healthy.
-        """
-        mask, length, first = self._run
-        carried = min(length, _CONFIRM_WINDOWS - 1)
-        seq = np.concatenate((np.full(carried, mask, dtype=np.uint8), fused))
-        hit = _latch(seq, _CONFIRM_WINDOWS)
-        if hit is not None:
-            self._latched = first if hit < carried else records[hit - carried]
-            return
-        last = _last_run_start(seq)
-        if carried and not last:
-            self._run = (mask, length + fused.size, first)
-        else:
-            self._run = (int(seq[-1]), seq.size - last, records[last - carried])
 
 
 def run_diagnosis(
@@ -466,7 +464,7 @@ def run_diagnosis(
     Returns:
         FaultReport with the confirmed fault set, detection time (start of
         the first window of the agreeing run) and the per-window
-        debounced label history, in which windows with equal masks share
+        debounced label history, in which equal windows in a row share
         one labels tuple.
 
     The working memory does not grow with the series: the Diagnoser

@@ -1125,16 +1125,6 @@ _SPACE = np.zeros(128, dtype=np.int8)
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = 1
 
 
-class _StandIn(dict):
-    """A str.translate table that keeps each ASCII character and turns
-    any other into a space where str.split() splits at it, else DEL, so
-    the tokens of the text keep their places."""
-
-    def __missing__(self, c: int) -> int:
-        self[c] = c if c < 128 else 32 if chr(c).isspace() else 127
-        return self[c]
-
-
 def _substrings(text: str, start: np.ndarray, size: np.ndarray):
     """The substrings of text at start, of the given sizes."""
     return map(text.__getitem__, map(slice, start.tolist(), (start + size).tolist()))
@@ -1182,7 +1172,7 @@ class _BodyReader:
         if not lines:
             return
         text = "\n".join(lines)
-        code = np.frombuffer((text if text.isascii() else text.translate(_StandIn())).encode("ascii"), np.uint8)
+        code = np.frombuffer(text.encode("ascii"), np.uint8)
         edge = np.diff(_SPACE.take(code), prepend=1, append=1)
         start, end = np.flatnonzero(edge < 0), np.flatnonzero(edge > 0)  # each token's first byte and the one after
         line_end = np.cumsum(np.fromiter(map(len, lines), np.intp, len(lines)) + 1) - 1  # where each newline goes
@@ -1272,12 +1262,21 @@ class _BodyReader:
         return NodeTable(*map(np.concatenate, zip(*self.columns))), np.array(roots)
 
 
-def _model_from_chunks(chunks) -> RandomForestModel:
-    """The model held by the lines of a v1 model file, given as lists
-    that together hold them in order. Of the text, only the header lines
-    and the chunk being parsed are held. The model, or the error raised,
-    does not depend on where the chunks split the lines."""
-    chunks = iter(chunks)
+def save_model(model: RandomForestModel, path) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for chunk in _model_chunks(model):
+            fh.write("\n".join(chunk))
+            fh.write("\n")
+
+
+def load_model(path) -> RandomForestModel:
+    """The model in a v1 model file, read 256 KB of text at a time. Of
+    the text, only the header lines and the chunk being parsed are held,
+    and the model, or the error raised, does not depend on where the
+    chunks split the lines. A file with a bad line, with any line after
+    the end marker or with a byte that is not ASCII raises
+    ModelFormatError."""
+    chunks = _ascii_line_chunks(path, ModelFormatError)
     lines = []
     for chunk in chunks:  # the header may span chunks
         lines += chunk
@@ -1311,23 +1310,3 @@ def _model_from_chunks(chunks) -> RandomForestModel:
         label_universe=header["labels"],
         params=params,
     )
-
-
-def model_from_lines(lines: list[str]) -> RandomForestModel:
-    """The model held by the lines of a v1 model file, parsed as one chunk."""
-    return _model_from_chunks([lines])
-
-
-def save_model(model: RandomForestModel, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for chunk in _model_chunks(model):
-            fh.write("\n".join(chunk))
-            fh.write("\n")
-
-
-def load_model(path) -> RandomForestModel:
-    """The model in a v1 model file, read 256 KB of text at a time and
-    parsed as model_from_lines parses a list of lines: a file with a bad
-    line, with any line after the end marker or with a byte that is not
-    ASCII raises ModelFormatError."""
-    return _model_from_chunks(_ascii_line_chunks(path, ModelFormatError))

@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain, repeat
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,6 @@ from trifault.diagnosis import (
     DiagnosisConfig,
     Diagnoser,
     WindowRecord,
-    _latch,
     classify_stream,
     debounce,
     estimate_phase_reference,
@@ -120,7 +120,7 @@ def reference_run_diagnosis(model, series, config):
         fused.append(int(fuse_window(window, regions[lo : lo + ws])))
         labels = tuple(LABELS[m] for m in window.tolist())
         history.append(WindowRecord(w, float(rs.t[lo]), labels, LABELS[fused[-1]]))
-    latched = reference_latch(fused, 1)
+    latched = reference_latch(fused, diagnosis._CONFIRM_WINDOWS)
     if latched is None:
         return frozenset(), None, False, tuple(history)
     return LABELS[fused[latched]].switches, history[latched].start_time, True, tuple(history)
@@ -206,13 +206,38 @@ class TestRunDiagnosis:
         assert report.fault_set == frozenset({1, 3})
 
     def test_equal_windows_share_one_labels_tuple(self, desk_experiment):
+        # 20 000 grid rows, healthy until S1+S3 at 1.8 s: the default
+        # blocks meet at row 16 384, inside the healthy run, and every
+        # window of 200 rows spans blocks of 61
         exp = desk_experiment
-        series = simulate(exp.config.sim_config(seed=4), ((0.1, L13),), 0.3)
-        history = run_diagnosis(exp.model, series, exp.config.diagnosis_config()).per_window_history
-        first_of = {}
-        shared = [first_of.setdefault(w.labels, w.labels) is w.labels for w in history]
-        # the healthy windows before the fault are equal
-        assert all(shared) and len(first_of) < len(history)
+        config = exp.config.diagnosis_config()
+        series = simulate(exp.config.sim_config(seed=4), ((1.8, L13),), 2.0)
+        ws = config.window_samples
+        for block_rows in (61, diagnosis._BLOCK_ROWS):
+            with mock.patch.object(diagnosis, "_BLOCK_ROWS", block_rows):
+                history = run_diagnosis(exp.model, series, config).per_window_history
+            start = round((history[0].start_time - float(series.t[0])) * config.target_rate)
+            across = 0
+            for a, b in zip(history, history[1:]):
+                assert (a.labels is b.labels) == (a.labels == b.labels)
+                blocks = {(start + w.index * ws) // block_rows for w in (a, b)}
+                across += a.labels == b.labels and len(blocks) == 2
+            assert across, block_rows
+
+    def test_a_long_stream_leaves_one_labels_tuple(self):
+        # 60 s at 10 kHz, S1 open from 1 s, pushed 20 ms at a time: under
+        # noise the tiny model's labels differ from window to window (410
+        # distinct windows of 2998), and a Diagnoser that kept a tuple per
+        # distinct window would hold hundreds
+        config = DiagnosisConfig()
+        sim = SimConfig(amplitude=16.5, noise_sigma=0.3, sample_rate=10000.0, seed=9)
+        series = simulate(sim, ((1.0, L1),), 60.0)
+        diagnoser = Diagnoser(self.tiny_model(), config)
+        distinct = set()
+        for lo in range(0, series.n_samples, 200):
+            distinct.update(w.labels for w in diagnoser.push(piece(series, lo, lo + 200)))
+        assert len(distinct) > 100 and diagnoser.finish().protection_signal
+        assert len(set().union(*map(labels_tuples, vars(diagnoser).values()))) <= 1
 
     @staticmethod
     def traced_peak(exp, seconds):
@@ -250,12 +275,60 @@ class TestRunDiagnosis:
         assert len(long_report.per_window_history) == 598 and len(short_report.per_window_history) == 148
         assert long_peak - short_peak < 1e6
 
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            # once taken for a 2000-row grid and a 9-window report
+            (
+                {2000: 2001 / 25600, 2001: 2000 / 25600},
+                r"2001 has the time t = 0\.078125 s, not after sample 2000 at t = 0\.0781640625 s",
+            ),
+            # once refused for a NaN grid count, or for a resampled row
+            ({-1: np.nan}, r"5119 has the time t = nan s, not finite"),
+            ({3000: np.nan}, r"3000 has the time t = nan s, not finite"),
+        ],
+        ids=["swapped", "last-nan", "nan"],
+    )
+    @pytest.mark.parametrize("block_rows", [2000, 2001, diagnosis._BLOCK_ROWS])
+    def test_refuses_times_that_do_not_increase(self, times, message, block_rows):
+        # checked block_rows samples at a time: 2000 and 2001 put the
+        # swapped pair on either side of a slice boundary
+        series = simulate(SimConfig(amplitude=16.5), (), 0.2)
+        for k, t in times.items():
+            series.t[k] = t
+        message = "acquired sample " + message
+        model, config = self.tiny_model(), DiagnosisConfig()
+        with mock.patch.object(diagnosis, "_BLOCK_ROWS", block_rows):
+            with pytest.raises(ValueError, match=message):
+                resample(series, config.target_rate)
+            with pytest.raises(ValueError, match=message):
+                run_diagnosis(model, series, config)
+            # a stream counts its samples from its start
+            diagnoser = Diagnoser(model, config)
+            diagnoser.push(piece(series, 0, 1000))
+            with pytest.raises(ValueError, match=message):
+                diagnoser.push(piece(series, 1000, series.n_samples))
+
     def test_refuses_non_finite_current(self):
         series = simulate(SimConfig(amplitude=16.5), (), 0.1)
         series.i_b[1000] = np.nan
         # the acquired sample is named, not the row of the resampled stream
         with pytest.raises(ValueError, match=r"sample 1000 at t = 0\.0390625 s"):
             run_diagnosis(self.tiny_model(), series, DiagnosisConfig())
+
+
+def labels_tuples(value) -> set[int]:
+    """ids of the labels tuples that a value holds: itself, or in its
+    window records, tuples, lists and dicts, at any depth."""
+    if isinstance(value, WindowRecord):
+        value = value.labels
+    if isinstance(value, tuple) and value and all(isinstance(x, FaultLabel) for x in value):
+        return {id(value)}
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (tuple, list)):
+        return set().union(*map(labels_tuples, value))
+    return set()
 
 
 def piece(series, lo, hi):
@@ -364,14 +437,16 @@ class TestRunDiagnosisMatchesReference:
             sim = replace(sim, amplitude=sim.amplitude * (0.5 + k / 21))
             timeline = () if label.is_normal else ((0.021 + 0.0017 * k, label),)
             series = simulate(sim, timeline, 0.1)
-            report = run_diagnosis(exp.model, series, config)
-            got = (
-                report.fault_set,
-                report.first_detect_time,
-                report.protection_signal,
-                report.per_window_history,
-            )
-            assert got == reference_run_diagnosis(exp.model, series, config), str(label)
+            for confirm in (1, 2, 3):
+                with mock.patch.object(diagnosis, "_CONFIRM_WINDOWS", confirm):
+                    report = run_diagnosis(exp.model, series, config)
+                    got = (
+                        report.fault_set,
+                        report.first_detect_time,
+                        report.protection_signal,
+                        report.per_window_history,
+                    )
+                    assert got == reference_run_diagnosis(exp.model, series, config), (str(label), confirm)
 
 
 class TestResample:
@@ -522,19 +597,43 @@ class TestFuseWindow:
         assert fuse_window(masks, regions).tolist() == per_row
 
 
+# 26 periods of a healthy stream at the classifier rate: 25 or 24 whole
+# windows after the phase reference, near one period in
+LATCH_STREAM = simulate(SimConfig(amplitude=16.5, sample_rate=10000.0), (), 0.52)
+
+
 class TestLatch:
     @settings(max_examples=500, deadline=None)
     @given(
         st.lists(st.sampled_from([0, M1, M3, M13]), min_size=1, max_size=24),
         st.integers(min_value=1, max_value=4),
+        st.lists(st.integers(1, LATCH_STREAM.n_samples - 1), max_size=8, unique=True).map(sorted),
     )
-    @example([0, 0, 0, 0], 1)  # all healthy
-    @example([M1, M1, 0, 0, M3, M3], 3)  # the run that would latch is cut off at the end
-    @example([M1, M1, 0, M1, M1], 3)  # a healthy run between equal faulted runs
-    @example([M1, M1, 0, M1, M1, M1], 3)
-    def test_matches_window_loop(self, fused, min_run):
-        got = _latch(np.array(fused, dtype=np.uint8), min_run)
-        assert got == reference_latch(fused, min_run)
+    @example([0, 0, 0, 0], 1, [])  # all healthy
+    @example([M1, M1, 0, 0, M3, M3], 3, [])  # the run that would latch is cut off at the end
+    @example([M1, M1, 0, M1, M1], 3, [])  # a healthy run between equal faulted runs
+    @example([M1, M1, 0, M1, M1, M1], 3, list(range(400, 2000, 200)))  # a push per window
+    def test_matches_window_loop(self, fused, min_run, cuts):
+        # the windows fuse to the drawn masks, then to 0; classify_stream
+        # is patched, so no model is walked
+        masks = chain(fused, repeat(0))
+        bounds = [0, *cuts, LATCH_STREAM.n_samples]
+        diagnoser = Diagnoser(None, DiagnosisConfig())
+        with (
+            mock.patch.object(diagnosis, "_CONFIRM_WINDOWS", min_run),
+            mock.patch.object(diagnosis, "classify_stream", lambda _, rs: np.zeros(rs.n_samples, np.uint8)),
+            mock.patch.object(diagnosis, "fuse_window", lambda w, _: np.array([next(masks) for _ in w], np.uint8)),
+        ):
+            windows = [w for lo, hi in zip(bounds, bounds[1:]) for w in diagnoser.push(piece(LATCH_STREAM, lo, hi))]
+            report = diagnoser.finish()
+        windows += report.per_window_history
+        assert len(windows) >= len(fused)
+        expected = reference_latch(fused, min_run)
+        if expected is None:
+            assert report.first_detect_time is None and report.fault_set == frozenset()
+        else:
+            assert report.first_detect_time == windows[expected].start_time
+            assert report.fault_set == LABELS[fused[expected]].switches
 
 
 class TestMaskPipelineMatchesReference:

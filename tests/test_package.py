@@ -76,10 +76,12 @@ def _names_read(tree: ast.AST, skip: ast.AST | None = None, strings: bool = Fals
 
 
 def test_every_public_name_has_a_reader():
-    # a public name that only its own tests read is code no pipeline runs
-    modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULE_DIR.glob("*.py")}
-    outside = set(trifault.__all__)
-    outside |= _names_read(ast.parse((REPO_DIR / "tests" / "test_acceptance.py").read_text()))
+    # a public name that only its own tests read is code no pipeline runs;
+    # a re-export in __init__.py or __all__ is no reader
+    modules = {
+        p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULE_DIR.glob("*.py") if p.name != "__init__.py"
+    }
+    outside = _names_read(ast.parse((REPO_DIR / "tests" / "test_acceptance.py").read_text()))
     for path in (REPO_DIR / "perfbench").glob("*.py"):
         outside |= _names_read(ast.parse(path.read_text(encoding="utf-8")), strings=True)
     unread = []
