@@ -30,7 +30,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -173,54 +173,37 @@ def _parse_series_comment(line: str, line_no: int) -> tuple[int, float, tuple]:
     return series_id, rate, _parse_timeline(meta["timeline"], line_no)
 
 
-# characters that _line_chunks reads at a time
+# characters that _ascii_line_chunks reads at a time
 _CHUNK_CHARS = 1 << 18
 # what surrogateescape decodes a byte of 0x80 or above to
 _NOT_ASCII = re.compile("[\udc80-\udcff]")
 
 
-def _line_chunks(fh):
-    """The lines of an open text file, 256 KB of text at a time, as lists
-    that together hold what str.splitlines gives on the whole text: each
-    list ends at the last newline its text holds."""
-    tail = ""
-    while chunk := fh.read(_CHUNK_CHARS):
-        text = tail + chunk
-        cut = text.rfind("\n") + 1
-        lines, tail = text[:cut].splitlines(), text[cut:]
-        del chunk, text  # the reader holds only the lines while it parses them
-        yield lines
-        del lines
-    yield tail.splitlines()
-
-
 def _ascii_line_chunks(path, error):
-    """_line_chunks of the ASCII text file at path, which it opens and
-    closes. A byte that is not ASCII raises error naming its line, its
+    """The lines of the ASCII text file at path, which it opens and
+    closes, 256 K characters at a time, as lists that together hold what
+    str.splitlines gives on the whole text: each list ends at the last
+    newline its text holds. A byte that is not ASCII decodes as a lone
+    surrogate, which splits no line, and raises error naming its line, its
     column and its value, after the lines before it: an error that a
-    reader finds in those lines comes first, wherever the chunks fall.
-    Only then is the file read a second time, each such byte decoded as a
-    lone surrogate that splits no line, to find that line."""
-    done = 0  # lines handed out
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            for lines in _line_chunks(fh):
-                done += len(lines)
-                yield lines
-                del lines  # so that the next read does not hold these lines too
-            return
-        except UnicodeDecodeError as exc:
-            decode_error = exc
+    reader finds in those lines comes first, wherever the chunks fall."""
+    done, tail = 0, ""  # lines handed out, text after the last newline
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        before = []
-        for line in islice(chain.from_iterable(_line_chunks(fh)), done, None):
-            bad = _NOT_ASCII.search(line)
-            if bad:
-                yield before
-                line_no, byte = done + len(before) + 1, ord(bad.group()) - 0xDC00
-                raise error(f"line {line_no}: byte 0x{byte:02x} at column {bad.start() + 1} is not ASCII")
-            before.append(line)
-    raise error(f"not ASCII text: {decode_error}")  # the file changed between the reads
+        while chunk := fh.read(_CHUNK_CHARS):
+            text = tail + chunk
+            if not text.isascii():
+                lines = text.splitlines()
+                k, bad = next((k, bad) for k, line in enumerate(lines) if (bad := _NOT_ASCII.search(line)))
+                yield lines[:k]
+                byte = ord(bad.group()) - 0xDC00
+                raise error(f"line {done + k + 1}: byte 0x{byte:02x} at column {bad.start() + 1} is not ASCII")
+            cut = text.rfind("\n") + 1
+            lines, tail = text[:cut].splitlines(), text[cut:]
+            del chunk, text  # the reader holds only the lines while it parses them
+            done += len(lines)
+            yield lines
+            del lines  # so that the next read does not hold these lines too
+    yield tail.splitlines()
 
 
 def _read_block(comment, lines):

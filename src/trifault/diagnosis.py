@@ -196,12 +196,6 @@ def _runs(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(starts, append=items.size)
 
 
-def _last_run_start(items: np.ndarray) -> int:
-    """Index where the last run of equal items of a non-empty 1-D array starts."""
-    other = np.flatnonzero(items != items[-1])
-    return int(other[-1]) + 1 if other.size else 0
-
-
 def debounce(labels, min_run: int):
     """Suppress runs shorter than min_run.
 
@@ -410,7 +404,7 @@ class Diagnoser:
         out = debounce(seq, min_run)
         end = seq.size
         if not final:
-            last = _last_run_start(seq)
+            last = int(_runs(seq)[0][-1])
             if last and seq.size - last < min_run:
                 end = last
         self._held = seq[end:].copy()

@@ -88,25 +88,27 @@ deepest top levels, at most 5, that keep it within 8 entries (cells and
 rank columns) per node; a tree whose top tests read many features gets
 fewer levels.
 
-The rows are cut into the fewest equal spans of at most 4096 rows, so
-a call of up to 4096 rows walks on the calling thread alone: shorter
-spans walk no faster on two threads than on one. The calling thread
-and one helper thread per further core (or per further span, if fewer)
-each take the next span not yet taken: NumPy releases the interpreter
-lock inside the gathers and compares, so the spans walk at the same
-time. A span scales, walks and counts only its own rows, so the counts
-depend neither on the spans nor on the number of cores, and it hands
-them to a reducer of its own rows: predict_batch keeps only their label masks, so it holds no array
-over the whole batch but its one-byte-per-row result. The helpers are
-shut down before the call returns. When
-only labels are wanted, a row stops after any block where its leading
-vote beats the runner-up by more than the number of trees not yet
-walked: even if every remaining tree voted for one other label, that
-label would end below the leader, so the argmax cannot change. A margin
-equal to the trees left keeps the row walking, because a tie would go to
-the label that sorts first, which may be the runner-up. A lead is at
-most the trees walked, so no row is checked before more than half the
-trees are walked.
+The rows are cut into the fewest equal spans of at most 4096 rows, so a
+call of up to 4096 rows walks on the calling thread alone: shorter spans
+walk no faster on two threads than on one. Otherwise each span is a
+future of a pool of one helper thread per further core (or per further
+span, if fewer). The helpers take the spans from the first, and the
+calling thread takes them from the last, each one no helper has started,
+so it walks too instead of waiting; NumPy releases the interpreter lock
+inside the gathers and compares, so the spans walk at the same time. A
+span scales, walks and counts only its own rows, so the counts depend
+neither on the spans nor on the number of cores, and it returns only
+what a reducer makes of them: predict_batch keeps each span's label
+masks and joins them, so it holds one byte per row over the whole batch,
+two while it joins them. The helpers are shut down before the call
+returns. When only labels are wanted, a row stops after any block where
+its leading vote beats the runner-up by more than the number of trees
+not yet walked: even if every remaining tree voted for one other label,
+that label would end below the leader, so the argmax cannot change. A
+margin equal to the trees left keeps the row walking, because a tie
+would go to the label that sorts first, which may be the runner-up. A
+lead is at most the trees walked, so no row is checked before more than
+half the trees are walked.
 """
 
 from __future__ import annotations
@@ -114,7 +116,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -859,43 +860,33 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _on_all_cores(work, n_rows: int) -> None:
+def _on_all_cores(work, n_rows: int) -> list:
     """Cut the rows into the fewest equal spans of at most _SPAN_ROWS rows
-    and call work(lo, hi) once for each, so a call of up to _SPAN_ROWS
-    rows walks on the calling thread alone.
+    and return work(lo, hi) of each span, in row order, so a call of up to
+    _SPAN_ROWS rows walks on the calling thread alone.
 
-    With w = min(cores, spans), the calling thread and a pool of w - 1
-    helper threads each take the next span not yet taken until none is
-    left, so a faster thread takes more spans and the threads finish
-    closer together than with fixed shares. NumPy releases the interpreter lock
-    inside its gathers and compares, so the walks overlap. The pool starts
-    here and is shut down before this returns, so no thread outlives the
-    call.
+    With w = min(cores, spans) > 1, each span becomes a future of a pool of
+    w - 1 helper threads, which take them from the first. The calling
+    thread goes from the last span back and walks each span whose future
+    it can still cancel, that is, one no helper has started; then it reads
+    the helpers' results. So w threads walk, the calling thread one of
+    them, and a faster thread takes more spans. NumPy releases the
+    interpreter lock inside its gathers and compares, so the walks overlap.
+    The pool starts here and is shut down before this returns, so no thread
+    outlives the call.
     """
     if n_rows == 0:
-        return
+        return []
     n_spans = -(-n_rows // _SPAN_ROWS)
     bounds = [k * n_rows // n_spans for k in range(n_spans + 1)]
+    spans = list(zip(bounds, bounds[1:]))
     workers = min(_cores(), n_spans)
-    spans = iter(range(n_spans))
-    taking = threading.Lock()
-
-    def walk() -> None:
-        while True:
-            with taking:
-                s = next(spans, None)
-            if s is None:
-                return
-            work(bounds[s], bounds[s + 1])
-
     if workers == 1:
-        walk()
-        return
+        return [work(lo, hi) for lo, hi in spans]
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        helpers = [pool.submit(walk) for _ in range(1, workers)]
-        walk()
-        for helper in helpers:
-            helper.result()
+        futures = [pool.submit(work, lo, hi) for lo, hi in spans]
+        mine = {s: work(*spans[s]) for s in reversed(range(n_spans)) if futures[s].cancel()}
+        return [mine[s] if s in mine else future.result() for s, future in enumerate(futures)]
 
 
 def _checked_rows(model: RandomForestModel, X_raw) -> np.ndarray:
@@ -907,21 +898,22 @@ def _checked_rows(model: RandomForestModel, X_raw) -> np.ndarray:
     return X
 
 
-def _walk_spans(model: RandomForestModel, X: np.ndarray, keep, until_decided: bool) -> None:
-    """Vote on checked raw rows span by span (see _on_all_cores), calling
-    keep(lo, hi, votes) with each span's (hi - lo, classes) int32 counts.
+def _walk_spans(model: RandomForestModel, X: np.ndarray, reduce, until_decided: bool) -> list:
+    """reduce(votes) of each span of checked raw rows (see _on_all_cores),
+    in row order, votes being the span's (hi - lo, classes) int32 counts.
 
-    Each span scales its own rows, walks them and counts their votes, so
-    no array spans the whole batch here. With until_decided, a row stops
-    being walked once its label can no longer change, so its counts may
-    be partial but their argmax is the full forest's. The counts depend
-    neither on the row spans nor on the number of threads: each span
-    walks only its own rows, and the early stop is decided row by row.
+    Each span scales its own rows, walks them, counts their votes and
+    reduces them, so no array spans the whole batch here. With
+    until_decided, a row stops being walked once its label can no longer
+    change, so its counts may be partial but their argmax is the full
+    forest's. The counts depend neither on the row spans nor on the number
+    of threads: each span walks only its own rows, and the early stop is
+    decided row by row.
     """
     table, top = model._walk_table, model._top_table
     n_classes, n_trees = len(model.label_universe), model.n_trees
 
-    def walk_span(lo: int, hi: int) -> None:
+    def walk_span(lo: int, hi: int):
         X_span = normalize_apply(model.scaler, X[lo:hi])
         X_flat = X_span.ravel()
         votes = np.zeros((hi - lo, n_classes), dtype=np.int32)
@@ -946,24 +938,20 @@ def _walk_spans(model: RandomForestModel, X: np.ndarray, keep, until_decided: bo
                     break
                 live = live.take(stay)
                 cols = [col.take(stay) for col in cols]
-        keep(lo, hi, votes)
+        return reduce(votes)
 
-    _on_all_cores(walk_span, X.shape[0])
+    return _on_all_cores(walk_span, X.shape[0])
 
 
 def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -> np.ndarray:
     """(rows, classes) int32 vote counts for raw (unnormalized) feature
     rows: full counts, or with _until_decided the early-stop counts of
-    predict_batch, whose argmax is the full forest's. Each span's counts
-    are copied into the result as the span finishes."""
+    predict_batch, whose argmax is the full forest's. The spans' counts
+    are joined once every span is walked."""
     X = _checked_rows(model, X_raw)
-    out = np.empty((X.shape[0], len(model.label_universe)), dtype=np.int32)
-
-    def keep(lo: int, hi: int, votes: np.ndarray) -> None:
-        out[lo:hi] = votes
-
-    _walk_spans(model, X, keep, _until_decided)
-    return out
+    counts = _walk_spans(model, X, lambda votes: votes, _until_decided)
+    # the empty first part gives a call of no rows its (0, classes) result
+    return np.concatenate([np.empty((0, len(model.label_universe)), dtype=np.int32), *counts])
 
 
 def predict_batch(model: RandomForestModel, features) -> np.ndarray:
@@ -977,13 +965,8 @@ def predict_batch(model: RandomForestModel, features) -> np.ndarray:
     """
     X = _checked_rows(model, features)
     masks = np.array([lab.mask for lab in model.label_universe], dtype=np.uint8)
-    out = np.empty(X.shape[0], dtype=np.uint8)
-
-    def keep(lo: int, hi: int, votes: np.ndarray) -> None:
-        out[lo:hi] = masks.take(np.argmax(votes, axis=1))
-
-    _walk_spans(model, X, keep, until_decided=True)
-    return out
+    labels = _walk_spans(model, X, lambda votes: masks.take(np.argmax(votes, axis=1)), until_decided=True)
+    return np.concatenate([masks[:0], *labels])  # masks[:0]: no rows, no spans
 
 
 def stratified_folds(labels, k_folds: int, rng: np.random.Generator) -> list[np.ndarray]:

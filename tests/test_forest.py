@@ -827,7 +827,8 @@ class TestBlockedWalk:
         monkeypatch.setattr(forest, "_walk_block", traced_walk)
         monkeypatch.setattr(forest, "_cores", lambda: 2)
         assert np.array_equal(_vote_codes(model, X[:n]), counts[:n])
-        assert len(walkers) == 2
+        # the calling thread walks a span of its own instead of waiting
+        assert len(walkers) == 2 and threading.get_ident() in walkers
 
     def test_call_of_span_rows_walks_on_the_calling_thread(self, walked, monkeypatch):
         model, X, counts = walked
@@ -853,15 +854,16 @@ class TestBlockedWalk:
     def test_spans_are_equal_and_shared_by_the_cores(self, monkeypatch, n_rows, cores, span_rows, n_spans):
         monkeypatch.setattr(forest, "_SPAN_ROWS", span_rows)
         monkeypatch.setattr(forest, "_cores", lambda: cores)
-        spans = []
+        walked = []
         lock = threading.Lock()
 
         def work(lo, hi):
             with lock:
-                spans.append((lo, hi))
+                walked.append((lo, hi))
+            return lo, hi
 
-        forest._on_all_cores(work, n_rows)
-        spans.sort()
+        spans = forest._on_all_cores(work, n_rows)
+        assert spans == sorted(walked)
         assert len(spans) == n_spans
         assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
         if spans:
@@ -880,15 +882,34 @@ class TestBlockedWalk:
         def work(lo, hi):
             walkers.add(threading.get_ident())
             taken.append(lo)
+            return lo, hi
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            forest._on_all_cores(work, 4000)
+            spans = forest._on_all_cores(work, 4000)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(taken) == list(range(4000))
+        # whoever walked a span, the results come back in row order
+        assert spans == [(lo, lo + 1) for lo in range(4000)]
         assert len(walkers) > 1
+
+    @pytest.mark.parametrize("failing", [0, 5, 9])
+    def test_an_error_in_a_span_is_raised_and_no_thread_outlives_it(self, monkeypatch, failing):
+        # span 0 is most likely walked by a helper, span 9 by the calling thread
+        monkeypatch.setattr(forest, "_SPAN_ROWS", 1)
+        monkeypatch.setattr(forest, "_cores", lambda: 3)
+
+        def work(lo, hi):
+            if lo == failing:
+                raise ArithmeticError(f"span {lo}")
+            return lo
+
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"span {failing}"):
+            forest._on_all_cores(work, 10)
+        assert threading.active_count() == before
 
 
 def tree_codes(model, X):
