@@ -267,7 +267,8 @@ class Diagnoser:
     first time follows the last one pushed, and returns the WindowRecords
     that became final with them. finish() ends the stream and returns the
     FaultReport; its per_window_history holds only the windows that became
-    final at the end, since push gave out the others. Any cut of a series
+    final at the end, since push gave out the others. After finish(), the
+    stream has ended: a push or a second finish() raises. Any cut of a series
     into chunks gives the windows and the report of pushing it whole, and
     the refusals of resample and run_diagnosis, raised by the push or the
     finish() that can first tell.
@@ -304,9 +305,12 @@ class Diagnoser:
         # frozen once it latches
         self._run: tuple[int, int, float] = (0, 0, 0.0)
         self._latched = False
+        self._ended = False  # finish() was called
 
     def push(self, chunk: TriPhaseSeries) -> tuple[WindowRecord, ...]:
         """Diagnose the next acquired samples; returns the windows they finished."""
+        if self._ended:
+            raise ValueError("the stream has ended: finish() was called")
         if chunk.n_samples == 0:
             return ()
         rate = self.config.target_rate
@@ -342,6 +346,9 @@ class Diagnoser:
 
     def finish(self) -> FaultReport:
         """End the stream: the verdict, with the windows only the end made final."""
+        if self._ended:
+            raise ValueError("the stream has ended: finish() was called")
+        self._ended = True
         if self._acquired < 2:
             raise ValueError("resample needs at least 2 samples")
         if self._t_zero is None:

@@ -873,7 +873,8 @@ def _on_all_cores(work, n_rows: int) -> list:
     them, and a faster thread takes more spans. NumPy releases the
     interpreter lock inside its gathers and compares, so the walks overlap.
     The pool starts here and is shut down before this returns, so no thread
-    outlives the call.
+    outlives the call; when a span raises, the spans no helper has started
+    are dropped and the error is raised once the started ones end.
     """
     if n_rows == 0:
         return []
@@ -883,10 +884,13 @@ def _on_all_cores(work, n_rows: int) -> list:
     workers = min(_cores(), n_spans)
     if workers == 1:
         return [work(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers - 1)
+    try:
         futures = [pool.submit(work, lo, hi) for lo, hi in spans]
         mine = {s: work(*spans[s]) for s in reversed(range(n_spans)) if futures[s].cancel()}
         return [mine[s] if s in mine else future.result() for s, future in enumerate(futures)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _checked_rows(model: RandomForestModel, X_raw) -> np.ndarray:

@@ -426,6 +426,20 @@ class TestDiagnoser:
         with pytest.raises(ValueError, match="does not upsample"):
             Diagnoser(exp.model, config).push(slow)
 
+    def test_the_stream_ends_with_finish(self, desk_experiment):
+        # finish() closed the held label run; a push after it would carry
+        # on from that state and could give other windows
+        exp = desk_experiment
+        series = faulted_stream(exp)
+        diagnoser = Diagnoser(exp.model, exp.config.diagnosis_config())
+        diagnoser.push(piece(series, 0, 1300))
+        diagnoser.finish()
+        for later in (piece(series, 1300, N_RAW), piece(series, 1300, 1300)):
+            with pytest.raises(ValueError, match="the stream has ended"):
+                diagnoser.push(later)
+        with pytest.raises(ValueError, match="the stream has ended"):
+            diagnoser.finish()
+
 
 class TestRunDiagnosisMatchesReference:
     def test_every_class_at_varied_load_and_fault_instant(self, desk_experiment):

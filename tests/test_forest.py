@@ -911,6 +911,27 @@ class TestBlockedWalk:
             forest._on_all_cores(work, 10)
         assert threading.active_count() == before
 
+    def test_an_error_drops_the_spans_no_thread_has_started(self, monkeypatch):
+        # the one helper takes span 0 and holds it until the calling thread,
+        # which walks the last span first, has raised there; then the helper
+        # must not go on through the 98 queued spans
+        monkeypatch.setattr(forest, "_SPAN_ROWS", 1)
+        monkeypatch.setattr(forest, "_cores", lambda: 2)
+        walked, raised = [], threading.Event()
+
+        def work(lo, hi):
+            walked.append(lo)
+            if lo == 0:
+                raised.wait(timeout=60)
+            if lo == 99:
+                raised.set()
+                raise ArithmeticError("span 99")
+            return lo
+
+        with pytest.raises(ArithmeticError, match="span 99"):
+            forest._on_all_cores(work, 100)
+        assert len(walked) < 10
+
 
 def tree_codes(model, X):
     """(rows, trees) leaf label codes, each tree walked alone over the

@@ -1,10 +1,11 @@
-"""The package surface: every name trifault.__all__ lists is importable,
-no module imports a name it never reads, and every public name has a
-reader besides its own tests."""
+"""The package surface: the package under test is this source tree, every
+name trifault.__all__ lists is importable, no module imports a name it
+never reads, and every public name has a reader besides its own tests."""
 
 from __future__ import annotations
 
 import ast
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,15 @@ import trifault
 
 MODULE_DIR = Path(trifault.__file__).parent
 REPO_DIR = Path(__file__).resolve().parents[1]
+
+
+def test_the_package_under_test_is_this_source_tree():
+    # run from outside the checkout, the tests import an installed copy;
+    # a stale or incomplete install must fail here, not pass quietly
+    def modules(directory):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.glob("*.py")}
+
+    assert modules(MODULE_DIR) == modules(REPO_DIR / "src" / "trifault")
 
 
 def test_star_import_binds_every_public_name():
