@@ -52,11 +52,19 @@ the left, and along such a stretch the children's weighted Gini
 impurity is strictly concave, so the gain is strictly convex and peaks
 only at an end of the stretch: the first maximum of a node never lies
 inside one. A leaf limit can clip a stretch, so the first and last cut
-it allows in each run are scored too. The class counts left of each
-scored cut are exact integers, and the gains come from the same float
-operations on the same (cuts x classes) rows as when each node scored
-every cut alone: division, square, a row sum over every class, the same
-gain expression, and the first maximum per node. So the model bytes
+it allows in each run are scored too. Each such cut gets an exact score
+from integer sums, with no per-class columns: with L rows left, R right
+and SL, SR the sums of the squared class counts on each side, the
+children's L Gini_L + R Gini_R is L + R - (SL / L + SR / R), so the
+score (SL / L + SR / R) / (L + R) is the gain plus a constant of the
+node; SL and SR follow from two running sums over the run. Only the cuts
+whose score is within 1e-9 of their node's best get class counts and a
+Gini gain
+from the same float operations on the same (cuts x classes) rows as when
+each node scored every cut alone: division, square, a row sum over every
+class, the same gain expression, and the first maximum per node. The
+float gains lie within about 1e-14 of the exact ones, so every cut that
+can reach or tie the float maximum is among them. So the model bytes
 depend neither on the block size, the batches nor the draw chunk, and
 match those of growing one node at a time and scoring every cut.
 
@@ -131,6 +139,9 @@ MODEL_FORMAT_NAME = "trifault-forest"
 MODEL_FORMAT_VERSION = 1
 # gains below this are treated as float jitter, not a real improvement
 _MIN_GAIN = 1e-12
+# the split search computes a float gain only for the cuts whose exact
+# score is within this much of their node's best
+_NEAR_SCORE = 1e-9
 # inference walks the trees this many at a time ...
 _TREE_BLOCK = 16
 # ... over the fewest equal spans of at most this many rows, shared out among
@@ -149,7 +160,7 @@ _GROW_ENTRIES = 1 << 22
 # ... and scores split nodes in batches of about this many rows, summed over
 # their runs, each batch sorting its keys in one call; with m_try == 1 a
 # tree draws its features this many at a time
-_SPLIT_ROWS = 8192
+_SPLIT_ROWS = 32768
 _DRAW_CHUNK = 256
 
 
@@ -513,11 +524,12 @@ def _ranges(starts, lengths) -> np.ndarray:
 def _presort(X, codes):
     """Each feature's rows in stable sorted order, as (row, value, code,
     rank), each n_features x n: feature f's r-th row is row[f, r], with
-    value value[f, r] and class code[f, r], and rank[f, i] is row i's r."""
+    value value[f, r] and class code[f, r], and rank[f, i] is row i's r.
+    The codes are uint8: a model has at most 64 labels."""
     row = np.argsort(X.T, axis=1, kind="stable")
     rank = np.empty_like(row)
     np.put_along_axis(rank, row, np.arange(X.shape[0]), axis=1)
-    return row, np.take_along_axis(X.T, row, axis=1), codes[row], rank
+    return row, np.take_along_axis(X.T, row, axis=1), codes.astype(np.uint8)[row], rank
 
 
 def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
@@ -537,7 +549,9 @@ def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
     Only boundary points are scored, plus the first and last cut of a run
     that the leaf limit allows: a cut inside a stretch of one class has a
     strictly convex gain along the stretch, so it is never the first
-    maximum, and dropping it changes no result.
+    maximum, and dropping it changes no result. Each cut is scored from
+    exact integer sums, and only the cuts near their node's best score
+    get class counts and a Gini gain in floats.
     """
     n_nodes, m_try = feats.shape
     n_classes = counts.shape[1]
@@ -548,9 +562,11 @@ def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
     run_size = n_node[run_node]
     run_end = np.cumsum(run_size) - 1
     run_first = run_end - run_size + 1
-    feature_base = np.repeat(run_feature * n, run_size)
-    run_base = np.repeat(np.arange(run_size.size) * n, run_size)
-    place = rank[feature_base + bag[_ranges(lo[run_node], run_size)]]
+    row_run = np.repeat(np.arange(run_size.size), run_size)
+    feature_base = run_feature[row_run] * n
+    run_base = row_run * n
+    at = _ranges(lo[run_node], run_size)  # where each run's rows lie in the bag
+    place = rank[feature_base + bag[at]]
     place += run_base
     place.sort()
     # a key less run * n is the row's rank r on f, at f * n + r in the presort
@@ -561,7 +577,7 @@ def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
     differs = value[1:] != value[:-1]
     differs[run_end[:-1]] = False
     cut = np.flatnonzero(differs)
-    run = np.searchsorted(run_end, cut)
+    run = row_run[cut]
     # a cut is a boundary point when the class changes somewhere from the
     # first row of the value before it to the last row of the value after it
     class_changes = np.zeros(value.size, dtype=np.intp)  # before each row
@@ -569,8 +585,6 @@ def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
     group_first = np.maximum(np.append(0, cut[:-1] + 1), run_first[run])
     group_last = np.minimum(np.append(cut[1:], value.size), run_end[run])
     keep = class_changes[group_last] > class_changes[group_first]
-    left_n = cut + 1 - run_first[run]
-    node_n = run_size[run]
     if min_leaf > 1:
         # the leaf limit clips a run's cuts to one stretch, whose ends may
         # lie between boundary points: keep them too
@@ -578,8 +592,12 @@ def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
         last = np.searchsorted(cut, run_end - min_leaf, side="right") - 1
         some = first <= last
         keep[first[some]] = keep[last[some]] = True
-        keep &= (left_n >= min_leaf) & (node_n - left_n >= min_leaf)
-    cut, run, left_n, node_n = cut[keep], run[keep], left_n[keep], node_n[keep]
+        left_n = cut + 1 - run_first[run]
+        keep &= (left_n >= min_leaf) & (run_size[run] - left_n >= min_leaf)
+    cut = cut[keep]
+    run = row_run[cut]
+    left_n = cut + 1 - run_first[run]
+    node_n = run_size[run]
     best_feature = np.full(n_nodes, -1, dtype=np.intp)
     best_threshold = np.zeros(n_nodes)
     best_left_n = np.zeros(n_nodes, dtype=np.intp)
@@ -587,26 +605,56 @@ def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
     if not cut.size:
         return best_feature, best_threshold, best_left_n, best_left
 
-    # Exact class counts left of each cut. Count the rows after the
-    # previous cut, take away the rows of earlier runs at each run's first
-    # cut, and add up; the sums are whole numbers, exact in floats.
+    # The exact score of each cut. With L rows left, R right, N = L + R and
+    # SL, SR the sums of the squared class counts on each side, the
+    # children's L * Gini_L + R * Gini_R is N - (SL / L + SR / R), so the
+    # gain is the node's constant plus (SL / L + SR / R) / N. A row that
+    # is the k-th of its class in its run adds 2k + 1 to SL, and one of
+    # class c adds N_c, the node's count of c, to X = sum_c N_c * L_c;
+    # then SR = sum_c N_c^2 - 2X + SL. A stable sort of the codes puts
+    # each run's rows of one class together, in run order, after the rows
+    # of lower classes and those of the class in earlier runs, which
+    # gives k.
+    run_counts = counts[run_node]
+    earlier = np.cumsum(run_counts, axis=0) - run_counts  # rows of each class before each run
+    class_n = run_counts.sum(axis=0)
+    group = earlier + (np.cumsum(class_n) - class_n)  # where each (run, class) starts, sorted
+    cell = row_run * n_classes + row_codes
+    by_class = np.argsort(row_codes, kind="stable")  # uint8 codes: a radix sort
+    squares = np.empty(value.size, dtype=np.int64)
+    squares[by_class] = np.arange(1, 2 * value.size, 2)
+    squares -= 2 * group.ravel()[cell]
+    np.cumsum(squares, out=squares)  # SL through each row, plus the earlier runs' sums
+    pairs = np.cumsum(run_counts.ravel()[cell])  # X through each row, plus the same
+    # a run adds sum_c N_c^2 to either sum
+    run_squares = np.sum(run_counts * run_counts, axis=1)
+    earlier_squares = np.cumsum(run_squares) - run_squares
+    left_squares = squares[cut] - earlier_squares[run]
+    right_squares = (run_squares + earlier_squares)[run] + squares[cut] - 2 * pairs[cut]
+    node = run_node[run]
+    score = (left_squares / left_n + right_squares / (node_n - left_n)) / node_n
+    # The float gains below are within about 1e-14 of the exact gains, and
+    # the scores, all in (0, 1], within about 1e-16 of the exact ones. So
+    # a cut whose float gain reaches or ties its node's float maximum has
+    # an exact gain within about 2e-14 of the node's best, and a score
+    # within _NEAR_SCORE of the best score: dropping every other cut
+    # changes neither the maximum nor which cut comes first at it.
+    node_cuts = np.searchsorted(node, np.arange(n_nodes + 1))
+    nodes = np.flatnonzero(node_cuts[:-1] < node_cuts[1:])
+    near = np.maximum.reduceat(score, node_cuts[nodes]) - _NEAR_SCORE
+    near = np.flatnonzero(score >= np.repeat(near, node_cuts[nodes + 1] - node_cuts[nodes]))
+    cut, run, left_n, node_n, node = cut[near], run[near], left_n[near], node_n[near], node[near]
+
+    # Exact class counts left of each near-best cut: count the rows after
+    # the previous such cut, add up, and take away the rows of earlier runs.
     gap = np.zeros(value.size, dtype=np.intp)
     gap[cut + 1] = 1
     np.cumsum(gap, out=gap)  # cuts before each row
     left_counts = np.bincount(gap * n_classes + row_codes, minlength=(cut.size + 1) * n_classes)
-    left_counts = left_counts.reshape(-1, n_classes)
-    run_cuts = np.searchsorted(run, np.arange(run_size.size + 1))
-    cut_runs = np.flatnonzero(run_cuts[:-1] < run_cuts[1:])
-    run_counts = counts[run_node]
-    earlier = (np.cumsum(run_counts, axis=0) - run_counts)[cut_runs]  # rows before each run
-    left_counts[run_cuts[cut_runs]] -= np.diff(earlier, axis=0, prepend=0)
-    left_counts = left_counts.astype(np.int32)  # int32 sums run faster than int64 or float ones
-    np.cumsum(left_counts, axis=0, out=left_counts)
-    left_counts = left_counts[:-1]
+    left_counts = np.cumsum(left_counts.reshape(-1, n_classes)[:-1], axis=0) - earlier[run]
 
-    # the float operations of the per-node Gini search, one row per cut,
-    # done in place
-    node = run_node[run]
+    # the float operations of the per-node Gini search, one row per
+    # near-best cut, done in place
     p = counts / n_node[:, None]
     parent_gini = 1.0 - np.sum(p * p, axis=1)
     left = left_counts.astype(float)
@@ -621,7 +669,6 @@ def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
     gains = parent_gini[node] - (left_size * gini_left + right_size * gini_right) / node_n
 
     node_cuts = np.searchsorted(node, np.arange(n_nodes + 1))
-    nodes = np.flatnonzero(node_cuts[:-1] < node_cuts[1:])
     first = node_cuts[nodes]
     best = np.maximum.reduceat(gains, first)
     at_best = np.flatnonzero(gains == np.repeat(best, node_cuts[nodes + 1] - first))
@@ -638,8 +685,8 @@ def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
     best_left_n[nodes] = left_n[win]
     best_left[nodes] = left_counts[win]
     if nodes.size:
-        winning_runs = place[_ranges(run_first[win_run], n_node[nodes])]
-        bag[_ranges(lo[nodes], n_node[nodes])] = sorted_row[winning_runs]
+        winning_runs = _ranges(run_first[win_run], n_node[nodes])
+        bag[at[winning_runs]] = sorted_row[place[winning_runs]]
     return best_feature, best_threshold, best_left_n, best_left
 
 

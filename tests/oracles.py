@@ -5,7 +5,9 @@ module, deliberately avoiding numpy so that agreement with the library
 is evidence of correctness rather than shared code paths. The model-file
 reference is the whole-text parser that chunked loading replaced, and
 the walk-table reference is the whole-forest build that the build tree
-block by tree block replaced.
+block by tree block replaced. The split-search reference scores every
+boundary cut from a full row of class counts, as the search did before it
+scored cuts from integer sums of squared counts.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from trifault.forest import (
     _HEADER,
+    _MIN_GAIN,
     MODEL_FORMAT_NAME,
     MODEL_FORMAT_VERSION,
     ForestParams,
@@ -23,6 +26,7 @@ from trifault.forest import (
     NodeTable,
     RandomForestModel,
     _preorder_children,
+    _ranges,
     _read_header,
     _WalkTable,
 )
@@ -226,3 +230,127 @@ def reference_walk_table(nodes: NodeTable, roots: np.ndarray) -> _WalkTable:
     table.first[new[split]] = pair
     table.leaf_code[new] = leaf_code
     return table
+
+
+def reference_best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
+    """forest._best_splits scoring every boundary cut from a row of class
+    counts: (feature, threshold) of the best split of each node, or (-1, 0.0)
+    for a node whose best gain does not clear _MIN_GAIN, and how many of
+    its rows go left with their class counts (0 for such a node).
+
+    Node k owns the rows bag[lo[k] : lo[k] + n_node[k]], in any order;
+    counts[k] are its class counts and feats[k] its ascending feature
+    draw. A run is one node's rows sorted by one drawn feature: one sort
+    of the keys run * n + rank orders every run. The runs lie end to end,
+    node by node and features ascending within a node, so the first
+    maximum of a node's gains is its lowest feature's lowest threshold.
+    A split node's range of the bag is rewritten in its winning run's
+    order, so the rows that go left come first.
+
+    Only boundary points are scored, plus the first and last cut of a run
+    that the leaf limit allows: a cut inside a stretch of one class has a
+    strictly convex gain along the stretch, so it is never the first
+    maximum, and dropping it changes no result.
+    """
+    n_nodes, m_try = feats.shape
+    n_classes = counts.shape[1]
+    n = presort[0].shape[1]
+    sorted_row, sorted_value, sorted_code, rank = (a.ravel() for a in presort)
+    run_node = np.repeat(np.arange(n_nodes), m_try)
+    run_feature = feats.ravel()
+    run_size = n_node[run_node]
+    run_end = np.cumsum(run_size) - 1
+    run_first = run_end - run_size + 1
+    feature_base = np.repeat(run_feature * n, run_size)
+    run_base = np.repeat(np.arange(run_size.size) * n, run_size)
+    place = rank[feature_base + bag[_ranges(lo[run_node], run_size)]]
+    place += run_base
+    place.sort()
+    # a key less run * n is the row's rank r on f, at f * n + r in the presort
+    place += feature_base - run_base
+    value = sorted_value[place]
+    row_codes = sorted_code[place]
+    # a cut falls between two different values of one run
+    differs = value[1:] != value[:-1]
+    differs[run_end[:-1]] = False
+    cut = np.flatnonzero(differs)
+    run = np.searchsorted(run_end, cut)
+    # a cut is a boundary point when the class changes somewhere from the
+    # first row of the value before it to the last row of the value after it
+    class_changes = np.zeros(value.size, dtype=np.intp)  # before each row
+    np.cumsum(row_codes[1:] != row_codes[:-1], out=class_changes[1:])
+    group_first = np.maximum(np.append(0, cut[:-1] + 1), run_first[run])
+    group_last = np.minimum(np.append(cut[1:], value.size), run_end[run])
+    keep = class_changes[group_last] > class_changes[group_first]
+    left_n = cut + 1 - run_first[run]
+    node_n = run_size[run]
+    if min_leaf > 1:
+        # the leaf limit clips a run's cuts to one stretch, whose ends may
+        # lie between boundary points: keep them too
+        first = np.searchsorted(cut, run_first + min_leaf - 1)
+        last = np.searchsorted(cut, run_end - min_leaf, side="right") - 1
+        some = first <= last
+        keep[first[some]] = keep[last[some]] = True
+        keep &= (left_n >= min_leaf) & (node_n - left_n >= min_leaf)
+    cut, run, left_n, node_n = cut[keep], run[keep], left_n[keep], node_n[keep]
+    best_feature = np.full(n_nodes, -1, dtype=np.intp)
+    best_threshold = np.zeros(n_nodes)
+    best_left_n = np.zeros(n_nodes, dtype=np.intp)
+    best_left = np.zeros((n_nodes, n_classes), dtype=np.intp)
+    if not cut.size:
+        return best_feature, best_threshold, best_left_n, best_left
+
+    # Exact class counts left of each cut. Count the rows after the
+    # previous cut, take away the rows of earlier runs at each run's first
+    # cut, and add up; the sums are whole numbers, exact in floats.
+    gap = np.zeros(value.size, dtype=np.intp)
+    gap[cut + 1] = 1
+    np.cumsum(gap, out=gap)  # cuts before each row
+    left_counts = np.bincount(gap * n_classes + row_codes, minlength=(cut.size + 1) * n_classes)
+    left_counts = left_counts.reshape(-1, n_classes)
+    run_cuts = np.searchsorted(run, np.arange(run_size.size + 1))
+    cut_runs = np.flatnonzero(run_cuts[:-1] < run_cuts[1:])
+    run_counts = counts[run_node]
+    earlier = (np.cumsum(run_counts, axis=0) - run_counts)[cut_runs]  # rows before each run
+    left_counts[run_cuts[cut_runs]] -= np.diff(earlier, axis=0, prepend=0)
+    left_counts = left_counts.astype(np.int32)  # int32 sums run faster than int64 or float ones
+    np.cumsum(left_counts, axis=0, out=left_counts)
+    left_counts = left_counts[:-1]
+
+    # the float operations of the per-node Gini search, one row per cut,
+    # done in place
+    node = run_node[run]
+    p = counts / n_node[:, None]
+    parent_gini = 1.0 - np.sum(p * p, axis=1)
+    left = left_counts.astype(float)
+    right = counts.astype(float)[node]
+    right -= left
+    left_size = left_n.astype(float)
+    right_size = node_n - left_size
+    np.square(np.divide(left, left_size[:, None], out=left), out=left)
+    np.square(np.divide(right, right_size[:, None], out=right), out=right)
+    gini_left = 1.0 - np.sum(left, axis=1)
+    gini_right = 1.0 - np.sum(right, axis=1)
+    gains = parent_gini[node] - (left_size * gini_left + right_size * gini_right) / node_n
+
+    node_cuts = np.searchsorted(node, np.arange(n_nodes + 1))
+    nodes = np.flatnonzero(node_cuts[:-1] < node_cuts[1:])
+    first = node_cuts[nodes]
+    best = np.maximum.reduceat(gains, first)
+    at_best = np.flatnonzero(gains == np.repeat(best, node_cuts[nodes + 1] - first))
+    win = at_best[np.searchsorted(at_best, first)]  # first maximum per node
+    found = best > _MIN_GAIN
+    nodes, win = nodes[found], win[found]
+    winner, win_run = cut[win], run[win]
+    best_feature[nodes] = run_feature[win_run]
+    # the midpoint of adjacent floats a < b can round up to b, and then
+    # `<= threshold` would send every row left; a is the threshold then
+    below, above = value[winner], value[winner + 1]
+    mid = (below + above) / 2.0
+    best_threshold[nodes] = np.where(mid < above, mid, below)
+    best_left_n[nodes] = left_n[win]
+    best_left[nodes] = left_counts[win]
+    if nodes.size:
+        winning_runs = place[_ranges(run_first[win_run], n_node[nodes])]
+        bag[_ranges(lo[nodes], n_node[nodes])] = sorted_row[winning_runs]
+    return best_feature, best_threshold, best_left_n, best_left
