@@ -22,11 +22,19 @@ a time, and loading reads it 256 KB of text at a time, parsing each
 chunk's node lines in bulk into columns of the table's own dtypes and
 refusing any text after the end marker.
 
-Training grows the trees in blocks, in lockstep: step s expands the
-s-th preorder node of every tree in the block not yet finished. Each
-tree keeps its own stack and its own RNG, and draws its features once
-per split attempt in its own preorder, so its draws are those of a tree
-grown alone. With m_try = 1 a tree draws them in bulk: for one feature
+Training grows the trees in blocks, in lockstep. A block holds as many
+trees as keep its bag (below) within 5 MiB, in the narrowest unsigned
+dtype that indexes the rows (uint16 from 257 up to 65 536 rows), so the
+desk forest's 264 trees of 8000 rows (a 4.2 MB bag) grow as one block. The
+split batches, not the block, bound the rows that one step scores. A
+node is tried when it is impure, holds rows for two leaves and lies above
+the depth limit; step s tries the s-th tried node, in preorder, of every
+tree in the block not yet finished, and the leaves between two tried
+nodes are written out without a step, so the desk block takes about 750
+steps where expanding every node took about 1500. Each tree keeps its
+own stack and its own RNG, and draws its features once per split
+attempt in its own preorder, so its draws are those of a tree grown
+alone. With m_try = 1 a tree draws them in bulk: for one feature
 of k, Generator.choice(k, 1, replace=False) makes the one bounded draw
 that integers(0, k) makes and has nothing to shuffle, and
 integers(0, k, size=c) continues that stream exactly. So each tree
@@ -38,11 +46,14 @@ block's bag holds each tree's bootstrap rows end to end, a node owning
 one range of it in any order: a node sorts its rows by rank, and rows
 of equal rank are copies of one row. A split writes its rows back in
 its feature's order, so its left child owns the front of its range and
-its right child the rest. A step is one loop body: it picks the nodes to
-try, draws their features, sorts and scores them in a few array passes
-per batch (the nodes whose rows start in one span of a fixed row
-count), and writes its nodes into row s of (step x tree) columns, read
-out tree by tree at the end.
+its right child the rest. A step is one loop body: it writes out the
+leaves on top of each stack, draws the next tried nodes' features, sorts
+and scores them in a few array passes per batch (the nodes whose rows
+start in one span of a fixed row count), and pushes the children of the
+nodes that split. Each node is written as a key (its place in its
+tree's preorder, times the block's tree count, plus its tree) with its
+fields into arrays that double when full, and placed tree by tree at the
+end.
 
 Only the cuts at class boundary points are scored (Fayyad & Irani 1992;
 Elomaa & Rousu 1999): a cut is skipped when the values on both sides of
@@ -154,9 +165,12 @@ _SPAN_ROWS = 4096
 _LEAF_CHECK_STEPS = 3
 _TOP_LEVELS = 5
 _TOP_ENTRIES = 8
-# training grows as many trees at a time as keep trees x rows x features,
-# the most rows one step of the block scores, within this many entries ...
-_GROW_ENTRIES = 1 << 22
+# training grows as many trees at a time as keep the block's bag, one row
+# index per tree and row in the narrowest unsigned dtype, within this many
+# bytes: the desk forest's 264 trees of 8000 rows (uint16, 4.2 MB) grow as
+# one block, and no bag outgrows the 5.6 MB of the 174 int32 trees that
+# the earlier cap on trees x rows x features allowed ...
+_GROW_BAG_BYTES = 5 << 20
 # ... and scores split nodes in batches of about this many rows, summed over
 # their runs, each batch sorting its keys in one call; with m_try == 1 a
 # tree draws its features this many at a time
@@ -222,8 +236,12 @@ def _node_columns(n_nodes: int, n_features: int) -> NodeTable:
     """Node columns for n_nodes nodes over n_features features, in the
     dtypes above; feature and leaf_code hold -1 and threshold 0 until
     written."""
-    code = np.int8 if n_features <= np.iinfo(np.int8).max + 1 else np.intp
+    code = _feature_dtype(n_features)
     return NodeTable(np.full(n_nodes, -1, dtype=code), np.zeros(n_nodes), np.full(n_nodes, -1, dtype=np.int8))
+
+
+def _feature_dtype(n_features: int) -> type:
+    return np.int8 if n_features <= np.iinfo(np.int8).max + 1 else np.intp
 
 
 def _preorder_children(feature: np.ndarray) -> np.ndarray:
@@ -690,113 +708,177 @@ def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
     return best_feature, best_threshold, best_left_n, best_left
 
 
+def _bag_dtype(n_rows: int) -> np.dtype:
+    """The narrowest unsigned dtype that indexes n_rows rows."""
+    return np.min_scalar_type(n_rows - 1)
+
+
+class _Rows:
+    """Columns of the given dtypes that rows are appended to, a block at a
+    time, in one array each that doubles when full: so a loop that appends
+    leaves no small arrays behind to fragment the heap."""
+
+    def __init__(self, *dtypes):
+        self._columns = [np.empty(1024, dtype) for dtype in dtypes]
+        self._size = 0
+
+    def append(self, *values):
+        end = self._size + len(values[0])
+        if end > len(self._columns[0]):
+            self._columns = [
+                np.concatenate([col[: self._size], np.empty(max(end, 2 * len(col)) - self._size, col.dtype)])
+                for col in self._columns
+            ]
+        for col, value in zip(self._columns, values):
+            col[self._size : end] = value
+        self._size = end
+
+    def columns(self):
+        return [col[: self._size] for col in self._columns]
+
+
 def _grow_block(X, codes, n_classes, rngs, samples, m_try, max_depth, min_leaf):
     """Grow one tree per rng, all in lockstep, tree t on the rows
     samples[t] (X.shape[0] of them, repeats allowed, in any order).
 
-    Step s expands the s-th node, in preorder, of every tree not yet
-    finished. Each tree draws its features from its own rng, once per
-    split attempt, in its own preorder. With m_try == 1 a tree takes its
-    draw from a pool of _DRAW_CHUNK integers(0, n_features) drawn ahead
-    from its rng and refilled when used up, which yields the same
-    features as a choice() call per attempt. samples may be a generator;
-    it is read once, before the first step, so every bootstrap is drawn
-    before any feature. Returns the node columns (feature, threshold,
-    leaf_code), tree after tree, and the node count of each tree.
+    A node is tried when it is impure, holds rows for two leaves and lies
+    above the depth limit; any other node is a leaf, and so is a tried
+    node that finds no split. Step s tries the s-th tried node, in
+    preorder, of every tree not yet finished; the leaves between two tried
+    nodes are written out before the step that tries the second, so a
+    leaf takes no step. Each tree draws its features from its own rng,
+    once per split attempt, in its own preorder. With m_try == 1 a tree
+    takes its draw from a pool of _DRAW_CHUNK integers(0, n_features)
+    drawn ahead from its rng and refilled when used up, which yields the
+    same features as a choice() call per attempt. samples may be a
+    generator; it is read once, before the first step, so every bootstrap
+    is drawn before any feature. Returns the node columns (feature,
+    threshold, leaf_code), tree after tree, and the node count of each
+    tree.
     """
     n, n_features = X.shape
     n_trees = len(rngs)
     presort = _presort(X, codes)
+
+    def tried(counts, n_node, depth):
+        impure = (counts.max(axis=1) < n_node) & (n_node >= 2 * min_leaf)
+        return impure & (depth < max_depth) if max_depth is not None else impure
+
     # the bag holds every tree's sample rows, tree t at t*n .. (t+1)*n - 1,
     # and a node owns one range of it
-    bag = np.empty(n_trees * n, dtype=np.int32 if n < 2**31 else np.intp)
+    bag = np.empty(n_trees * n, dtype=_bag_dtype(n))
     # Each tree's pending nodes lie end to end: the next one starts at
     # start[t]; entry k < height[t] of the stack holds where a pending
-    # node ends, its depth and its class counts, the next node's on top.
+    # node ends, its depth, its class counts and the code it votes for as
+    # a leaf, the next node's on top. A stack of height h falls to height
+    # kept[t, h] once the leaves on its top are written out.
     start = np.arange(n_trees) * n
     height = np.ones(n_trees, dtype=np.intp)
     stack_end = np.zeros((n_trees, 8), dtype=np.intp)
     stack_depth = np.zeros_like(stack_end)
     stack_counts = np.zeros((n_trees, 8, n_classes), dtype=np.intp)
+    stack_code = np.zeros((n_trees, 8), dtype=np.int8)
+    kept = np.zeros((n_trees, 9), dtype=np.intp)
     stack_end[:, 0] = start + n
     for t, sample in enumerate(samples):
         bag[t * n : (t + 1) * n] = sample
         stack_counts[t, 0] = np.bincount(codes[sample], minlength=n_classes)
+    # a leaf votes for its first plurality: the sorted-label tie-break
+    stack_code[:, 0] = np.argmax(stack_counts[:, 0], axis=1)
+    kept[:, 1] = tried(stack_counts[:, 0], n, 0)  # a root that is a leaf falls to 0
     # with m_try == 1, tree t's next draws are pool[t, drawn[t]:]; the pool
     # is filled on first use, after every bootstrap
     pool = np.empty((n_trees, _DRAW_CHUNK), dtype=np.int64)
     drawn = np.full(n_trees, _DRAW_CHUNK)
-    # row s, column t: the s-th node of tree t in preorder, written in
-    # place, so the steps leave no small arrays behind
-    grown = NodeTable(*(col.reshape(-1, n_trees) for col in _node_columns(64 * n_trees, n_features)))
+    # The nodes written so far: the leaves' keys and codes, the splits'
+    # keys, features and thresholds. The i-th node of tree t in preorder has
+    # the key i * n_trees + t; a tree has at most 2n - 1 nodes.
+    key_dtype = np.min_scalar_type(2 * n * n_trees)
+    leaves = _Rows(key_dtype, np.int8)
+    splits = _Rows(key_dtype, _feature_dtype(n_features), np.float64)
     sizes = np.zeros(n_trees, dtype=np.intp)
-    step = 0
-    while height.any():
-        tree = np.flatnonzero(height)
+    tree = np.arange(n_trees)
+    while True:
+        # write out the leaves on top of each stack, the top one first
+        keep = kept[tree, height[tree]]
+        popped = np.flatnonzero(keep < height[tree])
+        if popped.size:
+            t, keep = tree[popped], keep[popped]
+            n_leaves = height[t] - keep
+            at = _ranges(sizes[t], n_leaves)
+            owner = np.repeat(t, n_leaves)
+            # the j-th leaf written out of a stack of height h is entry h - 1 - j
+            entry = np.repeat(height[t] - 1 + sizes[t], n_leaves) - at
+            leaves.append(at * n_trees + owner, stack_code[owner, entry])
+            sizes[t] += n_leaves
+            start[t] = stack_end[t, keep]
+            height[t] = keep
+            tree = tree[height[tree] > 0]
+        if not tree.size:
+            break
         top = height[tree] - 1
         lo, hi = start[tree], stack_end[tree, top]
         depth, counts = stack_depth[tree, top], stack_counts[tree, top]
         n_node = hi - lo
-        feature = np.full(tree.size, -1, dtype=np.intp)
-        threshold = np.zeros(tree.size)
-        n_left = np.zeros(tree.size, dtype=np.intp)
-        left = np.zeros((tree.size, n_classes), dtype=np.intp)
-        tried = (counts.max(axis=1) < n_node) & (n_node >= 2 * min_leaf) & (n_node >= 2)
-        if max_depth is not None:
-            tried &= depth < max_depth
-        tried = np.flatnonzero(tried)
         if m_try == 1 < n_features:
-            drawing = tree[tried]
-            for t in drawing[drawn[drawing] == _DRAW_CHUNK].tolist():
+            for t in tree[drawn[tree] == _DRAW_CHUNK].tolist():
                 pool[t] = rngs[t].integers(0, n_features, size=_DRAW_CHUNK)
                 drawn[t] = 0
-            feats = pool[drawing, drawn[drawing]][:, None]
-            drawn[drawing] += 1
+            feats = pool[tree, drawn[tree]][:, None]
+            drawn[tree] += 1
         elif m_try < n_features:
-            draws = (rngs[t].choice(n_features, m_try, replace=False) for t in tree[tried].tolist())
+            draws = (rngs[t].choice(n_features, m_try, replace=False) for t in tree.tolist())
             feats = np.sort(list(draws))
         else:
-            feats = np.broadcast_to(np.arange(n_features), (tried.size, n_features))
+            feats = np.broadcast_to(np.arange(n_features), (tree.size, n_features))
         # A batch holds the nodes whose first run starts in one span of
         # _SPLIT_ROWS rows, so at most that many rows plus one node's runs,
         # and sorts them in one call.
-        runs = m_try * n_node[tried]
+        runs = m_try * n_node
         span = (np.cumsum(runs) - runs) // _SPLIT_ROWS
-        edges = [*np.unique(span, return_index=True)[1].tolist(), tried.size]
-        for a, b in zip(edges, edges[1:]):
-            k = tried[a:b]
-            feature[k], threshold[k], n_left[k], left[k] = _best_splits(
-                presort, bag, lo[k], n_node[k], counts[k], feats[a:b], min_leaf
-            )
-        leaf = feature < 0
-        if step == grown.feature.shape[0]:  # twice the rows; the new ones are overwritten
-            grown = NodeTable(*(np.concatenate([col, col]) for col in grown))
-        grown.feature[step, tree], grown.threshold[step, tree] = feature, threshold
-        # a leaf votes for its first plurality: the sorted-label tie-break
-        grown.leaf_code[step, tree] = np.where(leaf, np.argmax(counts, axis=1), -1)
-        sizes[tree] += 1
-        step += 1
-        # a leaf is done: its tree moves on to the next pending node
-        height[tree[leaf]] -= 1
-        start[tree[leaf]] = hi[leaf]
-        split = np.flatnonzero(~leaf)
+        edges = [*np.unique(span, return_index=True)[1].tolist(), tree.size]
+        batches = [
+            _best_splits(presort, bag, lo[a:b], n_node[a:b], counts[a:b], feats[a:b], min_leaf)
+            for a, b in zip(edges, edges[1:])
+        ]
+        feature, threshold, n_left, left = map(np.concatenate, zip(*batches))
+        # a node that found no split is a leaf, written out with those under it
+        failed = np.flatnonzero(feature < 0)
+        kept[tree[failed], top[failed] + 1] = kept[tree[failed], top[failed]]
+        split = np.flatnonzero(feature >= 0)
         if not split.size:
             continue
+        t, k = tree[split], top[split]
+        splits.append(sizes[t] * n_trees + t, feature[split], threshold[split])
+        sizes[t] += 1
         if height.max() == stack_end.shape[1]:
-            stack_end, stack_depth, stack_counts = (
-                np.concatenate([s, np.zeros_like(s)], axis=1)
-                for s in (stack_end, stack_depth, stack_counts)
+            width = stack_end.shape[1]
+            stack_end, stack_depth, stack_counts, stack_code, kept = (
+                np.concatenate([s, np.zeros_like(s[:, :width])], axis=1)
+                for s in (stack_end, stack_depth, stack_counts, stack_code, kept)
             )
         # the right child keeps the node's end; the left child comes next
-        t, k = tree[split], top[split]
-        stack_end[t, k + 1] = lo[split] + n_left[split]
-        stack_depth[t, k] = stack_depth[t, k + 1] = depth[split] + 1
-        stack_counts[t, k] = counts[split] - left[split]
-        stack_counts[t, k + 1] = left[split]
+        n_l, d = n_left[split], depth[split] + 1
+        left_counts = left[split]
+        right_counts = counts[split] - left_counts
+        stack_end[t, k + 1] = lo[split] + n_l
+        stack_depth[t, k] = stack_depth[t, k + 1] = d
+        stack_counts[t, k], stack_counts[t, k + 1] = right_counts, left_counts
+        stack_code[t, k] = np.argmax(right_counts, axis=1)
+        stack_code[t, k + 1] = np.argmax(left_counts, axis=1)
+        kept[t, k + 1] = np.where(tried(right_counts, n_node[split] - n_l, d), k + 1, kept[t, k])
+        kept[t, k + 2] = np.where(tried(left_counts, n_l, d), k + 2, kept[t, k + 1])
         height[t] += 1
-    # tree t takes part in steps 0 .. sizes[t] - 1
-    mine = np.arange(step) < sizes[:, None]
-    return (*(col[:step].T[mine] for col in grown), sizes)
+    del bag, presort  # freed before the node columns are built
+    # tree t's nodes lie from offset[t] on, in preorder
+    offset = np.cumsum(sizes) - sizes
+    nodes = _node_columns(int(sizes.sum()), n_features)
+    for (keys, *values), columns in ((leaves.columns(), nodes[2:]), (splits.columns(), nodes[:2])):
+        at = offset[keys % n_trees]
+        at += keys // n_trees
+        for column, value in zip(columns, values):
+            column[at] = value
+    return (*nodes, sizes)
 
 
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -814,6 +896,13 @@ def _grow_indexed_block(X_norm, codes, n_classes, params: ForestParams, trees: r
     return _grow_block(
         X_norm, codes, n_classes, rngs, samples, m_try, params.max_depth, params.min_samples_leaf
     )
+
+
+def _block_trees(n_rows: int, n_trees: int, workers: int) -> int:
+    """Trees per block: as many as keep the block's bag within
+    _GROW_BAG_BYTES, at least one, and at most 1/workers of the trees."""
+    per_tree = n_rows * _bag_dtype(n_rows).itemsize
+    return min(max(1, _GROW_BAG_BYTES // per_tree), -(-n_trees // workers))
 
 
 def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 1) -> RandomForestModel:
@@ -840,10 +929,17 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     n_classes = masks.size
 
     workers = min(n_jobs, params.n_trees, _cores())
-    block = min(max(1, _GROW_ENTRIES // X_norm.size), -(-params.n_trees // workers))
+    block = _block_trees(ts.n_rows, params.n_trees, workers)
     blocks = [range(b, min(b + block, params.n_trees)) for b in range(0, params.n_trees, block)]
     grow = partial(_grow_indexed_block, X_norm, codes, n_classes, params)
     if workers > 1:
+        if getattr(multiprocessing.current_process(), "_inheriting", False):
+            # a worker still importing an unguarded main module: refuse before
+            # a pool makes semaphores that the dying worker would leak
+            raise RuntimeError(
+                "train_forest with n_jobs > 1 was called while a worker process was starting;"
+                ' the calling script needs an `if __name__ == "__main__":` guard'
+            )
         # NumPy's OpenBLAS threads already run in this process, and a fork
         # copies only the thread that forks, so the workers start afresh
         method = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"

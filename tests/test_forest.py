@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import re
@@ -452,6 +453,20 @@ class TestLockstepGrowth:
         assert model_to_lines(train_forest(ts, params)) == default
 
 
+@contextlib.contextmanager
+def grown_blocks(monkeypatch):
+    """The tree count of each block that in-process training grows."""
+    blocks, grow = [], forest._grow_indexed_block
+
+    def counted(X_norm, codes, n_classes, params, trees):
+        blocks.append(len(trees))
+        return grow(X_norm, codes, n_classes, params, trees)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(forest, "_grow_indexed_block", counted)
+        yield blocks
+
+
 def random_preorder_tree(rng, depth=0):
     """Feature column of a random full binary tree in preorder."""
     if depth == 8 or rng.random() < 0.35:
@@ -537,10 +552,44 @@ class TestForestTraining:
         ts = blob_set(np.random.default_rng(7), spread=1.2)
         one_block = model_to_lines(train_forest(ts, ForestParams(n_trees=25, seed=3)))
         # blocks of 10, 10 and 5 trees, in-process and over two workers
-        monkeypatch.setattr(forest, "_GROW_ENTRIES", 10 * ts.features.size)
-        seq = train_forest(ts, ForestParams(n_trees=25, seed=3), n_jobs=1)
+        monkeypatch.setattr(forest, "_GROW_BAG_BYTES", 10 * ts.n_rows * forest._bag_dtype(ts.n_rows).itemsize)
+        with grown_blocks(monkeypatch) as blocks:
+            seq = train_forest(ts, ForestParams(n_trees=25, seed=3), n_jobs=1)
+        assert blocks == [10, 10, 5]
         par = train_forest(ts, ForestParams(n_trees=25, seed=3), n_jobs=2)
         assert model_to_lines(seq) == model_to_lines(par) == one_block
+
+    def test_blocks_past_the_16_bit_edge(self, monkeypatch):
+        # 65 537 rows of one class but the last, which lies apart on every
+        # feature: a tree splits it off only if its bag holds that row's
+        # index, 65 536, which does not fit 16 bits
+        X = np.random.default_rng(43).normal(size=(2**16 + 1, 3))
+        X[-1] = 10.0
+        labels = masks(L0, L1)[(np.arange(len(X)) == len(X) - 1).astype(int)]
+        ts = TrainingSet(features=X, labels=labels, feature_names=("i_a", "i_b", "i_c"))
+        # both trees' bootstraps draw the last row, so both split it off
+        params = ForestParams(n_trees=2, max_depth=3, seed=9)
+        assert forest._bag_dtype(ts.n_rows) == np.uint32 and forest._bag_dtype(2**16) == np.uint16
+        with grown_blocks(monkeypatch) as blocks:
+            model = train_forest(ts, params)
+        assert (model.nodes.feature[model.roots] >= 0).all()
+        monkeypatch.setattr(forest, "_GROW_BAG_BYTES", ts.n_rows * forest._bag_dtype(ts.n_rows).itemsize)
+        with grown_blocks(monkeypatch) as blocks_of_one:
+            assert model_to_lines(train_forest(ts, params)) == model_to_lines(model)
+        assert (blocks, blocks_of_one) == ([2], [1, 1])
+
+    def test_a_block_bag_stays_within_its_bytes(self):
+        # the desk forest, 264 trees on 8000 rows, grows as one block, and
+        # no bag outgrows the largest the 4 M-entry cap allowed (174 trees
+        # of 8000 int32 rows), however many trees are asked for
+        assert forest._block_trees(8000, 264, 1) == 264
+        assert forest._block_trees(8000, 264, 2) == 132
+        assert forest._GROW_BAG_BYTES <= 174 * 8000 * 4
+        for n_rows in (150, 8000, 2**16, 2**16 + 1, 10**6):
+            for n_trees in (1, 264, 10**4):
+                block = forest._block_trees(n_rows, n_trees, 1)
+                assert 1 <= block <= n_trees
+                assert block * n_rows * forest._bag_dtype(n_rows).itemsize <= forest._GROW_BAG_BYTES
 
     def test_jobs_are_capped_by_the_cores_this_process_may_use(self, monkeypatch):
         ts = blob_set(np.random.default_rng(7))
@@ -576,6 +625,8 @@ class TestForestTraining:
         )
         assert done.returncode == 1
         assert re.search(r'^RuntimeError: .*`if __name__ == "__main__":` guard', done.stderr, re.M)
+        # a starting worker refuses before it makes a pool of its own
+        assert "leaked semaphore" not in done.stderr
 
     def test_per_tree_rng_isolated_by_index(self):
         a = tree_rng(5, 0).integers(0, 1000, 4)
