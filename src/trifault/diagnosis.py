@@ -5,7 +5,9 @@ classify every sample, debounce the label stream, then fuse
 period-aligned windows. A Diagnoser takes the stream chunk by chunk and
 works through the classifier grid _BLOCK_ROWS rows at a time, so it
 holds no per-sample array of the whole stream; run_diagnosis pushes one
-series as one chunk. Windows and regions sit on phase a's angle,
+series as one chunk. Its state advances only at window boundaries: it
+carries the raw masks since the last window out and debounces them after
+that window's last mask. Windows and regions sit on phase a's angle,
 measured from the first clean zero crossing of phase a, b or c; a series
 with none, such as an all-zero one, is refused. Inside the pipeline a
 label is its 6-bit FaultLabel.mask (S1 is bit 5, S6 bit 0), so the
@@ -150,17 +152,15 @@ def _refuse_non_finite_samples(series: TriPhaseSeries, first: int) -> None:
         )
 
 
-def _interpolated(series: TriPhaseSeries, t_grid: np.ndarray, rate: float) -> TriPhaseSeries:
-    """The series linearly interpolated at the grid times, which must lie
-    within its time range."""
-    return TriPhaseSeries(
-        t=t_grid,
-        i_a=np.interp(t_grid, series.t, series.i_a),
-        i_b=np.interp(t_grid, series.t, series.i_b),
-        i_c=np.interp(t_grid, series.t, series.i_c),
-        sample_rate=rate,
-        fault_timeline=series.fault_timeline,
-    )
+def _columns(series: TriPhaseSeries) -> tuple[np.ndarray, ...]:
+    return series.t, series.i_a, series.i_b, series.i_c
+
+
+def _interpolated(columns, t_grid: np.ndarray, rate: float, fault_timeline=()) -> TriPhaseSeries:
+    """Acquired columns (t, i_a, i_b, i_c) linearly interpolated at the
+    grid times, which must lie within their time range."""
+    t, *currents = columns
+    return TriPhaseSeries(t_grid, *(np.interp(t_grid, t, i) for i in currents), rate, fault_timeline)
 
 
 def resample(series: TriPhaseSeries, target_rate: float) -> TriPhaseSeries:
@@ -180,7 +180,7 @@ def resample(series: TriPhaseSeries, target_rate: float) -> TriPhaseSeries:
     _refuse_non_finite_samples(series, 0)
     t0 = float(series.t[0])
     k = np.arange(_grid_count(t0, float(series.t[-1]), target_rate))
-    return _interpolated(series, t0 + k / target_rate, target_rate)
+    return _interpolated(_columns(series), t0 + k / target_rate, target_rate, series.fault_timeline)
 
 
 def classify_stream(model: RandomForestModel, series: TriPhaseSeries) -> np.ndarray:
@@ -256,10 +256,6 @@ def estimate_phase_reference(series: TriPhaseSeries, fundamental: float) -> floa
     return None
 
 
-def _columns(series: TriPhaseSeries) -> tuple[np.ndarray, ...]:
-    return series.t, series.i_a, series.i_b, series.i_c
-
-
 class Diagnoser:
     """The online pipeline over a stream that arrives chunk by chunk.
 
@@ -273,14 +269,17 @@ class Diagnoser:
     the refusals of resample and run_diagnosis, raised by the push or the
     finish() that can first tell.
 
-    Between chunks it carries no more than a few periods of samples: the
-    last acquired sample, which the next grid points interpolate from; the
-    grid's first 2 periods + 1 sample until they fix the phase reference;
-    the open label run that debounce cannot decide yet, shorter than
-    debounce_min_run; and the debounced masks of the window not yet whole.
-    Besides those it keeps the run towards the latch, as its mask, length
-    and start time, and the last window's masks with its labels tuple:
-    nothing it keeps grows with the stream.
+    Stream state advances only at window boundaries. Between chunks it
+    carries the last acquired sample, which the next grid points
+    interpolate from; the grid's first 2 periods + 1 sample until they fix
+    the phase reference; and the tail, the raw masks classified since the
+    last window it gave out, or since the stream began until the first
+    window is out. Once a window is out the tail holds fewer than
+    window_samples + debounce_min_run masks: the rest of a window and the
+    last label run, which debounce cannot decide while it is shorter than
+    debounce_min_run. Besides those it keeps the run towards the latch, as
+    its mask, length and start time, and the last window's masks with its
+    labels tuple: nothing it keeps grows with the stream.
     """
 
     def __init__(self, model: RandomForestModel, config: DiagnosisConfig):
@@ -293,11 +292,8 @@ class Diagnoser:
         self._scan: list[tuple[np.ndarray, ...]] = []  # the grid until the reference
         self._t_zero: float | None = None  # phase a's 0 degrees
         self._start = 0  # grid index of the first window
-        # debounce_min_run copies of the last debounced mask given out
-        self._accepted = np.empty(0, dtype=np.uint8)
-        self._held = np.empty(0, dtype=np.uint8)  # the undecided run, raw
-        self._masks = np.empty(0, dtype=np.uint8)  # debounced, not yet windowed
-        self._masks_at = 0  # grid index of _masks[0]
+        # raw masks from grid index _grid - _tail.size on, not yet windowed
+        self._tail = np.empty(0, dtype=np.uint8)
         self._windows = 0  # windows given out
         # the last window's masks, as bytes, and its labels tuple
         self._labels: tuple[bytes, tuple[FaultLabel, ...]] = (b"", ())
@@ -338,8 +334,15 @@ class Diagnoser:
             around = [x[max(j_lo, 0) : j_hi] for x in _columns(chunk)]
             if j_lo < 0:
                 around = [np.concatenate(pair) for pair in zip(self._last, around)]
-            raw = TriPhaseSeries(*around, sample_rate=chunk.sample_rate)
-            records += self._classify(_interpolated(raw, t_grid, rate))
+            rs = _interpolated(around, t_grid, rate)
+            masks = classify_stream(self.model, rs)
+            if self._t_zero is None:
+                wanted = 2 * self.config.window_samples + 1 - lo
+                self._scan.append(tuple(x[:wanted].copy() for x in _columns(rs)))
+                if rs.n_samples >= wanted:
+                    self._find_reference()
+            self._grid += rs.n_samples
+            records += self._window(masks, final=False)
         self._acquired += chunk.n_samples
         self._last = tuple(x[-1:].copy() for x in _columns(chunk))
         return tuple(records)
@@ -353,7 +356,7 @@ class Diagnoser:
             raise ValueError("resample needs at least 2 samples")
         if self._t_zero is None:
             self._find_reference()
-        records = self._window(self._debounce(np.empty(0, dtype=np.uint8), final=True))
+        records = self._window(np.empty(0, dtype=np.uint8), final=True)
         if not self._windows:
             ws, start = self.config.window_samples, self._start
             raise ValueError(
@@ -366,17 +369,6 @@ class Diagnoser:
             first_detect_time=start if self._latched else None,
             per_window_history=tuple(records),
         )
-
-    def _classify(self, rs: TriPhaseSeries) -> list[WindowRecord]:
-        """Classify the next grid block and window what that made final."""
-        masks = classify_stream(self.model, rs)
-        if self._t_zero is None:
-            wanted = 2 * self.config.window_samples + 1 - self._grid
-            self._scan.append(tuple(x[:wanted].copy() for x in _columns(rs)))
-            if rs.n_samples >= wanted:
-                self._find_reference()
-        self._grid += rs.n_samples
-        return self._window(self._debounce(masks, final=False))
 
     def _find_reference(self) -> None:
         """Fix the phase reference, from the grid scanned so far, and the first window."""
@@ -395,43 +387,39 @@ class Diagnoser:
             start %= self.config.window_samples
         self._t_zero, self._start, self._scan = t_zero, start, []
 
-    def _debounce(self, masks: np.ndarray, final: bool) -> np.ndarray:
-        """The debounced masks that the next raw masks make final.
+    def _window(self, masks: np.ndarray, final: bool) -> list[WindowRecord]:
+        """Records of the windows that the next raw masks complete.
 
-        The held run and the masks follow debounce_min_run copies of the
-        last mask given out. Those copies form an accepted run, so the rest
-        debounces as it would in the whole stream. Unless final, the last
-        run stays held while it is shorter than debounce_min_run and not
-        the stream's first: the next chunk may make it long enough.
+        The tail debounces behind a lead, the last mask given out, which is
+        what a short run at the tail's start takes in the whole stream. As
+        the first run the lead is accepted, so the tail debounces as it
+        would in the whole stream. Before the first window there is no lead:
+        the tail starts the stream. Unless final, the last run stays
+        undecided while it is shorter than debounce_min_run and not the
+        first: the next masks may make it long enough. The decided whole
+        windows go out, and the tail keeps what follows them.
         """
-        min_run, lead = self.config.debounce_min_run, self._accepted.size
-        seq = np.concatenate((self._accepted, self._held, masks))
-        if seq.size == lead:
-            return masks
-        out = debounce(seq, min_run)
+        self._tail = np.concatenate((self._tail, masks))
+        if self._t_zero is None:
+            return []
+        ws, min_run = self.config.window_samples, self.config.debounce_min_run
+        # until the first window is out, the tail starts the stream
+        skip = 0 if self._windows else self._start
+        lead = np.frombuffer(self._labels[0][-1:], dtype=np.uint8)
+        seq = np.concatenate((lead, self._tail))
         end = seq.size
         if not final:
             last = int(_runs(seq)[0][-1])
-            if last and seq.size - last < min_run:
+            if last and end - last < min_run:
                 end = last
-        self._held = seq[end:].copy()
-        self._accepted = np.full(min_run, out[end - 1], dtype=np.uint8)
-        return out[lead:end]
-
-    def _window(self, masks: np.ndarray) -> list[WindowRecord]:
-        """Records of the windows that the next debounced masks complete."""
-        self._masks = np.concatenate((self._masks, masks))
-        if self._t_zero is None:
-            return []
-        ws, rate, f0 = self.config.window_samples, self.config.target_rate, self.config.fundamental
-        skip = min(max(self._start - self._masks_at, 0), self._masks.size)
-        n = (self._masks.size - skip) // ws
-        windows = self._masks[skip : skip + n * ws].reshape(n, ws)
-        at = self._masks_at + skip
-        self._masks = self._masks[skip + n * ws :].copy()
-        self._masks_at = at + n * ws
+        lo = lead.size + skip
+        n = max(end - lo, 0) // ws
         if not n:
             return []
+        windows = debounce(seq[:end], min_run)[lo : lo + n * ws].reshape(n, ws)
+        at = self._grid - self._tail.size + skip  # the first window's grid index
+        self._tail = self._tail[skip + n * ws :].copy()
+        rate, f0 = self.config.target_rate, self.config.fundamental
         t = self._t0 + np.arange(at, at + n * ws) / rate
         regions = region_indices(360.0 * f0 * (t - self._t_zero)).reshape(n, ws)
         fused = fuse_window(windows, regions)

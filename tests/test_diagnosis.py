@@ -366,17 +366,24 @@ class TestDiagnoser:
         cuts=st.lists(st.integers(1, N_RAW - 1), max_size=12, unique=True).map(sorted),
         block_rows=st.sampled_from([61, 997, diagnosis._BLOCK_ROWS]),
         confirm=st.sampled_from([1, 2, 3]),
+        min_run=st.sampled_from([1, 5, 37, 250]),
     )
-    @example(cuts=list(range(1, N_RAW)), block_rows=diagnosis._BLOCK_ROWS, confirm=2)  # one sample each
-    @example(cuts=list(range(300, N_RAW, 300)), block_rows=997, confirm=2)  # shorter than a window
-    @example(cuts=[500], block_rows=diagnosis._BLOCK_ROWS, confirm=1)  # inside the phase-reference scan
-    @example(cuts=[1281], block_rows=diagnosis._BLOCK_ROWS, confirm=1)  # inside a short label run
-    @example(cuts=[64, 67, 1792, 1795], block_rows=61, confirm=1)  # one sample before a grid point
-    def test_any_chunks_give_the_windows_and_report_of_one_push(self, desk_experiment, cuts, block_rows, confirm):
-        # the cuts of the examples are pinned by test_the_examples_cut_where_they_say
+    @example(cuts=list(range(1, N_RAW)), block_rows=diagnosis._BLOCK_ROWS, confirm=2, min_run=5)  # one sample each
+    @example(cuts=list(range(300, N_RAW, 300)), block_rows=997, confirm=2, min_run=5)  # shorter than a window
+    @example(cuts=[500], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=5)  # inside the phase-reference scan
+    @example(cuts=[1281], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=5)  # inside a short label run
+    @example(cuts=[64, 67, 1792, 1795], block_rows=61, confirm=1, min_run=5)  # one sample before a grid point
+    # inside a label run across two window starts, still short at the cut
+    @example(cuts=[1076], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=350)
+    def test_any_chunks_give_the_windows_and_report_of_one_push(
+        self, desk_experiment, cuts, block_rows, confirm, min_run
+    ):
+        # the cuts of the examples are pinned by test_the_examples_cut_where_they_say;
+        # a debounce_min_run over the 200-sample window lets an undecided
+        # run span a whole window and a push, as at the cut of 1076
         exp = desk_experiment
         series = faulted_stream(exp)
-        config = exp.config.diagnosis_config()
+        config = replace(exp.config.diagnosis_config(), debounce_min_run=min_run)
         with mock.patch.object(diagnosis, "_CONFIRM_WINDOWS", confirm):
             whole = pushed(exp.model, series, config, [])
             with mock.patch.object(diagnosis, "_BLOCK_ROWS", block_rows):
@@ -401,9 +408,33 @@ class TestDiagnoser:
         for cut, k in [(64, 25), (67, 26), (1792, 700), (1795, 701)]:
             assert series.t[cut - 1] < rs.t[k] <= series.t[cut]
         assert rs.t[25] == series.t[64] and rs.t[700] == series.t[1792]
+        # the cut at 1076 ends the first push at grid point 419, inside the
+        # 399-point run from 101 across the window starts 201 and 401: the
+        # 319 points seen are short of a debounce_min_run of 350, and the
+        # window that ends at 401 must wait for the run to be decided
+        assert rs.t[419] <= series.t[1075] < rs.t[420]
+        starts, lengths = diagnosis._runs(masks)
+        assert (101, 399) in zip(starts.tolist(), lengths.tolist())
         # confirm 2 latches across a cut between windows, confirm 3 never
         report = run_diagnosis(exp.model, series, config)
         assert [w.fused for w in report.per_window_history] == [NO_FAULT, L13, L13]
+        assert report.per_window_history[0].start_time == rs.t[201]
+
+    @pytest.mark.parametrize("min_run", [5, 250])
+    def test_the_carry_stays_bounded(self, desk_experiment, min_run):
+        # what a Diagnoser carries between pushes is the rest of a window and
+        # the last label run, which is undecided while shorter than min_run
+        exp = desk_experiment
+        config = replace(exp.config.diagnosis_config(), debounce_min_run=min_run)
+        series = simulate(exp.config.sim_config(seed=7), ((0.047, L13),), 0.5)
+        step = round(0.02 * series.sample_rate)
+        diagnoser = Diagnoser(exp.model, config)
+        windows = 0
+        for lo in range(0, series.n_samples, step):
+            windows += len(diagnoser.push(piece(series, lo, lo + step)))
+            if windows:
+                assert diagnoser._tail.size < config.window_samples + min_run
+        assert windows + len(diagnoser.finish().per_window_history) == 23
 
     def test_refusals_of_a_stream(self, desk_experiment):
         exp = desk_experiment
@@ -427,7 +458,7 @@ class TestDiagnoser:
             Diagnoser(exp.model, config).push(slow)
 
     def test_the_stream_ends_with_finish(self, desk_experiment):
-        # finish() closed the held label run; a push after it would carry
+        # finish() decided the last label run; a push after it would carry
         # on from that state and could give other windows
         exp = desk_experiment
         series = faulted_stream(exp)
@@ -648,6 +679,36 @@ class TestLatch:
         else:
             assert report.first_detect_time == windows[expected].start_time
             assert report.fault_set == LABELS[fused[expected]].switches
+
+
+class TestDebounceAcrossChunks:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([0, M1, M3, M13]), st.integers(1, 300)), min_size=1, max_size=40),
+        st.sampled_from([1, 5, 37, 250]),
+        st.lists(st.integers(1, LATCH_STREAM.n_samples - 1), max_size=8, unique=True).map(sorted),
+    )
+    # a run across the first window's start at 200, short at a cut after
+    # that window's end and long in the end
+    @example([(0, 160), (M1, 300)], 250, [405])
+    def test_any_chunks_debounce_the_whole_stream(self, runs, min_run, cuts):
+        # the classifier gives the drawn runs, then healthy masks; the grid
+        # is the acquired samples, so no model is walked
+        masks = np.concatenate([np.full(n, m, np.uint8) for m, n in runs])
+        masks = np.concatenate((masks, np.zeros(LATCH_STREAM.n_samples, np.uint8)))
+
+        def classified(_, rs):
+            return masks[np.rint((rs.t - LATCH_STREAM.t[0]) * rs.sample_rate).astype(int)]
+
+        config = replace(DiagnosisConfig(), debounce_min_run=min_run)
+        with mock.patch.object(diagnosis, "classify_stream", classified):
+            whole = pushed(None, LATCH_STREAM, config, [])
+            assert pushed(None, LATCH_STREAM, config, cuts) == whole
+            history = run_diagnosis(None, LATCH_STREAM, config).per_window_history
+        start = round((history[0].start_time - LATCH_STREAM.t[0]) * config.target_rate)
+        expected = debounce(masks[: LATCH_STREAM.n_samples], min_run)[start:].tolist()
+        got = [lab.mask for w in history for lab in w.labels]
+        assert got == expected[: len(got)]
 
 
 class TestMaskPipelineMatchesReference:
