@@ -2,14 +2,17 @@
 
 Pipeline: resample the acquired series down to the classifier rate,
 classify every sample, debounce the label stream, then fuse
-period-aligned windows. A Diagnoser takes the stream chunk by chunk and
-works through the classifier grid _BLOCK_ROWS rows at a time, so it
-holds no per-sample array of the whole stream; run_diagnosis pushes one
-series as one chunk. Its state advances only at window boundaries: it
-carries the raw masks since the last window out and debounces them after
-that window's last mask. Windows and regions sit on phase a's angle,
-measured from the first clean zero crossing of phase a, b or c; a series
-with none, such as an all-zero one, is refused. Inside the pipeline a
+period-aligned windows. A sample is classified with the forest's stop
+for streams: one whose leader holds 15 of the first 16 tree votes takes
+that label, and any other the full forest's. A Diagnoser takes the
+stream chunk by chunk and works through the classifier grid _BLOCK_ROWS
+rows at a time, so it holds no per-sample array of the whole stream;
+run_diagnosis pushes one series as one chunk. Its state advances only at
+window boundaries: it carries the raw masks since the last window out
+and debounces them after that window's last mask. Windows and regions
+sit on phase a's angle, measured from the first clean zero crossing of
+phase a, b or c; a series with none, such as an all-zero one, is
+refused. Inside the pipeline a
 label is its 6-bit FaultLabel.mask (S1 is bit 5, S6 bit 0), so the
 whole windows of a block are one (windows x samples) uint8 array.
 Fusion keeps the bits that each sample's 60-degree region can expose,
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forest import _SPAN_ROWS, RandomForestModel, predict_batch
+from .forest import _SPAN_ROWS, RandomForestModel, _stream_stop, predict_batch
 from .simulate import (
     LABELS,
     PHASE_OFFSETS_DEG,
@@ -184,10 +187,17 @@ def resample(series: TriPhaseSeries, target_rate: float) -> TriPhaseSeries:
 
 
 def classify_stream(model: RandomForestModel, series: TriPhaseSeries) -> np.ndarray:
-    """Per-sample forest label masks (uint8) for an already-resampled series."""
+    """Per-sample forest label masks (uint8) for an already-resampled series.
+
+    A sample whose leader holds 15 of the first 16 tree votes takes that
+    leader without walking the other trees (forest._stream_stop); any
+    other sample gets the full forest's label. The label of a sample
+    depends on its own currents only, so any cut of a stream into chunks
+    labels it alike.
+    """
     if model.n_features != 3:
         raise ValueError("streaming classification expects a 3-feature model")
-    return predict_batch(model, series.currents())
+    return predict_batch(model, series.currents(), _stop=_stream_stop)
 
 
 def _runs(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -120,14 +120,23 @@ neither on the spans nor on the number of cores, and it returns only
 what a reducer makes of them: predict_batch keeps each span's label
 masks and joins them, so it holds one byte per row over the whole batch,
 two while it joins them. The helpers are shut down before the call
-returns. When only labels are wanted, a row stops after any block where
-its leading vote beats the runner-up by more than the number of trees
-not yet walked: even if every remaining tree voted for one other label,
-that label would end below the leader, so the argmax cannot change. A
-margin equal to the trees left keeps the row walking, because a tie
-would go to the label that sorts first, which may be the runner-up. A
-lead is at most the trees walked, so no row is checked before more than
-half the trees are walked.
+returns.
+
+When only labels are wanted, a stop rule is asked after each block which
+rows walk on. predict_batch's rule is exact: a row stops after any block
+where its leading vote beats the runner-up by more than the number of
+trees not yet walked: even if every remaining tree voted for one other
+label, that label would end below the leader, so the argmax cannot
+change. A margin equal to the trees left keeps the row walking, because
+a tie would go to the label that sorts first, which may be the
+runner-up. A lead is at most the trees walked, so no row is checked
+before more than half the trees are walked. The stream's rule adds a
+statistical stop (Hernandez-Lobato, Martinez-Munoz & Suarez 2009): after
+the first 16 trees, a row whose leader holds 15 of their votes stops
+with that label, which the other trees overturn with a chance below
+1.4e-4 if they are independent draws. The rows still live then walk the
+rest of the forest in blocks of as many trees as keep a block within the
+(row, tree) pairs of the span's first, so few live rows walk long blocks.
 """
 
 from __future__ import annotations
@@ -165,6 +174,9 @@ _SPAN_ROWS = 4096
 _LEAF_CHECK_STEPS = 3
 _TOP_LEVELS = 5
 _TOP_ENTRIES = 8
+# the stream's statistical stop: a row whose leader holds this many of its
+# first _TREE_BLOCK votes stops walking (see _stream_stop)
+_SETTLE_VOTES = 15
 # training grows as many trees at a time as keep the block's bag, one row
 # index per tree and row in the narrowest unsigned dtype, within this many
 # bytes: the desk forest's 264 trees of 8000 rows (uint16, 4.2 MB) grow as
@@ -702,7 +714,10 @@ def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
     best_threshold[nodes] = np.where(mid < above, mid, below)
     best_left_n[nodes] = left_n[win]
     best_left[nodes] = left_counts[win]
-    if nodes.size:
+    if nodes.size == run_size.size:
+        # every run won: one feature per node, and every node split
+        bag[at] = sorted_row[place]
+    elif nodes.size:
         winning_runs = _ranges(run_first[win_run], n_node[nodes])
         bag[at[winning_runs]] = sorted_row[place[winning_runs]]
     return best_feature, best_threshold, best_left_n, best_left
@@ -1045,17 +1060,58 @@ def _checked_rows(model: RandomForestModel, X_raw) -> np.ndarray:
     return X
 
 
-def _walk_spans(model: RandomForestModel, X: np.ndarray, reduce, until_decided: bool) -> list:
+def _exact_stop(votes, live, walked, n_trees):
+    """predict_batch's stop rule: which of the live rows of a span walk on
+    after `walked` trees, as indices into `live`, and how many trees they
+    walk next; `votes` holds the span's counts. A row stops when its
+    leader beats the runner-up by more than the trees left: then no later
+    vote can change its argmax. A lead is at most the trees walked, so no
+    row stops before half the trees, and a one-class model never stops a
+    row. The rows walk on 16 trees at a time."""
+    if 2 * walked <= n_trees:
+        return np.arange(live.size), _TREE_BLOCK
+    lead = np.sort(votes.take(live, axis=0), axis=1)[:, -2:]
+    return np.flatnonzero(lead[:, -1] - lead[:, 0] <= n_trees - walked), _TREE_BLOCK
+
+
+def _stream_stop(votes, live, walked, n_trees):
+    """classify_stream's stop rule: the exact stop, and after the first
+    _TREE_BLOCK trees a statistical one, the instance-based pruning of
+    Hernandez-Lobato, Martinez-Munoz & Suarez (IEEE TPAMI 2009). A row
+    whose leader holds _SETTLE_VOTES of its first 16 votes stops with that
+    leader as its label. Taking the trees as independent draws and the
+    leader's share under a uniform prior, its share is Beta(16, 2) after
+    15 of 16 votes, and the beta-binomial chance that the other 248 trees
+    of a 264-tree forest overturn it (or tie it, all other labels taken as
+    one) is 9.5e-5; for any forest size it is below the share's chance of
+    lying under one half, 9 / 65536 = 1.4e-4.
+
+    The rows still live then walk the remaining trees in blocks of
+    max(16, 16 * span rows // live rows), so a block holds no more (row,
+    tree) pairs than the span's first. The long blocks are what make the
+    stop pay: a block steps down to the deepest leaf that any of its live
+    rows reaches, so a few live rows cost about as much per 16-tree block
+    as the whole span. The rule reads only a row's own counts, so a row
+    gets the same label in any span, but its partial counts depend on the
+    blocks."""
+    stay, _ = _exact_stop(votes, live, walked, n_trees)
+    if walked == _TREE_BLOCK:
+        stay = stay.take(np.flatnonzero(votes.take(live.take(stay), axis=0).max(axis=1) < _SETTLE_VOTES))
+    return stay, max(_TREE_BLOCK, _TREE_BLOCK * len(votes) // max(stay.size, 1))
+
+
+def _walk_spans(model: RandomForestModel, X: np.ndarray, reduce, stop) -> list:
     """reduce(votes) of each span of checked raw rows (see _on_all_cores),
     in row order, votes being the span's (hi - lo, classes) int32 counts.
 
     Each span scales its own rows, walks them, counts their votes and
-    reduces them, so no array spans the whole batch here. With
-    until_decided, a row stops being walked once its label can no longer
-    change, so its counts may be partial but their argmax is the full
-    forest's. The counts depend neither on the row spans nor on the number
-    of threads: each span walks only its own rows, and the early stop is
-    decided row by row.
+    reduces them, so no array spans the whole batch here. The trees are
+    walked in blocks, 16 at first. With no stop rule every row walks every
+    tree, 16 at a time. A stop rule (_exact_stop, _stream_stop) is asked
+    after each block but the last which rows walk on and how many trees
+    they walk next; a row it stops keeps partial counts. The rules decide
+    row by row, so the labels depend neither on the row spans nor on the
+    number of threads.
     """
     table, top = model._walk_table, model._top_table
     n_classes, n_trees = len(model.label_universe), model.n_trees
@@ -1067,20 +1123,19 @@ def _walk_spans(model: RandomForestModel, X: np.ndarray, reduce, until_decided: 
         live = np.arange(hi - lo)
         # a value equal to a cut takes that cut's column: it goes left there
         cols = [np.searchsorted(cut, X_span[:, f], side="left") for f, cut in zip(top.features, top.cuts)]
-        for b in range(0, n_trees, _TREE_BLOCK):
-            trees = slice(b, b + _TREE_BLOCK)
+        walked, block = 0, _TREE_BLOCK
+        while walked < n_trees:
+            trees = slice(walked, walked + block)
             cell = top.rank[0][trees].take(cols[0], axis=1)
             for rank, col in zip(top.rank[1:], cols[1:]):
                 cell += rank[trees].take(col, axis=1)
             rows, codes = _walk_block(X_flat, model.n_features, table, live, top.entry.take(cell))
             votes += np.bincount(rows * n_classes + codes, minlength=votes.size).reshape(votes.shape)
-            walked = min(b + _TREE_BLOCK, n_trees)
-            # a row whose leader beats the runner-up by more than the trees
-            # left is decided; a one-class model never is. A lead is at
-            # most the trees walked, so no row is decided before half.
-            if until_decided and 2 * walked > n_trees:
-                lead = np.sort(votes[live], axis=1)[:, -2:]
-                stay = np.flatnonzero(lead[:, -1] - lead[:, 0] <= n_trees - walked)
+            walked = min(walked + block, n_trees)
+            if stop is None or walked == n_trees:
+                continue
+            stay, block = stop(votes, live, walked, n_trees)
+            if stay.size < live.size:
                 if not stay.size:
                     break
                 live = live.take(stay)
@@ -1090,18 +1145,18 @@ def _walk_spans(model: RandomForestModel, X: np.ndarray, reduce, until_decided: 
     return _on_all_cores(walk_span, X.shape[0])
 
 
-def _vote_codes(model: RandomForestModel, X_raw, _until_decided: bool = False) -> np.ndarray:
+def _vote_codes(model: RandomForestModel, X_raw, stop=None) -> np.ndarray:
     """(rows, classes) int32 vote counts for raw (unnormalized) feature
-    rows: full counts, or with _until_decided the early-stop counts of
-    predict_batch, whose argmax is the full forest's. The spans' counts
-    are joined once every span is walked."""
+    rows: full counts, or the partial counts that a stop rule leaves
+    (_exact_stop for predict_batch's, _stream_stop for classify_stream's).
+    The spans' counts are joined once every span is walked."""
     X = _checked_rows(model, X_raw)
-    counts = _walk_spans(model, X, lambda votes: votes, _until_decided)
+    counts = _walk_spans(model, X, lambda votes: votes, stop)
     # the empty first part gives a call of no rows its (0, classes) result
     return np.concatenate([np.empty((0, len(model.label_universe)), dtype=np.int32), *counts])
 
 
-def predict_batch(model: RandomForestModel, features) -> np.ndarray:
+def predict_batch(model: RandomForestModel, features, *, _stop=_exact_stop) -> np.ndarray:
     """Majority-vote label mask (uint8) per row; ties go to the sorted-label
     order.
 
@@ -1109,10 +1164,13 @@ def predict_batch(model: RandomForestModel, features) -> np.ndarray:
     stop and reduced to its masks on its own, so the working memory is a
     few arrays per span in flight plus one byte per row for the result;
     the labels equal the argmax of the full counts of _vote_codes.
+
+    _stop is private: classify_stream passes _stream_stop, whose labels
+    may differ from the full forest's (see there).
     """
     X = _checked_rows(model, features)
     masks = np.array([lab.mask for lab in model.label_universe], dtype=np.uint8)
-    labels = _walk_spans(model, X, lambda votes: masks.take(np.argmax(votes, axis=1)), until_decided=True)
+    labels = _walk_spans(model, X, lambda votes: masks.take(np.argmax(votes, axis=1)), _stop)
     return np.concatenate([masks[:0], *labels])  # masks[:0]: no rows, no spans
 
 

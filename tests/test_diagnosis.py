@@ -360,6 +360,36 @@ def pushed(model, series, config, cuts):
     return repr(tuple(windows)), repr(diagnoser.finish())
 
 
+class TestClassifyStream:
+    def test_takes_the_stream_stop(self):
+        # 64 one-leaf trees: the first 16 vote S1 and the other 48 healthy;
+        # the stream keeps the settled leader of the first 16
+        codes = np.array([1] * 16 + [0] * 48, dtype=np.int8)
+        model = forest.RandomForestModel(
+            nodes=forest.NodeTable(np.full(64, -1, dtype=np.int8), np.zeros(64), codes),
+            roots=np.arange(64),
+            feature_names=("i_a", "i_b", "i_c"),
+            scaler=np.ones(3),
+            label_universe=(NO_FAULT, L1),
+            params=ForestParams(n_trees=64),
+        )
+        series = simulate(SimConfig(amplitude=16.5), (), 0.01)
+        assert classify_stream(model, series).tolist() == [M1] * series.n_samples
+        assert predict_batch(model, series.currents()).tolist() == [NO_FAULT.mask] * series.n_samples
+
+    @pytest.mark.parametrize("timeline", [(), ((0.05, L13),)], ids=["healthy", "S1+S3"])
+    def test_desk_labels_are_the_full_forests(self, desk_experiment, timeline):
+        exp = desk_experiment
+        config = exp.config.diagnosis_config()
+        rs = resample(simulate(exp.config.sim_config(seed=61), timeline, 1.0), config.target_rate)
+        full = forest._vote_codes(exp.model, rs.currents())
+        masks = np.array([lab.mask for lab in exp.model.label_universe], dtype=np.uint8)
+        assert np.array_equal(classify_stream(exp.model, rs), masks[np.argmax(full, axis=1)])
+        # most rows stop after the first 16 trees
+        walked = forest._vote_codes(exp.model, rs.currents(), forest._stream_stop).sum(axis=1)
+        assert np.mean(walked == forest._TREE_BLOCK) > 0.5
+
+
 class TestDiagnoser:
     @settings(max_examples=25, deadline=None)
     @given(

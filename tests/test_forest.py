@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -14,6 +15,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -32,6 +34,8 @@ from trifault.forest import (
     ModelFormatError,
     NodeTable,
     TrainingSet,
+    _exact_stop,
+    _stream_stop,
     _vote_codes,
     bootstrap_sample,
     cross_validate,
@@ -1036,7 +1040,7 @@ class TestEarlyStop:
         n_classes = len(model.label_universe)
         full = np.stack([np.bincount(c, minlength=n_classes) for c in codes])
         assert np.array_equal(_vote_codes(model, X), full)
-        partial = _vote_codes(model, X, _until_decided=True)
+        partial = _vote_codes(model, X, _exact_stop)
         assert np.array_equal(partial, early_stop_reference(codes, n_classes))
         walked = partial.sum(axis=1)
         # rows stop at several blocks, and some are walked to the end
@@ -1048,9 +1052,134 @@ class TestEarlyStop:
         # every tree votes the fault label: the lead equals the trees walked
         model = single_leaf_forest(*["100000"] * n_trees)
         X = np.zeros((3, 1))
-        partial = _vote_codes(model, X, _until_decided=True)
+        partial = _vote_codes(model, X, _exact_stop)
         assert np.array_equal(partial, early_stop_reference(tree_codes(model, X), 2))
         assert partial.tolist() == [[0, walked]] * 3
+
+
+def overturn_chance(lead, walked, n_trees):
+    """The beta-binomial chance that the n_trees - walked trees left end
+    with the leader of `walked` votes, `lead` of them its own, not ahead of
+    all the other labels together: its share Beta(lead + 1, walked - lead
+    + 1) under a uniform prior, each later tree an independent draw."""
+    def beta(a, b):  # B(a, b) of whole a, b
+        return Fraction(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
+
+    a, b, left = lead + 1, walked - lead + 1, n_trees - walked
+    # k more votes leave the leader lead + k against walked - lead + left - k
+    most = (walked - 2 * lead + left) // 2
+    return sum(math.comb(left, k) * beta(k + a, left - k + b) for k in range(most + 1)) / beta(a, b)
+
+
+def stream_stop_reference(codes, n_classes):
+    """Labels of the stream's stop, row by row: the leader of the first 16
+    votes when it holds at least 15 of them, else the full forest's."""
+    first = np.stack([np.bincount(c[:16], minlength=n_classes) for c in codes])
+    full = np.stack([np.bincount(c, minlength=n_classes) for c in codes])
+    settled = (first.max(axis=1) >= 15) & (codes.shape[1] > 16)
+    return np.where(settled, np.argmax(first, axis=1), np.argmax(full, axis=1))
+
+
+class TestStreamStop:
+    """The statistical stop that classify_stream asks for."""
+
+    def test_settled_first_block_outvotes_the_rest(self):
+        # the first 16 trees vote S1, the other 48 healthy: the stream keeps
+        # the settled leader, predict_batch walks on to the full forest's
+        model = single_leaf_forest(*["100000"] * 16, *["000000"] * 48)
+        X = np.zeros((3, 1))
+        assert predict_batch(model, X, _stop=_stream_stop).tolist() == [L1.mask] * 3
+        assert _vote_codes(model, X, _stream_stop).tolist() == [[0, 16]] * 3
+        assert predict_batch(model, X).tolist() == [L0.mask] * 3
+
+    def test_fourteen_of_sixteen_walks_on(self):
+        # a leader with 14 of the first 16 votes is not settled
+        model = single_leaf_forest(*["100000"] * 14, *["000000"] * 50)
+        assert predict_batch(model, np.zeros((1, 1)), _stop=_stream_stop).tolist() == [L0.mask]
+        assert _vote_codes(model, np.zeros((1, 1)), _stream_stop).sum() > 16
+
+    def test_exact_stop_still_applies_after_each_block(self):
+        # S1 holds 14 of the first 16 votes, so the row walks on, in 16-tree
+        # blocks as its span's only row; after 48 trees S1 leads by 44 with
+        # 16 left
+        model = single_leaf_forest(*["000000"] * 2, *["100000"] * 62)
+        assert _vote_codes(model, np.zeros((1, 1)), _stream_stop).tolist() == [[2, 46]]
+
+    def test_fifteen_of_sixteen_stops(self):
+        model = single_leaf_forest("000000", *["100000"] * 15, *["000000"] * 48)
+        assert predict_batch(model, np.zeros((1, 1)), _stop=_stream_stop).tolist() == [L1.mask]
+        assert _vote_codes(model, np.zeros((1, 1)), _stream_stop).tolist() == [[1, 15]]
+
+    @pytest.mark.parametrize("n_trees", [1, 5, 15, 16])
+    def test_a_forest_of_at_most_16_trees_walks_whole(self, n_trees):
+        ts = blob_set(np.random.default_rng(31), spread=1.5)
+        model = train_forest(ts, ForestParams(n_trees=n_trees, seed=5))
+        X = np.random.default_rng(32).uniform(-2.0, 8.0, size=(500, 3))
+        full = _vote_codes(model, X)
+        assert np.array_equal(_vote_codes(model, X, _stream_stop), full)
+        assert np.array_equal(predict_batch(model, X, _stop=_stream_stop), predict_batch(model, X))
+
+    def test_overturn_chance_of_the_desk_forest_and_its_limit(self):
+        # the chance that the other 248 of 264 trees overturn a leader with
+        # 15 of the first 16 votes ...
+        lead, walked = forest._SETTLE_VOTES, forest._TREE_BLOCK
+        assert float(overturn_chance(lead, walked, 264)) == pytest.approx(9.53e-5, rel=1e-3)
+        # ... and its large-forest limit: the chance that the leader's share,
+        # Beta(16, 2), lies under one half, from the binomial form of the
+        # regularized incomplete beta function, P(Binomial(17, 1/2) >= 16)
+        limit = Fraction(math.comb(17, 16) + math.comb(17, 17), 2**17)
+        assert limit == Fraction(9, 65536) and float(limit) < 1.4e-4
+        chances = [overturn_chance(lead, walked, n) for n in range(17, 300)]
+        assert not any(chances[:13])  # up to 29 trees, too few left to catch up 15 against 1
+        assert all(chance < limit for chance in chances)
+        assert float(overturn_chance(lead, walked, 4000)) == pytest.approx(float(limit), rel=0.03)
+
+    @pytest.fixture(scope="class")
+    def stop_walked(self):
+        # 40 trees over 3 features: the first 16 stumps vote S1 below their
+        # cuts on f0, 16 of the rest vote healthy below theirs, 8 are random;
+        # so many rows settle on a label that the whole forest overturns
+        rng = np.random.default_rng(33)
+        trees = [[f"I 0 {float(c)!r}", "L 100000", "L 000000"] for c in np.linspace(-1.0, 1.0, 16)]
+        trees += [[f"I 0 {float(c)!r}", "L 000000", "L 100000"] for c in rng.uniform(-1.0, 1.0, 16)]
+        trees += [random_tree_lines(rng) for _ in range(8)]
+        model = load_lines(forest_lines_of_width(3, *trees))
+        X = rng.uniform(-1.2, 1.2, size=(3000, 3))
+        codes = stream_stop_reference(tree_codes(model, X), len(model.label_universe))
+        labels = np.array([lab.mask for lab in model.label_universe], dtype=np.uint8)[codes]
+        assert np.array_equal(predict_batch(model, X, _stop=_stream_stop), labels)
+        assert np.count_nonzero(labels != predict_batch(model, X)) > 100
+        return model, X, labels
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 7, 64, 4096]), st.sampled_from([1, 2, 3]), st.data())
+    def test_labels_do_not_depend_on_spans_or_threads(self, stop_walked, span_rows, cores, data):
+        model, X, labels = stop_walked
+        n = data.draw(st.integers(0, min(len(X), 40 * span_rows + 1)), label="rows")
+        lo = data.draw(st.integers(0, len(X) - n), label="first row")
+        with mock.patch.object(forest, "_SPAN_ROWS", span_rows), mock.patch.object(forest, "_cores", lambda: cores):
+            got = predict_batch(model, X[lo : lo + n], _stop=_stream_stop)
+        assert got.tolist() == labels[lo : lo + n].tolist()
+
+    @pytest.mark.parametrize("span_rows", [100, 4096])
+    def test_no_block_holds_more_pairs_than_the_first(self, desk_experiment, monkeypatch, span_rows):
+        model = desk_experiment.model
+        sim = desk_experiment.config.sim_config(seed=60)
+        X = simulate(sim, ((0.05, FaultLabel.from_switches([1, 3])),), 0.1).currents()[::2]
+        blocks = []
+        walk = forest._walk_block
+
+        def spied_walk(X_flat, n_features, table, rows, start):
+            blocks.append((start.shape[0], start.size, X_flat.size // n_features))
+            return walk(X_flat, n_features, table, rows, start)
+
+        monkeypatch.setattr(forest, "_walk_block", spied_walk)
+        monkeypatch.setattr(forest, "_SPAN_ROWS", span_rows)
+        predict_batch(model, X, _stop=_stream_stop)
+        assert all(pairs <= forest._TREE_BLOCK * span for _, pairs, span in blocks)
+        # the rows left after the stop walk longer blocks, and fewer of them
+        assert max(trees for trees, _, _ in blocks) > forest._TREE_BLOCK
+        assert len(blocks) < -(-len(X) // span_rows) * -(-model.n_trees // forest._TREE_BLOCK)
 
 
 def table_preorder(table, root):
@@ -1202,7 +1331,7 @@ def assert_counts_match_reference(model, X):
     n_classes = len(model.label_universe)
     full = np.stack([np.bincount(c, minlength=n_classes) for c in codes])
     assert np.array_equal(_vote_codes(model, X), full)
-    assert np.array_equal(_vote_codes(model, X, _until_decided=True), early_stop_reference(codes, n_classes))
+    assert np.array_equal(_vote_codes(model, X, _exact_stop), early_stop_reference(codes, n_classes))
 
 
 class TestTopTable:
