@@ -3,8 +3,9 @@
 Pipeline: resample the acquired series down to the classifier rate,
 classify every sample, debounce the label stream, then fuse
 period-aligned windows. A sample is classified with the forest's stop
-for streams: one whose leader holds 15 of the first 16 tree votes takes
-that label, and any other the full forest's. A Diagnoser takes the
+for streams: one whose leader holds enough of the votes at a look, after
+16, 32, 64, ... trees, takes that label, and any other the full
+forest's. A Diagnoser takes the
 stream chunk by chunk and works through the classifier grid _BLOCK_ROWS
 rows at a time, so it holds no per-sample array of the whole stream;
 run_diagnosis pushes one series as one chunk. Its state advances only at
@@ -189,11 +190,15 @@ def resample(series: TriPhaseSeries, target_rate: float) -> TriPhaseSeries:
 def classify_stream(model: RandomForestModel, series: TriPhaseSeries) -> np.ndarray:
     """Per-sample forest label masks (uint8) for an already-resampled series.
 
-    A sample whose leader holds 15 of the first 16 tree votes takes that
-    leader without walking the other trees (forest._stream_stop); any
-    other sample gets the full forest's label. The label of a sample
-    depends on its own currents only, so any cut of a stream into chunks
-    labels it alike.
+    A sample takes its leader without walking the other trees when, at a
+    look after 16, 32, 64, ... trees, the chance that the trees left
+    overturn or tie that leader is at most 1e-4 (forest._stream_stop; with
+    the desk forest's 264 trees, 15 of 16 votes, 26 of 32, 46 of 64 or 80
+    of 128). Over the 5 looks a sample's label differs from the full
+    forest's with a chance of at most 5e-4 if the trees are independent
+    draws; any other sample gets the full forest's label. The label of a
+    sample depends on its own currents only, so any cut of a stream into
+    chunks labels it alike.
     """
     if model.n_features != 3:
         raise ValueError("streaming classification expects a 3-feature model")

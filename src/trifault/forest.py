@@ -131,12 +131,15 @@ change. A margin equal to the trees left keeps the row walking, because
 a tie would go to the label that sorts first, which may be the
 runner-up. A lead is at most the trees walked, so no row is checked
 before more than half the trees are walked. The stream's rule adds a
-statistical stop (Hernandez-Lobato, Martinez-Munoz & Suarez 2009): after
-the first 16 trees, a row whose leader holds 15 of their votes stops
-with that label, which the other trees overturn with a chance below
-1.4e-4 if they are independent draws. The rows still live then walk the
-rest of the forest in blocks of as many trees as keep a block within the
-(row, tree) pairs of the span's first, so few live rows walk long blocks.
+statistical stop (Hernandez-Lobato, Martinez-Munoz & Suarez 2009) at
+fixed looks, after 16, 32, 64, ... trees: a row stops with its leader
+when the chance that the trees not yet walked overturn or tie it is at
+most 1e-4, if they are independent draws. The desk forest takes 5 looks,
+so a row's label differs from the full forest's with a chance of at most
+5e-4 (a union bound over the looks). The rows still live walk on in
+blocks of as many trees as keep a block within the (row, tree) pairs of
+the span's first, so few live rows walk long blocks, each cut to end on
+the next look.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -174,9 +177,9 @@ _SPAN_ROWS = 4096
 _LEAF_CHECK_STEPS = 3
 _TOP_LEVELS = 5
 _TOP_ENTRIES = 8
-# the stream's statistical stop: a row whose leader holds this many of its
-# first _TREE_BLOCK votes stops walking (see _stream_stop)
-_SETTLE_VOTES = 15
+# the stream's statistical stop: at a look, a row stops when the chance that
+# the trees left overturn or tie its leader is at most this (see _stream_stop)
+_STOP_CHANCE = 1e-4
 # training grows as many trees at a time as keep the block's bag, one row
 # index per tree and row in the narrowest unsigned dtype, within this many
 # bytes: the desk forest's 264 trees of 8000 rows (uint16, 4.2 MB) grow as
@@ -1074,30 +1077,49 @@ def _exact_stop(votes, live, walked, n_trees):
     return np.flatnonzero(lead[:, -1] - lead[:, 0] <= n_trees - walked), _TREE_BLOCK
 
 
-def _stream_stop(votes, live, walked, n_trees):
-    """classify_stream's stop rule: the exact stop, and after the first
-    _TREE_BLOCK trees a statistical one, the instance-based pruning of
-    Hernandez-Lobato, Martinez-Munoz & Suarez (IEEE TPAMI 2009). A row
-    whose leader holds _SETTLE_VOTES of its first 16 votes stops with that
-    leader as its label. Taking the trees as independent draws and the
-    leader's share under a uniform prior, its share is Beta(16, 2) after
-    15 of 16 votes, and the beta-binomial chance that the other 248 trees
-    of a 264-tree forest overturn it (or tie it, all other labels taken as
-    one) is 9.5e-5; for any forest size it is below the share's chance of
-    lying under one half, 9 / 65536 = 1.4e-4.
+@cache
+def _settle_votes(look: int, n_trees: int) -> int:
+    """The fewest of a row's first `look` votes that its leader must hold
+    for the stream to stop it: the smallest lead whose beta-binomial chance
+    that the other n_trees - look trees overturn or tie it is at most
+    _STOP_CHANCE, from log-factorials. A leader of all the look >= 16
+    votes is overturned with a chance below 2 ** -17, so one exists."""
+    ln_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n_trees + 2)))))
+    lead, k, left = np.arange(look + 1)[:, None], np.arange(n_trees - look + 1), n_trees - look
+    a, b = lead + 1, look - lead + 1  # the leader's share is Beta(a, b)
+    ln_pmf = (ln_fact[left] - ln_fact[k] - ln_fact[left - k] + ln_fact[k + a - 1] + ln_fact[left - k + b - 1]
+              - ln_fact[n_trees + 1] - ln_fact[a - 1] - ln_fact[b - 1] + ln_fact[a + b - 1])
+    # k more votes leave the leader lead + k of the n_trees
+    chance = np.where(2 * (lead + k) <= n_trees, np.exp(ln_pmf), 0.0).sum(axis=1)
+    return int(np.flatnonzero(chance <= _STOP_CHANCE)[0])
 
-    The rows still live then walk the remaining trees in blocks of
-    max(16, 16 * span rows // live rows), so a block holds no more (row,
-    tree) pairs than the span's first. The long blocks are what make the
-    stop pay: a block steps down to the deepest leaf that any of its live
-    rows reaches, so a few live rows cost about as much per 16-tree block
-    as the whole span. The rule reads only a row's own counts, so a row
-    gets the same label in any span, but its partial counts depend on the
-    blocks."""
+
+def _stream_stop(votes, live, walked, n_trees):
+    """classify_stream's stop rule: the exact stop after every block, and
+    at each look, after 16, 32, 64, ... trees, a statistical one, the
+    instance-based pruning of Hernandez-Lobato, Martinez-Munoz & Suarez
+    (IEEE TPAMI 2009). A row whose leader holds _settle_votes(look,
+    n_trees) of its votes stops with that leader as its label. Taking the
+    trees as independent draws and the leader's share under a uniform
+    prior, the chance that the trees left overturn or tie it is then at
+    most _STOP_CHANCE, and with the union bound over the looks a row's
+    label differs from the full forest's with a chance of at most looks x
+    _STOP_CHANCE: 5e-4 for the desk forest's 264 trees, which stops a row
+    at 15 of 16, 26 of 32, 46 of 64 or 80 of 128 votes.
+
+    The rows still live walk on in blocks of max(16, 16 * span rows //
+    live rows), so a block holds no more (row, tree) pairs than the span's
+    first, each cut to end on the next look. The long blocks are what make
+    the stop pay: a block steps down to the deepest leaf that any of its
+    live rows reaches. Every row meets the same looks in any span, so a
+    row gets the same label in any span, but its partial counts depend on
+    the blocks."""
     stay, _ = _exact_stop(votes, live, walked, n_trees)
-    if walked == _TREE_BLOCK:
-        stay = stay.take(np.flatnonzero(votes.take(live.take(stay), axis=0).max(axis=1) < _SETTLE_VOTES))
-    return stay, max(_TREE_BLOCK, _TREE_BLOCK * len(votes) // max(stay.size, 1))
+    if walked & (walked - 1) == 0:  # a look: walked is at least the first block's 16
+        settle = _settle_votes(walked, n_trees)
+        stay = stay.take(np.flatnonzero(votes.take(live.take(stay), axis=0).max(axis=1) < settle))
+    block = max(_TREE_BLOCK, _TREE_BLOCK * len(votes) // max(stay.size, 1))
+    return stay, min(block, (1 << walked.bit_length()) - walked)
 
 
 def _walk_spans(model: RandomForestModel, X: np.ndarray, reduce, stop) -> list:

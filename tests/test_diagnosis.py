@@ -389,6 +389,21 @@ class TestClassifyStream:
         walked = forest._vote_codes(exp.model, rs.currents(), forest._stream_stop).sum(axis=1)
         assert np.mean(walked == forest._TREE_BLOCK) > 0.5
 
+    @pytest.mark.parametrize("share", [0.5, 1.0, 1.5])
+    def test_short_records_at_any_load_keep_the_full_forests_labels(self, desk_experiment, share):
+        # 0.2 s records at and off the trained amplitude, healthy and with
+        # each fault class from 50 ms: off it many rows stay unsettled past
+        # the first looks, so a stop rule that changes labels shows here (a
+        # per-look bound of 1e-2 in place of 1e-4 changes two of them)
+        exp = desk_experiment
+        config = exp.config.diagnosis_config()
+        timelines = [()] + [((0.05, label),) for label in default_class_labels() if not label.is_normal]
+        for k, timeline in enumerate(timelines):
+            sim = exp.config.sim_config(seed=100 + k)
+            sim = replace(sim, amplitude=sim.amplitude * share)
+            rs = resample(simulate(sim, timeline, 0.2), config.target_rate)
+            assert np.array_equal(classify_stream(exp.model, rs), predict_batch(exp.model, rs.currents()))
+
 
 class TestDiagnoser:
     @settings(max_examples=25, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 import os
@@ -1071,13 +1072,38 @@ def overturn_chance(lead, walked, n_trees):
     return sum(math.comb(left, k) * beta(k + a, left - k + b) for k in range(most + 1)) / beta(a, b)
 
 
+# the stream's per-look bound on the chance that the trees left overturn or
+# tie a row's leader
+STOP_CHANCE = 1e-4
+
+
+def looks_of(n_trees):
+    """The looks of the stream's stop: 16, 32, 64, ... trees below n_trees."""
+    return [16 << k for k in range(n_trees.bit_length()) if 16 << k < n_trees]
+
+
+@functools.cache
+def settle_reference(look, n_trees):
+    """The fewest of `look` votes whose overturn_chance is at most
+    STOP_CHANCE. A leader with at most half the votes is overturned or tied
+    with a chance of about one half or more, so the search starts above
+    half."""
+    return next(lead for lead in range(look // 2 + 1, look + 1) if overturn_chance(lead, look, n_trees) <= STOP_CHANCE)
+
+
 def stream_stop_reference(codes, n_classes):
-    """Labels of the stream's stop, row by row: the leader of the first 16
-    votes when it holds at least 15 of them, else the full forest's."""
-    first = np.stack([np.bincount(c[:16], minlength=n_classes) for c in codes])
-    full = np.stack([np.bincount(c, minlength=n_classes) for c in codes])
-    settled = (first.max(axis=1) >= 15) & (codes.shape[1] > 16)
-    return np.where(settled, np.argmax(first, axis=1), np.argmax(full, axis=1))
+    """Labels of the stream's stop, row by row: the leader of a row's first
+    `look` votes at the first look where it holds settle_reference(look,
+    n_trees) of them, else the full forest's."""
+    n_trees = codes.shape[1]
+    labels = np.stack([np.argmax(np.bincount(c, minlength=n_classes)) for c in codes])
+    for r, c in enumerate(codes):
+        for look in looks_of(n_trees):
+            votes = np.bincount(c[:look], minlength=n_classes)
+            if votes.max() >= settle_reference(look, n_trees):
+                labels[r] = np.argmax(votes)
+                break
+    return labels
 
 
 class TestStreamStop:
@@ -1099,11 +1125,36 @@ class TestStreamStop:
         assert _vote_codes(model, np.zeros((1, 1)), _stream_stop).sum() > 16
 
     def test_exact_stop_still_applies_after_each_block(self):
-        # S1 holds 14 of the first 16 votes, so the row walks on, in 16-tree
-        # blocks as its span's only row; after 48 trees S1 leads by 44 with
-        # 16 left
-        model = single_leaf_forest(*["000000"] * 2, *["100000"] * 62)
-        assert _vote_codes(model, np.zeros((1, 1)), _stream_stop).tolist() == [[2, 46]]
+        # S1 holds 7 of the first 16 votes and 23 of the first 32, below the
+        # 24 that settle it in a 64-tree forest, so the row walks on, in
+        # 16-tree blocks as its span's only row; after 48 trees S1 leads by
+        # 30 with 16 left
+        model = single_leaf_forest(*["000000"] * 9, *["100000"] * 55)
+        assert forest._settle_votes(32, 64) == 24
+        assert _vote_codes(model, np.zeros((1, 1)), _stream_stop).tolist() == [[9, 39]]
+
+    def test_a_later_look_stops_a_row_the_first_walks_on(self):
+        # S1 holds 14 of the first 16 votes and 26 of the first 32, and the
+        # other 232 trees vote healthy: the look at 32 trees keeps S1, while
+        # predict_batch walks on to the full forest's label
+        model = single_leaf_forest(*["000000"] * 2, *["100000"] * 14, *["000000"] * 4, *["100000"] * 12,
+                                   *["000000"] * 232)
+        assert predict_batch(model, np.zeros((1, 1)), _stop=_stream_stop).tolist() == [L1.mask]
+        assert _vote_codes(model, np.zeros((1, 1)), _stream_stop).tolist() == [[6, 26]]
+        assert predict_batch(model, np.zeros((1, 1))).tolist() == [L0.mask]
+
+    @pytest.mark.parametrize("n_trees", [17, 40, 64, 264, 1000])
+    def test_each_threshold_is_the_smallest_settled_lead(self, n_trees):
+        # a larger lead gives the leader's share a stochastically larger
+        # Beta, so the chance falls with the lead: the smallest lead within
+        # the bound is the one whose next smaller lead is not
+        for look in looks_of(n_trees):
+            settle = forest._settle_votes(look, n_trees)
+            assert overturn_chance(settle, look, n_trees) <= STOP_CHANCE < overturn_chance(settle - 1, look, n_trees)
+        assert forest._STOP_CHANCE == STOP_CHANCE
+
+    def test_desk_thresholds(self):
+        assert [forest._settle_votes(look, 264) for look in looks_of(264)] == [15, 26, 46, 80, 133]
 
     def test_fifteen_of_sixteen_stops(self):
         model = single_leaf_forest("000000", *["100000"] * 15, *["000000"] * 48)
@@ -1122,7 +1173,7 @@ class TestStreamStop:
     def test_overturn_chance_of_the_desk_forest_and_its_limit(self):
         # the chance that the other 248 of 264 trees overturn a leader with
         # 15 of the first 16 votes ...
-        lead, walked = forest._SETTLE_VOTES, forest._TREE_BLOCK
+        lead, walked = 15, 16
         assert float(overturn_chance(lead, walked, 264)) == pytest.approx(9.53e-5, rel=1e-3)
         # ... and its large-forest limit: the chance that the leader's share,
         # Beta(16, 2), lies under one half, from the binomial form of the
@@ -1134,32 +1185,47 @@ class TestStreamStop:
         assert all(chance < limit for chance in chances)
         assert float(overturn_chance(lead, walked, 4000)) == pytest.approx(float(limit), rel=0.03)
 
+    @staticmethod
+    def settled_forests(rng):
+        """Two forests over 3 features on which the stream's stop changes
+        many labels. In the first (40 trees), the first 16 stumps vote S1
+        below their cuts on f0, 16 of the rest vote healthy below theirs and
+        8 are random. In the second (128 trees), the first 64 stumps vote
+        S1 below random cuts on f0, so a row's S1 votes grow with the trees
+        walked, and the other 64 trees are healthy leaves: rows settle on S1
+        at 16, 32 or 64 trees, and the whole forest votes healthy."""
+        first = [[f"I 0 {float(c)!r}", "L 100000", "L 000000"] for c in np.linspace(-1.0, 1.0, 16)]
+        first += [[f"I 0 {float(c)!r}", "L 000000", "L 100000"] for c in rng.uniform(-1.0, 1.0, 16)]
+        first += [random_tree_lines(rng) for _ in range(8)]
+        second = [[f"I 0 {float(c)!r}", "L 100000", "L 000000"] for c in rng.uniform(-1.0, 1.0, 64)]
+        second += [["L 000000"]] * 64
+        return [load_lines(forest_lines_of_width(3, *trees)) for trees in (first, second)]
+
     @pytest.fixture(scope="class")
     def stop_walked(self):
-        # 40 trees over 3 features: the first 16 stumps vote S1 below their
-        # cuts on f0, 16 of the rest vote healthy below theirs, 8 are random;
-        # so many rows settle on a label that the whole forest overturns
         rng = np.random.default_rng(33)
-        trees = [[f"I 0 {float(c)!r}", "L 100000", "L 000000"] for c in np.linspace(-1.0, 1.0, 16)]
-        trees += [[f"I 0 {float(c)!r}", "L 000000", "L 100000"] for c in rng.uniform(-1.0, 1.0, 16)]
-        trees += [random_tree_lines(rng) for _ in range(8)]
-        model = load_lines(forest_lines_of_width(3, *trees))
-        X = rng.uniform(-1.2, 1.2, size=(3000, 3))
-        codes = stream_stop_reference(tree_codes(model, X), len(model.label_universe))
-        labels = np.array([lab.mask for lab in model.label_universe], dtype=np.uint8)[codes]
-        assert np.array_equal(predict_batch(model, X, _stop=_stream_stop), labels)
-        assert np.count_nonzero(labels != predict_batch(model, X)) > 100
-        return model, X, labels
+        cases = []
+        for model in self.settled_forests(rng):
+            X = rng.uniform(-1.2, 1.2, size=(3000, 3))
+            codes = stream_stop_reference(tree_codes(model, X), len(model.label_universe))
+            labels = np.array([lab.mask for lab in model.label_universe], dtype=np.uint8)[codes]
+            assert np.array_equal(predict_batch(model, X, _stop=_stream_stop), labels)
+            assert np.count_nonzero(labels != predict_batch(model, X)) > 100
+            cases.append((model, X, labels))
+        # in the second forest, each look settles some rows that walk no further
+        walked = _vote_codes(cases[1][0], cases[1][1], _stream_stop).sum(axis=1)
+        assert all(np.count_nonzero(walked == look) > 50 for look in (16, 32, 64))
+        return cases
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([1, 7, 64, 4096]), st.sampled_from([1, 2, 3]), st.data())
     def test_labels_do_not_depend_on_spans_or_threads(self, stop_walked, span_rows, cores, data):
-        model, X, labels = stop_walked
-        n = data.draw(st.integers(0, min(len(X), 40 * span_rows + 1)), label="rows")
-        lo = data.draw(st.integers(0, len(X) - n), label="first row")
-        with mock.patch.object(forest, "_SPAN_ROWS", span_rows), mock.patch.object(forest, "_cores", lambda: cores):
-            got = predict_batch(model, X[lo : lo + n], _stop=_stream_stop)
-        assert got.tolist() == labels[lo : lo + n].tolist()
+        for model, X, labels in stop_walked:
+            n = data.draw(st.integers(0, min(len(X), 40 * span_rows + 1)), label="rows")
+            lo = data.draw(st.integers(0, len(X) - n), label="first row")
+            with mock.patch.object(forest, "_SPAN_ROWS", span_rows), mock.patch.object(forest, "_cores", lambda: cores):
+                got = predict_batch(model, X[lo : lo + n], _stop=_stream_stop)
+            assert got.tolist() == labels[lo : lo + n].tolist()
 
     @pytest.mark.parametrize("span_rows", [100, 4096])
     def test_no_block_holds_more_pairs_than_the_first(self, desk_experiment, monkeypatch, span_rows):
