@@ -275,6 +275,7 @@ def cmd_diagnose(args) -> int:
                 "series": block.series_id,
                 "fault_set": [switch_name(s) for s in sorted(report.fault_set)],
                 "first_detect_time": report.first_detect_time,
+                "decision_time": report.decision_time,
                 "protection_signal": report.protection_signal,
             }
         )

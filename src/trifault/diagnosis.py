@@ -1,28 +1,34 @@
 """Multi-time-scale online diagnosis over a trained forest.
 
 Pipeline: resample the acquired series down to the classifier rate,
-classify every sample, debounce the label stream, then fuse
-period-aligned windows. A sample is classified with the forest's stop
-for streams: one whose leader holds enough of the votes at a look, after
-16, 32, 64, ... trees, takes that label, and any other the full
-forest's. A Diagnoser takes the
-stream chunk by chunk and works through the classifier grid _BLOCK_ROWS
-rows at a time, so it holds no per-sample array of the whole stream;
-run_diagnosis pushes one series as one chunk. Its state advances only at
-window boundaries: it carries the raw masks since the last window out
-and debounces them after that window's last mask. Windows and regions
-sit on phase a's angle, measured from the first clean zero crossing of
-phase a, b or c; a series with none, such as an all-zero one, is
-refused. Inside the pipeline a
-label is its 6-bit FaultLabel.mask (S1 is bit 5, S6 bit 0), so the
-whole windows of a block are one (windows x samples) uint8 array.
-Fusion keeps the bits that each sample's 60-degree region can expose,
-from a six-entry mask table, and ORs them along each window. One loop
-then builds each window's record: it carries the run of equal fused
-masks from window to window and from push to push, and the first run of
-_CONFIRM_WINDOWS equal non-empty fused masks latches the fault set. Only
-that loop looks masks up in LABELS, and a window with the masks of the
-one before shares its labels tuple.
+calibrate each phase, classify every sample, debounce the label stream,
+then fuse period-aligned windows. The calibration takes each phase as
+(x - offset) * gain, with the offset and gain of a whole period of the
+stream that passes a model-free check, so that a stream at another load
+or with a sensor's gain or offset off reaches the forest at the trained
+amplitude; a faulted period fails the check and calibrates nothing (see
+Diagnoser). A sample is classified with the forest's stop for streams:
+one whose leader holds enough of the votes at a look, after 16, 32, 64,
+... trees, takes that label, and any other the full forest's. A
+Diagnoser takes the stream chunk by chunk and works through the
+classifier grid _BLOCK_ROWS rows at a time, so it holds no per-sample
+array of the whole stream; run_diagnosis pushes one series as one chunk.
+Between chunks it carries the calibration in force, the last whole
+period's statistics and the rows of the current period, which wait until
+the period is whole; and, since windows advance only at their
+boundaries, the raw masks since the last window out, debounced after
+that window's last mask. Windows, regions and calibration periods sit
+on phase a's angle, measured from the first clean zero crossing of phase
+a, b or c; a series with none, such as an all-zero one, is refused.
+Inside the pipeline a label is its 6-bit FaultLabel.mask (S1 is bit 5,
+S6 bit 0), so the whole windows of a block are one (windows x samples)
+uint8 array. Fusion keeps the bits that each sample's 60-degree region
+can expose, from a six-entry mask table, and ORs them along each window.
+One loop then builds each window's record: it carries the run of equal
+fused masks from window to window and from push to push, and the first
+run of _CONFIRM_WINDOWS equal non-empty fused masks latches the fault
+set. Only that loop looks masks up in LABELS, and a window with the
+masks of the one before shares its labels tuple.
 """
 
 from __future__ import annotations
@@ -49,7 +55,22 @@ from .simulate import (
 _CROSSING_QUALITY = 0.3
 
 # equal non-empty fused windows in a row that latch a fault set
-_CONFIRM_WINDOWS = 1
+_CONFIRM_WINDOWS = 2
+
+# the lowest stream frequency, as a share of the fundamental, whose period
+# the reference scan holds
+_LOWEST_FREQUENCY = 0.9
+
+# the check that lets a period calibrate the stream: each phase's mean
+# within _MEAN_SHIFT standard deviations of its offset, the
+# calibrated RMS values within a factor of _RMS_SPREAD of each other and
+# above _RMS_FLOOR of the trained RMS, amplitude / sqrt(2)
+_MEAN_SHIFT = 0.2
+_RMS_SPREAD = 1.5
+_RMS_FLOOR = 0.2
+
+# offsets and gains of a stream taken as it is
+_UNCALIBRATED = ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
 # classifier grid rows a Diagnoser resamples, classifies and windows at a
 # time: whole forest spans, which share out evenly over 1, 2 or 4 cores
@@ -66,17 +87,22 @@ class DiagnosisConfig:
 
     A window is one fundamental period, window_samples = target_rate /
     fundamental, a whole number of at least 6 (one per 60-degree region).
-    The phase reference is measured from the series, never configured.
+    amplitude is the peak phase current the model was trained at, which
+    the calibration scales each phase to. The phase reference is measured
+    from the series, never configured.
     """
 
     target_rate: float = 10000.0
     fundamental: float = 50.0
     debounce_min_run: int = 5
+    amplitude: float = 16.5
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)
         if not self.fundamental > 0.0:
             raise ValueError("fundamental must be > 0")
+        if not self.amplitude > 0.0:
+            raise ValueError("amplitude must be > 0")
         if not (self.target_rate / self.fundamental).is_integer():
             raise ValueError("target_rate must be a whole multiple of the fundamental frequency")
         if self.window_samples < 6:
@@ -101,8 +127,14 @@ class WindowRecord:
 
 @dataclass(frozen=True)
 class FaultReport:
+    """The verdict of a stream: the latched fault set, the start of the
+    first window of the run that latched it and the end of its last
+    window, when the latch decided (both None when nothing latched), and
+    the window records."""
+
     fault_set: frozenset[int]
     first_detect_time: float | None
+    decision_time: float | None
     per_window_history: tuple[WindowRecord, ...]
 
     @property
@@ -160,13 +192,6 @@ def _columns(series: TriPhaseSeries) -> tuple[np.ndarray, ...]:
     return series.t, series.i_a, series.i_b, series.i_c
 
 
-def _interpolated(columns, t_grid: np.ndarray, rate: float, fault_timeline=()) -> TriPhaseSeries:
-    """Acquired columns (t, i_a, i_b, i_c) linearly interpolated at the
-    grid times, which must lie within their time range."""
-    t, *currents = columns
-    return TriPhaseSeries(t_grid, *(np.interp(t_grid, t, i) for i in currents), rate, fault_timeline)
-
-
 def resample(series: TriPhaseSeries, target_rate: float) -> TriPhaseSeries:
     """Linear-interpolation resample onto a uniform grid at target_rate.
 
@@ -183,8 +208,19 @@ def resample(series: TriPhaseSeries, target_rate: float) -> TriPhaseSeries:
     _refuse_bad_times(series.t, 0)
     _refuse_non_finite_samples(series, 0)
     t0 = float(series.t[0])
-    k = np.arange(_grid_count(t0, float(series.t[-1]), target_rate))
-    return _interpolated(_columns(series), t0 + k / target_rate, target_rate, series.fault_timeline)
+    t_grid = t0 + np.arange(_grid_count(t0, float(series.t[-1]), target_rate)) / target_rate
+    currents = (np.interp(t_grid, series.t, i) for i in (series.i_a, series.i_b, series.i_c))
+    return TriPhaseSeries(t_grid, *currents, target_rate, series.fault_timeline)
+
+
+def _period_stats(rows, lo: int, n: int, period: int) -> list:
+    """(means, standard deviations) of the three phase rows over each of n
+    whole periods from row lo, as float tuples. Each period's sums run
+    along its own contiguous row, so they do not depend on n."""
+    whole = [x[lo : lo + n * period].reshape(n, period) for x in rows]
+    means = [x.mean(axis=1) for x in whole]
+    stds = [np.sqrt(np.square(x - m[:, None]).mean(axis=1)) for x, m in zip(whole, means)]
+    return list(zip(zip(*(x.tolist() for x in means)), zip(*(x.tolist() for x in stds))))
 
 
 def classify_stream(model: RandomForestModel, series: TriPhaseSeries) -> np.ndarray:
@@ -243,6 +279,33 @@ def fuse_window(labels, regions) -> np.uint8 | np.ndarray:
     return np.bitwise_or.reduce(masks & _EXPOSED[regions], axis=-1)
 
 
+def _clean_crossings(x: np.ndarray, swing: int, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """The clean upward zero crossings of x, each as the sample k before it
+    and its fraction of the step to k + 1: x swings below -level swing
+    samples before k and above level swing samples after it."""
+    k = np.flatnonzero((x[:-1] < 0.0) & (x[1:] >= 0.0))
+    k = k[(k >= swing) & (k + swing < x.size)]
+    k = k[(x[k - swing] < -level) & (x[k + swing] > level)]
+    return k, -x[k] / (x[k + 1] - x[k])
+
+
+def _reference_crossings(series: TriPhaseSeries, fundamental: float):
+    """The phase that gives the phase reference, as its index, and its clean
+    upward crossings over the whole series, the first of them within the
+    first two periods; or None."""
+    per = int(round(series.sample_rate / fundamental))
+    scan = min(series.n_samples, 2 * per + 1)
+    swing = max(1, per // 8)
+    for p, current in enumerate((series.i_a, series.i_b, series.i_c)):
+        peak = float(np.max(np.abs(current[:scan]))) if scan else 0.0
+        if peak <= 0.0:
+            continue
+        k, frac = _clean_crossings(current, swing, _CROSSING_QUALITY * peak)
+        if k.size and k[0] + swing < scan:
+            return p, k, frac
+    return None
+
+
 def estimate_phase_reference(series: TriPhaseSeries, fundamental: float) -> float | None:
     """Time at which phase a is at 0 degrees, or None if no phase shows it.
 
@@ -254,21 +317,22 @@ def estimate_phase_reference(series: TriPhaseSeries, fundamental: float) -> floa
     whole in this four-wire model, so only a flat or idle series has none.
     """
     per = int(round(series.sample_rate / fundamental))
-    scan = min(series.n_samples, 2 * per + 1)
-    swing = max(1, per // 8)
-    for current, off in zip((series.i_a, series.i_b, series.i_c), PHASE_OFFSETS_DEG):
-        x = current[:scan]
-        peak = float(np.max(np.abs(x))) if scan else 0.0
-        if peak <= 0.0:
-            continue
-        for k in np.nonzero((x[:-1] < 0.0) & (x[1:] >= 0.0))[0]:
-            j1, j2 = k - swing, k + swing
-            if j1 < 0 or j2 >= scan:
-                continue
-            if x[j1] < -_CROSSING_QUALITY * peak and x[j2] > _CROSSING_QUALITY * peak:
-                frac = -x[k] / (x[k + 1] - x[k])
-                return float(series.t[k]) + frac / series.sample_rate + off / 360.0 / fundamental
-    return None
+    head = TriPhaseSeries(*(x[: 2 * per + 1] for x in _columns(series)), series.sample_rate)
+    found = _reference_crossings(head, fundamental)
+    if found is None:
+        return None
+    p, k, frac = found
+    return float(series.t[k[0]]) + frac[0] / series.sample_rate + PHASE_OFFSETS_DEG[p] / 360.0 / fundamental
+
+
+def _measured_period(series: TriPhaseSeries, fundamental: float) -> int | None:
+    """Samples from the reference crossing to the next clean upward crossing
+    of the same phase, rounded, or None if the series holds no second one."""
+    found = _reference_crossings(series, fundamental)
+    if found is None or found[1].size < 2:
+        return None
+    _, k, frac = found
+    return round(float(k[1] + frac[1]) - float(k[0] + frac[0]))
 
 
 class Diagnoser:
@@ -284,10 +348,26 @@ class Diagnoser:
     the refusals of resample and run_diagnosis, raised by the push or the
     finish() that can first tell.
 
-    Stream state advances only at window boundaries. Between chunks it
-    carries the last acquired sample, which the next grid points
-    interpolate from; the grid's first 2 periods + 1 sample until they fix
-    the phase reference; and the tail, the raw masks classified since the
+    Each phase reaches the forest calibrated, as (x - offset) * gain, so
+    that a stream at another load, or with a sensor's gain or offset off,
+    looks like the trained one. Offset and gain come from the mean and the
+    RMS about it over a whole period of P grid samples, P measured in the
+    reference scan (_measured_period); the gain takes that RMS to the
+    trained amplitude / sqrt(2). Period k, counted from the phase
+    reference, is classified with period k - 1's calibration when both
+    periods pass _passes against the calibration in force, and with the
+    calibration in force otherwise, so a faulted period never calibrates
+    the rows around it. The rows before the reference take the first
+    period's calibration if it passes, and none otherwise. A row is
+    classified once its period is whole; at finish() a partial period
+    keeps the calibration in force.
+
+    Stream state advances only at period and window boundaries. Between
+    chunks it carries the last acquired sample, which the next grid points
+    interpolate from; the unclassified grid rows, which are the reference
+    scan until it fixes the phase reference and the period, then the rows
+    of the current period; the calibration in force and the last whole
+    period's statistics; and the tail, the raw masks classified since the
     last window it gave out, or since the stream began until the first
     window is out. Once a window is out the tail holds fewer than
     window_samples + debounce_min_run masks: the rest of a window and the
@@ -303,23 +383,34 @@ class Diagnoser:
         self._acquired = 0  # samples pushed
         self._t0 = 0.0  # time of the first, where the grid starts
         self._last: tuple[np.ndarray, ...] = ()  # columns of the last one
-        self._grid = 0  # grid points classified
-        self._scan: list[tuple[np.ndarray, ...]] = []  # the grid until the reference
+        self._grid = 0  # grid points interpolated
+        # phase currents of the grid rows from _grid - _rows[0].size on, not
+        # yet classified
+        self._rows: tuple[np.ndarray, ...] = (np.empty(0),) * 3
         self._t_zero: float | None = None  # phase a's 0 degrees
-        self._start = 0  # grid index of the first window
-        # raw masks from grid index _grid - _tail.size on, not yet windowed
+        self._start = 0  # grid index of the first window and the first period
+        self._period = config.window_samples  # P, measured with the reference
+        self._cal = _UNCALIBRATED  # the calibration in force
+        self._stats: tuple | None = None  # the last whole period's
+        # raw masks up to the first unclassified row, not yet windowed
         self._tail = np.empty(0, dtype=np.uint8)
         self._windows = 0  # windows given out
         # the last window's masks, as bytes, and its labels tuple
         self._labels: tuple[bytes, tuple[FaultLabel, ...]] = (b"", ())
         # the last run of equal fused masks: mask, windows, its start time;
-        # frozen once it latches
+        # frozen once it latches, at _decision, the end of its last window
         self._run: tuple[int, int, float] = (0, 0, 0.0)
-        self._latched = False
+        self._decision: float | None = None
         self._ended = False  # finish() was called
 
     def push(self, chunk: TriPhaseSeries) -> tuple[WindowRecord, ...]:
         """Diagnose the next acquired samples; returns the windows they finished."""
+        return self._push(chunk, last=False)
+
+    def _push(self, chunk: TriPhaseSeries, last: bool) -> tuple[WindowRecord, ...]:
+        """push; if last, no chunk follows, and once the phase reference is
+        fixed the last block is classified and windowed as finish() would,
+        in one classify_stream call with its whole periods."""
         if self._ended:
             raise ValueError("the stream has ended: finish() was called")
         if chunk.n_samples == 0:
@@ -340,27 +431,34 @@ class Diagnoser:
         # hold the last sample's value past it
         n_grid = _grid_count(self._t0, float(chunk.t[-1]), rate)
         records: list[WindowRecord] = []
-        for lo in range(self._grid, n_grid, _BLOCK_ROWS):
-            t_grid = self._t0 + np.arange(lo, min(lo + _BLOCK_ROWS, n_grid)) / rate
-            # the acquired samples around the block, from the last one at or
-            # before its first point, which may be the last one pushed before
-            j_lo = int(np.searchsorted(chunk.t, t_grid[0], side="right")) - 1
-            j_hi = int(np.searchsorted(chunk.t, t_grid[-1], side="left")) + 1
-            around = [x[max(j_lo, 0) : j_hi] for x in _columns(chunk)]
-            if j_lo < 0:
-                around = [np.concatenate(pair) for pair in zip(self._last, around)]
-            rs = _interpolated(around, t_grid, rate)
-            masks = classify_stream(self.model, rs)
-            if self._t_zero is None:
-                wanted = 2 * self.config.window_samples + 1 - lo
-                self._scan.append(tuple(x[:wanted].copy() for x in _columns(rs)))
-                if rs.n_samples >= wanted:
-                    self._find_reference()
-            self._grid += rs.n_samples
-            records += self._window(masks, final=False)
+        while self._grid < n_grid:
+            # with the carried rows a block classifies _BLOCK_ROWS rows at
+            # most, whole forest spans, unless they alone fill one
+            carried = self._rows[0].size
+            size = _BLOCK_ROWS - carried if carried < _BLOCK_ROWS else _BLOCK_ROWS
+            self._interpolate(chunk, min(self._grid + size, n_grid))
+            if self._t_zero is None and self._grid >= self._scan_rows():
+                self._find_reference()
+            records += self._classify(final=last and self._grid == n_grid)
         self._acquired += chunk.n_samples
         self._last = tuple(x[-1:].copy() for x in _columns(chunk))
         return tuple(records)
+
+    def _interpolate(self, chunk: TriPhaseSeries, hi: int) -> None:
+        """Carry the grid rows up to index hi, interpolated from the chunk
+        and the last sample pushed before it."""
+        t_grid = self._t0 + np.arange(self._grid, hi) / self.config.target_rate
+        # the acquired samples around the rows, from the last one at or
+        # before the first, which may be the last one pushed before
+        j_lo = int(np.searchsorted(chunk.t, t_grid[0], side="right")) - 1
+        j_hi = int(np.searchsorted(chunk.t, t_grid[-1], side="left")) + 1
+        t, *around = [x[max(j_lo, 0) : j_hi] for x in _columns(chunk)]
+        if j_lo < 0:
+            t, *around = [np.concatenate(pair) for pair in zip(self._last, (t, *around))]
+        self._rows = tuple(
+            np.concatenate((carried, np.interp(t_grid, t, x))) for carried, x in zip(self._rows, around)
+        )
+        self._grid = hi
 
     def finish(self) -> FaultReport:
         """End the stream: the verdict, with the windows only the end made final."""
@@ -371,7 +469,7 @@ class Diagnoser:
             raise ValueError("resample needs at least 2 samples")
         if self._t_zero is None:
             self._find_reference()
-        records = self._window(np.empty(0, dtype=np.uint8), final=True)
+        records = self._classify(final=True)
         if not self._windows:
             ws, start = self.config.window_samples, self._start
             raise ValueError(
@@ -379,16 +477,27 @@ class Diagnoser:
                 f" window needs {start + ws} ({ws} after the phase reference at sample {start})"
             )
         mask, _, start = self._run
+        latched = self._decision is not None
         return FaultReport(
-            fault_set=LABELS[mask].switches if self._latched else frozenset(),
-            first_detect_time=start if self._latched else None,
+            fault_set=LABELS[mask].switches if latched else frozenset(),
+            first_detect_time=start if latched else None,
+            decision_time=self._decision,
             per_window_history=tuple(records),
         )
 
+    def _scan_rows(self) -> int:
+        """Grid rows of the reference scan: the two periods the reference is
+        searched in, and one more period at the lowest frequency, which
+        holds the next crossing of the reference phase."""
+        ws = self.config.window_samples
+        return 2 * ws + math.ceil(ws / _LOWEST_FREQUENCY) + 1
+
     def _find_reference(self) -> None:
-        """Fix the phase reference, from the grid scanned so far, and the first window."""
+        """Fix the phase reference, the first window and the period, from
+        the grid scanned so far (every row is unclassified until then)."""
         rate, f0 = self.config.target_rate, self.config.fundamental
-        scanned = TriPhaseSeries(*map(np.concatenate, zip(*self._scan)), sample_rate=rate)
+        n = min(self._grid, self._scan_rows())
+        scanned = TriPhaseSeries(self._t0 + np.arange(n) / rate, *(x[:n] for x in self._rows), rate)
         t_zero = estimate_phase_reference(scanned, f0)
         if t_zero is None:
             raise ValueError(
@@ -400,7 +509,64 @@ class Diagnoser:
         start = int(math.ceil((t_zero - self._t0) * rate - 1e-9))
         if start < 0:
             start %= self.config.window_samples
-        self._t_zero, self._start, self._scan = t_zero, start, []
+        self._t_zero, self._start = t_zero, start
+        self._period = _measured_period(scanned, f0) or self.config.window_samples
+
+    def _passes(self, stats, cal) -> bool:
+        """The model-free check of one period's (means, standard deviations)
+        against a calibration (offsets, gains): each phase's mean lies
+        within _MEAN_SHIFT standard deviations of its offset, and the
+        calibrated RMS values lie within a factor of _RMS_SPREAD of each
+        other and above _RMS_FLOOR of the trained RMS."""
+        (means, stds), (offsets, gains) = stats, cal
+        rms = [s * g for s, g in zip(stds, gains)]
+        return (
+            all(abs(m - o) <= _MEAN_SHIFT * s for m, o, s in zip(means, offsets, stds))
+            and max(rms) <= _RMS_SPREAD * min(rms)
+            and min(rms) > _RMS_FLOOR * self.config.amplitude / math.sqrt(2.0)
+        )
+
+    def _calibrations(self, stats) -> list:
+        """The calibration of each next whole period, from its statistics and
+        those of the period before; the last one stays in force."""
+        target = self.config.amplitude / math.sqrt(2.0)
+        cals = []
+        for now in stats:
+            before = self._stats or now  # the first period stands in for its own
+            if self._passes(before, self._cal) and self._passes(now, self._cal):
+                self._cal = (before[0], tuple(target / s for s in before[1]))
+            self._stats = now
+            cals.append(self._cal)
+        return cals
+
+    def _classify(self, final: bool) -> list[WindowRecord]:
+        """Calibrate and classify the carried rows whose period is whole, or
+        every row if final, and window their masks."""
+        if self._t_zero is None:
+            return []
+        P, size = self._period, self._rows[0].size
+        lo = self._grid - size  # grid index of the first carried row
+        before = min(max(self._start - lo, 0), size)  # rows before the reference
+        n = (size - before) // P  # whole periods
+        if not (n or final):
+            return []
+        cals = self._calibrations(_period_stats(self._rows, before, n, P))
+        # the rows before the reference take the first period's calibration,
+        # and the rows of a partial period at the end the one in force
+        m = size if final else before + n * P
+        counts = [before, *[P] * n, m - before - n * P]
+        cals = [cals[0] if cals else self._cal, *cals, self._cal]
+        offsets, gains = (np.array(c).T for c in zip(*cals))
+        currents = [
+            (x[:m] - np.repeat(o, counts)) * np.repeat(g, counts)
+            for x, o, g in zip(self._rows, offsets, gains)
+        ]
+        self._rows = tuple(x[m:].copy() for x in self._rows)
+        masks = np.empty(0, dtype=np.uint8)
+        if m:
+            t = self._t0 + np.arange(lo, lo + m) / self.config.target_rate
+            masks = classify_stream(self.model, TriPhaseSeries(t, *currents, self.config.target_rate))
+        return self._window(masks, final)
 
     def _window(self, masks: np.ndarray, final: bool) -> list[WindowRecord]:
         """Records of the windows that the next raw masks complete.
@@ -415,8 +581,6 @@ class Diagnoser:
         windows go out, and the tail keeps what follows them.
         """
         self._tail = np.concatenate((self._tail, masks))
-        if self._t_zero is None:
-            return []
         ws, min_run = self.config.window_samples, self.config.debounce_min_run
         # until the first window is out, the tail starts the stream
         skip = 0 if self._windows else self._start
@@ -432,23 +596,26 @@ class Diagnoser:
         if not n:
             return []
         windows = debounce(seq[:end], min_run)[lo : lo + n * ws].reshape(n, ws)
-        at = self._grid - self._tail.size + skip  # the first window's grid index
+        # the first window's grid index: the tail ends at the first carried row
+        at = self._grid - self._rows[0].size - self._tail.size + skip
         self._tail = self._tail[skip + n * ws :].copy()
         rate, f0 = self.config.target_rate, self.config.fundamental
-        t = self._t0 + np.arange(at, at + n * ws) / rate
-        regions = region_indices(360.0 * f0 * (t - self._t_zero)).reshape(n, ws)
+        t = self._t0 + np.arange(at, at + n * ws + 1) / rate
+        regions = region_indices(360.0 * f0 * (t[:-1] - self._t_zero)).reshape(n, ws)
         fused = fuse_window(windows, regions)
+        bounds = t[::ws].tolist()  # each window's start, and the last one's end
         records = []
-        for t_lo, row, f in zip(t[::ws].tolist(), map(bytes, windows), fused.tolist()):
+        for t_lo, t_hi, row, f in zip(bounds, bounds[1:], map(bytes, windows), fused.tolist()):
             # a window with the masks of the one before shares its labels tuple
             if row != self._labels[0]:
                 self._labels = (row, tuple(LABELS[m] for m in row))
             records.append(WindowRecord(self._windows, t_lo, self._labels[1], LABELS[f]))
             self._windows += 1
-            if not self._latched:
+            if self._decision is None:
                 mask, length, start = self._run
                 self._run = (f, length + 1, start) if f == mask else (f, 1, t_lo)
-                self._latched = f != 0 and self._run[1] >= _CONFIRM_WINDOWS
+                if f and self._run[1] >= _CONFIRM_WINDOWS:
+                    self._decision = t_hi
         return records
 
 
@@ -456,7 +623,8 @@ def run_diagnosis(
     model: RandomForestModel, series: TriPhaseSeries, config: DiagnosisConfig
 ) -> FaultReport:
     """Full online pipeline over one acquired series: one Diagnoser, one
-    push of the whole series and finish().
+    push of the whole series and finish(). As no chunk follows, the push
+    classifies the rows of the last partial period with the rest.
 
     Args:
         model: forest over instantaneous (i_a, i_b, i_c) samples.
@@ -476,6 +644,6 @@ def run_diagnosis(
     What grows is the history, one WindowRecord per window.
     """
     diagnoser = Diagnoser(model, config)
-    history = diagnoser.push(series)
+    history = diagnoser._push(series, last=True)
     report = diagnoser.finish()
     return replace(report, per_window_history=history + report.per_window_history)

@@ -216,6 +216,7 @@ class TestDiagnose:
         assert record["fault_set"] == ["S2"]
         assert record["protection_signal"] is True
         assert record["first_detect_time"] is not None
+        assert record["decision_time"] > record["first_detect_time"]
 
     def test_healthy_series_exits_zero(self, small_env, tmp_path, capsys):
         series = tmp_path / "h.csv"
@@ -230,6 +231,7 @@ class TestDiagnose:
         record = json.loads(out.splitlines()[0])
         assert record["fault_set"] == []
         assert record["first_detect_time"] is None
+        assert record["decision_time"] is None
         assert record["protection_signal"] is False
 
     def test_all_zero_series_is_refused(self, small_env, tmp_path, capsys):

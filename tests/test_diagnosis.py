@@ -17,7 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import REGION_SWITCHES
+from trifault.cli import generate_series_block
 from trifault.config import ExperimentConfig, default_class_labels
+from trifault.dataset import block_to_series
 from trifault import diagnosis
 from trifault.diagnosis import (
     DiagnosisConfig,
@@ -99,12 +101,50 @@ def reference_latch(fused, min_run):
     return None
 
 
+def reference_calibrated(rs, start, period, amplitude):
+    """The calibration rule period by period over a whole resampled stream,
+    kept as the reference of the Diagnoser's block-by-block one: period k
+    from the grid row start takes period k - 1's mean and trained RMS over
+    its RMS when both periods pass the check against the calibration in
+    force, the first period its own, and the rows before it the first
+    period's; a partial period at the end keeps the one in force."""
+    target = amplitude / math.sqrt(2.0)
+    phases = [rs.i_a, rs.i_b, rs.i_c]
+    n = (rs.n_samples - start) // period
+    stats = []
+    for k in range(n):
+        rows = [x[start + k * period : start + (k + 1) * period] for x in phases]
+        stats.append(([float(np.mean(x)) for x in rows], [float(np.std(x)) for x in rows]))
+
+    def passes(period_stats, cal):
+        (means, stds), (offsets, gains) = period_stats, cal
+        rms = [s * g for s, g in zip(stds, gains)]
+        return (
+            all(abs(m - o) <= 0.2 * s for m, o, s in zip(means, offsets, stds))
+            and max(rms) <= 1.5 * min(rms)
+            and min(rms) > 0.2 * target
+        )
+
+    cal = ([0.0] * 3, [1.0] * 3)
+    per_row = []
+    for k in range(n):
+        before = stats[k - 1] if k else stats[k]
+        if passes(before, cal) and passes(stats[k], cal):
+            cal = (before[0], [target / s for s in before[1]])
+        per_row += [cal] * (period + (start if k == 0 else 0))
+    per_row += [cal] * (rs.n_samples - len(per_row))
+    offsets = np.array([c[0] for c in per_row])
+    gains = np.array([c[1] for c in per_row])
+    calibrated = (rs.currents() - offsets) * gains
+    return replace(rs, i_a=calibrated[:, 0], i_b=calibrated[:, 1], i_c=calibrated[:, 2])
+
+
 def reference_run_diagnosis(model, series, config):
     """The per-window loop that whole-stream window arrays replaced, kept
-    as its reference: (fault_set, first_detect_time, protection_signal,
-    per_window_history)."""
+    as its reference: (fault_set, first_detect_time, decision_time,
+    protection_signal, per_window_history). The stream is at the
+    fundamental frequency, so the calibration period is one window."""
     rs = resample(series, config.target_rate)
-    masks = np.array(debounce(classify_stream(model, rs), config.debounce_min_run), dtype=np.uint8)
     f0 = config.fundamental
     t_zero = estimate_phase_reference(rs, f0)
     ws = config.window_samples
@@ -112,6 +152,8 @@ def reference_run_diagnosis(model, series, config):
     start = int(math.ceil((t_zero - float(rs.t[0])) * config.target_rate - 1e-9))
     while start < 0:
         start += ws
+    calibrated = reference_calibrated(rs, start, ws, config.amplitude)
+    masks = np.array(debounce(classify_stream(model, calibrated), config.debounce_min_run), dtype=np.uint8)
     regions = region_indices(360.0 * f0 * (rs.t - t_zero))
     history, fused = [], []
     for w in range((rs.n_samples - start) // ws):
@@ -122,8 +164,10 @@ def reference_run_diagnosis(model, series, config):
         history.append(WindowRecord(w, float(rs.t[lo]), labels, LABELS[fused[-1]]))
     latched = reference_latch(fused, diagnosis._CONFIRM_WINDOWS)
     if latched is None:
-        return frozenset(), None, False, tuple(history)
-    return LABELS[fused[latched]].switches, history[latched].start_time, True, tuple(history)
+        return frozenset(), None, None, False, tuple(history)
+    decided = start + (latched + diagnosis._CONFIRM_WINDOWS) * ws  # the grid row after the run
+    decision_time = float(rs.t[0]) + decided / config.target_rate
+    return LABELS[fused[latched]].switches, history[latched].start_time, decision_time, True, tuple(history)
 
 
 class TestConfig:
@@ -343,10 +387,20 @@ def piece(series, lo, hi):
 N_RAW = 2560
 
 
-def faulted_stream(exp):
-    """0.1 s that fault S1+S3 in the third period; on the desk model the
-    classifier's labels there change in runs shorter than debounce keeps."""
-    return simulate(exp.config.sim_config(seed=7), ((0.047, L13),), 0.1)
+# a stream's load as a share of the trained amplitude, and one phase's
+# sensor gain and offset, the offset as a share of the trained amplitude
+AS_TRAINED = (1.0, 0, 1.0, 0.0)
+
+
+def faulted_stream(exp, scene=AS_TRAINED):
+    """0.1 s that fault S1+S3 in the third period, at the load and with the
+    sensor error of scene; on the desk model, as trained, the classifier's
+    labels there change in runs shorter than debounce keeps."""
+    load, phase, gain, offset = scene
+    sim = exp.config.sim_config(seed=7)
+    series = simulate(replace(sim, amplitude=sim.amplitude * load), ((0.047, L13),), 0.1)
+    name = ("i_a", "i_b", "i_c")[phase]
+    return replace(series, **{name: getattr(series, name) * gain + offset * sim.amplitude})
 
 
 def pushed(model, series, config, cuts):
@@ -412,22 +466,28 @@ class TestDiagnoser:
         block_rows=st.sampled_from([61, 997, diagnosis._BLOCK_ROWS]),
         confirm=st.sampled_from([1, 2, 3]),
         min_run=st.sampled_from([1, 5, 37, 250]),
+        scene=st.tuples(
+            st.floats(0.5, 1.5), st.integers(0, 2), st.floats(0.8, 1.1), st.floats(-0.1, 0.1)
+        ),
     )
-    @example(cuts=list(range(1, N_RAW)), block_rows=diagnosis._BLOCK_ROWS, confirm=2, min_run=5)  # one sample each
-    @example(cuts=list(range(300, N_RAW, 300)), block_rows=997, confirm=2, min_run=5)  # shorter than a window
-    @example(cuts=[500], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=5)  # inside the phase-reference scan
-    @example(cuts=[1281], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=5)  # inside a short label run
-    @example(cuts=[64, 67, 1792, 1795], block_rows=61, confirm=1, min_run=5)  # one sample before a grid point
+    @example(cuts=list(range(1, N_RAW)), block_rows=diagnosis._BLOCK_ROWS, confirm=2, min_run=5, scene=AS_TRAINED)  # one sample each
+    @example(cuts=list(range(300, N_RAW, 300)), block_rows=997, confirm=2, min_run=5, scene=AS_TRAINED)  # shorter than a window
+    @example(cuts=[500], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=5, scene=AS_TRAINED)  # inside the phase-reference scan
+    @example(cuts=[1281], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=5, scene=AS_TRAINED)  # inside a short label run
+    @example(cuts=[64, 67, 1792, 1795], block_rows=61, confirm=1, min_run=5, scene=AS_TRAINED)  # one sample before a grid point
     # inside a label run across two window starts, still short at the cut
-    @example(cuts=[1076], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=350)
+    @example(cuts=[1076], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=350, scene=AS_TRAINED)
+    # half the load and phase b's sensor off; cut just after the reference
+    # scan and one row short of the third calibration period's end
+    @example(cuts=[1600, 2048], block_rows=997, confirm=2, min_run=5, scene=(0.5, 1, 0.85, 0.08))
     def test_any_chunks_give_the_windows_and_report_of_one_push(
-        self, desk_experiment, cuts, block_rows, confirm, min_run
+        self, desk_experiment, cuts, block_rows, confirm, min_run, scene
     ):
         # the cuts of the examples are pinned by test_the_examples_cut_where_they_say;
         # a debounce_min_run over the 200-sample window lets an undecided
         # run span a whole window and a push, as at the cut of 1076
         exp = desk_experiment
-        series = faulted_stream(exp)
+        series = faulted_stream(exp, scene)
         config = replace(exp.config.diagnosis_config(), debounce_min_run=min_run)
         with mock.patch.object(diagnosis, "_CONFIRM_WINDOWS", confirm):
             whole = pushed(exp.model, series, config, [])
@@ -460,6 +520,16 @@ class TestDiagnoser:
         assert rs.t[419] <= series.t[1075] < rs.t[420]
         starts, lengths = diagnosis._runs(masks)
         assert (101, 399) in zip(starts.tolist(), lengths.tolist())
+        # the reference scan holds 624 grid points, and the calibration
+        # periods run 200 points each from the first window's start at
+        # 201: the cut at 1600 comes after point 624, the cut at 2048
+        # between the points 799 and 800, one short of the third period's
+        # end, and the last period, from 801, is partial at the end
+        diagnoser = Diagnoser(exp.model, config)
+        diagnoser.push(piece(series, 0, 1600))
+        assert diagnoser._scan_rows() == 624 and rs.t[624] <= series.t[1599]
+        assert (diagnoser._start, diagnoser._period) == (201, 200)
+        assert rs.t[799] <= series.t[2047] < rs.t[800] and rs.n_samples == 1000
         # confirm 2 latches across a cut between windows, confirm 3 never
         report = run_diagnosis(exp.model, series, config)
         assert [w.fused for w in report.per_window_history] == [NO_FAULT, L13, L13]
@@ -468,7 +538,8 @@ class TestDiagnoser:
     @pytest.mark.parametrize("min_run", [5, 250])
     def test_the_carry_stays_bounded(self, desk_experiment, min_run):
         # what a Diagnoser carries between pushes is the rest of a window and
-        # the last label run, which is undecided while shorter than min_run
+        # the last label run, which is undecided while shorter than min_run,
+        # and the rows of a calibration period that is not yet whole
         exp = desk_experiment
         config = replace(exp.config.diagnosis_config(), debounce_min_run=min_run)
         series = simulate(exp.config.sim_config(seed=7), ((0.047, L13),), 0.5)
@@ -479,6 +550,7 @@ class TestDiagnoser:
             windows += len(diagnoser.push(piece(series, lo, lo + step)))
             if windows:
                 assert diagnoser._tail.size < config.window_samples + min_run
+                assert diagnoser._rows[0].size < diagnoser._period
         assert windows + len(diagnoser.finish().per_window_history) == 23
 
     def test_refusals_of_a_stream(self, desk_experiment):
@@ -517,6 +589,115 @@ class TestDiagnoser:
             diagnoser.finish()
 
 
+def spied_inputs(model, series, config):
+    """run_diagnosis of a series, and the currents it handed classify_stream."""
+    seen = []
+
+    def spy(model, rs):
+        seen.append(rs.currents())
+        return classify_stream(model, rs)
+
+    with mock.patch.object(diagnosis, "classify_stream", spy):
+        report = run_diagnosis(model, series, config)
+    return report, np.concatenate(seen)
+
+
+class TestCalibration:
+    def test_an_events_block_at_any_load(self, desk_experiment):
+        # the benchmark's events mix in one block: each of the 21 fault
+        # classes in its own 60-degree region after the reference scan, a
+        # healthy record after every third, 0.2 s each, at loads spread
+        # over 0.5-1.5x the trained one. Taken as they are, about a third
+        # of these records come out right
+        exp = desk_experiment
+        config = exp.config.diagnosis_config()
+        faults = [label for label in default_class_labels() if not label.is_normal]
+        wrong = []
+        for k in range(28):
+            sim = exp.config.sim_config(seed=300 + k)
+            sim = replace(sim, amplitude=sim.amplitude * (0.5 + ((11 * k) % 28 + 0.5) / 28))
+            if k % 4 == 3:
+                truth, timeline = NO_FAULT, ()
+            else:
+                j = k - k // 4  # faults so far
+                truth = faults[j]
+                timeline = (((2.0 + (j % 6 + 0.5) / 6.0) / config.fundamental, truth),)
+            report = run_diagnosis(exp.model, simulate(sim, timeline, 0.2), config)
+            if report.fault_set != truth.switches:
+                wrong.append((str(truth), round(sim.amplitude, 2), sorted(report.fault_set)))
+        assert wrong == []
+
+    def test_a_series_faulted_from_the_start_is_taken_as_it_is(self, desk_experiment):
+        # no period passes the check, so the classifier gets the resampled
+        # currents bit for bit, offset 0 and gain 1, whatever the load
+        exp = desk_experiment
+        config = exp.config.diagnosis_config()
+        faults = [label for label in default_class_labels() if not label.is_normal]
+        for k, label in enumerate(faults):
+            sim = exp.config.sim_config(seed=400 + k)
+            sim = replace(sim, amplitude=sim.amplitude * (0.7 if k % 2 else 1.3))
+            series = simulate(sim, ((0.0, label),), 0.1)
+            _, inputs = spied_inputs(exp.model, series, config)
+            assert np.array_equal(inputs, resample(series, config.target_rate).currents()), str(label)
+
+    def test_a_noise_only_period_sets_no_gain(self, desk_experiment):
+        # at half the trained load, one stream idle for its first period and
+        # one idle from 0.101 s to 0.201 s, 10 rows into the fifth
+        # calibration period, carry only the measurement noise there; a
+        # gain taken over an idle period would lift the noise to the
+        # trained amplitude, about 290 times. With no load drift and no
+        # ripple the whole healthy periods leave offsets near 0, so the
+        # whole idle periods pass the check on the means and only the RMS
+        # floor holds them back
+        exp = desk_experiment
+        config = exp.config.diagnosis_config()
+        sim = exp.config.sim_config(seed=12)
+        sim = replace(sim, amplitude=sim.amplitude / 2, amplitude_drift=0.0, ripple_amplitude=0.0)
+        for idle_from, idle_to in [(0.0, 0.02), (0.101, 0.201)]:
+            rng = np.random.default_rng(12)
+            series = simulate(sim, (), 0.3)
+            idle = (series.t >= idle_from) & (series.t < idle_to)
+            for x in (series.i_a, series.i_b, series.i_c):
+                x[idle] = rng.normal(0.0, sim.noise_sigma, idle.sum())
+            _, inputs = spied_inputs(exp.model, series, config)
+            rs = resample(series, config.target_rate)
+            # the grid rows at either end mix a busy sample in
+            idle_rows = inputs[(rs.t >= idle_from + 2e-4) & (rs.t < idle_to - 2e-4)]
+            assert np.abs(idle_rows).max() < 1.0, idle_from
+            # two periods on, the rest is taken to the trained amplitude
+            busy = inputs[rs.t >= idle_to + 0.04]
+            assert np.sqrt(np.mean(busy**2)) == pytest.approx(sim.amplitude * 2 / math.sqrt(2), rel=0.05)
+
+    @pytest.mark.parametrize("frequency, period", [(45.0, 222), (55.0, 182)])
+    def test_off_frequency_faults_get_their_exact_sets(self, desk_experiment, frequency, period):
+        # the calibration period is measured in the reference scan; every
+        # class, faulted 0.5 s into a stream 10 % off the fundamental
+        exp = desk_experiment
+        config = exp.config.diagnosis_config()
+        wrong = []
+        for k, label in enumerate(default_class_labels()):
+            sim = replace(exp.config.sim_config(seed=200 + k), frequency=frequency)
+            series = simulate(sim, () if label.is_normal else ((0.5, label),), 0.6)
+            diagnoser = Diagnoser(exp.model, config)
+            diagnoser.push(series)
+            assert diagnoser._period == period
+            if diagnoser.finish().fault_set != label.switches:
+                wrong.append(str(label))
+        assert wrong == []
+
+    def test_decision_time_ends_the_latching_window(self, desk_experiment):
+        # criterion 6's record: S1+S3 at 40 ms latches on two windows, so
+        # the decision comes two periods after the first of them starts
+        exp = desk_experiment
+        config = exp.config.diagnosis_config()
+        block = generate_series_block(exp.config, L13, 0.04, 0.2)
+        report = run_diagnosis(exp.model, block_to_series(block), config)
+        assert diagnosis._CONFIRM_WINDOWS == 2 and report.fault_set == frozenset({1, 3})
+        assert report.decision_time == pytest.approx(report.first_detect_time + 2 / config.fundamental, abs=1e-12)
+        healthy = generate_series_block(exp.config, NO_FAULT, 0.0, 0.2)
+        assert run_diagnosis(exp.model, block_to_series(healthy), config).decision_time is None
+
+
 class TestRunDiagnosisMatchesReference:
     def test_every_class_at_varied_load_and_fault_instant(self, desk_experiment):
         exp = desk_experiment
@@ -533,6 +714,7 @@ class TestRunDiagnosisMatchesReference:
                     got = (
                         report.fault_set,
                         report.first_detect_time,
+                        report.decision_time,
                         report.protection_signal,
                         report.per_window_history,
                     )
