@@ -27,8 +27,9 @@ can expose, from a six-entry mask table, and ORs them along each window.
 One loop then builds each window's record: it carries the run of equal
 fused masks from window to window and from push to push, and the first
 run of _CONFIRM_WINDOWS equal non-empty fused masks latches the fault
-set. Only that loop looks masks up in LABELS, and a window with the
-masks of the one before shares its labels tuple.
+set. Each window record keeps its debounced masks as bytes, one per
+sample, and a window with the masks of the one before shares its bytes
+object; only WindowRecord.labels looks them up in LABELS, when read.
 """
 
 from __future__ import annotations
@@ -115,14 +116,21 @@ class DiagnosisConfig:
         return round(self.target_rate / self.fundamental)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowRecord:
-    """Diagnosis trace of one period-aligned window."""
+    """Diagnosis trace of one period-aligned window: its debounced label
+    masks, one byte per sample, and its fused label. A report keeps one
+    per window, so it has slots, not an attribute dict."""
 
     index: int
     start_time: float
-    labels: tuple[FaultLabel, ...]
+    masks: bytes
     fused: FaultLabel
+
+    @property
+    def labels(self) -> tuple[FaultLabel, ...]:
+        """The debounced FaultLabel of each sample, built on each read."""
+        return tuple(LABELS[m] for m in self.masks)
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,7 @@ class FaultReport:
     """The verdict of a stream: the latched fault set, the start of the
     first window of the run that latched it and the end of its last
     window, when the latch decided (both None when nothing latched), and
-    the window records."""
+    the window records, whose labels give each window's FaultLabels."""
 
     fault_set: frozenset[int]
     first_detect_time: float | None
@@ -373,8 +381,8 @@ class Diagnoser:
     window_samples + debounce_min_run masks: the rest of a window and the
     last label run, which debounce cannot decide while it is shorter than
     debounce_min_run. Besides those it keeps the run towards the latch, as
-    its mask, length and start time, and the last window's masks with its
-    labels tuple: nothing it keeps grows with the stream.
+    its mask, length and start time, and the last window's masks, whose
+    last byte is the debounce lead: nothing it keeps grows with the stream.
     """
 
     def __init__(self, model: RandomForestModel, config: DiagnosisConfig):
@@ -395,8 +403,7 @@ class Diagnoser:
         # raw masks up to the first unclassified row, not yet windowed
         self._tail = np.empty(0, dtype=np.uint8)
         self._windows = 0  # windows given out
-        # the last window's masks, as bytes, and its labels tuple
-        self._labels: tuple[bytes, tuple[FaultLabel, ...]] = (b"", ())
+        self._masks = b""  # the last window's masks
         # the last run of equal fused masks: mask, windows, its start time;
         # frozen once it latches, at _decision, the end of its last window
         self._run: tuple[int, int, float] = (0, 0, 0.0)
@@ -584,7 +591,7 @@ class Diagnoser:
         ws, min_run = self.config.window_samples, self.config.debounce_min_run
         # until the first window is out, the tail starts the stream
         skip = 0 if self._windows else self._start
-        lead = np.frombuffer(self._labels[0][-1:], dtype=np.uint8)
+        lead = np.frombuffer(self._masks[-1:], dtype=np.uint8)
         seq = np.concatenate((lead, self._tail))
         end = seq.size
         if not final:
@@ -606,10 +613,10 @@ class Diagnoser:
         bounds = t[::ws].tolist()  # each window's start, and the last one's end
         records = []
         for t_lo, t_hi, row, f in zip(bounds, bounds[1:], map(bytes, windows), fused.tolist()):
-            # a window with the masks of the one before shares its labels tuple
-            if row != self._labels[0]:
-                self._labels = (row, tuple(LABELS[m] for m in row))
-            records.append(WindowRecord(self._windows, t_lo, self._labels[1], LABELS[f]))
+            # a window with the masks of the one before shares its bytes
+            if row != self._masks:
+                self._masks = row
+            records.append(WindowRecord(self._windows, t_lo, self._masks, LABELS[f]))
             self._windows += 1
             if self._decision is None:
                 mask, length, start = self._run
@@ -636,8 +643,8 @@ def run_diagnosis(
     Returns:
         FaultReport with the confirmed fault set, detection time (start of
         the first window of the agreeing run) and the per-window
-        debounced label history, in which equal windows in a row share
-        one labels tuple.
+        history of debounced masks, in which equal windows in a row share
+        one bytes object.
 
     The working memory does not grow with the series: the Diagnoser
     resamples, classifies and windows _BLOCK_ROWS grid rows at a time.

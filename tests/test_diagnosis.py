@@ -160,8 +160,7 @@ def reference_run_diagnosis(model, series, config):
         lo = start + w * ws
         window = masks[lo : lo + ws]
         fused.append(int(fuse_window(window, regions[lo : lo + ws])))
-        labels = tuple(LABELS[m] for m in window.tolist())
-        history.append(WindowRecord(w, float(rs.t[lo]), labels, LABELS[fused[-1]]))
+        history.append(WindowRecord(w, float(rs.t[lo]), window.tobytes(), LABELS[fused[-1]]))
     latched = reference_latch(fused, diagnosis._CONFIRM_WINDOWS)
     if latched is None:
         return frozenset(), None, None, False, tuple(history)
@@ -249,7 +248,7 @@ class TestRunDiagnosis:
         assert report.per_window_history[0].start_time == pytest.approx(0.02, abs=one_sample)
         assert report.fault_set == frozenset({1, 3})
 
-    def test_equal_windows_share_one_labels_tuple(self, desk_experiment):
+    def test_equal_windows_share_one_masks_object(self, desk_experiment):
         # 20 000 grid rows, healthy until S1+S3 at 1.8 s: the default
         # blocks meet at row 16 384, inside the healthy run, and every
         # window of 200 rows spans blocks of 61
@@ -263,49 +262,96 @@ class TestRunDiagnosis:
             start = round((history[0].start_time - float(series.t[0])) * config.target_rate)
             across = 0
             for a, b in zip(history, history[1:]):
-                assert (a.labels is b.labels) == (a.labels == b.labels)
+                assert (a.masks is b.masks) == (a.masks == b.masks)
                 blocks = {(start + w.index * ws) // block_rows for w in (a, b)}
-                across += a.labels == b.labels and len(blocks) == 2
+                across += a.masks == b.masks and len(blocks) == 2
             assert across, block_rows
 
-    def test_a_long_stream_leaves_one_labels_tuple(self):
+    def test_a_long_stream_leaves_one_masks_object(self):
         # 60 s at 10 kHz, S1 open from 1 s, pushed 20 ms at a time: under
         # noise the tiny model's labels differ from window to window (410
-        # distinct windows of 2998), and a Diagnoser that kept a tuple per
-        # distinct window would hold hundreds
+        # distinct windows of 2998), and a Diagnoser that kept the masks of
+        # each distinct window would hold hundreds
         config = DiagnosisConfig()
         sim = SimConfig(amplitude=16.5, noise_sigma=0.3, sample_rate=10000.0, seed=9)
         series = simulate(sim, ((1.0, L1),), 60.0)
         diagnoser = Diagnoser(self.tiny_model(), config)
         distinct = set()
         for lo in range(0, series.n_samples, 200):
-            distinct.update(w.labels for w in diagnoser.push(piece(series, lo, lo + 200)))
+            distinct.update(w.masks for w in diagnoser.push(piece(series, lo, lo + 200)))
         assert len(distinct) > 100 and diagnoser.finish().protection_signal
-        assert len(set().union(*map(labels_tuples, vars(diagnoser).values()))) <= 1
+        state = list(vars(diagnoser).values())
+        assert len(held(state, lambda x: isinstance(x, bytes))) <= 1
+        assert not held(state, lambda x: isinstance(x, tuple) and x and isinstance(x[0], FaultLabel))
+
+    def test_labels_are_the_masks_looked_up(self, desk_experiment):
+        exp = desk_experiment
+        report = run_diagnosis(exp.model, faulted_stream(exp), exp.config.diagnosis_config())
+        assert {w.fused for w in report.per_window_history} == {NO_FAULT, L13}
+        for w in report.per_window_history:
+            assert type(w.masks) is bytes and len(w.masks) == 200
+            assert w.labels == tuple(LABELS[m] for m in w.masks)
+
+    def test_an_events_record_keeps_little(self, desk_experiment):
+        # 0.2 s of S2 at 1.3x the trained load, as a benchmark events record:
+        # with a tuple of 200 FaultLabels per window the report kept 15 kB
+        exp = desk_experiment
+        sim = exp.config.sim_config(seed=11)
+        s2 = FaultLabel.from_switches([2])
+        series = simulate(replace(sim, amplitude=sim.amplitude * 1.3), ((0.047, s2),), 0.2)
+        tracemalloc.start()
+        try:
+            report = run_diagnosis(exp.model, series, exp.config.diagnosis_config())
+            gc.collect()
+            with_report = tracemalloc.get_traced_memory()[0]
+            n_windows, fault_set = len(report.per_window_history), report.fault_set
+            del report
+            gc.collect()
+            kept = with_report - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n_windows == 9 and fault_set == frozenset({2})
+        assert kept <= 4000
+
+    @pytest.mark.parametrize(
+        "name", ["classify_stream", "predict_batch", "debounce", "estimate_phase_reference", "fuse_window"]
+    )
+    def test_calls_each_traced_stage_through_the_module(self, name):
+        # the benchmark's tracer times these stages by wrapping the module
+        # globals; a stage the pipeline stops calling through them reads 0
+        series = simulate(SimConfig(amplitude=16.5, seed=2), ((0.047, L13),), 0.1)
+        with mock.patch.object(diagnosis, name, wraps=getattr(diagnosis, name)) as stage:
+            run_diagnosis(self.tiny_model(), series, DiagnosisConfig())
+        assert stage.called
 
     @staticmethod
-    def traced_peak(exp, seconds):
-        """Traced peak and retained bytes of one run_diagnosis of a healthy
-        stream with two walking threads, and its report."""
+    def traced_peak(exp, seconds, runs=1):
+        """Highest traced peak over runs of run_diagnosis on one healthy
+        stream with two walking threads, and the retained bytes and the
+        report of the last."""
         series = simulate(exp.config.sim_config(seed=5), (), seconds)
         predict_batch(exp.model, series.currents()[:10])  # builds the walk tables
+        peaks = []
         with mock.patch.object(forest, "_cores", lambda: 2):
-            tracemalloc.start()
-            try:
-                report = run_diagnosis(exp.model, series, exp.config.diagnosis_config())
-                gc.collect()
-                retained, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        return peak, retained, report
+            for _ in range(runs):
+                tracemalloc.start()
+                try:
+                    report = run_diagnosis(exp.model, series, exp.config.diagnosis_config())
+                    gc.collect()
+                    retained, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                peaks.append(peak)
+        return max(peaks), retained, report
 
     def test_memory_of_a_six_second_healthy_stream(self, desk_experiment):
         # Traced on the desk model with two walking threads: the peak was
         # 17.7 MB while the forest held a (rows x classes) vote matrix and a
         # scaled copy of the stream, 12.0-12.1 MB voting span by span over
         # the whole resampled stream, and is 9.8 MB diagnosing it block by
-        # block; the report kept 0.54 MB with a labels tuple per window, and
-        # keeps 0.05 MB with equal windows sharing one.
+        # block; the report kept 0.54 MB with a labels tuple per window,
+        # 0.05 MB with equal windows sharing one, and keeps 0.03 MB with
+        # each window's masks as bytes.
         peak, retained, report = self.traced_peak(desk_experiment, 6.0)
         assert len(report.per_window_history) == 299 and not report.protection_signal
         assert peak < 11.5e6
@@ -313,9 +359,12 @@ class TestRunDiagnosis:
 
     def test_peak_does_not_grow_with_the_stream(self, desk_experiment):
         # whole-stream arrays put 12 s at 15.5 MB and 3 s at 9.6 MB; block
-        # by block they peak at 9.9 and 9.7 MB
+        # by block they peak at 9.9 and 9.7 MB. A block's traced peak
+        # varies with how the two threads' spans overlap, so each side
+        # takes the worst of seven full 16 384-row blocks: the 12 s
+        # stream holds seven, and each 3 s run one
         long_peak, _, long_report = self.traced_peak(desk_experiment, 12.0)
-        short_peak, _, short_report = self.traced_peak(desk_experiment, 3.0)
+        short_peak, _, short_report = self.traced_peak(desk_experiment, 3.0, runs=7)
         assert len(long_report.per_window_history) == 598 and len(short_report.per_window_history) == 148
         assert long_peak - short_peak < 1e6
 
@@ -361,17 +410,15 @@ class TestRunDiagnosis:
             run_diagnosis(self.tiny_model(), series, DiagnosisConfig())
 
 
-def labels_tuples(value) -> set[int]:
-    """ids of the labels tuples that a value holds: itself, or in its
-    window records, tuples, lists and dicts, at any depth."""
-    if isinstance(value, WindowRecord):
-        value = value.labels
-    if isinstance(value, tuple) and value and all(isinstance(x, FaultLabel) for x in value):
+def held(value, kind) -> set[int]:
+    """ids of the objects for which kind is true that a value holds:
+    itself, or in its tuples, lists and dicts, at any depth."""
+    if kind(value):
         return {id(value)}
     if isinstance(value, dict):
         value = [*value.keys(), *value.values()]
     if isinstance(value, (tuple, list)):
-        return set().union(*map(labels_tuples, value))
+        return set().union(*(held(x, kind) for x in value))
     return set()
 
 
@@ -934,7 +981,7 @@ class TestDebounceAcrossChunks:
             history = run_diagnosis(None, LATCH_STREAM, config).per_window_history
         start = round((history[0].start_time - LATCH_STREAM.t[0]) * config.target_rate)
         expected = debounce(masks[: LATCH_STREAM.n_samples], min_run)[start:].tolist()
-        got = [lab.mask for w in history for lab in w.labels]
+        got = [m for w in history for m in w.masks]
         assert got == expected[: len(got)]
 
 
