@@ -49,10 +49,6 @@ from .simulate import FaultLabel, exposed_switches, phase_sines, simulate, switc
 
 _GEN_STREAM = 0xD5
 _SPLIT_STREAM = 0x5B
-# diagnose refuses a config whose amplitude is off the model's mean scaler
-# entry, its training rows' peak current per phase, by more than this
-# factor either way; noise, ripple and drift put the desk model at 1.017
-_AMPLITUDE_FACTOR = 1.25
 
 
 def split_class_counts(total: int, weights: list[int]) -> list[int]:
@@ -247,23 +243,9 @@ def cmd_sweep_trees(args) -> int:
     return 0
 
 
-def _refuse_amplitude_mismatch(config: ExperimentConfig, model) -> None:
-    """Refuse a config whose amplitude is not the one the model was
-    trained at, as its mean scaler entry shows."""
-    trained = float(np.mean(model.scaler))
-    if not 1.0 / _AMPLITUDE_FACTOR <= trained / config.amplitude <= _AMPLITUDE_FACTOR:
-        raise ValueError(
-            f"config amplitude {config.amplitude:g} is far from the model's training peak"
-            f" {trained:g}, the mean of its scaler line"
-            f" ({' '.join(f'{v:g}' for v in model.scaler)}): diagnose with the config"
-            " the model was trained with"
-        )
-
-
 def cmd_diagnose(args) -> int:
     config = _load_experiment_config(args)
     model = load_model(args.model)
-    _refuse_amplitude_mismatch(config, model)
     blocks = read_dataset(args.series_file)
     diag = config.diagnosis_config()
     records = []

@@ -52,8 +52,8 @@ def parse_class_token(token: str) -> FaultLabel:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # waveform
-    amplitude: float = DiagnosisConfig.amplitude
+    # waveform; diagnose takes the amplitude from the model, not from here
+    amplitude: float = 16.5
     frequency: float = SimConfig.frequency
     sample_rate: float = SimConfig.sample_rate
     noise_sigma: float = 0.04
@@ -129,7 +129,6 @@ class ExperimentConfig:
             target_rate=self.target_rate,
             fundamental=self.frequency,
             debounce_min_run=self.debounce_min_run,
-            amplitude=self.amplitude,
         )
 
 

@@ -5,8 +5,8 @@ calibrate each phase, classify every sample, debounce the label stream,
 then fuse period-aligned windows. The calibration takes each phase as
 (x - offset) * gain, with the offset and gain of a whole period of the
 stream that passes a model-free check, so that a stream at another load
-or with a sensor's gain or offset off reaches the forest at the trained
-amplitude; a faulted period fails the check and calibrates nothing (see
+or with a sensor's gain or offset off reaches the forest at the model's
+healthy_rms; a faulted period fails the check and calibrates nothing (see
 Diagnoser). A sample is classified with the forest's stop for streams:
 one whose leader holds enough of the votes at a look, after 16, 32, 64,
 ... trees, takes that label, and any other the full forest's. A
@@ -65,7 +65,7 @@ _LOWEST_FREQUENCY = 0.9
 # the check that lets a period calibrate the stream: each phase's mean
 # within _MEAN_SHIFT standard deviations of its offset, the
 # calibrated RMS values within a factor of _RMS_SPREAD of each other and
-# above _RMS_FLOOR of the trained RMS, amplitude / sqrt(2)
+# above _RMS_FLOOR of the trained RMS, the model's healthy_rms
 _MEAN_SHIFT = 0.2
 _RMS_SPREAD = 1.5
 _RMS_FLOOR = 0.2
@@ -88,22 +88,19 @@ class DiagnosisConfig:
 
     A window is one fundamental period, window_samples = target_rate /
     fundamental, a whole number of at least 6 (one per 60-degree region).
-    amplitude is the peak phase current the model was trained at, which
-    the calibration scales each phase to. The phase reference is measured
-    from the series, never configured.
+    The phase reference is measured from the series, and the RMS the
+    calibration scales each phase to is the model's healthy_rms: neither
+    is configured.
     """
 
     target_rate: float = 10000.0
     fundamental: float = 50.0
     debounce_min_run: int = 5
-    amplitude: float = 16.5
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)
         if not self.fundamental > 0.0:
             raise ValueError("fundamental must be > 0")
-        if not self.amplitude > 0.0:
-            raise ValueError("amplitude must be > 0")
         if not (self.target_rate / self.fundamental).is_integer():
             raise ValueError("target_rate must be a whole multiple of the fundamental frequency")
         if self.window_samples < 6:
@@ -361,14 +358,14 @@ class Diagnoser:
     looks like the trained one. Offset and gain come from the mean and the
     RMS about it over a whole period of P grid samples, P measured in the
     reference scan (_measured_period); the gain takes that RMS to the
-    trained amplitude / sqrt(2). Period k, counted from the phase
-    reference, is classified with period k - 1's calibration when both
-    periods pass _passes against the calibration in force, and with the
-    calibration in force otherwise, so a faulted period never calibrates
-    the rows around it. The rows before the reference take the first
-    period's calibration if it passes, and none otherwise. A row is
-    classified once its period is whole; at finish() a partial period
-    keeps the calibration in force.
+    model's healthy_rms, so a model without one is refused. Period k,
+    counted from the phase reference, is classified with period k - 1's
+    calibration when both periods pass _passes against the calibration in
+    force, and with the calibration in force otherwise, so a faulted
+    period never calibrates the rows around it. The rows before the
+    reference take the first period's calibration if it passes, and none
+    otherwise. A row is classified once its period is whole; at finish() a
+    partial period keeps the calibration in force.
 
     Stream state advances only at period and window boundaries. Between
     chunks it carries the last acquired sample, which the next grid points
@@ -386,6 +383,8 @@ class Diagnoser:
     """
 
     def __init__(self, model: RandomForestModel, config: DiagnosisConfig):
+        if model.healthy_rms is None:
+            raise ValueError("the model has no healthy_rms to calibrate to: no healthy training row had current")
         self.model = model
         self.config = config
         self._acquired = 0  # samples pushed
@@ -530,13 +529,13 @@ class Diagnoser:
         return (
             all(abs(m - o) <= _MEAN_SHIFT * s for m, o, s in zip(means, offsets, stds))
             and max(rms) <= _RMS_SPREAD * min(rms)
-            and min(rms) > _RMS_FLOOR * self.config.amplitude / math.sqrt(2.0)
+            and min(rms) > _RMS_FLOOR * self.model.healthy_rms
         )
 
     def _calibrations(self, stats) -> list:
         """The calibration of each next whole period, from its statistics and
         those of the period before; the last one stays in force."""
-        target = self.config.amplitude / math.sqrt(2.0)
+        target = self.model.healthy_rms
         cals = []
         for now in stats:
             before = self._stats or now  # the first period stands in for its own
@@ -634,7 +633,8 @@ def run_diagnosis(
     classifies the rows of the last partial period with the rest.
 
     Args:
-        model: forest over instantaneous (i_a, i_b, i_c) samples.
+        model: forest over instantaneous (i_a, i_b, i_c) samples, with the
+            healthy_rms the calibration scales each phase to.
         series: acquired currents at or above config.target_rate; it
             must hold a phase reference (see estimate_phase_reference)
             and at least one whole window after it.

@@ -16,11 +16,11 @@ A tree is a node table: arrays ``feature``, ``threshold`` and
 ``leaf_code`` with one entry per node in preorder. The forest stacks
 the trees end to end, with a root offset per tree. No child links are
 stored: a left child is the next entry, and the walk table below
-derives each right child from ``feature`` alone. The v1 model file is
-one text line per table entry; saving formats and writes it one tree at
-a time, and loading reads it 256 KB of text at a time, parsing each
-chunk's node lines in bulk into columns of the table's own dtypes and
-refusing any text after the end marker.
+derives each right child from ``feature`` alone. The model file, format
+version 2, is a header and then one text line per table entry; saving
+formats and writes it one tree at a time, and loading reads it 256 KB of
+text at a time, parsing each chunk's node lines in bulk into columns of
+the table's own dtypes and refusing any text after the end marker.
 
 Training grows the trees in blocks, in lockstep. A block holds as many
 trees as keep its bag (below) within 5 MiB, in the narrowest unsigned
@@ -159,7 +159,7 @@ from .dataset import _ascii_line_chunks
 from .simulate import LABELS, FaultLabel, check_label_masks
 
 MODEL_FORMAT_NAME = "trifault-forest"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 # gains below this are treated as float jitter, not a real improvement
 _MIN_GAIN = 1e-12
 # the split search computes a float gain only for the cuts whose exact
@@ -488,12 +488,16 @@ def _build_top_table(table: _WalkTable, roots: np.ndarray) -> _TopTable:
 @dataclass
 class RandomForestModel:
     """Every tree's node table stacked into one. Tree t occupies the
-    entries from roots[t] up to the next root."""
+    entries from roots[t] up to the next root. healthy_rms, the RMS that
+    diagnosis calibrates a stream to, is that of the raw healthy training
+    rows pooled over every feature: A / sqrt(2) for balanced currents of
+    peak A at any instants; None if no such row carries current."""
 
     nodes: NodeTable
     roots: np.ndarray
     feature_names: tuple[str, ...]
     scaler: np.ndarray
+    healthy_rms: float | None
     label_universe: tuple[FaultLabel, ...]
     params: ForestParams
 
@@ -927,7 +931,8 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     """Train a bagged forest; results are identical for any n_jobs.
 
     Args:
-        training_set: rows to fit; the max-abs scaler is fit from them.
+        training_set: rows to fit; the max-abs scaler and healthy_rms
+            are fit from them.
         params: tree counts and stopping controls.
         n_jobs: worker processes, at most one per core this process may
             run on; 1 trains in-process. Each worker imports the caller's
@@ -942,6 +947,8 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     if masks.size < 2:
         raise ValueError("training needs at least 2 distinct labels")
     scaler = normalize_fit(ts.features)
+    healthy = ts.features[ts.labels == 0]
+    healthy_rms = float(np.sqrt(np.mean(np.square(healthy)))) if healthy.size else 0.0
     X_norm = normalize_apply(scaler, ts.features)
     codes = np.searchsorted(masks, ts.labels)
     n_classes = masks.size
@@ -980,6 +987,7 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
         roots=np.cumsum(sizes) - sizes,
         feature_names=ts.feature_names,
         scaler=scaler,
+        healthy_rms=healthy_rms or None,
         label_universe=label_universe_of(masks),
         params=params,
     )
@@ -1247,11 +1255,11 @@ def _label_list(text: str) -> tuple[FaultLabel, ...]:
     return labels
 
 
-def _scaler(text: str) -> np.ndarray:
-    scaler = np.array([float(v) for v in text.split()])
-    if not np.all(np.isfinite(scaler) & (scaler > 0)):
-        raise ValueError("scaler entries must be finite and > 0")
-    return scaler
+def _positives(text: str) -> np.ndarray:
+    values = np.array([float(v) for v in text.split()])
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise ValueError("values must be finite and > 0")
+    return values
 
 
 # each header line after the format line, in file order: its key, how
@@ -1260,17 +1268,21 @@ _HEADER = {
     "n_trees": (lambda m: str(m.n_trees), int),
     "n_features": (lambda m: str(m.n_features), int),
     "feature_names": (lambda m: " ".join(m.feature_names), lambda text: tuple(text.split())),
-    "scaler": (lambda m: " ".join(_fmt(s) for s in m.scaler), _scaler),
+    "scaler": (lambda m: " ".join(_fmt(s) for s in m.scaler), _positives),
     "labels": (lambda m: " ".join(str(lab) for lab in m.label_universe), _label_list),
     "seed": (lambda m: str(m.params.seed), int),
     "m_try": (lambda m: _write_optional(m.params.m_try), _int_or_none),
     "max_depth": (lambda m: _write_optional(m.params.max_depth), _int_or_none),
     "min_samples_leaf": (lambda m: str(m.params.min_samples_leaf), int),
+    "healthy_rms": (
+        lambda m: _fmt(m.healthy_rms) if m.healthy_rms else "none",
+        lambda text: None if text == "none" else _positives(text).item(),
+    ),
 }
 
 
 def _model_chunks(model: RandomForestModel):
-    """The lines of the v1 model file in chunks: the header, one chunk
+    """The lines of the model file in chunks: the header, one chunk
     per tree, then the end marker, so a writer never holds the whole
     text."""
     for name in model.feature_names:
@@ -1480,7 +1492,7 @@ def save_model(model: RandomForestModel, path) -> None:
 
 
 def load_model(path) -> RandomForestModel:
-    """The model in a v1 model file, read 256 KB of text at a time. Of
+    """The model in a model file, read 256 KB of text at a time. Of
     the text, only the header lines and the chunk being parsed are held,
     and the model, or the error raised, does not depend on where the
     chunks split the lines. A file with a bad line, with any line after
@@ -1499,7 +1511,8 @@ def load_model(path) -> RandomForestModel:
     if len(head) != 2 or head[0] != MODEL_FORMAT_NAME:
         raise ModelFormatError(f"not a {MODEL_FORMAT_NAME} file: {lines[0]!r}")
     if head[1] != str(MODEL_FORMAT_VERSION):
-        raise ModelFormatError(f"unsupported format version {head[1]!r}")
+        hint = ": it has no healthy_rms line; re-train the model" if head[1] == "1" else ""
+        raise ModelFormatError(f"unsupported format version {head[1]!r}{hint}")
     header = _read_header(lines)
     n_features, scaler = header["n_features"], header["scaler"]
     if len(header["feature_names"]) != n_features or len(scaler) != n_features:
@@ -1517,6 +1530,7 @@ def load_model(path) -> RandomForestModel:
         roots=roots,
         feature_names=header["feature_names"],
         scaler=scaler,
+        healthy_rms=header["healthy_rms"],
         label_universe=header["labels"],
         params=params,
     )

@@ -182,7 +182,7 @@ def _reference_parse_trees(body: list[str], n_trees: int, n_features: int, label
 
 
 def reference_model_from_lines(lines: list[str]) -> RandomForestModel:
-    """The model held by the whole text of a v1 model file, its lines in
+    """The model held by the whole text of a model file, its lines in
     one list; the text after the end marker is not read."""
     if not lines:
         raise ModelFormatError("empty model text")
@@ -202,6 +202,7 @@ def reference_model_from_lines(lines: list[str]) -> RandomForestModel:
         roots=roots,
         feature_names=header["feature_names"],
         scaler=scaler,
+        healthy_rms=header["healthy_rms"],
         label_universe=header["labels"],
         params=params,
     )

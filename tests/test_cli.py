@@ -9,7 +9,6 @@ import pytest
 
 from trifault.cli import main, split_class_counts
 from trifault.dataset import SeriesBlock, read_dataset, write_dataset
-from trifault.forest import load_model
 from trifault.simulate import NO_FAULT
 
 SMALL_CFG = "dataset_samples = 2200\ntrain_samples = 1100\nn_trees = 24\ncv_folds = 3\n"
@@ -283,22 +282,36 @@ class TestErrorPaths:
         code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    @pytest.mark.parametrize("amplitude", [8.0, 25.0])
-    def test_diagnose_refuses_config_off_the_model_amplitude(self, small_env, tmp_path, capsys, amplitude):
-        # the model trained at 16.5 has a mean scaler entry of about 16.8
-        cfg = tmp_path / "off.cfg"
-        cfg.write_text(SMALL_CFG + f"amplitude = {amplitude!r}\n")
-        series = tmp_path / "h.csv"
+    @pytest.mark.parametrize("share", [1.2, 1 / 1.2], ids=["1.2x", "1/1.2x"])
+    def test_diagnose_reads_no_amplitude_from_the_config(self, small_env, tmp_path, capsys, share):
+        # the calibration target is the model's healthy_rms, so a config
+        # amplitude off the trained 16.5 changes nothing
+        off = tmp_path / "off.cfg"
+        off.write_text(SMALL_CFG + f"amplitude = {16.5 * share!r}\n")
+        series = tmp_path / "s.csv"
+        assert main(["gen", "--series", "S2", "--fault-time", "0.01", "--out", str(series)]) == 0
+        capsys.readouterr()
+        outputs = []
+        for cfg in (small_env["cfg"], off):
+            assert main(["diagnose", str(small_env["model"]), str(series), "--config", str(cfg)]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
+
+    def test_diagnose_refuses_model_trained_without_healthy_rows(self, tmp_path, capsys):
+        cfg = tmp_path / "faults.cfg"
+        cfg.write_text("classes = S1 S2 S3\ndataset_samples = 300\ntrain_samples = 200\nn_trees = 2\n")
+        pool, model, series = tmp_path / "pool.csv", tmp_path / "model.txt", tmp_path / "h.csv"
+        assert main(["gen", "--config", str(cfg), "--out", str(pool)]) == 0
+        assert main(["train", str(pool), "--config", str(cfg), "--out", str(model)]) == 0
+        assert "healthy_rms none" in model.read_text(encoding="ascii").splitlines()
         assert main(["gen", "--series", "normal", "--duration", "0.2", "--out", str(series)]) == 0
         capsys.readouterr()
-        assert main(["diagnose", str(small_env["model"]), str(series), "--config", str(cfg)]) == 2
+        assert main(["diagnose", str(model), str(series)]) == 2
         captured = capsys.readouterr()
-        trained = np.mean(load_model(small_env["model"]).scaler)
         assert captured.out == ""
-        expected = f"error: config amplitude {amplitude:g} is far from the model's training peak {trained:g}"
-        assert captured.err.startswith(expected)
+        assert captured.err.startswith("error: the model has no healthy_rms")
 
-    @pytest.mark.parametrize("k, line", [(2, ""), (1, "n_trees 0"), (4, "scaler abc")])
+    @pytest.mark.parametrize("k, line", [(2, ""), (1, "n_trees 0"), (4, "scaler abc"), (10, "healthy_rms nan")])
     def test_diagnose_refuses_model_with_bad_header_line(
         self, small_env, tmp_path, capsys, k, line
     ):

@@ -9,6 +9,7 @@ import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, repeat
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -101,14 +102,14 @@ def reference_latch(fused, min_run):
     return None
 
 
-def reference_calibrated(rs, start, period, amplitude):
+def reference_calibrated(rs, start, period, target):
     """The calibration rule period by period over a whole resampled stream,
     kept as the reference of the Diagnoser's block-by-block one: period k
-    from the grid row start takes period k - 1's mean and trained RMS over
-    its RMS when both periods pass the check against the calibration in
-    force, the first period its own, and the rows before it the first
-    period's; a partial period at the end keeps the one in force."""
-    target = amplitude / math.sqrt(2.0)
+    from the grid row start takes period k - 1's mean and the trained RMS,
+    target, over its RMS when both periods pass the check against the
+    calibration in force, the first period its own, and the rows before it
+    the first period's; a partial period at the end keeps the one in
+    force."""
     phases = [rs.i_a, rs.i_b, rs.i_c]
     n = (rs.n_samples - start) // period
     stats = []
@@ -152,7 +153,7 @@ def reference_run_diagnosis(model, series, config):
     start = int(math.ceil((t_zero - float(rs.t[0])) * config.target_rate - 1e-9))
     while start < 0:
         start += ws
-    calibrated = reference_calibrated(rs, start, ws, config.amplitude)
+    calibrated = reference_calibrated(rs, start, ws, model.healthy_rms)
     masks = np.array(debounce(classify_stream(model, calibrated), config.debounce_min_run), dtype=np.uint8)
     regions = region_indices(360.0 * f0 * (rs.t - t_zero))
     history, fused = [], []
@@ -226,6 +227,14 @@ class TestRunDiagnosis:
         history = run_diagnosis(self.tiny_model(), series, DiagnosisConfig()).per_window_history
         assert len(history) == n_windows
         assert history[0].start_time - t0 == pytest.approx(first_start, abs=1e-12)
+
+    def test_refuses_a_model_without_healthy_rms(self):
+        # a model trained without healthy rows holds no trained amplitude
+        model = replace(self.tiny_model(), healthy_rms=None)
+        series = simulate(SimConfig(amplitude=16.5), (), 0.1)
+        with mock.patch.object(diagnosis, "classify_stream", side_effect=AssertionError("classified")):
+            with pytest.raises(ValueError, match="the model has no healthy_rms"):
+                run_diagnosis(model, series, DiagnosisConfig())
 
     def test_refuses_an_all_zero_stream(self):
         t = np.arange(2560) / 25600.0
@@ -471,6 +480,7 @@ class TestClassifyStream:
             roots=np.arange(64),
             feature_names=("i_a", "i_b", "i_c"),
             scaler=np.ones(3),
+            healthy_rms=None,
             label_universe=(NO_FAULT, L1),
             params=ForestParams(n_trees=64),
         )
@@ -919,6 +929,9 @@ class TestFuseWindow:
 # 26 periods of a healthy stream at the classifier rate: 25 or 24 whole
 # windows after the phase reference, near one period in
 LATCH_STREAM = simulate(SimConfig(amplitude=16.5, sample_rate=10000.0), (), 0.52)
+# the model of a Diagnoser whose classify_stream is patched: no tree is
+# walked, and the calibration reads only the trained RMS, LATCH_STREAM's
+UNWALKED_MODEL = SimpleNamespace(healthy_rms=16.5 / math.sqrt(2.0))
 
 
 class TestLatch:
@@ -937,7 +950,7 @@ class TestLatch:
         # is patched, so no model is walked
         masks = chain(fused, repeat(0))
         bounds = [0, *cuts, LATCH_STREAM.n_samples]
-        diagnoser = Diagnoser(None, DiagnosisConfig())
+        diagnoser = Diagnoser(UNWALKED_MODEL, DiagnosisConfig())
         with (
             mock.patch.object(diagnosis, "_CONFIRM_WINDOWS", min_run),
             mock.patch.object(diagnosis, "classify_stream", lambda _, rs: np.zeros(rs.n_samples, np.uint8)),
@@ -976,9 +989,9 @@ class TestDebounceAcrossChunks:
 
         config = replace(DiagnosisConfig(), debounce_min_run=min_run)
         with mock.patch.object(diagnosis, "classify_stream", classified):
-            whole = pushed(None, LATCH_STREAM, config, [])
-            assert pushed(None, LATCH_STREAM, config, cuts) == whole
-            history = run_diagnosis(None, LATCH_STREAM, config).per_window_history
+            whole = pushed(UNWALKED_MODEL, LATCH_STREAM, config, [])
+            assert pushed(UNWALKED_MODEL, LATCH_STREAM, config, cuts) == whole
+            history = run_diagnosis(UNWALKED_MODEL, LATCH_STREAM, config).per_window_history
         start = round((history[0].start_time - LATCH_STREAM.t[0]) * config.target_rate)
         expected = debounce(masks[: LATCH_STREAM.n_samples], min_run)[start:].tolist()
         got = [m for w in history for m in w.masks]

@@ -84,7 +84,9 @@ def tie_set(rng):
 # node: blob_forest_v1.txt before trees were held as node tables, the
 # other two just before trees were grown in lockstep blocks. Together they
 # pin the feature and threshold tie-breaks, the depth and leaf limits and
-# duplicate values.
+# duplicate values. The v1 in their names is that trainer generation's:
+# they were moved to format version 2 by hand, with its healthy_rms line,
+# every tree line left as it was.
 GOLDEN_MODELS = {
     "blob_forest_v1.txt": (
         lambda: blob_set(np.random.default_rng(20), n_per_class=20, spread=1.2),
@@ -103,7 +105,7 @@ GOLDEN_MODELS = {
 
 # sha256 of the desk pool's feature bytes and of the desk model file
 DESK_POOL_SHA256 = "bc09d8c141881d4f26bd1f48611f4ef39a3cdb07bb65bd52e0decb7636e1f41b"
-DESK_MODEL_SHA256 = "4e523a33293daca7d32c808a1498663a07481d41e6626e48a2825f774ea2ded6"
+DESK_MODEL_SHA256 = "fc0fd87564873e87443cf52b20895b6a67f30fe3074fc0907acb35a29d384cf1"
 
 
 class TestNormalization:
@@ -674,7 +676,7 @@ def load_lines(lines: list[str]):
 def forest_lines(*trees):
     """A one-feature model file whose tree t holds the node lines trees[t]."""
     lines = [
-        "trifault-forest 1",
+        "trifault-forest 2",
         f"n_trees {len(trees)}",
         "n_features 1",
         "feature_names f",
@@ -684,6 +686,7 @@ def forest_lines(*trees):
         "m_try none",
         "max_depth none",
         "min_samples_leaf 1",
+        "healthy_rms 1",
     ]
     for t, nodes in enumerate(trees):
         lines += [f"tree {t}", *nodes]
@@ -1481,6 +1484,7 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert model_to_lines(loaded) == model_to_lines(model)
+        assert loaded.healthy_rms == model.healthy_rms
         rows = np.asarray(ts.features)
         assert list(predict_batch(loaded, rows)) == list(predict_batch(model, rows))
         save_model(loaded, tmp_path / "again.txt")
@@ -1490,6 +1494,29 @@ class TestPersistence:
         lines = ["trifault-forest 99"]
         with pytest.raises(ModelFormatError, match="unsupported format version"):
             load_lines(lines)
+
+    def test_refuses_version_1_and_says_to_re_train(self):
+        lines = forest_lines(["L 000000"])
+        lines[0] = "trifault-forest 1"
+        del lines[10]  # version 1 had no healthy_rms line
+        with pytest.raises(ModelFormatError, match="version '1': it has no healthy_rms line; re-train"):
+            load_lines(lines)
+
+    def test_healthy_rms_pools_the_raw_healthy_rows(self):
+        X = np.array([[3.0, -4.0], [100.0, 0.0], [0.0, 0.0]])
+        ts = TrainingSet(X, masks(L0, L1, L0), ("f", "g"))
+        model = train_forest(ts, ForestParams(n_trees=1, seed=0))
+        assert model.healthy_rms == math.sqrt(25.0 / 4.0)
+
+    @pytest.mark.parametrize("first", [L0, L2], ids=["no-current", "no-healthy-row"])
+    def test_healthy_rms_is_none_without_healthy_current(self, first, tmp_path):
+        # only the first row may be healthy, and it carries no current
+        ts = TrainingSet(np.array([[0.0], [2.0]]), masks(first, L1), ("f",))
+        model = train_forest(ts, ForestParams(n_trees=1, seed=0))
+        assert model.healthy_rms is None
+        save_model(model, tmp_path / "model.txt")
+        assert "healthy_rms none" in (tmp_path / "model.txt").read_text().splitlines()
+        assert load_model(tmp_path / "model.txt").healthy_rms is None
 
     def test_rejects_truncated_file(self):
         ts = blob_set(np.random.default_rng(15))
@@ -1590,6 +1617,8 @@ class TestPersistence:
             (8, "max_depth 0"),
             (9, "min_samples_leaf x"),
             (9, "min_samples_leaf 0"),
+            (10, "healthy_rms inf"),
+            (10, "healthy_rms 0"),
         ],
     )
     def test_rejects_bad_header_line(self, k, line):
@@ -1604,11 +1633,17 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="'n_features 0'"):
             load_lines(lines)
 
+    def test_desk_model_measures_the_trained_amplitude(self, desk_experiment):
+        config = desk_experiment.config
+        assert desk_experiment.model.healthy_rms * math.sqrt(2.0) == pytest.approx(config.amplitude, rel=0.005)
+
     def test_desk_model_bytes_are_pinned(self, desk_experiment, tmp_path):
-        # The digest was recorded before each lockstep step became one loop
-        # body. The pool comes from NumPy's sin, whose last bit may differ
-        # with the NumPy build and the CPU, so the model digest is compared
-        # on the recorded pool only.
+        # The digest was recorded when the format went to version 2; the
+        # file before differed only in its version line and its lack of a
+        # healthy_rms line, and that digest held since before each lockstep
+        # step became one loop body. The pool comes from NumPy's sin, whose
+        # last bit may differ with the NumPy build and the CPU, so the model
+        # digest is compared on the recorded pool only.
         X, _ = training_rows(generate_training_pool(desk_experiment.config))
         if hashlib.sha256(X.tobytes()).hexdigest() != DESK_POOL_SHA256:
             pytest.skip("this platform simulates a different desk pool")
@@ -1730,6 +1765,7 @@ def model_outcome(load, source):
     columns = (*model.nodes, model.roots, model.scaler)
     return (
         [(col.dtype.str, col.tobytes()) for col in columns],
+        model.healthy_rms,
         model.feature_names,
         model.label_universe,
         model.params,
