@@ -50,6 +50,10 @@ from .simulate import FaultLabel, exposed_switches, phase_sines, simulate, switc
 _GEN_STREAM = 0xD5
 _SPLIT_STREAM = 0x5B
 
+# weight of the healthy class in the training pool: the online stream is mostly
+# healthy-looking instants (pre-fault segments, intact half-cycles of faulted phases)
+_NORMAL_WEIGHT = 4
+
 
 def split_class_counts(total: int, weights: list[int]) -> list[int]:
     """Per-class row counts proportional to weights and summing exactly
@@ -87,7 +91,7 @@ def _expressed_mask(label: FaultLabel, t: np.ndarray, frequency: float) -> np.nd
 
 def generate_training_pool(config: ExperimentConfig) -> list[SeriesBlock]:
     """One series block per class, subsampled to the configured totals."""
-    weights = [config.normal_weight if lab.is_normal else 1 for lab in config.classes]
+    weights = [_NORMAL_WEIGHT if lab.is_normal else 1 for lab in config.classes]
     counts = split_class_counts(config.dataset_samples, weights)
     master = np.random.default_rng([config.seed, _GEN_STREAM])
     period = 1.0 / config.frequency

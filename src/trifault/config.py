@@ -6,7 +6,8 @@ and is parsed by the parser of its declared type. Lines starting with
 # and blank lines are ignored; an unknown key, or a key given twice, is
 rejected. Class lists use tokens like `normal`, `S2`, or `S1+S3` (a bit
 string such as `101000` also works). The diagnosis window is derived,
-not set: one fundamental period, target_rate / frequency samples.
+not set: one fundamental period, target_rate / frequency samples; the
+pool's healthy weight and the debounce run are pipeline constants.
 """
 
 from __future__ import annotations
@@ -66,11 +67,6 @@ class ExperimentConfig:
     classes: tuple[FaultLabel, ...] = field(default_factory=default_class_labels)
     dataset_samples: int = 24000
     train_samples: int = 8000
-    # weight of the healthy class in the dataset split; the online stream
-    # is dominated by healthy-looking instants (pre-fault segments and the
-    # intact half-cycles of faulted phases), so the healthy class gets a
-    # proportionally larger share of training rows
-    normal_weight: int = 4
     # forest
     n_trees: int = ForestParams.n_trees
     m_try: int | None = ForestParams.m_try
@@ -79,7 +75,6 @@ class ExperimentConfig:
     cv_folds: int = 5
     # diagnosis; a window is one period, target_rate / frequency samples
     target_rate: float = DiagnosisConfig.target_rate
-    debounce_min_run: int = DiagnosisConfig.debounce_min_run
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)
@@ -91,13 +86,11 @@ class ExperimentConfig:
             raise ValueError("train_samples must be > 0")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
-        if self.normal_weight < 1:
-            raise ValueError("normal_weight must be >= 1")
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("duplicate class labels")
         if self.target_rate > self.sample_rate:
             raise ValueError("target_rate must not exceed sample_rate")
-        # a bad waveform, forest, window or debounce setting fails at load
+        # a bad waveform, forest or window setting fails at load
         self.sim_config()
         self.forest_params()
         self.diagnosis_config()
@@ -125,11 +118,7 @@ class ExperimentConfig:
         )
 
     def diagnosis_config(self) -> DiagnosisConfig:
-        return DiagnosisConfig(
-            target_rate=self.target_rate,
-            fundamental=self.frequency,
-            debounce_min_run=self.debounce_min_run,
-        )
+        return DiagnosisConfig(target_rate=self.target_rate, fundamental=self.frequency)
 
 
 def _optional_int(text: str) -> int | None:

@@ -131,8 +131,12 @@ _ROW = "{:.9f},{:.6f},{:.6f},{:.6f},{:06b}".format
 
 
 def write_dataset(path, blocks) -> None:
-    lines = [DATASET_HEADER]
+    """Write the blocks; a series id given twice is refused before path is opened."""
+    lines, seen = [DATASET_HEADER], set()
     for block in blocks:
+        if block.series_id in seen:
+            raise ValueError(f"series id {block.series_id} is given twice")
+        seen.add(block.series_id)
         lines.append(
             f"# series {block.series_id} rate={repr(float(block.sample_rate))}"
             f" timeline={_timeline_text(block.fault_timeline)}"

@@ -58,6 +58,9 @@ _CROSSING_QUALITY = 0.3
 # equal non-empty fused windows in a row that latch a fault set
 _CONFIRM_WINDOWS = 2
 
+# the shortest run of equal sample labels the debounce keeps
+_DEBOUNCE_RUN = 5
+
 # the lowest stream frequency, as a share of the fundamental, whose period
 # the reference scan holds
 _LOWEST_FREQUENCY = 0.9
@@ -90,12 +93,12 @@ class DiagnosisConfig:
     fundamental, a whole number of at least 6 (one per 60-degree region).
     The phase reference is measured from the series, and the RMS the
     calibration scales each phase to is the model's healthy_rms: neither
-    is configured.
+    is configured. Nor are the debounce run and the latch run, the module
+    constants _DEBOUNCE_RUN and _CONFIRM_WINDOWS.
     """
 
     target_rate: float = 10000.0
     fundamental: float = 50.0
-    debounce_min_run: int = 5
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)
@@ -105,8 +108,6 @@ class DiagnosisConfig:
             raise ValueError("target_rate must be a whole multiple of the fundamental frequency")
         if self.window_samples < 6:
             raise ValueError(f"a {self.window_samples}-sample window cannot cover the six regions")
-        if self.debounce_min_run < 1:
-            raise ValueError("debounce_min_run must be >= 1")
 
     @property
     def window_samples(self) -> int:
@@ -375,9 +376,9 @@ class Diagnoser:
     period's statistics; and the tail, the raw masks classified since the
     last window it gave out, or since the stream began until the first
     window is out. Once a window is out the tail holds fewer than
-    window_samples + debounce_min_run masks: the rest of a window and the
+    window_samples + _DEBOUNCE_RUN masks: the rest of a window and the
     last label run, which debounce cannot decide while it is shorter than
-    debounce_min_run. Besides those it keeps the run towards the latch, as
+    _DEBOUNCE_RUN. Besides those it keeps the run towards the latch, as
     its mask, length and start time, and the last window's masks, whose
     last byte is the debounce lead: nothing it keeps grows with the stream.
     """
@@ -582,12 +583,12 @@ class Diagnoser:
         the first run the lead is accepted, so the tail debounces as it
         would in the whole stream. Before the first window there is no lead:
         the tail starts the stream. Unless final, the last run stays
-        undecided while it is shorter than debounce_min_run and not the
+        undecided while it is shorter than _DEBOUNCE_RUN and not the
         first: the next masks may make it long enough. The decided whole
         windows go out, and the tail keeps what follows them.
         """
         self._tail = np.concatenate((self._tail, masks))
-        ws, min_run = self.config.window_samples, self.config.debounce_min_run
+        ws = self.config.window_samples
         # until the first window is out, the tail starts the stream
         skip = 0 if self._windows else self._start
         lead = np.frombuffer(self._masks[-1:], dtype=np.uint8)
@@ -595,13 +596,13 @@ class Diagnoser:
         end = seq.size
         if not final:
             last = int(_runs(seq)[0][-1])
-            if last and end - last < min_run:
+            if last and end - last < _DEBOUNCE_RUN:
                 end = last
         lo = lead.size + skip
         n = max(end - lo, 0) // ws
         if not n:
             return []
-        windows = debounce(seq[:end], min_run)[lo : lo + n * ws].reshape(n, ws)
+        windows = debounce(seq[:end], _DEBOUNCE_RUN)[lo : lo + n * ws].reshape(n, ws)
         # the first window's grid index: the tail ends at the first carried row
         at = self._grid - self._rows[0].size - self._tail.size + skip
         self._tail = self._tail[skip + n * ws :].copy()

@@ -27,13 +27,13 @@ class HaarLevel:
             raise ValueError("averages and details must have equal length")
 
 
-def _as_pow2_array(values, min_len: int = 2) -> np.ndarray:
+def _as_pow2_array(values) -> np.ndarray:
     a = np.asarray(values, dtype=float)
     if a.ndim != 1:
         raise ValueError("input must be one-dimensional")
     n = a.size
-    if n < min_len or n & (n - 1):
-        raise ValueError(f"input length must be a power of two >= {min_len}, got {n}")
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"input length must be a power of two >= 2, got {n}")
     return a
 
 

@@ -83,6 +83,8 @@ class FaultLabel:
         mask = 0
         for s in switches:
             _check_switch(s)
+            if mask >> (N_SWITCHES - int(s)) & 1:
+                raise ValueError(f"switch S{s} is named twice")
             mask |= 1 << (N_SWITCHES - int(s))
         return cls(mask)
 

@@ -42,9 +42,8 @@ class TimeDomainFeatures:
     """The twelve statistics of one window.
 
     The first six moments always exist. The six ratio-based indices are
-    None when the window RMS or mean absolute value is below epsilon
-    (an all-zero window, say); as_vector() refuses to emit such a
-    partial result.
+    None when the window RMS or mean |x| is at most DEGENERATE_EPS (an
+    all-zero window, say); as_vector() refuses such a partial result.
     """
 
     x_max: float
@@ -67,13 +66,14 @@ class TimeDomainFeatures:
         return np.array(values, dtype=float)
 
 
-def time_domain_features(window, eps: float = DEGENERATE_EPS) -> TimeDomainFeatures:
+def time_domain_features(window) -> TimeDomainFeatures:
     """Compute the twelve statistics of a window of at least 2 samples.
 
     Population definitions throughout: variance uses 1/N, kurtosis is
     mean(((x - mean)/rms)^4), skewness mean(((x - mean)/rms)^3). The
     waveform index is rms / mean|x|, crest x_max / rms, impulse
-    x_max / mean|x|, margin x_max / mean(sqrt|x|)^2.
+    x_max / mean|x|, margin x_max / mean(sqrt|x|)^2. The ratio indices are
+    None when the RMS or mean|x| is at most DEGENERATE_EPS.
     """
     x = np.asarray(window, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -88,7 +88,7 @@ def time_domain_features(window, eps: float = DEGENERATE_EPS) -> TimeDomainFeatu
     mean_abs = float(np.mean(np.abs(x)))
     root_amp = float(np.mean(np.sqrt(np.abs(x)))) ** 2
 
-    if rms <= eps or mean_abs <= eps:
+    if rms <= DEGENERATE_EPS or mean_abs <= DEGENERATE_EPS:
         kurt = skew = waveform = crest = impulse = margin = None
     else:
         centered = (x - mean) / rms

@@ -39,38 +39,27 @@ def dq_transform(i_a, i_b, i_c) -> CurrentVector:
     return CurrentVector(i_d, i_q)
 
 
-def unit_vector(v, eps: float = DEGENERATE_EPS) -> CurrentVector:
-    """v scaled to unit magnitude; degenerate inputs raise."""
+def unit_vector(v) -> CurrentVector:
+    """v scaled to unit magnitude; a magnitude <= DEGENERATE_EPS raises."""
     i_d, i_q = v
     mag = np.hypot(i_d, i_q)
-    if np.any(mag <= eps):
-        raise DegenerateVectorError(f"vector magnitude <= {eps}")
+    if np.any(mag <= DEGENERATE_EPS):
+        raise DegenerateVectorError(f"vector magnitude <= {DEGENERATE_EPS}")
     if np.ndim(mag) == 0:
         return CurrentVector(float(i_d) / float(mag), float(i_q) / float(mag))
     return CurrentVector(np.asarray(i_d) / mag, np.asarray(i_q) / mag)
 
 
-def vector_angle(v, eps: float = DEGENERATE_EPS) -> float:
-    """Four-quadrant angle of v in degrees, in [0, 360)."""
+def vector_angle(v) -> float:
+    """Four-quadrant angle of v in degrees, in [0, 360); |v| <= DEGENERATE_EPS raises."""
     i_d, i_q = float(v[0]), float(v[1])
-    if math.hypot(i_d, i_q) <= eps:
-        raise DegenerateVectorError(f"vector magnitude <= {eps}")
+    if math.hypot(i_d, i_q) <= DEGENERATE_EPS:
+        raise DegenerateVectorError(f"vector magnitude <= {DEGENERATE_EPS}")
     ang = math.degrees(math.atan2(i_q, i_d)) % 360.0
     return 0.0 if ang >= 360.0 else ang
 
 
-def _trajectory_polar(trajectory, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Radii and angles (degrees) of the non-degenerate trajectory samples."""
-    pts = np.asarray(list(trajectory), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("trajectory must be a sequence of (i_d, i_q) pairs")
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    keep = radii > eps
-    angles = np.degrees(np.arctan2(pts[keep, 1], pts[keep, 0])) % 360.0
-    return radii[keep], angles
-
-
-def vector_surface_area(trajectory, closed: bool = False, eps: float = DEGENERATE_EPS) -> float:
+def vector_surface_area(trajectory, closed: bool = False) -> float:
     """Area swept by the trajectory, summed sector by sector.
 
     Each consecutive sample pair contributes pi * r^2 * rho / 360 where
@@ -78,12 +67,17 @@ def vector_surface_area(trajectory, closed: bool = False, eps: float = DEGENERAT
     step between the two samples (never more than 180 degrees). With
     closed=True the step from the last sample back to the first is
     included as well; use that for a trajectory covering one full
-    fundamental period. Samples at the origin are skipped.
+    fundamental period. Samples within DEGENERATE_EPS of 0 are skipped.
     """
     pts = list(trajectory)
     if len(pts) < 2:
         raise ValueError("trajectory needs at least 2 samples")
-    radii, angles = _trajectory_polar(pts, eps)
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("trajectory must be a sequence of (i_d, i_q) pairs")
+    radii = np.hypot(pts[:, 0], pts[:, 1])
+    keep = radii > DEGENERATE_EPS
+    radii, angles = radii[keep], np.degrees(np.arctan2(pts[keep, 1], pts[keep, 0])) % 360.0
     if radii.size < 2:
         return 0.0
     d = np.abs(np.diff(angles))

@@ -275,6 +275,10 @@ class TestErrorPaths:
     def test_bad_class_token(self, tmp_path, capsys):
         code = main(["gen", "--series", "Q9", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+        capsys.readouterr()
+        assert main(["gen", "--series", "S1+S1", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: switch S1 is named twice\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -57,6 +57,9 @@ class TestClassTokens:
             parse_class_token("X9")
         with pytest.raises(ValueError):
             parse_class_token("S0")
+        for token, switch in [("S1+S1", "S1"), ("s3+S2+S3", "S3")]:
+            with pytest.raises(ValueError, match=f"^switch {switch} is named twice$"):
+                parse_class_token(token)
 
 
 class TestParseConfig:
@@ -86,7 +89,9 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 2"):
             parse_config("seed = 1\nbogus = 3\n")
 
-    @pytest.mark.parametrize("key", ["window_samples", "phase_fallback_deg", "confirm_windows"])
+    @pytest.mark.parametrize(
+        "key", ["window_samples", "phase_fallback_deg", "confirm_windows", "debounce_min_run", "normal_weight"]
+    )
     def test_removed_keys_are_unknown(self, key):
         with pytest.raises(ValueError, match=f"line 1: unknown key '{key}'"):
             parse_config(f"{key} = 2\n")
@@ -100,6 +105,8 @@ class TestParseConfig:
     def test_bad_value_reports_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config("n_trees = many\n")
+        with pytest.raises(ValueError, match="^config line 2: bad value for 'classes': switch S1 is named twice$"):
+            parse_config("seed = 1\nclasses = normal S1+S1\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -114,10 +121,6 @@ class TestValidation:
     def test_rejects_dataset_smaller_than_classes(self):
         with pytest.raises(ValueError):
             ExperimentConfig(dataset_samples=10)
-
-    def test_rejects_zero_normal_weight(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(normal_weight=0)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -161,14 +164,12 @@ class TestRoundTrip:
             classes=(NO_FAULT, FaultLabel.from_switches([2]), FaultLabel.from_switches([1, 4])),
             dataset_samples=90,
             train_samples=40,
-            normal_weight=2,
             n_trees=40,
             m_try=2,
             max_depth=9,
             min_samples_leaf=3,
             cv_folds=4,
             target_rate=12000.0,
-            debounce_min_run=3,
         )
         default = ExperimentConfig()
         assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(cfg))
@@ -199,13 +200,12 @@ class TestDerivedConfigs:
 
     def test_diagnosis_config(self):
         for cfg in (
-            ExperimentConfig(frequency=60.0, target_rate=12000.0, debounce_min_run=3),
-            parse_config("frequency = 60.0\ntarget_rate = 12000.0\ndebounce_min_run = 3\n"),
+            ExperimentConfig(frequency=60.0, target_rate=12000.0),
+            parse_config("frequency = 60.0\ntarget_rate = 12000.0\n"),
         ):
             diag = cfg.diagnosis_config()
             assert diag.fundamental == 60.0
             assert diag.window_samples == 200
-            assert diag.debounce_min_run == 3
         # 10 kHz holds no whole number of 60 Hz periods
         with pytest.raises(ValueError, match="whole multiple"):
             ExperimentConfig(frequency=60.0)

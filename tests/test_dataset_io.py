@@ -277,6 +277,16 @@ class TestFileRoundTrip:
         with pytest.raises(DatasetFormatError, match=f"^line {line}: byte 0xe9 at column {column} is not ASCII$"):
             read_dataset(path)
 
+    def test_repeated_series_id_is_refused_before_the_file_opens(self, tmp_path):
+        blocks = [sample_block(), sample_block()]
+        assert blocks[0].series_id == blocks[1].series_id
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        for path in (new, old):
+            with pytest.raises(ValueError, match=f"^series id {blocks[0].series_id} is given twice$"):
+                write_dataset(path, blocks)
+        assert not new.exists() and old.read_text() == "kept\n"
+
     def test_header_line(self, tmp_path):
         path = tmp_path / "d.csv"
         write_dataset(path, [sample_block()])

@@ -154,7 +154,7 @@ def reference_run_diagnosis(model, series, config):
     while start < 0:
         start += ws
     calibrated = reference_calibrated(rs, start, ws, model.healthy_rms)
-    masks = np.array(debounce(classify_stream(model, calibrated), config.debounce_min_run), dtype=np.uint8)
+    masks = np.array(debounce(classify_stream(model, calibrated), diagnosis._DEBOUNCE_RUN), dtype=np.uint8)
     regions = region_indices(360.0 * f0 * (rs.t - t_zero))
     history, fused = [], []
     for w in range((rs.n_samples - start) // ws):
@@ -541,12 +541,15 @@ class TestDiagnoser:
         self, desk_experiment, cuts, block_rows, confirm, min_run, scene
     ):
         # the cuts of the examples are pinned by test_the_examples_cut_where_they_say;
-        # a debounce_min_run over the 200-sample window lets an undecided
+        # a _DEBOUNCE_RUN over the 200-sample window lets an undecided
         # run span a whole window and a push, as at the cut of 1076
         exp = desk_experiment
         series = faulted_stream(exp, scene)
-        config = replace(exp.config.diagnosis_config(), debounce_min_run=min_run)
-        with mock.patch.object(diagnosis, "_CONFIRM_WINDOWS", confirm):
+        config = exp.config.diagnosis_config()
+        with (
+            mock.patch.object(diagnosis, "_CONFIRM_WINDOWS", confirm),
+            mock.patch.object(diagnosis, "_DEBOUNCE_RUN", min_run),
+        ):
             whole = pushed(exp.model, series, config, [])
             with mock.patch.object(diagnosis, "_BLOCK_ROWS", block_rows):
                 assert pushed(exp.model, series, config, cuts) == whole
@@ -564,7 +567,7 @@ class TestDiagnoser:
         # two points of a run the debounce suppresses
         assert rs.t[500] <= series.t[1280] < rs.t[501]
         assert masks[499] != masks[500] == masks[501] != masks[502]
-        assert 2 < config.debounce_min_run
+        assert 2 < diagnosis._DEBOUNCE_RUN
         # each cut leaves a grid point one sample ahead, on a sample or
         # between two
         for cut, k in [(64, 25), (67, 26), (1792, 700), (1795, 701)]:
@@ -572,7 +575,7 @@ class TestDiagnoser:
         assert rs.t[25] == series.t[64] and rs.t[700] == series.t[1792]
         # the cut at 1076 ends the first push at grid point 419, inside the
         # 399-point run from 101 across the window starts 201 and 401: the
-        # 319 points seen are short of a debounce_min_run of 350, and the
+        # 319 points seen are short of a _DEBOUNCE_RUN of 350, and the
         # window that ends at 401 must wait for the run to be decided
         assert rs.t[419] <= series.t[1075] < rs.t[420]
         starts, lengths = diagnosis._runs(masks)
@@ -598,17 +601,19 @@ class TestDiagnoser:
         # the last label run, which is undecided while shorter than min_run,
         # and the rows of a calibration period that is not yet whole
         exp = desk_experiment
-        config = replace(exp.config.diagnosis_config(), debounce_min_run=min_run)
+        config = exp.config.diagnosis_config()
         series = simulate(exp.config.sim_config(seed=7), ((0.047, L13),), 0.5)
         step = round(0.02 * series.sample_rate)
         diagnoser = Diagnoser(exp.model, config)
         windows = 0
-        for lo in range(0, series.n_samples, step):
-            windows += len(diagnoser.push(piece(series, lo, lo + step)))
-            if windows:
-                assert diagnoser._tail.size < config.window_samples + min_run
-                assert diagnoser._rows[0].size < diagnoser._period
-        assert windows + len(diagnoser.finish().per_window_history) == 23
+        with mock.patch.object(diagnosis, "_DEBOUNCE_RUN", min_run):
+            for lo in range(0, series.n_samples, step):
+                windows += len(diagnoser.push(piece(series, lo, lo + step)))
+                if windows:
+                    assert diagnoser._tail.size < config.window_samples + min_run
+                    assert diagnoser._rows[0].size < diagnoser._period
+            windows += len(diagnoser.finish().per_window_history)
+        assert windows == 23
 
     def test_refusals_of_a_stream(self, desk_experiment):
         exp = desk_experiment
@@ -987,8 +992,11 @@ class TestDebounceAcrossChunks:
         def classified(_, rs):
             return masks[np.rint((rs.t - LATCH_STREAM.t[0]) * rs.sample_rate).astype(int)]
 
-        config = replace(DiagnosisConfig(), debounce_min_run=min_run)
-        with mock.patch.object(diagnosis, "classify_stream", classified):
+        config = DiagnosisConfig()
+        with (
+            mock.patch.object(diagnosis, "classify_stream", classified),
+            mock.patch.object(diagnosis, "_DEBOUNCE_RUN", min_run),
+        ):
             whole = pushed(UNWALKED_MODEL, LATCH_STREAM, config, [])
             assert pushed(UNWALKED_MODEL, LATCH_STREAM, config, cuts) == whole
             history = run_diagnosis(UNWALKED_MODEL, LATCH_STREAM, config).per_window_history

@@ -98,6 +98,8 @@ class TestFaultLabel:
             FaultLabel.from_switches([0])
         with pytest.raises(ValueError):
             FaultLabel.from_switches([7])
+        with pytest.raises(ValueError, match="^switch S6 is named twice$"):
+            FaultLabel.from_switches(np.array([6, 2, 6]))
 
     def test_mask_is_the_number_its_bit_string_spells(self):
         assert [str(lab) for lab in LABELS] == [f"{m:06b}" for m in range(64)]
