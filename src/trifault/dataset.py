@@ -27,7 +27,6 @@ at any rate.
 from __future__ import annotations
 
 import math
-import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -177,37 +176,42 @@ def _parse_series_comment(line: str, line_no: int) -> tuple[int, float, tuple]:
     return series_id, rate, _parse_timeline(meta["timeline"], line_no)
 
 
-# characters that _ascii_line_chunks reads at a time
+# bytes that _ascii_line_chunks reads at a time
 _CHUNK_CHARS = 1 << 18
-# what surrogateescape decodes a byte of 0x80 or above to
-_NOT_ASCII = re.compile("[\udc80-\udcff]")
 
 
 def _ascii_line_chunks(path, error):
-    """The lines of the ASCII text file at path, which it opens and
-    closes, 256 K characters at a time, as lists that together hold what
-    str.splitlines gives on the whole text: each list ends at the last
-    newline its text holds. A byte that is not ASCII decodes as a lone
-    surrogate, which splits no line, and raises error naming its line, its
-    column and its value, after the lines before it: an error that a
-    reader finds in those lines comes first, wherever the chunks fall."""
-    done, tail = 0, ""  # lines handed out, text after the last newline
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        while chunk := fh.read(_CHUNK_CHARS):
-            text = tail + chunk
-            if not text.isascii():
-                lines = text.splitlines()
-                k, bad = next((k, bad) for k, line in enumerate(lines) if (bad := _NOT_ASCII.search(line)))
-                yield lines[:k]
-                byte = ord(bad.group()) - 0xDC00
-                raise error(f"line {done + k + 1}: byte 0x{byte:02x} at column {bad.start() + 1} is not ASCII")
-            cut = text.rfind("\n") + 1
-            lines, tail = text[:cut].splitlines(), text[cut:]
-            del chunk, text  # the reader holds only the lines while it parses them
-            done += len(lines)
-            yield lines
-            del lines  # so that the next read does not hold these lines too
-    yield tail.splitlines()
+    """The ASCII file at path, which it opens and closes, read
+    _CHUNK_CHARS bytes at a time, as (data, starts, ends): bytes, and
+    where each line that they hold whole starts and ends; these are the
+    lines that str.splitlines gives on the whole text. A byte that is not
+    ASCII splits no line and raises error naming its line, its column and
+    its value, after the lines before it: an error that a reader finds in
+    those lines comes first, wherever the reads fall."""
+    done, tail = 0, b""
+    with open(path, "rb") as fh:
+        while data := tail + (fh.read(_CHUNK_CHARS) or tail and b"\n"):  # the last line may lack its end
+            code = np.frombuffer(data, np.uint8)
+            ends = np.flatnonzero(code <= 30)  # the bytes that may end a line
+            now, before = code.take(ends), code.take(ends - 1, mode="clip")
+            # the \n of a \r\n ends no line, nor does a \r that ends a read, as its \n may be next
+            ends = ends[np.isin(now, (10, 11, 12, 13, 28, 29, 30)) & ((now != 10) | (before != 13))]
+            ends = ends[:-1] if data[-1] == 13 else ends
+            bounds = np.append(0, ends + 1 + ((code.take(ends) == 13) & (code.take(ends + 1, mode="clip") == 10)))
+            if not data.isascii():
+                bad = int(np.argmax(code >= 128))
+                k = int(np.searchsorted(ends, bad))  # the bad byte's line
+                yield data, bounds[:k], ends[:k]
+                col = bad - bounds[k] + 1
+                raise error(f"line {done + k + 1}: byte 0x{data[bad]:02x} at column {col} is not ASCII")
+            done, tail = done + ends.size, data[bounds[-1] :]
+            yield data, bounds[:-1], ends
+
+
+def _lines(path):
+    """The lines of the ASCII file at path, as str.splitlines gives them."""
+    chunks = _ascii_line_chunks(path, DatasetFormatError)
+    return chain.from_iterable(data[s[0] : e[-1] + 1].decode().splitlines() for data, s, e in chunks if s.size)
 
 
 def _read_block(comment, lines):
@@ -253,7 +257,7 @@ def _read_block(comment, lines):
 
 
 def read_dataset(path) -> list[SeriesBlock]:
-    lines = enumerate(chain.from_iterable(_ascii_line_chunks(path, DatasetFormatError)), start=1)
+    lines = enumerate(_lines(path), start=1)
     if next(lines, (1, None))[1] != DATASET_HEADER:
         raise DatasetFormatError(f"line 1: expected header {DATASET_HEADER!r}")
     comment = next(lines, None)

@@ -19,8 +19,10 @@ stored: a left child is the next entry, and the walk table below
 derives each right child from ``feature`` alone. The model file, format
 version 2, is a header and then one text line per table entry; saving
 formats and writes it one tree at a time, and loading reads it 256 KB of
-text at a time, parsing each chunk's node lines in bulk into columns of
-the table's own dtypes and refusing any text after the end marker.
+bytes at a time, finds each chunk's lines and tokens as byte ranges, reads
+its thresholds in one NumPy call (float() reads one only to word a
+refusal, or when that call fails), parses its node lines into columns of
+the table's own dtypes, and refuses any text after the end marker.
 
 Training grows the trees in blocks, in lockstep. A block holds as many
 trees as keep its bag (below) within 5 MiB, in the narrowest unsigned
@@ -145,10 +147,9 @@ the next look.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import NamedTuple
@@ -555,7 +556,7 @@ def label_universe_of(labels) -> tuple[FaultLabel, ...]:
 def _ranges(starts, lengths) -> np.ndarray:
     """The index ranges [start, start + length), laid end to end."""
     ends = np.cumsum(lengths)
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
 
 
 def _presort(X, codes):
@@ -958,6 +959,9 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     blocks = [range(b, min(b + block, params.n_trees)) for b in range(0, params.n_trees, block)]
     grow = partial(_grow_indexed_block, X_norm, codes, n_classes, params)
     if workers > 1:
+        # the process pool is imported here, so that importing trifault does not pay for it
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
         if getattr(multiprocessing.current_process(), "_inheriting", False):
             # a worker still importing an unguarded main module: refuse before
             # a pool makes semaphores that the dying worker would leak
@@ -1342,14 +1346,28 @@ def _internal_refusal(line: str, n_features: int) -> str | None:
     return None
 
 
-# the ASCII characters that str.split() splits at
-_SPACE = np.zeros(128, dtype=np.int8)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = 1
+# a bytes.translate table that maps the ASCII bytes that str.split() splits
+# at to 1, and any other byte to 0
+_SPACE = bytes(b in b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f" for b in range(256))
 
 
-def _substrings(text: str, start: np.ndarray, size: np.ndarray):
-    """The substrings of text at start, of the given sizes."""
-    return map(text.__getitem__, map(slice, start.tolist(), (start + size).tolist()))
+def _floats(data: bytes, code: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The tokens of data (code: the same bytes as uint8) at start, of the
+    given sizes, read as floats by one NumPy call over their bytes, a space
+    after each: float() of each token, but NaN for one such as `nan(12)`
+    that float() refuses. Where that call fails, as on `1_0` (float() reads
+    10), float() reads each token and raises ValueError on one it refuses."""
+    text = code.take(_ranges(start, size + 1))  # each token and the byte after it
+    text[np.cumsum(size + 1) - 1] = ord(" ")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # NumPy 1.x warns at text it cannot read
+            values = np.fromstring(text[:-1].tobytes(), sep=" ")
+        if values.size == start.size:
+            return values
+    except (ValueError, DeprecationWarning):
+        pass
+    return np.array([float(data[a : a + n]) for a, n in zip(start.tolist(), size.tolist())], dtype=float)
 
 
 class _BodyReader:
@@ -1382,35 +1400,40 @@ class _BodyReader:
         self.n_owed = self.base = 0
         self.bad_internal = self.bad_leaf = None
 
-    def feed(self, lines: list[str]) -> None:
-        """Parse the next chunk of lines.
+    def feed(self, data: bytes, starts: np.ndarray, ends: np.ndarray) -> None:
+        """Parse the next chunk: the lines of data that start and end at
+        starts and ends.
 
         The tokens, the runs that str.split() gives, are found as byte
-        ranges of the chunk's text, so each line's field count, its first
-        token, a one-digit feature and a label are read as arrays. Only a
-        threshold, or a feature of more than one digit, becomes a string,
-        for float() or int() to read.
+        ranges of data, so each line's field count, its first token, a
+        one-digit feature and a label are read as arrays, and the
+        thresholds in one bulk read (see _floats). Only a feature of more
+        than one digit becomes a string, for int() to read.
         """
-        if not lines:
+        n_lines = starts.size
+        if not n_lines:
             return
-        text = "\n".join(lines)
-        code = np.frombuffer(text.encode("ascii"), np.uint8)
-        edge = np.diff(_SPACE.take(code), prepend=1, append=1)
-        start, end = np.flatnonzero(edge < 0), np.flatnonzero(edge > 0)  # each token's first byte and the one after
-        line_end = np.cumsum(np.fromiter(map(len, lines), np.intp, len(lines)) + 1) - 1  # where each newline goes
-        n_fields = np.bincount(np.searchsorted(line_end, start), minlength=len(lines))
-        first = np.cumsum(n_fields) - n_fields  # each line's first token
+        code = np.frombuffer(data, np.uint8)
+        space = np.frombuffer(b"\1" + data.translate(_SPACE) + b"\1", dtype=bool)
+        edge = np.flatnonzero(space[1:] != space[:-1])  # where a token starts, then where it ends
+        start, end = edge[0::2], edge[1::2]  # each token's first byte and the one after
+        # the tokens before each line, and before the end of the last
+        before = np.searchsorted(start, np.append(starts[:1], ends))
+        first, n_fields = before[:-1], np.diff(before)  # each line's first token, and its count
 
         def field(k: int, at: np.ndarray):
             """Where field k of the lines at starts, and its length."""
             token = first[at] + k
             return start[token], end[token] - start[token]
 
+        def line(k: int) -> str:
+            return data[starts[k] : ends[k]].decode()
+
         # +1 for an internal node, -1 for a leaf, 0 for any other line
         at = np.flatnonzero((n_fields == 2) | (n_fields == 3))
         pos, size = field(0, at)
         head, three = np.where(size == 1, code.take(pos), 0), n_fields[at] == 3
-        step = np.zeros(len(lines), dtype=np.int8)
+        step = np.zeros(n_lines, dtype=np.int8)
         step[at] = ((head == ord("I")) & three).astype(np.int8) - ((head == ord("L")) & ~three)
 
         self.steps.append(step)
@@ -1419,36 +1442,39 @@ class _BodyReader:
         # that is not a node. A node line with no more owed before it reads
         # the last subtree of the tree begun there, or comes after that
         # tree is whole: a marker may belong there.
-        last = np.maximum.accumulate(np.where(step == 0, np.arange(len(lines)), -1))
+        last = np.maximum.accumulate(np.where(step == 0, np.arange(n_lines), -1))
         base = np.where(last >= 0, owed[last], self.base)
         for k in np.flatnonzero((step == 0) | (owed - step <= base)).tolist():
-            self.text[self.n_lines + k] = lines[k]
+            self.text[self.n_lines + k] = line(k)
         self.n_owed, self.base = int(owed[-1]), int(base[-1])
-        self.n_lines += len(lines)
+        self.n_lines += n_lines
 
         internal, leaves = np.flatnonzero(step > 0), np.flatnonzero(step < 0)
         pos, size = field(1, internal)
         f = code.take(pos).astype(np.intp) - ord("0")
         odd = np.flatnonzero((size > 1) | (f < 0) | (f > 9))  # not one digit
         try:
-            f[odd] = np.fromiter(map(int, _substrings(text, pos[odd], size[odd])), np.intp, odd.size)
-            thr = np.fromiter(map(float, _substrings(text, *field(2, internal))), float, internal.size)
+            f[odd] = [int(data[a : a + n]) for a, n in zip(pos[odd].tolist(), size[odd].tolist())]
+            thr = _floats(data, code, *field(2, internal))
         except (ValueError, OverflowError):
             f, thr, walkable = 0, 0.0, np.zeros(internal.size, dtype=bool)
         else:
             walkable = (f >= 0) & (f < self.n_features) & np.isfinite(thr)
         if self.bad_internal is None:
-            refusals = (_internal_refusal(lines[k], self.n_features) for k in internal[~walkable].tolist())
+            refusals = (_internal_refusal(line(k), self.n_features) for k in internal[~walkable].tolist())
             self.bad_internal = next(filter(None, refusals), None)
         # a label is six characters of 0 and 1, its mask in binary; a
         # shorter token at the end of the text reads clipped bytes, and is no label
         pos, size = field(1, leaves)
-        chars = code.take(pos[:, None] + np.arange(6), mode="clip")
-        six = (size == 6) & ((chars == ord("0")) | (chars == ord("1"))).all(axis=1)
-        codes = np.where(six, self.code_of.take(np.packbits(chars == ord("1"), axis=1)[:, 0] >> 2), -1)
+        mask, six = np.zeros(leaves.size, dtype=np.uint8), size == 6
+        for k in range(6):
+            bit = code.take(pos + k, mode="clip") - np.uint8(ord("0"))  # above 1 unless 0 or 1
+            six &= bit <= 1
+            mask = 2 * mask + bit
+        codes = np.where(six, self.code_of.take(mask & 63), -1)
         unknown = leaves[codes < 0]
         if unknown.size and self.bad_leaf is None:
-            self.bad_leaf = f"leaf label not in the labels header: {lines[unknown[0]]!r}"
+            self.bad_leaf = f"leaf label not in the labels header: {line(unknown[0])!r}"
 
         # a line that is not walkable refuses the model, whatever its column holds
         kind = step[step != 0]
@@ -1492,17 +1518,18 @@ def save_model(model: RandomForestModel, path) -> None:
 
 
 def load_model(path) -> RandomForestModel:
-    """The model in a model file, read 256 KB of text at a time. Of
-    the text, only the header lines and the chunk being parsed are held,
-    and the model, or the error raised, does not depend on where the
-    chunks split the lines. A file with a bad line, with any line after
-    the end marker or with a byte that is not ASCII raises
-    ModelFormatError."""
+    """The model in a model file, read 256 KB at a time as bytes, whose
+    lines and tokens are found as byte ranges and whose thresholds are
+    read in one NumPy call per chunk. Of the text, only the header lines
+    and the chunk being parsed are held, and the model, or the error
+    raised, does not depend on where the chunks split the lines. A file
+    with a bad line, with any line after the end marker or with a byte
+    that is not ASCII raises ModelFormatError."""
     chunks = _ascii_line_chunks(path, ModelFormatError)
     lines = []
-    for chunk in chunks:  # the header may span chunks
-        lines += chunk
-        del chunk
+    for data, starts, ends in chunks:  # the header may span chunks
+        n = 1 + len(_HEADER) - len(lines)  # the header lines still to read
+        lines += [data[a:b].decode() for a, b in zip(starts[:n].tolist(), ends[:n].tolist())]
         if len(lines) > len(_HEADER):
             break
     if not lines:
@@ -1519,11 +1546,9 @@ def load_model(path) -> RandomForestModel:
         raise ModelFormatError("feature_names/scaler width disagrees with n_features")
     params = ForestParams(**{key: header[key] for key in ForestParams.__dataclass_fields__})
     body = _BodyReader(n_features, header["labels"])
-    body.feed(lines[1 + len(_HEADER) :])
-    del lines  # so that reading the next chunk does not hold these lines too
-    for lines in chunks:
-        body.feed(lines)
-        del lines
+    body.feed(data, starts[n:], ends[n:])
+    for data, starts, ends in chunks:
+        body.feed(data, starts, ends)
     nodes, roots = body.trees(header["n_trees"])
     return RandomForestModel(
         nodes=nodes,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures.process
 import contextlib
 import functools
 import hashlib
@@ -606,7 +607,8 @@ class TestForestTraining:
             raise AssertionError("a process pool started on one core")
 
         monkeypatch.setattr(forest, "_cores", lambda: 1)
-        monkeypatch.setattr(forest, "ProcessPoolExecutor", no_pool)
+        # train_forest imports the pool class from here when it needs one
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
         capped = train_forest(ts, ForestParams(n_trees=12, seed=3), n_jobs=2)
         assert model_to_lines(capped) == sequential
 
@@ -1655,9 +1657,11 @@ class TestPersistence:
         # The 5 MB desk file peaked at 79-83 MB traced when it was parsed
         # whole, and at 29.7 MB read 1 MB at a time into 24 bytes of
         # columns per node, tokens as strings. Read 256 KB at a time, its
-        # tokens as byte ranges, into 10 bytes per node, it peaks at
-        # 10.3-10.4 MB: the model's 3 MB of columns, one chunk's lines and
-        # text, and the arrays that parse them.
+        # tokens as byte ranges, into 10 bytes per node, it peaked at
+        # 10.3-10.4 MB with each chunk decoded into lines, and peaks at
+        # 9.7-9.8 MB reading bytes: the model's 3 MB of columns, twice while
+        # they are joined at the end, or one chunk's bytes and the arrays
+        # that parse them.
         path = tmp_path / "desk.txt"
         save_model(desk_experiment.model, path)
         tracemalloc.start()
@@ -1719,7 +1723,9 @@ def small_model_lines() -> list[str]:
 
 
 SMALL_MODEL = small_model_lines()
-NODE_FIELD_VALUES = ["nan", "inf", "x", "", "1_0"]
+# the last six are read differently by float() and NumPy's bulk float read,
+# or are read by one of them only
+NODE_FIELD_VALUES = ["nan", "inf", "x", "", "1_0", "nan(12)", "0x1p3", "1.5e", "1e400", "-0", "+.5"]
 MODEL_MUTATIONS = st.tuples(
     st.sampled_from(
         ["drop", "duplicate", "swap", "delete-char", "tab", "double-space", "replace-field", "append-tail"]
@@ -1791,6 +1797,16 @@ class TestLoaderMatchesReference:
     @example([("replace-field", 12, 1, "x"), ("replace-field", 25, 2, "x")], False, 16)
     @example([("replace-field", 12, 1, "x"), ("replace-field", 26, 1, "nan")], False, 64)
     @example([("replace-field", 13, 2, "nan"), ("replace-field", 19, 1, "x")], True, 16)
+    # thresholds that float() reads and NumPy's bulk read does not, and the
+    # reverse: the first makes float() read the chunk, the second is refused
+    @example([("replace-field", 14, 2, "1_0")], False, dataset._CHUNK_CHARS)
+    @example([("replace-field", 14, 2, "nan(12)")], True, 64)
+    # node lines broken by a byte that ends a line for str.splitlines; a read
+    # of one byte ends at each \r, whose \n comes with the next read
+    @example([("replace-field", 14, 1, "1\r")], True, 1)
+    @example([("replace-field", 12, 2, "\x0b0.5")], False, 5)
+    @example([("replace-field", 20, 0, "I\x0c")], False, 16)
+    @example([("replace-field", 26, 2, "0.7\x1c0.1")], True, 64)
     def test_mutated_files(self, mutations, crlf, chunk_chars):
         lines = SMALL_MODEL
         for mutation in mutations:
@@ -1810,6 +1826,18 @@ class TestLoaderMatchesReference:
             assert any(not (isinstance(o, str) and o.startswith(STRUCTURE_ERRORS)) for o in outcomes)
         else:
             assert got == expected
+
+    @pytest.mark.parametrize("value", NODE_FIELD_VALUES)
+    def test_thresholds_load_with_warnings_as_errors(self, value, tmp_path):
+        # NumPy 1.x warns, and reads on, where its bulk float read meets text
+        # it cannot read; the loader raises nothing but ModelFormatError
+        lines = mutate_model(SMALL_MODEL, "replace-field", 14, 2, value)
+        path = tmp_path / "m.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model_outcome(load_model, path)
+        assert got == model_outcome(reference_model_from_lines, lines)
 
 
 class TestCrossValidation:

@@ -1,11 +1,15 @@
 """The package surface: the package under test is this source tree, every
 name trifault.__all__ lists is importable, no module imports a name it
-never reads, and every public name has a reader besides its own tests."""
+never reads, every public name has a reader besides its own tests, and
+importing the command leaves the process pool out."""
 
 from __future__ import annotations
 
 import ast
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +27,18 @@ def test_the_package_under_test_is_this_source_tree():
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.glob("*.py")}
 
     assert modules(MODULE_DIR) == modules(REPO_DIR / "src" / "trifault")
+
+
+def test_importing_the_cli_leaves_out_the_process_pool():
+    # only train --jobs N > 1 starts worker processes, so only it imports
+    # multiprocessing, which every other command would pay for at start
+    path = os.pathsep.join(filter(None, [str(MODULE_DIR.parent), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, trifault.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_star_import_binds_every_public_name():
