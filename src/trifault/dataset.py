@@ -19,16 +19,17 @@ row before. Then it refuses a row whose label is not the timeline's
 label at its time, 1e-9 s either side, and a block whose series id an
 earlier block holds. A byte that is not ASCII is refused once the rows
 before it are read, naming its line.
-Turning a block back into a series refuses any row more than a quarter
-sample spacing off the grid t0 + k / rate, so a missing sample is seen
-at any rate.
+A block is a TriPhaseSeries with a series id and row labels. Taking it
+as a series to diagnose refuses any row more than a quarter sample
+spacing off the grid t0 + k / rate, so a missing sample is seen at any
+rate, and so is a pool block, whose rows are picked from a series.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -47,24 +48,19 @@ class DatasetFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class SeriesBlock:
-    """One recorded series: samples, label masks (uint8) and fault ground
-    truth."""
+class SeriesBlock(TriPhaseSeries):
+    """One recorded series with its series id and row label masks
+    (uint8). A pool block holds rows picked from a series, so its times
+    need not lie on one grid."""
 
-    series_id: int
-    sample_rate: float
-    fault_timeline: tuple[tuple[float, FaultLabel], ...]
-    t: np.ndarray
-    i_a: np.ndarray
-    i_b: np.ndarray
-    i_c: np.ndarray
-    labels: np.ndarray
+    series_id: int = field(kw_only=True)
+    labels: np.ndarray = field(kw_only=True)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         check_label_masks(self.labels)
-        n = len(self.t)
-        if any(len(getattr(self, f)) != n for f in ("i_a", "i_b", "i_c")) or len(self.labels) != n:
-            raise ValueError("block channels, labels and t must share one length")
+        if len(self.labels) != len(self.t):
+            raise ValueError("block labels and t must share one length")
 
     @property
     def n_rows(self) -> int:
@@ -74,19 +70,14 @@ class SeriesBlock:
 def block_from_series(series: TriPhaseSeries, series_id: int) -> SeriesBlock:
     """Wrap a simulated series, labeling rows from its own timeline."""
     return SeriesBlock(
-        series_id=series_id,
-        sample_rate=series.sample_rate,
-        fault_timeline=series.fault_timeline,
-        t=np.asarray(series.t, dtype=float),
-        i_a=np.asarray(series.i_a, dtype=float),
-        i_b=np.asarray(series.i_b, dtype=float),
-        i_c=np.asarray(series.i_c, dtype=float),
-        labels=timeline_masks(series.fault_timeline, series.t),
+        series.t, series.i_a, series.i_b, series.i_c, series.sample_rate, series.fault_timeline,
+        series_id=series_id, labels=timeline_masks(series.fault_timeline, series.t),
     )
 
 
 def block_to_series(block: SeriesBlock) -> TriPhaseSeries:
-    """Back to a TriPhaseSeries; refuses blocks with a gapped time grid."""
+    """The block itself, as the series it is; refuses a block of fewer
+    than 2 rows or with a gapped time grid, such as a pool block."""
     if block.n_rows < 2:
         raise DatasetFormatError(f"series {block.series_id} has fewer than 2 rows")
     expected = block.t[0] + np.arange(block.n_rows) / block.sample_rate
@@ -94,9 +85,7 @@ def block_to_series(block: SeriesBlock) -> TriPhaseSeries:
         raise DatasetFormatError(
             f"series {block.series_id} is not uniformly sampled at {block.sample_rate} Hz"
         )
-    return TriPhaseSeries(
-        block.t, block.i_a, block.i_b, block.i_c, block.sample_rate, block.fault_timeline
-    )
+    return block
 
 
 def _timeline_text(timeline) -> str:
@@ -253,7 +242,10 @@ def _read_block(comment, lines):
             f"line {first + 1 + k}: label {masks[k]:06b} at t = {float(t[k])!r} s"
             " disagrees with the series timeline"
         )
-    return SeriesBlock(series_id, rate, timeline, t, i_a, i_b, i_c, masks), after
+    block = SeriesBlock(
+        t=t, i_a=i_a, i_b=i_b, i_c=i_c, sample_rate=rate, fault_timeline=timeline, series_id=series_id, labels=masks
+    )
+    return block, after
 
 
 def read_dataset(path) -> list[SeriesBlock]:

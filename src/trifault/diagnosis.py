@@ -359,7 +359,8 @@ class Diagnoser:
     looks like the trained one. Offset and gain come from the mean and the
     RMS about it over a whole period of P grid samples, P measured in the
     reference scan (_measured_period); the gain takes that RMS to the
-    model's healthy_rms, so a model without one is refused. Period k,
+    model's healthy_rms, so a model without one is refused, as is one
+    that does not read three features, the phase currents. Period k,
     counted from the phase reference, is classified with period k - 1's
     calibration when both periods pass _passes against the calibration in
     force, and with the calibration in force otherwise, so a faulted
@@ -386,6 +387,8 @@ class Diagnoser:
     def __init__(self, model: RandomForestModel, config: DiagnosisConfig):
         if model.healthy_rms is None:
             raise ValueError("the model has no healthy_rms to calibrate to: no healthy training row had current")
+        if model.n_features != 3:
+            raise ValueError("streaming classification expects a 3-feature model")
         self.model = model
         self.config = config
         self._acquired = 0  # samples pushed

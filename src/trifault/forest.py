@@ -22,7 +22,8 @@ formats and writes it one tree at a time, and loading reads it 256 KB of
 bytes at a time, finds each chunk's lines and tokens as byte ranges, reads
 its thresholds in one NumPy call (float() reads one only to word a
 refusal, or when that call fails), parses its node lines into columns of
-the table's own dtypes, and refuses any text after the end marker.
+the table's own dtypes, walks the chunk's trees as it arrives, and refuses
+any text after the end marker.
 
 Training grows the trees in blocks, in lockstep. A block holds as many
 trees as keep its bag (below) within 5 MiB, in the narrowest unsigned
@@ -1375,34 +1376,30 @@ class _BodyReader:
     in chunks.
 
     A line is a node when it reads `I feature threshold` or `L label`.
-    Each chunk's nodes become numeric columns at once. Of its other
-    lines (tree markers, `end` and any bad line) only the place and the
-    text are kept, and so is the text of each node line where a marker
-    may belong: one that reads a tree's last owed subtree, or that comes
-    after the tree is whole. Once the last chunk is in, trees() finds
-    the tree boundaries and raises the first error in file order of the
-    first kind found: structure, internal-node values, leaf labels.
+    Each chunk's nodes become numeric columns at once, and its trees are
+    walked as it arrives: a tree starts at its `tree t` marker and ends
+    at its first node where the subtrees still owed fall below their
+    count at the marker, before any line that is not a node. A fault in
+    that structure raises ModelFormatError at once; a bad internal node
+    or an unknown leaf label is kept, and trees() raises the first of
+    them, internal nodes first, once the whole file is read and whole.
     """
 
-    def __init__(self, n_features: int, labels):
-        self.n_features = n_features
+    def __init__(self, n_features: int, labels, n_trees: int):
+        self.n_features, self.n_trees = n_features, n_trees
         # a label's code by its mask, which its six 0/1 characters spell
         self.code_of = np.full(64, -1, dtype=np.int8)
         self.code_of[[lab.mask for lab in labels]] = np.arange(len(labels))
-        # per chunk: its nodes' feature, threshold and leaf_code columns,
-        # and each line's step (see feed)
-        self.columns, self.steps = [], [np.zeros(0, dtype=np.int8)]
-        self.text = {}  # the kept lines by place
-        self.n_lines = 0
-        # the subtrees owed after the last line fed, and at the last line
-        # that is not a node; the body's start counts as such a line, so
-        # its first line is kept
-        self.n_owed = self.base = 0
+        self.columns, self.roots = [], []  # per chunk its nodes' columns; each tree's root
+        self.n_lines = self.n_owed = 0  # the lines fed, and the subtrees owed after them
+        # the tree being read or next, the subtrees owed at its marker
+        # (None between trees), and whether `end` was read
+        self.tree, self.mark, self.ended = 0, None, False
         self.bad_internal = self.bad_leaf = None
 
     def feed(self, data: bytes, starts: np.ndarray, ends: np.ndarray) -> None:
-        """Parse the next chunk: the lines of data that start and end at
-        starts and ends.
+        """Parse the next chunk, the lines of data that start and end at
+        starts and ends, and walk its trees (see the class docstring).
 
         The tokens, the runs that str.split() gives, are found as byte
         ranges of data, so each line's field count, its first token, a
@@ -1436,18 +1433,32 @@ class _BodyReader:
         step = np.zeros(n_lines, dtype=np.int8)
         step[at] = ((head == ord("I")) & three).astype(np.int8) - ((head == ord("L")) & ~three)
 
-        self.steps.append(step)
+        # walk the chunk's trees from where the last chunk left off
         owed = self.n_owed + np.cumsum(step, dtype=np.intp)
-        # base: the subtrees owed at the last line, at or before each line,
-        # that is not a node. A node line with no more owed before it reads
-        # the last subtree of the tree begun there, or comes after that
-        # tree is whole: a marker may belong there.
-        last = np.maximum.accumulate(np.where(step == 0, np.arange(n_lines), -1))
-        base = np.where(last >= 0, owed[last], self.base)
-        for k in np.flatnonzero((step == 0) | (owed - step <= base)).tolist():
-            self.text[self.n_lines + k] = line(k)
-        self.n_owed, self.base = int(owed[-1]), int(base[-1])
-        self.n_lines += n_lines
+        others = np.append(np.flatnonzero(step == 0), n_lines)  # the lines that are not nodes
+        k = 0
+        while k < n_lines:
+            if self.mark is not None:  # in a tree: find its last node
+                stop = others[np.searchsorted(others, k)]
+                done = np.flatnonzero(owed[k:stop] == self.mark - 1)
+                if done.size:
+                    self.tree, self.mark, k = self.tree + 1, None, k + int(done[0]) + 1
+                elif stop < n_lines:
+                    raise ModelFormatError(f"tree {self.tree} is cut short at {line(stop)!r}")
+                else:
+                    break
+            elif self.ended:
+                raise ModelFormatError(f"text after the end marker: {line(k)!r}")
+            elif self.tree == self.n_trees:
+                if line(k) != "end":
+                    raise ModelFormatError("missing end marker")
+                self.ended, k = True, k + 1
+            elif (marker := line(k)) != f"tree {self.tree}":
+                raise ModelFormatError(f"expected 'tree {self.tree}', got {marker!r}")
+            else:
+                self.roots.append(self.n_lines + k - self.tree)  # the lines before are nodes and markers
+                self.mark, k = int(owed[k]), k + 1
+        self.n_owed, self.n_lines = int(owed[-1]), self.n_lines + n_lines
 
         internal, leaves = np.flatnonzero(step > 0), np.flatnonzero(step < 0)
         pos, size = field(1, internal)
@@ -1482,32 +1493,18 @@ class _BodyReader:
         nodes.feature[kind > 0], nodes.threshold[kind > 0], nodes.leaf_code[kind < 0] = f, thr, codes
         self.columns.append(nodes)
 
-    def trees(self, n_trees: int) -> tuple[NodeTable, np.ndarray]:
-        """The node table and the tree roots."""
-        step, text = np.concatenate(self.steps), self.text
-        # a tree ends at its first node where the subtrees still owed drop below zero
-        owed = np.cumsum(step, dtype=np.intp)
-        others = np.append(np.flatnonzero(step == 0), self.n_lines)
-        roots, pos = [], 0
-        for t in range(n_trees):
-            marker = text.get(pos)
-            if marker != f"tree {t}":
-                raise ModelFormatError(f"expected 'tree {t}', got {marker!r}")
-            roots.append(pos - t)
-            stop = others[np.searchsorted(others, pos, side="right")]
-            done = np.flatnonzero(owed[pos + 1 : stop] == owed[pos] - 1)
-            if not done.size:
-                at = repr(text[stop]) if stop < self.n_lines else "the end of the file"
-                raise ModelFormatError(f"tree {t} is cut short at {at}")
-            pos += int(done[0]) + 2
-        if text.get(pos) != "end":
+    def trees(self) -> tuple[NodeTable, np.ndarray]:
+        """The node table and the tree roots, once the last chunk is fed."""
+        if self.mark is not None:
+            raise ModelFormatError(f"tree {self.tree} is cut short at the end of the file")
+        if self.tree < self.n_trees:
+            raise ModelFormatError(f"expected 'tree {self.tree}', got None")
+        if not self.ended:
             raise ModelFormatError("missing end marker")
-        if pos + 1 < self.n_lines:
-            raise ModelFormatError(f"text after the end marker: {text[pos + 1]!r}")
         for refusal in (self.bad_internal, self.bad_leaf):
             if refusal is not None:
                 raise ModelFormatError(refusal)
-        return NodeTable(*map(np.concatenate, zip(*self.columns))), np.array(roots)
+        return NodeTable(*map(np.concatenate, zip(*self.columns))), np.array(self.roots)
 
 
 def save_model(model: RandomForestModel, path) -> None:
@@ -1521,10 +1518,12 @@ def load_model(path) -> RandomForestModel:
     """The model in a model file, read 256 KB at a time as bytes, whose
     lines and tokens are found as byte ranges and whose thresholds are
     read in one NumPy call per chunk. Of the text, only the header lines
-    and the chunk being parsed are held, and the model, or the error
-    raised, does not depend on where the chunks split the lines. A file
-    with a bad line, with any line after the end marker or with a byte
-    that is not ASCII raises ModelFormatError."""
+    and the chunk being parsed are held, and each chunk's trees are
+    checked as it arrives, so the model, or the error raised, does not
+    depend on where the chunks split the lines. A bad line, a line after
+    the end marker or a byte that is not ASCII raises ModelFormatError:
+    the first fault of structure or byte, then of internal node, then of
+    leaf label."""
     chunks = _ascii_line_chunks(path, ModelFormatError)
     lines = []
     for data, starts, ends in chunks:  # the header may span chunks
@@ -1545,11 +1544,11 @@ def load_model(path) -> RandomForestModel:
     if len(header["feature_names"]) != n_features or len(scaler) != n_features:
         raise ModelFormatError("feature_names/scaler width disagrees with n_features")
     params = ForestParams(**{key: header[key] for key in ForestParams.__dataclass_fields__})
-    body = _BodyReader(n_features, header["labels"])
+    body = _BodyReader(n_features, header["labels"], header["n_trees"])
     body.feed(data, starts[n:], ends[n:])
     for data, starts, ends in chunks:
         body.feed(data, starts, ends)
-    nodes, roots = body.trees(header["n_trees"])
+    nodes, roots = body.trees()
     return RandomForestModel(
         nodes=nodes,
         roots=roots,

@@ -237,13 +237,22 @@ class TestDiagnose:
         t = np.arange(5120) / 25600.0
         zero = np.zeros(t.size)
         labels = np.zeros(t.size, dtype=np.uint8)
-        block = SeriesBlock(0, 25600.0, (), t, zero, zero, zero, labels)
+        block = SeriesBlock(
+            series_id=0, sample_rate=25600.0, fault_timeline=(), t=t, i_a=zero, i_b=zero, i_c=zero, labels=labels
+        )
         series = tmp_path / "zero.csv"
         write_dataset(series, [block])
         assert main(["diagnose", str(small_env["model"]), str(series)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: no phase current crosses zero cleanly")
+
+    def test_pool_file_is_refused(self, small_env, capsys):
+        # a pool block holds rows picked from a series, off one time grid
+        assert main(["diagnose", str(small_env["model"]), str(small_env["pool"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: series 0 is not uniformly sampled")
 
 
 class TestErrorPaths:

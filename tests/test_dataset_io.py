@@ -133,17 +133,22 @@ class TestBlockConstruction:
             assert mask == (L2 if t >= 0.001 else NO_FAULT).mask
 
     def test_rejects_mismatched_columns(self):
-        with pytest.raises(ValueError):
-            SeriesBlock(
-                series_id=0,
-                sample_rate=100.0,
-                fault_timeline=(),
-                t=np.array([0.0, 0.01]),
-                i_a=np.array([1.0]),
-                i_b=np.array([1.0, 2.0]),
-                i_c=np.array([1.0, 2.0]),
-                labels=np.zeros(2, dtype=np.uint8),
-            )
+        # a short channel is refused by TriPhaseSeries, short labels by the block
+        for i_a, n_labels, message in (
+            ([1.0], 2, "channels must have the same length as t"),
+            ([1.0, 2.0], 3, "labels and t must share one length"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                SeriesBlock(
+                    series_id=0,
+                    sample_rate=100.0,
+                    fault_timeline=(),
+                    t=np.array([0.0, 0.01]),
+                    i_a=np.array(i_a),
+                    i_b=np.array([1.0, 2.0]),
+                    i_c=np.array([1.0, 2.0]),
+                    labels=np.zeros(n_labels, dtype=np.uint8),
+                )
 
     @pytest.mark.parametrize(
         "labels",

@@ -236,6 +236,14 @@ class TestRunDiagnosis:
             with pytest.raises(ValueError, match="the model has no healthy_rms"):
                 run_diagnosis(model, series, DiagnosisConfig())
 
+    def test_refuses_a_model_of_two_features_when_built(self):
+        # refused before any sample is pushed, not after the reference scan
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 1.0], [1.0, -1.0]])
+        masks = np.array([NO_FAULT.mask, L1.mask, NO_FAULT.mask, L1.mask], dtype=np.uint8)
+        model = train_forest(TrainingSet(X, masks, ("i_a", "i_b")), ForestParams(n_trees=2, m_try=1, seed=1))
+        with pytest.raises(ValueError, match="expects a 3-feature model"):
+            Diagnoser(model, DiagnosisConfig())
+
     def test_refuses_an_all_zero_stream(self):
         t = np.arange(2560) / 25600.0
         zero = np.zeros(t.size)
@@ -935,8 +943,9 @@ class TestFuseWindow:
 # windows after the phase reference, near one period in
 LATCH_STREAM = simulate(SimConfig(amplitude=16.5, sample_rate=10000.0), (), 0.52)
 # the model of a Diagnoser whose classify_stream is patched: no tree is
-# walked, and the calibration reads only the trained RMS, LATCH_STREAM's
-UNWALKED_MODEL = SimpleNamespace(healthy_rms=16.5 / math.sqrt(2.0))
+# walked, the calibration reads only the trained RMS, LATCH_STREAM's, and
+# the Diagnoser checks that it reads the three phase currents
+UNWALKED_MODEL = SimpleNamespace(healthy_rms=16.5 / math.sqrt(2.0), n_features=3)
 
 
 class TestLatch:

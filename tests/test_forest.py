@@ -1658,10 +1658,11 @@ class TestPersistence:
         # whole, and at 29.7 MB read 1 MB at a time into 24 bytes of
         # columns per node, tokens as strings. Read 256 KB at a time, its
         # tokens as byte ranges, into 10 bytes per node, it peaked at
-        # 10.3-10.4 MB with each chunk decoded into lines, and peaks at
-        # 9.7-9.8 MB reading bytes: the model's 3 MB of columns, twice while
-        # they are joined at the end, or one chunk's bytes and the arrays
-        # that parse them.
+        # 10.3-10.4 MB with each chunk decoded into lines, and at 9.7-9.8 MB
+        # reading bytes with each line's subtree count kept to walk the trees
+        # at the end. Walking each chunk's trees as it arrives, it peaks at
+        # 7.9 MB while a last chunk is parsed: the 3 MB of columns read so
+        # far, and one chunk's bytes and the arrays that parse them.
         path = tmp_path / "desk.txt"
         save_model(desk_experiment.model, path)
         tracemalloc.start()
@@ -1670,7 +1671,7 @@ class TestPersistence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 13e6
+        assert peak < 9e6
 
     def test_first_prediction_holds_the_tables_it_builds(self, desk_experiment, tmp_path):
         # The first call builds the walk table (5.5 MB) and the top table
@@ -1700,6 +1701,18 @@ class TestPersistence:
         path.write_bytes(data)
         line, column = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
         with pytest.raises(ModelFormatError, match=f"^line {line}: byte 0xe9 at column {column} is not ASCII$"):
+            load_model(path)
+
+    def test_structure_fault_beats_a_later_non_ascii_byte(self, desk_experiment, tmp_path):
+        # the trees are checked as each chunk is read, so a renamed marker
+        # in the first 256 KB read is refused before the tenth read's byte
+        path = tmp_path / "desk.txt"
+        save_model(desk_experiment.model, path)
+        data = bytearray(path.read_bytes().replace(b"\ntree 1\n", b"\ntree 9\n", 1))
+        assert data.index(b"\ntree 9\n") < dataset._CHUNK_CHARS
+        data[2_500_000] = 0xE9
+        path.write_bytes(data)
+        with pytest.raises(ModelFormatError, match="^expected 'tree 1', got 'tree 9'$"):
             load_model(path)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
