@@ -8,6 +8,10 @@ rejected. Class lists use tokens like `normal`, `S2`, or `S1+S3` (a bit
 string such as `101000` also works). The diagnosis window is derived,
 not set: one fundamental period, target_rate / frequency samples; the
 pool's healthy weight and the debounce run are pipeline constants.
+
+SimConfig and ForestParams are built by field name: each of their fields
+takes the value of the ExperimentConfig field of the same name, so a field
+added to either without a key here fails at load instead of being dropped.
 """
 
 from __future__ import annotations
@@ -44,10 +48,11 @@ def parse_class_token(token: str) -> FaultLabel:
         return FaultLabel.from_string(text)
     switches = []
     for part in text.split("+"):
-        part = part.strip().upper()
-        if not part.startswith("S"):
+        part = part.strip()
+        digits = part[1:]
+        if part[:1] not in ("S", "s") or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad class token {token!r}")
-        switches.append(int(part[1:]))
+        switches.append(int(digits))
     return FaultLabel.from_switches(switches)
 
 
@@ -95,27 +100,15 @@ class ExperimentConfig:
         self.forest_params()
         self.diagnosis_config()
 
+    def _by_field_name(self, cls, **given):
+        """A cls built from this config's values of cls's field names."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)} | given)
+
     def sim_config(self, seed: int | None = None) -> SimConfig:
-        return SimConfig(
-            amplitude=self.amplitude,
-            frequency=self.frequency,
-            sample_rate=self.sample_rate,
-            noise_sigma=self.noise_sigma,
-            ripple_amplitude=self.ripple_amplitude,
-            ripple_frequency=self.ripple_frequency,
-            amplitude_drift=self.amplitude_drift,
-            leakage=self.leakage,
-            seed=self.seed if seed is None else seed,
-        )
+        return self._by_field_name(SimConfig, seed=self.seed if seed is None else seed)
 
     def forest_params(self) -> ForestParams:
-        return ForestParams(
-            n_trees=self.n_trees,
-            m_try=self.m_try,
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            seed=self.seed,
-        )
+        return self._by_field_name(ForestParams)
 
     def diagnosis_config(self) -> DiagnosisConfig:
         return DiagnosisConfig(target_rate=self.target_rate, fundamental=self.frequency)

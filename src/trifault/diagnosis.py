@@ -322,9 +322,7 @@ def estimate_phase_reference(series: TriPhaseSeries, fundamental: float) -> floa
     half-cycle is faulted away. Two open switches leave at least one leg
     whole in this four-wire model, so only a flat or idle series has none.
     """
-    per = int(round(series.sample_rate / fundamental))
-    head = TriPhaseSeries(*(x[: 2 * per + 1] for x in _columns(series)), series.sample_rate)
-    found = _reference_crossings(head, fundamental)
+    found = _reference_crossings(series, fundamental)
     if found is None:
         return None
     p, k, frac = found

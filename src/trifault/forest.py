@@ -311,10 +311,6 @@ class TrainingSet:
     def n_rows(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
 
 class _WalkTable(NamedTuple):
     """The stacked trees relabelled for walking, tree t still at the

@@ -285,6 +285,8 @@ class TestErrorPaths:
         code = main(["gen", "--series", "Q9", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         capsys.readouterr()
+        assert main(["gen", "--series", "Sx", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "error: bad class token 'Sx'\n"
         assert main(["gen", "--series", "S1+S1", "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == "error: switch S1 is named twice\n"
         assert not (tmp_path / "x.csv").exists()

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import pytest
 
@@ -55,6 +56,10 @@ class TestClassTokens:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_class_token("X9")
+        # a part is S or s and ASCII digits, and the refusal names the token
+        for token in ["S", "Sx", "S1.5", "S\u0663", "S 1", "S1+S"]:
+            with pytest.raises(ValueError, match=f"^bad class token {re.escape(repr(token))}$"):
+                parse_class_token(token)
         with pytest.raises(ValueError):
             parse_class_token("S0")
         for token, switch in [("S1+S1", "S1"), ("s3+S2+S3", "S3")]:
@@ -182,21 +187,42 @@ class TestRoundTrip:
         assert load_config(path) == cfg
 
 
+# a value for every SimConfig and ForestParams field, each unlike the
+# field's default there and in ExperimentConfig
+CARRIED = dict(
+    amplitude=5.0,
+    frequency=60.0,
+    sample_rate=24000.0,
+    noise_sigma=0.01,
+    ripple_amplitude=0.3,
+    ripple_frequency=2000.0,
+    amplitude_drift=0.02,
+    leakage=0.05,
+    seed=3,
+    n_trees=10,
+    m_try=2,
+    max_depth=7,
+    min_samples_leaf=4,
+)
+
+
+def assert_carries_every_field(derived):
+    defaults = ExperimentConfig()
+    for f in fields(derived):
+        assert CARRIED[f.name] not in (f.default, getattr(defaults, f.name)), f.name
+        assert getattr(derived, f.name) == CARRIED[f.name], f.name
+
+
 class TestDerivedConfigs:
     def test_sim_config_carries_waveform_fields(self):
-        cfg = ExperimentConfig(amplitude=5.0, noise_sigma=0.01, seed=3)
+        # 12 kHz holds a whole number of 60 Hz periods
+        cfg = ExperimentConfig(target_rate=12000.0, **CARRIED)
         sim = cfg.sim_config()
-        assert sim.amplitude == 5.0
-        assert sim.noise_sigma == 0.01
-        assert sim.seed == 3
-        assert cfg.sim_config(seed=9).seed == 9
+        assert_carries_every_field(sim)
+        assert cfg.sim_config(seed=9) == replace(sim, seed=9)
 
     def test_forest_params(self):
-        cfg = ExperimentConfig(n_trees=10, m_try=2, seed=5)
-        params = cfg.forest_params()
-        assert params.n_trees == 10
-        assert params.m_try == 2
-        assert params.seed == 5
+        assert_carries_every_field(ExperimentConfig(target_rate=12000.0, **CARRIED).forest_params())
 
     def test_diagnosis_config(self):
         for cfg in (

@@ -672,6 +672,24 @@ def spied_inputs(model, series, config):
     return report, np.concatenate(seen)
 
 
+# a known defect: at light load a phase with a sensor offset never
+# calibrates; the mend turns these cases into an XPASS, which fails
+ITEM_1_OPEN = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the first calibration is checked against offset 0 and gain 1",
+)
+
+
+def offset_record(exp, seed, load, phase, sign, timeline):
+    """A 0.2 s record at load times the trained amplitude, with 10 % of the
+    trained amplitude added to one phase's current, as a sensor offset."""
+    sim = exp.config.sim_config(seed=seed)
+    series = simulate(replace(sim, amplitude=sim.amplitude * load), timeline, 0.2)
+    current = getattr(series, f"i_{phase}")
+    return replace(series, **{f"i_{phase}": current + sign * 0.1 * exp.model.healthy_rms * math.sqrt(2.0)})
+
+
 class TestCalibration:
     def test_an_events_block_at_any_load(self, desk_experiment):
         # the benchmark's events mix in one block: each of the 21 fault
@@ -766,6 +784,20 @@ class TestCalibration:
         assert report.decision_time == pytest.approx(report.first_detect_time + 2 / config.fundamental, abs=1e-12)
         healthy = generate_series_block(exp.config, NO_FAULT, 0.0, 0.2)
         assert run_diagnosis(exp.model, block_to_series(healthy), config).decision_time is None
+
+    @pytest.mark.parametrize("load", [pytest.param(0.6, marks=ITEM_1_OPEN), 1.0])
+    @pytest.mark.parametrize("seed, phase, sign", [(s, p, g) for s in range(5) for p in "abc" for g in (1, -1)])
+    def test_a_healthy_record_with_a_sensor_offset_raises_no_alarm(self, desk_experiment, load, seed, phase, sign):
+        exp = desk_experiment
+        series = offset_record(exp, seed, load, phase, sign, ())
+        assert run_diagnosis(exp.model, series, exp.config.diagnosis_config()).fault_set == frozenset()
+
+    @ITEM_1_OPEN
+    @pytest.mark.parametrize("seed, sign", [(s, g) for s in range(3) for g in (1, -1)])
+    def test_s1_with_a_sensor_offset_at_light_load_gets_its_exact_set(self, desk_experiment, seed, sign):
+        exp = desk_experiment
+        series = offset_record(exp, seed, 0.6, "a", sign, ((0.05, L1),))
+        assert run_diagnosis(exp.model, series, exp.config.diagnosis_config()).fault_set == {1}
 
 
 class TestRunDiagnosisMatchesReference:
