@@ -1,12 +1,13 @@
 """From-scratch random forest over fault-labeled feature rows.
 
-Bagged CART trees with Gini splits. Rows are normalized per feature by
-the training maximum absolute value, each tree trains on a bootstrap
-resample, and each split considers m_try features drawn without
-replacement. A row's label is its 6-bit fault mask, held in a uint8
-array from the training set to predict_batch's result; inside the forest
-a label is its code, the rank of its mask among the model's sorted
-label universe. Determinism rules: every tree's RNG is derived from
+Bagged CART trees with Gini splits on the feature values as given: which
+rows a split sends left depends only on the order of each feature's
+values, so scaling a feature first would change no split. Each tree
+trains on a bootstrap resample, and each split considers m_try features
+drawn without replacement. A row's label is its 6-bit fault mask, held
+in a uint8 array from the training set to predict_batch's result; inside
+the forest a label is its code, the rank of its mask among the model's
+sorted label universe. Determinism rules: every tree's RNG is derived from
 (seed, tree index) only, so parallel and sequential training coincide;
 split ties go to the lower feature index then the lower threshold;
 leaf pluralities and forest votes break ties in sorted-label order,
@@ -17,7 +18,7 @@ A tree is a node table: arrays ``feature``, ``threshold`` and
 the trees end to end, with a root offset per tree. No child links are
 stored: a left child is the next entry, and the walk table below
 derives each right child from ``feature`` alone. The model file, format
-version 2, is a header and then one text line per table entry; saving
+version 3, is a header and then one text line per table entry; saving
 formats and writes it one tree at a time, and loading reads it 256 KB of
 bytes at a time, finds each chunk's lines and tokens as byte ranges, reads
 its thresholds in one NumPy call (float() reads one only to word a
@@ -118,7 +119,7 @@ span, if fewer). The helpers take the spans from the first, and the
 calling thread takes them from the last, each one no helper has started,
 so it walks too instead of waiting; NumPy releases the interpreter lock
 inside the gathers and compares, so the spans walk at the same time. A
-span scales, walks and counts only its own rows, so the counts depend
+span walks and counts only its own rows, so the counts depend
 neither on the spans nor on the number of cores, and it returns only
 what a reducer makes of them: predict_batch keeps each span's label
 masks and joins them, so it holds one byte per row over the whole batch,
@@ -161,7 +162,7 @@ from .dataset import _ascii_line_chunks
 from .simulate import LABELS, FaultLabel, check_label_masks
 
 MODEL_FORMAT_NAME = "trifault-forest"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 # gains below this are treated as float jitter, not a real improvement
 _MIN_GAIN = 1e-12
 # the split search computes a float gain only for the cuts whose exact
@@ -235,9 +236,10 @@ class ForestParams:
 class NodeTable(NamedTuple):
     """Tree nodes in preorder, one array entry per node.
 
-    An internal node has feature >= 0 and sends a normalized row left
-    when its value is <= threshold, to the next entry; its leaf_code is
-    -1. A leaf has feature -1 and votes for label code leaf_code.
+    An internal node has feature >= 0 and sends a row left, to the next
+    entry, when its value of that feature is <= threshold, a value in the
+    units of the training rows; its leaf_code is -1. A leaf has feature
+    -1 and votes for label code leaf_code.
 
     threshold is float64 and leaf_code int8 (a label code is below 64,
     one per 6-bit mask); feature is int8 when the model has at most 128
@@ -494,7 +496,6 @@ class RandomForestModel:
     nodes: NodeTable
     roots: np.ndarray
     feature_names: tuple[str, ...]
-    scaler: np.ndarray
     healthy_rms: float | None
     label_universe: tuple[FaultLabel, ...]
     params: ForestParams
@@ -517,23 +518,6 @@ class RandomForestModel:
         """Where each (row, tree) pair stands below the top levels, built on
         first use."""
         return _build_top_table(self._walk_table, self.roots)
-
-
-def normalize_fit(features) -> np.ndarray:
-    """Per-feature max-abs scaler; an all-zero column scales by 1."""
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("features must be 2-d")
-    scaler = np.max(np.abs(X), axis=0)
-    scaler[scaler == 0.0] = 1.0
-    return scaler
-
-
-def normalize_apply(scaler, features) -> np.ndarray:
-    scaler = np.asarray(scaler, dtype=float)
-    if np.any(scaler <= 0):
-        raise ValueError("scaler entries must be > 0")
-    return np.asarray(features, dtype=float) / scaler
 
 
 def bootstrap_sample(n_rows: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -713,9 +697,11 @@ def _best_splits(presort, bag, lo, n_node, counts, feats, min_leaf):
     winner, win_run = cut[win], run[win]
     best_feature[nodes] = run_feature[win_run]
     # the midpoint of adjacent floats a < b can round up to b, and then
-    # `<= threshold` would send every row left; a is the threshold then
+    # `<= threshold` would send every row left; a is the threshold then.
+    # Halving first keeps a + b from overflowing near the float limit, and
+    # gives the bits of (a + b) / 2 wherever neither half underflows
     below, above = value[winner], value[winner + 1]
-    mid = (below + above) / 2.0
+    mid = below / 2.0 + above / 2.0
     best_threshold[nodes] = np.where(mid < above, mid, below)
     best_left_n[nodes] = left_n[win]
     best_left[nodes] = left_counts[win]
@@ -906,16 +892,14 @@ def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, tree_index])
 
 
-def _grow_indexed_block(X_norm, codes, n_classes, params: ForestParams, trees: range):
+def _grow_indexed_block(X, codes, n_classes, params: ForestParams, trees: range):
     """Grow the forest's trees with the given indices as one block: each
     tree draws its bootstrap, then its features, from tree_rng."""
-    n = X_norm.shape[0]
+    n = X.shape[0]
     rngs = [tree_rng(params.seed, index) for index in trees]
     samples = (bootstrap_sample(n, n, rng) for rng in rngs)
-    m_try = params.resolved_m_try(X_norm.shape[1])
-    return _grow_block(
-        X_norm, codes, n_classes, rngs, samples, m_try, params.max_depth, params.min_samples_leaf
-    )
+    m_try = params.resolved_m_try(X.shape[1])
+    return _grow_block(X, codes, n_classes, rngs, samples, m_try, params.max_depth, params.min_samples_leaf)
 
 
 def _block_trees(n_rows: int, n_trees: int, workers: int) -> int:
@@ -925,12 +909,22 @@ def _block_trees(n_rows: int, n_trees: int, workers: int) -> int:
     return min(max(1, _GROW_BAG_BYTES // per_tree), -(-n_trees // workers))
 
 
+def _rms(values: np.ndarray) -> float:
+    """The RMS of the entries, 0.0 for none. They are scaled by a power of
+    two first, which is exact, so that no square overflows near the float
+    limit; where no square overflowed unscaled, the bits are the same."""
+    if not values.size:
+        return 0.0
+    _, exp = math.frexp(float(np.max(np.abs(values))))
+    return math.ldexp(float(np.sqrt(np.mean(np.square(np.ldexp(values, -exp))))), exp)
+
+
 def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 1) -> RandomForestModel:
     """Train a bagged forest; results are identical for any n_jobs.
 
     Args:
-        training_set: rows to fit; the max-abs scaler and healthy_rms
-            are fit from them.
+        training_set: rows to fit, split on as they are; healthy_rms is
+            fit from them.
         params: tree counts and stopping controls.
         n_jobs: worker processes, at most one per core this process may
             run on; 1 trains in-process. Each worker imports the caller's
@@ -944,17 +938,14 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
     masks = np.unique(ts.labels)
     if masks.size < 2:
         raise ValueError("training needs at least 2 distinct labels")
-    scaler = normalize_fit(ts.features)
-    healthy = ts.features[ts.labels == 0]
-    healthy_rms = float(np.sqrt(np.mean(np.square(healthy)))) if healthy.size else 0.0
-    X_norm = normalize_apply(scaler, ts.features)
+    healthy_rms = _rms(ts.features[ts.labels == 0])
     codes = np.searchsorted(masks, ts.labels)
     n_classes = masks.size
 
     workers = min(n_jobs, params.n_trees, _cores())
     block = _block_trees(ts.n_rows, params.n_trees, workers)
     blocks = [range(b, min(b + block, params.n_trees)) for b in range(0, params.n_trees, block)]
-    grow = partial(_grow_indexed_block, X_norm, codes, n_classes, params)
+    grow = partial(_grow_indexed_block, ts.features, codes, n_classes, params)
     if workers > 1:
         # the process pool is imported here, so that importing trifault does not pay for it
         import multiprocessing
@@ -987,7 +978,6 @@ def train_forest(training_set: TrainingSet, params: ForestParams, n_jobs: int = 
         nodes=NodeTable(feature, threshold, leaf_code),
         roots=np.cumsum(sizes) - sizes,
         feature_names=ts.feature_names,
-        scaler=scaler,
         healthy_rms=healthy_rms or None,
         label_universe=label_universe_of(masks),
         params=params,
@@ -1064,7 +1054,7 @@ def _on_all_cores(work, n_rows: int) -> list:
 
 
 def _checked_rows(model: RandomForestModel, X_raw) -> np.ndarray:
-    """Raw feature rows as a float array of the model's width, all finite."""
+    """Feature rows as a float array of the model's width, all finite."""
     X = np.asarray(X_raw, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected (rows, {model.n_features}) features")
@@ -1132,10 +1122,10 @@ def _stream_stop(votes, live, walked, n_trees):
 
 
 def _walk_spans(model: RandomForestModel, X: np.ndarray, reduce, stop) -> list:
-    """reduce(votes) of each span of checked raw rows (see _on_all_cores),
+    """reduce(votes) of each span of checked rows (see _on_all_cores),
     in row order, votes being the span's (hi - lo, classes) int32 counts.
 
-    Each span scales its own rows, walks them, counts their votes and
+    Each span walks its own rows, a view of X, counts their votes and
     reduces them, so no array spans the whole batch here. The trees are
     walked in blocks, 16 at first. With no stop rule every row walks every
     tree, 16 at a time. A stop rule (_exact_stop, _stream_stop) is asked
@@ -1148,7 +1138,7 @@ def _walk_spans(model: RandomForestModel, X: np.ndarray, reduce, stop) -> list:
     n_classes, n_trees = len(model.label_universe), model.n_trees
 
     def walk_span(lo: int, hi: int):
-        X_span = normalize_apply(model.scaler, X[lo:hi])
+        X_span = X[lo:hi]
         X_flat = X_span.ravel()
         votes = np.zeros((hi - lo, n_classes), dtype=np.int32)
         live = np.arange(hi - lo)
@@ -1177,10 +1167,11 @@ def _walk_spans(model: RandomForestModel, X: np.ndarray, reduce, stop) -> list:
 
 
 def _vote_codes(model: RandomForestModel, X_raw, stop=None) -> np.ndarray:
-    """(rows, classes) int32 vote counts for raw (unnormalized) feature
-    rows: full counts, or the partial counts that a stop rule leaves
-    (_exact_stop for predict_batch's, _stream_stop for classify_stream's).
-    The spans' counts are joined once every span is walked."""
+    """(rows, classes) int32 vote counts for feature rows in the units of
+    the training rows: full counts, or the partial counts that a stop rule
+    leaves (_exact_stop for predict_batch's, _stream_stop for
+    classify_stream's). The spans' counts are joined once every span is
+    walked."""
     X = _checked_rows(model, X_raw)
     counts = _walk_spans(model, X, lambda votes: votes, stop)
     # the empty first part gives a call of no rows its (0, classes) result
@@ -1191,7 +1182,7 @@ def predict_batch(model: RandomForestModel, features, *, _stop=_exact_stop) -> n
     """Majority-vote label mask (uint8) per row; ties go to the sorted-label
     order.
 
-    Each span of rows (see _on_all_cores) is scaled, walked with the early
+    Each span of rows (see _on_all_cores) is walked with the early
     stop and reduced to its masks on its own, so the working memory is a
     few arrays per span in flight plus one byte per row for the result;
     the labels equal the argmax of the full counts of _vote_codes.
@@ -1256,20 +1247,25 @@ def _label_list(text: str) -> tuple[FaultLabel, ...]:
     return labels
 
 
-def _positives(text: str) -> np.ndarray:
-    values = np.array([float(v) for v in text.split()])
-    if not np.all(np.isfinite(values) & (values > 0)):
-        raise ValueError("values must be finite and > 0")
-    return values
+def _names(text: str) -> tuple[str, ...]:
+    names = tuple(text.split())
+    if not names:
+        raise ValueError("a model needs at least one feature")
+    return names
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("the value must be finite and > 0")
+    return value
 
 
 # each header line after the format line, in file order: its key, how
 # the value is written from a model, and how it is read back
 _HEADER = {
     "n_trees": (lambda m: str(m.n_trees), int),
-    "n_features": (lambda m: str(m.n_features), int),
-    "feature_names": (lambda m: " ".join(m.feature_names), lambda text: tuple(text.split())),
-    "scaler": (lambda m: " ".join(_fmt(s) for s in m.scaler), _positives),
+    "feature_names": (lambda m: " ".join(m.feature_names), _names),
     "labels": (lambda m: " ".join(str(lab) for lab in m.label_universe), _label_list),
     "seed": (lambda m: str(m.params.seed), int),
     "m_try": (lambda m: _write_optional(m.params.m_try), _int_or_none),
@@ -1277,7 +1273,7 @@ _HEADER = {
     "min_samples_leaf": (lambda m: str(m.params.min_samples_leaf), int),
     "healthy_rms": (
         lambda m: _fmt(m.healthy_rms) if m.healthy_rms else "none",
-        lambda text: None if text == "none" else _positives(text).item(),
+        lambda text: None if text == "none" else _positive(text),
     ),
 }
 
@@ -1322,8 +1318,6 @@ def _read_header(lines: list[str]) -> dict:
             header[key] = read(parts[1] if len(parts) > 1 else "")
             if key in ForestParams.__dataclass_fields__:
                 ForestParams(**{key: header[key]})
-            elif key == "n_features" and header[key] < 1:
-                raise ValueError("n_features must be >= 1")
         except ValueError as exc:
             raise ModelFormatError(f"bad header line {lines[k]!r}: {exc}") from None
     return header
@@ -1533,14 +1527,12 @@ def load_model(path) -> RandomForestModel:
     if len(head) != 2 or head[0] != MODEL_FORMAT_NAME:
         raise ModelFormatError(f"not a {MODEL_FORMAT_NAME} file: {lines[0]!r}")
     if head[1] != str(MODEL_FORMAT_VERSION):
-        hint = ": it has no healthy_rms line; re-train the model" if head[1] == "1" else ""
+        scaled = head[1] in ("1", "2")  # thresholds on max-abs scaled rows
+        hint = ": its thresholds are on scaled rows; re-train the model" if scaled else ""
         raise ModelFormatError(f"unsupported format version {head[1]!r}{hint}")
     header = _read_header(lines)
-    n_features, scaler = header["n_features"], header["scaler"]
-    if len(header["feature_names"]) != n_features or len(scaler) != n_features:
-        raise ModelFormatError("feature_names/scaler width disagrees with n_features")
     params = ForestParams(**{key: header[key] for key in ForestParams.__dataclass_fields__})
-    body = _BodyReader(n_features, header["labels"], header["n_trees"])
+    body = _BodyReader(len(header["feature_names"]), header["labels"], header["n_trees"])
     body.feed(data, starts[n:], ends[n:])
     for data, starts, ends in chunks:
         body.feed(data, starts, ends)
@@ -1549,7 +1541,6 @@ def load_model(path) -> RandomForestModel:
         nodes=nodes,
         roots=roots,
         feature_names=header["feature_names"],
-        scaler=scaler,
         healthy_rms=header["healthy_rms"],
         label_universe=header["labels"],
         params=params,

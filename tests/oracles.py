@@ -192,16 +192,13 @@ def reference_model_from_lines(lines: list[str]) -> RandomForestModel:
     if head[1] != str(MODEL_FORMAT_VERSION):
         raise ModelFormatError(f"unsupported format version {head[1]!r}")
     header = _read_header(lines)
-    n_trees, n_features, scaler = header["n_trees"], header["n_features"], header["scaler"]
-    if len(header["feature_names"]) != n_features or len(scaler) != n_features:
-        raise ModelFormatError("feature_names/scaler width disagrees with n_features")
+    n_trees, n_features = header["n_trees"], len(header["feature_names"])
     params = ForestParams(**{key: header[key] for key in ForestParams.__dataclass_fields__})
     nodes, roots = _reference_parse_trees(lines[1 + len(_HEADER) :], n_trees, n_features, header["labels"])
     return RandomForestModel(
         nodes=nodes,
         roots=roots,
         feature_names=header["feature_names"],
-        scaler=scaler,
         healthy_rms=header["healthy_rms"],
         label_universe=header["labels"],
         params=params,

@@ -326,7 +326,7 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("error: the model has no healthy_rms")
 
-    @pytest.mark.parametrize("k, line", [(2, ""), (1, "n_trees 0"), (4, "scaler abc"), (10, "healthy_rms nan")])
+    @pytest.mark.parametrize("k, line", [(2, ""), (1, "n_trees 0"), (2, "feature_names"), (8, "healthy_rms nan")])
     def test_diagnose_refuses_model_with_bad_header_line(
         self, small_env, tmp_path, capsys, k, line
     ):

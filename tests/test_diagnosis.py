@@ -487,7 +487,6 @@ class TestClassifyStream:
             nodes=forest.NodeTable(np.full(64, -1, dtype=np.int8), np.zeros(64), codes),
             roots=np.arange(64),
             feature_names=("i_a", "i_b", "i_c"),
-            scaler=np.ones(3),
             healthy_rms=None,
             label_universe=(NO_FAULT, L1),
             params=ForestParams(n_trees=64),

@@ -44,8 +44,6 @@ from trifault.forest import (
     label_universe_of,
     load_model,
     model_to_lines,
-    normalize_apply,
-    normalize_fit,
     predict_batch,
     save_model,
     stratified_folds,
@@ -81,13 +79,14 @@ def tie_set(rng):
     return TrainingSet(np.round(ts.features * 4) / 4, ts.labels, ts.feature_names)
 
 
-# Model files written by trainers that grew one tree at a time, node by
-# node: blob_forest_v1.txt before trees were held as node tables, the
-# other two just before trees were grown in lockstep blocks. Together they
-# pin the feature and threshold tie-breaks, the depth and leaf limits and
-# duplicate values. The v1 in their names is that trainer generation's:
-# they were moved to format version 2 by hand, with its healthy_rms line,
-# every tree line left as it was.
+# Model files that pin the feature and threshold tie-breaks, the depth and
+# leaf limits and duplicate values. Their trees' features, leaf labels and
+# roots are those that trainers growing one tree at a time, node by node,
+# wrote: blob_forest_v1.txt before trees were held as node tables, the
+# other two just before trees were grown in lockstep blocks. The v1 in
+# their names is that trainer generation's. Format version 3 holds the
+# thresholds on the unscaled rows, so the files were written again by the
+# first trainer that split on those rows.
 GOLDEN_MODELS = {
     "blob_forest_v1.txt": (
         lambda: blob_set(np.random.default_rng(20), n_per_class=20, spread=1.2),
@@ -106,21 +105,7 @@ GOLDEN_MODELS = {
 
 # sha256 of the desk pool's feature bytes and of the desk model file
 DESK_POOL_SHA256 = "bc09d8c141881d4f26bd1f48611f4ef39a3cdb07bb65bd52e0decb7636e1f41b"
-DESK_MODEL_SHA256 = "fc0fd87564873e87443cf52b20895b6a67f30fe3074fc0907acb35a29d384cf1"
-
-
-class TestNormalization:
-    def test_scaler_is_column_max_abs(self):
-        X = np.array([[1.0, -4.0], [-2.0, 3.0]])
-        scaler = normalize_fit(X)
-        assert np.allclose(scaler, [2.0, 4.0])
-        assert np.max(np.abs(normalize_apply(scaler, X))) <= 1.0
-
-    def test_zero_column_maps_to_unit_scale(self):
-        X = np.array([[0.0, 5.0], [0.0, -5.0]])
-        scaler = normalize_fit(X)
-        assert scaler[0] == 1.0
-        assert np.allclose(normalize_apply(scaler, X)[:, 0], 0.0)
+DESK_MODEL_SHA256 = "5512c921980bb91604ac6eb7cf2813533ef8e01069bacf5d76a6cdcc7eda07d1"
 
 
 class TestBootstrap:
@@ -379,7 +364,7 @@ class TestLockstepGrowth:
     def test_forest_equals_trees_grown_one_node_at_a_time(self, make_set, params):
         ts = make_set()
         model = train_forest(ts, params)
-        X = normalize_apply(model.scaler, ts.features)
+        X = ts.features
         codes = np.array([model.label_universe.index(LABELS[m]) for m in ts.labels])
         m_try = params.resolved_m_try(X.shape[1])
         nodes = []
@@ -425,7 +410,7 @@ class TestLockstepGrowth:
         # each node sorts its own rows, so the order its bag range holds
         # them in is never read
         ts = make_set()
-        X = normalize_apply(normalize_fit(ts.features), ts.features)
+        X = ts.features
         classes, codes = np.unique(ts.labels, return_inverse=True)
 
         def grow(shuffle):
@@ -650,9 +635,9 @@ class TestForestTraining:
                 ForestParams(n_trees=2),
             )
 
-    def test_normalization_invariance_with_power_of_two_scale(self):
-        # scaling a column by a power of two rescales max-abs exactly,
-        # so normalized values and therefore every split are unchanged
+    def test_power_of_two_scale_scales_only_its_thresholds(self):
+        # a split depends only on the order of a feature's values, and
+        # scaling by a power of two keeps that order and every midpoint's bits
         ts = blob_set(np.random.default_rng(8))
         scaled = np.array(ts.features, copy=True)
         scaled[:, 1] *= 8.0
@@ -661,10 +646,32 @@ class TestForestTraining:
         )
         a = train_forest(ts, ForestParams(n_trees=6, seed=2))
         b = train_forest(ts_scaled, ForestParams(n_trees=6, seed=2))
+        assert np.array_equal(a.nodes.feature, b.nodes.feature)
+        assert np.array_equal(a.nodes.leaf_code, b.nodes.leaf_code)
+        assert np.array_equal(a.roots, b.roots)
+        on_scaled = a.nodes.feature == 1
+        assert np.count_nonzero(a.nodes.threshold[on_scaled])
+        assert np.array_equal(np.where(on_scaled, 8.0 * a.nodes.threshold, a.nodes.threshold), b.nodes.threshold)
         test = np.asarray(ts.features)[::7]
         test_scaled = np.array(test, copy=True)
         test_scaled[:, 1] *= 8.0
         assert list(predict_batch(a, test)) == list(predict_batch(b, test_scaled))
+
+    def test_grows_on_rows_near_the_float_limit(self, tmp_path):
+        # four classes of rows near -1.7e308 to 1.7e308, healthy ones among
+        # them: the sum of two neighbouring values, and the square of one,
+        # overflows
+        labels = (L2, L0, L1, FaultLabel.from_switches([1, 2]))
+        rng = np.random.default_rng(9)
+        X = np.concatenate([rng.uniform(c - 0.15, c + 0.15, (30, 3)) for c in (-1.6, -1.2, 1.2, 1.6)]) * 1e308
+        y = np.repeat(masks(*labels), 30)
+        model = train_forest(TrainingSet(X, y, ("i_a", "i_b", "i_c")), ForestParams(n_trees=6, seed=3))
+        assert np.isfinite(model.nodes.threshold).all()
+        assert np.array_equal(predict_batch(model, X), y)
+        assert model.healthy_rms == pytest.approx(np.sqrt(np.mean(np.square(X[30:60] / 1e308))) * 1e308)
+        save_model(model, tmp_path / "model.txt")
+        save_model(load_model(tmp_path / "model.txt"), tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "model.txt").read_bytes()
 
 
 def load_lines(lines: list[str]):
@@ -678,11 +685,9 @@ def load_lines(lines: list[str]):
 def forest_lines(*trees):
     """A one-feature model file whose tree t holds the node lines trees[t]."""
     lines = [
-        "trifault-forest 2",
+        "trifault-forest 3",
         f"n_trees {len(trees)}",
-        "n_features 1",
         "feature_names f",
-        "scaler 1",
         "labels 000000 100000",
         "seed 0",
         "m_try none",
@@ -696,11 +701,10 @@ def forest_lines(*trees):
 
 
 def forest_lines_of_width(n_features, *trees):
-    """A model file of n_features features, all scaled by 1, whose tree t
-    holds the node lines trees[t]."""
+    """A model file of n_features features whose tree t holds the node
+    lines trees[t]."""
     lines = forest_lines(*trees)
-    lines[2:5] = [f"n_features {n_features}", "feature_names " + " ".join(f"f{k}" for k in range(n_features)),
-                  "scaler " + " ".join(["1"] * n_features)]
+    lines[2] = "feature_names " + " ".join(f"f{k}" for k in range(n_features))
     return lines
 
 
@@ -762,11 +766,10 @@ class TestBlockedWalk:
         ts = blob_set(np.random.default_rng(21), spread=1.2)
         model = train_forest(ts, ForestParams(n_trees=37, seed=4))
         X = np.random.default_rng(22).uniform(-2.0, 8.0, size=(9000, 3))
-        X_norm = normalize_apply(model.scaler, X)
         counts = np.zeros((len(X), len(model.label_universe)), dtype=int)
         right = reference_children(model.nodes.feature.tolist())
         for root in model.roots:
-            for i, row in enumerate(X_norm):
+            for i, row in enumerate(X):
                 counts[i, model.nodes.leaf_code[leaf_of(model.nodes, right, row, root)]] += 1
         return model, X, counts
 
@@ -997,7 +1000,6 @@ class TestBlockedWalk:
 def tree_codes(model, X):
     """(rows, trees) leaf label codes, each tree walked alone over the
     model's node table, all rows at once."""
-    X_norm = normalize_apply(model.scaler, X)
     nodes = model.nodes
     right = np.array(reference_children(nodes.feature.tolist()))
     at = np.arange(len(X))
@@ -1006,7 +1008,7 @@ def tree_codes(model, X):
         k = np.full(len(X), root)
         while (nodes.feature[k] >= 0).any():
             internal = nodes.feature[k] >= 0
-            go_left = X_norm[at, np.maximum(nodes.feature[k], 0)] <= nodes.threshold[k]
+            go_left = X[at, np.maximum(nodes.feature[k], 0)] <= nodes.threshold[k]
             k = np.where(internal & go_left, k + 1, right[k])  # a leaf's right link is itself
         codes[:, t] = nodes.leaf_code[k]
     return codes
@@ -1417,8 +1419,7 @@ class TestTopTable:
         assert_counts_match_reference(desk_experiment.model, X)
 
     def test_desk_rows_on_a_top_threshold_go_left(self, desk_experiment):
-        # with a unit scaler a row holds the thresholds themselves
-        model = replace(desk_experiment.model, scaler=np.ones(3))
+        model = desk_experiment.model
         top = model._top_table
         assert top.features == (0, 1, 2)
         rng = np.random.default_rng(51)
@@ -1497,11 +1498,13 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="unsupported format version"):
             load_lines(lines)
 
-    def test_refuses_version_1_and_says_to_re_train(self):
+    @pytest.mark.parametrize("version", ["1", "2"])
+    def test_refuses_scaled_versions_and_says_to_re_train(self, version):
+        # both held a scaler line and thresholds on the scaled rows
         lines = forest_lines(["L 000000"])
-        lines[0] = "trifault-forest 1"
-        del lines[10]  # version 1 had no healthy_rms line
-        with pytest.raises(ModelFormatError, match="version '1': it has no healthy_rms line; re-train"):
+        lines[0] = f"trifault-forest {version}"
+        lines[2:3] = ["n_features 1", "feature_names f", "scaler 1"]
+        with pytest.raises(ModelFormatError, match=f"version '{version}': .*; re-train the model$"):
             load_lines(lines)
 
     def test_healthy_rms_pools_the_raw_healthy_rows(self):
@@ -1551,11 +1554,11 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="labels header"):
             load_lines(one_tree_lines("I 0 0.5", "L 000000", "L 010000"))
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-2"])
-    def test_rejects_scaler_that_is_not_finite_and_positive(self, value):
+    @pytest.mark.parametrize("value", ["nan", "-inf", "-2", "1 2"])
+    def test_rejects_healthy_rms_that_is_not_one_finite_positive_number(self, value):
         lines = one_tree_lines("L 000000")
-        lines[4] = f"scaler {value}"
-        with pytest.raises(ModelFormatError, match="scaler"):
+        lines[8] = f"healthy_rms {value}"
+        with pytest.raises(ModelFormatError, match="healthy_rms"):
             load_lines(lines)
 
     def test_rejects_tree_cut_short_before_next_marker(self):
@@ -1606,21 +1609,21 @@ class TestPersistence:
             (2, ""),
             (1, "n_trees x"),
             (1, "n_trees 0"),
-            (2, "n_features x"),
-            (4, "scaler abc"),
-            (5, "labels 00000x"),
-            (5, "labels 100000 000000"),
-            (5, "labels 000000 100000 100000"),
-            (6, "seed x"),
-            (6, "seed -1"),
-            (7, "m_try x"),
-            (7, "m_try 0"),
-            (8, "max_depth 2.5"),
-            (8, "max_depth 0"),
-            (9, "min_samples_leaf x"),
-            (9, "min_samples_leaf 0"),
-            (10, "healthy_rms inf"),
-            (10, "healthy_rms 0"),
+            (2, "n_features 1"),
+            (3, "scaler 1"),
+            (3, "labels 00000x"),
+            (3, "labels 100000 000000"),
+            (3, "labels 000000 100000 100000"),
+            (4, "seed x"),
+            (4, "seed -1"),
+            (5, "m_try x"),
+            (5, "m_try 0"),
+            (6, "max_depth 2.5"),
+            (6, "max_depth 0"),
+            (7, "min_samples_leaf x"),
+            (7, "min_samples_leaf 0"),
+            (8, "healthy_rms inf"),
+            (8, "healthy_rms 0"),
         ],
     )
     def test_rejects_bad_header_line(self, k, line):
@@ -1631,8 +1634,8 @@ class TestPersistence:
 
     def test_rejects_forest_without_features(self):
         lines = one_tree_lines("L 000000")
-        lines[2:5] = ["n_features 0", "feature_names", "scaler"]
-        with pytest.raises(ModelFormatError, match="'n_features 0'"):
+        lines[2] = "feature_names"
+        with pytest.raises(ModelFormatError, match="'feature_names'"):
             load_lines(lines)
 
     def test_desk_model_measures_the_trained_amplitude(self, desk_experiment):
@@ -1640,12 +1643,13 @@ class TestPersistence:
         assert desk_experiment.model.healthy_rms * math.sqrt(2.0) == pytest.approx(config.amplitude, rel=0.005)
 
     def test_desk_model_bytes_are_pinned(self, desk_experiment, tmp_path):
-        # The digest was recorded when the format went to version 2; the
-        # file before differed only in its version line and its lack of a
-        # healthy_rms line, and that digest held since before each lockstep
-        # step became one loop body. The pool comes from NumPy's sin, whose
-        # last bit may differ with the NumPy build and the CPU, so the model
-        # digest is compared on the recorded pool only.
+        # The digest was recorded when the format went to version 3, whose
+        # thresholds are on the unscaled rows; each tree's features, leaf
+        # labels and root are those of version 2, whose digest held since
+        # before each lockstep step became one loop body, and every split
+        # sends the same training rows left. The pool comes from NumPy's
+        # sin, whose last bit may differ with the NumPy build and the CPU,
+        # so the model digest is compared on the recorded pool only.
         X, _ = training_rows(generate_training_pool(desk_experiment.config))
         if hashlib.sha256(X.tobytes()).hexdigest() != DESK_POOL_SHA256:
             pytest.skip("this platform simulates a different desk pool")
@@ -1781,7 +1785,7 @@ def model_outcome(load, source):
         model = load(source)
     except ModelFormatError as exc:
         return str(exc)
-    columns = (*model.nodes, model.roots, model.scaler)
+    columns = (*model.nodes, model.roots)
     return (
         [(col.dtype.str, col.tobytes()) for col in columns],
         model.healthy_rms,
