@@ -54,6 +54,10 @@ _SPLIT_STREAM = 0x5B
 # healthy-looking instants (pre-fault segments, intact half-cycles of faulted phases)
 _NORMAL_WEIGHT = 4
 
+# a phase sine this near zero is taken as on its zero crossing: far above
+# the rounding of the angle over a pool's span, far below any grid step
+_ON_CROSSING = 1e-9
+
 
 def split_class_counts(total: int, weights: list[int]) -> list[int]:
     """Per-class row counts proportional to weights and summing exactly
@@ -82,19 +86,27 @@ def _expressed_mask(label: FaultLabel, t: np.ndarray, frequency: float) -> np.nd
     indistinguishable from that single-switch fault. Training rows are
     therefore restricted to the samples that expose every open switch
     (phases with both switches open are clamped to zero throughout, so
-    they do not constrain the window)."""
+    they do not constrain the window). A sample on a phase's zero
+    crossing, where rounding alone picks the sine's sign, exposes neither
+    of its switches, so every period of a uniform grid marks alike."""
     whole = label.mask & label.mask >> 1 & 0b010101  # lower bit of each leg with both open
     need = label.mask & ~(whole | whole << 1)
-    exposed = exposed_switches(phase_sines(2.0 * np.pi * frequency * t))
+    sines = phase_sines(2.0 * np.pi * frequency * t)
+    exposed = exposed_switches(np.where(np.abs(sines) < _ON_CROSSING, 0.0, sines))
     return (exposed & need) == need
 
 
 def generate_training_pool(config: ExperimentConfig) -> list[SeriesBlock]:
-    """One series block per class, subsampled to the configured totals."""
+    """One series block per class, subsampled to the configured totals.
+
+    Each class simulates ceil(n / k) + 3 periods for its n rows, where k is
+    the number of classifier grid samples in one period that express it
+    (_expressed_mask), and twice as many as often as that falls short."""
     weights = [_NORMAL_WEIGHT if lab.is_normal else 1 for lab in config.classes]
     counts = split_class_counts(config.dataset_samples, weights)
     master = np.random.default_rng([config.seed, _GEN_STREAM])
     period = 1.0 / config.frequency
+    grid = np.arange(config.diagnosis_config().window_samples) / config.target_rate
     blocks = []
     for ci, label in enumerate(config.classes):
         n_c = counts[ci]
@@ -106,9 +118,12 @@ def generate_training_pool(config: ExperimentConfig) -> list[SeriesBlock]:
             timeline = ((t_fault, label),)
         sim_seed = int(master.integers(0, 2**31 - 1))
 
-        # worst case a double fault is expressed over only 60 degrees,
-        # i.e. one sixth of each period's samples
-        periods = math.ceil(6.0 * n_c * config.frequency / config.target_rate) + 3
+        # the grid samples of one period that express the class; the fault
+        # instant may cost the first period
+        per_period = np.count_nonzero(_expressed_mask(label, grid, config.frequency))
+        if not per_period:
+            raise RuntimeError(f"could not collect {n_c} expressed samples for {label}: no angle expresses it")
+        periods = math.ceil(n_c / per_period) + 3
         for _ in range(4):
             sim = simulate(config.sim_config(seed=sim_seed), timeline, periods * period)
             rs = resample(sim, config.target_rate)

@@ -1,8 +1,9 @@
 """Multi-time-scale online diagnosis over a trained forest.
 
 Pipeline: resample the acquired series down to the classifier rate,
-calibrate each phase, classify every sample, debounce the label stream,
-then fuse period-aligned windows. The calibration takes each phase as
+2.5 kHz by default, calibrate each phase, classify every sample,
+debounce the label stream, dropping label runs shorter than 1.2 ms, then
+fuse period-aligned windows. The calibration takes each phase as
 (x - offset) * gain, with the offset and gain of a whole period of the
 stream that passes a model-free check, so that a stream at another load
 or with a sensor's gain or offset off reaches the forest at the model's
@@ -24,17 +25,20 @@ Inside the pipeline a label is its 6-bit FaultLabel.mask (S1 is bit 5,
 S6 bit 0), so the whole windows of a block are one (windows x samples)
 uint8 array. Fusion keeps the bits that each sample's 60-degree region
 can expose, from a six-entry mask table, and ORs them along each window.
-One loop then builds each window's record: it carries the run of equal
-fused masks from window to window and from push to push, and the first
-run of _CONFIRM_WINDOWS equal non-empty fused masks latches the fault
-set. Each window record keeps its debounced masks as bytes, one per
-sample, and a window with the masks of the one before shares its bytes
-object; only WindowRecord.labels looks them up in LABELS, when read.
+One loop then takes each window's masks and fused mask: it carries the
+run of equal fused masks from window to window and from push to push,
+and the first run of _CONFIRM_WINDOWS equal non-empty fused masks
+latches the fault set. A window keeps its debounced masks as bytes, one
+per sample, and a window with the masks of the one before shares its
+bytes object. The windows given out are a WindowHistory, which holds
+those masks and the fused masks and builds each WindowRecord when read;
+only WindowRecord.labels looks the masks up in LABELS, when read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,8 +62,9 @@ _CROSSING_QUALITY = 0.3
 # equal non-empty fused windows in a row that latch a fault set
 _CONFIRM_WINDOWS = 2
 
-# the shortest run of equal sample labels the debounce keeps
-_DEBOUNCE_RUN = 5
+# the shortest run of equal sample labels the debounce keeps, in seconds:
+# DiagnosisConfig.debounce_run grid samples, 3 on the default 2.5 kHz grid
+_DEBOUNCE_S = 0.0012
 
 # the lowest stream frequency, as a share of the fundamental, whose period
 # the reference scan holds
@@ -91,13 +96,19 @@ class DiagnosisConfig:
 
     A window is one fundamental period, window_samples = target_rate /
     fundamental, a whole number of at least 6 (one per 60-degree region).
-    The phase reference is measured from the series, and the RMS the
-    calibration scales each phase to is the model's healthy_rms: neither
-    is configured. Nor are the debounce run and the latch run, the module
-    constants _DEBOUNCE_RUN and _CONFIRM_WINDOWS.
+    The default 2.5 kHz grid gives 50 samples a period; as 50 is not a
+    multiple of 6, grid points land on at most two of the six 60-degree
+    region boundaries, 180 degrees apart (a 3 kHz grid, 10 samples a
+    region, lands on every one, and was measured far more often wrong at
+    zero leakage). The phase reference is measured from the
+    series, and the RMS the calibration scales each phase to is the
+    model's healthy_rms: neither is configured. Nor are the debounce and
+    the latch run: the debounce is the duration _DEBOUNCE_S, debounce_run
+    samples on this grid, and the latch run the module constant
+    _CONFIRM_WINDOWS.
     """
 
-    target_rate: float = 10000.0
+    target_rate: float = 2500.0
     fundamental: float = 50.0
 
     def __post_init__(self) -> None:
@@ -113,12 +124,18 @@ class DiagnosisConfig:
     def window_samples(self) -> int:
         return round(self.target_rate / self.fundamental)
 
+    @property
+    def debounce_run(self) -> int:
+        """The shortest run of equal sample labels the debounce keeps: the
+        grid samples in _DEBOUNCE_S, and at least 1."""
+        return max(1, round(_DEBOUNCE_S * self.target_rate))
+
 
 @dataclass(frozen=True, slots=True)
 class WindowRecord:
-    """Diagnosis trace of one period-aligned window: its debounced label
-    masks, one byte per sample, and its fused label. A report keeps one
-    per window, so it has slots, not an attribute dict."""
+    """Diagnosis trace of one period-aligned window: its index in the
+    stream, its start time, its debounced label masks, one byte per
+    sample, and its fused label. A WindowHistory builds one on each read."""
 
     index: int
     start_time: float
@@ -131,6 +148,66 @@ class WindowRecord:
         return tuple(LABELS[m] for m in self.masks)
 
 
+def _window_start(grid: tuple[float, int, int, float], index: int) -> float:
+    """Start time of window index on a stream's grid: its first time, the
+    grid row of window 0, the rows of a window and the grid's rate."""
+    t0, start, ws, rate = grid
+    return t0 + (start + index * ws) / rate
+
+
+class WindowHistory(Sequence):
+    """The WindowRecords of windows in a row of one stream, kept as
+    columns: each window's masks, the bytes object it shares with the
+    window before when their masks are equal, and its fused mask. The
+    windows start one window_samples apart on the stream's grid, so a
+    window's index and start time follow from the first window's index
+    and the grid, and its record is built on each read. A window costs a
+    reference and a byte, where a WindowRecord kept whole costs about 115
+    bytes. A history compares, hashes and prints as the tuple of its
+    records, and a history followed by the next adds up to one."""
+
+    __slots__ = ("_grid", "_first", "_masks", "_fused")
+
+    def __init__(self, grid: tuple[float, int, int, float], first: int, masks, fused) -> None:
+        self._grid = grid  # as _window_start takes it
+        self._first = first
+        self._masks = tuple(masks)
+        self._fused = bytes(fused)
+
+    def _record(self, k: int) -> WindowRecord:
+        index = self._first + k
+        return WindowRecord(index, _window_start(self._grid, index), self._masks[k], LABELS[self._fused[k]])
+
+    def __len__(self) -> int:
+        return len(self._fused)
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        return self._record(range(len(self))[k])
+
+    def __add__(self, other: WindowHistory) -> WindowHistory:
+        if not (self and other):
+            return self if self else other
+        if (other._grid, other._first) != (self._grid, self._first + len(self)):
+            raise ValueError("the second history does not follow the first")
+        return WindowHistory(self._grid, self._first, self._masks + other._masks, self._fused + other._fused)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class FaultReport:
     """The verdict of a stream: the latched fault set, the start of the
@@ -141,7 +218,7 @@ class FaultReport:
     fault_set: frozenset[int]
     first_detect_time: float | None
     decision_time: float | None
-    per_window_history: tuple[WindowRecord, ...]
+    per_window_history: WindowHistory
 
     @property
     def protection_signal(self) -> bool:
@@ -343,8 +420,8 @@ class Diagnoser:
     """The online pipeline over a stream that arrives chunk by chunk.
 
     push(chunk) takes the next acquired samples, a TriPhaseSeries whose
-    first time follows the last one pushed, and returns the WindowRecords
-    that became final with them. finish() ends the stream and returns the
+    first time follows the last one pushed, and returns the WindowHistory
+    of the windows that became final with them. finish() ends the stream and returns the
     FaultReport; its per_window_history holds only the windows that became
     final at the end, since push gave out the others. After finish(), the
     stream has ended: a push or a second finish() raises. Any cut of a series
@@ -375,9 +452,9 @@ class Diagnoser:
     period's statistics; and the tail, the raw masks classified since the
     last window it gave out, or since the stream began until the first
     window is out. Once a window is out the tail holds fewer than
-    window_samples + _DEBOUNCE_RUN masks: the rest of a window and the
+    window_samples + debounce_run masks: the rest of a window and the
     last label run, which debounce cannot decide while it is shorter than
-    _DEBOUNCE_RUN. Besides those it keeps the run towards the latch, as
+    the config's debounce_run. Besides those it keeps the run towards the latch, as
     its mask, length and start time, and the last window's masks, whose
     last byte is the debounce lead: nothing it keeps grows with the stream.
     """
@@ -411,18 +488,19 @@ class Diagnoser:
         self._decision: float | None = None
         self._ended = False  # finish() was called
 
-    def push(self, chunk: TriPhaseSeries) -> tuple[WindowRecord, ...]:
+    def push(self, chunk: TriPhaseSeries) -> WindowHistory:
         """Diagnose the next acquired samples; returns the windows they finished."""
         return self._push(chunk, last=False)
 
-    def _push(self, chunk: TriPhaseSeries, last: bool) -> tuple[WindowRecord, ...]:
+    def _push(self, chunk: TriPhaseSeries, last: bool) -> WindowHistory:
         """push; if last, no chunk follows, and once the phase reference is
         fixed the last block is classified and windowed as finish() would,
         in one classify_stream call with its whole periods."""
         if self._ended:
             raise ValueError("the stream has ended: finish() was called")
+        first = self._windows
         if chunk.n_samples == 0:
-            return ()
+            return self._history(first, [], b"")
         rate = self.config.target_rate
         if rate > chunk.sample_rate:
             raise ValueError("resample does not upsample")
@@ -438,7 +516,8 @@ class Diagnoser:
         # a grid point waits for a sample at or after it: np.interp would
         # hold the last sample's value past it
         n_grid = _grid_count(self._t0, float(chunk.t[-1]), rate)
-        records: list[WindowRecord] = []
+        masks: list[bytes] = []
+        fused = bytearray()
         while self._grid < n_grid:
             # with the carried rows a block classifies _BLOCK_ROWS rows at
             # most, whole forest spans, unless they alone fill one
@@ -447,10 +526,18 @@ class Diagnoser:
             self._interpolate(chunk, min(self._grid + size, n_grid))
             if self._t_zero is None and self._grid >= self._scan_rows():
                 self._find_reference()
-            records += self._classify(final=last and self._grid == n_grid)
+            self._classify(masks, fused, final=last and self._grid == n_grid)
         self._acquired += chunk.n_samples
         self._last = tuple(x[-1:].copy() for x in _columns(chunk))
-        return tuple(records)
+        return self._history(first, masks, fused)
+
+    def _history(self, first: int, masks, fused) -> WindowHistory:
+        """The windows from index first on, given out with masks and fused."""
+        return WindowHistory(self._windows_grid(), first, masks, fused)
+
+    def _windows_grid(self) -> tuple[float, int, int, float]:
+        """The grid the windows start on, as _window_start takes it."""
+        return self._t0, self._start, self.config.window_samples, self.config.target_rate
 
     def _interpolate(self, chunk: TriPhaseSeries, hi: int) -> None:
         """Carry the grid rows up to index hi, interpolated from the chunk
@@ -477,7 +564,8 @@ class Diagnoser:
             raise ValueError("resample needs at least 2 samples")
         if self._t_zero is None:
             self._find_reference()
-        records = self._classify(final=True)
+        first, masks, fused = self._windows, [], bytearray()
+        self._classify(masks, fused, final=True)
         if not self._windows:
             ws, start = self.config.window_samples, self._start
             raise ValueError(
@@ -490,7 +578,7 @@ class Diagnoser:
             fault_set=LABELS[mask].switches if latched else frozenset(),
             first_detect_time=start if latched else None,
             decision_time=self._decision,
-            per_window_history=tuple(records),
+            per_window_history=self._history(first, masks, fused),
         )
 
     def _scan_rows(self) -> int:
@@ -547,17 +635,18 @@ class Diagnoser:
             cals.append(self._cal)
         return cals
 
-    def _classify(self, final: bool) -> list[WindowRecord]:
+    def _classify(self, masks_out: list[bytes], fused_out: bytearray, final: bool) -> None:
         """Calibrate and classify the carried rows whose period is whole, or
-        every row if final, and window their masks."""
+        every row if final, and window their masks into masks_out and
+        fused_out."""
         if self._t_zero is None:
-            return []
+            return
         P, size = self._period, self._rows[0].size
         lo = self._grid - size  # grid index of the first carried row
         before = min(max(self._start - lo, 0), size)  # rows before the reference
         n = (size - before) // P  # whole periods
         if not (n or final):
-            return []
+            return
         cals = self._calibrations(_period_stats(self._rows, before, n, P))
         # the rows before the reference take the first period's calibration,
         # and the rows of a partial period at the end the one in force
@@ -574,22 +663,23 @@ class Diagnoser:
         if m:
             t = self._t0 + np.arange(lo, lo + m) / self.config.target_rate
             masks = classify_stream(self.model, TriPhaseSeries(t, *currents, self.config.target_rate))
-        return self._window(masks, final)
+        self._window(masks, final, masks_out, fused_out)
 
-    def _window(self, masks: np.ndarray, final: bool) -> list[WindowRecord]:
-        """Records of the windows that the next raw masks complete.
+    def _window(self, masks: np.ndarray, final: bool, masks_out: list[bytes], fused_out: bytearray) -> None:
+        """Append the masks and the fused mask of each window that the next
+        raw masks complete to masks_out and fused_out.
 
         The tail debounces behind a lead, the last mask given out, which is
         what a short run at the tail's start takes in the whole stream. As
         the first run the lead is accepted, so the tail debounces as it
         would in the whole stream. Before the first window there is no lead:
         the tail starts the stream. Unless final, the last run stays
-        undecided while it is shorter than _DEBOUNCE_RUN and not the
-        first: the next masks may make it long enough. The decided whole
+        undecided while it is shorter than the config's debounce_run and
+        not the first: the next masks may make it long enough. The decided whole
         windows go out, and the tail keeps what follows them.
         """
         self._tail = np.concatenate((self._tail, masks))
-        ws = self.config.window_samples
+        ws, min_run = self.config.window_samples, self.config.debounce_run
         # until the first window is out, the tail starts the stream
         skip = 0 if self._windows else self._start
         lead = np.frombuffer(self._masks[-1:], dtype=np.uint8)
@@ -597,34 +687,37 @@ class Diagnoser:
         end = seq.size
         if not final:
             last = int(_runs(seq)[0][-1])
-            if last and end - last < _DEBOUNCE_RUN:
+            if last and end - last < min_run:
                 end = last
         lo = lead.size + skip
         n = max(end - lo, 0) // ws
         if not n:
-            return []
-        windows = debounce(seq[:end], _DEBOUNCE_RUN)[lo : lo + n * ws].reshape(n, ws)
+            return
+        windows = debounce(seq[:end], min_run)[lo : lo + n * ws].reshape(n, ws)
         # the first window's grid index: the tail ends at the first carried row
         at = self._grid - self._rows[0].size - self._tail.size + skip
         self._tail = self._tail[skip + n * ws :].copy()
         rate, f0 = self.config.target_rate, self.config.fundamental
-        t = self._t0 + np.arange(at, at + n * ws + 1) / rate
-        regions = region_indices(360.0 * f0 * (t[:-1] - self._t_zero)).reshape(n, ws)
+        t = self._t0 + np.arange(at, at + n * ws) / rate
+        regions = region_indices(360.0 * f0 * (t - self._t_zero)).reshape(n, ws)
         fused = fuse_window(windows, regions)
-        bounds = t[::ws].tolist()  # each window's start, and the last one's end
-        records = []
-        for t_lo, t_hi, row, f in zip(bounds, bounds[1:], map(bytes, windows), fused.tolist()):
+        fused_out += fused.tobytes()
+        grid = self._windows_grid()
+        for row, f in zip(map(bytes, windows), fused.tolist()):
             # a window with the masks of the one before shares its bytes
             if row != self._masks:
                 self._masks = row
-            records.append(WindowRecord(self._windows, t_lo, self._masks, LABELS[f]))
+            masks_out.append(self._masks)
             self._windows += 1
             if self._decision is None:
                 mask, length, start = self._run
-                self._run = (f, length + 1, start) if f == mask else (f, 1, t_lo)
+                # the run's start, and the decision at the end of this window
+                if f == mask:
+                    self._run = (f, length + 1, start)
+                else:
+                    self._run = (f, 1, _window_start(grid, self._windows - 1))
                 if f and self._run[1] >= _CONFIRM_WINDOWS:
-                    self._decision = t_hi
-        return records
+                    self._decision = _window_start(grid, self._windows)
 
 
 def run_diagnosis(
@@ -650,7 +743,7 @@ def run_diagnosis(
 
     The working memory does not grow with the series: the Diagnoser
     resamples, classifies and windows _BLOCK_ROWS grid rows at a time.
-    What grows is the history, one WindowRecord per window.
+    What grows is the history, a reference and a byte per window.
     """
     diagnoser = Diagnoser(model, config)
     history = diagnoser._push(series, last=True)

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from trifault.cli import main, split_class_counts
+from trifault import cli
+from trifault.cli import generate_training_pool, main, split_class_counts
+from trifault.config import ExperimentConfig
 from trifault.dataset import SeriesBlock, read_dataset, write_dataset
 from trifault.simulate import NO_FAULT
 
@@ -57,6 +61,38 @@ class TestGen:
         assert normal_rows > fault_rows
         for b in blocks:
             assert np.unique(b.labels).size == 1  # one class per block
+
+    def test_each_class_simulates_the_periods_its_rows_need(self):
+        # a class whose label k grid samples of a period express needs
+        # ceil(n / k) periods for its n rows, and 3 more for the one its
+        # fault instant may cut and the edges; on the desk config no class
+        # falls short and simulates again. Sized for a double fault in every
+        # class, the healthy one simulated 483 periods
+        config = ExperimentConfig()
+        periods = []
+        real = cli.simulate
+
+        def spy(sim_config, timeline, duration):
+            periods.append(duration * config.frequency)
+            return real(sim_config, timeline, duration)
+
+        with mock.patch.object(cli, "simulate", spy):
+            blocks = generate_training_pool(config)
+        one_period = np.arange(config.diagnosis_config().window_samples) / config.target_rate
+        needed = []
+        for label, block in zip(config.classes, blocks):
+            k = np.count_nonzero(cli._expressed_mask(label, one_period, config.frequency))
+            needed.append(math.ceil(block.n_rows / k) + 3)
+        assert needed[0] == math.ceil(3840 / 50) + 3
+        assert periods == pytest.approx(needed, abs=1e-9)
+
+    def test_a_class_no_angle_expresses_is_refused(self, tmp_path, capsys):
+        # the three upper switches show together only where all three
+        # phases are negative, which is nowhere
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("classes = normal S1+S3+S5\ndataset_samples = 100\ntrain_samples = 50\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "pool.csv")]) == 2
+        assert "no angle expresses it" in capsys.readouterr().err
 
     def test_deterministic_output(self, small_env, tmp_path):
         out = tmp_path / "pool2.csv"

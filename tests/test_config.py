@@ -232,6 +232,6 @@ class TestDerivedConfigs:
             diag = cfg.diagnosis_config()
             assert diag.fundamental == 60.0
             assert diag.window_samples == 200
-        # 10 kHz holds no whole number of 60 Hz periods
+        # the default 2.5 kHz holds no whole number of 60 Hz periods
         with pytest.raises(ValueError, match="whole multiple"):
             ExperimentConfig(frequency=60.0)

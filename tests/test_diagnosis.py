@@ -57,6 +57,12 @@ def region_at(theta_deg: float) -> int:
     return int(region_indices(theta_deg))
 
 
+def debounce_runs(min_run: int, config: DiagnosisConfig):
+    """Patch the debounce duration so that config's debounce_run is
+    min_run grid samples."""
+    return mock.patch.object(diagnosis, "_DEBOUNCE_S", min_run / config.target_rate)
+
+
 def reference_debounce(labels, min_run):
     """Debounce over a list of runs, one sample at a time: the filter that
     run-length debounce replaced, kept as its reference."""
@@ -154,7 +160,7 @@ def reference_run_diagnosis(model, series, config):
     while start < 0:
         start += ws
     calibrated = reference_calibrated(rs, start, ws, model.healthy_rms)
-    masks = np.array(debounce(classify_stream(model, calibrated), diagnosis._DEBOUNCE_RUN), dtype=np.uint8)
+    masks = np.array(debounce(classify_stream(model, calibrated), config.debounce_run), dtype=np.uint8)
     regions = region_indices(360.0 * f0 * (rs.t - t_zero))
     history, fused = [], []
     for w in range((rs.n_samples - start) // ws):
@@ -174,7 +180,13 @@ class TestConfig:
     def test_fundamental_frequency(self):
         cfg = DiagnosisConfig()
         assert cfg.fundamental == pytest.approx(50.0)
-        assert cfg.window_samples == 200
+        assert cfg.target_rate == 2500.0 and cfg.window_samples == 50
+
+    @pytest.mark.parametrize("rate, run", [(2500.0, 3), (5000.0, 6), (10000.0, 12), (300.0, 1)])
+    def test_the_debounce_is_a_duration(self, rate, run):
+        # 1.2 ms of grid samples, and at least one
+        assert DiagnosisConfig(target_rate=rate).debounce_run == run
+        assert ExperimentConfig(target_rate=rate).diagnosis_config().debounce_run == run
 
     def test_rejects_upsampling_config(self):
         # the default acquisition rate is 25.6 kHz
@@ -200,12 +212,10 @@ class TestRunDiagnosis:
             run_diagnosis(self.tiny_model(), short, DiagnosisConfig())
 
     @pytest.mark.parametrize(
-        "start_deg, n_windows, first_start, reference",
-        [(0.0, 5, 0.0, 0.0), (90.0, 4, 0.015, 0.015), (30.0, 3, 0.0184, -43 / 25600)],
+        "start_deg, first_start, reference",
+        [(0.0, 0.0, 0.0), (90.0, 0.015, 0.015), (30.0, 0.02 - 43 / 25600, -43 / 25600)],
     )
-    def test_phase_fallback_places_windows_without_a_crossing(
-        self, start_deg, n_windows, first_start, reference
-    ):
+    def test_phase_fallback_places_windows_without_a_crossing(self, start_deg, first_start, reference):
         # both switches of phase a open from t = 0 leave it flat: no zero
         # crossing, so the reference falls back to phase b's first clean
         # upward crossing, at 120 degrees. The stream starts with phase a
@@ -213,7 +223,8 @@ class TestRunDiagnosis:
         # near the start to be clean, and its next one places phase a's
         # 0 degrees 270 degrees (15 ms) into the stream. At 30 degrees (43
         # samples in) phase a's 0 degrees lies before the first sample, so
-        # the windows start one period after it, at the next 10 kHz sample
+        # the windows start one period after it. They start at the first
+        # grid point at or after first_start, and run whole to the end
         s12 = FaultLabel.from_switches([1, 2])
         series = simulate(SimConfig(amplitude=16.5, leakage=0.0), ((0.0, s12),), 0.1)
         k = round(start_deg / 360.0 * 0.02 * series.sample_rate)
@@ -221,12 +232,14 @@ class TestRunDiagnosis:
             t=series.t[k:], i_a=series.i_a[k:], i_b=series.i_b[k:], i_c=series.i_c[k:],
             sample_rate=series.sample_rate,
         )
-        t0 = float(series.t[0])
-        rs = resample(series, 10000.0)
+        config = DiagnosisConfig()
+        t0, step = float(series.t[0]), 1.0 / config.target_rate
+        rs = resample(series, config.target_rate)
         assert estimate_phase_reference(rs, 50.0) == pytest.approx(t0 + reference, abs=1e-6)
-        history = run_diagnosis(self.tiny_model(), series, DiagnosisConfig()).per_window_history
-        assert len(history) == n_windows
-        assert history[0].start_time - t0 == pytest.approx(first_start, abs=1e-12)
+        history = run_diagnosis(self.tiny_model(), series, config).per_window_history
+        start = round((history[0].start_time - t0) / step)
+        assert first_start - 1e-12 <= start * step < first_start + step
+        assert len(history) == (rs.n_samples - start) // config.window_samples
 
     def test_refuses_a_model_without_healthy_rms(self):
         # a model trained without healthy rows holds no trained amplitude
@@ -266,12 +279,13 @@ class TestRunDiagnosis:
         assert report.fault_set == frozenset({1, 3})
 
     def test_equal_windows_share_one_masks_object(self, desk_experiment):
-        # 20 000 grid rows, healthy until S1+S3 at 1.8 s: the default
-        # blocks meet at row 16 384, inside the healthy run, and every
-        # window of 200 rows spans blocks of 61
+        # healthy for 0.2 s past the grid row where the default blocks
+        # meet, then S1+S3 for 0.2 s: the blocks meet inside the healthy
+        # run, and blocks of 61 rows meet inside most windows
         exp = desk_experiment
         config = exp.config.diagnosis_config()
-        series = simulate(exp.config.sim_config(seed=4), ((1.8, L13),), 2.0)
+        t_fault = diagnosis._BLOCK_ROWS / config.target_rate + 0.2
+        series = simulate(exp.config.sim_config(seed=4), ((t_fault, L13),), t_fault + 0.2)
         ws = config.window_samples
         for block_rows in (61, diagnosis._BLOCK_ROWS):
             with mock.patch.object(diagnosis, "_BLOCK_ROWS", block_rows):
@@ -286,7 +300,7 @@ class TestRunDiagnosis:
 
     def test_a_long_stream_leaves_one_masks_object(self):
         # 60 s at 10 kHz, S1 open from 1 s, pushed 20 ms at a time: under
-        # noise the tiny model's labels differ from window to window (410
+        # noise the tiny model's labels differ from window to window (162
         # distinct windows of 2998), and a Diagnoser that kept the masks of
         # each distinct window would hold hundreds
         config = DiagnosisConfig()
@@ -306,7 +320,7 @@ class TestRunDiagnosis:
         report = run_diagnosis(exp.model, faulted_stream(exp), exp.config.diagnosis_config())
         assert {w.fused for w in report.per_window_history} == {NO_FAULT, L13}
         for w in report.per_window_history:
-            assert type(w.masks) is bytes and len(w.masks) == 200
+            assert type(w.masks) is bytes and len(w.masks) == exp.config.diagnosis_config().window_samples
             assert w.labels == tuple(LABELS[m] for m in w.masks)
 
     def test_an_events_record_keeps_little(self, desk_experiment):
@@ -330,6 +344,44 @@ class TestRunDiagnosis:
         assert n_windows == 9 and fault_set == frozenset({2})
         assert kept <= 4000
 
+    def test_a_healthy_report_keeps_a_reference_and_a_byte_a_window(self, desk_experiment):
+        # 6 s at the trained load, 299 windows with one masks object: a
+        # tuple of WindowRecords kept about 115 bytes a window
+        exp = desk_experiment
+        series = simulate(exp.config.sim_config(seed=5), (), 6.0)
+        run_diagnosis(exp.model, series, exp.config.diagnosis_config())  # builds the walk tables
+        tracemalloc.start()
+        try:
+            report = run_diagnosis(exp.model, series, exp.config.diagnosis_config())
+            gc.collect()
+            with_report = tracemalloc.get_traced_memory()[0]
+            n_windows = len(report.per_window_history)
+            del report
+            gc.collect()
+            kept = with_report - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n_windows == 299
+        assert kept <= 20 * n_windows
+
+    def test_a_history_reads_as_the_tuple_of_its_records(self, desk_experiment):
+        # pushed in two chunks: each push's history, the two added up and
+        # run_diagnosis's agree with the records read one by one
+        exp = desk_experiment
+        series, config = faulted_stream(exp), exp.config.diagnosis_config()
+        diagnoser = Diagnoser(exp.model, config)
+        first, second = diagnoser.push(piece(series, 0, 2048)), diagnoser.push(piece(series, 2048, N_RAW))
+        report = diagnoser.finish()
+        whole = run_diagnosis(exp.model, series, config).per_window_history
+        records = tuple(whole[k] for k in range(len(whole)))
+        assert len(first) and len(second)
+        assert first + second + report.per_window_history == whole == records
+        assert whole[-1] == records[-1] and whole[1:] == records[1:]
+        assert repr(whole) == repr(records) and hash(whole) == hash(records)
+        assert [w.index for w in records] == list(range(len(records)))
+        with pytest.raises(ValueError, match="does not follow"):
+            second + first
+
     @pytest.mark.parametrize(
         "name", ["classify_stream", "predict_batch", "debounce", "estimate_phase_reference", "fuse_window"]
     )
@@ -342,11 +394,12 @@ class TestRunDiagnosis:
         assert stage.called
 
     @staticmethod
-    def traced_peak(exp, seconds, runs=1):
+    def traced_peak(exp, seconds, runs=1, sample_rate=None):
         """Highest traced peak over runs of run_diagnosis on one healthy
-        stream with two walking threads, and the retained bytes and the
-        report of the last."""
-        series = simulate(exp.config.sim_config(seed=5), (), seconds)
+        stream with two walking threads, acquired at sample_rate or the
+        config's, and the retained bytes and the report of the last."""
+        sim = exp.config.sim_config(seed=5)
+        series = simulate(replace(sim, sample_rate=sample_rate or sim.sample_rate), (), seconds)
         predict_batch(exp.model, series.currents()[:10])  # builds the walk tables
         peaks = []
         with mock.patch.object(forest, "_cores", lambda: 2):
@@ -375,14 +428,20 @@ class TestRunDiagnosis:
         assert retained < 0.2e6
 
     def test_peak_does_not_grow_with_the_stream(self, desk_experiment):
-        # whole-stream arrays put 12 s at 15.5 MB and 3 s at 9.6 MB; block
-        # by block they peak at 9.9 and 9.7 MB. A block's traced peak
-        # varies with how the two threads' spans overlap, so each side
-        # takes the worst of seven full 16 384-row blocks: the 12 s
-        # stream holds seven, and each 3 s run one
-        long_peak, _, long_report = self.traced_peak(desk_experiment, 12.0)
-        short_peak, _, short_report = self.traced_peak(desk_experiment, 3.0, runs=7)
-        assert len(long_report.per_window_history) == 598 and len(short_report.per_window_history) == 148
+        # on a 10 kHz grid whole-stream arrays put 12 s at 15.5 MB and 3 s
+        # at 9.6 MB; block by block they peak at 9.9 and 9.7 MB. A block's
+        # traced peak varies with how the two threads' spans overlap, so
+        # each side takes the worst of seven full 16 384-row blocks: the
+        # long stream holds seven, and each short run one. The streams are
+        # acquired at 10 kHz to keep the long one's input small
+        config = desk_experiment.config.diagnosis_config()
+        block_s = diagnosis._BLOCK_ROWS / config.target_rate
+        long_s, short_s = math.ceil(7 * block_s), math.ceil(block_s)
+        long_peak, _, long_report = self.traced_peak(desk_experiment, long_s, sample_rate=10000.0)
+        short_peak, _, short_report = self.traced_peak(desk_experiment, short_s, runs=7, sample_rate=10000.0)
+        # one window a period from the phase reference, one period in
+        for seconds, report in [(long_s, long_report), (short_s, short_report)]:
+            assert len(report.per_window_history) == round(seconds * config.fundamental) - 1
         assert long_peak - short_peak < 1e6
 
     @pytest.mark.parametrize(
@@ -454,6 +513,13 @@ N_RAW = 2560
 # a stream's load as a share of the trained amplitude, and one phase's
 # sensor gain and offset, the offset as a share of the trained amplitude
 AS_TRAINED = (1.0, 0, 1.0, 0.0)
+# half the trained load: faulted_stream's labels then hold a long run
+# after the first one
+HALF_LOAD = (0.5, 0, 1.0, 0.0)
+
+# the window and the debounce run on the default grid
+WINDOW = DiagnosisConfig().window_samples
+DEBOUNCE_RUN = DiagnosisConfig().debounce_run
 
 
 def faulted_stream(exp, scene=AS_TRAINED):
@@ -465,6 +531,20 @@ def faulted_stream(exp, scene=AS_TRAINED):
     series = simulate(replace(sim, amplitude=sim.amplitude * load), ((0.047, L13),), 0.1)
     name = ("i_a", "i_b", "i_c")[phase]
     return replace(series, **{name: getattr(series, name) * gain + offset * sim.amplitude})
+
+
+def classified_masks(model, series, config):
+    """The masks classify_stream gave run_diagnosis of a series, one per
+    grid row."""
+    seen = []
+
+    def spy(model, rs):
+        seen.append(classify_stream(model, rs))
+        return seen[-1]
+
+    with mock.patch.object(diagnosis, "classify_stream", spy):
+        run_diagnosis(model, series, config)
+    return np.concatenate(seen)
 
 
 def pushed(model, series, config, cuts):
@@ -529,33 +609,33 @@ class TestDiagnoser:
         cuts=st.lists(st.integers(1, N_RAW - 1), max_size=12, unique=True).map(sorted),
         block_rows=st.sampled_from([61, 997, diagnosis._BLOCK_ROWS]),
         confirm=st.sampled_from([1, 2, 3]),
-        min_run=st.sampled_from([1, 5, 37, 250]),
+        min_run=st.sampled_from([1, DEBOUNCE_RUN, 37, 250]),
         scene=st.tuples(
             st.floats(0.5, 1.5), st.integers(0, 2), st.floats(0.8, 1.1), st.floats(-0.1, 0.1)
         ),
     )
-    @example(cuts=list(range(1, N_RAW)), block_rows=diagnosis._BLOCK_ROWS, confirm=2, min_run=5, scene=AS_TRAINED)  # one sample each
-    @example(cuts=list(range(300, N_RAW, 300)), block_rows=997, confirm=2, min_run=5, scene=AS_TRAINED)  # shorter than a window
-    @example(cuts=[500], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=5, scene=AS_TRAINED)  # inside the phase-reference scan
-    @example(cuts=[1281], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=5, scene=AS_TRAINED)  # inside a short label run
-    @example(cuts=[64, 67, 1792, 1795], block_rows=61, confirm=1, min_run=5, scene=AS_TRAINED)  # one sample before a grid point
+    @example(cuts=list(range(1, N_RAW)), block_rows=diagnosis._BLOCK_ROWS, confirm=2, min_run=DEBOUNCE_RUN, scene=AS_TRAINED)  # one sample each
+    @example(cuts=list(range(300, N_RAW, 300)), block_rows=997, confirm=2, min_run=DEBOUNCE_RUN, scene=AS_TRAINED)  # shorter than a window
+    @example(cuts=[500], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=DEBOUNCE_RUN, scene=AS_TRAINED)  # inside the phase-reference scan
+    @example(cuts=[1886], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=DEBOUNCE_RUN, scene=AS_TRAINED)  # just after a short label run
+    @example(cuts=[256, 267, 1792, 1803], block_rows=61, confirm=1, min_run=DEBOUNCE_RUN, scene=AS_TRAINED)  # one sample before a grid point
     # inside a label run across two window starts, still short at the cut
-    @example(cuts=[1076], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=350, scene=AS_TRAINED)
+    @example(cuts=[1077], block_rows=diagnosis._BLOCK_ROWS, confirm=1, min_run=250, scene=HALF_LOAD)
     # half the load and phase b's sensor off; cut just after the reference
     # scan and one row short of the third calibration period's end
-    @example(cuts=[1600, 2048], block_rows=997, confirm=2, min_run=5, scene=(0.5, 1, 0.85, 0.08))
+    @example(cuts=[1600, 2048], block_rows=997, confirm=2, min_run=DEBOUNCE_RUN, scene=(0.5, 1, 0.85, 0.08))
     def test_any_chunks_give_the_windows_and_report_of_one_push(
         self, desk_experiment, cuts, block_rows, confirm, min_run, scene
     ):
         # the cuts of the examples are pinned by test_the_examples_cut_where_they_say;
-        # a _DEBOUNCE_RUN over the 200-sample window lets an undecided
-        # run span a whole window and a push, as at the cut of 1076
+        # a debounce run over the window lets an undecided run span a
+        # whole window and a push, as at the cut of 1077
         exp = desk_experiment
         series = faulted_stream(exp, scene)
         config = exp.config.diagnosis_config()
         with (
             mock.patch.object(diagnosis, "_CONFIRM_WINDOWS", confirm),
-            mock.patch.object(diagnosis, "_DEBOUNCE_RUN", min_run),
+            debounce_runs(min_run, config),
         ):
             whole = pushed(exp.model, series, config, [])
             with mock.patch.object(diagnosis, "_BLOCK_ROWS", block_rows):
@@ -566,43 +646,49 @@ class TestDiagnoser:
         series = faulted_stream(exp)
         config = exp.config.diagnosis_config()
         rs = resample(series, config.target_rate)
-        masks = classify_stream(exp.model, rs)
-        assert series.n_samples == N_RAW and config.window_samples == 200
+        masks = classified_masks(exp.model, series, config)
+        assert series.n_samples == N_RAW and config.window_samples == 50
         # sample 500 comes before the last grid point the reference scans
-        assert series.t[500] < rs.t[2 * 200]
-        # the cut at 1281 puts grid point 500 before it and 501 after: the
-        # two points of a run the debounce suppresses
-        assert rs.t[500] <= series.t[1280] < rs.t[501]
-        assert masks[499] != masks[500] == masks[501] != masks[502]
-        assert 2 < diagnosis._DEBOUNCE_RUN
+        assert series.t[500] < rs.t[2 * 50]
+        # the cut at 1886 puts grid point 184 last before it: a one-point
+        # run, which the debounce suppresses
+        assert rs.t[184] <= series.t[1885] < rs.t[185]
+        assert masks[183] != masks[184] != masks[185]
+        assert 1 < DEBOUNCE_RUN
         # each cut leaves a grid point one sample ahead, on a sample or
         # between two
-        for cut, k in [(64, 25), (67, 26), (1792, 700), (1795, 701)]:
+        for cut, k in [(256, 25), (267, 26), (1792, 175), (1803, 176)]:
             assert series.t[cut - 1] < rs.t[k] <= series.t[cut]
-        assert rs.t[25] == series.t[64] and rs.t[700] == series.t[1792]
-        # the cut at 1076 ends the first push at grid point 419, inside the
-        # 399-point run from 101 across the window starts 201 and 401: the
-        # 319 points seen are short of a _DEBOUNCE_RUN of 350, and the
-        # window that ends at 401 must wait for the run to be decided
-        assert rs.t[419] <= series.t[1075] < rs.t[420]
-        starts, lengths = diagnosis._runs(masks)
-        assert (101, 399) in zip(starts.tolist(), lengths.tolist())
-        # the reference scan holds 624 grid points, and the calibration
-        # periods run 200 points each from the first window's start at
-        # 201: the cut at 1600 comes after point 624, the cut at 2048
-        # between the points 799 and 800, one short of the third period's
-        # end, and the last period, from 801, is partial at the end
+        assert rs.t[25] == series.t[256] and rs.t[175] == series.t[1792]
+        # at half the load, the cut at 1077 ends the first push at grid
+        # point 105, inside the 82-point run from 27 across the window
+        # starts 51 and 101: the 79 points seen are short of a debounce run
+        # of 250, and the window that ends at 101 must wait for the run to
+        # be decided
+        assert rs.t[105] <= series.t[1076] < rs.t[106]
+        half = faulted_stream(exp, HALF_LOAD)
+        starts, lengths = diagnosis._runs(classified_masks(exp.model, half, config))
+        assert (27, 82) in zip(starts.tolist(), lengths.tolist())
+        diagnoser = Diagnoser(exp.model, config)
+        diagnoser.push(half)
+        assert diagnoser._start == 51
+        # the reference scan holds 157 grid points, and the calibration
+        # periods run 50 points each from the first window's start at
+        # 51: the cut at 1600 comes just after point 156, the scan's last,
+        # the cut at 2048 between the points 199 and 200, one short of the
+        # third period's end, and the last period, from 201, is partial at
+        # the end
         diagnoser = Diagnoser(exp.model, config)
         diagnoser.push(piece(series, 0, 1600))
-        assert diagnoser._scan_rows() == 624 and rs.t[624] <= series.t[1599]
-        assert (diagnoser._start, diagnoser._period) == (201, 200)
-        assert rs.t[799] <= series.t[2047] < rs.t[800] and rs.n_samples == 1000
+        assert diagnoser._scan_rows() == 157 and rs.t[156] <= series.t[1599] < rs.t[157]
+        assert (diagnoser._start, diagnoser._period) == (51, 50)
+        assert rs.t[199] <= series.t[2047] < rs.t[200] and rs.n_samples == 250
         # confirm 2 latches across a cut between windows, confirm 3 never
         report = run_diagnosis(exp.model, series, config)
         assert [w.fused for w in report.per_window_history] == [NO_FAULT, L13, L13]
-        assert report.per_window_history[0].start_time == rs.t[201]
+        assert report.per_window_history[0].start_time == rs.t[51]
 
-    @pytest.mark.parametrize("min_run", [5, 250])
+    @pytest.mark.parametrize("min_run", [DEBOUNCE_RUN, 250])
     def test_the_carry_stays_bounded(self, desk_experiment, min_run):
         # what a Diagnoser carries between pushes is the rest of a window and
         # the last label run, which is undecided while shorter than min_run,
@@ -613,7 +699,7 @@ class TestDiagnoser:
         step = round(0.02 * series.sample_rate)
         diagnoser = Diagnoser(exp.model, config)
         windows = 0
-        with mock.patch.object(diagnosis, "_DEBOUNCE_RUN", min_run):
+        with debounce_runs(min_run, config):
             for lo in range(0, series.n_samples, step):
                 windows += len(diagnoser.push(piece(series, lo, lo + step)))
                 if windows:
@@ -639,7 +725,7 @@ class TestDiagnoser:
         one.push(piece(series, 0, 1))
         with pytest.raises(ValueError, match="at least 2 samples"):
             one.finish()
-        slow = replace(piece(series, 0, 100), sample_rate=5000.0)
+        slow = replace(piece(series, 0, 100), sample_rate=config.target_rate / 2)
         with pytest.raises(ValueError, match="does not upsample"):
             Diagnoser(exp.model, config).push(slow)
 
@@ -678,6 +764,20 @@ ITEM_1_OPEN = pytest.mark.xfail(
     raises=AssertionError,
     reason="ROADMAP item 1: the first calibration is checked against offset 0 and gain 1",
 )
+
+
+# the light-load offset cases that the 2.5 kHz grid and pool diagnose
+# right, as (seed, phase, sign)
+LIGHT_LOAD_RIGHT = {(0, "b", 1), (0, "c", -1), (1, "b", 1), (1, "c", -1), (2, "b", 1), (3, "b", 1), (4, "b", 1), (4, "c", -1)}
+
+
+def offset_cases():
+    """(seed, phase, sign, load) of the healthy offset records: at 0.6x
+    load a known defect, but for LIGHT_LOAD_RIGHT."""
+    for load in (0.6, 1.0):
+        for case in [(s, p, g) for s in range(5) for p in "abc" for g in (1, -1)]:
+            open_defect = load == 0.6 and case not in LIGHT_LOAD_RIGHT
+            yield pytest.param(*case, load, marks=ITEM_1_OPEN if open_defect else ())
 
 
 def offset_record(exp, seed, load, phase, sign, timeline):
@@ -755,19 +855,23 @@ class TestCalibration:
             busy = inputs[rs.t >= idle_to + 0.04]
             assert np.sqrt(np.mean(busy**2)) == pytest.approx(sim.amplitude * 2 / math.sqrt(2), rel=0.05)
 
-    @pytest.mark.parametrize("frequency, period", [(45.0, 222), (55.0, 182)])
-    def test_off_frequency_faults_get_their_exact_sets(self, desk_experiment, frequency, period):
-        # the calibration period is measured in the reference scan; every
-        # class, faulted 0.5 s into a stream 10 % off the fundamental
+    @pytest.mark.parametrize("frequency", [45.0, 55.0])
+    def test_off_frequency_faults_get_their_exact_sets(self, desk_experiment, frequency):
+        # the calibration period is measured in the reference scan, as a
+        # whole number of grid samples: within one of the true period,
+        # which at 45 Hz on the 2.5 kHz grid is 55.56 samples, so that a
+        # crossing's drift of 0.02 ms rounds it either way. Every class,
+        # faulted 0.5 s into a stream 10 % off the fundamental
         exp = desk_experiment
         config = exp.config.diagnosis_config()
+        period = config.target_rate / frequency
         wrong = []
         for k, label in enumerate(default_class_labels()):
             sim = replace(exp.config.sim_config(seed=200 + k), frequency=frequency)
             series = simulate(sim, () if label.is_normal else ((0.5, label),), 0.6)
             diagnoser = Diagnoser(exp.model, config)
             diagnoser.push(series)
-            assert diagnoser._period == period
+            assert abs(diagnoser._period - period) < 1
             if diagnoser.finish().fault_set != label.switches:
                 wrong.append(str(label))
         assert wrong == []
@@ -784,8 +888,7 @@ class TestCalibration:
         healthy = generate_series_block(exp.config, NO_FAULT, 0.0, 0.2)
         assert run_diagnosis(exp.model, block_to_series(healthy), config).decision_time is None
 
-    @pytest.mark.parametrize("load", [pytest.param(0.6, marks=ITEM_1_OPEN), 1.0])
-    @pytest.mark.parametrize("seed, phase, sign", [(s, p, g) for s in range(5) for p in "abc" for g in (1, -1)])
+    @pytest.mark.parametrize("seed, phase, sign, load", offset_cases())
     def test_a_healthy_record_with_a_sensor_offset_raises_no_alarm(self, desk_experiment, load, seed, phase, sign):
         exp = desk_experiment
         series = offset_record(exp, seed, load, phase, sign, ())
@@ -797,6 +900,28 @@ class TestCalibration:
         exp = desk_experiment
         series = offset_record(exp, seed, 0.6, "a", sign, ((0.05, L1),))
         assert run_diagnosis(exp.model, series, exp.config.diagnosis_config()).fault_set == {1}
+
+
+class TestLowLeakage:
+    def test_faults_at_low_leakage_mostly_get_their_exact_sets(self, desk_experiment):
+        # each fault class in each 60-degree region after the reference
+        # scan, 0.2 s records at the trained load, with the open switches
+        # leaking 0, 2 and 5 % of the healthy current; the model is
+        # trained at 12 %. On a 10 kHz grid and pool 47 of the 378 were
+        # wrong, on the 2.5 kHz ones 2, each a superset of the right set
+        exp = desk_experiment
+        config = exp.config.diagnosis_config()
+        faults = [label for label in default_class_labels() if not label.is_normal]
+        wrong = []
+        for leakage in (0.0, 0.02, 0.05):
+            for k, label in enumerate(faults):
+                for region in range(6):
+                    sim = replace(exp.config.sim_config(seed=500 + 6 * k + region), leakage=leakage)
+                    t_fault = (2.0 + (region + 0.5) / 6.0) / config.fundamental
+                    report = run_diagnosis(exp.model, simulate(sim, ((t_fault, label),), 0.2), config)
+                    if report.fault_set != label.switches:
+                        wrong.append((leakage, str(label), region, sorted(report.fault_set)))
+        assert len(wrong) <= 11, wrong
 
 
 class TestRunDiagnosisMatchesReference:
@@ -970,9 +1095,10 @@ class TestFuseWindow:
         assert fuse_window(masks, regions).tolist() == per_row
 
 
-# 26 periods of a healthy stream at the classifier rate: 25 or 24 whole
-# windows after the phase reference, near one period in
-LATCH_STREAM = simulate(SimConfig(amplitude=16.5, sample_rate=10000.0), (), 0.52)
+# 26 periods of a healthy stream acquired at the default classifier rate,
+# so that its grid is its samples: 25 or 24 whole windows after the phase
+# reference, near one period in
+LATCH_STREAM = simulate(SimConfig(amplitude=16.5, sample_rate=DiagnosisConfig().target_rate), (), 0.52)
 # the model of a Diagnoser whose classify_stream is patched: no tree is
 # walked, the calibration reads only the trained RMS, LATCH_STREAM's, and
 # the Diagnoser checks that it reads the three phase currents
@@ -989,7 +1115,7 @@ class TestLatch:
     @example([0, 0, 0, 0], 1, [])  # all healthy
     @example([M1, M1, 0, 0, M3, M3], 3, [])  # the run that would latch is cut off at the end
     @example([M1, M1, 0, M1, M1], 3, [])  # a healthy run between equal faulted runs
-    @example([M1, M1, 0, M1, M1, M1], 3, list(range(400, 2000, 200)))  # a push per window
+    @example([M1, M1, 0, M1, M1, M1], 3, list(range(2 * WINDOW, 10 * WINDOW, WINDOW)))  # a push per window
     def test_matches_window_loop(self, fused, min_run, cuts):
         # the windows fuse to the drawn masks, then to 0; classify_stream
         # is patched, so no model is walked
@@ -1020,9 +1146,9 @@ class TestDebounceAcrossChunks:
         st.sampled_from([1, 5, 37, 250]),
         st.lists(st.integers(1, LATCH_STREAM.n_samples - 1), max_size=8, unique=True).map(sorted),
     )
-    # a run across the first window's start at 200, short at a cut after
+    # a run across the first window's start at 50, short at a cut after
     # that window's end and long in the end
-    @example([(0, 160), (M1, 300)], 250, [405])
+    @example([(0, 40), (M1, 300)], 250, [105])
     def test_any_chunks_debounce_the_whole_stream(self, runs, min_run, cuts):
         # the classifier gives the drawn runs, then healthy masks; the grid
         # is the acquired samples, so no model is walked
@@ -1035,7 +1161,7 @@ class TestDebounceAcrossChunks:
         config = DiagnosisConfig()
         with (
             mock.patch.object(diagnosis, "classify_stream", classified),
-            mock.patch.object(diagnosis, "_DEBOUNCE_RUN", min_run),
+            debounce_runs(min_run, config),
         ):
             whole = pushed(UNWALKED_MODEL, LATCH_STREAM, config, [])
             assert pushed(UNWALKED_MODEL, LATCH_STREAM, config, cuts) == whole

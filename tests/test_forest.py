@@ -104,8 +104,8 @@ GOLDEN_MODELS = {
 
 
 # sha256 of the desk pool's feature bytes and of the desk model file
-DESK_POOL_SHA256 = "bc09d8c141881d4f26bd1f48611f4ef39a3cdb07bb65bd52e0decb7636e1f41b"
-DESK_MODEL_SHA256 = "5512c921980bb91604ac6eb7cf2813533ef8e01069bacf5d76a6cdcc7eda07d1"
+DESK_POOL_SHA256 = "086452f74f3b01e0cda3cffd4a058c04a4ba92a527e9d4b0019a96b7e8992073"
+DESK_MODEL_SHA256 = "13cc08f6d4c2a3de8cd423944c70b99bb13f3679036db6be42897dd7fa28e72d"
 
 
 class TestBootstrap:
@@ -1643,11 +1643,9 @@ class TestPersistence:
         assert desk_experiment.model.healthy_rms * math.sqrt(2.0) == pytest.approx(config.amplitude, rel=0.005)
 
     def test_desk_model_bytes_are_pinned(self, desk_experiment, tmp_path):
-        # The digest was recorded when the format went to version 3, whose
-        # thresholds are on the unscaled rows; each tree's features, leaf
-        # labels and root are those of version 2, whose digest held since
-        # before each lockstep step became one loop body, and every split
-        # sends the same training rows left. The pool comes from NumPy's
+        # The digests were recorded when the classifier grid, and with it
+        # the pool, went from 10 kHz to 2.5 kHz, each class sized by the
+        # samples of a period that express it. The pool comes from NumPy's
         # sin, whose last bit may differ with the NumPy build and the CPU,
         # so the model digest is compared on the recorded pool only.
         X, _ = training_rows(generate_training_pool(desk_experiment.config))
