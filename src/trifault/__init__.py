@@ -11,10 +11,10 @@ The package covers the full desk-scale pipeline:
   criteria 1-3; no pipeline reads them yet, and the forest reads
   instantaneous samples.
 - :mod:`trifault.forest` — a deterministic random-forest classifier over
-  instantaneous current samples, with a text model format and stratified
-  k-fold accuracies; ``predict_batch`` gives any number of rows, one row
-  included, one uint8 label mask each, as training sets and dataset
-  blocks hold them.
+  instantaneous current samples, with a model file of text header lines
+  and binary node columns, and stratified k-fold accuracies;
+  ``predict_batch`` gives any number of rows, one row included, one uint8
+  label mask each, as training sets and dataset blocks hold them.
 - :mod:`trifault.diagnosis` — the online stage: resampling, per-sample
   classification, debouncing, region-gated vote fusion, and the latch
   that confirms a fault set over agreeing windows; a ``Diagnoser`` runs

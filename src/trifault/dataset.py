@@ -169,14 +169,14 @@ def _parse_series_comment(line: str, line_no: int) -> tuple[int, float, tuple]:
 _CHUNK_CHARS = 1 << 18
 
 
-def _ascii_line_chunks(path, error):
+def _ascii_line_chunks(path):
     """The ASCII file at path, which it opens and closes, read
     _CHUNK_CHARS bytes at a time, as (data, starts, ends): bytes, and
     where each line that they hold whole starts and ends; these are the
     lines that str.splitlines gives on the whole text. A byte that is not
-    ASCII splits no line and raises error naming its line, its column and
-    its value, after the lines before it: an error that a reader finds in
-    those lines comes first, wherever the reads fall."""
+    ASCII splits no line and raises DatasetFormatError naming its line, its
+    column and its value, after the lines before it: an error that a reader
+    finds in those lines comes first, wherever the reads fall."""
     done, tail = 0, b""
     with open(path, "rb") as fh:
         while data := tail + (fh.read(_CHUNK_CHARS) or tail and b"\n"):  # the last line may lack its end
@@ -192,14 +192,14 @@ def _ascii_line_chunks(path, error):
                 k = int(np.searchsorted(ends, bad))  # the bad byte's line
                 yield data, bounds[:k], ends[:k]
                 col = bad - bounds[k] + 1
-                raise error(f"line {done + k + 1}: byte 0x{data[bad]:02x} at column {col} is not ASCII")
+                raise DatasetFormatError(f"line {done + k + 1}: byte 0x{data[bad]:02x} at column {col} is not ASCII")
             done, tail = done + ends.size, data[bounds[-1] :]
             yield data, bounds[:-1], ends
 
 
 def _lines(path):
     """The lines of the ASCII file at path, as str.splitlines gives them."""
-    chunks = _ascii_line_chunks(path, DatasetFormatError)
+    chunks = _ascii_line_chunks(path)
     return chain.from_iterable(data[s[0] : e[-1] + 1].decode().splitlines() for data, s, e in chunks if s.size)
 
 

@@ -18,13 +18,10 @@ A tree is a node table: arrays ``feature``, ``threshold`` and
 the trees end to end, with a root offset per tree. No child links are
 stored: a left child is the next entry, and the walk table below
 derives each right child from ``feature`` alone. The model file, format
-version 3, is a header and then one text line per table entry; saving
-formats and writes it one tree at a time, and loading reads it 256 KB of
-bytes at a time, finds each chunk's lines and tokens as byte ranges, reads
-its thresholds in one NumPy call (float() reads one only to word a
-refusal, or when that call fails), parses its node lines into columns of
-the table's own dtypes, walks the chunk's trees as it arrives, and refuses
-any text after the end marker.
+version 4, is ASCII header lines and then the table's columns and each
+tree's node count as raw little-endian bytes; saving writes each column's
+bytes, and loading takes each column from its exact byte range and checks
+them all with a few array operations.
 
 Training grows the trees in blocks, in lockstep. A block holds as many
 trees as keep its bag (below) within 5 MiB, in the narrowest unsigned
@@ -150,7 +147,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
@@ -158,11 +154,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import _ascii_line_chunks
 from .simulate import LABELS, FaultLabel, check_label_masks
 
 MODEL_FORMAT_NAME = "trifault-forest"
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
+# why a file of an earlier format version is refused
+_OLD_FORMATS = {
+    "1": "its thresholds are on scaled rows",
+    "2": "its thresholds are on scaled rows",
+    "3": "its trees are text lines",
+}
 # gains below this are treated as float jitter, not a real improvement
 _MIN_GAIN = 1e-12
 # the split search computes a float gain only for the cuts whose exact
@@ -1261,6 +1262,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("the count must be >= 1")
+    return value
+
+
 # each header line after the format line, in file order: its key, how
 # the value is written from a model, and how it is read back
 _HEADER = {
@@ -1275,32 +1283,35 @@ _HEADER = {
         lambda m: _fmt(m.healthy_rms) if m.healthy_rms else "none",
         lambda text: None if text == "none" else _positive(text),
     ),
+    "nodes": (lambda m: str(m.nodes.feature.size), _count),
 }
 
 
-def _model_chunks(model: RandomForestModel):
-    """The lines of the model file in chunks: the header, one chunk
-    per tree, then the end marker, so a writer never holds the whole
-    text."""
+def _header_lines(model: RandomForestModel) -> list[str]:
+    return [f"{MODEL_FORMAT_NAME} {MODEL_FORMAT_VERSION}"] + [
+        f"{key} {write(model)}" for key, (write, _) in _HEADER.items()
+    ]
+
+
+def _file_dtypes(n_features: int) -> tuple[np.dtype, ...]:
+    """The file's dtypes of feature, threshold, leaf_code and the tree
+    sizes, in file order."""
+    feature = "<i1" if _feature_dtype(n_features) == np.int8 else "<i8"
+    return tuple(map(np.dtype, (feature, "<f8", "<i1", "<i8")))
+
+
+def save_model(model: RandomForestModel, path) -> None:
+    """Write the header lines, then the bytes of the node columns and of
+    each tree's node count (see _file_dtypes)."""
     for name in model.feature_names:
         if any(ch.isspace() for ch in name):
             raise ModelFormatError(f"feature name with whitespace: {name!r}")
-    yield [f"{MODEL_FORMAT_NAME} {MODEL_FORMAT_VERSION}"] + [
-        f"{key} {write(model)}" for key, (write, _) in _HEADER.items()
-    ]
-    names = [str(lab) for lab in model.label_universe]
-    columns = (model.nodes.feature, model.nodes.threshold, model.nodes.leaf_code)
-    bounds = model.roots.tolist() + [model.nodes.feature.size]
-    for t in range(model.n_trees):
-        tree = (col[bounds[t] : bounds[t + 1]].tolist() for col in columns)
-        yield [f"tree {t}"] + [
-            f"I {f} {_fmt(thr)}" if f >= 0 else f"L {names[code]}" for f, thr, code in zip(*tree)
-        ]
-    yield ["end"]
-
-
-def model_to_lines(model: RandomForestModel) -> list[str]:
-    return [line for chunk in _model_chunks(model) for line in chunk]
+    header = "".join(line + "\n" for line in _header_lines(model)).encode("ascii")
+    sizes = np.diff(model.roots, append=model.nodes.feature.size)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for column, dtype in zip((*model.nodes, sizes), _file_dtypes(model.n_features)):
+            fh.write(column.astype(dtype, copy=False).tobytes())
 
 
 def _read_header(lines: list[str]) -> dict:
@@ -1323,225 +1334,97 @@ def _read_header(lines: list[str]) -> dict:
     return header
 
 
-def _internal_refusal(line: str, n_features: int) -> str | None:
-    """Why an `I feature threshold` line cannot be walked, or None."""
-    _, f, thr = line.split()
-    try:
-        f, thr = int(f), float(thr)
-    except ValueError:
-        return f"bad tree node line: {line!r}"
-    if not 0 <= f < n_features:
-        return f"feature index outside 0..{n_features - 1}: {line!r}"
-    if not math.isfinite(thr):
-        return f"non-finite threshold: {line!r}"
-    return None
-
-
-# a bytes.translate table that maps the ASCII bytes that str.split() splits
-# at to 1, and any other byte to 0
-_SPACE = bytes(b in b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f" for b in range(256))
-
-
-def _floats(data: bytes, code: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The tokens of data (code: the same bytes as uint8) at start, of the
-    given sizes, read as floats by one NumPy call over their bytes, a space
-    after each: float() of each token, but NaN for one such as `nan(12)`
-    that float() refuses. Where that call fails, as on `1_0` (float() reads
-    10), float() reads each token and raises ValueError on one it refuses."""
-    text = code.take(_ranges(start, size + 1))  # each token and the byte after it
-    text[np.cumsum(size + 1) - 1] = ord(" ")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)  # NumPy 1.x warns at text it cannot read
-            values = np.fromstring(text[:-1].tobytes(), sep=" ")
-        if values.size == start.size:
-            return values
-    except (ValueError, DeprecationWarning):
-        pass
-    return np.array([float(data[a : a + n]) for a, n in zip(start.tolist(), size.tolist())], dtype=float)
-
-
-class _BodyReader:
-    """The trees of a model file, from the lines after its header, fed
-    in chunks.
-
-    A line is a node when it reads `I feature threshold` or `L label`.
-    Each chunk's nodes become numeric columns at once, and its trees are
-    walked as it arrives: a tree starts at its `tree t` marker and ends
-    at its first node where the subtrees still owed fall below their
-    count at the marker, before any line that is not a node. A fault in
-    that structure raises ModelFormatError at once; a bad internal node
-    or an unknown leaf label is kept, and trees() raises the first of
-    them, internal nodes first, once the whole file is read and whole.
-    """
-
-    def __init__(self, n_features: int, labels, n_trees: int):
-        self.n_features, self.n_trees = n_features, n_trees
-        # a label's code by its mask, which its six 0/1 characters spell
-        self.code_of = np.full(64, -1, dtype=np.int8)
-        self.code_of[[lab.mask for lab in labels]] = np.arange(len(labels))
-        self.columns, self.roots = [], []  # per chunk its nodes' columns; each tree's root
-        self.n_lines = self.n_owed = 0  # the lines fed, and the subtrees owed after them
-        # the tree being read or next, the subtrees owed at its marker
-        # (None between trees), and whether `end` was read
-        self.tree, self.mark, self.ended = 0, None, False
-        self.bad_internal = self.bad_leaf = None
-
-    def feed(self, data: bytes, starts: np.ndarray, ends: np.ndarray) -> None:
-        """Parse the next chunk, the lines of data that start and end at
-        starts and ends, and walk its trees (see the class docstring).
-
-        The tokens, the runs that str.split() gives, are found as byte
-        ranges of data, so each line's field count, its first token, a
-        one-digit feature and a label are read as arrays, and the
-        thresholds in one bulk read (see _floats). Only a feature of more
-        than one digit becomes a string, for int() to read.
-        """
-        n_lines = starts.size
-        if not n_lines:
-            return
-        code = np.frombuffer(data, np.uint8)
-        space = np.frombuffer(b"\1" + data.translate(_SPACE) + b"\1", dtype=bool)
-        edge = np.flatnonzero(space[1:] != space[:-1])  # where a token starts, then where it ends
-        start, end = edge[0::2], edge[1::2]  # each token's first byte and the one after
-        # the tokens before each line, and before the end of the last
-        before = np.searchsorted(start, np.append(starts[:1], ends))
-        first, n_fields = before[:-1], np.diff(before)  # each line's first token, and its count
-
-        def field(k: int, at: np.ndarray):
-            """Where field k of the lines at starts, and its length."""
-            token = first[at] + k
-            return start[token], end[token] - start[token]
-
-        def line(k: int) -> str:
-            return data[starts[k] : ends[k]].decode()
-
-        # +1 for an internal node, -1 for a leaf, 0 for any other line
-        at = np.flatnonzero((n_fields == 2) | (n_fields == 3))
-        pos, size = field(0, at)
-        head, three = np.where(size == 1, code.take(pos), 0), n_fields[at] == 3
-        step = np.zeros(n_lines, dtype=np.int8)
-        step[at] = ((head == ord("I")) & three).astype(np.int8) - ((head == ord("L")) & ~three)
-
-        # walk the chunk's trees from where the last chunk left off
-        owed = self.n_owed + np.cumsum(step, dtype=np.intp)
-        others = np.append(np.flatnonzero(step == 0), n_lines)  # the lines that are not nodes
-        k = 0
-        while k < n_lines:
-            if self.mark is not None:  # in a tree: find its last node
-                stop = others[np.searchsorted(others, k)]
-                done = np.flatnonzero(owed[k:stop] == self.mark - 1)
-                if done.size:
-                    self.tree, self.mark, k = self.tree + 1, None, k + int(done[0]) + 1
-                elif stop < n_lines:
-                    raise ModelFormatError(f"tree {self.tree} is cut short at {line(stop)!r}")
-                else:
-                    break
-            elif self.ended:
-                raise ModelFormatError(f"text after the end marker: {line(k)!r}")
-            elif self.tree == self.n_trees:
-                if line(k) != "end":
-                    raise ModelFormatError("missing end marker")
-                self.ended, k = True, k + 1
-            elif (marker := line(k)) != f"tree {self.tree}":
-                raise ModelFormatError(f"expected 'tree {self.tree}', got {marker!r}")
-            else:
-                self.roots.append(self.n_lines + k - self.tree)  # the lines before are nodes and markers
-                self.mark, k = int(owed[k]), k + 1
-        self.n_owed, self.n_lines = int(owed[-1]), self.n_lines + n_lines
-
-        internal, leaves = np.flatnonzero(step > 0), np.flatnonzero(step < 0)
-        pos, size = field(1, internal)
-        f = code.take(pos).astype(np.intp) - ord("0")
-        odd = np.flatnonzero((size > 1) | (f < 0) | (f > 9))  # not one digit
-        try:
-            f[odd] = [int(data[a : a + n]) for a, n in zip(pos[odd].tolist(), size[odd].tolist())]
-            thr = _floats(data, code, *field(2, internal))
-        except (ValueError, OverflowError):
-            f, thr, walkable = 0, 0.0, np.zeros(internal.size, dtype=bool)
-        else:
-            walkable = (f >= 0) & (f < self.n_features) & np.isfinite(thr)
-        if self.bad_internal is None:
-            refusals = (_internal_refusal(line(k), self.n_features) for k in internal[~walkable].tolist())
-            self.bad_internal = next(filter(None, refusals), None)
-        # a label is six characters of 0 and 1, its mask in binary; a
-        # shorter token at the end of the text reads clipped bytes, and is no label
-        pos, size = field(1, leaves)
-        mask, six = np.zeros(leaves.size, dtype=np.uint8), size == 6
-        for k in range(6):
-            bit = code.take(pos + k, mode="clip") - np.uint8(ord("0"))  # above 1 unless 0 or 1
-            six &= bit <= 1
-            mask = 2 * mask + bit
-        codes = np.where(six, self.code_of.take(mask & 63), -1)
-        unknown = leaves[codes < 0]
-        if unknown.size and self.bad_leaf is None:
-            self.bad_leaf = f"leaf label not in the labels header: {line(unknown[0])!r}"
-
-        # a line that is not walkable refuses the model, whatever its column holds
-        kind = step[step != 0]
-        nodes = _node_columns(kind.size, self.n_features)
-        nodes.feature[kind > 0], nodes.threshold[kind > 0], nodes.leaf_code[kind < 0] = f, thr, codes
-        self.columns.append(nodes)
-
-    def trees(self) -> tuple[NodeTable, np.ndarray]:
-        """The node table and the tree roots, once the last chunk is fed."""
-        if self.mark is not None:
-            raise ModelFormatError(f"tree {self.tree} is cut short at the end of the file")
-        if self.tree < self.n_trees:
-            raise ModelFormatError(f"expected 'tree {self.tree}', got None")
-        if not self.ended:
-            raise ModelFormatError("missing end marker")
-        for refusal in (self.bad_internal, self.bad_leaf):
-            if refusal is not None:
-                raise ModelFormatError(refusal)
-        return NodeTable(*map(np.concatenate, zip(*self.columns))), np.array(self.roots)
-
-
-def save_model(model: RandomForestModel, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for chunk in _model_chunks(model):
-            fh.write("\n".join(chunk))
-            fh.write("\n")
+def _check_nodes(nodes: NodeTable, roots: np.ndarray, n_features: int, n_labels: int) -> None:
+    """Refuse, naming the first faulty node or tree, a table that cannot
+    be walked: a feature outside -1 .. n_features - 1, an internal node
+    with a threshold that is not finite or a leaf code other than -1, a
+    leaf code outside the labels, or a tree that is not whole in preorder.
+    A tree is whole when the subtrees it still owes, 1 before its root, +1
+    at each internal node and -1 at each leaf, reach 0 at its last node and
+    not before."""
+    feature, threshold, leaf_code = nodes
+    internal = feature >= 0
+    faults = (
+        ((feature < -1) | (feature >= n_features), feature, f"feature index {{}} outside -1..{n_features - 1}"),
+        (internal & ~np.isfinite(threshold), threshold, "non-finite threshold {}"),
+        (internal & (leaf_code != -1), leaf_code, "internal node with leaf code {}"),
+        (~internal & ((leaf_code < 0) | (leaf_code >= n_labels)), leaf_code, "leaf code {} not in the labels"),
+    )
+    for bad, column, fault in faults:
+        if bad.any():
+            k = int(np.argmax(bad))
+            t = int(np.searchsorted(roots, k, side="right")) - 1
+            raise ModelFormatError(f"node {k - roots[t]} of tree {t}: " + fault.format(column[k].item()))
+    del faults, bad  # so that their masks and owed are not held at once
+    # owed[k]: the subtrees the forest owes before node k, after the last at k = n
+    owed = np.zeros(feature.size + 1, dtype=np.intp)
+    owed[1:] = np.where(internal, np.int8(1), np.int8(-1))
+    np.cumsum(owed, out=owed)
+    start, end = owed[roots], owed[np.append(roots[1:], feature.size)]
+    whole = (np.minimum.reduceat(owed[:-1], roots) >= start) & (end == start - 1)
+    if not whole.all():
+        raise ModelFormatError(f"tree {int(np.argmin(whole))} is not one whole tree in preorder")
 
 
 def load_model(path) -> RandomForestModel:
-    """The model in a model file, read 256 KB at a time as bytes, whose
-    lines and tokens are found as byte ranges and whose thresholds are
-    read in one NumPy call per chunk. Of the text, only the header lines
-    and the chunk being parsed are held, and each chunk's trees are
-    checked as it arrives, so the model, or the error raised, does not
-    depend on where the chunks split the lines. A bad line, a line after
-    the end marker or a byte that is not ASCII raises ModelFormatError:
-    the first fault of structure or byte, then of internal node, then of
-    leaf label."""
-    chunks = _ascii_line_chunks(path, ModelFormatError)
-    lines = []
-    for data, starts, ends in chunks:  # the header may span chunks
-        n = 1 + len(_HEADER) - len(lines)  # the header lines still to read
-        lines += [data[a:b].decode() for a, b in zip(starts[:n].tolist(), ends[:n].tolist())]
-        if len(lines) > len(_HEADER):
+    """The model in a model file. The header lines are read by _HEADER;
+    the node columns and tree sizes are taken from the exact byte ranges
+    that the header's counts give and checked by _check_nodes. Anything
+    that is not a file save_model writes raises ModelFormatError naming
+    the fault: a format line or version it does not write, a header line
+    that cannot be read or that it would write otherwise, a byte in the
+    header that is not ASCII, a body of any other length, or tree sizes
+    below 1 or not summing to the node count."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    first = data.partition(b"\n")[0].decode("ascii", "backslashreplace")
+    name, _, version = first.partition(" ")
+    if name != MODEL_FORMAT_NAME:
+        raise ModelFormatError(f"not a {MODEL_FORMAT_NAME} file: {first!r}")
+    if version != str(MODEL_FORMAT_VERSION):
+        hint = f": {_OLD_FORMATS[version]}; re-train the model" if version in _OLD_FORMATS else ""
+        raise ModelFormatError(f"unsupported format version {version!r}{hint}")
+    start = 0
+    for _ in range(1 + len(_HEADER)):
+        end = data.find(b"\n", start)
+        if end < 0:
             break
-    if not lines:
-        raise ModelFormatError("empty model text")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != MODEL_FORMAT_NAME:
-        raise ModelFormatError(f"not a {MODEL_FORMAT_NAME} file: {lines[0]!r}")
-    if head[1] != str(MODEL_FORMAT_VERSION):
-        scaled = head[1] in ("1", "2")  # thresholds on max-abs scaled rows
-        hint = ": its thresholds are on scaled rows; re-train the model" if scaled else ""
-        raise ModelFormatError(f"unsupported format version {head[1]!r}{hint}")
+        start = end + 1
+    text = data[:start]
+    if not text.isascii():
+        bad = next(k for k, byte in enumerate(text) if byte >= 128)
+        line = text.count(b"\n", 0, bad) + 1
+        raise ModelFormatError(f"header line {line}: byte 0x{text[bad]:02x} is not ASCII")
+    lines = text.decode().split("\n")[:-1]
     header = _read_header(lines)
-    params = ForestParams(**{key: header[key] for key in ForestParams.__dataclass_fields__})
-    body = _BodyReader(len(header["feature_names"]), header["labels"], header["n_trees"])
-    body.feed(data, starts[n:], ends[n:])
-    for data, starts, ends in chunks:
-        body.feed(data, starts, ends)
-    nodes, roots = body.trees()
-    return RandomForestModel(
+
+    n_features, n_trees, n_nodes = len(header["feature_names"]), header["n_trees"], header["nodes"]
+    counts = (n_nodes, n_nodes, n_nodes, n_trees)
+    dtypes = _file_dtypes(n_features)
+    size = sum(count * dtype.itemsize for count, dtype in zip(counts, dtypes))
+    if len(data) - start != size:
+        raise ModelFormatError(
+            f"the body holds {len(data) - start} bytes, not the {size} of {n_nodes} nodes in {n_trees} trees"
+        )
+    columns = []
+    for count, dtype, native in zip(counts, dtypes, (_feature_dtype(n_features), float, np.int8, np.intp)):
+        columns.append(np.frombuffer(data, dtype, count, start).astype(native))
+        start += count * dtype.itemsize
+    del data  # the checks hold the columns and not the file's bytes too
+    nodes, sizes = NodeTable(*columns[:3]), columns[3]
+    if sizes.min() < 1 or sizes.max() > n_nodes or sizes.sum() != n_nodes:
+        raise ModelFormatError(f"the tree sizes are not {n_trees} counts of at least 1 that sum to {n_nodes}")
+    roots = np.cumsum(sizes) - sizes
+    _check_nodes(nodes, roots, n_features, len(header["labels"]))
+    model = RandomForestModel(
         nodes=nodes,
         roots=roots,
         feature_names=header["feature_names"],
         healthy_rms=header["healthy_rms"],
         label_universe=header["labels"],
-        params=params,
+        params=ForestParams(**{key: header[key] for key in ForestParams.__dataclass_fields__}),
     )
+    for line, written in zip(lines, _header_lines(model)):
+        if line != written:
+            raise ModelFormatError(f"header line {line!r} is not as written: {written!r}")
+    return model

@@ -2,9 +2,8 @@
 
 The feature oracles are written with plain Python loops and the math
 module, deliberately avoiding numpy so that agreement with the library
-is evidence of correctness rather than shared code paths. The model-file
-reference is the whole-text parser that chunked loading replaced, and
-the walk-table reference is the whole-forest build that the build tree
+is evidence of correctness rather than shared code paths. The
+walk-table reference is the whole-forest build that the build tree
 block by tree block replaced. The split-search reference scores every
 boundary cut from a full row of class counts, as the search did before it
 scored cuts from integer sums of squared counts.
@@ -17,17 +16,10 @@ import math
 import numpy as np
 
 from trifault.forest import (
-    _HEADER,
     _MIN_GAIN,
-    MODEL_FORMAT_NAME,
-    MODEL_FORMAT_VERSION,
-    ForestParams,
-    ModelFormatError,
     NodeTable,
-    RandomForestModel,
     _preorder_children,
     _ranges,
-    _read_header,
     _WalkTable,
 )
 
@@ -113,96 +105,6 @@ def sector_area_oracle(radii, angles_deg, closed=False) -> float:
 # the switches whose open circuit shows in region SI..SVI (region index
 # 0..5): each phase's upper switch where it is negative, lower where positive
 REGION_SWITCHES = ({2, 3, 6}, {2, 3, 5}, {2, 4, 5}, {1, 4, 5}, {1, 4, 6}, {1, 3, 6})
-
-
-def _reference_refuse_internal(line: str, n_features: int) -> None:
-    """Raise for an `I feature threshold` line that cannot be walked."""
-    _, f, thr = line.split()
-    try:
-        f, thr = int(f), float(thr)
-    except ValueError:
-        raise ModelFormatError(f"bad tree node line: {line!r}") from None
-    if not 0 <= f < n_features:
-        raise ModelFormatError(f"feature index outside 0..{n_features - 1}: {line!r}")
-    if not math.isfinite(thr):
-        raise ModelFormatError(f"non-finite threshold: {line!r}")
-
-
-def _reference_parse_trees(body: list[str], n_trees: int, n_features: int, labels) -> tuple[NodeTable, np.ndarray]:
-    """The node table and tree roots held by the lines after the header;
-    a line is a node when it reads `I feature threshold` or `L label`."""
-    n_fields = np.fromiter(map(len, map(str.split, body)), np.intp, len(body))
-    tokens = np.array(" ".join(body).split() + [""], dtype=object)  # "" closes the last line
-    first = np.cumsum(n_fields) - n_fields  # each line's first token
-    head = tokens[first]
-    # +1 for an internal node, -1 for a leaf, 0 for any other line
-    step = ((n_fields == 3) & (head == "I")).astype(np.intp) - ((n_fields == 2) & (head == "L"))
-    # a tree ends at its first node where the subtrees still owed drop below zero
-    owed = np.cumsum(step)
-    others = np.append(np.flatnonzero(step == 0), len(body))
-    roots, pos = [], 0
-    for t in range(n_trees):
-        marker = body[pos] if pos < len(body) else None
-        if marker != f"tree {t}":
-            raise ModelFormatError(f"expected 'tree {t}', got {marker!r}")
-        roots.append(pos - t)
-        stop = others[np.searchsorted(others, pos, side="right")]
-        done = np.flatnonzero(owed[pos + 1 : stop] == owed[pos] - 1)
-        if not done.size:
-            at = repr(body[stop]) if stop < len(body) else "the end of the file"
-            raise ModelFormatError(f"tree {t} is cut short at {at}")
-        pos += int(done[0]) + 2
-    if body[pos : pos + 1] != ["end"]:
-        raise ModelFormatError("missing end marker")
-
-    internal, leaves = np.flatnonzero(step[:pos] > 0), np.flatnonzero(step[:pos] < 0)
-    try:
-        f = tokens[first[internal] + 1].astype(np.intp)  # int() and float() of each token
-        thr = tokens[first[internal] + 2].astype(float)
-    except (ValueError, OverflowError):
-        walkable = np.zeros(internal.size, dtype=bool)
-    else:
-        walkable = (f >= 0) & (f < n_features) & np.isfinite(thr)
-    for k in internal[~walkable]:
-        _reference_refuse_internal(body[k], n_features)
-    code_of = {str(lab): k for k, lab in enumerate(labels)}
-    codes = np.array([code_of.get(tok, -1) for tok in tokens[first[leaves] + 1].tolist()])
-    unknown = leaves[codes < 0]
-    if unknown.size:
-        raise ModelFormatError(f"leaf label not in the labels header: {body[unknown[0]]!r}")
-
-    feature = np.full(pos, -1, dtype=np.intp)
-    threshold = np.zeros(pos)
-    leaf_code = np.full(pos, -1, dtype=np.intp)
-    feature[internal], threshold[internal], leaf_code[leaves] = f, thr, codes
-    feature, threshold, leaf_code = (col[step[:pos] != 0] for col in (feature, threshold, leaf_code))
-    # a model holds int8 leaf codes, and int8 feature codes up to 128 features
-    code = np.int8 if n_features <= 128 else np.intp
-    return NodeTable(feature.astype(code), threshold, leaf_code.astype(np.int8)), np.array(roots)
-
-
-def reference_model_from_lines(lines: list[str]) -> RandomForestModel:
-    """The model held by the whole text of a model file, its lines in
-    one list; the text after the end marker is not read."""
-    if not lines:
-        raise ModelFormatError("empty model text")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != MODEL_FORMAT_NAME:
-        raise ModelFormatError(f"not a {MODEL_FORMAT_NAME} file: {lines[0]!r}")
-    if head[1] != str(MODEL_FORMAT_VERSION):
-        raise ModelFormatError(f"unsupported format version {head[1]!r}")
-    header = _read_header(lines)
-    n_trees, n_features = header["n_trees"], len(header["feature_names"])
-    params = ForestParams(**{key: header[key] for key in ForestParams.__dataclass_fields__})
-    nodes, roots = _reference_parse_trees(lines[1 + len(_HEADER) :], n_trees, n_features, header["labels"])
-    return RandomForestModel(
-        nodes=nodes,
-        roots=roots,
-        feature_names=header["feature_names"],
-        healthy_rms=header["healthy_rms"],
-        label_universe=header["labels"],
-        params=params,
-    )
 
 
 def reference_walk_table(nodes: NodeTable, roots: np.ndarray) -> _WalkTable:

@@ -354,7 +354,7 @@ class TestErrorPaths:
         pool, model, series = tmp_path / "pool.csv", tmp_path / "model.txt", tmp_path / "h.csv"
         assert main(["gen", "--config", str(cfg), "--out", str(pool)]) == 0
         assert main(["train", str(pool), "--config", str(cfg), "--out", str(model)]) == 0
-        assert "healthy_rms none" in model.read_text(encoding="ascii").splitlines()
+        assert b"\nhealthy_rms none\n" in model.read_bytes()
         assert main(["gen", "--series", "normal", "--duration", "0.2", "--out", str(series)]) == 0
         capsys.readouterr()
         assert main(["diagnose", str(model), str(series)]) == 2
@@ -366,10 +366,11 @@ class TestErrorPaths:
     def test_diagnose_refuses_model_with_bad_header_line(
         self, small_env, tmp_path, capsys, k, line
     ):
-        lines = small_env["model"].read_text(encoding="ascii").splitlines()
-        lines[k] = line
+        # the ten header lines, then the node columns as bytes
+        lines = small_env["model"].read_bytes().split(b"\n", 10)
+        lines[k] = line.encode("ascii")
         model = tmp_path / "bad_model.txt"
-        model.write_text("\n".join(lines) + "\n", encoding="ascii")
+        model.write_bytes(b"\n".join(lines))
         series = tmp_path / "h.csv"
         assert main(["gen", "--series", "normal", "--duration", "0.2", "--out", str(series)]) == 0
         capsys.readouterr()

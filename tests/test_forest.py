@@ -25,9 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_model_from_lines, reference_walk_table
+from oracles import reference_walk_table
 
-from trifault import dataset, forest
+from trifault import forest
 from trifault.cli import generate_training_pool
 from trifault.config import default_class_labels
 from trifault.dataset import training_rows
@@ -35,6 +35,7 @@ from trifault.forest import (
     ForestParams,
     ModelFormatError,
     NodeTable,
+    RandomForestModel,
     TrainingSet,
     _exact_stop,
     _stream_stop,
@@ -43,7 +44,6 @@ from trifault.forest import (
     cross_validate,
     label_universe_of,
     load_model,
-    model_to_lines,
     predict_batch,
     save_model,
     stratified_folds,
@@ -86,7 +86,8 @@ def tie_set(rng):
 # other two just before trees were grown in lockstep blocks. The v1 in
 # their names is that trainer generation's. Format version 3 holds the
 # thresholds on the unscaled rows, so the files were written again by the
-# first trainer that split on those rows.
+# first trainer that split on those rows, and format version 4 holds the
+# node columns as bytes, so they were written again, with the same nodes.
 GOLDEN_MODELS = {
     "blob_forest_v1.txt": (
         lambda: blob_set(np.random.default_rng(20), n_per_class=20, spread=1.2),
@@ -105,7 +106,7 @@ GOLDEN_MODELS = {
 
 # sha256 of the desk pool's feature bytes and of the desk model file
 DESK_POOL_SHA256 = "086452f74f3b01e0cda3cffd4a058c04a4ba92a527e9d4b0019a96b7e8992073"
-DESK_MODEL_SHA256 = "13cc08f6d4c2a3de8cd423944c70b99bb13f3679036db6be42897dd7fa28e72d"
+DESK_MODEL_SHA256 = "d0f2195a958032d224732f7e0c1cf68ac91d2ac77c6e50e264c48223c35e780b"
 
 
 class TestBootstrap:
@@ -392,10 +393,10 @@ class TestLockstepGrowth:
         # one node per batch, a few nodes per batch, and every node of a step in one batch
         ts = make_set()
         params = ForestParams(n_trees=6, m_try=2, seed=8)
-        default = model_to_lines(train_forest(ts, params))
+        default = model_bytes(train_forest(ts, params))
         for split_rows in (1, 64, 10**9):
             monkeypatch.setattr(forest, "_SPLIT_ROWS", split_rows)
-            assert model_to_lines(train_forest(ts, params)) == default
+            assert model_bytes(train_forest(ts, params)) == default
 
     @pytest.mark.parametrize("m_try", [1, 2])
     @pytest.mark.parametrize(
@@ -441,9 +442,9 @@ class TestLockstepGrowth:
         # than the default chunk holds: only small chunks refill a pool
         ts = grid_many_class_set(np.random.default_rng(38))
         params = ForestParams(n_trees=6, m_try=1, min_samples_leaf=2, seed=9)
-        default = model_to_lines(train_forest(ts, params))
+        default = model_bytes(train_forest(ts, params))
         monkeypatch.setattr(forest, "_DRAW_CHUNK", chunk)
-        assert model_to_lines(train_forest(ts, params)) == default
+        assert model_bytes(train_forest(ts, params)) == default
 
 
 @contextlib.contextmanager
@@ -496,7 +497,7 @@ class TestPreorderChildren:
         assert model.nodes._fields == ("feature", "threshold", "leaf_code")
         right = forest._preorder_children(model.nodes.feature)
         assert right.tolist() == reference_children(model.nodes.feature.tolist())
-        loaded = load_lines(model_to_lines(model))
+        loaded = load_bytes(model_bytes(model))
         assert all(np.array_equal(a, b) for a, b in zip(loaded.nodes, model.nodes))
         assert np.array_equal(loaded.roots, model.roots)
 
@@ -527,30 +528,30 @@ class TestForestTraining:
         ts = blob_set(np.random.default_rng(6))
         a = train_forest(ts, ForestParams(n_trees=8, seed=9))
         b = train_forest(ts, ForestParams(n_trees=8, seed=9))
-        assert model_to_lines(a) == model_to_lines(b)
+        assert model_bytes(a) == model_bytes(b)
 
     def test_different_seeds_differ(self):
         ts = blob_set(np.random.default_rng(6))
         a = train_forest(ts, ForestParams(n_trees=8, seed=9))
         b = train_forest(ts, ForestParams(n_trees=8, seed=10))
-        assert model_to_lines(a) != model_to_lines(b)
+        assert model_bytes(a) != model_bytes(b)
 
     def test_parallel_equals_sequential(self):
         ts = blob_set(np.random.default_rng(7))
         seq = train_forest(ts, ForestParams(n_trees=12, seed=3), n_jobs=1)
         par = train_forest(ts, ForestParams(n_trees=12, seed=3), n_jobs=2)
-        assert model_to_lines(seq) == model_to_lines(par)
+        assert model_bytes(seq) == model_bytes(par)
 
     def test_parallel_equals_sequential_across_blocks(self, monkeypatch):
         ts = blob_set(np.random.default_rng(7), spread=1.2)
-        one_block = model_to_lines(train_forest(ts, ForestParams(n_trees=25, seed=3)))
+        one_block = model_bytes(train_forest(ts, ForestParams(n_trees=25, seed=3)))
         # blocks of 10, 10 and 5 trees, in-process and over two workers
         monkeypatch.setattr(forest, "_GROW_BAG_BYTES", 10 * ts.n_rows * forest._bag_dtype(ts.n_rows).itemsize)
         with grown_blocks(monkeypatch) as blocks:
             seq = train_forest(ts, ForestParams(n_trees=25, seed=3), n_jobs=1)
         assert blocks == [10, 10, 5]
         par = train_forest(ts, ForestParams(n_trees=25, seed=3), n_jobs=2)
-        assert model_to_lines(seq) == model_to_lines(par) == one_block
+        assert model_bytes(seq) == model_bytes(par) == one_block
 
     def test_blocks_past_the_16_bit_edge(self, monkeypatch):
         # 65 537 rows of one class but the last, which lies apart on every
@@ -568,7 +569,7 @@ class TestForestTraining:
         assert (model.nodes.feature[model.roots] >= 0).all()
         monkeypatch.setattr(forest, "_GROW_BAG_BYTES", ts.n_rows * forest._bag_dtype(ts.n_rows).itemsize)
         with grown_blocks(monkeypatch) as blocks_of_one:
-            assert model_to_lines(train_forest(ts, params)) == model_to_lines(model)
+            assert model_bytes(train_forest(ts, params)) == model_bytes(model)
         assert (blocks, blocks_of_one) == ([2], [1, 1])
 
     def test_a_block_bag_stays_within_its_bytes(self):
@@ -586,7 +587,7 @@ class TestForestTraining:
 
     def test_jobs_are_capped_by_the_cores_this_process_may_use(self, monkeypatch):
         ts = blob_set(np.random.default_rng(7))
-        sequential = model_to_lines(train_forest(ts, ForestParams(n_trees=12, seed=3)))
+        sequential = model_bytes(train_forest(ts, ForestParams(n_trees=12, seed=3)))
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool started on one core")
@@ -595,7 +596,7 @@ class TestForestTraining:
         # train_forest imports the pool class from here when it needs one
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
         capped = train_forest(ts, ForestParams(n_trees=12, seed=3), n_jobs=2)
-        assert model_to_lines(capped) == sequential
+        assert model_bytes(capped) == sequential
 
     def test_dead_workers_name_the_missing_main_guard(self, tmp_path):
         # each worker re-runs a script without the guard, which starts the
@@ -674,43 +675,49 @@ class TestForestTraining:
         assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "model.txt").read_bytes()
 
 
-def load_lines(lines: list[str]):
-    """load_model of a file that holds the lines."""
+def model_bytes(model) -> bytes:
+    """The bytes that save_model writes for the model."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.txt"
-        path.write_bytes("".join(line + "\n" for line in lines).encode("ascii"))
+        save_model(model, path)
+        return path.read_bytes()
+
+
+def load_bytes(data: bytes):
+    """load_model of a file that holds the bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        path.write_bytes(data)
         return load_model(path)
 
 
-def forest_lines(*trees):
-    """A one-feature model file whose tree t holds the node lines trees[t]."""
-    lines = [
-        "trifault-forest 3",
-        f"n_trees {len(trees)}",
-        "feature_names f",
-        "labels 000000 100000",
-        "seed 0",
-        "m_try none",
-        "max_depth none",
-        "min_samples_leaf 1",
-        "healthy_rms 1",
-    ]
-    for t, nodes in enumerate(trees):
-        lines += [f"tree {t}", *nodes]
-    return lines + ["end"]
-
-
-def forest_lines_of_width(n_features, *trees):
-    """A model file of n_features features whose tree t holds the node
-    lines trees[t]."""
-    lines = forest_lines(*trees)
-    lines[2] = "feature_names " + " ".join(f"f{k}" for k in range(n_features))
-    return lines
+def forest_of(*trees, n_features=1):
+    """A model of n_features features and the labels 000000 and 100000,
+    built from its columns, whose tree t holds the nodes trees[t] in
+    preorder: `I <feature> <threshold>` for an internal node, `L <label>`
+    for a leaf."""
+    labels = (L0, L1)
+    nodes = [node.split() for tree in trees for node in tree]
+    internal = [kind == "I" for kind, *_ in nodes]
+    sizes = np.array([len(tree) for tree in trees])
+    return RandomForestModel(
+        nodes=NodeTable(
+            np.array([int(n[1]) if i else -1 for n, i in zip(nodes, internal)], forest._feature_dtype(n_features)),
+            np.array([float(n[2]) if i else 0.0 for n, i in zip(nodes, internal)]),
+            np.array([-1 if i else labels.index(FaultLabel.from_string(n[1])) for n, i in zip(nodes, internal)],
+                     np.int8),
+        ),
+        roots=np.cumsum(sizes) - sizes,
+        feature_names=tuple(f"f{k}" for k in range(n_features)),
+        healthy_rms=1.0,
+        label_universe=labels,
+        params=ForestParams(n_trees=len(trees)),
+    )
 
 
 def single_leaf_forest(*leaf_labels):
     """A one-feature model whose tree t is a single leaf voting leaf_labels[t]."""
-    return load_lines(forest_lines(*([f"L {label}"] for label in leaf_labels)))
+    return forest_of(*([f"L {label}"] for label in leaf_labels))
 
 
 class TestVoting:
@@ -836,8 +843,8 @@ class TestBlockedWalk:
         ts = blob_set(np.random.default_rng(23))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sequential = model_to_lines(train_forest(ts, ForestParams(n_trees=4, seed=2)))
-            parallel = model_to_lines(train_forest(ts, ForestParams(n_trees=4, seed=2), n_jobs=2))
+            sequential = model_bytes(train_forest(ts, ForestParams(n_trees=4, seed=2)))
+            parallel = model_bytes(train_forest(ts, ForestParams(n_trees=4, seed=2), n_jobs=2))
         assert parallel == sequential
 
     def test_predict_counts_sum_to_tree_count(self, walked):
@@ -1206,7 +1213,7 @@ class TestStreamStop:
         first += [random_tree_lines(rng) for _ in range(8)]
         second = [[f"I 0 {float(c)!r}", "L 100000", "L 000000"] for c in rng.uniform(-1.0, 1.0, 64)]
         second += [["L 000000"]] * 64
-        return [load_lines(forest_lines_of_width(3, *trees)) for trees in (first, second)]
+        return [forest_of(*trees, n_features=3) for trees in (first, second)]
 
     @pytest.fixture(scope="class")
     def stop_walked(self):
@@ -1306,7 +1313,7 @@ class TestWalkTable:
         assert table.feature.dtype == table.leaf_code.dtype == np.int8
 
     def test_row_equal_to_a_threshold_goes_left(self):
-        model = load_lines(one_tree_lines("I 0 0.5", "L 000000", "L 100000"))
+        model = forest_of(["I 0 0.5", "L 000000", "L 100000"])
         rows = np.array([[0.5], [np.nextafter(0.5, 1.0)], [np.nextafter(0.5, 0.0)]])
         right = reference_children(model.nodes.feature.tolist())
         expected = [model.nodes.leaf_code[leaf_of(model.nodes, right, row)] for row in rows]
@@ -1323,7 +1330,7 @@ class TestWalkTable:
         ],
     )
     def test_one_leaf_trees_match_the_reference(self, trees):
-        model = load_lines(forest_lines(*trees))
+        model = forest_of(*trees)
         X = np.concatenate([
             np.random.default_rng(25).uniform(-0.5, 1.5, size=(200, 1)),
             np.array([[0.1], [0.2], [0.25], [0.3], [0.375], [0.5], [0.75]]),
@@ -1338,7 +1345,7 @@ class TestWalkTable:
 
     def test_wide_models_keep_wide_codes(self):
         # feature 150 does not fit an int8 feature column
-        model = load_lines(forest_lines_of_width(200, ["I 150 0.5", "L 000000", "L 100000"]))
+        model = forest_of(["I 150 0.5", "L 000000", "L 100000"], n_features=200)
         X = np.zeros((2, 200))
         X[1, 150] = 1.0
         assert predict_batch(model, X).tolist() == [L0.mask, L1.mask]
@@ -1359,7 +1366,7 @@ class TestWalkTable:
 
         for name in ("_build_walk_table", "_build_top_table"):
             monkeypatch.setattr(forest, name, counted(name))
-        fresh = load_lines(model_to_lines(model))
+        fresh = load_bytes(model_bytes(model))
         X = np.asarray(tie_set(np.random.default_rng(26)).features)
         labels = predict_batch(fresh, X)
         table, top = fresh._walk_table, fresh._top_table
@@ -1383,9 +1390,9 @@ class TestWalkTable:
         if name == "desk":
             model = request.getfixturevalue("desk_experiment").model
         elif name == "one tree":
-            model = load_lines(forest_lines(DEEP_TREES[0]))
+            model = forest_of(DEEP_TREES[0])
         else:
-            model = load_lines(forest_lines_of_width(200, *(wide_tree_lines() for _ in range(17))))
+            model = forest_of(*(wide_tree_lines() for _ in range(17)), n_features=200)
         got, expected = model._walk_table, reference_walk_table(model.nodes, model.roots)
         assert [(col.dtype, col.tobytes()) for col in got] == [(col.dtype, col.tobytes()) for col in expected]
         assert got.feature.dtype == (np.intp if name == "wide" else np.int8)
@@ -1443,7 +1450,7 @@ class TestTopTable:
         ids=["shallow", "mixed"],
     )
     def test_shallow_and_one_leaf_trees_match_reference(self, trees):
-        model = load_lines(forest_lines_of_width(3, *trees))
+        model = forest_of(*trees, n_features=3)
         rng = np.random.default_rng(53)
         X = np.concatenate([
             rng.uniform(-1.0, 1.0, size=(300, 3)),
@@ -1465,7 +1472,7 @@ class TestTopTable:
             return [f"I {f} {rng.uniform(-1.0, 1.0)!r}", *tree_lines(top, depth + 1), *tree_lines(top, depth + 1)]
 
         trees = [tree_lines(iter(rng.permutation(40)[:31])) for _ in range(2)]
-        model = load_lines(forest_lines_of_width(40, *trees))
+        model = forest_of(*trees, n_features=40)
         X = rng.uniform(-1.0, 1.0, size=(500, 40))
         assert_counts_match_reference(model, X)
         top = model._top_table
@@ -1474,9 +1481,33 @@ class TestTopTable:
         assert entries <= forest._TOP_ENTRIES * model.nodes.feature.size
 
 
-def one_tree_lines(*node_lines):
-    """A one-feature, one-tree model file holding the given node lines."""
-    return forest_lines(node_lines)
+def small_model():
+    """A 3-tree, depth-2 forest on the blobs: every kind of node, in few
+    bytes."""
+    ts = blob_set(np.random.default_rng(24), n_per_class=10)
+    return train_forest(ts, ForestParams(n_trees=3, max_depth=2, seed=1))
+
+
+SMALL_MODEL = model_bytes(small_model())
+# its 15 nodes, in 3 trees of 5, are its last 174 bytes from here on: the
+# feature, threshold and leaf_code columns, then the tree sizes
+SMALL_BODY = len(SMALL_MODEL) - 174
+
+
+def with_header_line(data: bytes, k: int, line: str) -> bytes:
+    """The model file bytes with header line k (the format line is 0)
+    replaced by line, and the body kept."""
+    *lines, body = data.split(b"\n", 1 + len(forest._HEADER))
+    lines[k] = line.encode("ascii")
+    return b"\n".join([*lines, body])
+
+
+def saved_with(model, **columns) -> bytes:
+    """model_bytes of the model with the given node columns replaced."""
+    return model_bytes(replace(model, nodes=model.nodes._replace(**columns)))
+
+
+STUMP = ["I 0 0.5", "L 000000", "L 100000"]
 
 
 class TestPersistence:
@@ -1486,26 +1517,49 @@ class TestPersistence:
         path = tmp_path / "model.txt"
         save_model(model, path)
         loaded = load_model(path)
-        assert model_to_lines(loaded) == model_to_lines(model)
+        assert [(col.dtype, col.tobytes()) for col in (*loaded.nodes, loaded.roots)] == [
+            (col.dtype, col.tobytes()) for col in (*model.nodes, model.roots)
+        ]
         assert loaded.healthy_rms == model.healthy_rms
         rows = np.asarray(ts.features)
         assert list(predict_batch(loaded, rows)) == list(predict_batch(model, rows))
         save_model(loaded, tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
 
-    def test_rejects_unsupported_version(self):
-        lines = ["trifault-forest 99"]
-        with pytest.raises(ModelFormatError, match="unsupported format version"):
-            load_lines(lines)
+    def test_file_is_the_header_then_the_columns(self):
+        model = forest_of(STUMP, ["L 100000"])
+        header = [
+            "trifault-forest 4", "n_trees 2", "feature_names f0", "labels 000000 100000", "seed 0",
+            "m_try none", "max_depth none", "min_samples_leaf 1", "healthy_rms 1", "nodes 4",
+        ]
+        body = (
+            np.array([0, -1, -1, -1], "<i1").tobytes()
+            + np.array([0.5, 0.0, 0.0, 0.0], "<f8").tobytes()
+            + np.array([-1, 0, 1, 1], "<i1").tobytes()
+            + np.array([3, 1], "<i8").tobytes()
+        )
+        assert model_bytes(model) == "".join(line + "\n" for line in header).encode("ascii") + body
 
-    @pytest.mark.parametrize("version", ["1", "2"])
-    def test_refuses_scaled_versions_and_says_to_re_train(self, version):
-        # both held a scaler line and thresholds on the scaled rows
-        lines = forest_lines(["L 000000"])
-        lines[0] = f"trifault-forest {version}"
-        lines[2:3] = ["n_features 1", "feature_names f", "scaler 1"]
+    def test_wide_models_write_eight_byte_features(self):
+        model = forest_of(["I 150 0.5", "L 000000", "L 100000"], n_features=200)
+        data = model_bytes(model)
+        body = data[data.index(b"\nnodes 3\n") + len(b"\nnodes 3\n") :]
+        assert body[:24] == np.array([150, -1, -1], "<i8").tobytes()
+        loaded = load_bytes(data)
+        assert loaded.nodes.feature.dtype == np.intp and loaded.nodes.feature.tolist() == [150, -1, -1]
+
+    def test_rejects_unsupported_version(self):
+        with pytest.raises(ModelFormatError, match="unsupported format version '99'$"):
+            load_bytes(b"trifault-forest 99\n")
+        with pytest.raises(ModelFormatError, match="^not a trifault-forest file: ''$"):
+            load_bytes(b"")
+
+    @pytest.mark.parametrize("version", ["1", "2", "3"])
+    def test_refuses_earlier_versions_and_says_to_re_train(self, version):
+        # 1 and 2 held thresholds on max-abs scaled rows, 3 held its trees as text lines
+        data = with_header_line(SMALL_MODEL, 0, f"trifault-forest {version}")
         with pytest.raises(ModelFormatError, match=f"version '{version}': .*; re-train the model$"):
-            load_lines(lines)
+            load_bytes(data)
 
     def test_healthy_rms_pools_the_raw_healthy_rows(self):
         X = np.array([[3.0, -4.0], [100.0, 0.0], [0.0, 0.0]])
@@ -1520,87 +1574,83 @@ class TestPersistence:
         model = train_forest(ts, ForestParams(n_trees=1, seed=0))
         assert model.healthy_rms is None
         save_model(model, tmp_path / "model.txt")
-        assert "healthy_rms none" in (tmp_path / "model.txt").read_text().splitlines()
+        assert b"\nhealthy_rms none\n" in (tmp_path / "model.txt").read_bytes()
         assert load_model(tmp_path / "model.txt").healthy_rms is None
 
-    def test_rejects_truncated_file(self):
-        ts = blob_set(np.random.default_rng(15))
-        model = train_forest(ts, ForestParams(n_trees=2, seed=0))
-        lines = model_to_lines(model)
-        with pytest.raises(ModelFormatError):
-            load_lines(lines[:-3])
+    @pytest.mark.parametrize("cut", [1, 8, 174])
+    def test_rejects_truncated_file(self, cut):
+        # the last cut leaves the header and no body
+        message = f"^the body holds {174 - cut} bytes, not the 174 of 15 nodes in 3 trees$"
+        with pytest.raises(ModelFormatError, match=message):
+            load_bytes(SMALL_MODEL[:-cut])
 
-    def test_rejects_garbled_node_line(self):
-        ts = blob_set(np.random.default_rng(16))
-        model = train_forest(ts, ForestParams(n_trees=1, seed=0))
-        lines = model_to_lines(model)
-        bad = [ln if not ln.startswith(("I ", "L ")) else "X nonsense" for ln in lines]
-        with pytest.raises(ModelFormatError):
-            load_lines(bad)
+    @pytest.mark.parametrize("after", [b"\x00", b"end\n", "doubled"])
+    def test_rejects_bytes_after_the_columns(self, after):
+        # a file saved twice into one, or with bytes appended, is not read as its first model
+        after = SMALL_MODEL if after == "doubled" else after
+        with pytest.raises(ModelFormatError, match="^the body holds"):
+            load_bytes(SMALL_MODEL + after)
 
-    def test_rejects_negative_feature_index(self):
-        with pytest.raises(ModelFormatError, match="feature index"):
-            load_lines(one_tree_lines("I -1 0.5", "L 000000", "L 100000"))
+    @pytest.mark.parametrize(
+        "sizes", [[4, 0], [3, 2], [5, -1], [2**62, 2**62]], ids=["zero", "sum", "negative", "huge"]
+    )
+    def test_rejects_tree_sizes_that_do_not_split_the_nodes(self, sizes):
+        # the last 16 bytes hold the two tree sizes
+        data = model_bytes(forest_of(STUMP, ["L 100000"]))[:-16] + np.array(sizes, "<i8").tobytes()
+        with pytest.raises(ModelFormatError, match="^the tree sizes are not 2 counts of at least 1 that sum to 4$"):
+            load_bytes(data)
 
-    def test_rejects_feature_index_past_width(self):
-        with pytest.raises(ModelFormatError, match="feature index"):
-            load_lines(one_tree_lines("I 5 0.5", "L 000000", "L 100000"))
+    @pytest.mark.parametrize("feature", [-2, 1, 127])
+    def test_rejects_feature_index_outside_the_features(self, feature):
+        data = model_bytes(forest_of(["L 100000"], [f"I {feature} 0.5", "L 000000", "L 100000"]))
+        with pytest.raises(ModelFormatError, match=f"^node 0 of tree 1: feature index {feature} outside -1..0$"):
+            load_bytes(data)
 
-    def test_rejects_nan_threshold(self):
-        with pytest.raises(ModelFormatError, match="threshold"):
-            load_lines(one_tree_lines("I 0 nan", "L 000000", "L 100000"))
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_threshold(self, threshold):
+        data = model_bytes(forest_of(["I 0 0.5", f"I 0 {threshold}", "L 000000", "L 100000", "L 100000"]))
+        with pytest.raises(ModelFormatError, match=f"^node 1 of tree 0: non-finite threshold {threshold}$"):
+            load_bytes(data)
 
-    def test_rejects_leaf_label_outside_header(self):
-        with pytest.raises(ModelFormatError, match="labels header"):
-            load_lines(one_tree_lines("I 0 0.5", "L 000000", "L 010000"))
+    def test_a_leaf_may_hold_any_threshold(self):
+        # only internal nodes are walked by their thresholds; the bytes round-trip
+        model = forest_of(STUMP)
+        data = saved_with(model, threshold=np.array([0.5, np.nan, -np.inf]))
+        assert model_bytes(load_bytes(data)) == data
+
+    @pytest.mark.parametrize("code", [2, -1, -2, 127])
+    def test_rejects_leaf_code_outside_the_labels(self, code):
+        model = forest_of(STUMP)
+        data = saved_with(model, leaf_code=np.array([-1, 0, code], dtype=np.int8))
+        with pytest.raises(ModelFormatError, match=f"^node 2 of tree 0: leaf code {code} not in the labels$"):
+            load_bytes(data)
+
+    def test_rejects_internal_node_with_a_leaf_code(self):
+        model = forest_of(STUMP)
+        data = saved_with(model, leaf_code=np.array([1, 0, 1], dtype=np.int8))
+        with pytest.raises(ModelFormatError, match="^node 0 of tree 0: internal node with leaf code 1$"):
+            load_bytes(data)
+
+    @pytest.mark.parametrize(
+        "trees, bad",
+        [
+            # cut short: tree 0 still owes its right subtree at its last node
+            ([["I 0 0.5", "L 000000"], ["L 100000"]], 0),
+            # whole before its last node: a node follows a complete tree
+            ([["L 000000", "L 100000"], ["L 000000"]], 0),
+            ([["L 000000"], ["L 000000", "L 100000"]], 1),
+            ([STUMP, ["I 0 0.5", "L 000000", "L 100000", "L 100000"]], 1),
+            ([["I 0 0.5", "I 0 0.5", "L 000000", "L 100000"]], 0),
+        ],
+    )
+    def test_rejects_tree_that_is_not_whole_in_preorder(self, trees, bad):
+        with pytest.raises(ModelFormatError, match=f"^tree {bad} is not one whole tree in preorder$"):
+            load_bytes(model_bytes(forest_of(*trees)))
 
     @pytest.mark.parametrize("value", ["nan", "-inf", "-2", "1 2"])
     def test_rejects_healthy_rms_that_is_not_one_finite_positive_number(self, value):
-        lines = one_tree_lines("L 000000")
-        lines[8] = f"healthy_rms {value}"
         with pytest.raises(ModelFormatError, match="healthy_rms"):
-            load_lines(lines)
-
-    def test_rejects_tree_cut_short_before_next_marker(self):
-        with pytest.raises(ModelFormatError, match="'tree 1'"):
-            load_lines(forest_lines(["I 0 0.5", "L 000000"], ["L 100000"]))
-
-    def test_rejects_node_after_complete_tree(self):
-        lines = forest_lines(["L 000000", "L 100000"], ["L 000000"])
-        with pytest.raises(ModelFormatError, match="expected 'tree 1', got 'L 100000'"):
-            load_lines(lines)
-        with pytest.raises(ModelFormatError, match="missing end marker"):
-            load_lines(one_tree_lines("L 000000", "L 100000"))
-
-    def test_rejects_wrong_tree_index(self):
-        lines = forest_lines(["L 000000"], ["L 100000"])
-        lines[lines.index("tree 1")] = "tree 2"
-        with pytest.raises(ModelFormatError, match="expected 'tree 1', got 'tree 2'"):
-            load_lines(lines)
-
-    @pytest.mark.parametrize("bad", ["I 0", "I 0 0.5 9", "L", "L 000000 100000"])
-    def test_rejects_node_line_with_wrong_field_count(self, bad):
-        with pytest.raises(ModelFormatError, match=repr(bad)):
-            load_lines(one_tree_lines("I 0 0.5", bad, "L 100000"))
-
-    @pytest.mark.parametrize("bad", ["I x 0.5", "I 1.0 0.5", "I 0 x"])
-    def test_rejects_non_number_in_internal_node(self, bad):
-        with pytest.raises(ModelFormatError, match=f"bad tree node line: {bad!r}"):
-            load_lines(one_tree_lines(bad, "L 000000", "L 100000"))
-
-    def test_rejects_missing_end(self):
-        lines = one_tree_lines("I 0 0.5", "L 000000", "L 100000")
-        with pytest.raises(ModelFormatError, match="missing end marker"):
-            load_lines(lines[:-1])
-        with pytest.raises(ModelFormatError, match="missing end marker"):
-            load_lines(lines[:-1] + ["tree 1"])
-
-    @pytest.mark.parametrize("after", [["I x y"], [""], ["end"], "doubled"])
-    def test_rejects_text_after_end(self, after):
-        lines = one_tree_lines("I 0 0.5", "L 000000", "L 100000")
-        after = lines if after == "doubled" else after
-        with pytest.raises(ModelFormatError, match=re.escape(f"text after the end marker: {after[0]!r}")):
-            load_lines(lines + after)
+            load_bytes(with_header_line(SMALL_MODEL, 8, f"healthy_rms {value}"))
 
     @pytest.mark.parametrize(
         "k, line",
@@ -1624,19 +1674,45 @@ class TestPersistence:
             (7, "min_samples_leaf 0"),
             (8, "healthy_rms inf"),
             (8, "healthy_rms 0"),
+            (9, ""),
+            (9, "nodes x"),
+            (9, "nodes 0"),
+            (9, "tree 0"),
         ],
     )
     def test_rejects_bad_header_line(self, k, line):
-        lines = one_tree_lines("L 000000")
-        lines[k] = line
         with pytest.raises(ModelFormatError, match=re.escape(repr(line))):
-            load_lines(lines)
+            load_bytes(with_header_line(SMALL_MODEL, k, line))
+
+    @pytest.mark.parametrize(
+        "k, line",
+        [(1, "n_trees +3"), (1, "n_trees 3 "), (2, "feature_names i_a\ti_b i_c"), (4, "seed 01"),
+         (5, "m_try  none"), (6, "max_depth 1_0"), (8, "healthy_rms 1.0"), (9, "nodes 015")],
+    )
+    def test_rejects_header_line_that_save_model_writes_otherwise(self, k, line):
+        # each is read as a valid value, which save_model writes otherwise, so
+        # a file that loads is always the bytes it re-saves to
+        data = with_header_line(SMALL_MODEL, k, line)
+        with pytest.raises(ModelFormatError, match=re.escape(repr(line))):
+            load_bytes(data)
 
     def test_rejects_forest_without_features(self):
-        lines = one_tree_lines("L 000000")
-        lines[2] = "feature_names"
         with pytest.raises(ModelFormatError, match="'feature_names'"):
-            load_lines(lines)
+            load_bytes(with_header_line(SMALL_MODEL, 2, "feature_names"))
+
+    @pytest.mark.parametrize("key", ["n_trees", "labels", "nodes"])
+    def test_rejects_header_cut_short(self, key):
+        # cut three bytes into the key's line, which is then no line
+        cut = SMALL_MODEL.index(f"\n{key} ".encode("ascii")) + 4
+        with pytest.raises(ModelFormatError, match=f"^missing header line '{key}'$"):
+            load_bytes(SMALL_MODEL[:cut])
+
+    def test_non_ascii_byte_names_its_header_line(self):
+        # the body's bytes are binary; a header byte must be ASCII
+        lines = SMALL_MODEL.split(b"\n", 4)
+        data = b"\n".join([*lines[:3], lines[3].replace(b"100000", b"1000\xe90"), lines[4]])
+        with pytest.raises(ModelFormatError, match="^header line 4: byte 0xe9 is not ASCII$"):
+            load_bytes(data)
 
     def test_desk_model_measures_the_trained_amplitude(self, desk_experiment):
         config = desk_experiment.config
@@ -1645,9 +1721,10 @@ class TestPersistence:
     def test_desk_model_bytes_are_pinned(self, desk_experiment, tmp_path):
         # The digests were recorded when the classifier grid, and with it
         # the pool, went from 10 kHz to 2.5 kHz, each class sized by the
-        # samples of a period that express it. The pool comes from NumPy's
-        # sin, whose last bit may differ with the NumPy build and the CPU,
-        # so the model digest is compared on the recorded pool only.
+        # samples of a period that express it, and the model digest again
+        # for format version 4. The pool comes from NumPy's sin, whose last
+        # bit may differ with the NumPy build and the CPU, so the model
+        # digest is compared on the recorded pool only.
         X, _ = training_rows(generate_training_pool(desk_experiment.config))
         if hashlib.sha256(X.tobytes()).hexdigest() != DESK_POOL_SHA256:
             pytest.skip("this platform simulates a different desk pool")
@@ -1655,25 +1732,22 @@ class TestPersistence:
         digest = hashlib.sha256((tmp_path / "desk.txt").read_bytes()).hexdigest()
         assert digest == DESK_MODEL_SHA256
 
-    def test_loading_holds_one_chunk_of_text(self, desk_experiment, tmp_path):
-        # The 5 MB desk file peaked at 79-83 MB traced when it was parsed
-        # whole, and at 29.7 MB read 1 MB at a time into 24 bytes of
-        # columns per node, tokens as strings. Read 256 KB at a time, its
-        # tokens as byte ranges, into 10 bytes per node, it peaked at
-        # 10.3-10.4 MB with each chunk decoded into lines, and at 9.7-9.8 MB
-        # reading bytes with each line's subtree count kept to walk the trees
-        # at the end. Walking each chunk's trees as it arrives, it peaks at
-        # 7.9 MB while a last chunk is parsed: the 3 MB of columns read so
-        # far, and one chunk's bytes and the arrays that parse them.
+    def test_loading_holds_the_file_and_its_columns(self, desk_experiment, tmp_path):
+        # The 3.6 MB desk file of format version 3 peaked at 7.9 MB traced
+        # while it was parsed 256 KB at a time. Of format version 4 (2.4 MB)
+        # it peaks at 4.8 MB: the file's bytes, read whole, and the columns
+        # copied out of them; the checks after that hold the columns and one
+        # count per node.
         path = tmp_path / "desk.txt"
         save_model(desk_experiment.model, path)
+        columns = sum(col.nbytes for col in (*desk_experiment.model.nodes, desk_experiment.model.roots))
         tracemalloc.start()
         try:
             load_model(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9e6
+        assert peak < 1.1 * (path.stat().st_size + columns)
 
     def test_first_prediction_holds_the_tables_it_builds(self, desk_experiment, tmp_path):
         # The first call builds the walk table (5.5 MB) and the top table
@@ -1692,167 +1766,50 @@ class TestPersistence:
             tracemalloc.stop()
         assert peak < 15e6
 
-    def test_non_ascii_byte_names_its_line(self, desk_experiment, tmp_path):
-        # the byte lies in the tenth 256 KB read, and its line is counted
-        # from the start of the file
-        path = tmp_path / "desk.txt"
-        save_model(desk_experiment.model, path)
-        data = bytearray(path.read_bytes())
-        at = 2_500_000
-        data[at] = 0xE9
-        path.write_bytes(data)
-        line, column = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
-        with pytest.raises(ModelFormatError, match=f"^line {line}: byte 0xe9 at column {column} is not ASCII$"):
-            load_model(path)
-
-    def test_structure_fault_beats_a_later_non_ascii_byte(self, desk_experiment, tmp_path):
-        # the trees are checked as each chunk is read, so a renamed marker
-        # in the first 256 KB read is refused before the tenth read's byte
-        path = tmp_path / "desk.txt"
-        save_model(desk_experiment.model, path)
-        data = bytearray(path.read_bytes().replace(b"\ntree 1\n", b"\ntree 9\n", 1))
-        assert data.index(b"\ntree 9\n") < dataset._CHUNK_CHARS
-        data[2_500_000] = 0xE9
-        path.write_bytes(data)
-        with pytest.raises(ModelFormatError, match="^expected 'tree 1', got 'tree 9'$"):
-            load_model(path)
-
     @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
     def test_trainer_reproduces_golden_model(self, name):
         make_set, params = GOLDEN_MODELS[name]
         ts = make_set()
         model = train_forest(ts, params)
-        golden = (DATA / name).read_text(encoding="ascii").splitlines()
-        assert model_to_lines(model) == golden
+        golden = (DATA / name).read_bytes()
+        assert model_bytes(model) == golden
         loaded = load_model(DATA / name)
-        assert model_to_lines(loaded) == golden
+        assert model_bytes(loaded) == golden
         rows = np.concatenate([ts.features, np.random.default_rng(21).uniform(-2, 8, (200, 3))])
         assert np.array_equal(predict_batch(loaded, rows), predict_batch(model, rows))
 
 
-def small_model_lines() -> list[str]:
-    """The file of a 3-tree, depth-2 forest on the blobs: every kind of
-    line, in few characters."""
-    ts = blob_set(np.random.default_rng(24), n_per_class=10)
-    return model_to_lines(train_forest(ts, ForestParams(n_trees=3, max_depth=2, seed=1)))
+def flip_byte(data: bytes, at: int, mask: int) -> bytes:
+    """The bytes with the byte at `at` XORed with mask."""
+    return data[:at] + bytes([data[at] ^ mask]) + data[at + 1 :]
 
 
-SMALL_MODEL = small_model_lines()
-# the last six are read differently by float() and NumPy's bulk float read,
-# or are read by one of them only
-NODE_FIELD_VALUES = ["nan", "inf", "x", "", "1_0", "nan(12)", "0x1p3", "1.5e", "1e400", "-0", "+.5"]
-MODEL_MUTATIONS = st.tuples(
-    st.sampled_from(
-        ["drop", "duplicate", "swap", "delete-char", "tab", "double-space", "replace-field", "append-tail"]
-    ),
-    st.integers(0, 10**6),
-    st.integers(0, 10**6),
-    st.sampled_from(NODE_FIELD_VALUES),
+DAMAGED_SMALL_MODELS = st.one_of(
+    st.integers(0, len(SMALL_MODEL) - 1).map(lambda n: SMALL_MODEL[:n]),
+    st.builds(flip_byte, st.just(SMALL_MODEL), st.integers(0, len(SMALL_MODEL) - 1), st.integers(1, 255)),
+    st.binary(min_size=1, max_size=64).map(lambda tail: SMALL_MODEL + tail),
 )
 
 
-def mutate_model(lines: list[str], kind: str, a: int, b: int, value: str) -> list[str]:
-    lines = list(lines)
-    i, j = a % len(lines), b % len(lines)
-    spaces = [k for k, ch in enumerate(lines[i]) if ch == " "]
-    if kind == "drop":
-        del lines[i]
-    elif kind == "duplicate":
-        lines.insert(i, lines[i])
-    elif kind == "swap":
-        lines[i], lines[j] = lines[j], lines[i]
-    elif kind == "delete-char" and lines[i]:
-        k = b % len(lines[i])
-        lines[i] = lines[i][:k] + lines[i][k + 1 :]
-    elif kind in ("tab", "double-space") and spaces:
-        k = spaces[b % len(spaces)]
-        lines[i] = lines[i][:k] + ("\t" if kind == "tab" else "  ") + lines[i][k + 1 :]
-    elif kind == "replace-field":
-        fields = lines[i].split(" ")
-        fields[b % len(fields)] = value
-        lines[i] = " ".join(fields)
-    elif kind == "append-tail":
-        lines += lines[i:]
-    return lines
-
-
-def model_outcome(load, source):
-    """The loaded model's fields, each column as its dtype and bytes, or
-    the refusal's message."""
-    try:
-        model = load(source)
-    except ModelFormatError as exc:
-        return str(exc)
-    columns = (*model.nodes, model.roots)
-    return (
-        [(col.dtype.str, col.tobytes()) for col in columns],
-        model.healthy_rms,
-        model.feature_names,
-        model.label_universe,
-        model.params,
-    )
-
-
-STRUCTURE_ERRORS = ("expected 'tree", "is cut short", "missing end marker")
-
-
-class TestLoaderMatchesReference:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(MODEL_MUTATIONS, max_size=3),
-        st.booleans(),
-        st.sampled_from([1, 5, 16, 64, dataset._CHUNK_CHARS]),
-    )
-    # the file doubled: the reference read its first half alone
-    @example([("append-tail", 0, 0, "")], False, 16)
-    # two refusals in different chunks: a structure error beats a value
-    # error before it, an internal node beats a leaf before it, and the
-    # first of two of a kind is quoted
-    @example([("replace-field", 11, 2, "x"), ("drop", 22, 0, "")], False, 16)
-    @example([("replace-field", 12, 1, "x"), ("replace-field", 25, 2, "x")], False, 16)
-    @example([("replace-field", 12, 1, "x"), ("replace-field", 26, 1, "nan")], False, 64)
-    @example([("replace-field", 13, 2, "nan"), ("replace-field", 19, 1, "x")], True, 16)
-    # thresholds that float() reads and NumPy's bulk read does not, and the
-    # reverse: the first makes float() read the chunk, the second is refused
-    @example([("replace-field", 14, 2, "1_0")], False, dataset._CHUNK_CHARS)
-    @example([("replace-field", 14, 2, "nan(12)")], True, 64)
-    # node lines broken by a byte that ends a line for str.splitlines; a read
-    # of one byte ends at each \r, whose \n comes with the next read
-    @example([("replace-field", 14, 1, "1\r")], True, 1)
-    @example([("replace-field", 12, 2, "\x0b0.5")], False, 5)
-    @example([("replace-field", 20, 0, "I\x0c")], False, 16)
-    @example([("replace-field", 26, 2, "0.7\x1c0.1")], True, 64)
-    def test_mutated_files(self, mutations, crlf, chunk_chars):
-        lines = SMALL_MODEL
-        for mutation in mutations:
-            lines = mutate_model(lines, *mutation)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "m.txt"
-            path.write_bytes(("\r\n" if crlf else "\n").join(lines + [""]).encode("ascii"))
-            with mock.patch.object(dataset, "_CHUNK_CHARS", chunk_chars):
-                got = model_outcome(load_model, path)
-            expected = model_outcome(reference_model_from_lines, path.read_text(encoding="ascii").splitlines())
-        if isinstance(got, str) and got.startswith("text after the end marker: "):
-            # refused where the reference stopped reading at `end`: the
-            # trees end at an `end` line that the quoted line follows
-            after = got.removeprefix("text after the end marker: ")
-            cuts = [k + 1 for k in range(len(lines) - 1) if lines[k] == "end" and repr(lines[k + 1]) == after]
-            outcomes = [model_outcome(reference_model_from_lines, lines[:cut]) for cut in cuts]
-            assert any(not (isinstance(o, str) and o.startswith(STRUCTURE_ERRORS)) for o in outcomes)
-        else:
-            assert got == expected
-
-    @pytest.mark.parametrize("value", NODE_FIELD_VALUES)
-    def test_thresholds_load_with_warnings_as_errors(self, value, tmp_path):
-        # NumPy 1.x warns, and reads on, where its bulk float read meets text
-        # it cannot read; the loader raises nothing but ModelFormatError
-        lines = mutate_model(SMALL_MODEL, "replace-field", 14, 2, value)
-        path = tmp_path / "m.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = model_outcome(load_model, path)
-        assert got == model_outcome(reference_model_from_lines, lines)
+class TestDamagedFiles:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(DAMAGED_SMALL_MODELS)
+    # a flipped feature byte of the root, internal, and of its left child, a
+    # leaf; a flipped top byte (sign and exponent) of each one's threshold;
+    # a flipped tree size and a flipped digit of healthy_rms
+    @example(flip_byte(SMALL_MODEL, SMALL_BODY, 0x01))
+    @example(flip_byte(SMALL_MODEL, SMALL_BODY + 1, 0xFF))
+    @example(flip_byte(SMALL_MODEL, SMALL_BODY + 15 + 7, 0x40))
+    @example(flip_byte(SMALL_MODEL, SMALL_BODY + 15 + 8 + 7, 0x7F))
+    @example(flip_byte(SMALL_MODEL, len(SMALL_MODEL) - 24, 0x01))
+    @example(flip_byte(SMALL_MODEL, SMALL_MODEL.index(b"healthy_rms ") + 14, 0x01))
+    def test_damaged_file_is_refused_or_re_saves_to_its_bytes(self, data):
+        # no IndexError, UnicodeDecodeError or other ValueError escapes
+        try:
+            model = load_bytes(data)
+        except ModelFormatError:
+            return
+        assert model_bytes(model) == data
 
 
 class TestCrossValidation:
